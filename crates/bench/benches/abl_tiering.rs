@@ -4,10 +4,17 @@
 //! DESIGN.md calls out tiering as a design choice; this quantifies both
 //! sides: memory footprint (compression) and the query-time cost of
 //! decompressing warm blocks.
+//!
+//! `seal_512` / `decode_512` time the block codec alone, in ns per point,
+//! over the series a simulated machine actually produces in one 512-tick
+//! seal cycle: every series seals on the same tick, so this kernel times
+//! the pipeline's longest stall.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use hpcmon_metrics::{CompId, MetricId, Sample, SeriesKey, Ts};
-use hpcmon_store::TimeSeriesStore;
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use hpcmon::{MonitoringSystem, SimConfig};
+use hpcmon_metrics::{CompId, MetricId, Sample, SeriesKey, Ts, MINUTE_MS};
+use hpcmon_sim::{AppProfile, JobSpec};
+use hpcmon_store::{SeriesBlock, TimeSeriesStore};
 
 fn fill(store: &TimeSeriesStore, series: u32, points: u64) {
     for n in 0..series {
@@ -37,6 +44,61 @@ fn print_capability() {
         ts.bytes_per_point,
         16.0 / ts.bytes_per_point.max(1e-9)
     );
+}
+
+/// One full seal cycle of every series of a 128-node machine under a
+/// three-application job mix: the hot buffers a threshold seal compresses.
+fn seal_cycle_series() -> Vec<(SeriesKey, Vec<(Ts, f64)>)> {
+    const CYCLE: u64 = TimeSeriesStore::DEFAULT_SEAL_THRESHOLD as u64;
+    let mut mon = MonitoringSystem::builder(SimConfig::small()).build();
+    for app in [
+        AppProfile::compute_heavy("stencil3d"),
+        AppProfile::comm_heavy("spectral_fft"),
+        AppProfile::checkpointing("climate"),
+    ] {
+        mon.submit_job(JobSpec::new(app, "alice", 32, 2 * CYCLE * MINUTE_MS, Ts::ZERO));
+    }
+    mon.run_ticks(CYCLE);
+    let store = mon.store();
+    let series =
+        store.all_series().into_iter().map(|k| (k, store.query(k, Ts::ZERO, Ts(u64::MAX))));
+    series.filter(|(_, pts)| pts.len() == CYCLE as usize).collect()
+}
+
+fn bench_codec(c: &mut Criterion) {
+    let series = seal_cycle_series();
+    let points: usize = series.iter().map(|(_, pts)| pts.len()).sum();
+    let blocks: Vec<SeriesBlock> =
+        series.iter().map(|(k, pts)| SeriesBlock::compress(*k, pts)).collect();
+    let bytes: usize = blocks.iter().map(SeriesBlock::compressed_bytes).sum();
+    println!(
+        "\n=== Block codec: {} series x 512 points, {:.2} B/pt ===",
+        series.len(),
+        bytes as f64 / points as f64
+    );
+    let mut group = c.benchmark_group("seal_512");
+    group.sample_size(20).throughput(Throughput::Elements(points as u64));
+    group.bench_function("sim_mix", |b| {
+        b.iter(|| {
+            let sealed = series.iter().map(|(k, pts)| SeriesBlock::compress(*k, pts));
+            sealed.map(|b| b.compressed_bytes()).sum::<usize>()
+        })
+    });
+    group.finish();
+
+    let mut group = c.benchmark_group("decode_512");
+    group.sample_size(20).throughput(Throughput::Elements(points as u64));
+    let mut out = Vec::with_capacity(512);
+    group.bench_function("sim_mix", |b| {
+        b.iter(|| {
+            for block in &blocks {
+                out.clear();
+                block.decode_into(Ts::ZERO, Ts(u64::MAX), &mut out).expect("sealed block decodes");
+                std::hint::black_box(out.len());
+            }
+        })
+    });
+    group.finish();
 }
 
 fn bench(c: &mut Criterion) {
@@ -78,5 +140,5 @@ fn bench(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench);
+criterion_group!(benches, bench, bench_codec);
 criterion_main!(benches);

@@ -6,15 +6,24 @@
 //! stable exponent/mantissa window cost a few bits.  Together they bring a
 //! one-minute node-metric stream to roughly 1–3 bytes per sample, which is
 //! what makes "keep all data" (Table I) a defensible requirement.
+//!
+//! Every series seals on the same tick, so the encoder sits on the tick's
+//! critical path under the shard write lock.  The kernels therefore move
+//! whole words: the writer packs into a 64-bit accumulator and the reader
+//! loads unaligned big-endian words, one bounds check per code instead of
+//! one per bit.  The byte format is pinned by the bit-at-a-time reference
+//! in this module's tests.
 
 use hpcmon_metrics::Ts;
 
-/// Bit-level writer over a byte vector.
+/// Bit-level writer over a byte vector, most significant bit first.
 #[derive(Debug, Default)]
 pub struct BitWriter {
     bytes: Vec<u8>,
-    // Bits used in the final byte (0..=7); 0 means byte-aligned.
-    bit_pos: u8,
+    // Pending bits, left-aligned; the low `64 - fill` bits are zero.
+    acc: u64,
+    // Pending bits in `acc` (0..=63).
+    fill: u32,
 }
 
 impl BitWriter {
@@ -23,42 +32,38 @@ impl BitWriter {
         BitWriter::default()
     }
 
-    /// Append a single bit.
-    pub fn write_bit(&mut self, bit: bool) {
-        if self.bit_pos == 0 {
-            self.bytes.push(0);
-        }
-        if bit {
-            let last = self.bytes.len() - 1;
-            self.bytes[last] |= 1 << (7 - self.bit_pos);
-        }
-        self.bit_pos = (self.bit_pos + 1) % 8;
-    }
-
     /// Append the low `n` bits of `value`, most significant first.
+    #[inline]
     pub fn write_bits(&mut self, value: u64, n: u8) {
         assert!(n <= 64);
-        for i in (0..n).rev() {
-            self.write_bit((value >> i) & 1 == 1);
+        let n = n as u32;
+        let v = if n == 0 { 0 } else { value << (64 - n) };
+        self.acc |= v >> self.fill;
+        let total = self.fill + n;
+        if total >= 64 {
+            self.bytes.extend_from_slice(&self.acc.to_be_bytes());
+            // The `64 - fill` high bits of `v` just left; keep the rest.
+            self.acc = (v << 1) << (63 - self.fill);
+            self.fill = total - 64;
+        } else {
+            self.fill = total;
         }
     }
 
-    /// Finish, returning the packed bytes.
-    pub fn finish(self) -> Vec<u8> {
+    /// Finish, returning the packed bytes (the last byte zero-padded).
+    pub fn finish(mut self) -> Vec<u8> {
+        let tail = self.fill.div_ceil(8) as usize;
+        self.bytes.extend_from_slice(&self.acc.to_be_bytes()[..tail]);
         self.bytes
     }
 
     /// Bits written so far.
     pub fn bit_len(&self) -> usize {
-        if self.bit_pos == 0 {
-            self.bytes.len() * 8
-        } else {
-            (self.bytes.len() - 1) * 8 + self.bit_pos as usize
-        }
+        self.bytes.len() * 8 + self.fill as usize
     }
 }
 
-/// Bit-level reader over a byte slice.
+/// Bit-level reader over a byte slice, most significant bit first.
 #[derive(Debug)]
 pub struct BitReader<'a> {
     bytes: &'a [u8],
@@ -71,20 +76,50 @@ impl<'a> BitReader<'a> {
         BitReader { bytes, pos: 0 }
     }
 
-    /// Next bit; `None` at end of input.
-    pub fn read_bit(&mut self) -> Option<bool> {
-        let byte = self.bytes.get(self.pos / 8)?;
-        let bit = (byte >> (7 - (self.pos % 8) as u8)) & 1 == 1;
-        self.pos += 1;
-        Some(bit)
+    /// The bits from the cursor on, left-aligned (at least 57 of them),
+    /// zero-padded past the end of input.  Does not advance.
+    #[inline]
+    fn peek(&self) -> u64 {
+        let byte = self.pos / 8;
+        let word = match self.bytes.get(byte..byte + 8) {
+            Some(w) => u64::from_be_bytes(w.try_into().expect("8-byte slice")),
+            None => {
+                let rest = self.bytes.get(byte..).unwrap_or(&[]);
+                let mut w = [0u8; 8];
+                w[..rest.len()].copy_from_slice(rest);
+                u64::from_be_bytes(w)
+            }
+        };
+        word << (self.pos % 8)
     }
 
-    /// Next `n` bits as an integer (MSB first).
-    pub fn read_bits(&mut self, n: u8) -> Option<u64> {
-        let mut v = 0u64;
-        for _ in 0..n {
-            v = (v << 1) | self.read_bit()? as u64;
+    /// Advance `n` bits; `None` (cursor unmoved) if fewer remain.
+    #[inline]
+    fn skip(&mut self, n: u32) -> Option<()> {
+        let end = self.pos + n as usize;
+        if end > self.bytes.len().saturating_mul(8) {
+            return None;
         }
+        self.pos = end;
+        Some(())
+    }
+
+    /// Next bit; `None` at end of input.
+    pub fn read_bit(&mut self) -> Option<bool> {
+        self.read_bits(1).map(|b| b == 1)
+    }
+
+    /// Next `n` bits as an integer (MSB first); `None` if fewer remain.
+    #[inline]
+    pub fn read_bits(&mut self, n: u8) -> Option<u64> {
+        assert!(n <= 64);
+        if n > 56 {
+            // One load guarantees 57 bits: take a wide read in two.
+            let hi = self.read_bits(n - 32)?;
+            return Some(hi << 32 | self.read_bits(32)?);
+        }
+        let v = (self.peek() >> 1) >> (63 - n);
+        self.skip(n as u32)?;
         Some(v)
     }
 }
@@ -99,21 +134,30 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-fn write_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
+/// Encoded length of `v`: one byte per started group of seven bits.
+fn varint_len(v: u64) -> usize {
+    (70 - (v | 1).leading_zeros() as usize) / 7
 }
 
+#[inline]
+fn write_varint(out: &mut Vec<u8>, mut v: u64) {
+    // A regular cadence makes almost every delta-of-delta a single byte.
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+#[inline]
 fn read_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
+    let first = *bytes.get(*pos)?;
+    *pos += 1;
+    if first < 0x80 {
+        return Some(first as u64);
+    }
+    let mut v = (first & 0x7F) as u64;
+    let mut shift = 7u32;
     loop {
         let byte = *bytes.get(*pos)?;
         *pos += 1;
@@ -130,150 +174,219 @@ fn read_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
 
 // ----- timestamps: delta-of-delta varint -----
 
-/// Compress a monotone-nondecreasing timestamp sequence.
-pub fn compress_timestamps(ts: &[Ts]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(ts.len() + 8);
-    write_varint(&mut out, ts.len() as u64);
-    if ts.is_empty() {
-        return out;
-    }
-    write_varint(&mut out, ts[0].0);
-    if ts.len() == 1 {
-        return out;
-    }
-    let first_delta = ts[1].0 as i64 - ts[0].0 as i64;
-    write_varint(&mut out, zigzag(first_delta));
-    let mut prev_delta = first_delta;
-    for w in ts.windows(2).skip(1) {
-        let delta = w[1].0 as i64 - w[0].0 as i64;
-        write_varint(&mut out, zigzag(delta - prev_delta));
+/// Feed `emit` the varint payloads of a timestamp stream: the count, the
+/// first timestamp, then zigzag delta-of-deltas (the first against zero).
+#[inline]
+fn timestamp_codes(mut ts: impl ExactSizeIterator<Item = Ts>, mut emit: impl FnMut(u64)) {
+    emit(ts.len() as u64);
+    let Some(first) = ts.next() else { return };
+    emit(first.0);
+    let (mut prev, mut prev_delta) = (first.0 as i64, 0i64);
+    for t in ts {
+        let delta = t.0 as i64 - prev;
+        emit(zigzag(delta - prev_delta));
         prev_delta = delta;
+        prev = t.0 as i64;
     }
+}
+
+/// Compress a monotone-nondecreasing timestamp sequence into one
+/// exact-sized allocation (a sizing pass, then the encode).
+pub(crate) fn encode_timestamps(ts: impl ExactSizeIterator<Item = Ts> + Clone) -> Vec<u8> {
+    let mut len = 0usize;
+    timestamp_codes(ts.clone(), |v| len += varint_len(v));
+    let mut out = Vec::with_capacity(len);
+    timestamp_codes(ts, |v| write_varint(&mut out, v));
     out
 }
 
-/// Decompress timestamps written by [`compress_timestamps`].
+/// Compress a monotone-nondecreasing timestamp sequence.
+pub fn compress_timestamps(ts: &[Ts]) -> Vec<u8> {
+    encode_timestamps(ts.iter().copied())
+}
+
+/// Streaming decoder for [`compress_timestamps`] output.
 ///
-/// Returns `None` on truncated input, overflow, or a cumulative timestamp
+/// Fails closed on truncated input, overflow, or a cumulative timestamp
 /// that goes negative: a corrupt or adversarial block must surface as an
 /// error, never silently round-trip to *different* data.
-pub fn decompress_timestamps(bytes: &[u8]) -> Option<Vec<Ts>> {
-    let mut pos = 0usize;
-    let n = read_varint(bytes, &mut pos)? as usize;
-    // The length header is attacker/corruption-controlled: never trust it
-    // into an allocation.  Each point costs at least one varint byte, so a
-    // plausible block carries at least `n` bytes after the header.
-    if n > bytes.len() - pos {
-        return None;
-    }
-    let mut out = Vec::with_capacity(n);
-    if n == 0 {
-        return Some(out);
-    }
-    let first = read_varint(bytes, &mut pos)?;
-    out.push(Ts(first));
-    if n == 1 {
-        return Some(out);
-    }
-    let mut delta = unzigzag(read_varint(bytes, &mut pos)?);
-    let mut cur = i64::try_from(first).ok()?.checked_add(delta)?;
-    if cur < 0 {
-        return None;
-    }
-    out.push(Ts(cur as u64));
-    for _ in 2..n {
-        let dod = unzigzag(read_varint(bytes, &mut pos)?);
-        delta = delta.checked_add(dod)?;
-        cur = cur.checked_add(delta)?;
-        if cur < 0 {
+pub(crate) struct TimestampDecoder<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    /// Declared point count (bounded by the input's byte length).
+    pub(crate) len: usize,
+    // Last timestamp, or negative when the first does not fit an `i64`
+    // (legal alone, but no delta can follow it).
+    cur: i64,
+    delta: i64,
+    started: bool,
+}
+
+impl<'a> TimestampDecoder<'a> {
+    /// Read the length header; `None` if it cannot be honest.
+    pub(crate) fn new(bytes: &'a [u8]) -> Option<TimestampDecoder<'a>> {
+        let mut pos = 0usize;
+        let len = usize::try_from(read_varint(bytes, &mut pos)?).ok()?;
+        // The length header is attacker/corruption-controlled: never trust it
+        // into an allocation.  Each point costs at least one varint byte, so a
+        // plausible block carries at least `len` bytes after the header.
+        if len > bytes.len() - pos {
             return None;
         }
-        out.push(Ts(cur as u64));
+        Some(TimestampDecoder { bytes, pos, len, cur: 0, delta: 0, started: false })
+    }
+
+    /// The next timestamp; `None` on corruption.  Call at most `len` times.
+    #[inline]
+    pub(crate) fn next_ts(&mut self) -> Option<Ts> {
+        let v = read_varint(self.bytes, &mut self.pos)?;
+        if !self.started {
+            self.started = true;
+            self.cur = i64::try_from(v).unwrap_or(-1);
+            return Some(Ts(v));
+        }
+        self.delta = self.delta.checked_add(unzigzag(v))?;
+        let next = self.cur.checked_add(self.delta)?;
+        if self.cur < 0 || next < 0 {
+            return None;
+        }
+        self.cur = next;
+        Some(Ts(next as u64))
+    }
+}
+
+/// Decompress timestamps written by [`compress_timestamps`].
+pub fn decompress_timestamps(bytes: &[u8]) -> Option<Vec<Ts>> {
+    let mut d = TimestampDecoder::new(bytes)?;
+    let mut out = Vec::with_capacity(d.len);
+    for _ in 0..d.len {
+        out.push(d.next_ts()?);
     }
     Some(out)
 }
 
 // ----- values: Gorilla XOR -----
 
-/// Compress a float sequence with the Gorilla XOR scheme.
-pub fn compress_values(values: &[f64]) -> Vec<u8> {
-    let mut header = Vec::new();
-    write_varint(&mut header, values.len() as u64);
-    if values.is_empty() {
-        return header;
-    }
-    let mut w = BitWriter::new();
-    w.write_bits(values[0].to_bits(), 64);
-    let mut prev = values[0].to_bits();
-    let mut prev_leading: u8 = 65; // sentinel: no previous window
-    let mut prev_trailing: u8 = 0;
-    for &v in &values[1..] {
+/// Feed `emit(bits, width)` the Gorilla code of a float stream: 64 raw bits
+/// for the first value, then per value `0` (unchanged), `10` + the XOR's
+/// bits inside the previous window, or `11` + 5-bit leading-zero count +
+/// 6-bit window length (64 wraps to 0) + the window's bits.
+#[inline]
+fn value_codes(mut values: impl Iterator<Item = f64>, mut emit: impl FnMut(u64, u8)) {
+    let Some(first) = values.next() else { return };
+    let mut prev = first.to_bits();
+    emit(prev, 64);
+    // No window yet: no XOR has `u32::MAX` leading zeros.
+    let (mut win_leading, mut win_trailing) = (u32::MAX, 0u32);
+    for v in values {
         let bits = v.to_bits();
         let xor = bits ^ prev;
-        if xor == 0 {
-            w.write_bit(false);
-        } else {
-            w.write_bit(true);
-            let leading = (xor.leading_zeros() as u8).min(31);
-            let trailing = xor.trailing_zeros() as u8;
-            if prev_leading <= 64 && leading >= prev_leading && trailing >= prev_trailing {
-                // Fits the previous window: control bit 0, meaningful bits.
-                w.write_bit(false);
-                let meaningful = 64 - prev_leading - prev_trailing;
-                w.write_bits(xor >> prev_trailing, meaningful);
-            } else {
-                // New window: control bit 1, 5 bits leading, 6 bits length.
-                w.write_bit(true);
-                let meaningful = 64 - leading - trailing;
-                w.write_bits(leading as u64, 5);
-                w.write_bits(meaningful as u64, 6);
-                w.write_bits(xor >> trailing, meaningful);
-                prev_leading = leading;
-                prev_trailing = trailing;
-            }
-        }
         prev = bits;
+        if xor == 0 {
+            emit(0, 1);
+            continue;
+        }
+        let leading = xor.leading_zeros().min(31);
+        let trailing = xor.trailing_zeros();
+        if leading >= win_leading && trailing >= win_trailing {
+            emit(0b10, 2);
+            emit(xor >> win_trailing, (64 - win_leading - win_trailing) as u8);
+        } else {
+            let meaningful = 64 - leading - trailing;
+            emit(0b11 << 11 | (leading as u64) << 6 | (meaningful as u64 & 63), 13);
+            emit(xor >> trailing, meaningful as u8);
+            win_leading = leading;
+            win_trailing = trailing;
+        }
     }
-    header.extend_from_slice(&w.finish());
-    header
+}
+
+/// Compress a float sequence with the Gorilla XOR scheme into one
+/// exact-sized allocation (a sizing pass, then the encode).
+pub(crate) fn encode_values(values: impl ExactSizeIterator<Item = f64> + Clone) -> Vec<u8> {
+    let n = values.len() as u64;
+    let mut bits = 0usize;
+    value_codes(values.clone(), |_, width| bits += width as usize);
+    let mut bytes = Vec::with_capacity(varint_len(n) + bits.div_ceil(8));
+    write_varint(&mut bytes, n);
+    let mut w = BitWriter { bytes, acc: 0, fill: 0 };
+    value_codes(values, |code, width| w.write_bits(code, width));
+    w.finish()
+}
+
+/// Compress a float sequence with the Gorilla XOR scheme.
+pub fn compress_values(values: &[f64]) -> Vec<u8> {
+    encode_values(values.iter().copied())
+}
+
+/// Streaming decoder for [`compress_values`] output.
+pub(crate) struct ValueDecoder<'a> {
+    bits: BitReader<'a>,
+    /// Declared value count (bounded by the input's bit length).
+    pub(crate) len: usize,
+    prev: u64,
+    leading: u32,
+    // Window length; 0 until the stream opens its first window.
+    meaningful: u32,
+    started: bool,
+}
+
+impl<'a> ValueDecoder<'a> {
+    /// Read the length header; `None` if it cannot be honest.
+    pub(crate) fn new(bytes: &'a [u8]) -> Option<ValueDecoder<'a>> {
+        let mut pos = 0usize;
+        let len = usize::try_from(read_varint(bytes, &mut pos)?).ok()?;
+        // Bound the corruption-controlled length by the bit budget actually
+        // present: 64 bits for the first value, then at least one bit each.
+        if len > 0 && 64usize.saturating_add(len - 1) > (bytes.len() - pos).saturating_mul(8) {
+            return None;
+        }
+        let bits = BitReader::new(&bytes[pos..]);
+        Some(ValueDecoder { bits, len, prev: 0, leading: 0, meaningful: 0, started: false })
+    }
+
+    /// The next value; `None` on corruption.  Call at most `len` times.
+    #[inline]
+    pub(crate) fn next_value(&mut self) -> Option<f64> {
+        if !self.started {
+            self.started = true;
+            self.prev = self.bits.read_bits(64)?;
+            return Some(f64::from_bits(self.prev));
+        }
+        let head = self.bits.peek();
+        if head >> 63 == 0 {
+            self.bits.skip(1)?;
+            return Some(f64::from_bits(self.prev));
+        }
+        if head >> 62 == 0b11 {
+            self.bits.skip(13)?;
+            self.leading = (head >> 57) as u32 & 31;
+            // 6 bits cannot express 64; 0 encodes a full-width window.
+            self.meaningful = match (head >> 51) as u32 & 63 {
+                0 => 64,
+                m => m,
+            };
+        } else {
+            self.bits.skip(2)?;
+        }
+        // No encoder reuses a window before opening one or opens one wider
+        // than the word; decoding either would shift out of range and hand
+        // back different data, so both are corruption.
+        if self.meaningful == 0 || self.leading + self.meaningful > 64 {
+            return None;
+        }
+        let xor = self.bits.read_bits(self.meaningful as u8)?;
+        self.prev ^= xor << (64 - self.leading - self.meaningful);
+        Some(f64::from_bits(self.prev))
+    }
 }
 
 /// Decompress floats written by [`compress_values`].
 pub fn decompress_values(bytes: &[u8]) -> Option<Vec<f64>> {
-    let mut pos = 0usize;
-    let n = read_varint(bytes, &mut pos)? as usize;
-    // Bound the corruption-controlled length by the bit budget actually
-    // present: 64 bits for the first value, then at least one bit each.
-    if n > 0 && 64usize.saturating_add(n - 1) > (bytes.len() - pos).saturating_mul(8) {
-        return None;
-    }
-    let mut out = Vec::with_capacity(n);
-    if n == 0 {
-        return Some(out);
-    }
-    let mut r = BitReader::new(&bytes[pos..]);
-    let mut prev = r.read_bits(64)?;
-    out.push(f64::from_bits(prev));
-    let mut leading: u8 = 0;
-    let mut meaningful: u8 = 0;
-    for _ in 1..n {
-        if !r.read_bit()? {
-            out.push(f64::from_bits(prev));
-            continue;
-        }
-        if r.read_bit()? {
-            leading = r.read_bits(5)? as u8;
-            meaningful = r.read_bits(6)? as u8;
-            if meaningful == 0 {
-                // 6 bits cannot express 64; 0 encodes a full-width window.
-                meaningful = 64;
-            }
-        }
-        let trailing = 64 - leading - meaningful;
-        let xor = r.read_bits(meaningful)? << trailing;
-        let bits = prev ^ xor;
-        out.push(f64::from_bits(bits));
-        prev = bits;
+    let mut d = ValueDecoder::new(bytes)?;
+    let mut out = Vec::with_capacity(d.len);
+    for _ in 0..d.len {
+        out.push(d.next_value()?);
     }
     Some(out)
 }
@@ -286,10 +399,10 @@ mod tests {
     #[test]
     fn bitwriter_round_trip() {
         let mut w = BitWriter::new();
-        w.write_bit(true);
+        w.write_bits(1, 1);
         w.write_bits(0b1011, 4);
         w.write_bits(u64::MAX, 64);
-        w.write_bit(false);
+        w.write_bits(0, 1);
         assert_eq!(w.bit_len(), 70);
         let bytes = w.finish();
         let mut r = BitReader::new(&bytes);
@@ -532,6 +645,452 @@ mod tests {
             prop_assert_eq!(back.len(), vals.len());
             for (x, y) in back.iter().zip(&vals) {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
+    }
+
+    // ----- the format, pinned independently of the kernels above -----
+
+    /// The bit-at-a-time codec this module shipped before the word-wise
+    /// kernels, kept verbatim as the oracle for the byte format.  Its only
+    /// edit: the value decoder refuses the two window states no encoder
+    /// emits, where it used to overflow a `u8` subtraction or shift.
+    mod reference {
+        use super::super::{unzigzag, zigzag};
+        use hpcmon_metrics::Ts;
+
+        #[derive(Default)]
+        pub struct BitWriter {
+            bytes: Vec<u8>,
+            bit_pos: u8,
+        }
+
+        impl BitWriter {
+            pub fn write_bit(&mut self, bit: bool) {
+                if self.bit_pos == 0 {
+                    self.bytes.push(0);
+                }
+                if bit {
+                    let last = self.bytes.len() - 1;
+                    self.bytes[last] |= 1 << (7 - self.bit_pos);
+                }
+                self.bit_pos = (self.bit_pos + 1) % 8;
+            }
+
+            pub fn write_bits(&mut self, value: u64, n: u8) {
+                assert!(n <= 64);
+                for i in (0..n).rev() {
+                    self.write_bit((value >> i) & 1 == 1);
+                }
+            }
+
+            pub fn finish(self) -> Vec<u8> {
+                self.bytes
+            }
+        }
+
+        pub struct BitReader<'a> {
+            bytes: &'a [u8],
+            pos: usize,
+        }
+
+        impl<'a> BitReader<'a> {
+            pub fn new(bytes: &'a [u8]) -> BitReader<'a> {
+                BitReader { bytes, pos: 0 }
+            }
+
+            pub fn read_bit(&mut self) -> Option<bool> {
+                let byte = self.bytes.get(self.pos / 8)?;
+                let bit = (byte >> (7 - (self.pos % 8) as u8)) & 1 == 1;
+                self.pos += 1;
+                Some(bit)
+            }
+
+            pub fn read_bits(&mut self, n: u8) -> Option<u64> {
+                let mut v = 0u64;
+                for _ in 0..n {
+                    v = (v << 1) | self.read_bit()? as u64;
+                }
+                Some(v)
+            }
+        }
+
+        pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
+            loop {
+                let byte = (v & 0x7F) as u8;
+                v >>= 7;
+                if v == 0 {
+                    out.push(byte);
+                    return;
+                }
+                out.push(byte | 0x80);
+            }
+        }
+
+        fn read_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
+            let mut v = 0u64;
+            let mut shift = 0u32;
+            loop {
+                let byte = *bytes.get(*pos)?;
+                *pos += 1;
+                v |= ((byte & 0x7F) as u64) << shift;
+                if byte & 0x80 == 0 {
+                    return Some(v);
+                }
+                shift += 7;
+                if shift >= 64 {
+                    return None;
+                }
+            }
+        }
+
+        pub fn compress_timestamps(ts: &[Ts]) -> Vec<u8> {
+            let mut out = Vec::with_capacity(ts.len() + 8);
+            write_varint(&mut out, ts.len() as u64);
+            if ts.is_empty() {
+                return out;
+            }
+            write_varint(&mut out, ts[0].0);
+            if ts.len() == 1 {
+                return out;
+            }
+            let first_delta = ts[1].0 as i64 - ts[0].0 as i64;
+            write_varint(&mut out, zigzag(first_delta));
+            let mut prev_delta = first_delta;
+            for w in ts.windows(2).skip(1) {
+                let delta = w[1].0 as i64 - w[0].0 as i64;
+                write_varint(&mut out, zigzag(delta - prev_delta));
+                prev_delta = delta;
+            }
+            out
+        }
+
+        pub fn decompress_timestamps(bytes: &[u8]) -> Option<Vec<Ts>> {
+            let mut pos = 0usize;
+            let n = read_varint(bytes, &mut pos)? as usize;
+            if n > bytes.len() - pos {
+                return None;
+            }
+            let mut out = Vec::with_capacity(n);
+            if n == 0 {
+                return Some(out);
+            }
+            let first = read_varint(bytes, &mut pos)?;
+            out.push(Ts(first));
+            if n == 1 {
+                return Some(out);
+            }
+            let mut delta = unzigzag(read_varint(bytes, &mut pos)?);
+            let mut cur = i64::try_from(first).ok()?.checked_add(delta)?;
+            if cur < 0 {
+                return None;
+            }
+            out.push(Ts(cur as u64));
+            for _ in 2..n {
+                let dod = unzigzag(read_varint(bytes, &mut pos)?);
+                delta = delta.checked_add(dod)?;
+                cur = cur.checked_add(delta)?;
+                if cur < 0 {
+                    return None;
+                }
+                out.push(Ts(cur as u64));
+            }
+            Some(out)
+        }
+
+        pub fn compress_values(values: &[f64]) -> Vec<u8> {
+            let mut header = Vec::new();
+            write_varint(&mut header, values.len() as u64);
+            if values.is_empty() {
+                return header;
+            }
+            let mut w = BitWriter::default();
+            w.write_bits(values[0].to_bits(), 64);
+            let mut prev = values[0].to_bits();
+            let mut prev_leading: u8 = 65; // sentinel: no previous window
+            let mut prev_trailing: u8 = 0;
+            for &v in &values[1..] {
+                let bits = v.to_bits();
+                let xor = bits ^ prev;
+                if xor == 0 {
+                    w.write_bit(false);
+                } else {
+                    w.write_bit(true);
+                    let leading = (xor.leading_zeros() as u8).min(31);
+                    let trailing = xor.trailing_zeros() as u8;
+                    if prev_leading <= 64 && leading >= prev_leading && trailing >= prev_trailing {
+                        w.write_bit(false);
+                        let meaningful = 64 - prev_leading - prev_trailing;
+                        w.write_bits(xor >> prev_trailing, meaningful);
+                    } else {
+                        w.write_bit(true);
+                        let meaningful = 64 - leading - trailing;
+                        w.write_bits(leading as u64, 5);
+                        w.write_bits(meaningful as u64, 6);
+                        w.write_bits(xor >> trailing, meaningful);
+                        prev_leading = leading;
+                        prev_trailing = trailing;
+                    }
+                }
+                prev = bits;
+            }
+            header.extend_from_slice(&w.finish());
+            header
+        }
+
+        pub fn decompress_values(bytes: &[u8]) -> Option<Vec<f64>> {
+            let mut pos = 0usize;
+            let n = read_varint(bytes, &mut pos)? as usize;
+            if n > 0 && 64usize.saturating_add(n - 1) > (bytes.len() - pos).saturating_mul(8) {
+                return None;
+            }
+            let mut out = Vec::with_capacity(n);
+            if n == 0 {
+                return Some(out);
+            }
+            let mut r = BitReader::new(&bytes[pos..]);
+            let mut prev = r.read_bits(64)?;
+            out.push(f64::from_bits(prev));
+            let mut leading: u8 = 0;
+            let mut meaningful: u8 = 0;
+            for _ in 1..n {
+                if !r.read_bit()? {
+                    out.push(f64::from_bits(prev));
+                    continue;
+                }
+                if r.read_bit()? {
+                    leading = r.read_bits(5)? as u8;
+                    meaningful = r.read_bits(6)? as u8;
+                    if meaningful == 0 {
+                        meaningful = 64;
+                    }
+                }
+                if meaningful == 0 || leading + meaningful > 64 {
+                    return None;
+                }
+                let trailing = 64 - leading - meaningful;
+                let xor = r.read_bits(meaningful)? << trailing;
+                let bits = prev ^ xor;
+                out.push(f64::from_bits(bits));
+                prev = bits;
+            }
+            Some(out)
+        }
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn same_bits(a: Option<Vec<f64>>, b: Option<Vec<f64>>) -> bool {
+        let bits =
+            |v: Option<Vec<f64>>| v.map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+        bits(a) == bits(b)
+    }
+
+    /// A value walk that exercises every control code: each step XORs the
+    /// previous bits with a mask of seeded position and width (0 = repeat).
+    fn windowed_walk(steps: &[(u64, u8, u8)]) -> Vec<f64> {
+        let mut bits = 0x4069_0000_0000_0000u64; // 200.0
+        let walk = steps.iter().map(|&(mask, width, shift)| {
+            let mask = if width == 0 { 0 } else { mask >> (64 - width.min(64)) };
+            bits ^= mask << (shift % 64);
+            f64::from_bits(bits)
+        });
+        walk.collect()
+    }
+
+    #[test]
+    fn golden_blocks_pin_the_byte_format() {
+        // Hex committed from the bit-at-a-time codec at the parent commit:
+        // the kernels and the reference above cannot drift together.
+        let minutes: Vec<Ts> = (0..8).map(Ts::from_mins).collect();
+        let steps = [200.0, 200.0, 200.5, 201.0, 201.0, 150.25, 150.25, 1e-3];
+        // Multi-byte varints, a repeated stamp, a negative delta-of-delta;
+        // a NaN payload and a full-width (64-bit) XOR window.
+        let ragged =
+            [1_537_000_000_000, 1_537_000_060_000, 1_537_000_060_000, 1_537_000_060_001].map(Ts);
+        let odd = [
+            f64::from_bits(0x7FF8_0000_DEAD_BEEF),
+            f64::from_bits(0x8000_0000_0000_0001),
+            0.0,
+            -0.0,
+        ];
+        let lone = [Ts(u64::MAX)];
+        let cases: [(&[Ts], &[f64], &str, &str); 3] = [
+            (
+                &minutes,
+                &steps,
+                "0800c0a907000000000000",
+                "0840690000000000007307c82db09beb0fbfccaa9374bc6a7f",
+            ),
+            (
+                &ragged,
+                &odd,
+                "048094dbe2dd2cc0a907bfa90702",
+                "047ff80000deadbeefc1ffffc00006f56df77c004000000000000000d00000000000000000",
+            ),
+            (&lone, &[f64::MIN_POSITIVE], "01ffffffffffffffffff01", "010010000000000000"),
+        ];
+        for (ts, vals, ts_hex, val_hex) in cases {
+            assert_eq!(hex(&compress_timestamps(ts)), ts_hex);
+            assert_eq!(hex(&compress_values(vals)), val_hex);
+            assert_eq!(hex(&reference::compress_timestamps(ts)), ts_hex);
+            assert_eq!(hex(&reference::compress_values(vals)), val_hex);
+            assert_eq!(decompress_timestamps(&compress_timestamps(ts)).as_deref(), Some(ts));
+            assert!(same_bits(decompress_values(&compress_values(vals)), Some(vals.to_vec())));
+        }
+    }
+
+    #[test]
+    fn bit_io_round_trips_every_width_at_every_fill() {
+        for fill in 0..64u8 {
+            for width in 1..=64u8 {
+                let pad = 0xA5A5_A5A5_A5A5_A5A5u64;
+                let value = 0x9E37_79B9_7F4A_7C15u64.rotate_left((fill as u32) * 7 + width as u32);
+                let low = if width == 64 { value } else { value & ((1 << width) - 1) };
+                let (mut w, mut r) = (BitWriter::new(), reference::BitWriter::default());
+                w.write_bits(pad, fill);
+                w.write_bits(value, width);
+                w.write_bits(0b101, 3);
+                r.write_bits(pad, fill);
+                r.write_bits(value, width);
+                r.write_bits(0b101, 3);
+                assert_eq!(w.bit_len(), fill as usize + width as usize + 3);
+                let bytes = w.finish();
+                assert_eq!(bytes, r.finish(), "fill {fill} width {width}");
+                let mut rd = BitReader::new(&bytes);
+                assert_eq!(rd.read_bits(fill), reference::BitReader::new(&bytes).read_bits(fill));
+                assert_eq!(rd.read_bits(width), Some(low), "fill {fill} width {width}");
+                assert_eq!(rd.read_bits(3), Some(0b101));
+                // Only zero padding to the byte boundary is left.
+                let left = bytes.len() * 8 - (fill as usize + width as usize + 3);
+                assert_eq!(rd.read_bits(left as u8), Some(0));
+                assert_eq!(rd.read_bit(), None);
+            }
+        }
+    }
+
+    #[test]
+    fn impossible_windows_are_corruption_not_different_data() {
+        // `11`, leading = 31, length = 63: 94 bits of window in a 64-bit
+        // word.  The old decoder underflowed `64 - 31 - 63` in `u8`.
+        let mut w = BitWriter::new();
+        w.write_bits(1.5f64.to_bits(), 64);
+        w.write_bits(0b11 << 11 | 31 << 6 | 63, 13);
+        w.write_bits(u64::MAX, 63);
+        let mut wide = vec![2u8];
+        wide.extend_from_slice(&w.finish());
+        assert_eq!(decompress_values(&wide), None);
+        assert_eq!(reference::decompress_values(&wide), None);
+
+        // `10` (reuse the window) before any window was opened.
+        let mut w = BitWriter::new();
+        w.write_bits(1.5f64.to_bits(), 64);
+        w.write_bits(0b10, 2);
+        w.write_bits(u64::MAX, 64);
+        let mut early = vec![2u8];
+        early.extend_from_slice(&w.finish());
+        assert_eq!(decompress_values(&early), None);
+        assert_eq!(reference::decompress_values(&early), None);
+
+        // The widest legal windows still decode: 31 + 33 and 0 + 64.
+        let vals = [f64::from_bits(0), f64::from_bits(0x1_FFFF_FFFF), f64::from_bits(u64::MAX)];
+        assert!(same_bits(decompress_values(&compress_values(&vals)), Some(vals.to_vec())));
+    }
+
+    proptest! {
+        #[test]
+        fn prop_value_bytes_equal_the_reference_for_any_bit_pattern(
+            bits in proptest::collection::vec(any::<u64>(), 0..200),
+        ) {
+            // Includes NaN payloads, infinities, subnormals and (XOR of two
+            // arbitrary words) full-width 64-bit windows.
+            let vals: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
+            prop_assert_eq!(compress_values(&vals), reference::compress_values(&vals));
+        }
+
+        #[test]
+        fn prop_value_bytes_equal_the_reference_across_window_shapes(
+            steps in proptest::collection::vec((any::<u64>(), 0u8..66, 0u8..64), 0..300),
+        ) {
+            let vals = windowed_walk(&steps);
+            let bytes = compress_values(&vals);
+            prop_assert_eq!(&bytes, &reference::compress_values(&vals));
+            prop_assert!(same_bits(decompress_values(&bytes), Some(vals)));
+            prop_assert_eq!(bytes.capacity(), bytes.len(), "one exact-sized allocation");
+        }
+
+        #[test]
+        fn prop_timestamp_bytes_equal_the_reference(
+            first in 0u64..4_000_000_000_000,
+            gaps in proptest::collection::vec((any::<u64>(), 0u8..41), 0..300),
+        ) {
+            // Non-decreasing stamps with gaps from 0 to 2^40 ms: one- to
+            // six-byte varints, delta-of-deltas of both signs.
+            let mut t = first;
+            let mut ts = vec![Ts(t)];
+            for &(r, width) in &gaps {
+                t += r & ((1u64 << width) - 1);
+                ts.push(Ts(t));
+            }
+            for ts in [&ts[..], &ts[..1], &ts[..0]] {
+                let bytes = compress_timestamps(ts);
+                prop_assert_eq!(&bytes, &reference::compress_timestamps(ts));
+                prop_assert_eq!(decompress_timestamps(&bytes).as_deref(), Some(ts));
+                prop_assert_eq!(bytes.capacity(), bytes.len(), "one exact-sized allocation");
+            }
+        }
+
+        #[test]
+        fn prop_decoders_agree_with_the_reference_on_arbitrary_bytes(
+            n in 0u64..40,
+            raw in proptest::collection::vec(0u16..256, 0..96),
+        ) {
+            let raw: Vec<u8> = raw.iter().map(|&b| b as u8).collect();
+            // Raw bytes, and the same bytes behind a small plausible length
+            // header so the body is actually walked.
+            let mut framed = Vec::new();
+            write_varint(&mut framed, n);
+            framed.extend_from_slice(&raw);
+            for bytes in [&raw, &framed] {
+                prop_assert_eq!(decompress_timestamps(bytes), reference::decompress_timestamps(bytes));
+                prop_assert!(same_bits(decompress_values(bytes), reference::decompress_values(bytes)));
+            }
+        }
+
+        #[test]
+        fn prop_decoders_agree_with_the_reference_on_every_truncation(
+            first in 0u64..2_000_000_000_000,
+            steps in proptest::collection::vec((any::<u64>(), 0u8..66, 0u8..64), 1..40),
+        ) {
+            let vals = windowed_walk(&steps);
+            let ts: Vec<Ts> = steps
+                .iter()
+                .scan(first, |t, &(r, width, _)| {
+                    *t += r >> (64 - width.clamp(1, 40));
+                    Some(Ts(*t))
+                })
+                .collect();
+            let (tb, vb) = (compress_timestamps(&ts), compress_values(&vals));
+            for cut in 0..=tb.len() {
+                let got = decompress_timestamps(&tb[..cut]);
+                prop_assert_eq!(&got, &reference::decompress_timestamps(&tb[..cut]));
+                prop_assert_eq!(got.is_some(), cut == tb.len());
+            }
+            for cut in 0..=vb.len() {
+                let got = decompress_values(&vb[..cut]);
+                prop_assert!(same_bits(got.clone(), reference::decompress_values(&vb[..cut])));
+                prop_assert_eq!(got.is_some(), cut == vb.len());
+            }
+            // Single bit flips: whatever the reference makes of them.
+            for byte in 0..vb.len() {
+                let mut flipped = vb.clone();
+                flipped[byte] ^= 1 << (byte % 8);
+                prop_assert!(same_bits(
+                    decompress_values(&flipped),
+                    reference::decompress_values(&flipped)
+                ));
             }
         }
     }

@@ -59,10 +59,14 @@ impl RetentionPolicy {
             } else {
                 // Leave coarse rollups behind before the blocks go cold.
                 if let Some(bucket) = self.rollup_bucket_ms {
+                    let mut pts = Vec::new();
                     for block in &blocks {
                         // A corrupt block carries no points to roll up;
                         // the reload path counts it when it comes back.
-                        let Ok(pts) = block.decompress() else { continue };
+                        pts.clear();
+                        if block.decode_into(Ts::ZERO, Ts(u64::MAX), &mut pts).is_err() {
+                            continue;
+                        }
                         // `with_rollup` rejects zero buckets, so this cannot
                         // fail; an empty rollup is the safe fallback.
                         for (t, v) in crate::query::QueryEngine::downsample_points(

@@ -84,30 +84,78 @@ impl std::fmt::Display for WriteError {
 impl std::error::Error for WriteError {}
 
 impl SeriesBlock {
-    /// Compress a non-empty, time-ordered run of points.
+    /// Compress a non-empty, time-ordered run of points: both streams are
+    /// encoded straight from the hot buffer, one exact-sized allocation each.
     pub fn compress(key: SeriesKey, points: &[(Ts, f64)]) -> SeriesBlock {
         assert!(!points.is_empty(), "cannot seal an empty block");
         debug_assert!(points.windows(2).all(|w| w[0].0 <= w[1].0), "points must be ordered");
-        let ts: Vec<Ts> = points.iter().map(|p| p.0).collect();
-        let vals: Vec<f64> = points.iter().map(|p| p.1).collect();
         SeriesBlock {
             key,
-            start: ts[0],
-            end: *ts.last().expect("non-empty"),
+            start: points[0].0,
+            end: points[points.len() - 1].0,
             count: points.len() as u32,
-            ts_bytes: compress::compress_timestamps(&ts),
-            val_bytes: compress::compress_values(&vals),
+            ts_bytes: compress::encode_timestamps(points.iter().map(|p| p.0)),
+            val_bytes: compress::encode_values(points.iter().map(|p| p.1)),
         }
+    }
+
+    /// Decode both streams in lock step, handing each point to `visit`.
+    /// `None` on any corruption — possibly after some points were visited.
+    fn try_visit(&self, mut visit: impl FnMut(Ts, f64)) -> Option<()> {
+        let mut ts = compress::TimestampDecoder::new(&self.ts_bytes)?;
+        let mut vals = compress::ValueDecoder::new(&self.val_bytes)?;
+        if ts.len != vals.len || ts.len != self.count as usize {
+            return None;
+        }
+        for _ in 0..ts.len {
+            visit(ts.next_ts()?, vals.next_value()?);
+        }
+        Some(())
+    }
+
+    /// Why [`Self::try_visit`] failed: each stream on its own, timestamps
+    /// first, then the counts.
+    fn diagnose(&self) -> BlockError {
+        if compress::decompress_timestamps(&self.ts_bytes).is_none() {
+            BlockError::Timestamps
+        } else if compress::decompress_values(&self.val_bytes).is_none() {
+            BlockError::Values
+        } else {
+            BlockError::CountMismatch
+        }
+    }
+
+    /// Check that the block decodes, without materialising it.
+    pub fn validate(&self) -> Result<(), BlockError> {
+        self.try_visit(|_, _| {}).ok_or_else(|| self.diagnose())
+    }
+
+    /// Append the block's points inside `[from, to]` to `out`, or report why
+    /// the bytes are corrupt (leaving `out` as it was).
+    pub fn decode_into(
+        &self,
+        from: Ts,
+        to: Ts,
+        out: &mut Vec<(Ts, f64)>,
+    ) -> Result<(), BlockError> {
+        let mark = out.len();
+        let decoded = self.try_visit(|t, v| {
+            if t >= from && t <= to {
+                out.push((t, v));
+            }
+        });
+        decoded.ok_or_else(|| {
+            out.truncate(mark);
+            self.diagnose()
+        })
     }
 
     /// Decompress back to points, or report why the bytes are corrupt.
     pub fn decompress(&self) -> Result<Vec<(Ts, f64)>, BlockError> {
-        let ts = compress::decompress_timestamps(&self.ts_bytes).ok_or(BlockError::Timestamps)?;
-        let vals = compress::decompress_values(&self.val_bytes).ok_or(BlockError::Values)?;
-        if ts.len() != vals.len() || ts.len() != self.count as usize {
-            return Err(BlockError::CountMismatch);
-        }
-        Ok(ts.into_iter().zip(vals).collect())
+        // Not `count`: only the stream headers are bounded by the bytes present.
+        let mut out = Vec::with_capacity(self.ts_bytes.len().min(self.count as usize));
+        self.decode_into(Ts::ZERO, Ts(u64::MAX), &mut out)?;
+        Ok(out)
     }
 
     /// Compressed size in bytes.
@@ -628,23 +676,28 @@ impl TimeSeriesStore {
         let Some(data) = shard.index.get(&key).map(|&slot| &shard.slots[slot as usize].data) else {
             return Vec::new();
         };
-        let mut out = Vec::new();
-        for block in &data.warm {
-            if block.overlaps(from, to) {
-                match block.decompress() {
-                    Ok(pts) => {
-                        out.extend(pts.into_iter().filter(|&(t, _)| t >= from && t <= to));
-                    }
-                    // A corrupt block degrades one range of one series;
-                    // it must not take down the query (or the pipeline).
-                    Err(_) => {
-                        self.corrupt_blocks.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+        let overlapping = || data.warm.iter().filter(|b| b.overlaps(from, to));
+        // The hot buffer is kept in time order.
+        let lo = data.hot.partition_point(|&(t, _)| t < from);
+        let hot = &data.hot[lo..data.hot.partition_point(|&(t, _)| t <= to).max(lo)];
+        // Sized up front (a block holds at most one point per timestamp
+        // byte, whatever its header claims), so the result is the query's
+        // only allocation.
+        let bound: usize = overlapping().map(|b| b.ts_bytes.len().min(b.count as usize)).sum();
+        let mut out = Vec::with_capacity(bound + hot.len());
+        for block in overlapping() {
+            // A corrupt block degrades one range of one series; it must
+            // not take down the query (or the pipeline).
+            if block.decode_into(from, to, &mut out).is_err() {
+                self.corrupt_blocks.fetch_add(1, Ordering::Relaxed);
             }
         }
-        out.extend(data.hot.iter().copied().filter(|&(t, _)| t >= from && t <= to));
-        out.sort_by_key(|&(t, _)| t);
+        out.extend_from_slice(hot);
+        // Blocks seal in time order, so this is normally already sorted —
+        // and the stable sort would allocate a merge buffer to find out.
+        if !out.is_sorted_by_key(|&(t, _)| t) {
+            out.sort_by_key(|&(t, _)| t);
+        }
         out
     }
 
@@ -735,19 +788,29 @@ impl TimeSeriesStore {
     /// boundary, so this is an input condition — are rejected and counted
     /// rather than admitted as queryable-looking garbage.
     pub fn reload_blocks(&self, blocks: Vec<SeriesBlock>) {
+        let mut touched = Vec::new();
         for block in blocks {
-            if block.decompress().is_err() {
+            if block.validate().is_err() {
                 self.corrupt_blocks.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
             self.blocks_reloaded.fetch_add(1, Ordering::Relaxed);
             self.warm_points.fetch_add(block.count as u64, Ordering::Relaxed);
             self.warm_bytes.fetch_add(block.compressed_bytes() as u64, Ordering::Relaxed);
+            touched.push(block.key);
             let mut shard = self.shard_of(&block.key).write();
             let slot = self.resolve_slot(&mut shard, block.key);
-            let data = &mut shard.slots[slot as usize].data;
-            data.warm.push(block);
-            data.warm.sort_by_key(|b| b.start);
+            shard.slots[slot as usize].data.warm.push(block);
+        }
+        // One stable sort per touched series, not one per block: the same
+        // order, since ties keep push order either way.
+        touched.sort_unstable();
+        touched.dedup();
+        for key in touched {
+            let mut shard = self.shard_of(&key).write();
+            if let Some(&slot) = shard.index.get(&key) {
+                shard.slots[slot as usize].data.warm.sort_by_key(|b| b.start);
+            }
         }
         self.bump_epoch();
     }
@@ -1617,5 +1680,155 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A fixed fill across two threshold seals: counters, occupancy and the
+    /// checkpoint bytes, as one comparable record.
+    fn seeded_fill_fingerprint() -> (u64, StoreStats, usize, u64) {
+        let store = TimeSeriesStore::with_options(4, 64);
+        let mut route = IngestRoute::new();
+        let mut rng = 0x2018_u64;
+        let mut noise = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        for tick in 0..150u64 {
+            let mut cf = ColumnFrame::new(Ts(tick * MINUTE_MS + (tick % 7 == 3) as u64));
+            for n in 0..10u32 {
+                cf.push(MetricId(0), CompId::node(n), 230.0); // constant
+                cf.push(MetricId(1), CompId::node(n), (tick * (n as u64 + 1)) as f64); // counter
+                cf.push(MetricId(2), CompId::node(n), 200.0 + (noise() % 4_096) as f64 / 64.0);
+                cf.push(MetricId(3), CompId::node(n), f64::from_bits(noise())); // any bits
+            }
+            store.ingest_columns(&cf, &mut route);
+        }
+        let json = serde_json::to_vec(&store.snapshot()).expect("snapshot serializes");
+        let json_hash = hpcmon_metrics::StateHash::new(0).bytes(&json).finish();
+        (store.state_digest(), store.stats(), json.len(), json_hash)
+    }
+
+    #[test]
+    fn seeded_fill_is_byte_identical_to_the_bit_at_a_time_codec() {
+        // Expected values recorded at the parent commit (bit-at-a-time
+        // codec): the block format did not change, so nothing here may.
+        let (digest, stats, json_len, json_hash) = seeded_fill_fingerprint();
+        assert_eq!(digest, 0x18c6_dcb7_fd4d_1b9b);
+        let expected = StoreStats {
+            series: 40,
+            hot_points: 880,
+            warm_points: 5_120,
+            warm_bytes: 21_147,
+            bytes_per_point: 21_147.0 / 5_120.0,
+            corrupt_blocks: 0,
+        };
+        assert_eq!(stats, expected);
+        assert_eq!((json_len, json_hash), (127_927, 0x8795_7ee5_9169_c48d));
+    }
+
+    #[test]
+    fn sealing_a_block_makes_exactly_two_allocations() {
+        let store = TimeSeriesStore::with_options(1, 512);
+        for i in 0..511u64 {
+            store.insert(&sample(0, 1, i * MINUTE_MS, 200.0 + (i % 17) as f64 * 0.25));
+        }
+        // Leave room for the block in the series' warm list.
+        store.shards[0].write().slots[0].data.warm.reserve(1);
+        let last = sample(0, 1, 511 * MINUTE_MS, 203.5);
+        let before = hpcmon_metrics::alloc_count::thread_allocations();
+        store.insert(&last);
+        let after = hpcmon_metrics::alloc_count::thread_allocations();
+        assert_eq!(store.op_counts().blocks_sealed, 1);
+        assert_eq!(after - before, 2, "one exact-sized allocation per stream");
+        let shard = store.shards[0].read();
+        let block = &shard.slots[0].data.warm[0];
+        assert_eq!(block.ts_bytes.capacity(), block.ts_bytes.len());
+        assert_eq!(block.val_bytes.capacity(), block.val_bytes.len());
+    }
+
+    #[test]
+    fn warm_query_allocates_only_its_result() {
+        let store = TimeSeriesStore::with_options(2, 64);
+        for i in 0..300u64 {
+            store.insert(&sample(0, 1, i * MINUTE_MS, (i as f64).sqrt()));
+        }
+        assert_eq!(store.stats().warm_points, 256, "four sealed blocks and a hot tail");
+        for (from, to, len) in [(0, u64::MAX, 300), (70, 200, 131), (10, 20, 11), (290, 400, 10)] {
+            let (from, to) = (Ts(from * MINUTE_MS), Ts(to.saturating_mul(MINUTE_MS)));
+            let before = hpcmon_metrics::alloc_count::thread_allocations();
+            let pts = store.query(key(0, 1), from, to);
+            let after = hpcmon_metrics::alloc_count::thread_allocations();
+            assert_eq!(pts.len(), len);
+            assert_eq!(after - before, 1, "[{from}, {to}]: the result vector and nothing else");
+        }
+        // Validating a reload streams too: no allocation per block.
+        let evicted = store.evict_warm_before(Ts(u64::MAX));
+        let before = hpcmon_metrics::alloc_count::thread_allocations();
+        assert!(evicted.iter().all(|b| b.validate().is_ok()));
+        assert_eq!(hpcmon_metrics::alloc_count::thread_allocations(), before);
+    }
+
+    #[test]
+    fn decode_into_filters_and_leaves_the_output_alone_on_corruption() {
+        let pts: Vec<(Ts, f64)> = (0..50).map(|i| (Ts(i * 10), i as f64 * 0.5)).collect();
+        let block = SeriesBlock::compress(key(0, 0), &pts);
+        let mut out = vec![(Ts(7), 7.0)];
+        block.decode_into(Ts(100), Ts(200), &mut out).unwrap();
+        assert_eq!(out[0], (Ts(7), 7.0));
+        assert_eq!(out[1..], pts[10..=20]);
+        // Corrupt the value stream past its midpoint: the timestamps and the
+        // first values decode before the error, and must not be left behind.
+        let mut bad = block.clone();
+        bad.val_bytes.truncate(block.val_bytes.len() / 2);
+        let before = out.clone();
+        assert_eq!(bad.decode_into(Ts::ZERO, Ts(u64::MAX), &mut out), Err(BlockError::Values));
+        assert_eq!(out, before);
+        assert_eq!(bad.validate(), Err(BlockError::Values));
+        // Timestamps are diagnosed first, as when the streams decoded in turn.
+        corrupt(&mut bad);
+        assert_eq!(bad.validate(), Err(BlockError::Timestamps));
+    }
+
+    #[test]
+    fn reload_rejects_and_counts_an_impossible_gorilla_window() {
+        let pts: Vec<(Ts, f64)> = (0..4).map(|i| (Ts(i * 10), 1.5)).collect();
+        let mut block = SeriesBlock::compress(key(0, 1), &pts);
+        // count 4; 1.5; then `11`, leading 31, length 63 — 94 bits of
+        // window in a 64-bit word — and enough ones to fill it.
+        block.val_bytes = vec![4, 0x3F, 0xF8, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF];
+        block.val_bytes.extend_from_slice(&[0xFF; 8]);
+        assert_eq!(block.decompress(), Err(BlockError::Values));
+        let store = TimeSeriesStore::with_options(2, 10);
+        store.reload_blocks(vec![block]);
+        assert_eq!(store.corrupt_blocks(), 1);
+        assert_eq!(store.op_counts().blocks_reloaded, 0);
+        assert!(store.query(key(0, 1), Ts::ZERO, Ts(u64::MAX)).is_empty());
+    }
+
+    #[test]
+    fn reload_orders_each_series_by_start_with_ties_in_arrival_order() {
+        let block = |series: u32, start: u64, v: f64| {
+            SeriesBlock::compress(key(0, series), &[(Ts(start), v), (Ts(start + 5), v)])
+        };
+        let store = TimeSeriesStore::with_options(2, 10);
+        store.reload_blocks(vec![block(1, 30, 1.0), block(2, 10, 2.0)]);
+        // Interleaved series, out of order, with a tie on `start`.
+        store.reload_blocks(vec![
+            block(1, 10, 3.0),
+            block(2, 10, 4.0),
+            block(1, 30, 5.0),
+            block(1, 20, 6.0),
+            block(2, 0, 7.0),
+        ]);
+        let order = |series: u32| -> Vec<(u64, f64)> {
+            let snap = store.snapshot();
+            let s = snap.series.iter().find(|s| s.key == key(0, series)).unwrap();
+            s.warm.iter().map(|b| (b.start.0, b.decompress().unwrap()[0].1)).collect()
+        };
+        assert_eq!(order(1), [(10, 3.0), (20, 6.0), (30, 1.0), (30, 5.0)]);
+        assert_eq!(order(2), [(0, 7.0), (10, 2.0), (10, 4.0)]);
+        assert_eq!(store.op_counts().blocks_reloaded, 7);
+        assert_eq!(store.stats(), store.occupancy());
     }
 }

@@ -138,7 +138,8 @@ impl<'a> BenchmarkGroup<'a> {
         let (rate, per_sec, unit) = match self.throughput {
             Some(Throughput::Elements(n)) => {
                 let v = n as f64 * 1e9 / median;
-                (format!("  ({v:.0} elem/s)"), Some(v), Some("elements"))
+                let each = median / n as f64;
+                (format!("  ({v:.0} elem/s, {each:.2} ns/elem)"), Some(v), Some("elements"))
             }
             Some(Throughput::Bytes(n)) => {
                 let v = n as f64 * 1e9 / median;
