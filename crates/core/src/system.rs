@@ -489,6 +489,9 @@ struct PipelineInstruments {
     wal_backlog: Arc<Gauge>,
     durability_checkpoints: Arc<Counter>,
     durability_checkpoint_failures: Arc<Counter>,
+    durability_checkpoint_bytes: Arc<Counter>,
+    // Snapshot + encode + write of one checkpoint, inside `stage.tick`.
+    stage_checkpoint: Arc<Histogram>,
     durability_corrupt_events: Arc<Counter>,
     durability_torn_tail_bytes: Arc<Counter>,
     durability_scrub_files: Arc<Counter>,
@@ -552,6 +555,8 @@ impl PipelineInstruments {
             wal_backlog: t.gauge("durability.wal.backlog"),
             durability_checkpoints: t.counter("durability.checkpoints"),
             durability_checkpoint_failures: t.counter("durability.checkpoint_failures"),
+            durability_checkpoint_bytes: t.counter("durability.checkpoint_bytes"),
+            stage_checkpoint: t.histogram("stage.checkpoint"),
             durability_corrupt_events: t.counter("durability.corrupt_events"),
             durability_torn_tail_bytes: t.counter("durability.torn_tail_bytes"),
             durability_scrub_files: t.counter("durability.scrub.files"),
@@ -610,6 +615,7 @@ impl PipelineInstruments {
         self.wal_backlog.set(backlog as f64);
         sync_counter(&self.durability_checkpoints, c.checkpoints);
         sync_counter(&self.durability_checkpoint_failures, c.checkpoint_failures);
+        sync_counter(&self.durability_checkpoint_bytes, c.checkpoint_bytes);
         sync_counter(&self.durability_corrupt_events, c.corrupt_events);
         sync_counter(&self.durability_torn_tail_bytes, c.torn_tail_bytes);
         sync_counter(&self.durability_scrub_files, c.scrub_files);

@@ -24,6 +24,7 @@ use super::state::{TickInputs, TickStateHash};
 use super::MonitoringSystem;
 use hpcmon_durability::{DurabilityConfig, DurabilityPlane, RecoveryReport, StorageMedium};
 use hpcmon_metrics::ColumnFrame;
+use hpcmon_telemetry::StageTimer;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -247,6 +248,7 @@ impl MonitoringSystem {
         plane.end_tick(tick_no);
         let cfg = plane.config();
         if cfg.checkpoint_every > 0 && tick_no.is_multiple_of(cfg.checkpoint_every) {
+            let _timer = StageTimer::new(self.instruments.stage_checkpoint.clone());
             let snap = serde_json::to_vec(&self.snapshot()).expect("CoreSnapshot serializes");
             let _ = plane.checkpoint(tick_no, &snap);
         }

@@ -313,7 +313,7 @@ impl MonitoringSystem {
             "snapshot detector count mismatch: was the system built with the same config?"
         );
         self.engine = SimEngine::restore(snap.sim);
-        self.store.load_snapshot(&snap.store);
+        self.store.load_snapshot(snap.store);
         self.chaos = snap.chaos.map(ChaosEngine::restore);
         self.supervisor = CollectorSupervisor::restore(snap.supervisor);
         self.breaker = IngestBreaker::restore(

@@ -68,6 +68,9 @@ pub struct DurabilityCounts {
     pub checkpoints: u64,
     /// Checkpoint writes the medium refused.
     pub checkpoint_failures: u64,
+    /// Bytes of checkpoint files written, framing included (cumulative).
+    #[serde(default)]
+    pub checkpoint_bytes: u64,
     /// Checkpoint files rejected at recovery (bad magic/CRC).
     pub checkpoints_invalid: u64,
     /// Torn-tail bytes truncated at recovery.
@@ -424,6 +427,7 @@ impl DurabilityPlane {
             return Err(e);
         }
         self.counts.checkpoints += 1;
+        self.counts.checkpoint_bytes += encoded.len() as u64;
         // Everything ≤ tick — including any still-queued records — is
         // covered by the checkpoint.
         self.backlog.clear();

@@ -144,8 +144,8 @@ impl<'log> Replayer<'log> {
         );
         let restored = match self.log.nearest_snapshot(target) {
             Some(snap) => {
-                let state: hpcmon::CoreSnapshot = roundtrip(&snap.state);
-                self.system.restore_snapshot(state);
+                // Restoring consumes a snapshot; the log keeps its copy.
+                self.system.restore_snapshot(snap.state.clone());
                 snap.tick
             }
             None => {
@@ -212,12 +212,4 @@ impl<'log> Replayer<'log> {
         }
         ReplayOutcome { ticks_verified: verified, divergence: None }
     }
-}
-
-/// Snapshots are stored in the log by value; restoring must not alias the
-/// log's copy (restore consumes a `CoreSnapshot`), so round-trip through
-/// the serde value layer — the same path a file-loaded log takes.
-fn roundtrip(state: &hpcmon::CoreSnapshot) -> hpcmon::CoreSnapshot {
-    let bytes = serde_json::to_vec(state).expect("snapshots always serialize");
-    serde_json::from_slice(&bytes).expect("snapshots always round-trip")
 }

@@ -190,13 +190,19 @@ fn timestamp_codes(mut ts: impl ExactSizeIterator<Item = Ts>, mut emit: impl FnM
     }
 }
 
+/// Append the compressed form of a monotone-nondecreasing timestamp
+/// sequence to `out`.
+pub(crate) fn encode_timestamps_into(out: &mut Vec<u8>, ts: impl ExactSizeIterator<Item = Ts>) {
+    timestamp_codes(ts, |v| write_varint(out, v));
+}
+
 /// Compress a monotone-nondecreasing timestamp sequence into one
 /// exact-sized allocation (a sizing pass, then the encode).
 pub(crate) fn encode_timestamps(ts: impl ExactSizeIterator<Item = Ts> + Clone) -> Vec<u8> {
     let mut len = 0usize;
     timestamp_codes(ts.clone(), |v| len += varint_len(v));
     let mut out = Vec::with_capacity(len);
-    timestamp_codes(ts, |v| write_varint(&mut out, v));
+    encode_timestamps_into(&mut out, ts);
     out
 }
 
@@ -301,17 +307,22 @@ fn value_codes(mut values: impl Iterator<Item = f64>, mut emit: impl FnMut(u64, 
     }
 }
 
+/// Append the Gorilla XOR form of a float sequence to `out`.
+pub(crate) fn encode_values_into(out: &mut Vec<u8>, values: impl ExactSizeIterator<Item = f64>) {
+    write_varint(out, values.len() as u64);
+    let mut w = BitWriter { bytes: std::mem::take(out), acc: 0, fill: 0 };
+    value_codes(values, |code, width| w.write_bits(code, width));
+    *out = w.finish();
+}
+
 /// Compress a float sequence with the Gorilla XOR scheme into one
 /// exact-sized allocation (a sizing pass, then the encode).
 pub(crate) fn encode_values(values: impl ExactSizeIterator<Item = f64> + Clone) -> Vec<u8> {
-    let n = values.len() as u64;
     let mut bits = 0usize;
     value_codes(values.clone(), |_, width| bits += width as usize);
-    let mut bytes = Vec::with_capacity(varint_len(n) + bits.div_ceil(8));
-    write_varint(&mut bytes, n);
-    let mut w = BitWriter { bytes, acc: 0, fill: 0 };
-    value_codes(values, |code, width| w.write_bits(code, width));
-    w.finish()
+    let mut out = Vec::with_capacity(varint_len(values.len() as u64) + bits.div_ceil(8));
+    encode_values_into(&mut out, values);
+    out
 }
 
 /// Compress a float sequence with the Gorilla XOR scheme.

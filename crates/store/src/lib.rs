@@ -15,6 +15,8 @@
 //! * [`tsdb::TimeSeriesStore`] — sharded hot buffers that seal into
 //!   compressed warm blocks; one store holds raw metrics *and* analysis
 //!   outputs (they are just more series).
+//! * [`snapshot::StoreSnapshot`] — the checkpoint form: the whole store as
+//!   one packed binary section, hot buffers written as unsealed blocks.
 //! * [`archive::Archive`] — the cold tier: whole time ranges serialized
 //!   out, catalogued, and reloadable into the query path.
 //! * [`logstore::LogStore`] — append-only log storage with a token inverted
@@ -28,13 +30,14 @@ pub mod compress;
 pub mod logstore;
 pub mod query;
 pub mod retention;
+pub mod snapshot;
 pub mod tsdb;
 
 pub use archive::{Archive, ArchiveCatalog, ArchiveError, ArchiveOpCounts};
 pub use logstore::{LogQuery, LogStore};
 pub use query::{AggFn, InvalidParam, JobSeries, QueryEngine, TimeRange};
 pub use retention::{RetentionPolicy, RetentionReport};
+pub use snapshot::StoreSnapshot;
 pub use tsdb::{
-    BlockError, IngestRoute, SeriesBlock, SeriesSnapshot, StoreOpCounts, StoreSnapshot, StoreStats,
-    TimeSeriesStore, WriteError,
+    BlockError, IngestRoute, SeriesBlock, StoreOpCounts, StoreStats, TimeSeriesStore, WriteError,
 };

@@ -83,6 +83,26 @@ impl std::fmt::Display for WriteError {
 
 impl std::error::Error for WriteError {}
 
+/// Decode a block's two streams in lock step, handing each point to `visit`.
+/// `None` on any corruption (either stream, or a length that disagrees with
+/// `count`) — possibly after some points were visited.
+pub(crate) fn decode_streams(
+    ts_bytes: &[u8],
+    val_bytes: &[u8],
+    count: u32,
+    mut visit: impl FnMut(Ts, f64),
+) -> Option<()> {
+    let mut ts = compress::TimestampDecoder::new(ts_bytes)?;
+    let mut vals = compress::ValueDecoder::new(val_bytes)?;
+    if ts.len != vals.len || ts.len != count as usize {
+        return None;
+    }
+    for _ in 0..ts.len {
+        visit(ts.next_ts()?, vals.next_value()?);
+    }
+    Some(())
+}
+
 impl SeriesBlock {
     /// Compress a non-empty, time-ordered run of points: both streams are
     /// encoded straight from the hot buffer, one exact-sized allocation each.
@@ -101,16 +121,8 @@ impl SeriesBlock {
 
     /// Decode both streams in lock step, handing each point to `visit`.
     /// `None` on any corruption — possibly after some points were visited.
-    fn try_visit(&self, mut visit: impl FnMut(Ts, f64)) -> Option<()> {
-        let mut ts = compress::TimestampDecoder::new(&self.ts_bytes)?;
-        let mut vals = compress::ValueDecoder::new(&self.val_bytes)?;
-        if ts.len != vals.len || ts.len != self.count as usize {
-            return None;
-        }
-        for _ in 0..ts.len {
-            visit(ts.next_ts()?, vals.next_value()?);
-        }
-        Some(())
+    fn try_visit(&self, visit: impl FnMut(Ts, f64)) -> Option<()> {
+        decode_streams(&self.ts_bytes, &self.val_bytes, self.count, visit)
     }
 
     /// Why [`Self::try_visit`] failed: each stream on its own, timestamps
@@ -170,16 +182,16 @@ impl SeriesBlock {
 }
 
 #[derive(Debug, Default)]
-struct SeriesData {
-    warm: Vec<SeriesBlock>,
-    hot: Vec<(Ts, f64)>,
+pub(crate) struct SeriesData {
+    pub(crate) warm: Vec<SeriesBlock>,
+    pub(crate) hot: Vec<(Ts, f64)>,
 }
 
 /// One series in a shard's slab: the key plus its tiered data.
 #[derive(Debug)]
-struct SeriesSlot {
-    key: SeriesKey,
-    data: SeriesData,
+pub(crate) struct SeriesSlot {
+    pub(crate) key: SeriesKey,
+    pub(crate) data: SeriesData,
 }
 
 /// A shard is a **slab** of series plus a key→slot index.  Slots are
@@ -188,9 +200,9 @@ struct SeriesSlot {
 /// store's layout generation — which is what lets [`IngestRoute`] replace
 /// the per-sample hash lookup on the hot path with a direct slab index.
 #[derive(Default)]
-struct Shard {
-    slots: Vec<SeriesSlot>,
-    index: HashMap<SeriesKey, u32>,
+pub(crate) struct Shard {
+    pub(crate) slots: Vec<SeriesSlot>,
+    pub(crate) index: HashMap<SeriesKey, u32>,
 }
 
 /// A caller-owned routing cache for columnar ingest: where each position
@@ -286,25 +298,26 @@ pub struct StoreOpCounts {
 /// assert_eq!(points[0].1, 203.0);
 /// ```
 pub struct TimeSeriesStore {
-    shards: Vec<RwLock<Shard>>,
-    seal_threshold: usize,
-    samples_ingested: AtomicU64,
-    blocks_sealed: AtomicU64,
-    blocks_evicted: AtomicU64,
-    blocks_reloaded: AtomicU64,
-    corrupt_blocks: AtomicU64,
+    // `pub(crate)` fields are what `snapshot.rs` reads and rewrites whole.
+    pub(crate) shards: Vec<RwLock<Shard>>,
+    pub(crate) seal_threshold: usize,
+    pub(crate) samples_ingested: AtomicU64,
+    pub(crate) blocks_sealed: AtomicU64,
+    pub(crate) blocks_evicted: AtomicU64,
+    pub(crate) blocks_reloaded: AtomicU64,
+    pub(crate) corrupt_blocks: AtomicU64,
     // Occupancy, maintained incrementally on every write path so
     // `occupancy()` is O(1) — the self-telemetry feed reads it every tick,
     // where the `stats()` scan would grow with the store.
-    series_count: AtomicU64,
-    hot_points: AtomicU64,
-    warm_points: AtomicU64,
-    warm_bytes: AtomicU64,
+    pub(crate) series_count: AtomicU64,
+    pub(crate) hot_points: AtomicU64,
+    pub(crate) warm_points: AtomicU64,
+    pub(crate) warm_bytes: AtomicU64,
     // Bumped by every mutation (ingest, seal, evict, reload, retention
     // drop).  Consumers that cache derived results — the gateway's query
     // result cache — key entries on this value: an entry computed at epoch
     // E is valid exactly while `epoch()` still returns E.
-    epoch: AtomicU64,
+    pub(crate) epoch: AtomicU64,
     // Bumped only by operations that can move or remove slab slots
     // (retention drops, snapshot loads) — NOT by appends.  An
     // `IngestRoute` built at generation G stays valid while the
@@ -312,7 +325,7 @@ pub struct TimeSeriesStore {
     layout_gen: AtomicU64,
     // Injected per-shard write faults (chaos testing).  Only
     // `try_insert_frame` consults these; everything else ignores them.
-    write_faults: Vec<AtomicBool>,
+    pub(crate) write_faults: Vec<AtomicBool>,
 }
 
 impl TimeSeriesStore {
@@ -410,7 +423,7 @@ impl TimeSeriesStore {
         (h.finish() as usize) % self.shards.len()
     }
 
-    fn shard_of(&self, key: &SeriesKey) -> &RwLock<Shard> {
+    pub(crate) fn shard_of(&self, key: &SeriesKey) -> &RwLock<Shard> {
         &self.shards[self.shard_index(key)]
     }
 
@@ -537,7 +550,7 @@ impl TimeSeriesStore {
         self.layout_gen.load(Ordering::Acquire)
     }
 
-    fn bump_layout(&self) {
+    pub(crate) fn bump_layout(&self) {
         self.layout_gen.fetch_add(1, Ordering::Release);
     }
 
@@ -940,116 +953,6 @@ impl TimeSeriesStore {
             .u64(ops.blocks_reloaded);
         h.finish()
     }
-
-    /// Capture the full store contents and counters for a flight-recorder
-    /// checkpoint.  Series are sorted by key so the snapshot bytes are
-    /// canonical regardless of hash-map iteration order.
-    pub fn snapshot(&self) -> StoreSnapshot {
-        let mut series = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.read();
-            for slot in &shard.slots {
-                series.push(SeriesSnapshot {
-                    key: slot.key,
-                    hot: slot.data.hot.clone(),
-                    warm: slot.data.warm.clone(),
-                });
-            }
-        }
-        series.sort_by_key(|s| s.key);
-        StoreSnapshot {
-            num_shards: self.shards.len(),
-            seal_threshold: self.seal_threshold,
-            series,
-            counts: self.op_counts(),
-            corrupt_blocks: self.corrupt_blocks.load(Ordering::Relaxed),
-            epoch: self.epoch.load(Ordering::Relaxed),
-            write_faults: self.write_faults.iter().map(|f| f.load(Ordering::Relaxed)).collect(),
-        }
-    }
-
-    /// Load a checkpoint into this store **in place**, replacing all
-    /// contents and counters.  The shard count and seal threshold must
-    /// match the checkpoint (shard choice is a pure function of the key
-    /// and shard count).  In-place restore keeps every
-    /// `Arc<TimeSeriesStore>` handle (gateway, self-collector, query
-    /// engines) valid, so replay seek swaps state without rebuilding the
-    /// surrounding system.
-    pub fn load_snapshot(&self, snap: &StoreSnapshot) {
-        assert_eq!(self.shards.len(), snap.num_shards, "snapshot shard count mismatch");
-        assert_eq!(self.seal_threshold, snap.seal_threshold, "snapshot seal threshold mismatch");
-        for shard in &self.shards {
-            let mut shard = shard.write();
-            shard.slots.clear();
-            shard.index.clear();
-        }
-        let mut hot_points = 0u64;
-        let mut warm_points = 0u64;
-        let mut warm_bytes = 0u64;
-        let series_count = snap.series.len() as u64;
-        for s in &snap.series {
-            hot_points += s.hot.len() as u64;
-            for b in &s.warm {
-                warm_points += b.count as u64;
-                warm_bytes += b.compressed_bytes() as u64;
-            }
-            let mut shard = self.shard_of(&s.key).write();
-            let slot = shard.slots.len() as u32;
-            shard.slots.push(SeriesSlot {
-                key: s.key,
-                data: SeriesData { warm: s.warm.clone(), hot: s.hot.clone() },
-            });
-            shard.index.insert(s.key, slot);
-        }
-        // Every slot may have moved: cached routes are stale.
-        self.bump_layout();
-        self.series_count.store(series_count, Ordering::Relaxed);
-        self.hot_points.store(hot_points, Ordering::Relaxed);
-        self.warm_points.store(warm_points, Ordering::Relaxed);
-        self.warm_bytes.store(warm_bytes, Ordering::Relaxed);
-        self.samples_ingested.store(snap.counts.samples_ingested, Ordering::Relaxed);
-        self.blocks_sealed.store(snap.counts.blocks_sealed, Ordering::Relaxed);
-        self.blocks_evicted.store(snap.counts.blocks_evicted, Ordering::Relaxed);
-        self.blocks_reloaded.store(snap.counts.blocks_reloaded, Ordering::Relaxed);
-        self.corrupt_blocks.store(snap.corrupt_blocks, Ordering::Relaxed);
-        self.epoch.store(snap.epoch, Ordering::Relaxed);
-        for (i, &f) in snap.write_faults.iter().enumerate() {
-            self.set_shard_write_fault(i, f);
-        }
-    }
-
-    /// Rebuild a store from a checkpoint: contents land in the same shards
-    /// (shard choice is a pure function of the key), occupancy counters are
-    /// recomputed from the restored contents, and the monotonic counters
-    /// and epoch resume at their recorded values.
-    pub fn restore(snap: StoreSnapshot) -> TimeSeriesStore {
-        let store = TimeSeriesStore::with_options(snap.num_shards, snap.seal_threshold);
-        store.load_snapshot(&snap);
-        store
-    }
-}
-
-/// One series' complete contents, as checkpointed.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SeriesSnapshot {
-    /// The series.
-    pub key: SeriesKey,
-    /// Unsealed points.
-    pub hot: Vec<(Ts, f64)>,
-    /// Sealed compressed blocks.
-    pub warm: Vec<SeriesBlock>,
-}
-
-/// Complete serializable state of the store at a tick boundary.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct StoreSnapshot {
-    num_shards: usize,
-    seal_threshold: usize,
-    series: Vec<SeriesSnapshot>,
-    counts: StoreOpCounts,
-    corrupt_blocks: u64,
-    epoch: u64,
-    write_faults: Vec<bool>,
 }
 
 impl Default for TimeSeriesStore {
@@ -1556,8 +1459,7 @@ mod tests {
         store.drop_series_before(Ts(u64::MAX));
         assert!(store.layout_gen() > g0, "retention compaction moves slots");
         let g1 = store.layout_gen();
-        let snap = store.snapshot();
-        store.load_snapshot(&snap);
+        store.load_snapshot(store.snapshot());
         assert!(store.layout_gen() > g1, "snapshot load rebuilds slots");
     }
 
@@ -1683,7 +1585,7 @@ mod tests {
     }
 
     /// A fixed fill across two threshold seals: counters, occupancy and the
-    /// checkpoint bytes, as one comparable record.
+    /// warm blocks' stream bytes, as one comparable record.
     fn seeded_fill_fingerprint() -> (u64, StoreStats, usize, u64) {
         let store = TimeSeriesStore::with_options(4, 64);
         let mut route = IngestRoute::new();
@@ -1704,16 +1606,26 @@ mod tests {
             }
             store.ingest_columns(&cf, &mut route);
         }
-        let json = serde_json::to_vec(&store.snapshot()).expect("snapshot serializes");
-        let json_hash = hpcmon_metrics::StateHash::new(0).bytes(&json).finish();
-        (store.state_digest(), store.stats(), json.len(), json_hash)
+        let (digest, stats) = (store.state_digest(), store.stats());
+        let mut warm = store.evict_warm_before(Ts(u64::MAX));
+        warm.sort_by_key(|b| (b.key, b.start));
+        let mut hash = hpcmon_metrics::StateHash::new(0);
+        for b in &warm {
+            hash.bytes(&b.ts_bytes).bytes(&b.val_bytes);
+        }
+        (digest, stats, warm.len(), hash.finish())
     }
 
     #[test]
     fn seeded_fill_is_byte_identical_to_the_bit_at_a_time_codec() {
-        // Expected values recorded at the parent commit (bit-at-a-time
-        // codec): the block format did not change, so nothing here may.
-        let (digest, stats, json_len, json_hash) = seeded_fill_fingerprint();
+        // Digest and stats were recorded at the commit that still had the
+        // bit-at-a-time codec: the block format did not change, so they may
+        // not.  That commit also pinned the length and hash of the snapshot's
+        // JSON; the packed checkpoint section replaced that text, so the
+        // bytes pinned now are the ones the codec itself produces — every
+        // warm block's two streams, in key then time order, hashed by the
+        // build before the section existed.
+        let (digest, stats, blocks, stream_hash) = seeded_fill_fingerprint();
         assert_eq!(digest, 0x18c6_dcb7_fd4d_1b9b);
         let expected = StoreStats {
             series: 40,
@@ -1724,7 +1636,7 @@ mod tests {
             corrupt_blocks: 0,
         };
         assert_eq!(stats, expected);
-        assert_eq!((json_len, json_hash), (127_927, 0x8795_7ee5_9169_c48d));
+        assert_eq!((blocks, stream_hash), (80, 0xcb62_a402_3c72_0af1));
     }
 
     #[test]
@@ -1821,14 +1733,15 @@ mod tests {
             block(1, 20, 6.0),
             block(2, 0, 7.0),
         ]);
+        assert_eq!(store.op_counts().blocks_reloaded, 7);
+        assert_eq!(store.stats(), store.occupancy());
+        // Eviction hands a series' blocks back in stored order.
+        let evicted = store.evict_warm_before(Ts(u64::MAX));
         let order = |series: u32| -> Vec<(u64, f64)> {
-            let snap = store.snapshot();
-            let s = snap.series.iter().find(|s| s.key == key(0, series)).unwrap();
-            s.warm.iter().map(|b| (b.start.0, b.decompress().unwrap()[0].1)).collect()
+            let of_series = evicted.iter().filter(|b| b.key == key(0, series));
+            of_series.map(|b| (b.start.0, b.decompress().unwrap()[0].1)).collect()
         };
         assert_eq!(order(1), [(10, 3.0), (20, 6.0), (30, 1.0), (30, 5.0)]);
         assert_eq!(order(2), [(0, 7.0), (10, 2.0), (10, 4.0)]);
-        assert_eq!(store.op_counts().blocks_reloaded, 7);
-        assert_eq!(store.stats(), store.occupancy());
     }
 }

@@ -5,7 +5,7 @@
 //! serde crate's `Value` data model.  Supports the shapes this workspace
 //! actually uses: named-field structs, newtype/tuple structs, and enums with
 //! unit, newtype/tuple, and struct variants, plus `#[serde(with = "...")]`
-//! on fields and newtype variants.
+//! on fields and newtype variants and `#[serde(default)]` on named fields.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -13,6 +13,15 @@ use proc_macro::{Delimiter, TokenStream, TokenTree};
 struct FieldDef {
     name: String,
     with_module: Option<String>,
+    /// `#[serde(default)]`: an absent field is `Default::default()`.
+    default: bool,
+}
+
+/// What the `#[serde(...)]` attributes on one item asked for.
+#[derive(Debug, Default)]
+struct SerdeAttrs {
+    with_module: Option<String>,
+    default: bool,
 }
 
 #[derive(Debug)]
@@ -35,36 +44,36 @@ enum TypeDef {
     Enum { name: String, variants: Vec<VariantDef> },
 }
 
-/// Scan an attribute's bracket group for `serde(with = "module::path")`.
-fn with_from_attr(group: &proc_macro::Group) -> Option<String> {
+/// Scan an attribute's bracket group for `serde(with = "module::path")` and
+/// `serde(default)`.
+fn scan_serde_attr(group: &proc_macro::Group, attrs: &mut SerdeAttrs) {
     let mut toks = group.stream().into_iter();
     match toks.next() {
         Some(TokenTree::Ident(id)) if id.to_string() == "serde" => {}
-        _ => return None,
+        _ => return,
     }
     let inner = match toks.next() {
         Some(TokenTree::Group(g)) => g.stream(),
-        _ => return None,
+        _ => return,
     };
     let inner: Vec<TokenTree> = inner.into_iter().collect();
-    let mut i = 0;
-    while i < inner.len() {
-        if let TokenTree::Ident(id) = &inner[i] {
-            if id.to_string() == "with" {
+    for (i, tok) in inner.iter().enumerate() {
+        let TokenTree::Ident(id) = tok else { continue };
+        match id.to_string().as_str() {
+            "default" => attrs.default = true,
+            "with" if attrs.with_module.is_none() => {
                 // Expect `= "path"`.
                 if let (Some(TokenTree::Punct(eq)), Some(TokenTree::Literal(lit))) =
                     (inner.get(i + 1), inner.get(i + 2))
                 {
                     if eq.as_char() == '=' {
-                        let s = lit.to_string();
-                        return Some(s.trim_matches('"').to_string());
+                        attrs.with_module = Some(lit.to_string().trim_matches('"').to_string());
                     }
                 }
             }
+            _ => {}
         }
-        i += 1;
     }
-    None
 }
 
 /// Split a token slice on top-level commas, tracking `<`/`>` depth so
@@ -93,18 +102,16 @@ fn split_commas(tokens: &[TokenTree]) -> Vec<Vec<TokenTree>> {
     out
 }
 
-/// Consume leading attributes (returning any `serde(with)` target) and a
-/// visibility qualifier from a token slice; return the index past them.
-fn skip_meta(tokens: &[TokenTree]) -> (usize, Option<String>) {
+/// Consume leading attributes (returning what their `serde(...)` asked for)
+/// and a visibility qualifier from a token slice; return the index past them.
+fn skip_meta(tokens: &[TokenTree]) -> (usize, SerdeAttrs) {
     let mut i = 0;
-    let mut with_module = None;
+    let mut attrs = SerdeAttrs::default();
     loop {
         match tokens.get(i) {
             Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
                 if let Some(TokenTree::Group(g)) = tokens.get(i + 1) {
-                    if with_module.is_none() {
-                        with_module = with_from_attr(g);
-                    }
+                    scan_serde_attr(g, &mut attrs);
                     i += 2;
                     continue;
                 }
@@ -121,7 +128,7 @@ fn skip_meta(tokens: &[TokenTree]) -> (usize, Option<String>) {
             _ => break,
         }
     }
-    (i, with_module)
+    (i, attrs)
 }
 
 fn parse_named_fields(group: &proc_macro::Group) -> Vec<FieldDef> {
@@ -130,12 +137,12 @@ fn parse_named_fields(group: &proc_macro::Group) -> Vec<FieldDef> {
         .into_iter()
         .filter(|chunk| !chunk.is_empty())
         .map(|chunk| {
-            let (start, with_module) = skip_meta(&chunk);
+            let (start, attrs) = skip_meta(&chunk);
             let name = match &chunk[start] {
                 TokenTree::Ident(id) => id.to_string(),
                 other => panic!("expected field name, got {other}"),
             };
-            FieldDef { name, with_module }
+            FieldDef { name, with_module: attrs.with_module, default: attrs.default }
         })
         .collect()
 }
@@ -185,13 +192,13 @@ fn parse_input(input: TokenStream) -> TypeDef {
                 .into_iter()
                 .filter(|chunk| !chunk.is_empty())
                 .map(|chunk| {
-                    let (start, with_module) = skip_meta(&chunk);
+                    let (start, attrs) = skip_meta(&chunk);
                     let vname = match &chunk[start] {
                         TokenTree::Ident(id) => id.to_string(),
                         other => panic!("expected variant name, got {other}"),
                     };
                     let shape = parse_shape_after_name(&chunk, start + 1);
-                    VariantDef { name: vname, shape, with_module }
+                    VariantDef { name: vname, shape, with_module: attrs.with_module }
                 })
                 .collect();
             TypeDef::Enum { name, variants }
@@ -235,6 +242,14 @@ fn named_fields_from_map(fields: &[FieldDef], map_expr: &str) -> String {
     fields
         .iter()
         .map(|f| {
+            if f.default {
+                let present = de_field_expr("__field", &f.with_module);
+                return format!(
+                    "{}: match {map_expr}.get(\"{}\") {{ Some(__field) => {present}, \
+                     None => Default::default() }}",
+                    f.name, f.name
+                );
+            }
             let value_expr =
                 format!("{map_expr}.get(\"{}\").unwrap_or(&serde::Value::Null)", f.name);
             format!("{}: {}", f.name, de_field_expr(&value_expr, &f.with_module))

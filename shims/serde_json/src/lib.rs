@@ -119,19 +119,25 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
 
 fn write_str(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    // Copy each run that needs no escape in one piece (the mirror of
+    // `parse_string`).  Every byte that needs one is ASCII, so a run ends
+    // on a char boundary.
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    while let Some(len) = bytes[run..].iter().position(|&b| b == b'"' || b == b'\\' || b < 0x20) {
+        let at = run + len;
+        out.push_str(&s[run..at]);
+        match bytes[at] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => out.push_str(&format!("\\u{b:04x}")),
         }
+        run = at + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -345,6 +351,65 @@ impl<'a> Parser<'a> {
             text.parse::<i64>().map(Value::Int).map_err(|e| Error::msg(e.to_string()))
         } else {
             text.parse::<u64>().map(Value::UInt).map_err(|e| Error::msg(e.to_string()))
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn written(s: &str) -> String {
+        to_string(s).unwrap()
+    }
+
+    #[test]
+    fn escapes_at_the_ends_of_a_run_and_back_to_back() {
+        assert_eq!(written(""), r#""""#);
+        assert_eq!(written("plain"), r#""plain""#);
+        assert_eq!(written("\"ab\""), r#""\"ab\"""#);
+        assert_eq!(written("a\\\"b"), r#""a\\\"b""#);
+        assert_eq!(written("\n\r\t"), r#""\n\r\t""#);
+        assert_eq!(written("a\u{1}b\u{1f}"), r#""a\u0001b\u001f""#);
+        assert_eq!(written("\u{7f} "), "\"\u{7f} \"", "DEL and space are not escaped");
+    }
+
+    #[test]
+    fn multi_byte_characters_pass_through_whole() {
+        let s = "é\"→\\𝄞\né";
+        assert_eq!(written(s), "\"é\\\"→\\\\𝄞\\né\"");
+        assert_eq!(from_str::<String>(&written(s)).unwrap(), s);
+    }
+
+    #[test]
+    fn a_default_field_may_be_absent_and_any_other_may_not() {
+        #[derive(Debug, PartialEq, Serialize, Deserialize)]
+        struct Counts {
+            seen: u64,
+            #[serde(default)]
+            added_later: u64,
+            #[serde(default)]
+            list_added_later: Vec<u32>,
+        }
+        let old: Counts = from_str(r#"{"seen":3}"#).unwrap();
+        assert_eq!(old, Counts { seen: 3, added_later: 0, list_added_later: vec![] });
+        let new = Counts { seen: 3, added_later: 9, list_added_later: vec![1, 2] };
+        assert_eq!(from_str::<Counts>(&to_string(&new).unwrap()).unwrap(), new);
+        assert!(from_str::<Counts>(r#"{"added_later":9}"#).is_err());
+        assert!(from_str::<Counts>(r#"{"seen":3,"added_later":"x"}"#).is_err());
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_strings_round_trip(
+            picks in proptest::collection::vec(0usize..16, 0..40),
+        ) {
+            const ALPHABET: [&str; 16] = [
+                "a", "Z", " ", "\"", "\\", "/", "\n", "\r", "\t", "\u{0}", "\u{8}", "\u{1f}",
+                "\u{7f}", "é", "→", "𝄞",
+            ];
+            let s: String = picks.iter().map(|&i| ALPHABET[i]).collect();
+            proptest::prop_assert_eq!(from_str::<String>(&to_string(&s).unwrap()).unwrap(), s);
         }
     }
 }

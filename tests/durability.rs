@@ -19,7 +19,7 @@ use hpcmon_durability::wal::{decode_checkpoint, scan_segment};
 use hpcmon_durability::{
     DurabilityConfig, DurabilityPlane, RecoveredState, ScanEnd, SimDisk, StorageMedium, SyncPolicy,
 };
-use hpcmon_metrics::Ts;
+use hpcmon_metrics::{CompId, MetricId, Sample, SeriesKey, Ts};
 use hpcmon_sim::{AppProfile, JobSpec};
 use proptest::prelude::*;
 use std::sync::{Arc, Once};
@@ -376,6 +376,59 @@ fn wal_records_carry_inputs_frame_samples_and_hashes() {
 // truncation prefix and every single-bit flip).  These drive the plane
 // directly with synthetic payloads so thousands of recoveries stay cheap.
 // ---------------------------------------------------------------------------
+
+/// Samples no JSON number can carry — NaN with a payload, both infinities,
+/// negative zero, a subnormal — sit in a warm block and in a hot buffer
+/// when the checkpoint is taken.  The checkpoint must load (it used to fail
+/// as `checkpoint_undecodable`: one `+Inf` wrote `null`, and the whole run
+/// resumed from nothing) and hand every point back bit for bit.
+#[test]
+fn non_finite_samples_survive_checkpoint_crash_and_recovery() {
+    let odd = [
+        f64::from_bits(0x7FF8_0000_DEAD_BEEF),
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        f64::from_bits(1),
+        1.5,
+    ];
+    let key = SeriesKey::new(MetricId(60_000), CompId::SYSTEM);
+    let bits = |mon: &MonitoringSystem| -> Vec<(Ts, u64)> {
+        let points = mon.store().query(key, Ts::ZERO, Ts(u64::MAX));
+        points.into_iter().map(|(t, v)| (t, v.to_bits())).collect()
+    };
+    let cfg = DurabilityConfig { sync: SyncPolicy::EveryTick, checkpoint_every: 4, scrub_every: 0 };
+    let disk = Arc::new(SimDisk::new());
+    let mut durable = builder(0).durability(disk.clone(), cfg).build();
+    durable.set_state_hashing(true);
+    seed_inputs(&mut durable);
+    // One whole seal (512 points) and a hot tail, written before tick 1 so
+    // the checkpoint — not the WAL — is what has to carry them.
+    let seal = hpcmon_store::TimeSeriesStore::DEFAULT_SEAL_THRESHOLD;
+    for i in 0..seal + odd.len() {
+        durable.store().insert(&Sample { key, ts: Ts(i as u64), value: odd[i % odd.len()] });
+    }
+    for _ in 0..6 {
+        durable.tick();
+    }
+    let expected = bits(&durable);
+    assert_eq!(expected.len(), seal + odd.len());
+    assert!(expected.iter().zip(odd.iter().cycle()).all(|(got, v)| got.1 == v.to_bits()));
+    let ops = durable.store().op_counts();
+    assert!(ops.blocks_sealed >= 1);
+    drop(durable);
+    disk.crash();
+
+    let mut recovered = builder(0).build();
+    recovered.set_state_hashing(true);
+    let outcome = recovered.recover_from_medium(disk, cfg);
+    assert!(!outcome.checkpoint_undecodable, "{outcome:?}");
+    assert_eq!(outcome.checkpoint_tick, Some(4));
+    assert_eq!((outcome.replayed_ticks, outcome.resumed_tick), (2, 6));
+    assert_eq!(outcome.hash_mismatches, 0, "{outcome:?}");
+    assert_eq!(bits(&recovered), expected);
+    assert_eq!(recovered.store().op_counts(), ops);
+}
 
 fn plane_cfg() -> DurabilityConfig {
     DurabilityConfig { sync: SyncPolicy::EveryTick, checkpoint_every: 5, scrub_every: 0 }
