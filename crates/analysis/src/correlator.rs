@@ -12,7 +12,7 @@
 //! * [`Rule::Pair`] — fire when a *second* pattern follows a *first*
 //!   within a window (event propagation across components, e.g. an HSN
 //!   link failure followed by job failures — the cross-time association
-//!   the paper says "require[s] a vendor-supported understanding of the
+//!   the paper says "require\[s\] a vendor-supported understanding of the
 //!   architecture").
 
 use hpcmon_metrics::{CompId, LogRecord, Severity, Ts};

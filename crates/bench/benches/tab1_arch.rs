@@ -7,16 +7,16 @@
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hpcmon_metrics::{CompId, Frame, MetricId, Ts};
+use hpcmon_metrics::{ColumnFrame, CompId, MetricId, Ts};
 use hpcmon_transport::{BackpressurePolicy, Broker, Payload, TopicFilter};
 use std::sync::Arc;
 
 fn frame_payload(samples: u32) -> Payload {
-    let mut frame = Frame::new(Ts(0));
+    let mut frame = ColumnFrame::new(Ts(0));
     for i in 0..samples {
         frame.push(MetricId(0), CompId::node(i), i as f64);
     }
-    Payload::Frame(Arc::new(frame))
+    Payload::Columns(Arc::new(frame))
 }
 
 fn print_capability() {

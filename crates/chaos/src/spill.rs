@@ -1,5 +1,7 @@
 //! Circuit breaker + bounded spill queue in front of the store's
-//! `insert_frame`.
+//! fault-aware frame ingest (`try_ingest_columns`).  The breaker is
+//! generic over the item it carries; the pipeline's is one frame plus its
+//! trace context, raw frames and analysis-results frames alike.
 //!
 //! While shard writes fail, frames spill to a bounded in-memory WAL instead
 //! of being dropped; the breaker opens, backs off, and periodically

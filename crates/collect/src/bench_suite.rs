@@ -213,7 +213,7 @@ impl BenchmarkSuite {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpcmon_metrics::{Frame, MetricRegistry, Ts};
+    use hpcmon_metrics::{MetricRegistry, Ts};
     use hpcmon_sim::{AppProfile, FaultKind, JobSpec, SimConfig, SimEngine};
 
     fn metrics() -> StdMetrics {
@@ -223,11 +223,11 @@ mod tests {
     fn run_suite(
         engine: &SimEngine,
         suite: &mut BenchmarkSuite,
-    ) -> (Frame, Vec<LogRecord>, Vec<BenchResult>) {
+    ) -> (ColumnFrame, Vec<LogRecord>, Vec<BenchResult>) {
         let mut cf = ColumnFrame::new(engine.now());
         let mut logs = Vec::new();
         let results = suite.run(engine, &mut cf, &mut logs);
-        (cf.to_frame(), logs, results)
+        (cf, logs, results)
     }
 
     #[test]

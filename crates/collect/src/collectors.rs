@@ -354,7 +354,7 @@ pub fn standard_collectors(metrics: StdMetrics) -> Vec<Box<dyn Collector>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpcmon_metrics::{Frame, MetricRegistry, Ts};
+    use hpcmon_metrics::{MetricRegistry, Ts};
     use hpcmon_sim::{AppProfile, JobSpec, SimConfig, SimEngine};
 
     fn setup() -> (SimEngine, StdMetrics) {
@@ -372,10 +372,10 @@ mod tests {
         (engine, StdMetrics::register(&reg))
     }
 
-    fn collect_one(c: &mut dyn Collector, engine: &SimEngine) -> Frame {
+    fn collect_one(c: &mut dyn Collector, engine: &SimEngine) -> ColumnFrame {
         let mut cf = ColumnFrame::new(engine.now());
         c.collect(engine, &mut cf);
-        cf.to_frame()
+        cf
     }
 
     #[test]

@@ -103,17 +103,17 @@ impl Collector for NetworkProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpcmon_metrics::{Frame, MetricRegistry, Ts};
+    use hpcmon_metrics::{MetricRegistry, Ts};
     use hpcmon_sim::{AppProfile, FaultKind, JobSpec, SimConfig, SimEngine};
 
     fn metrics() -> StdMetrics {
         StdMetrics::register(&MetricRegistry::new())
     }
 
-    fn collect_one(c: &mut dyn Collector, engine: &SimEngine) -> Frame {
+    fn collect_one(c: &mut dyn Collector, engine: &SimEngine) -> ColumnFrame {
         let mut cf = ColumnFrame::new(engine.now());
         c.collect(engine, &mut cf);
-        cf.to_frame()
+        cf
     }
 
     #[test]

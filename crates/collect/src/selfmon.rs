@@ -288,7 +288,6 @@ impl Collector for SelfCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpcmon_metrics::Frame;
     use hpcmon_sim::SimConfig;
     use hpcmon_transport::{Payload, TopicFilter};
 
@@ -382,7 +381,7 @@ mod tests {
             broker.subscribe(TopicFilter::all(), 16, hpcmon_transport::BackpressurePolicy::Block);
         broker.publish(
             "metrics/frame",
-            Payload::Frame(Arc::new(Frame::new(hpcmon_metrics::Ts::ZERO))),
+            Payload::Columns(Arc::new(ColumnFrame::new(hpcmon_metrics::Ts::ZERO))),
         );
         let m = registry.register("m", Unit::Count, "");
         store.insert(&hpcmon_metrics::Sample::new(
@@ -422,7 +421,7 @@ mod tests {
         for _ in 0..4 {
             broker.publish(
                 "metrics/frame",
-                Payload::Frame(Arc::new(Frame::new(hpcmon_metrics::Ts::ZERO))),
+                Payload::Columns(Arc::new(ColumnFrame::new(hpcmon_metrics::Ts::ZERO))),
             );
         }
         let mut frame = ColumnFrame::new(hpcmon_metrics::Ts::ZERO);

@@ -27,8 +27,8 @@ use hpcmon_health::{
     Subsystem as HealthSubsystem,
 };
 use hpcmon_metrics::{
-    ColumnFrame, CompId, CompKind, Frame, FrameArena, FrameCoverage, JobId, LogRecord,
-    MetricRegistry, Severity, Ts,
+    ColumnFrame, CompId, CompKind, FrameArena, FrameCoverage, JobId, LogRecord, MetricRegistry,
+    Severity, Ts,
 };
 use hpcmon_response::{
     AccessPolicy, Action, ActionTaken, ResponseEngine, ResponseRule, Signal, SignalKind,
@@ -360,7 +360,7 @@ impl MonitorBuilder {
             last_coverage: None,
             last_frame: None,
             arena: FrameArena::new(),
-            route: IngestRoute::new(),
+            routes: [IngestRoute::new(), IngestRoute::new()],
             hashing: false,
             last_state_hash: None,
             replay_hash_gauge: None,
@@ -585,9 +585,9 @@ impl PipelineInstruments {
         }
     }
 
-    /// Advance the per-kind injection counters to the chaos engine's
-    /// lifetime totals.
-    fn sync_chaos(&self, counts: InjectedCounts) {
+    /// Advance the per-kind injection counters (pipeline and disk faults)
+    /// to the chaos engine's lifetime totals.
+    fn sync_chaos(&self, counts: InjectedCounts, disk: hpcmon_chaos::DiskInjectedCounts) {
         sync_counter(&self.chaos_collector_panic, counts.collector_panic);
         sync_counter(&self.chaos_collector_hang, counts.collector_hang);
         sync_counter(&self.chaos_collector_slow, counts.collector_slow);
@@ -595,15 +595,10 @@ impl PipelineInstruments {
         sync_counter(&self.chaos_envelope_corrupt, counts.envelope_corrupt);
         sync_counter(&self.chaos_store_write_fail, counts.store_write_fail);
         sync_counter(&self.chaos_gateway_worker_death, counts.gateway_worker_death);
-    }
-
-    /// Advance the disk-fault injection counters to the chaos engine's
-    /// lifetime totals.
-    fn sync_disk_chaos(&self, counts: hpcmon_chaos::DiskInjectedCounts) {
-        sync_counter(&self.chaos_disk_write_fail, counts.write_fail);
-        sync_counter(&self.chaos_disk_torn_write, counts.torn_write);
-        sync_counter(&self.chaos_disk_corrupt_byte, counts.corrupt_byte);
-        sync_counter(&self.chaos_disk_full, counts.full);
+        sync_counter(&self.chaos_disk_write_fail, disk.write_fail);
+        sync_counter(&self.chaos_disk_torn_write, disk.torn_write);
+        sync_counter(&self.chaos_disk_corrupt_byte, disk.corrupt_byte);
+        sync_counter(&self.chaos_disk_full, disk.full);
     }
 
     /// Advance the durability export to the plane's lifetime totals.
@@ -710,7 +705,7 @@ pub struct MonitoringSystem {
     pending_inputs: TickInputs,
     chaos: Option<ChaosEngine>,
     supervisor: CollectorSupervisor,
-    breaker: IngestBreaker<(Payload, Option<TraceContext>)>,
+    breaker: IngestBreaker<(Arc<ColumnFrame>, Option<TraceContext>)>,
     stall_buffer: Vec<(String, Payload, Option<TraceContext>)>,
     ever_contributed: Vec<bool>,
     last_coverage: Option<FrameCoverage>,
@@ -725,10 +720,11 @@ pub struct MonitoringSystem {
     // the consumers of two ticks ago have released and refills it, so the
     // steady-state hot path allocates nothing.
     arena: FrameArena,
-    // Cached columnar ingest route — key column -> shard/slot — valid
-    // while the frame's key set and the store's slab layout are stable,
-    // which in steady state is every tick.
-    route: IngestRoute,
+    // Cached ingest routes — key column -> shard/slot — valid while a
+    // frame's key set and the store's slab layout are stable, which in
+    // steady state is every tick.  One per frame shape (`[raw, results]`)
+    // so the results frame never evicts the raw frame's route.
+    routes: [IngestRoute; 2],
     hashing: bool,
     last_state_hash: Option<TickStateHash>,
     replay_hash_gauge: Option<Arc<Gauge>>,
@@ -764,338 +760,480 @@ impl MonitoringSystem {
 
     // ----- the pipeline -----
 
-    /// Advance machine + monitoring by one tick.
+    /// Advance machine + monitoring by one tick.  Reads top to bottom as
+    /// the stage order DESIGN.md §2 documents; every stage is one private
+    /// method below, written once, with supervision and the worker pool as
+    /// inputs to it (DESIGN.md §9).
     pub fn tick(&mut self) -> TickReport {
-        // Stamp this tick's frame with a trace context at the very head of
-        // the pipeline.  The sampling decision hashes the tick number, so
-        // identical runs trace identical frames (determinism preserved).
+        // Stamp this tick's frame with a trace context.  The sampling
+        // decision hashes the tick number: identical runs trace identical frames.
         let tracer = Arc::clone(&self.tracer);
-        let trace_ctx = tracer.context_for(self.engine.tick_count().wrapping_add(1));
-        // Exemplar tag for stage histograms: sampled frames stamp their
-        // trace id into the latency bucket they land in, so a p99 spike
-        // resolves to a concrete trace.
-        let tag = trace_ctx.map_or(0, |c| if c.sampled { c.trace_id.0 } else { 0 });
+        let ctx = tracer.context_for(self.engine.tick_count().wrapping_add(1));
+        // Exemplar tag: sampled frames stamp their trace id into the latency
+        // bucket they land in, so a p99 spike resolves to a concrete trace.
+        let tag = ctx.map_or(0, |c| if c.sampled { c.trace_id.0 } else { 0 });
         let _tick_timer = StageTimer::new(self.instruments.stage_tick.clone()).with_tag(tag);
-        let root_span = trace_ctx.as_ref().map(|c| tracer.span(c, Stage::Tick));
-        let stage_ctx = root_span.as_ref().map(|g| g.context());
+        let root_span = ctx.as_ref().map(|c| tracer.span(c, Stage::Tick));
+        let root_ctx = root_span.as_ref().map(|g| g.context());
+        // Open a stage: its span under the root (the store stage has none)
+        // and its tagged timer; dropping the pair closes span, then timer.
+        let open = |hist: &Arc<Histogram>, stage: Option<Stage>| {
+            let span = stage.and_then(|st| root_ctx.as_ref().map(|c| tracer.span(c, st)));
+            (span, StageTimer::new(hist.clone()).with_tag(tag))
+        };
         self.instruments.tick_count.inc();
         self.engine.step();
         let now = self.engine.now();
         let mut report = TickReport::default();
 
-        // 0. Chaos: advance the fault schedule and project the active
-        //    faults onto the components they target.  Shard write-fault
-        //    flags mirror the engine's windows exactly (set and cleared
-        //    every tick); gateway worker deaths are delivered before the
-        //    gateway serves anything this tick.
-        if let Some(chaos) = &mut self.chaos {
-            chaos.begin_tick(self.engine.tick_count());
-            for shard in 0..self.store.num_shards() {
-                self.store.set_shard_write_fault(shard, chaos.shard_failing(shard));
+        // 0. Chaos: project this tick's active faults onto their targets.
+        self.project_chaos();
+
+        // 1. Synchronized collection into one arena frame, then the
+        //    benchmark suite on its cadence.
+        let mut stage = open(&self.instruments.stage_collect, Some(Stage::Collect));
+        let mut frame = self.arena.take_current(now);
+        self.collect(&mut frame);
+        let mut bench_logs: Vec<LogRecord> = Vec::new();
+        if self.bench_every_ticks.is_some_and(|n| self.engine.tick_count().is_multiple_of(n)) {
+            self.bench_suite.run(&self.engine, &mut frame, &mut bench_logs);
+        }
+        report.samples = frame.len();
+        if let Some(span) = &mut stage.0 {
+            span.set_note(format!("{} samples", report.samples));
+        }
+        drop(stage);
+
+        // 2. Transport: publish (epoch swap, not copy: broker, store,
+        //    federation and this tick's analysis share one `Arc`), then the
+        //    store consumer drains.  The envelope carries the frame's
+        //    context re-parented under the transport span, so store-side
+        //    and broker drop spans chain into the frame's trace.
+        let stage = open(&self.instruments.stage_transport, Some(Stage::Transport));
+        let envelope_ctx = stage.0.as_ref().map(|g| g.context()).or(ctx);
+        let frame = self.arena.publish(frame);
+        self.last_frame = Some(Arc::clone(&frame));
+        let frames_published_now = self.publish_frame(&frame, envelope_ctx);
+        drop(stage);
+        let stage = open(&self.instruments.stage_store, None);
+        for env in self.store_sub.drain() {
+            if self.corrupted_in_transit(&env) {
+                continue;
             }
-            let deaths = chaos.take_worker_deaths();
-            if let Some(gw) = &self.gateway {
-                for _ in 0..deaths {
-                    gw.inject_worker_death();
-                }
+            let _span = env.trace.as_ref().map(|c| tracer.span(c, Stage::Store));
+            if let Some(cf) = env.payload.as_columns() {
+                self.ingest(cf, env.trace);
             }
-            // Disk faults project onto the durability medium.  The
-            // one-shot queues are drained UNCONDITIONALLY (like worker
-            // deaths above): the chaos digest covers the pending queues,
-            // so a run without a plane attached must consume them at the
-            // same tick as its durable twin to stay hash-identical.
-            let write_failing = chaos.disk_write_failing();
-            let full = chaos.disk_full();
-            let torn = chaos.take_torn_writes();
-            let corrupt = chaos.take_corrupt_bytes();
-            if let Some(plane) = &self.durability {
-                let medium = plane.medium();
-                medium.set_write_fail(write_failing);
-                medium.set_full(full);
-                for seed in torn {
-                    medium.arm_torn_write(seed);
-                }
-                for seed in corrupt {
-                    medium.corrupt_byte(seed);
-                }
+        }
+        drop(stage);
+
+        // 3–5. Analysis: logs, attached detectors on the fresh frame, the
+        //      built-in checks and control loops, retention on its cadence.
+        let stage = open(&self.instruments.stage_analysis, Some(Stage::Analysis));
+        let mut signals = self.analyze_logs(bench_logs, &mut report);
+        self.evaluate_detectors(&frame, &mut signals);
+        self.builtin_analyses(&frame, &mut signals);
+        self.control_power_cap(&frame, &mut signals);
+        if let Some((policy, every)) = self.retention {
+            if self.engine.tick_count().is_multiple_of(every) {
+                policy.enforce(now, &self.store, &mut self.archive);
             }
+        }
+        // Lifetime evaluation totals, synced so the self feed carries deltas.
+        let (correlated, findings) = self.correlator.eval_counts();
+        sync_counter(&self.instruments.correlator_records, correlated);
+        sync_counter(&self.instruments.correlator_findings, findings);
+        self.instruments.deadman_feeds.set(self.deadman.len() as f64);
+        drop(stage);
+
+        // 6. Respond, feeding actions back to the machine.
+        let stage = open(&self.instruments.stage_response, Some(Stage::Response));
+        for sig in &signals {
+            let actions = self.response.handle(sig);
+            for action in &actions {
+                self.apply_action(action);
+            }
+            report.actions.extend(actions);
+        }
+        let (handled, suppressed) = self.response.eval_counts();
+        sync_counter(&self.instruments.response_handled, handled);
+        sync_counter(&self.instruments.response_suppressed, suppressed);
+        drop(stage);
+
+        // 7. Analysis results are stored WITH the raw data (Table I): the
+        //    per-tick counts through the same ingest as the raw frame
+        //    (supervised, they queue behind earlier spilled data), each
+        //    signal as a searchable `analysis` log record.
+        let mut results = ColumnFrame::new(now);
+        results.push(self.metrics.analysis_signals, CompId::SYSTEM, signals.len() as f64);
+        results.push(self.metrics.analysis_actions, CompId::SYSTEM, report.actions.len() as f64);
+        self.ingest(&Arc::new(results), ctx);
+        self.instruments.store_breaker_state.set(self.breaker.state().as_gauge());
+        self.instruments.spill_depth.set(self.breaker.depth() as f64);
+        sync_counter(&self.instruments.spill_dropped, self.breaker.dropped());
+        if let Some(chaos) = &self.chaos {
+            self.instruments.sync_chaos(chaos.counts(), chaos.disk_counts());
+        }
+        for sig in &signals {
+            self.log_store.append(LogRecord::new(
+                sig.ts,
+                sig.comp,
+                sig.severity,
+                "analysis",
+                sig.detail.clone(),
+            ));
+        }
+        self.signals.extend(signals.iter().cloned());
+        report.signals = signals;
+
+        // 7b. Health: the SLO/alerting plane over this tick's evidence.
+        report.alerts = self.evaluate_health(frames_published_now);
+
+        // 8. Serve: refresh the gateway's scoping view with the current
+        //    allocations, then evaluate standing subscriptions.
+        if let Some(gw) = &self.gateway {
+            gw.update_jobs(self.engine.scheduler().records().to_vec());
+            gw.on_tick(now);
         }
 
-        // 1. Synchronized collection into one frame, with deadman beats
-        //    per contributing collector (silence must not look like
-        //    health).  Collectors that are legitimately empty for this
-        //    machine config never arm an expectation.
-        let collect_timer = StageTimer::new(self.instruments.stage_collect.clone()).with_tag(tag);
-        let collect_span = stage_ctx.as_ref().map(|c| tracer.span(c, Stage::Collect));
-        // Reuse the column buffers the consumers of two ticks ago released
-        // (ping-pong): in steady state this is a clear-and-refill, not an
-        // allocation.
-        let mut frame = self.arena.take_current(now);
-        let mut contributed = vec![0usize; self.collectors.len()];
-        if self.supervision {
-            self.collect_supervised(now, &mut frame, &mut contributed);
-        } else {
-            match &self.pool {
-                Some(pool) => {
-                    // Each collector fills a private frame; merging the parts
-                    // in fixed collector order afterwards makes the merged
-                    // frame byte-identical to the serial path.  Collectors
-                    // named "self" are barriers — they republish instruments
-                    // the other collectors update this tick — so they run
-                    // inline after the fan-out, at their own position (the
-                    // builder installs the SelfCollector last, matching).
-                    let engine = &self.engine;
-                    let insts = &self.instruments.collectors;
-                    let jobs = &self.instruments.parallel_jobs;
-                    let busy = &self.instruments.busy_collect;
-                    let mut parts: Vec<ColumnFrame> =
-                        (0..self.collectors.len()).map(|_| ColumnFrame::new(now)).collect();
-                    pool.scope(|sc| {
-                        for ((c, part), inst) in
-                            self.collectors.iter_mut().zip(parts.iter_mut()).zip(insts)
-                        {
-                            if c.name() == "self" {
-                                continue;
-                            }
-                            jobs.inc();
-                            sc.spawn(move || {
-                                let _busy = BusyTimer::new(busy.clone());
-                                let started = Instant::now();
-                                c.collect(engine, part);
-                                inst.latency.record_ns(started.elapsed().as_nanos() as u64);
-                                inst.samples.add(part.len() as u64);
-                            });
-                        }
-                    });
-                    for (i, part) in parts.iter_mut().enumerate() {
-                        if self.collectors[i].name() == "self" {
-                            let before = frame.len();
-                            let started = Instant::now();
-                            self.collectors[i].collect(&self.engine, &mut frame);
-                            contributed[i] = frame.len() - before;
-                            let inst = &self.instruments.collectors[i];
-                            inst.latency.record_ns(started.elapsed().as_nanos() as u64);
-                            inst.samples.add(contributed[i] as u64);
-                        } else {
-                            contributed[i] = part.len();
-                            frame.append(part);
-                        }
-                    }
-                }
-                None => {
-                    for (i, (c, inst)) in
-                        self.collectors.iter_mut().zip(&self.instruments.collectors).enumerate()
-                    {
-                        let before = frame.len();
-                        let _busy = BusyTimer::new(self.instruments.busy_collect.clone());
-                        let started = Instant::now();
-                        c.collect(&self.engine, &mut frame);
-                        contributed[i] = frame.len() - before;
-                        inst.latency.record_ns(started.elapsed().as_nanos() as u64);
-                        inst.samples.add(contributed[i] as u64);
-                    }
-                }
+        // 9. Close the frame's root span and assemble completed traces.
+        drop(root_span);
+        self.assemble_traces();
+
+        // 10. Flight recorder: fold every subsystem's deterministic state
+        //     into this tick's hash (system::state).
+        if self.hashing {
+            self.finish_tick_hash(&frame);
+        }
+
+        // 11. Durability: with a plane attached, journal this tick to the
+        //     WAL (system::durability) — strictly after the hash, so the
+        //     record carries the value recovery verifies against.
+        self.finish_tick_durability(&frame);
+        report
+    }
+
+    /// Stage 0: advance the chaos schedule and project the active faults
+    /// onto the components they target.  Shard write-fault flags mirror
+    /// the engine's windows exactly (set and cleared every tick); gateway
+    /// worker deaths are delivered before the gateway serves anything this
+    /// tick.
+    fn project_chaos(&mut self) {
+        let Some(chaos) = &mut self.chaos else { return };
+        chaos.begin_tick(self.engine.tick_count());
+        for shard in 0..self.store.num_shards() {
+            self.store.set_shard_write_fault(shard, chaos.shard_failing(shard));
+        }
+        let deaths = chaos.take_worker_deaths();
+        if let Some(gw) = &self.gateway {
+            for _ in 0..deaths {
+                gw.inject_worker_death();
             }
         }
-        // Deadman bookkeeping on the coordinator, in fixed collector order.
-        // A collector registers the first time it ever contributes — on
-        // whatever tick that happens — so a feed that comes alive late
-        // still gets silence coverage from that point on.
-        for (c, &n) in self.collectors.iter().zip(&contributed) {
-            if n > 0 {
-                self.deadman.register(c.name());
-                self.deadman.beat(c.name(), now);
+        // Disk faults project onto the durability medium.  The one-shot
+        // queues are drained UNCONDITIONALLY (like worker deaths above):
+        // the chaos digest covers the pending queues, so a run without a
+        // plane attached must consume them at the same tick as its durable
+        // twin to stay hash-identical.
+        let write_failing = chaos.disk_write_failing();
+        let full = chaos.disk_full();
+        let torn = chaos.take_torn_writes();
+        let corrupt = chaos.take_corrupt_bytes();
+        if let Some(plane) = &self.durability {
+            let medium = plane.medium();
+            medium.set_write_fail(write_failing);
+            medium.set_full(full);
+            for seed in torn {
+                medium.arm_torn_write(seed);
             }
+            for seed in corrupt {
+                medium.corrupt_byte(seed);
+            }
+        }
+    }
+
+    /// Stage 1: run every collector into `frame`; per slot, in
+    /// registration order, settle its supervision, deadman beat and
+    /// coverage bit.
+    ///
+    /// Serially each collector fills `frame` directly (no parts, no copy);
+    /// under a worker pool each fills a private part-frame and the parts
+    /// merge in registration order, so the frame is byte-identical at any
+    /// worker count.  Collectors named "self" are barriers — they
+    /// republish instruments the other collectors update this tick — so
+    /// they always run inline at their own position, after the fan-out
+    /// (the builder installs the `SelfCollector` last, matching).
+    ///
+    /// Under supervision (DESIGN.md §10) every run is wrapped in a panic
+    /// catch and the chaos engine's active faults: a segment that fails
+    /// (panic, hang, deadline overrun) is discarded and its slot
+    /// quarantined with exponential-backoff re-probes, the gap handed to
+    /// the deadman so it surfaces as `MonitoringGap`, never silence.
+    /// Unsupervised, a collector panic propagates to the caller; with no
+    /// chaos plan and nothing ever quarantined every plan is "run", and
+    /// the supervisor calls below find nothing to do.
+    fn collect(&mut self, frame: &mut ColumnFrame) {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        /// What one slot does this tick.
+        #[derive(Clone, Copy)]
+        enum Plan {
+            /// Quarantined and the re-probe is not due: skipped (the
+            /// deadman carries the gap).
+            Skip,
+            /// Chaos hang: never runs, counts as a failure.
+            Fail,
+            /// Runs; `inject_panic` fires the chaos panic inside the run,
+            /// `discard` drops the segment afterwards (deadline overrun).
+            Run { inject_panic: bool, discard: bool },
+        }
+        let (tick, now) = (self.engine.tick_count(), frame.ts);
+        let supervised = self.supervision;
+        let budget = self.supervisor.config().slow_budget_factor;
+        let plans: Vec<Plan> = (self.collectors.iter().enumerate())
+            .map(|(i, c)| {
+                if !self.supervisor.should_run(i, tick) {
+                    return Plan::Skip;
+                }
+                match self.chaos.as_ref().and_then(|ch| ch.collector_fault(c.name())) {
+                    Some(CollectorFault::Hang) => Plan::Fail,
+                    Some(CollectorFault::Panic) => Plan::Run { inject_panic: true, discard: true },
+                    Some(CollectorFault::Slow(factor)) => {
+                        Plan::Run { inject_panic: false, discard: factor >= budget }
+                    }
+                    None => Plan::Run { inject_panic: false, discard: false },
+                }
+            })
+            .collect();
+        // One run: time it, and under supervision catch anything — injected
+        // chaos panics and real collector panics alike.  Returns whether
+        // the run panicked (never, unsupervised: it unwinds).
+        let engine = &self.engine;
+        let run = |c: &mut Box<dyn Collector>, out: &mut ColumnFrame, inject_panic, inst| {
+            let inst: &CollectorInstruments = inst;
+            let started = Instant::now();
+            let mut body = || {
+                c.collect(engine, out);
+                if inject_panic {
+                    panic!("chaos: injected collector panic");
+                }
+            };
+            let panicked = if supervised {
+                catch_unwind(AssertUnwindSafe(&mut body)).is_err()
+            } else {
+                body();
+                false
+            };
+            inst.latency.record_ns(started.elapsed().as_nanos() as u64);
+            panicked
+        };
+        // Fan out only under a pool: (part, panicked) per slot, empty on
+        // the serial path.
+        let mut parts: Vec<(ColumnFrame, bool)> = Vec::new();
+        if let Some(pool) = &self.pool {
+            parts = (0..self.collectors.len()).map(|_| (ColumnFrame::new(now), false)).collect();
+            let jobs = &self.instruments.parallel_jobs;
+            let busy = &self.instruments.busy_collect;
+            pool.scope(|sc| {
+                for (((c, part), inst), &plan) in (self.collectors.iter_mut())
+                    .zip(parts.iter_mut())
+                    .zip(&self.instruments.collectors)
+                    .zip(&plans)
+                {
+                    let Plan::Run { inject_panic, .. } = plan else { continue };
+                    if c.name() == "self" {
+                        continue;
+                    }
+                    jobs.inc();
+                    sc.spawn(move || {
+                        let _busy = BusyTimer::new(busy.clone());
+                        part.1 = run(c, &mut part.0, inject_panic, inst);
+                    });
+                }
+            });
         }
         // Coverage bitmap: a slot is expected once it has ever
         // contributed, and reported if it contributed this tick.  Analysis
-        // stages use the bitmap to *skip* segments a quarantined collector
-        // failed to deliver instead of treating absence as zero.
-        if self.supervision {
-            for (ever, &n) in self.ever_contributed.iter_mut().zip(&contributed) {
-                *ever |= n > 0;
+        // stages use it to *skip* segments a quarantined collector failed
+        // to deliver instead of treating absence as zero.
+        let mut cov = FrameCoverage::default();
+        for i in 0..self.collectors.len() {
+            let before = frame.len();
+            // `Some(ok)` for a slot that was due this tick, `None` if skipped.
+            let outcome = match plans[i] {
+                Plan::Skip => None,
+                Plan::Fail => Some(false),
+                Plan::Run { inject_panic, discard } => {
+                    let panicked = if parts.is_empty() || self.collectors[i].name() == "self" {
+                        let _busy = BusyTimer::new(self.instruments.busy_collect.clone());
+                        let inst = &self.instruments.collectors[i];
+                        run(&mut self.collectors[i], frame, inject_panic, inst)
+                    } else {
+                        frame.append(&mut parts[i].0);
+                        parts[i].1
+                    };
+                    Some(!(panicked || discard))
+                }
+            };
+            if outcome == Some(false) {
+                // A failed segment is discarded whole.
+                frame.truncate(before);
             }
-            let mut cov = FrameCoverage::default();
-            for (i, &ever) in self.ever_contributed.iter().enumerate() {
-                if ever {
+            let delivered = frame.len() - before;
+            let name = self.collectors[i].name();
+            match outcome {
+                Some(false) => {
+                    self.supervisor.record_failure(i, tick);
+                    self.deadman.set_quarantined(name, true);
+                }
+                Some(true) => {
+                    self.instruments.collectors[i].samples.add(delivered as u64);
+                    if self.supervisor.is_probe(i, tick) {
+                        self.deadman.set_quarantined(name, false);
+                    }
+                    self.supervisor.record_success(i);
+                }
+                None => {}
+            }
+            // Deadman beat per contributing collector (silence must not
+            // look like health).  A collector registers the first time it
+            // ever contributes — on whatever tick that happens — so a feed
+            // that comes alive late still gets silence coverage from then
+            // on; one that is legitimately empty for this machine config
+            // never arms an expectation.
+            if delivered > 0 {
+                self.deadman.register(name);
+                self.deadman.beat(name, now);
+            }
+            if supervised {
+                self.ever_contributed[i] |= delivered > 0;
+                if self.ever_contributed[i] {
                     cov.expect(i);
-                    if contributed[i] > 0 {
+                    if delivered > 0 {
                         cov.report(i);
                     }
                 }
             }
+        }
+        if supervised {
             frame.coverage = Some(cov);
             self.last_coverage = Some(cov);
-            self.instruments.frame_coverage_pct.set(cov.pct());
             self.instruments.supervisor_quarantined.set(self.supervisor.quarantined_count() as f64);
-        } else {
-            self.instruments.frame_coverage_pct.set(100.0);
         }
-        let mut bench_logs: Vec<LogRecord> = Vec::new();
-        if let Some(every) = self.bench_every_ticks {
-            if self.engine.tick_count().is_multiple_of(every) {
-                self.bench_suite.run(&self.engine, &mut frame, &mut bench_logs);
-            }
-        }
-        report.samples = frame.len();
-        if let Some(mut span) = collect_span {
-            span.set_note(format!("{} samples", report.samples));
-            span.finish();
-        }
-        drop(collect_timer);
+        self.instruments.frame_coverage_pct.set(cov.pct());
+    }
 
-        // 2. Transport: publish, then the store consumer drains.  The
-        //    envelope carries the frame's context re-parented under the
-        //    transport span, so store-side spans (and any broker drop
-        //    spans) chain into the frame's trace.
-        let transport_timer =
-            StageTimer::new(self.instruments.stage_transport.clone()).with_tag(tag);
-        let transport_span = stage_ctx.as_ref().map(|c| tracer.span(c, Stage::Transport));
-        let envelope_ctx = transport_span.as_ref().map(|g| g.context()).or(trace_ctx);
-        let frame_topic = topics::metrics("frame");
-        // Epoch swap, not copy: the arena wraps the finished columns in an
-        // `Arc` and every consumer (broker, store, federation, this tick's
-        // analysis below) shares the same buffers.
-        let frame = self.arena.publish(frame);
-        self.last_frame = Some(Arc::clone(&frame));
-        let frame_payload = Payload::Columns(Arc::clone(&frame));
-        // Frames that went out this tick, for the health plane's
-        // transport-delivery feed: 0 while the topic is stalled, backlog+1
-        // on the tick a stall clears.
-        let mut frames_published_now = 0u64;
-        if self.chaos.as_ref().is_some_and(|c| c.topic_stalled(&frame_topic)) {
+    /// Stage 2, publish half: hand the frame to the broker.  Returns the
+    /// frames that went out this tick, for the health plane's
+    /// transport-delivery feed: 0 while the topic is stalled, backlog + 1
+    /// on the tick a stall clears.
+    fn publish_frame(&mut self, frame: &Arc<ColumnFrame>, ctx: Option<TraceContext>) -> u64 {
+        let topic = topics::metrics("frame");
+        let payload = Payload::Columns(Arc::clone(frame));
+        if self.chaos.as_ref().is_some_and(|c| c.topic_stalled(&topic)) {
             // Chaos: the broker path for this topic is wedged.  Frames
             // queue here in arrival order and go out the first tick the
             // stall clears — late, but never lost and never reordered.
-            self.stall_buffer.push((frame_topic, frame_payload, envelope_ctx));
-        } else {
-            frames_published_now = self.stall_buffer.len() as u64 + 1;
-            for (topic, payload, ctx) in self.stall_buffer.drain(..) {
-                self.broker.publish_traced(&topic, payload, ctx);
-            }
-            self.broker.publish_traced(&frame_topic, frame_payload, envelope_ctx);
+            self.stall_buffer.push((topic, payload, ctx));
+            return 0;
         }
-        drop(transport_span);
-        drop(transport_timer);
-        let store_timer = StageTimer::new(self.instruments.stage_store.clone()).with_tag(tag);
-        let tick_no = self.engine.tick_count();
-        for env in self.store_sub.drain() {
-            // Chaos: corrupt the wire form of seeded envelopes.  The
-            // envelope is re-encoded, one seeded bit flipped, and the
-            // result pushed through the broker's defensive decode; a
-            // rejected envelope is counted (`transport.decode_errors`),
-            // its loss recorded with provenance, and the loop moves on.
-            // The decision hashes the broker sequence number, so the same
-            // envelopes are hit at any worker count.  The flip position is
-            // computed over a *canonical* wire form with the trace context
-            // stripped: sampling decisions (including replay's forced
-            // 1-in-1 tracing) change the traced wire bytes, and the
-            // corruption outcome must not depend on observability
-            // settings.
-            if let Some(bits) = self.chaos.as_mut().and_then(|c| c.corruption(env.seq)) {
-                let canon = Envelope {
-                    topic: env.topic.clone(),
-                    seq: env.seq,
-                    trace: None,
-                    payload: env.payload.clone(),
-                };
-                if let Ok(mut wire) = canon.encode() {
-                    let bit = (bits % (wire.len() as u64 * 8)) as usize;
-                    wire[bit / 8] ^= 1 << (bit % 8);
-                    if self.broker.decode_envelope(&wire).is_err() {
-                        if let Some(ctx) = env.trace.as_ref() {
-                            tracer.record_drop(
-                                ctx,
-                                Stage::Transport,
-                                DropReason::CorruptEnvelope,
-                                "chaos: flipped bit rejected at decode",
-                            );
-                        }
-                        continue;
-                    }
-                    // The flip landed where JSON tolerates it; the frame
-                    // is delivered (real corruption is not always
-                    // detectable at the transport layer).
-                }
-            }
-            let span = env.trace.as_ref().map(|c| tracer.span(c, Stage::Store));
-            if self.supervision {
-                // Breaker-fronted ingest: a failing shard trips the
-                // breaker and frames spill (bounded, drop-oldest with
-                // provenance) until a half-open probe finds the store
-                // healthy again, then the spill drains in arrival order.
-                // Columnar frames ride the cached route; row frames (spill
-                // replays of analysis results) take the legacy path.
-                if env.payload.frame_len().is_some() {
-                    let _busy = BusyTimer::new(self.instruments.busy_store.clone());
-                    let store = Arc::clone(&self.store);
-                    let route = &mut self.route;
-                    let sub_report =
-                        self.breaker.submit((env.payload.clone(), env.trace), tick_no, |(p, _)| {
-                            match p {
-                                Payload::Columns(c) => store.try_ingest_columns(c.as_ref(), route),
-                                Payload::Frame(f) => store.try_insert_frame(f),
-                                _ => Ok(()),
-                            }
-                        });
-                    for (_, ctx) in sub_report.evicted {
-                        if let Some(ctx) = ctx {
-                            tracer.record_drop(
-                                &ctx,
-                                Stage::Store,
-                                DropReason::SpillOverflow,
-                                "spill queue full: oldest frame evicted",
-                            );
-                        }
-                    }
-                }
-            } else if let Some(cf) = env.payload.as_columns() {
-                match &self.pool {
-                    Some(pool) => {
-                        // Shard-routed concurrent ingest: the cached route
-                        // already groups the key column by owning shard
-                        // (frame order kept within each batch), and shards
-                        // never share a series, so the stored contents are
-                        // identical to serial insertion.
-                        let store = &self.store;
-                        let jobs = &self.instruments.parallel_jobs;
-                        let busy = &self.instruments.busy_store;
-                        let route = &mut self.route;
-                        store.prepare_route(cf, route);
-                        let shared: &IngestRoute = route;
-                        pool.scope(|sc| {
-                            for shard in 0..store.num_shards() {
-                                if !shared.touches(shard) {
-                                    continue;
-                                }
-                                jobs.inc();
-                                let cf = cf.as_ref();
-                                sc.spawn(move || {
-                                    let _busy = BusyTimer::new(busy.clone());
-                                    store.ingest_route_shard(shard, cf, shared);
-                                });
-                            }
-                        });
-                        store.finish_route(route);
-                    }
-                    None => {
-                        let _busy = BusyTimer::new(self.instruments.busy_store.clone());
-                        self.store.ingest_columns(cf, &mut self.route);
-                    }
-                }
-            } else if let Some(f) = env.payload.as_frame() {
-                // Legacy row frames (nothing in the standard pipeline
-                // publishes these anymore, but gateway consumers may).
-                let _busy = BusyTimer::new(self.instruments.busy_store.clone());
-                self.store.insert_frame(f);
-            }
-            drop(span);
+        let published = self.stall_buffer.len() as u64 + 1;
+        for (topic, payload, ctx) in self.stall_buffer.drain(..) {
+            self.broker.publish_traced(&topic, payload, ctx);
         }
-        drop(store_timer);
-        let analysis_timer = StageTimer::new(self.instruments.stage_analysis.clone()).with_tag(tag);
-        let analysis_span = stage_ctx.as_ref().map(|c| tracer.span(c, Stage::Analysis));
+        self.broker.publish_traced(&topic, payload, ctx);
+        published
+    }
 
-        // 3. Logs: harvest (normalizing vendor formats), store, analyze.
+    /// Chaos: corrupt the wire form of seeded envelopes.  The envelope is
+    /// re-encoded, one seeded bit flipped, and the result pushed through
+    /// the broker's defensive decode; a rejected envelope is counted
+    /// (`transport.decode_errors`), its loss recorded with provenance, and
+    /// the caller skips it.  The decision hashes the broker sequence
+    /// number, so the same envelopes are hit at any worker count.  The
+    /// flip position is computed over a *canonical* wire form with the
+    /// trace context stripped: sampling decisions (including replay's
+    /// forced 1-in-1 tracing) change the traced wire bytes, and the
+    /// corruption outcome must not depend on observability settings.
+    fn corrupted_in_transit(&mut self, env: &Envelope) -> bool {
+        let Some(bits) = self.chaos.as_mut().and_then(|c| c.corruption(env.seq)) else {
+            return false;
+        };
+        let canon = Envelope { trace: None, ..env.clone() };
+        let Ok(mut wire) = canon.encode() else { return false };
+        let bit = (bits % (wire.len() as u64 * 8)) as usize;
+        wire[bit / 8] ^= 1 << (bit % 8);
+        // A flip that lands where JSON tolerates it is delivered (real
+        // corruption is not always detectable at the transport layer).
+        let rejected = self.broker.decode_envelope(&wire).is_err();
+        if let (true, Some(ctx)) = (rejected, env.trace.as_ref()) {
+            self.tracer.record_drop(
+                ctx,
+                Stage::Transport,
+                DropReason::CorruptEnvelope,
+                "chaos: flipped bit rejected at decode",
+            );
+        }
+        rejected
+    }
+
+    /// Store one frame — the raw frame off the broker and the analysis
+    /// results frame alike.  Plain: through the cached route.  Under a
+    /// pool: shard-routed concurrent ingest — the route already groups
+    /// the key column by owning shard (frame order kept within each
+    /// batch) and shards never share a series, so the stored contents are
+    /// identical to serial insertion.  Under supervision: breaker-fronted
+    /// — a failing shard trips the breaker and frames spill (bounded,
+    /// drop-oldest with provenance) until a half-open probe finds the
+    /// store healthy again, then the spill drains in arrival order.
+    fn ingest(&mut self, frame: &Arc<ColumnFrame>, trace: Option<TraceContext>) {
+        // Results frames (two fixed keys, led by `analysis.signals`) ride
+        // their own cached route: sharing one would evict the raw frame's
+        // route — an 80k-key rebuild at 4k nodes — twice a tick.
+        let results_metric = self.metrics.analysis_signals;
+        let lane = |cf: &ColumnFrame| {
+            usize::from(cf.keys.first().is_some_and(|k| k.metric == results_metric))
+        };
+        let store = &*self.store;
+        let routes = &mut self.routes;
+        if self.supervision {
+            let _busy = BusyTimer::new(self.instruments.busy_store.clone());
+            let item = (Arc::clone(frame), trace);
+            let report = self.breaker.submit(item, self.engine.tick_count(), |(cf, _)| {
+                store.try_ingest_columns(cf, &mut routes[lane(cf)])
+            });
+            for ctx in report.evicted.into_iter().filter_map(|(_, ctx)| ctx) {
+                self.tracer.record_drop(
+                    &ctx,
+                    Stage::Store,
+                    DropReason::SpillOverflow,
+                    "spill queue full: oldest frame evicted",
+                );
+            }
+        } else if let Some(pool) = &self.pool {
+            let route = &mut routes[lane(frame)];
+            store.prepare_route(frame, route);
+            let shared: &IngestRoute = route;
+            let jobs = &self.instruments.parallel_jobs;
+            let busy = &self.instruments.busy_store;
+            pool.scope(|sc| {
+                for shard in (0..store.num_shards()).filter(|&s| shared.touches(s)) {
+                    jobs.inc();
+                    let cf = frame.as_ref();
+                    sc.spawn(move || {
+                        let _busy = BusyTimer::new(busy.clone());
+                        store.ingest_route_shard(shard, cf, shared);
+                    });
+                }
+            });
+            store.finish_route(route);
+        } else {
+            let _busy = BusyTimer::new(self.instruments.busy_store.clone());
+            store.ingest_columns(frame, &mut routes[lane(frame)]);
+        }
+    }
+
+    /// Stage 3: harvest logs (normalizing vendor formats), analyze, store.
+    fn analyze_logs(&mut self, bench_logs: Vec<LogRecord>, report: &mut TickReport) -> Vec<Signal> {
         let mut records = self.harvester.harvest(&mut self.engine);
         records.extend(bench_logs);
         report.logs = records.len();
@@ -1120,80 +1258,66 @@ impl MonitoringSystem {
             }
         }
         self.log_store.append_batch(records);
+        signals
+    }
 
-        // 4. Streaming metric analysis on the fresh frame.  Attachments
-        //    are independent (private detector state, disjoint sample
-        //    partitions), so they evaluate concurrently when a pool is
-        //    configured; concatenating the per-attachment outputs in
-        //    attachment order reproduces the serial signal order exactly.
-        match &self.pool {
-            Some(pool) => {
-                let frame_ref = &frame;
-                let insts = &self.instruments.detectors;
-                let jobs = &self.instruments.parallel_jobs;
-                let busy = &self.instruments.busy_analysis;
-                let mut outs: Vec<Vec<Signal>> =
-                    (0..self.detectors.len()).map(|_| Vec::new()).collect();
-                pool.scope(|sc| {
-                    for ((att, out), inst) in
-                        self.detectors.iter_mut().zip(outs.iter_mut()).zip(insts)
-                    {
-                        jobs.inc();
-                        sc.spawn(move || {
-                            let _busy = BusyTimer::new(busy.clone());
-                            let started = Instant::now();
-                            let mut evals = 0u64;
-                            for s in frame_ref.iter().filter(|s| s.key == att.key) {
-                                evals += 1;
-                                if let Some(anomaly) = att.detector.observe(s.ts, s.value) {
-                                    out.push(Signal::new(
-                                        anomaly.ts,
-                                        att.kind,
-                                        att.severity,
-                                        att.key.comp,
-                                        anomaly.score,
-                                        format!("{} (value {:.4})", att.label, anomaly.value),
-                                    ));
-                                }
-                            }
-                            inst.evals.add(evals);
-                            inst.latency.record_ns(started.elapsed().as_nanos() as u64);
-                        });
-                    }
-                });
-                for out in &mut outs {
-                    signals.append(out);
+    /// Stage 4: streaming metric analysis on the fresh frame.  Attachments
+    /// are independent (private detector state, disjoint sample
+    /// partitions), so they evaluate concurrently when a pool is
+    /// configured; concatenating the per-attachment outputs in attachment
+    /// order reproduces the serial signal order exactly.
+    fn evaluate_detectors(&mut self, frame: &ColumnFrame, signals: &mut Vec<Signal>) {
+        let busy = &self.instruments.busy_analysis;
+        // Feed one attachment this frame's samples of its series.  The scan
+        // reads the key column alone; a match fetches its stamp and value.
+        let evaluate = |att: &mut DetectorAttachment, inst, out: &mut Vec<Signal>| {
+            let inst: &DetectorInstruments = inst;
+            let _busy = BusyTimer::new(busy.clone());
+            let started = Instant::now();
+            let mut evals = 0u64;
+            for (i, _) in frame.keys.iter().enumerate().filter(|(_, k)| **k == att.key) {
+                let s = frame.get(i);
+                evals += 1;
+                if let Some(anomaly) = att.detector.observe(s.ts, s.value) {
+                    out.push(Signal::new(
+                        anomaly.ts,
+                        att.kind,
+                        att.severity,
+                        att.key.comp,
+                        anomaly.score,
+                        format!("{} (value {:.4})", att.label, anomaly.value),
+                    ));
                 }
             }
-            None => {
-                for (att, inst) in self.detectors.iter_mut().zip(&self.instruments.detectors) {
-                    let _busy = BusyTimer::new(self.instruments.busy_analysis.clone());
-                    let started = Instant::now();
-                    let mut evals = 0u64;
-                    for s in frame.iter().filter(|s| s.key == att.key) {
-                        evals += 1;
-                        if let Some(anomaly) = att.detector.observe(s.ts, s.value) {
-                            signals.push(Signal::new(
-                                anomaly.ts,
-                                att.kind,
-                                att.severity,
-                                att.key.comp,
-                                anomaly.score,
-                                format!("{} (value {:.4})", att.label, anomaly.value),
-                            ));
-                        }
-                    }
-                    inst.evals.add(evals);
-                    inst.latency.record_ns(started.elapsed().as_nanos() as u64);
-                }
+            inst.evals.add(evals);
+            inst.latency.record_ns(started.elapsed().as_nanos() as u64);
+        };
+        let n = self.detectors.len();
+        let pairs = self.detectors.iter_mut().zip(&self.instruments.detectors);
+        let Some(pool) = &self.pool else {
+            pairs.for_each(|(att, inst)| evaluate(att, inst, signals));
+            return;
+        };
+        let jobs = &self.instruments.parallel_jobs;
+        let mut outs: Vec<Vec<Signal>> = (0..n).map(|_| Vec::new()).collect();
+        pool.scope(|sc| {
+            for ((att, inst), out) in pairs.zip(outs.iter_mut()) {
+                jobs.inc();
+                sc.spawn(move || evaluate(att, inst, out));
             }
+        });
+        for out in &mut outs {
+            signals.append(out);
         }
+    }
 
-        // 5. Built-in analyses: cabinet imbalance, ASHRAE, health checks.
-        //    Each is gated on the coverage of the collector that owns its
-        //    input segment — a quarantined power collector must not read
-        //    as a balanced-at-zero machine.
-        if self.segment_covered(&frame, "power") {
+    /// Stage 5: built-in analyses — cabinet imbalance, ASHRAE, node health
+    /// checks, collector silence.  Each is gated on the coverage of the
+    /// collector that owns its input segment — a quarantined power
+    /// collector must not read as a balanced-at-zero machine.
+    fn builtin_analyses(&mut self, frame: &ColumnFrame, signals: &mut Vec<Signal>) {
+        let now = frame.ts;
+        if self.segment_covered(frame, "power") {
             let cabinets: Vec<f64> = {
                 let mut cabs: Vec<(u32, f64)> = frame
                     .of_metric(self.metrics.cabinet_power)
@@ -1222,7 +1346,7 @@ impl MonitoringSystem {
                 signals.push(sig);
             }
         }
-        if self.segment_covered(&frame, "env")
+        if self.segment_covered(frame, "env")
             && self.engine.environment().exceeds_ashrae_gas_limit()
         {
             signals.push(Signal::new(
@@ -1253,7 +1377,6 @@ impl MonitoringSystem {
                 signals.push(sig);
             }
         }
-
         for silent in self.deadman.check(now) {
             signals.push(Signal::new(
                 now,
@@ -1264,427 +1387,142 @@ impl MonitoringSystem {
                 format!("collector '{}' silent (last seen {:?})", silent.feed, silent.last_seen),
             ));
         }
-
-        // 5b. Power-cap control loop: throttle p-state on overdraw,
-        //     recover when there is headroom.  The actuation is itself a
-        //     signal so operators see every throttle decision.
-        //     The controller is gated on power coverage: with the power
-        //     collector quarantined, a missing reading must hold the
-        //     p-state where it is, not read as "0 W, full headroom".
-        if let (Some(cap), true) = (self.power_cap_w, self.segment_covered(&frame, "power")) {
-            let total =
-                frame.of_metric(self.metrics.system_power).next().map(|s| s.value).unwrap_or(0.0);
-            let pstate = self.engine.pstate();
-            if total > cap && pstate > 0.3 {
-                let next = (pstate - 0.05).max(0.3);
-                self.engine.set_pstate(next);
-                signals.push(Signal::new(
-                    now,
-                    SignalKind::PowerAnomaly,
-                    Severity::Notice,
-                    CompId::SYSTEM,
-                    total / cap,
-                    format!("power cap: {total:.0} W over {cap:.0} W cap, p-state -> {next:.2}"),
-                ));
-            } else if total < 0.85 * cap && pstate < 1.0 {
-                self.engine.set_pstate((pstate + 0.05).min(1.0));
-            }
-        }
-
-        // 5c. Retention enforcement on its configured cadence.
-        if let Some((policy, every)) = self.retention {
-            if self.engine.tick_count().is_multiple_of(every) {
-                policy.enforce(now, &self.store, &mut self.archive);
-            }
-        }
-        // Lifetime evaluation totals from the analysis sub-engines, synced
-        // into telemetry so the self feed carries them as per-tick deltas.
-        let (correlated, findings) = self.correlator.eval_counts();
-        sync_counter(&self.instruments.correlator_records, correlated);
-        sync_counter(&self.instruments.correlator_findings, findings);
-        self.instruments.deadman_feeds.set(self.deadman.len() as f64);
-        drop(analysis_span);
-        drop(analysis_timer);
-
-        // 6. Respond, feeding actions back to the machine.
-        let response_timer = StageTimer::new(self.instruments.stage_response.clone()).with_tag(tag);
-        let response_span = stage_ctx.as_ref().map(|c| tracer.span(c, Stage::Response));
-        for sig in &signals {
-            let actions = self.response.handle(sig);
-            for action in &actions {
-                self.apply_action(action);
-            }
-            report.actions.extend(actions);
-        }
-        let (handled, suppressed) = self.response.eval_counts();
-        sync_counter(&self.instruments.response_handled, handled);
-        sync_counter(&self.instruments.response_suppressed, suppressed);
-        drop(response_span);
-        drop(response_timer);
-        // 7. Analysis results are stored WITH the raw data (Table I):
-        //    per-tick counts as ordinary series, and each signal as a
-        //    searchable log record from the `analysis` source.
-        let mut results = Frame::new(now);
-        results.push(self.metrics.analysis_signals, CompId::SYSTEM, signals.len() as f64);
-        results.push(self.metrics.analysis_actions, CompId::SYSTEM, report.actions.len() as f64);
-        if self.supervision {
-            // Results ride the same breaker as raw frames: analysis
-            // outputs queue behind earlier spilled data so the store's
-            // arrival order survives an outage.
-            let store = Arc::clone(&self.store);
-            let route = &mut self.route;
-            let sub_report = self.breaker.submit(
-                (Payload::Frame(Arc::new(results)), trace_ctx),
-                self.engine.tick_count(),
-                |(p, _)| match p {
-                    Payload::Columns(c) => store.try_ingest_columns(c.as_ref(), route),
-                    Payload::Frame(f) => store.try_insert_frame(f),
-                    _ => Ok(()),
-                },
-            );
-            for (_, ctx) in sub_report.evicted {
-                if let Some(ctx) = ctx {
-                    tracer.record_drop(
-                        &ctx,
-                        Stage::Store,
-                        DropReason::SpillOverflow,
-                        "spill queue full: oldest frame evicted",
-                    );
-                }
-            }
-            self.instruments.store_breaker_state.set(self.breaker.state().as_gauge());
-            self.instruments.spill_depth.set(self.breaker.depth() as f64);
-            sync_counter(&self.instruments.spill_dropped, self.breaker.dropped());
-        } else {
-            self.store.insert_frame(&results);
-        }
-        if let Some(chaos) = &self.chaos {
-            self.instruments.sync_chaos(chaos.counts());
-            self.instruments.sync_disk_chaos(chaos.disk_counts());
-        }
-        for sig in &signals {
-            self.log_store.append(LogRecord::new(
-                sig.ts,
-                sig.comp,
-                sig.severity,
-                "analysis",
-                sig.detail.clone(),
-            ));
-        }
-        self.signals.extend(signals.iter().cloned());
-        report.signals = signals;
-
-        // 7b. Health: evaluate the SLO/alerting plane over this tick's
-        //     deterministic pipeline evidence.  Feeds come from primary
-        //     sources — the coverage bitmap, the stall backlog, breaker
-        //     and spill state, store/broker op counts, chaos injection
-        //     totals — never from wall-clock telemetry (the gateway's
-        //     shed counters, for instance, ride `Instant` deadlines), so
-        //     alert timelines are keyed by tick and bit-identical at any
-        //     worker count.  Exemplars are the one exception: a newly
-        //     firing alert grabs the trace id nearest its subsystem's p99
-        //     as a flamegraph link, and the canonical timeline zeroes it.
-        if let Some(health) = &mut self.health {
-            let tick_no = self.engine.tick_count();
-            let cov_pct = if self.supervision {
-                self.last_coverage.map_or(100.0, |c| c.pct())
-            } else {
-                100.0
-            };
-            // Broker counters survive a snapshot restore un-reset (the
-            // broker is live infrastructure, not snapshotted state), so
-            // diff them here against a baseline that `restore_snapshot`
-            // re-seeds, rather than handing lifetime totals to the
-            // engine's own differ.
-            let bstats = self.broker.stats();
-            let btotals = (bstats.delivered, bstats.dropped + bstats.decode_errors);
-            let bdelta = (
-                btotals.0.saturating_sub(self.health_broker_baseline.0),
-                btotals.1.saturating_sub(self.health_broker_baseline.1),
-            );
-            self.health_broker_baseline = btotals;
-            let sops = self.store.op_counts();
-            let breaker_closed = !self.supervision || self.breaker.state() == BreakerState::Closed;
-            let spill_bad = if self.supervision {
-                self.breaker.depth() as f64 + (!breaker_closed as u64) as f64
-            } else {
-                0.0
-            };
-            let counts = self.chaos.as_ref().map(|c| c.counts()).unwrap_or_default();
-            let mut feeds: Vec<(&str, FeedValue)> = vec![
-                ("collect.coverage", FeedValue::Tick { good: cov_pct, bad: 100.0 - cov_pct }),
-                (
-                    "transport.delivery",
-                    FeedValue::Tick {
-                        good: frames_published_now as f64,
-                        bad: self.stall_buffer.len() as f64,
-                    },
-                ),
-                ("trace.drops", FeedValue::Tick { good: bdelta.0 as f64, bad: bdelta.1 as f64 }),
-                (
-                    "store.ingest",
-                    FeedValue::Tick { good: breaker_closed as u64 as f64, bad: spill_bad },
-                ),
-                (
-                    "store.integrity",
-                    FeedValue::Total {
-                        good: sops.samples_ingested as f64,
-                        bad: (self.store.corrupt_blocks() + self.breaker.dropped()) as f64,
-                    },
-                ),
-                (
-                    "gateway.serving",
-                    FeedValue::Total {
-                        good: tick_no as f64,
-                        bad: counts.gateway_worker_death as f64,
-                    },
-                ),
-                (
-                    "chaos.quiescence",
-                    FeedValue::Total { good: tick_no as f64, bad: counts.total() as f64 },
-                ),
-            ];
-            // Durability evidence only exists with a plane attached; the
-            // feed is simply absent otherwise (an SLO with no feed grades
-            // healthy — absence of a WAL is not an outage).
-            if let Some(plane) = &self.durability {
-                let dc = plane.counts();
-                feeds.push((
-                    "store.durability",
-                    FeedValue::Total {
-                        good: dc.records_appended as f64,
-                        bad: (dc.append_failures
-                            + dc.checkpoint_failures
-                            + dc.corrupt_events
-                            + dc.scrub_failures) as f64,
-                    },
-                ));
-            }
-            let insts = &self.instruments;
-            let exemplar = |sub: HealthSubsystem| -> u64 {
-                let hist = match sub {
-                    HealthSubsystem::Collect => &insts.stage_collect,
-                    HealthSubsystem::Transport => &insts.stage_transport,
-                    HealthSubsystem::Store => &insts.stage_store,
-                    _ => &insts.stage_tick,
-                };
-                hist.exemplar_near_quantile(0.99)
-            };
-            let events = health.observe_tick(tick_no, &feeds, &exemplar);
-            for ev in &events {
-                if !ev.silenced {
-                    let wire = serde_json::to_vec(ev).expect("AlertEvent serializes");
-                    self.broker.publish(&topics::health_alerts(), Payload::Raw(Bytes::from(wire)));
-                }
-            }
-            insts.health_transitions.add(events.len() as u64);
-            insts.health_alerts_firing.set(health.firing_count() as f64);
-            insts.health_alerts_pending.set(health.pending_count() as f64);
-            let health_rep = health.report(tick_no);
-            for (g, sub) in insts.health_grades.iter().zip(&health_rep.subsystems) {
-                g.set(match sub.grade {
-                    Grade::Healthy => 0.0,
-                    Grade::Degraded => 1.0,
-                    Grade::Critical => 2.0,
-                });
-            }
-            report.alerts = events;
-        }
-
-        // 8. Serve: refresh the gateway's scoping view with the
-        //    scheduler's current allocations, then evaluate standing
-        //    subscriptions against the freshly stored data.
-        if let Some(gw) = &self.gateway {
-            gw.update_jobs(self.engine.scheduler().records().to_vec());
-            gw.on_tick(now);
-        }
-
-        // 9. Close the frame's root span and assemble completed traces.
-        //    The drain also picks up drop spans recorded by the broker and
-        //    gateway (including from worker threads) since last tick.
-        drop(root_span);
-        if self.tracer.is_enabled() {
-            self.trace_store.ingest(self.tracer.drain());
-            let tstats = self.tracer.stats();
-            sync_counter(&self.instruments.trace_sampled, tstats.traces_sampled);
-            sync_counter(&self.instruments.trace_spans, self.trace_store.spans_seen());
-            sync_counter(&self.instruments.trace_completed, self.trace_store.completed_total());
-            sync_counter(
-                &self.instruments.trace_completed_with_drops,
-                self.trace_store.completed_with_drops(),
-            );
-            sync_counter(&self.instruments.trace_ring_rejected, tstats.spans_rejected);
-        }
-
-        // 10. Flight-recorder hook: fold every subsystem's deterministic
-        //     state into this tick's hash (system::state).  Gated so a
-        //     build without the recorder pays one branch and stays
-        //     bit-identical.
-        if self.hashing {
-            self.finish_tick_hash(&frame);
-        }
-
-        // 11. Durability: journal this tick (inputs + hash + frame) to
-        //     the WAL, sync per policy, checkpoint/rotate and scrub on
-        //     their cadences (system::durability).  Runs strictly after
-        //     the hash so the record carries the value recovery verifies
-        //     against; the plane itself is never hashed, so a durable run
-        //     and its non-durable twin share one hash chain.
-        if self.durability.is_some() {
-            self.finish_tick_durability(&frame);
-        }
-        report
     }
 
-    /// Supervised collection (DESIGN.md §10): every collector runs under
-    /// a panic catch and the chaos engine's active faults — into a private
-    /// part-frame under a worker pool, or straight into the frame (with
-    /// truncate-on-failure) serially.  Segments that succeed land in
-    /// registration order — output stays identical at any worker count —
-    /// while segments that fail (panic, hang, deadline overrun) are
-    /// discarded and their slot quarantined with exponential-backoff
-    /// re-probes, the gap handed to the deadman so it surfaces as
-    /// `MonitoringGap`, never silence.
-    fn collect_supervised(&mut self, now: Ts, frame: &mut ColumnFrame, contributed: &mut [usize]) {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        /// What the supervisor decided for one slot this tick.
-        #[derive(Clone, Copy)]
-        enum Plan {
-            /// Quarantined and the re-probe is not due: skipped (the
-            /// deadman carries the gap).
-            Skip,
-            /// Chaos hang: never runs, counts as a failure.
-            Fail,
-            /// Runs; `inject_panic` fires the chaos panic inside the job,
-            /// `discard` drops the part afterwards (deadline overrun).
-            Run { inject_panic: bool, discard: bool },
+    /// Stage 5b: power-cap control loop — throttle p-state on overdraw,
+    /// recover when there is headroom.  The actuation is itself a signal
+    /// so operators see every throttle decision.  Gated on power
+    /// coverage: with the power collector quarantined, a missing reading
+    /// must hold the p-state where it is, not read as "0 W, full
+    /// headroom".
+    fn control_power_cap(&mut self, frame: &ColumnFrame, signals: &mut Vec<Signal>) {
+        let (Some(cap), true) = (self.power_cap_w, self.segment_covered(frame, "power")) else {
+            return;
+        };
+        let total =
+            frame.of_metric(self.metrics.system_power).next().map(|s| s.value).unwrap_or(0.0);
+        let pstate = self.engine.pstate();
+        if total > cap && pstate > 0.3 {
+            let next = (pstate - 0.05).max(0.3);
+            self.engine.set_pstate(next);
+            signals.push(Signal::new(
+                frame.ts,
+                SignalKind::PowerAnomaly,
+                Severity::Notice,
+                CompId::SYSTEM,
+                total / cap,
+                format!("power cap: {total:.0} W over {cap:.0} W cap, p-state -> {next:.2}"),
+            ));
+        } else if total < 0.85 * cap && pstate < 1.0 {
+            self.engine.set_pstate((pstate + 0.05).min(1.0));
         }
-        let tick = self.engine.tick_count();
-        let budget = self.supervisor.config().slow_budget_factor;
-        let plans: Vec<Plan> = self
-            .collectors
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                if !self.supervisor.should_run(i, tick) {
-                    return Plan::Skip;
-                }
-                match self.chaos.as_ref().and_then(|ch| ch.collector_fault(c.name())) {
-                    Some(CollectorFault::Hang) => Plan::Fail,
-                    Some(CollectorFault::Panic) => Plan::Run { inject_panic: true, discard: true },
-                    Some(CollectorFault::Slow(factor)) => {
-                        Plan::Run { inject_panic: false, discard: factor >= budget }
-                    }
-                    None => Plan::Run { inject_panic: false, discard: false },
-                }
-            })
-            .collect();
-        // One supervised job: collect into the part, catch anything —
-        // injected chaos panics and real collector panics alike.  Returns
-        // whether the job panicked.
-        fn run_job(
-            c: &mut Box<dyn Collector>,
-            engine: &SimEngine,
-            part: &mut ColumnFrame,
-            inject_panic: bool,
-            latency: &Histogram,
-        ) -> bool {
-            let started = Instant::now();
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                c.collect(engine, part);
-                if inject_panic {
-                    panic!("chaos: injected collector panic");
-                }
-            }));
-            latency.record_ns(started.elapsed().as_nanos() as u64);
-            outcome.is_err()
+    }
+
+    /// Stage 7b: evaluate the SLO/alerting plane over this tick's
+    /// deterministic pipeline evidence; returns the alert transitions.
+    /// Feeds come from primary sources — the coverage bitmap, the stall
+    /// backlog, breaker and spill state, store/broker op counts, chaos
+    /// injection totals — never from wall-clock telemetry (the gateway's
+    /// shed counters, for instance, ride `Instant` deadlines), so alert
+    /// timelines are keyed by tick and bit-identical at any worker count.
+    /// Exemplars are the one exception: a newly firing alert grabs the
+    /// trace id nearest its subsystem's p99 as a flamegraph link, and the
+    /// canonical timeline zeroes it.
+    fn evaluate_health(&mut self, published_now: u64) -> Vec<AlertEvent> {
+        let Some(health) = &mut self.health else { return Vec::new() };
+        let tick_no = self.engine.tick_count();
+        // Unsupervised there is no bitmap, a breaker that never left
+        // `Closed` and an empty spill, so these read as full health.
+        let cov_pct = self.last_coverage.map_or(100.0, |c| c.pct());
+        // Broker counters survive a snapshot restore un-reset (the broker
+        // is live infrastructure, not snapshotted state), so diff them
+        // here against a baseline that `restore_snapshot` re-seeds, rather
+        // than handing lifetime totals to the engine's own differ.
+        let bstats = self.broker.stats();
+        let btotals = (bstats.delivered, bstats.dropped + bstats.decode_errors);
+        let bdelta = (
+            btotals.0.saturating_sub(self.health_broker_baseline.0),
+            btotals.1.saturating_sub(self.health_broker_baseline.1),
+        );
+        self.health_broker_baseline = btotals;
+        let sops = self.store.op_counts();
+        let breaker_closed = self.breaker.state() == BreakerState::Closed;
+        let spill_bad = self.breaker.depth() as f64 + (!breaker_closed as u64) as f64;
+        let counts = self.chaos.as_ref().map(|c| c.counts()).unwrap_or_default();
+        let per_tick = |good: f64, bad: f64| FeedValue::Tick { good, bad };
+        let total = |good: u64, bad: u64| FeedValue::Total { good: good as f64, bad: bad as f64 };
+        let store_bad = self.store.corrupt_blocks() + self.breaker.dropped();
+        let mut feeds: Vec<(&str, FeedValue)> = vec![
+            ("collect.coverage", per_tick(cov_pct, 100.0 - cov_pct)),
+            ("transport.delivery", per_tick(published_now as f64, self.stall_buffer.len() as f64)),
+            ("trace.drops", per_tick(bdelta.0 as f64, bdelta.1 as f64)),
+            ("store.ingest", per_tick(breaker_closed as u64 as f64, spill_bad)),
+            ("store.integrity", total(sops.samples_ingested, store_bad)),
+            ("gateway.serving", total(tick_no, counts.gateway_worker_death)),
+            ("chaos.quiescence", total(tick_no, counts.total())),
+        ];
+        // Durability evidence only exists with a plane attached — or in
+        // the journal of a run that had one: the failure counters behind
+        // it are disk-fault driven and cannot be recomputed, so each tick
+        // records the totals it fed as a tick input and WAL replay (which
+        // runs before a plane is attached) feeds them back.  Otherwise the
+        // feed is simply absent (an SLO with no feed grades healthy —
+        // absence of a WAL is not an outage).
+        if let Some(plane) = &self.durability {
+            let dc = plane.counts();
+            let bad =
+                dc.append_failures + dc.checkpoint_failures + dc.corrupt_events + dc.scrub_failures;
+            self.pending_inputs.durability_feed = Some((dc.records_appended, bad));
         }
-        // Fan out only under a pool: each worker fills a private part-frame
-        // that the merge loop below appends in registration order.  The
-        // serial path skips the parts entirely — collectors fill `frame`
-        // directly (same as the unsupervised pipeline) and a failed
-        // segment is truncated back off, which keeps the no-fault cost of
-        // supervision at one length check per collector.
-        let mut parts: Vec<ColumnFrame> = Vec::new();
-        let mut panicked = vec![false; self.collectors.len()];
-        if let Some(pool) = &self.pool {
-            parts = (0..self.collectors.len()).map(|_| ColumnFrame::new(now)).collect();
-            let engine = &self.engine;
-            let insts = &self.instruments.collectors;
-            let jobs = &self.instruments.parallel_jobs;
-            let busy = &self.instruments.busy_collect;
-            pool.scope(|sc| {
-                for ((((c, part), flag), inst), &plan) in self
-                    .collectors
-                    .iter_mut()
-                    .zip(parts.iter_mut())
-                    .zip(panicked.iter_mut())
-                    .zip(insts)
-                    .zip(&plans)
-                {
-                    let inject = match plan {
-                        Plan::Run { inject_panic, .. } => inject_panic,
-                        _ => continue,
-                    };
-                    if c.name() == "self" {
-                        continue;
-                    }
-                    jobs.inc();
-                    sc.spawn(move || {
-                        let _busy = BusyTimer::new(busy.clone());
-                        *flag = run_job(c, engine, part, inject, &inst.latency);
-                    });
-                }
+        if let Some((good, bad)) = self.pending_inputs.durability_feed {
+            feeds.push(("store.durability", total(good, bad)));
+        }
+        let insts = &self.instruments;
+        let exemplar = |sub: HealthSubsystem| -> u64 {
+            let hist = match sub {
+                HealthSubsystem::Collect => &insts.stage_collect,
+                HealthSubsystem::Transport => &insts.stage_transport,
+                HealthSubsystem::Store => &insts.stage_store,
+                _ => &insts.stage_tick,
+            };
+            hist.exemplar_near_quantile(0.99)
+        };
+        let events = health.observe_tick(tick_no, &feeds, &exemplar);
+        for ev in events.iter().filter(|ev| !ev.silenced) {
+            let wire = serde_json::to_vec(ev).expect("AlertEvent serializes");
+            self.broker.publish(&topics::health_alerts(), Payload::Raw(Bytes::from(wire)));
+        }
+        insts.health_transitions.add(events.len() as u64);
+        insts.health_alerts_firing.set(health.firing_count() as f64);
+        insts.health_alerts_pending.set(health.pending_count() as f64);
+        let health_rep = health.report(tick_no);
+        for (g, sub) in insts.health_grades.iter().zip(&health_rep.subsystems) {
+            g.set(match sub.grade {
+                Grade::Healthy => 0.0,
+                Grade::Degraded => 1.0,
+                Grade::Critical => 2.0,
             });
         }
-        // Run/merge and bookkeeping in fixed registration order.  The
-        // "self" collector is a barrier either way: it runs inline at its
-        // own (last) position, after every fan-out job finished (it
-        // republishes instruments the other collectors update this tick).
-        let serial = parts.is_empty();
-        for i in 0..self.collectors.len() {
-            let probe = self.supervisor.is_probe(i, tick);
-            let failed = match plans[i] {
-                Plan::Skip => continue,
-                Plan::Fail => true,
-                Plan::Run { inject_panic, discard } => {
-                    if serial || self.collectors[i].name() == "self" {
-                        let before = frame.len();
-                        let _busy = BusyTimer::new(self.instruments.busy_collect.clone());
-                        let p = run_job(
-                            &mut self.collectors[i],
-                            &self.engine,
-                            frame,
-                            inject_panic,
-                            &self.instruments.collectors[i].latency,
-                        );
-                        if p || discard {
-                            frame.truncate(before);
-                        } else {
-                            contributed[i] = frame.len() - before;
-                        }
-                        p || discard
-                    } else if panicked[i] || discard {
-                        true
-                    } else {
-                        contributed[i] = parts[i].len();
-                        frame.append(&mut parts[i]);
-                        false
-                    }
-                }
-            };
-            let name = self.collectors[i].name().to_owned();
-            if failed {
-                self.supervisor.record_failure(i, tick);
-                self.deadman.set_quarantined(&name, true);
-            } else {
-                self.supervisor.record_success(i);
-                if probe {
-                    self.deadman.set_quarantined(&name, false);
-                }
-                self.instruments.collectors[i].samples.add(contributed[i] as u64);
-            }
+        events
+    }
+
+    /// Stage 9: assemble completed traces.  The drain also picks up drop
+    /// spans recorded by the broker and gateway (including from worker
+    /// threads) since last tick.
+    fn assemble_traces(&mut self) {
+        if !self.tracer.is_enabled() {
+            return;
         }
+        self.trace_store.ingest(self.tracer.drain());
+        let tstats = self.tracer.stats();
+        sync_counter(&self.instruments.trace_sampled, tstats.traces_sampled);
+        sync_counter(&self.instruments.trace_spans, self.trace_store.spans_seen());
+        sync_counter(&self.instruments.trace_completed, self.trace_store.completed_total());
+        sync_counter(
+            &self.instruments.trace_completed_with_drops,
+            self.trace_store.completed_with_drops(),
+        );
+        sync_counter(&self.instruments.trace_ring_rejected, tstats.spans_rejected);
     }
 
     /// Whether the frame segment owned by collector `name` is present per
@@ -2293,6 +2131,27 @@ mod tests {
                 .any(|s| s.kind == SignalKind::MonitoringGap && s.detail.contains("late-feed")),
             "silence after a late first contribution must surface as MonitoringGap"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "collector exploded")]
+    fn unsupervised_pool_propagates_a_collector_panic() {
+        // Supervision is what catches collector panics; without it the one
+        // `collect` must let a panic raised on a pool worker reach the caller.
+        struct Exploding;
+        impl Collector for Exploding {
+            fn name(&self) -> &str {
+                "exploding"
+            }
+            fn collect(&mut self, _: &SimEngine, _: &mut ColumnFrame) {
+                panic!("collector exploded");
+            }
+        }
+        let mut mon = MonitoringSystem::builder(SimConfig::small())
+            .workers(2)
+            .install_collector(Box::new(Exploding))
+            .build();
+        mon.tick();
     }
 
     #[test]

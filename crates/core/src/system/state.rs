@@ -56,12 +56,24 @@ pub struct TickInputs {
     /// Gateway arrivals (queries and standing-subscription registrations)
     /// issued before this tick runs.
     pub gateway_ops: Vec<GatewayOp>,
+    /// Lifetime `(good, bad)` totals of the `store.durability` health feed
+    /// as fed this tick.  An input, not state: the failure counters behind
+    /// it are disk-fault driven and cannot be recomputed on replay.  The
+    /// pipeline fills it in itself when a durability plane and a health
+    /// plane are both attached; replay feeds it back.  Absent from the
+    /// serialized form when `None`, so journals of runs without that feed
+    /// are byte-identical to those written before the field existed.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub durability_feed: Option<(u64, u64)>,
 }
 
 impl TickInputs {
     /// Whether this tick received no external input at all.
     pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty() && self.faults.is_empty() && self.gateway_ops.is_empty()
+        self.jobs.is_empty()
+            && self.faults.is_empty()
+            && self.gateway_ops.is_empty()
+            && self.durability_feed.is_none()
     }
 }
 
@@ -168,9 +180,8 @@ pub struct CoreSnapshot {
     chaos: Option<ChaosSnapshot>,
     supervisor: SupervisorSnapshot,
     breaker: BreakerSnapshot,
-    // Payloads, not frames: the breaker carries columnar raw frames and
-    // row-form analysis results side by side, and the snapshot must keep
-    // the spill's arrival order across both forms.
+    // Spilled frames (raw and analysis results) in arrival order, wrapped
+    // as `Payload::Columns`: the wire form checkpoints have always used.
     breaker_frames: Vec<Payload>,
     stalled: Vec<(String, Payload)>,
     response: ResponseSnapshot,
@@ -242,6 +253,9 @@ impl MonitoringSystem {
             self.pending_inputs.faults.extend(inputs.faults.iter().cloned());
             self.pending_inputs.gateway_ops.extend(inputs.gateway_ops.iter().cloned());
         }
+        // Journaled durability evidence waits here for this tick's health
+        // stage (a live plane overwrites it with its own counters).
+        self.pending_inputs.durability_feed = inputs.durability_feed;
         for spec in &inputs.jobs {
             self.engine.submit_job(spec.clone());
         }
@@ -277,7 +291,9 @@ impl MonitoringSystem {
             // Spilled frames are checkpointed without their trace
             // contexts: traces are observability, not state, and replay
             // re-stamps its own.
-            breaker_frames: self.breaker.spill_items().map(|(p, _)| p.clone()).collect(),
+            breaker_frames: (self.breaker.spill_items())
+                .map(|(frame, _)| Payload::Columns(frame.clone()))
+                .collect(),
             stalled: self.stall_buffer.iter().map(|(t, p, _)| (t.clone(), p.clone())).collect(),
             response: self.response.snapshot(),
             correlator: self.correlator.snapshot(),
@@ -318,7 +334,9 @@ impl MonitoringSystem {
         self.supervisor = CollectorSupervisor::restore(snap.supervisor);
         self.breaker = IngestBreaker::restore(
             snap.breaker,
-            snap.breaker_frames.into_iter().map(|p| (p, None)).collect(),
+            (snap.breaker_frames.iter())
+                .filter_map(|p| p.as_columns().map(|frame| (frame.clone(), None)))
+                .collect(),
         );
         self.stall_buffer = snap.stalled.into_iter().map(|(t, p)| (t, p, None)).collect();
         self.response.restore(snap.response);

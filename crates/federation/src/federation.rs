@@ -28,7 +28,7 @@ use hpcmon::system::MonitoringSystem;
 use hpcmon_chaos::{ChaosEngine, WanInjectedCounts};
 use hpcmon_gateway::{QueryRequest, QueryResponse};
 use hpcmon_health::{AlertEvent, FeedValue, HealthConfig, HealthEngine, HealthReport};
-use hpcmon_metrics::{CompId, CompKind, Frame, MetricId, MetricRegistry, Ts, Unit};
+use hpcmon_metrics::{ColumnFrame, CompId, CompKind, MetricId, MetricRegistry, Ts, Unit};
 use hpcmon_response::Consumer;
 use hpcmon_store::{JobSeries, QueryEngine, TimeRange, TimeSeriesStore};
 use hpcmon_telemetry::{Counter, Telemetry};
@@ -279,7 +279,7 @@ impl Federation {
             let m = site.system.metrics();
             let comp = site_comp(i);
             let fed_ts = frame.ts.sub_ms(site.epoch_offset_ms);
-            let mut rollup = Frame::new(fed_ts);
+            let mut rollup = ColumnFrame::new(fed_ts);
             rollup.push(self.ids.power_w, comp, frame.sum_of(m.system_power));
             rollup.push(self.ids.cpu_util, comp, frame.mean_of(m.node_cpu).unwrap_or(0.0));
             rollup.push(self.ids.queue_depth, comp, frame.sum_of(m.queue_depth));
@@ -323,7 +323,7 @@ impl Federation {
                     queue: value(self.ids.queue_depth),
                     running: value(self.ids.running_jobs),
                 });
-                self.broker.publish(&topics::fed_rollup(&site.name), Payload::Frame(batch.frame));
+                self.broker.publish(&topics::fed_rollup(&site.name), Payload::Columns(batch.frame));
             }
         }
 
@@ -332,7 +332,7 @@ impl Federation {
         //    contributes its last-known state, exactly like a real
         //    dashboard fed by a stalled link.
         let now = Ts(tick * self.tick_ms);
-        let mut totals = Frame::new(now);
+        let mut totals = ColumnFrame::new(now);
         let delivered: Vec<SiteRollup> = self.latest.iter().flatten().copied().collect();
         let power: f64 = delivered.iter().map(|r| r.power).sum();
         let queue: f64 = delivered.iter().map(|r| r.queue).sum();
@@ -361,7 +361,7 @@ impl Federation {
             totals.push(self.ids.wan_link_dropped, comp, site.link.dropped() as f64);
             totals.push(self.ids.wan_latency_ticks, comp, latency as f64);
         }
-        self.broker.publish(&topics::fed_rollup("_total"), Payload::Frame(Arc::new(totals)));
+        self.broker.publish(&topics::fed_rollup("_total"), Payload::Columns(Arc::new(totals)));
 
         // 4b. Head-level health: one WAN-delivery feed per site.  A
         //     partitioned tick is one bad event; rollups evicted on
@@ -393,8 +393,11 @@ impl Federation {
 
         // 5. Ingest everything that arrived on the fed plane this tick.
         for env in self.rollup_sub.drain() {
-            if let Payload::Frame(frame) = env.payload {
-                self.store.insert_frame(&frame);
+            if let Payload::Columns(frame) = env.payload {
+                // A handful of samples per frame: not worth a cached route.
+                for s in frame.iter() {
+                    self.store.insert(&s);
+                }
             }
         }
 

@@ -9,7 +9,7 @@
 //! overflow evicts the oldest batch — counted and traced, never silent.
 
 use crate::config::WanLinkSpec;
-use hpcmon_metrics::Frame;
+use hpcmon_metrics::ColumnFrame;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -18,13 +18,17 @@ use std::sync::Arc;
 pub struct InTransit {
     /// First tick the batch may be delivered.
     pub due_at: u64,
-    /// Serialized size, bytes — what the bandwidth cap meters.
+    /// Metered size, bytes — what the bandwidth cap counts (see [`WanLink`]).
     pub bytes: u64,
     /// The rollup frame itself.
-    pub frame: Arc<Frame>,
+    pub frame: Arc<ColumnFrame>,
 }
 
 /// Send-side state of one site's WAN link.
+///
+/// Bandwidth is metered in bytes of columnar JSON: each batch is charged
+/// the length of its [`ColumnFrame`] serialized with `serde_json`, the
+/// wire form a relay would send.
 #[derive(Debug)]
 pub struct WanLink {
     spec: WanLinkSpec,
@@ -58,7 +62,7 @@ impl WanLink {
         &mut self,
         tick: u64,
         added_latency: u64,
-        frame: Arc<Frame>,
+        frame: Arc<ColumnFrame>,
         bytes: u64,
     ) -> Option<InTransit> {
         let due_at = tick + self.spec.latency_ticks + added_latency;
@@ -130,8 +134,8 @@ mod tests {
     use super::*;
     use hpcmon_metrics::Ts;
 
-    fn frame(n: u64) -> Arc<Frame> {
-        Arc::new(Frame::new(Ts(n)))
+    fn frame(n: u64) -> Arc<ColumnFrame> {
+        Arc::new(ColumnFrame::new(Ts(n)))
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Columnar, arena-backed frames: the allocation-free collection hot path.
 //!
 //! The paper's central scaling lesson is that per-sample overhead in the
-//! collection/ingest path is what caps fleet size.  A [`crate::Frame`]
-//! stores one 32-byte `Sample` struct per observation (AoS); at 100k nodes
-//! × several metrics that is millions of tiny writes per tick, plus a full
-//! `Vec` clone when the frame is handed to transport.
+//! collection/ingest path is what caps fleet size.  One 32-byte `Sample`
+//! struct per observation (AoS) means, at 100k nodes × several metrics,
+//! millions of tiny writes per tick plus a full `Vec` clone when the frame
+//! is handed to transport.
 //!
-//! [`ColumnFrame`] stores the same data as three parallel columns
-//! (structure-of-arrays): series keys, timestamps, and values.  Collectors
+//! [`ColumnFrame`] — the pipeline's only frame type — stores a tick's
+//! samples as three parallel columns (structure-of-arrays): series keys,
+//! timestamps, and values.  Collectors
 //! append into the columns once per tick; the finished frame is handed to
 //! transport and the store by **epoch swap** — the owning buffer moves into
 //! an `Arc` and a [`FrameArena`] keeps the previous tick's buffer around so
@@ -18,7 +19,7 @@
 //! per-tick / sparse) that lets downstream consumers reason about how much
 //! of a collector's segment actually changes tick to tick.
 
-use crate::sample::{Frame, FrameCoverage, Sample, SeriesKey};
+use crate::sample::{FrameCoverage, Sample, SeriesKey};
 use crate::{CompId, MetricId, Ts};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -42,10 +43,11 @@ pub enum Mutability {
     Sparse,
 }
 
-/// A synchronized collection frame in columnar (SoA) form.
+/// A synchronized collection frame: every sample gathered at one aligned
+/// system-wide tick (the NCSA pattern — "collection times are synchronized
+/// across the entire system"), in columnar (SoA) form.
 ///
-/// Semantically identical to [`Frame`] — same samples, same order — but
-/// keys, timestamps, and values live in three parallel `Vec`s so a tick's
+/// Keys, timestamps, and values live in three parallel `Vec`s so a tick's
 /// worth of appends touches three dense arrays instead of one array of
 /// 32-byte structs, and capacity can be recycled tick over tick by a
 /// [`FrameArena`].
@@ -76,14 +78,6 @@ impl ColumnFrame {
         self.keys.push(SeriesKey::new(metric, comp));
         self.stamps.push(self.ts);
         self.values.push(value);
-    }
-
-    /// Append an already-built sample, preserving its own timestamp.
-    #[inline]
-    pub fn push_sample(&mut self, s: Sample) {
-        self.keys.push(s.key);
-        self.stamps.push(s.ts);
-        self.values.push(s.value);
     }
 
     /// Number of samples in the frame.
@@ -161,25 +155,6 @@ impl ColumnFrame {
         self.stamps.clear();
         self.values.clear();
         self.coverage = None;
-    }
-
-    /// The legacy row-oriented view: an equivalent [`Frame`] with samples
-    /// in identical order.  Compatibility bridge while consumers migrate.
-    pub fn to_frame(&self) -> Frame {
-        Frame { ts: self.ts, samples: self.iter().collect(), coverage: self.coverage }
-    }
-
-    /// Build a columnar frame from a legacy [`Frame`], preserving order.
-    pub fn from_frame(frame: &Frame) -> ColumnFrame {
-        let mut cf = ColumnFrame::new(frame.ts);
-        cf.coverage = frame.coverage;
-        cf.keys.reserve_exact(frame.samples.len());
-        cf.stamps.reserve_exact(frame.samples.len());
-        cf.values.reserve_exact(frame.samples.len());
-        for s in &frame.samples {
-            cf.push_sample(*s);
-        }
-        cf
     }
 }
 
@@ -259,22 +234,18 @@ mod tests {
     }
 
     #[test]
-    fn push_stamps_tick_and_matches_frame() {
+    fn push_stamps_tick() {
         let mut cf = ColumnFrame::new(Ts::from_mins(1));
+        assert!(cf.is_empty());
+        assert_eq!(cf.sum_of(mid(0)), 0.0);
         cf.push(mid(0), CompId::node(0), 1.0);
         cf.push(mid(0), CompId::node(1), 3.0);
         assert_eq!(cf.len(), 2);
         assert!(cf.iter().all(|s| s.ts == Ts::from_mins(1)));
-
-        let mut f = Frame::new(Ts::from_mins(1));
-        f.push(mid(0), CompId::node(0), 1.0);
-        f.push(mid(0), CompId::node(1), 3.0);
-        assert_eq!(cf.to_frame(), f);
-        assert_eq!(ColumnFrame::from_frame(&f), cf);
     }
 
     #[test]
-    fn aggregates_match_frame_semantics() {
+    fn aggregates_per_metric() {
         let mut cf = ColumnFrame::new(Ts(0));
         cf.push(mid(0), CompId::node(0), 1.0);
         cf.push(mid(0), CompId::node(1), 3.0);
@@ -316,6 +287,10 @@ mod tests {
         let s = serde_json::to_string(&cf).unwrap();
         let back: ColumnFrame = serde_json::from_str(&s).unwrap();
         assert_eq!(cf, back);
+        // A frame serialized before coverage existed: the key is absent.
+        let legacy = r#"{"ts":5,"keys":[],"stamps":[],"values":[]}"#;
+        let back: ColumnFrame = serde_json::from_str(legacy).unwrap();
+        assert_eq!((back.ts, back.coverage), (Ts(5), None));
     }
 
     #[test]
@@ -358,11 +333,11 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Satellite: columnar append + epoch swap round-trips to the exact
-        /// legacy `Frame` sample order, across multiple collector segments
-        /// and multiple arena ticks.
+        /// Columnar append + part merge + epoch swap keep every sample, in
+        /// push order, across multiple collector segments and arena ticks
+        /// — checked against a plain `Vec<Sample>` oracle.
         #[test]
-        fn prop_columnar_epoch_swap_round_trips_to_legacy_order(
+        fn prop_columnar_epoch_swap_keeps_push_order(
             ticks in proptest::collection::vec(
                 proptest::collection::vec(
                     proptest::collection::vec(
@@ -379,21 +354,21 @@ mod tests {
             let mut last: Option<Arc<ColumnFrame>>;
             for (t, segments) in ticks.iter().enumerate() {
                 let ts = Ts(t as u64 * 60_000);
-                let mut legacy = Frame::new(ts);
+                let mut oracle: Vec<Sample> = Vec::new();
                 let mut cf = arena.take_current(ts);
                 for segment in segments {
                     // Parallel merge: each segment appends into its own
                     // part, then merges — same as the pool path.
                     let mut part = ColumnFrame::new(ts);
                     for &(m, n, v) in segment {
-                        legacy.push(MetricId(m), CompId::node(n), v);
+                        oracle.push(Sample::new(MetricId(m), CompId::node(n), ts, v));
                         part.push(MetricId(m), CompId::node(n), v);
                     }
                     cf.append(&mut part);
                 }
                 let shared = arena.publish(cf);
-                prop_assert_eq!(shared.to_frame(), legacy);
-                prop_assert_eq!(&ColumnFrame::from_frame(&shared.to_frame()), &*shared);
+                prop_assert_eq!(shared.ts, ts);
+                prop_assert_eq!(shared.iter().collect::<Vec<_>>(), oracle);
                 last = Some(shared); // held exactly one tick, like transport
                 let _ = &last;
             }

@@ -31,5 +31,5 @@ pub use hash::StateHash;
 pub use job::{JobId, JobRecord, JobState};
 pub use log::{LogRecord, Severity};
 pub use metric::{MetricId, MetricMeta, MetricRegistry, Unit};
-pub use sample::{Frame, FrameCoverage, Sample, SeriesKey};
+pub use sample::{FrameCoverage, Sample, SeriesKey};
 pub use time::{Ts, TsDelta, MINUTE_MS, SECOND_MS};

@@ -1,4 +1,5 @@
-//! Numeric observations: samples, series keys, and synchronized frames.
+//! Numeric observations: samples, series keys, and per-frame collector
+//! coverage.  The frame itself is [`crate::ColumnFrame`].
 
 use crate::{CompId, MetricId, Ts};
 use serde::{Deserialize, Serialize};
@@ -100,67 +101,6 @@ impl FrameCoverage {
     }
 }
 
-/// A synchronized collection frame: every sample gathered at one aligned
-/// system-wide tick (the NCSA pattern — "collection times are synchronized
-/// across the entire system").
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct Frame {
-    /// The aligned tick this frame belongs to.
-    pub ts: Ts,
-    /// All samples collected at this tick.
-    pub samples: Vec<Sample>,
-    /// Which collectors contributed (`None` on frames produced before the
-    /// supervised pipeline stamps coverage, and in legacy serialized form).
-    pub coverage: Option<FrameCoverage>,
-}
-
-impl Frame {
-    /// An empty frame at `ts`.
-    pub fn new(ts: Ts) -> Frame {
-        Frame { ts, samples: Vec::new(), coverage: None }
-    }
-
-    /// Append a sample, stamping it with the frame's tick.
-    pub fn push(&mut self, metric: MetricId, comp: CompId, value: f64) {
-        self.samples.push(Sample::new(metric, comp, self.ts, value));
-    }
-
-    /// Number of samples in the frame.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether the frame holds no samples.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Iterate over samples of one metric.
-    pub fn of_metric(&self, metric: MetricId) -> impl Iterator<Item = &Sample> {
-        self.samples.iter().filter(move |s| s.key.metric == metric)
-    }
-
-    /// Sum of values for one metric across all components in the frame.
-    pub fn sum_of(&self, metric: MetricId) -> f64 {
-        self.of_metric(metric).map(|s| s.value).sum()
-    }
-
-    /// Mean of values for one metric, or `None` if absent.
-    pub fn mean_of(&self, metric: MetricId) -> Option<f64> {
-        let mut n = 0usize;
-        let mut sum = 0.0;
-        for s in self.of_metric(metric) {
-            n += 1;
-            sum += s.value;
-        }
-        if n == 0 {
-            None
-        } else {
-            Some(sum / n as f64)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,62 +119,10 @@ mod tests {
     }
 
     #[test]
-    fn frame_push_stamps_tick() {
-        let mut f = Frame::new(Ts::from_mins(1));
-        f.push(mid(0), CompId::node(0), 1.0);
-        f.push(mid(0), CompId::node(1), 3.0);
-        assert_eq!(f.len(), 2);
-        assert!(f.samples.iter().all(|s| s.ts == Ts::from_mins(1)));
-    }
-
-    #[test]
-    fn frame_aggregates() {
-        let mut f = Frame::new(Ts(0));
-        f.push(mid(0), CompId::node(0), 1.0);
-        f.push(mid(0), CompId::node(1), 3.0);
-        f.push(mid(1), CompId::node(0), 100.0);
-        assert_eq!(f.sum_of(mid(0)), 4.0);
-        assert_eq!(f.mean_of(mid(0)), Some(2.0));
-        assert_eq!(f.sum_of(mid(1)), 100.0);
-        assert_eq!(f.mean_of(mid(9)), None);
-        assert_eq!(f.of_metric(mid(0)).count(), 2);
-    }
-
-    #[test]
-    fn empty_frame() {
-        let f = Frame::new(Ts(0));
-        assert!(f.is_empty());
-        assert_eq!(f.sum_of(mid(0)), 0.0);
-        assert_eq!(f.mean_of(mid(0)), None);
-    }
-
-    #[test]
     fn series_key_ordering_is_metric_major() {
         let a = SeriesKey::new(mid(0), CompId::node(9));
         let b = SeriesKey::new(mid(1), CompId::node(0));
         assert!(a < b);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let mut f = Frame::new(Ts(5));
-        f.push(mid(2), CompId::ost(1), 9.25);
-        let mut cov = FrameCoverage::default();
-        cov.expect(0);
-        cov.report(0);
-        cov.expect(3);
-        f.coverage = Some(cov);
-        let s = serde_json::to_string(&f).unwrap();
-        let back: Frame = serde_json::from_str(&s).unwrap();
-        assert_eq!(f, back);
-    }
-
-    #[test]
-    fn legacy_frame_without_coverage_deserializes_as_none() {
-        let json = r#"{"ts":5,"samples":[]}"#;
-        let back: Frame = serde_json::from_str(json).unwrap();
-        assert_eq!(back.coverage, None);
-        assert_eq!(back.ts, Ts(5));
     }
 
     #[test]

@@ -538,8 +538,8 @@ mod tests {
     fn every_ingest_path_gives_the_same_section() {
         let columns = two_seal_store(0x2018).snapshot();
         let rows = filled(19, 2, 0x2018, |store, cf| {
-            for s in &cf.to_frame().samples {
-                store.insert(s);
+            for s in cf.iter() {
+                store.insert(&s);
             }
         });
         // Shards ingested on their own threads, last shard first, so series

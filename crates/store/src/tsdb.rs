@@ -7,7 +7,7 @@
 //! evict warm blocks wholesale and reload them later.
 
 use crate::compress;
-use hpcmon_metrics::{ColumnFrame, CompId, Frame, MetricId, Sample, SeriesKey, Ts};
+use hpcmon_metrics::{ColumnFrame, CompId, MetricId, Sample, SeriesKey, Ts};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::{DefaultHasher, Entry};
@@ -62,9 +62,9 @@ impl std::error::Error for BlockError {}
 
 /// Why a fault-aware write was refused.
 ///
-/// Produced only by [`TimeSeriesStore::try_insert_frame`], the ingest
-/// entry point that honors injected shard write faults.  The plain
-/// `insert*` paths are fault-unaware and never fail.
+/// Produced only by [`TimeSeriesStore::try_ingest_columns`], the ingest
+/// entry point that honors injected shard write faults.  `insert` and
+/// `ingest_columns` are fault-unaware and never fail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WriteError {
     /// The named shard currently refuses writes (injected fault).  The
@@ -213,8 +213,7 @@ pub(crate) struct Shard {
 /// tick after tick, so the route — built once with hashing and lookups —
 /// is validated per tick by a layout-generation check plus a key-column
 /// equality sweep, then reused: ingest costs one slab index and one push
-/// per sample, one lock per touched shard, and **zero allocations**.  This
-/// also retires the old per-tick `Vec<Vec<&Sample>>` partition rebuild.
+/// per sample, one lock per touched shard, and **zero allocations**.
 #[derive(Debug, Default)]
 pub struct IngestRoute {
     /// Store layout generation this route was built against.
@@ -270,7 +269,7 @@ pub struct StoreStats {
 /// opposed to [`StoreStats`] which reports what it currently holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct StoreOpCounts {
-    /// Samples accepted by `insert` / `insert_frame`.
+    /// Samples accepted by `insert` / `ingest_columns`.
     pub samples_ingested: u64,
     /// Hot buffers sealed into warm blocks (threshold or `seal_all`).
     pub blocks_sealed: u64,
@@ -324,7 +323,7 @@ pub struct TimeSeriesStore {
     // generation still reads G (and the key column is unchanged).
     layout_gen: AtomicU64,
     // Injected per-shard write faults (chaos testing).  Only
-    // `try_insert_frame` consults these; everything else ignores them.
+    // `try_ingest_columns` consults these; everything else ignores them.
     pub(crate) write_faults: Vec<AtomicBool>,
 }
 
@@ -359,7 +358,7 @@ impl TimeSeriesStore {
     }
 
     /// Inject (or clear) a write fault on one shard.  While set, any
-    /// [`TimeSeriesStore::try_insert_frame`] touching that shard fails
+    /// [`TimeSeriesStore::try_ingest_columns`] touching that shard fails
     /// whole; reads and the fault-unaware insert paths are unaffected.
     /// Out-of-range shards are ignored.
     pub fn set_shard_write_fault(&self, shard: usize, failing: bool) {
@@ -371,25 +370,6 @@ impl TimeSeriesStore {
     /// Whether a shard currently refuses fault-aware writes.
     pub fn shard_write_faulted(&self, shard: usize) -> bool {
         self.write_faults.get(shard).is_some_and(|f| f.load(Ordering::Acquire))
-    }
-
-    /// Fault-aware frame ingest: like [`TimeSeriesStore::insert_frame`],
-    /// but refuses the **whole frame** if any shard it would touch has an
-    /// injected write fault — all-or-nothing, so a spilled frame can be
-    /// retried later without double-ingesting its healthy shards.
-    pub fn try_insert_frame(&self, frame: &Frame) -> Result<(), WriteError> {
-        let batches = self.partition_frame(frame);
-        for (shard, batch) in batches.iter().enumerate() {
-            if !batch.is_empty() && self.shard_write_faulted(shard) {
-                return Err(WriteError::ShardUnavailable(shard));
-            }
-        }
-        for (shard, batch) in batches.into_iter().enumerate() {
-            if !batch.is_empty() {
-                self.insert_shard_batch(shard, &batch);
-            }
-        }
-        Ok(())
     }
 
     /// The store's mutation epoch: a counter advanced by every write-path
@@ -428,11 +408,17 @@ impl TimeSeriesStore {
     }
 
     /// Insert one sample.  Out-of-order samples (older than the hot tail)
-    /// are accepted but land in order within the hot buffer.
+    /// are accepted but land in order within the hot buffer.  This is the
+    /// reference ingest: [`TimeSeriesStore::ingest_columns`] must leave
+    /// contents, occupancy, op counts and epoch exactly as a loop of
+    /// `insert` over the frame's samples would.
     pub fn insert(&self, sample: &Sample) {
         self.samples_ingested.fetch_add(1, Ordering::Relaxed);
+        self.hot_points.fetch_add(1, Ordering::Relaxed);
         let mut shard = self.shard_of(&sample.key).write();
-        self.insert_locked(&mut shard, sample);
+        let slot = self.resolve_slot(&mut shard, sample.key);
+        let data = &mut shard.slots[slot as usize].data;
+        self.append_point(sample.key, data, sample.ts, sample.value);
         drop(shard);
         self.bump_epoch();
     }
@@ -452,16 +438,9 @@ impl TimeSeriesStore {
         }
     }
 
-    /// The per-sample ingest step, with the owning shard's lock held.
-    fn insert_locked(&self, shard: &mut Shard, sample: &Sample) {
-        let slot = self.resolve_slot(shard, sample.key);
-        let data = &mut shard.slots[slot as usize].data;
-        self.insert_point(sample.key, data, sample.ts, sample.value);
-    }
-
     /// Append one point to a resolved series, sealing at the threshold.
-    /// Occupancy accounting is the caller's: the routed columnar path
-    /// bumps `hot_points` once per shard batch instead of per sample.
+    /// Occupancy accounting is the caller's: `insert` bumps `hot_points`
+    /// per sample, the routed columnar path once per shard batch.
     #[inline]
     fn append_point(&self, key: SeriesKey, data: &mut SeriesData, ts: Ts, value: f64) {
         // Common case: append in order.
@@ -480,66 +459,12 @@ impl TimeSeriesStore {
         }
     }
 
-    /// [`Self::append_point`] plus the per-sample occupancy bump (the row
-    /// ingest path counts one sample at a time).
-    #[inline]
-    fn insert_point(&self, key: SeriesKey, data: &mut SeriesData, ts: Ts, value: f64) {
-        self.hot_points.fetch_add(1, Ordering::Relaxed);
-        self.append_point(key, data, ts, value);
-    }
-
     /// Move occupancy from hot to warm for a freshly sealed block.
     fn account_seal(&self, block: &SeriesBlock) {
         self.blocks_sealed.fetch_add(1, Ordering::Relaxed);
         self.hot_points.fetch_sub(block.count as u64, Ordering::Relaxed);
         self.warm_points.fetch_add(block.count as u64, Ordering::Relaxed);
         self.warm_bytes.fetch_add(block.compressed_bytes() as u64, Ordering::Relaxed);
-    }
-
-    /// Insert every sample of a frame.  Internally shard-batched: one
-    /// lock acquisition per touched shard instead of one per sample, with
-    /// contents, occupancy, op counts, and epoch identical to per-sample
-    /// insertion (frame order is preserved within each shard; samples in
-    /// different shards never share a series, so cross-shard order is
-    /// immaterial).
-    pub fn insert_frame(&self, frame: &Frame) {
-        for (shard, batch) in self.partition_frame(frame).into_iter().enumerate() {
-            if !batch.is_empty() {
-                self.insert_shard_batch(shard, &batch);
-            }
-        }
-    }
-
-    /// Group a frame's samples by owning shard, preserving frame order
-    /// within each shard — the split half of concurrent ingest: partition
-    /// once, then hand each non-empty batch to a worker.
-    pub fn partition_frame<'a>(&self, frame: &'a Frame) -> Vec<Vec<&'a Sample>> {
-        let mut batches: Vec<Vec<&Sample>> = vec![Vec::new(); self.shards.len()];
-        for s in &frame.samples {
-            batches[self.shard_index(&s.key)].push(s);
-        }
-        batches
-    }
-
-    /// Ingest a batch of samples that all hash to `shard`, holding that
-    /// shard's write lock once for the whole batch.  Callers must pass
-    /// samples in their original frame order; [`TimeSeriesStore::partition_frame`]
-    /// produces exactly that.
-    ///
-    /// Distinct shards can be ingested concurrently: each batch touches
-    /// only its own shard's map, and all shared accounting is atomic.
-    pub fn insert_shard_batch(&self, shard: usize, samples: &[&Sample]) {
-        if samples.is_empty() {
-            return;
-        }
-        self.samples_ingested.fetch_add(samples.len() as u64, Ordering::Relaxed);
-        let mut guard = self.shards[shard].write();
-        for s in samples {
-            debug_assert_eq!(self.shard_index(&s.key), shard, "sample routed to wrong shard");
-            self.insert_locked(&mut guard, s);
-        }
-        drop(guard);
-        self.bump_epoch_by(samples.len() as u64);
     }
 
     /// The store's slab-layout generation: advanced only by operations
@@ -606,10 +531,11 @@ impl TimeSeriesStore {
     }
 
     /// Ingest the samples of `cf` that land in `shard`, holding that
-    /// shard's write lock once for the whole batch — the columnar analogue
-    /// of [`TimeSeriesStore::insert_shard_batch`].  `route` must have been
+    /// shard's write lock once for the whole batch.  `route` must have been
     /// prepared for `cf` ([`TimeSeriesStore::prepare_route`]).  Distinct
-    /// shards can be ingested concurrently against the same shared route.
+    /// shards can be ingested concurrently against the same shared route:
+    /// each batch touches only its own shard's slab (frame order kept
+    /// within it), and all shared accounting is atomic.
     pub fn ingest_route_shard(&self, shard_id: usize, cf: &ColumnFrame, route: &IngestRoute) {
         let batch = &route.per_shard[shard_id];
         if batch.is_empty() {
@@ -618,7 +544,7 @@ impl TimeSeriesStore {
         self.samples_ingested.fetch_add(batch.len() as u64, Ordering::Relaxed);
         // One occupancy bump for the whole batch — seals subtract their
         // own counts as they happen, so the final tally matches the
-        // per-sample accounting of the row path.
+        // per-sample accounting of `insert`.
         self.hot_points.fetch_add(batch.len() as u64, Ordering::Relaxed);
         let mut guard = self.shards[shard_id].write();
         for &i in batch {
@@ -649,10 +575,10 @@ impl TimeSeriesStore {
         }
     }
 
-    /// Columnar frame ingest through a cached route: contents, occupancy,
-    /// op counts, and epoch identical to [`TimeSeriesStore::insert_frame`]
-    /// of the equivalent row frame, but with one slab index + push per
-    /// sample and no per-tick partition rebuild.
+    /// Frame ingest through a cached route: contents, occupancy, op
+    /// counts, and epoch identical to [`TimeSeriesStore::insert`] of each
+    /// sample in frame order, but with one slab index + push per sample,
+    /// one lock per touched shard, and no per-tick partition rebuild.
     pub fn ingest_columns(&self, cf: &ColumnFrame, route: &mut IngestRoute) {
         self.prepare_route(cf, route);
         for shard_id in 0..self.shards.len() {
@@ -661,10 +587,11 @@ impl TimeSeriesStore {
         self.finish_route(route);
     }
 
-    /// Fault-aware columnar ingest: refuses the **whole frame** if any
-    /// shard it would touch has an injected write fault (all-or-nothing,
-    /// like [`TimeSeriesStore::try_insert_frame`]).  The route build is
-    /// lookup-only, so a refused frame leaves the store untouched.
+    /// Fault-aware frame ingest: refuses the **whole frame** if any shard
+    /// it would touch has an injected write fault — all-or-nothing, so a
+    /// spilled frame can be retried later without double-ingesting its
+    /// healthy shards.  The route build is lookup-only, so a refused frame
+    /// leaves the store untouched.
     pub fn try_ingest_columns(
         &self,
         cf: &ColumnFrame,
@@ -1268,140 +1195,6 @@ mod tests {
         assert_eq!(store.corrupt_blocks(), 2);
     }
 
-    #[test]
-    fn insert_frame_batched_equals_serial_insertion() {
-        let serial = TimeSeriesStore::with_options(4, 16);
-        let batched = TimeSeriesStore::with_options(4, 16);
-        let mut frame = Frame::new(Ts(5_000));
-        for i in 0..200u64 {
-            let s = sample((i % 3) as u32, (i % 7) as u32, (i / 7) * 1_000, i as f64);
-            frame.samples.push(s);
-        }
-        for s in &frame.samples {
-            serial.insert(s);
-        }
-        batched.insert_frame(&frame);
-        assert_eq!(serial.stats(), batched.stats());
-        assert_eq!(serial.op_counts(), batched.op_counts());
-        assert_eq!(serial.epoch(), batched.epoch());
-        for k in serial.all_series() {
-            assert_eq!(
-                serial.query(k, Ts::ZERO, Ts(u64::MAX)),
-                batched.query(k, Ts::ZERO, Ts(u64::MAX)),
-            );
-        }
-    }
-
-    proptest::proptest! {
-        #[test]
-        fn prop_shard_batched_insert_frame_equals_serial(
-            specs in proptest::collection::vec(
-                (0u32..6, 0u32..12, 0u64..100, -1.0e6f64..1.0e6),
-                0..150,
-            ),
-        ) {
-            use proptest::prelude::*;
-            let serial = TimeSeriesStore::with_options(4, 16);
-            let batched = TimeSeriesStore::with_options(4, 16);
-            let mut frame = Frame::new(Ts(0));
-            for &(m, n, t, v) in &specs {
-                frame.samples.push(sample(m, n, t * 1_000, v));
-            }
-            for s in &frame.samples {
-                serial.insert(s);
-            }
-            batched.insert_frame(&frame);
-            prop_assert_eq!(serial.stats(), batched.stats());
-            prop_assert_eq!(serial.op_counts(), batched.op_counts());
-            prop_assert_eq!(serial.epoch(), batched.epoch());
-            for k in serial.all_series() {
-                prop_assert_eq!(
-                    serial.query(k, Ts::ZERO, Ts(u64::MAX)),
-                    batched.query(k, Ts::ZERO, Ts(u64::MAX))
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn shard_write_fault_refuses_whole_frame_all_or_nothing() {
-        let store = TimeSeriesStore::with_options(4, 512);
-        let mut frame = Frame::new(Ts(1_000));
-        for i in 0..40u64 {
-            frame.samples.push(sample((i % 3) as u32, (i % 9) as u32, 1_000, i as f64));
-        }
-        // Find a shard the frame actually touches and fault it.
-        let touched = store
-            .partition_frame(&frame)
-            .iter()
-            .position(|b| !b.is_empty())
-            .expect("frame touches at least one shard");
-        store.set_shard_write_fault(touched, true);
-        assert!(store.shard_write_faulted(touched));
-        let e0 = store.epoch();
-        assert_eq!(store.try_insert_frame(&frame), Err(WriteError::ShardUnavailable(touched)));
-        // Nothing landed — not even the healthy shards — and no counter moved.
-        assert_eq!(store.epoch(), e0, "refused frame must not mutate the store");
-        assert_eq!(store.op_counts().samples_ingested, 0);
-        assert!(store.all_series().is_empty());
-        // The fault-unaware path still works (it is the pre-chaos baseline).
-        store.insert_frame(&frame);
-        assert_eq!(store.op_counts().samples_ingested, 40);
-        // Clear the fault: the fault-aware path heals.
-        store.set_shard_write_fault(touched, false);
-        assert!(store.try_insert_frame(&frame).is_ok());
-        assert_eq!(store.op_counts().samples_ingested, 80);
-        // Out-of-range shard indexes are ignored, not a panic.
-        store.set_shard_write_fault(99, true);
-        assert!(!store.shard_write_faulted(99));
-    }
-
-    #[test]
-    fn try_insert_frame_matches_insert_frame_when_healthy() {
-        let plain = TimeSeriesStore::with_options(4, 16);
-        let tried = TimeSeriesStore::with_options(4, 16);
-        let mut frame = Frame::new(Ts(0));
-        for i in 0..120u64 {
-            frame.samples.push(sample((i % 3) as u32, (i % 7) as u32, (i / 7) * 1_000, i as f64));
-        }
-        plain.insert_frame(&frame);
-        tried.try_insert_frame(&frame).unwrap();
-        assert_eq!(plain.stats(), tried.stats());
-        assert_eq!(plain.op_counts(), tried.op_counts());
-        assert_eq!(plain.epoch(), tried.epoch());
-        for k in plain.all_series() {
-            assert_eq!(
-                plain.query(k, Ts::ZERO, Ts(u64::MAX)),
-                tried.query(k, Ts::ZERO, Ts(u64::MAX)),
-            );
-        }
-    }
-
-    #[test]
-    fn partition_frame_preserves_order_and_covers_every_sample() {
-        let store = TimeSeriesStore::with_options(4, 512);
-        let mut frame = Frame::new(Ts(0));
-        for i in 0..100u64 {
-            frame.samples.push(sample((i % 5) as u32, (i % 11) as u32, i, i as f64));
-        }
-        let batches = store.partition_frame(&frame);
-        assert_eq!(batches.len(), store.num_shards());
-        let total: usize = batches.iter().map(Vec::len).sum();
-        assert_eq!(total, frame.samples.len());
-        for (shard, batch) in batches.iter().enumerate() {
-            for pair in batch.windows(2) {
-                // Frame order within a shard: each sample's position in
-                // the original frame strictly increases.
-                let a = frame.samples.iter().position(|s| std::ptr::eq(s, pair[0])).unwrap();
-                let b = frame.samples.iter().position(|s| std::ptr::eq(s, pair[1])).unwrap();
-                assert!(a < b);
-            }
-            for s in batch {
-                assert_eq!(store.shard_index(&s.key), shard);
-            }
-        }
-    }
-
     // ---- columnar route ingest ----
 
     // The counting allocator backs the allocation-regression tests below;
@@ -1419,6 +1212,14 @@ mod tests {
         cf
     }
 
+    /// The oracle every columnar path is compared against: one `insert`
+    /// per sample, in frame order.
+    fn insert_each(store: &TimeSeriesStore, cf: &ColumnFrame) {
+        for s in cf.iter() {
+            store.insert(&s);
+        }
+    }
+
     fn assert_same_contents(a: &TimeSeriesStore, b: &TimeSeriesStore) {
         assert_eq!(a.stats(), b.stats());
         assert_eq!(a.op_counts(), b.op_counts());
@@ -1430,7 +1231,7 @@ mod tests {
     }
 
     #[test]
-    fn ingest_columns_matches_insert_frame_including_seals() {
+    fn ingest_columns_matches_per_sample_insert_including_seals() {
         let row = TimeSeriesStore::with_options(4, 16);
         let col = TimeSeriesStore::with_options(4, 16);
         let mut route = IngestRoute::new();
@@ -1439,7 +1240,7 @@ mod tests {
                 .map(|i| ((i % 3) as u32, (i % 7) as u32, (tick * 50 + i) as f64))
                 .collect();
             let cf = column_frame(tick * 1_000, &specs);
-            row.insert_frame(&cf.to_frame());
+            insert_each(&row, &cf);
             col.ingest_columns(&cf, &mut route);
         }
         assert_same_contents(&row, &col);
@@ -1496,28 +1297,37 @@ mod tests {
         let touched =
             (0..store.num_shards()).find(|&s| route.touches(s)).expect("frame touches a shard");
         store.set_shard_write_fault(touched, true);
+        assert!(store.shard_write_faulted(touched));
         let e0 = store.epoch();
         assert_eq!(
             store.try_ingest_columns(&cf, &mut route),
             Err(WriteError::ShardUnavailable(touched))
         );
+        // Nothing landed — not even the healthy shards — and no counter moved.
         assert_eq!(store.epoch(), e0, "refused frame must not mutate the store");
         assert_eq!(store.op_counts().samples_ingested, 0);
         assert!(store.all_series().is_empty());
         store.set_shard_write_fault(touched, false);
         assert!(store.try_ingest_columns(&cf, &mut route).is_ok());
         assert_eq!(store.op_counts().samples_ingested, 40);
-        // Healthy columnar fault-aware path matches the row path exactly.
-        let row = TimeSeriesStore::with_options(4, 512);
-        row.try_insert_frame(&cf.to_frame()).unwrap();
-        assert_same_contents(&row, &store);
+        // The healthy fault-aware path matches per-sample insertion exactly.
+        let oracle = TimeSeriesStore::with_options(4, 512);
+        insert_each(&oracle, &cf);
+        assert_same_contents(&oracle, &store);
+        // The fault-unaware paths ignore the flag (the pre-chaos baseline).
+        store.set_shard_write_fault(touched, true);
+        store.ingest_columns(&cf, &mut route);
+        store.insert(&cf.get(0));
+        assert_eq!(store.op_counts().samples_ingested, 81);
+        // Out-of-range shard indexes are ignored, not a panic.
+        store.set_shard_write_fault(99, true);
+        assert!(!store.shard_write_faulted(99));
     }
 
     #[test]
     fn routed_ingest_is_allocation_free_in_steady_state() {
-        // The satellite regression: the legacy path rebuilt a
-        // `Vec<Vec<&Sample>>` partition every tick; the routed columnar
-        // path must hit the allocator zero times once warmed up.
+        // The routed path must hit the allocator zero times once warmed
+        // up: no per-tick partition rebuild.
         let store = TimeSeriesStore::with_options(4, 1_024);
         let mut route = IngestRoute::new();
         let specs: Vec<(u32, u32, f64)> =
@@ -1543,18 +1353,11 @@ mod tests {
             let after = hpcmon_metrics::alloc_count::thread_allocations();
             assert_eq!(after - before, 0, "steady-state routed ingest must not allocate");
         }
-        // Contrast: the legacy partition path allocates every call.
-        let frame = cf.to_frame();
-        let before = hpcmon_metrics::alloc_count::thread_allocations();
-        let batches = store.partition_frame(&frame);
-        let after = hpcmon_metrics::alloc_count::thread_allocations();
-        assert!(!batches.is_empty());
-        assert!(after > before, "legacy partition rebuild allocates per tick");
     }
 
     proptest::proptest! {
         #[test]
-        fn prop_routed_columnar_ingest_equals_row_ingest(
+        fn prop_routed_columnar_ingest_equals_per_sample_insert(
             ticks in proptest::collection::vec(
                 proptest::collection::vec(
                     (0u32..6, 0u32..12, -1.0e6f64..1.0e6),
@@ -1569,7 +1372,7 @@ mod tests {
             let mut route = IngestRoute::new();
             for (t, specs) in ticks.iter().enumerate() {
                 let cf = column_frame(t as u64 * 1_000, specs);
-                row.insert_frame(&cf.to_frame());
+                insert_each(&row, &cf);
                 col.ingest_columns(&cf, &mut route);
             }
             prop_assert_eq!(row.stats(), col.stats());

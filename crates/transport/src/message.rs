@@ -7,7 +7,7 @@
 //! lost information).
 
 use bytes::Bytes;
-use hpcmon_metrics::{ColumnFrame, Frame, JobRecord, LogRecord};
+use hpcmon_metrics::{ColumnFrame, JobRecord, LogRecord};
 use hpcmon_trace::TraceContext;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -15,9 +15,7 @@ use std::sync::Arc;
 /// The content of a message.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Payload {
-    /// A synchronized frame of numeric samples (legacy row form).
-    Frame(Arc<Frame>),
-    /// A synchronized frame in columnar (SoA) form — the arena-backed hot
+    /// A synchronized frame of numeric samples — the arena-backed hot
     /// path hands these to transport by `Arc` swap, no copy.
     Columns(Arc<ColumnFrame>),
     /// One log record.
@@ -46,7 +44,6 @@ impl Payload {
     /// Approximate in-memory size, for throughput accounting.
     pub fn approx_bytes(&self) -> usize {
         match self {
-            Payload::Frame(f) => f.samples.len() * std::mem::size_of::<hpcmon_metrics::Sample>(),
             Payload::Columns(c) => c.len() * std::mem::size_of::<hpcmon_metrics::Sample>(),
             Payload::Log(l) => l.message.len() + l.source.len() + 32,
             Payload::Job(j) => j.nodes.len() * 4 + j.user.len() + j.name.len() + 48,
@@ -55,26 +52,9 @@ impl Payload {
     }
 
     /// The frame, if this is a frame payload.
-    pub fn as_frame(&self) -> Option<&Frame> {
-        match self {
-            Payload::Frame(f) => Some(f),
-            _ => None,
-        }
-    }
-
-    /// The columnar frame, if this is a columns payload.
     pub fn as_columns(&self) -> Option<&Arc<ColumnFrame>> {
         match self {
             Payload::Columns(c) => Some(c),
-            _ => None,
-        }
-    }
-
-    /// Number of samples carried, if this is either frame form.
-    pub fn frame_len(&self) -> Option<usize> {
-        match self {
-            Payload::Frame(f) => Some(f.len()),
-            Payload::Columns(c) => Some(c.len()),
             _ => None,
         }
     }
@@ -155,22 +135,14 @@ mod tests {
 
     #[test]
     fn accessors_are_exclusive() {
-        let mut frame = Frame::new(Ts(1));
-        frame.push(MetricId(0), CompId::node(0), 1.0);
-        let p = Payload::Frame(Arc::new(frame));
-        assert!(p.as_frame().is_some());
-        assert!(p.as_columns().is_none());
-        assert!(p.as_log().is_none());
-        assert!(p.as_job().is_none());
-        assert_eq!(p.frame_len(), Some(1));
-
         let mut cf = ColumnFrame::new(Ts(1));
         cf.push(MetricId(0), CompId::node(0), 1.0);
         cf.push(MetricId(0), CompId::node(1), 2.0);
         let c = Payload::Columns(Arc::new(cf));
         assert!(c.as_columns().is_some());
-        assert!(c.as_frame().is_none());
-        assert_eq!(c.frame_len(), Some(2));
+        assert!(c.as_log().is_none());
+        assert!(c.as_job().is_none());
+        assert_eq!(c.as_columns().unwrap().len(), 2);
         assert!(c.approx_bytes() > 0);
 
         let l = Payload::Log(Arc::new(LogRecord::new(
@@ -181,29 +153,26 @@ mod tests {
             "hello",
         )));
         assert!(l.as_log().is_some());
-        assert!(l.as_frame().is_none());
+        assert!(l.as_columns().is_none());
     }
 
     #[test]
     fn approx_bytes_positive_for_content() {
-        let mut frame = Frame::new(Ts(1));
+        let mut frame = ColumnFrame::new(Ts(1));
         frame.push(MetricId(0), CompId::node(0), 1.0);
-        assert!(Payload::Frame(Arc::new(frame)).approx_bytes() > 0);
+        assert!(Payload::Columns(Arc::new(frame)).approx_bytes() > 0);
         assert_eq!(Payload::Raw(Bytes::from_static(b"abc")).approx_bytes(), 3);
     }
 
     #[test]
     fn clone_shares_frame_storage() {
-        let mut frame = Frame::new(Ts(1));
+        let mut frame = ColumnFrame::new(Ts(1));
         for i in 0..1_000 {
             frame.push(MetricId(0), CompId::node(i), i as f64);
         }
-        let p = Payload::Frame(Arc::new(frame));
+        let p = Payload::Columns(Arc::new(frame));
         let q = p.clone();
-        match (&p, &q) {
-            (Payload::Frame(a), Payload::Frame(b)) => assert!(Arc::ptr_eq(a, b)),
-            _ => unreachable!(),
-        }
+        assert!(Arc::ptr_eq(p.as_columns().unwrap(), q.as_columns().unwrap()));
     }
 
     #[test]
@@ -235,13 +204,13 @@ mod tests {
 
     #[test]
     fn decode_rejects_truncated_and_bit_flipped_payloads() {
-        let mut frame = Frame::new(Ts(9));
+        let mut frame = ColumnFrame::new(Ts(9));
         frame.push(MetricId(1), CompId::node(4), 2.5);
         let env = Envelope {
             topic: "metrics/frame".into(),
             seq: 11,
             trace: None,
-            payload: Payload::Frame(Arc::new(frame)),
+            payload: Payload::Columns(Arc::new(frame)),
         };
         let wire = env.encode().unwrap();
         assert_eq!(Envelope::decode(&wire).unwrap(), env, "clean bytes round-trip");

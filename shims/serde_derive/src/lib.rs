@@ -5,7 +5,8 @@
 //! serde crate's `Value` data model.  Supports the shapes this workspace
 //! actually uses: named-field structs, newtype/tuple structs, and enums with
 //! unit, newtype/tuple, and struct variants, plus `#[serde(with = "...")]`
-//! on fields and newtype variants and `#[serde(default)]` on named fields.
+//! on fields and newtype variants, and `#[serde(default)]` and
+//! `#[serde(skip_serializing_if = "path")]` on named fields.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -15,6 +16,9 @@ struct FieldDef {
     with_module: Option<String>,
     /// `#[serde(default)]`: an absent field is `Default::default()`.
     default: bool,
+    /// `#[serde(skip_serializing_if = "path")]`: the key is left out of the
+    /// map when `path(&field)` is true.
+    skip_if: Option<String>,
 }
 
 /// What the `#[serde(...)]` attributes on one item asked for.
@@ -22,6 +26,7 @@ struct FieldDef {
 struct SerdeAttrs {
     with_module: Option<String>,
     default: bool,
+    skip_if: Option<String>,
 }
 
 #[derive(Debug)]
@@ -44,8 +49,8 @@ enum TypeDef {
     Enum { name: String, variants: Vec<VariantDef> },
 }
 
-/// Scan an attribute's bracket group for `serde(with = "module::path")` and
-/// `serde(default)`.
+/// Scan an attribute's bracket group for `serde(with = "module::path")`,
+/// `serde(default)` and `serde(skip_serializing_if = "path")`.
 fn scan_serde_attr(group: &proc_macro::Group, attrs: &mut SerdeAttrs) {
     let mut toks = group.stream().into_iter();
     match toks.next() {
@@ -57,20 +62,19 @@ fn scan_serde_attr(group: &proc_macro::Group, attrs: &mut SerdeAttrs) {
         _ => return,
     };
     let inner: Vec<TokenTree> = inner.into_iter().collect();
+    // The `"path"` of a `key = "path"` item whose key sits at `i`.
+    let path_after = |i: usize| match (inner.get(i + 1), inner.get(i + 2)) {
+        (Some(TokenTree::Punct(eq)), Some(TokenTree::Literal(lit))) if eq.as_char() == '=' => {
+            Some(lit.to_string().trim_matches('"').to_string())
+        }
+        _ => None,
+    };
     for (i, tok) in inner.iter().enumerate() {
         let TokenTree::Ident(id) = tok else { continue };
         match id.to_string().as_str() {
             "default" => attrs.default = true,
-            "with" if attrs.with_module.is_none() => {
-                // Expect `= "path"`.
-                if let (Some(TokenTree::Punct(eq)), Some(TokenTree::Literal(lit))) =
-                    (inner.get(i + 1), inner.get(i + 2))
-                {
-                    if eq.as_char() == '=' {
-                        attrs.with_module = Some(lit.to_string().trim_matches('"').to_string());
-                    }
-                }
-            }
+            "with" if attrs.with_module.is_none() => attrs.with_module = path_after(i),
+            "skip_serializing_if" => attrs.skip_if = path_after(i),
             _ => {}
         }
     }
@@ -142,7 +146,12 @@ fn parse_named_fields(group: &proc_macro::Group) -> Vec<FieldDef> {
                 TokenTree::Ident(id) => id.to_string(),
                 other => panic!("expected field name, got {other}"),
             };
-            FieldDef { name, with_module: attrs.with_module, default: attrs.default }
+            FieldDef {
+                name,
+                with_module: attrs.with_module,
+                default: attrs.default,
+                skip_if: attrs.skip_if,
+            }
         })
         .collect()
 }
@@ -228,14 +237,24 @@ fn de_field_expr(value_expr: &str, with_module: &Option<String>) -> String {
 }
 
 fn named_fields_to_map(fields: &[FieldDef], access_prefix: &str) -> String {
-    let entries: Vec<String> = fields
-        .iter()
-        .map(|f| {
-            let access = format!("&{access_prefix}{}", f.name);
-            format!("(String::from(\"{}\"), {})", f.name, ser_field_expr(&access, &f.with_module))
+    let entry = |f: &FieldDef| {
+        let access = format!("&{access_prefix}{}", f.name);
+        format!("(String::from(\"{}\"), {})", f.name, ser_field_expr(&access, &f.with_module))
+    };
+    if fields.iter().all(|f| f.skip_if.is_none()) {
+        let entries: Vec<String> = fields.iter().map(entry).collect();
+        return format!("serde::Value::Map(vec![{}])", entries.join(", "));
+    }
+    // Some keys are conditional: push one by one.
+    let pushes: String = (fields.iter())
+        .map(|f| match &f.skip_if {
+            Some(skip) => {
+                format!("if !{skip}(&{access_prefix}{}) {{ __map.push({}); }} ", f.name, entry(f))
+            }
+            None => format!("__map.push({}); ", entry(f)),
         })
         .collect();
-    format!("serde::Value::Map(vec![{}])", entries.join(", "))
+    format!("{{ let mut __map = Vec::new(); {pushes}serde::Value::Map(__map) }}")
 }
 
 fn named_fields_from_map(fields: &[FieldDef], map_expr: &str) -> String {

@@ -399,6 +399,23 @@ mod tests {
         assert!(from_str::<Counts>(r#"{"seen":3,"added_later":"x"}"#).is_err());
     }
 
+    #[test]
+    fn a_skipped_field_leaves_no_key_and_reads_back_as_its_default() {
+        #[derive(Debug, PartialEq, Serialize, Deserialize)]
+        struct Record {
+            tick: u64,
+            #[serde(default, skip_serializing_if = "Option::is_none")]
+            added_later: Option<(u64, u64)>,
+            tail: bool,
+        }
+        let without = Record { tick: 3, added_later: None, tail: true };
+        assert_eq!(to_string(&without).unwrap(), r#"{"tick":3,"tail":true}"#);
+        assert_eq!(from_str::<Record>(r#"{"tick":3,"tail":true}"#).unwrap(), without);
+        let with = Record { tick: 3, added_later: Some((7, 1)), tail: true };
+        assert_eq!(to_string(&with).unwrap(), r#"{"tick":3,"added_later":[7,1],"tail":true}"#);
+        assert_eq!(from_str::<Record>(&to_string(&with).unwrap()).unwrap(), with);
+    }
+
     proptest::proptest! {
         #[test]
         fn prop_strings_round_trip(

@@ -338,6 +338,52 @@ fn disk_fault_window_fires_the_durability_slo() {
     );
 }
 
+/// The `store/durability` SLO is fed from the plane's failure counters,
+/// which are disk-fault driven and gone after a crash.  Each tick journals
+/// the totals it fed, so replaying the WAL tail — through a write-fail
+/// window that also swallowed a checkpoint — reproduces the recorded hash
+/// chain and the alert timeline of a twin that never crashed.
+#[test]
+fn durability_slo_feed_replays_through_a_crash() {
+    let crash_tick = 22u64;
+    let cfg = DurabilityConfig { sync: SyncPolicy::EveryTick, checkpoint_every: 8, scrub_every: 0 };
+    let mk = || {
+        builder(0)
+            .chaos(11, plan(vec![(11, ChaosFault::DiskWriteFail { ticks: 8 })]))
+            .health(HealthConfig::standard().durability())
+    };
+    let run = || {
+        let disk = Arc::new(SimDisk::new());
+        let mut mon = mk().durability(disk.clone(), cfg).build();
+        mon.set_state_hashing(true);
+        seed_inputs(&mut mon);
+        mon.run_ticks(crash_tick);
+        (mon, disk)
+    };
+    let (twin, _) = run();
+    let counts = twin.durability_counts().unwrap();
+    assert!(counts.append_failures > 0 && counts.checkpoint_failures > 0, "{counts:?}");
+    assert!(
+        twin.alert_events().iter().any(|e| e.key == "store/durability"),
+        "the window must move the SLO: {}",
+        twin.health_timeline()
+    );
+
+    let (crashed, disk) = run();
+    drop(crashed);
+    disk.crash();
+    let mut recovered = mk().build();
+    recovered.set_state_hashing(true);
+    let outcome = recovered.recover_from_medium(disk, cfg);
+    assert_eq!(outcome.checkpoint_tick, Some(8), "the tick-16 checkpoint fell in the window");
+    assert_eq!(outcome.resumed_tick, crash_tick);
+    assert_eq!(outcome.replayed_ticks, crash_tick - 8);
+    assert_eq!(outcome.hash_mismatches, 0, "{outcome:?}");
+    assert_eq!(outcome.first_mismatch_tick, None);
+    assert_eq!(recovered.last_state_hash(), twin.last_state_hash());
+    assert_eq!(recovered.health_timeline(), twin.health_timeline());
+}
+
 /// The WAL payload is the real thing: each record decodes to the tick's
 /// external inputs, its state hash, and every sample of the published
 /// frame.

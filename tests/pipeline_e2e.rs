@@ -219,7 +219,7 @@ fn live_consumer_rides_the_broker() {
     mon.run_ticks(5);
     let frame_envs = frames.drain();
     assert_eq!(frame_envs.len(), 5, "one frame per tick");
-    assert!(frame_envs.iter().all(|e| e.payload.frame_len().is_some()));
+    assert!(frame_envs.iter().all(|e| e.payload.as_columns().is_some()));
     let log_envs = logs.drain();
     assert!(log_envs.iter().any(|e| e.topic == "logs/hwerr"), "link failure routed by source");
 }
