@@ -22,7 +22,9 @@
 
 use super::state::{TickInputs, TickStateHash};
 use super::MonitoringSystem;
-use hpcmon_durability::{DurabilityConfig, DurabilityPlane, RecoveryReport, StorageMedium};
+use hpcmon_durability::{
+    DiskError, DurabilityConfig, DurabilityPlane, RecoveryReport, StorageMedium,
+};
 use hpcmon_metrics::ColumnFrame;
 use hpcmon_telemetry::StageTimer;
 use serde::{Deserialize, Serialize};
@@ -212,11 +214,19 @@ impl MonitoringSystem {
         outcome.resumed_tick = resumed;
         // Reseal: checkpoint the recovered state so the next crash
         // restores from here instead of re-replaying this whole tail.
-        let snap = serde_json::to_vec(&self.snapshot()).expect("CoreSnapshot serializes");
-        let _ = plane.checkpoint(resumed, &snap);
+        let _ = self.write_checkpoint(&mut plane, resumed);
         self.pending_inputs = TickInputs::default();
         self.durability = Some(plane);
         outcome
+    }
+
+    /// Checkpoint the whole system at `tick`, the `CoreSnapshot` serialized
+    /// straight into the checkpoint file's buffer.
+    fn write_checkpoint(&self, plane: &mut DurabilityPlane, tick: u64) -> Result<(), DiskError> {
+        let snapshot = self.snapshot();
+        plane.checkpoint_with(tick, |file| {
+            serde_json::to_writer(file, &snapshot).expect("CoreSnapshot serializes")
+        })
     }
 
     /// The attached durability plane, if one was configured.
@@ -249,8 +259,7 @@ impl MonitoringSystem {
         let cfg = plane.config();
         if cfg.checkpoint_every > 0 && tick_no.is_multiple_of(cfg.checkpoint_every) {
             let _timer = StageTimer::new(self.instruments.stage_checkpoint.clone());
-            let snap = serde_json::to_vec(&self.snapshot()).expect("CoreSnapshot serializes");
-            let _ = plane.checkpoint(tick_no, &snap);
+            let _ = self.write_checkpoint(&mut plane, tick_no);
         }
         if cfg.scrub_every > 0 && tick_no.is_multiple_of(cfg.scrub_every) {
             let _ = plane.scrub_step();

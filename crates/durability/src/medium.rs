@@ -79,6 +79,11 @@ pub trait StorageMedium: Send + Sync {
     /// used for checkpoint temp files and recovery-time tail truncation,
     /// never for the hot append path).
     fn overwrite(&self, file: &str, bytes: &[u8]) -> Result<(), DiskError>;
+    /// [`overwrite`](Self::overwrite) for a caller that is done with the
+    /// buffer: a medium that keeps file contents in memory takes it as is.
+    fn overwrite_owned(&self, file: &str, bytes: Vec<u8>) -> Result<(), DiskError> {
+        self.overwrite(file, &bytes)
+    }
     /// Atomically rename `from` to `to`, replacing any existing `to`.
     fn rename(&self, from: &str, to: &str) -> Result<(), DiskError>;
     /// Delete `file`.
@@ -261,6 +266,10 @@ impl StorageMedium for SimDisk {
     }
 
     fn overwrite(&self, file: &str, bytes: &[u8]) -> Result<(), DiskError> {
+        self.overwrite_owned(file, bytes.to_vec())
+    }
+
+    fn overwrite_owned(&self, file: &str, bytes: Vec<u8>) -> Result<(), DiskError> {
         let mut inner = self.inner.lock().unwrap();
         if inner.write_fail {
             inner.counts.write_fails += 1;
@@ -276,11 +285,8 @@ impl StorageMedium for SimDisk {
             inner.counts.full_rejections += 1;
             return Err(DiskError::Full);
         }
-        let replacement = SimFile {
-            durable: vec![bytes.to_vec()],
-            durable_len: bytes.len(),
-            pending: Vec::new(),
-        };
+        let replacement =
+            SimFile { durable_len: bytes.len(), durable: vec![bytes], pending: Vec::new() };
         inner.files.insert(file.to_string(), replacement);
         Ok(())
     }
@@ -426,6 +432,15 @@ mod tests {
         disk.rename("a.tmp", "a").unwrap();
         assert_eq!(disk.read("a").unwrap(), b"new");
         assert_eq!(disk.list(), vec!["a".to_string()]);
+        // A buffer handed over replaces the file, and is refused, as a
+        // borrowed one.
+        disk.overwrite_owned("a", b"newer".to_vec()).unwrap();
+        disk.crash();
+        assert_eq!(disk.read("a").unwrap(), b"newer");
+        disk.set_write_fail(true);
+        assert_eq!(disk.overwrite_owned("a", b"lost".to_vec()), Err(DiskError::WriteFail));
+        disk.set_write_fail(false);
+        assert_eq!(disk.read("a").unwrap(), b"newer");
         assert_eq!(disk.rename("missing", "x"), Err(DiskError::NotFound));
     }
 

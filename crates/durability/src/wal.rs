@@ -184,13 +184,18 @@ fn validate_record(rest: &[u8]) -> (bool, usize) {
     (crc == stored_crc, total)
 }
 
-/// Encode a checkpoint file: magic + len + crc + payload.
-pub fn encode_checkpoint(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(CKPT_MAGIC.len() + 8 + payload.len());
-    out.extend_from_slice(CKPT_MAGIC);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+/// Encode a checkpoint file: magic + len + crc + payload, the payload being
+/// whatever `fill` appends to the buffer it is handed — so a caller that
+/// serializes its payload writes it once, in place, instead of building it
+/// and copying it in.
+pub fn encode_checkpoint(fill: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = CKPT_MAGIC.to_vec();
+    out.extend_from_slice(&[0; 8]);
+    let head = out.len();
+    fill(&mut out);
+    let (len, crc) = ((out.len() - head) as u32, crc32(&out[head..]));
+    out[head - 8..head - 4].copy_from_slice(&len.to_le_bytes());
+    out[head - 4..head].copy_from_slice(&crc.to_le_bytes());
     out
 }
 
@@ -311,8 +316,15 @@ mod tests {
 
     #[test]
     fn checkpoint_roundtrip_and_rejection() {
-        let enc = encode_checkpoint(b"snapshot bytes");
+        let enc = encode_checkpoint(|file| {
+            file.extend_from_slice(b"snapshot");
+            file.extend_from_slice(b" bytes");
+        });
+        assert_eq!(enc[..8], CKPT_MAGIC[..]);
+        assert_eq!(enc[8..12], 14u32.to_le_bytes());
+        assert_eq!(enc[12..16], crc32(b"snapshot bytes").to_le_bytes());
         assert_eq!(decode_checkpoint(&enc).as_deref(), Some(&b"snapshot bytes"[..]));
+        assert_eq!(decode_checkpoint(&encode_checkpoint(|_| ())), Some(Vec::new()));
         for end in 0..enc.len() {
             assert_eq!(decode_checkpoint(&enc[..end]), None, "truncation at {end} accepted");
         }

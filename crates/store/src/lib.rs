@@ -15,6 +15,9 @@
 //! * [`tsdb::TimeSeriesStore`] — sharded hot buffers that seal into
 //!   compressed warm blocks; one store holds raw metrics *and* analysis
 //!   outputs (they are just more series).
+//! * [`cohort`] — the tick-major hot tier: the series a synchronized frame
+//!   feeds one point a tick share one row-major matrix per shard, so the
+//!   frame lands as one row.
 //! * [`snapshot::StoreSnapshot`] — the checkpoint form: the whole store as
 //!   one packed binary section, hot buffers written as unsealed blocks.
 //! * [`archive::Archive`] — the cold tier: whole time ranges serialized
@@ -26,6 +29,7 @@
 //!   downsampling, and per-job extraction against stored allocations.
 
 pub mod archive;
+pub mod cohort;
 pub mod compress;
 pub mod logstore;
 pub mod query;
@@ -34,6 +38,7 @@ pub mod snapshot;
 pub mod tsdb;
 
 pub use archive::{Archive, ArchiveCatalog, ArchiveError, ArchiveOpCounts};
+pub use cohort::HotLayout;
 pub use logstore::{LogQuery, LogStore};
 pub use query::{AggFn, InvalidParam, JobSeries, QueryEngine, TimeRange};
 pub use retention::{RetentionPolicy, RetentionReport};

@@ -109,24 +109,41 @@ fn put_stream(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
     out[at..at + 4].copy_from_slice(&len.to_le_bytes());
 }
 
-fn put_series(out: &mut Vec<u8>, key: SeriesKey, data: &SeriesData) {
+/// A series up to its hot block: key, warm count, warm blocks verbatim.
+fn put_series_head(out: &mut Vec<u8>, key: SeriesKey, warm: &[SeriesBlock]) {
     out.extend_from_slice(&key.metric.0.to_le_bytes());
     out.push(key.comp.kind as u8);
     out.extend_from_slice(&key.comp.index.to_le_bytes());
-    put_count(out, data.warm.len());
-    for b in &data.warm {
+    put_count(out, warm.len());
+    for b in warm {
         put_block_header(out, b.start, b.end, b.count);
         put_stream(out, |o| o.extend_from_slice(&b.ts_bytes));
         put_stream(out, |o| o.extend_from_slice(&b.val_bytes));
     }
-    let hot = &data.hot;
+}
+
+/// A hot buffer as the block a seal would make of it.  `ts_stream` is where
+/// the last timestamp stream written sits in `out`: a series with the
+/// `same_stamps` as the one before (the cohort says which) copies it.
+fn put_hot_block(
+    out: &mut Vec<u8>,
+    hot: &[(Ts, f64)],
+    same_stamps: bool,
+    ts_stream: &mut std::ops::Range<usize>,
+) {
     let (Some(first), Some(last)) = (hot.first(), hot.last()) else {
         out.extend_from_slice(&[0; BLOCK_HEADER]);
         return;
     };
     let count = u32::try_from(hot.len()).expect("a hot buffer seals long before 2^32 points");
     put_block_header(out, first.0, last.0, count);
-    put_stream(out, |o| compress::encode_timestamps_into(o, hot.iter().map(|p| p.0)));
+    if same_stamps {
+        out.extend_from_within(ts_stream.clone());
+    } else {
+        let at = out.len();
+        put_stream(out, |o| compress::encode_timestamps_into(o, hot.iter().map(|p| p.0)));
+        *ts_stream = at..out.len();
+    }
     put_stream(out, |o| compress::encode_values_into(o, hot.iter().map(|p| p.1)));
 }
 
@@ -257,30 +274,47 @@ fn validate(section: &[u8]) -> Result<(), &'static str> {
 }
 
 impl TimeSeriesStore {
-    /// Capture the full store contents and counters for a checkpoint, in one
-    /// pass over the shards: no per-series allocation, nothing cloned.
+    /// Capture the full store contents and counters for a checkpoint: no
+    /// per-series allocation, nothing cloned.  Hot buffers are encoded first,
+    /// shard by shard in whatever order each shard reads its own fastest,
+    /// then everything is laid out in key order.
     pub fn snapshot(&self) -> StoreSnapshot {
         let shards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
         let series: usize = shards.iter().map(|s| s.slots.len()).sum();
+        // Per series: key, shard, slot, and where its hot block is in `hot`.
         let mut order = Vec::with_capacity(series);
-        // Exact but for the hot streams, which the codec sizes as it goes;
-        // three bytes a point covers the usual mix without a regrow.
-        let mut bytes = 1 + 4 + 8 + series * SERIES_HEADER;
+        let (mut warm_bytes, mut hot_points) = (0, 0);
         for (shard, guard) in shards.iter().enumerate() {
             for (slot, s) in guard.slots.iter().enumerate() {
-                order.push((s.key, shard, slot));
-                bytes += s.data.hot.len() * 3;
+                order.push((s.key, shard, slot, 0..0));
+                hot_points += guard.cohorts.hot(s).len();
                 for b in &s.data.warm {
-                    bytes += BLOCK_HEADER + b.compressed_bytes();
+                    warm_bytes += BLOCK_HEADER + b.compressed_bytes();
                 }
             }
         }
-        order.sort_unstable();
-        let mut section = Vec::with_capacity(bytes);
+        // The hot streams are sized by the codec as it goes: a block opens
+        // with its first stamp and value in full, and three bytes a point
+        // after that covers the usual mix without a regrow.
+        let mut hot = Vec::with_capacity(series * (BLOCK_HEADER + 16) + hot_points * 3);
+        let (mut tile, mut base, mut ts_stream) = (Vec::new(), 0, 0..0);
+        for guard in &shards {
+            guard.cohorts.each_hot(&guard.slots, &mut tile, |slot, points, same_stamps| {
+                let at = hot.len();
+                put_hot_block(&mut hot, points, same_stamps, &mut ts_stream);
+                order[base + slot].3 = at..hot.len();
+            });
+            base += guard.slots.len();
+        }
+        order.sort_unstable_by_key(|entry| entry.0);
+        let mut section = Vec::with_capacity(
+            1 + 4 + 8 + series * (SERIES_HEADER - BLOCK_HEADER) + warm_bytes + hot.len(),
+        );
         section.push(VERSION);
         put_count(&mut section, series);
-        for (key, shard, slot) in order {
-            put_series(&mut section, key, &shards[shard].slots[slot].data);
+        for (key, shard, slot, hot_block) in order {
+            put_series_head(&mut section, key, &shards[shard].slots[slot].data.warm);
+            section.extend_from_slice(&hot[hot_block]);
         }
         let digest = digest(&section);
         section.extend_from_slice(&digest.to_le_bytes());
@@ -310,6 +344,7 @@ impl TimeSeriesStore {
             let mut shard = shard.write();
             shard.slots.clear();
             shard.index.clear();
+            shard.cohorts.clear();
         }
         self.load_section(&section)
             .expect("a StoreSnapshot's section was validated when it was made");
@@ -355,7 +390,7 @@ impl TimeSeriesStore {
             hot_points += hot.len() as u64;
             let mut shard = self.shard_of(&key).write();
             let slot = shard.slots.len() as u32;
-            shard.slots.push(SeriesSlot { key, data: SeriesData { warm, hot } });
+            shard.slots.push(SeriesSlot { key, data: SeriesData { warm, hot }, seat: None });
             shard.index.insert(key, slot);
         }
         self.series_count.store(series as u64, Ordering::Relaxed);
@@ -831,7 +866,8 @@ mod tests {
             made
         };
         let (small, large) = (allocations(8), allocations(1_024));
-        // The shard guards, the key order, the section and the fault flags.
+        // The shard guards, the key order, the hot blocks, the tile the
+        // cohorts transpose through, the section and the fault flags.
         assert!(large <= 6, "{large} allocations for 19,456 series");
         assert!(large <= small + 1, "{small} allocations at 152 series, {large} at 19,456");
     }

@@ -1,11 +1,15 @@
 //! The tiered time-series store.
 //!
-//! Layout: `SeriesKey → { warm: Vec<SeriesBlock>, hot: Vec<(Ts, f64)> }`,
-//! sharded by key hash behind `parking_lot` RwLocks so collector threads
-//! ingest concurrently with query threads.  Hot buffers seal into
+//! Layout: `SeriesKey → { warm: Vec<SeriesBlock>, hot }`, sharded by key
+//! hash behind `parking_lot` RwLocks so collector threads ingest
+//! concurrently with query threads.  A series' hot points are its own
+//! `Vec<(Ts, f64)>` — what `insert()` writes — or, for the series a
+//! synchronized frame feeds one point a tick, a column of one of its shard's
+//! cohorts ([`crate::cohort`]).  Either way they seal into the same
 //! compressed warm blocks at a size threshold; `archive` (cold tier) can
 //! evict warm blocks wholesale and reload them later.
 
+use crate::cohort::{Cohorts, Seat, ShardPlan};
 use crate::compress;
 use hpcmon_metrics::{ColumnFrame, CompId, MetricId, Sample, SeriesKey, Ts};
 use parking_lot::RwLock;
@@ -192,41 +196,44 @@ pub(crate) struct SeriesData {
 pub(crate) struct SeriesSlot {
     pub(crate) key: SeriesKey,
     pub(crate) data: SeriesData,
+    /// Set while the series' hot points are a cohort column (`data.hot`
+    /// then stays empty).
+    pub(crate) seat: Seat,
 }
 
-/// A shard is a **slab** of series plus a key→slot index.  Slots are
-/// append-only under ingest, so a slot number resolved once stays valid
-/// until a slot-moving operation (retention drop, snapshot load) bumps the
-/// store's layout generation — which is what lets [`IngestRoute`] replace
-/// the per-sample hash lookup on the hot path with a direct slab index.
+/// A shard is a **slab** of series plus a key→slot index, and the cohorts
+/// some of those series keep their hot points in.  Slots are append-only
+/// under ingest, so a slot number resolved once stays valid until a
+/// slot-moving operation (retention drop, snapshot load) bumps the store's
+/// layout generation — which is what lets [`IngestRoute`] keep slot numbers
+/// instead of hashing every sample.
 #[derive(Default)]
 pub(crate) struct Shard {
     pub(crate) slots: Vec<SeriesSlot>,
     pub(crate) index: HashMap<SeriesKey, u32>,
+    pub(crate) cohorts: Cohorts,
 }
 
-/// A caller-owned routing cache for columnar ingest: where each position
-/// of a frame's key column lands (shard and slab slot), plus the per-shard
-/// batches in frame order.
+/// A caller-owned routing cache for columnar ingest: per shard, where the
+/// frame's samples land — for each cohort the frame position of every
+/// column's sample, so a synchronized frame lands as one gathered row, plus
+/// position and slab slot of the samples of series in no cohort.
 ///
 /// Frames produced by a fixed collector set repeat the same key column
 /// tick after tick, so the route — built once with hashing and lookups —
-/// is validated per tick by a layout-generation check plus a key-column
-/// equality sweep, then reused: ingest costs one slab index and one push
-/// per sample, one lock per touched shard, and **zero allocations**.
+/// is validated per tick by a key-column sweep, a stamp sweep and one
+/// generation check per shard, then reused: ingest costs one gather per
+/// cohort plus one slab index and push per loose sample, one lock per
+/// touched shard, and **zero allocations**.  A key column that changes is
+/// re-routed from the first key that differs, so a tail that comes and goes
+/// (the benchmark suite's samples every tenth tick) costs the tail.
 #[derive(Debug, Default)]
 pub struct IngestRoute {
-    /// Store layout generation this route was built against.
-    gen: u64,
-    /// The key column the route describes (validity check per tick).
+    /// Store layout generation the slot numbers were resolved at.
+    layout: u64,
+    /// The key column the route describes.
     keys: Vec<SeriesKey>,
-    /// Slab slot per position (`u32::MAX` = series did not exist when the
-    /// route was built; resolved by hash on first ingest, then refreshed).
-    slot_of: Vec<u32>,
-    /// Sample positions per shard, in frame order.
-    per_shard: Vec<Vec<u32>>,
-    /// Positions still `u32::MAX` in `slot_of`.
-    unresolved: usize,
+    pub(crate) per_shard: Vec<ShardPlan>,
 }
 
 impl IngestRoute {
@@ -235,14 +242,9 @@ impl IngestRoute {
         IngestRoute::default()
     }
 
-    /// Whether this route currently describes `keys` at layout `gen`.
-    fn matches(&self, gen: u64, keys: &[SeriesKey]) -> bool {
-        self.gen == gen && self.keys == keys
-    }
-
     /// Whether any sample of the routed frame lands in `shard`.
     pub fn touches(&self, shard: usize) -> bool {
-        self.per_shard.get(shard).is_some_and(|b| !b.is_empty())
+        self.per_shard.get(shard).is_some_and(|plan| plan.len() > 0)
     }
 }
 
@@ -317,10 +319,10 @@ pub struct TimeSeriesStore {
     // result cache — key entries on this value: an entry computed at epoch
     // E is valid exactly while `epoch()` still returns E.
     pub(crate) epoch: AtomicU64,
-    // Bumped only by operations that can move or remove slab slots
-    // (retention drops, snapshot loads) — NOT by appends.  An
-    // `IngestRoute` built at generation G stays valid while the
-    // generation still reads G (and the key column is unchanged).
+    // Bumped only by operations that move or remove slab slots (a
+    // retention pass that drops something, a snapshot load) — NOT by
+    // appends.  The slot numbers an `IngestRoute` resolved at generation G
+    // stay valid while the generation still reads G.
     layout_gen: AtomicU64,
     // Injected per-shard write faults (chaos testing).  Only
     // `try_ingest_columns` consults these; everything else ignores them.
@@ -417,20 +419,22 @@ impl TimeSeriesStore {
         self.hot_points.fetch_add(1, Ordering::Relaxed);
         let mut shard = self.shard_of(&sample.key).write();
         let slot = self.resolve_slot(&mut shard, sample.key);
-        let data = &mut shard.slots[slot as usize].data;
-        self.append_point(sample.key, data, sample.ts, sample.value);
+        let Shard { slots, cohorts, .. } = &mut *shard;
+        let slot = &mut slots[slot as usize];
+        cohorts.evict(slot);
+        self.append_point(sample.key, &mut slot.data, sample.ts, sample.value);
         drop(shard);
         self.bump_epoch();
     }
 
     /// Resolve (or create) the slab slot for `key` in a locked shard.
-    fn resolve_slot(&self, shard: &mut Shard, key: SeriesKey) -> u32 {
-        let Shard { slots, index } = shard;
+    pub(crate) fn resolve_slot(&self, shard: &mut Shard, key: SeriesKey) -> u32 {
+        let Shard { slots, index, .. } = shard;
         match index.entry(key) {
             Entry::Occupied(e) => *e.get(),
             Entry::Vacant(v) => {
                 let slot = slots.len() as u32;
-                slots.push(SeriesSlot { key, data: SeriesData::default() });
+                slots.push(SeriesSlot { key, data: SeriesData::default(), seat: None });
                 v.insert(slot);
                 self.series_count.fetch_add(1, Ordering::Relaxed);
                 slot
@@ -438,11 +442,12 @@ impl TimeSeriesStore {
         }
     }
 
-    /// Append one point to a resolved series, sealing at the threshold.
-    /// Occupancy accounting is the caller's: `insert` bumps `hot_points`
-    /// per sample, the routed columnar path once per shard batch.
+    /// Append one point to the own buffer of a resolved series, sealing at
+    /// the threshold.  Occupancy accounting is the caller's: `insert` bumps
+    /// `hot_points` per sample, the routed columnar path once per shard
+    /// batch.
     #[inline]
-    fn append_point(&self, key: SeriesKey, data: &mut SeriesData, ts: Ts, value: f64) {
+    pub(crate) fn append_point(&self, key: SeriesKey, data: &mut SeriesData, ts: Ts, value: f64) {
         // Common case: append in order.
         match data.hot.last() {
             Some(&(last, _)) if last > ts => {
@@ -460,7 +465,7 @@ impl TimeSeriesStore {
     }
 
     /// Move occupancy from hot to warm for a freshly sealed block.
-    fn account_seal(&self, block: &SeriesBlock) {
+    pub(crate) fn account_seal(&self, block: &SeriesBlock) {
         self.blocks_sealed.fetch_add(1, Ordering::Relaxed);
         self.hot_points.fetch_sub(block.count as u64, Ordering::Relaxed);
         self.warm_points.fetch_add(block.count as u64, Ordering::Relaxed);
@@ -468,9 +473,9 @@ impl TimeSeriesStore {
     }
 
     /// The store's slab-layout generation: advanced only by operations
-    /// that can move or remove slots (retention drops, snapshot loads).
-    /// An [`IngestRoute`] is valid exactly while this still reads the
-    /// value it was built at.
+    /// that move or remove slots (a retention pass that drops something, a
+    /// snapshot load).  The slot numbers an [`IngestRoute`] holds are valid
+    /// exactly while this still reads the value they were resolved at.
     pub fn layout_gen(&self) -> u64 {
         self.layout_gen.load(Ordering::Acquire)
     }
@@ -480,105 +485,82 @@ impl TimeSeriesStore {
     }
 
     /// Ensure `route` describes `cf`'s key column against the current slab
-    /// layout, rebuilding it if the keys or the layout changed.  Rebuild is
-    /// **lookup-only** (read locks, no mutation): series the store has not
-    /// seen yet stay unresolved and are created on first ingest.
+    /// layout and cohorts.  A changed key column is re-routed from the first
+    /// key that differs — hashing and lookups for that tail only.  The work
+    /// is **lookup-only** (read locks, no mutation): series the store has
+    /// not seen yet stay unresolved and are created on first ingest.
     pub fn prepare_route(&self, cf: &ColumnFrame, route: &mut IngestRoute) {
-        // A default route trivially "matches" an empty frame on a fresh
-        // store (gen 0, empty keys) — the shard-table size check catches
-        // that and any route built against a differently sharded store.
-        if route.per_shard.len() == self.shards.len() && route.matches(self.layout_gen(), &cf.keys)
-        {
-            return;
+        let layout = self.layout_gen();
+        if route.per_shard.len() != self.shards.len() || route.layout != layout {
+            // Another store, or slots moved: no slot number survives.
+            route.per_shard.clear();
+            route.per_shard.resize_with(self.shards.len(), ShardPlan::default);
+            route.keys.clear();
+            route.layout = layout;
         }
-        route.gen = self.layout_gen();
-        route.keys.clear();
-        route.keys.extend_from_slice(&cf.keys);
-        route.per_shard.resize_with(self.shards.len(), Vec::new);
-        for batch in &mut route.per_shard {
-            batch.clear();
-        }
-        for (i, key) in cf.keys.iter().enumerate() {
-            route.per_shard[self.shard_index(key)].push(i as u32);
-        }
-        route.slot_of.clear();
-        route.slot_of.resize(cf.keys.len(), u32::MAX);
-        self.refresh_route_slots(route);
-    }
-
-    /// Re-run the slot lookup for every position of `route` (read locks
-    /// only), leaving positions whose series still do not exist at
-    /// `u32::MAX`.
-    fn refresh_route_slots(&self, route: &mut IngestRoute) {
-        let mut unresolved = 0;
-        for (shard_id, batch) in route.per_shard.iter().enumerate() {
-            if batch.is_empty() {
-                continue;
+        let common = route.keys.iter().zip(&cf.keys).take_while(|(a, b)| a == b).count();
+        if common < route.keys.len() || common < cf.keys.len() {
+            for plan in &mut route.per_shard {
+                plan.cut(common as u32);
             }
-            let guard = self.shards[shard_id].read();
-            for &i in batch {
-                let i = i as usize;
-                match guard.index.get(&route.keys[i]) {
-                    Some(&slot) => route.slot_of[i] = slot,
-                    None => {
-                        route.slot_of[i] = u32::MAX;
-                        unresolved += 1;
-                    }
-                }
+            route.keys.truncate(common);
+            route.keys.extend_from_slice(&cf.keys[common..]);
+            for (i, key) in cf.keys.iter().enumerate().skip(common) {
+                route.per_shard[self.shard_index(key)].push(i as u32);
             }
         }
-        route.unresolved = unresolved;
+        // The stamp sweep: a sample stamped apart from its frame takes its
+        // own shard off the row path for this tick, and no other.
+        for plan in &mut route.per_shard {
+            plan.synchronized = true;
+        }
+        for (key, _) in cf.keys.iter().zip(&cf.stamps).filter(|(_, &s)| s != cf.ts) {
+            route.per_shard[self.shard_index(key)].synchronized = false;
+        }
+        self.finish_route(route);
     }
 
     /// Ingest the samples of `cf` that land in `shard`, holding that
     /// shard's write lock once for the whole batch.  `route` must have been
     /// prepared for `cf` ([`TimeSeriesStore::prepare_route`]).  Distinct
     /// shards can be ingested concurrently against the same shared route:
-    /// each batch touches only its own shard's slab (frame order kept
-    /// within it), and all shared accounting is atomic.
+    /// each batch touches only its own shard (frame order kept within it),
+    /// and all shared accounting is atomic.
     pub fn ingest_route_shard(&self, shard_id: usize, cf: &ColumnFrame, route: &IngestRoute) {
-        let batch = &route.per_shard[shard_id];
-        if batch.is_empty() {
+        assert_eq!(cf.len(), route.keys.len(), "the route was prepared for another frame");
+        let plan = &route.per_shard[shard_id];
+        let batch = plan.len() as u64;
+        if batch == 0 {
             return;
         }
-        self.samples_ingested.fetch_add(batch.len() as u64, Ordering::Relaxed);
+        self.samples_ingested.fetch_add(batch, Ordering::Relaxed);
         // One occupancy bump for the whole batch — seals subtract their
         // own counts as they happen, so the final tally matches the
         // per-sample accounting of `insert`.
-        self.hot_points.fetch_add(batch.len() as u64, Ordering::Relaxed);
+        self.hot_points.fetch_add(batch, Ordering::Relaxed);
         let mut guard = self.shards[shard_id].write();
-        for &i in batch {
-            let i = i as usize;
-            let key = cf.keys[i];
-            debug_assert_eq!(self.shard_index(&key), shard_id, "sample routed to wrong shard");
-            let hint = route.slot_of[i];
-            // The route is validated against the key column and the layout
-            // generation, so the hint is normally exact; the slot-key check
-            // is a cheap last-line defense (the slot is already in cache).
-            let slot = match guard.slots.get(hint as usize) {
-                Some(s) if s.key == key => hint,
-                _ => self.resolve_slot(&mut guard, key),
-            };
-            let data = &mut guard.slots[slot as usize].data;
-            self.append_point(key, data, cf.stamps[i], cf.values[i]);
-        }
+        self.ingest_batch(&mut guard, cf, plan);
         drop(guard);
-        self.bump_epoch_by(batch.len() as u64);
+        self.bump_epoch_by(batch);
     }
 
-    /// Resolve any route positions left unresolved by a lookup-only build
-    /// (their series were created during ingest).  Call once after a
-    /// routed ingest so the next tick's hot path is hint-complete.
+    /// Bring `route` up to date with what an ingest through it changed —
+    /// series it created, cohorts it formed or evicted from — so the next
+    /// tick is back on the fast path.  Lookup-only, and nearly free when
+    /// nothing changed: one generation check per touched shard.
     pub fn finish_route(&self, route: &mut IngestRoute) {
-        if route.unresolved > 0 {
-            self.refresh_route_slots(route);
+        let IngestRoute { keys, per_shard, .. } = route;
+        for (shard, plan) in self.shards.iter().zip(per_shard) {
+            if plan.len() > 0 {
+                plan.refresh(&shard.read(), keys);
+            }
         }
     }
 
     /// Frame ingest through a cached route: contents, occupancy, op
     /// counts, and epoch identical to [`TimeSeriesStore::insert`] of each
-    /// sample in frame order, but with one slab index + push per sample,
-    /// one lock per touched shard, and no per-tick partition rebuild.
+    /// sample in frame order, but a synchronized frame lands as one row per
+    /// cohort, with one lock per touched shard and no per-tick rebuild.
     pub fn ingest_columns(&self, cf: &ColumnFrame, route: &mut IngestRoute) {
         self.prepare_route(cf, route);
         for shard_id in 0..self.shards.len() {
@@ -613,13 +595,11 @@ impl TimeSeriesStore {
     /// All points of one series in `[from, to]`, time-ordered.
     pub fn query(&self, key: SeriesKey, from: Ts, to: Ts) -> Vec<(Ts, f64)> {
         let shard = self.shard_of(&key).read();
-        let Some(data) = shard.index.get(&key).map(|&slot| &shard.slots[slot as usize].data) else {
+        let Some(slot) = shard.index.get(&key).map(|&slot| &shard.slots[slot as usize]) else {
             return Vec::new();
         };
-        let overlapping = || data.warm.iter().filter(|b| b.overlaps(from, to));
-        // The hot buffer is kept in time order.
-        let lo = data.hot.partition_point(|&(t, _)| t < from);
-        let hot = &data.hot[lo..data.hot.partition_point(|&(t, _)| t <= to).max(lo)];
+        let overlapping = || slot.data.warm.iter().filter(|b| b.overlaps(from, to));
+        let hot = shard.cohorts.hot(slot).within(from, to);
         // Sized up front (a block holds at most one point per timestamp
         // byte, whatever its header claims), so the result is the query's
         // only allocation.
@@ -632,7 +612,7 @@ impl TimeSeriesStore {
                 self.corrupt_blocks.fetch_add(1, Ordering::Relaxed);
             }
         }
-        out.extend_from_slice(hot);
+        out.extend(hot.points());
         // Blocks seal in time order, so this is normally already sorted —
         // and the stable sort would allocate a merge buffer to find out.
         if !out.is_sorted_by_key(|&(t, _)| t) {
@@ -689,7 +669,9 @@ impl TimeSeriesStore {
     pub fn seal_all(&self) {
         for shard in &self.shards {
             let mut shard = shard.write();
-            for slot in shard.slots.iter_mut() {
+            let Shard { slots, cohorts, .. } = &mut *shard;
+            cohorts.seal_all(slots, self);
+            for slot in slots.iter_mut() {
                 if !slot.data.hot.is_empty() {
                     let block = SeriesBlock::compress(slot.key, &slot.data.hot);
                     self.account_seal(&block);
@@ -761,10 +743,11 @@ impl TimeSeriesStore {
         let mut dropped = 0;
         for shard in &self.shards {
             let mut shard = shard.write();
-            let before = shard.slots.len();
-            shard.slots.retain(|slot| {
+            let Shard { slots, index, cohorts } = &mut *shard;
+            let before = slots.len();
+            slots.retain(|slot| {
                 let data = &slot.data;
-                let dead = data.hot.is_empty()
+                let dead = cohorts.hot(slot).is_empty()
                     && !data.warm.is_empty()
                     && data.warm.iter().all(|b| b.end < cutoff);
                 if dead {
@@ -776,18 +759,20 @@ impl TimeSeriesStore {
                 }
                 !dead
             });
-            // Retention compacts the slab, so every slot number may shift:
-            // rebuild the index and (below) invalidate cached routes.
-            if shard.slots.len() != before {
-                let Shard { slots, index } = &mut *shard;
+            // A drop compacts the slab, so every slot number may shift:
+            // rebuild the index, re-point the cohorts' columns and
+            // invalidate cached routes.  A pass that drops nothing leaves
+            // all three alone.
+            if slots.len() != before {
                 index.clear();
                 for (i, slot) in slots.iter().enumerate() {
                     index.insert(slot.key, i as u32);
                 }
+                cohorts.remap(slots);
+                self.bump_layout();
             }
         }
         self.series_count.fetch_sub(dropped as u64, Ordering::Relaxed);
-        self.bump_layout();
         self.bump_epoch();
         dropped
     }
@@ -799,7 +784,7 @@ impl TimeSeriesStore {
             let shard = shard.read();
             s.series += shard.slots.len();
             for slot in &shard.slots {
-                s.hot_points += slot.data.hot.len();
+                s.hot_points += shard.cohorts.hot(slot).len();
                 for b in &slot.data.warm {
                     s.warm_points += b.count as usize;
                     s.warm_bytes += b.compressed_bytes();
@@ -891,6 +876,7 @@ impl Default for TimeSeriesStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cohort::MIN_WIDTH;
     use hpcmon_metrics::MINUTE_MS;
 
     fn key(m: u32, n: u32) -> SeriesKey {
@@ -1257,6 +1243,8 @@ mod tests {
         let evicted = store.evict_warm_before(Ts(u64::MAX));
         store.reload_blocks(evicted);
         assert_eq!(store.layout_gen(), g0, "appends/seal/evict/reload keep slots in place");
+        assert_eq!(store.drop_series_before(Ts(0)), 0);
+        assert_eq!(store.layout_gen(), g0, "a pass that drops nothing moves nothing");
         store.drop_series_before(Ts(u64::MAX));
         assert!(store.layout_gen() > g0, "retention compaction moves slots");
         let g1 = store.layout_gen();
@@ -1324,35 +1312,91 @@ mod tests {
         assert!(!store.shard_write_faulted(99));
     }
 
+    /// Refill `cf` for `tick` with one sample per spec.
+    fn refill(cf: &mut ColumnFrame, tick: u64, specs: &[(u32, u32, f64)]) {
+        cf.clear_for_tick(Ts(tick * 1_000));
+        for &(m, n, v) in specs {
+            cf.push(MetricId(m), CompId::node(n), v + tick as f64);
+        }
+    }
+
     #[test]
     fn routed_ingest_is_allocation_free_in_steady_state() {
-        // The routed path must hit the allocator zero times once warmed
-        // up: no per-tick partition rebuild.
-        let store = TimeSeriesStore::with_options(4, 1_024);
+        // Once every cohort has been through one seal its matrix is at full
+        // height and is reused: from the second seal cycle on a routed tick
+        // that does not seal hits the allocator zero times — in particular
+        // not at rows 4, 8, ..., 256, where every per-series buffer used to
+        // double on the same tick.
+        const THRESHOLD: u64 = 512;
+        let store = TimeSeriesStore::with_options(4, THRESHOLD as usize);
         let mut route = IngestRoute::new();
-        let specs: Vec<(u32, u32, f64)> =
-            (0..200u64).map(|i| ((i % 5) as u32, (i % 11) as u32, i as f64)).collect();
+        let specs: Vec<(u32, u32, f64)> = (0..200u32).map(|i| (i % 5, i / 5, i as f64)).collect();
         let mut cf = column_frame(0, &specs);
-        for tick in 1..4u64 {
-            cf.clear_for_tick(Ts(tick * 1_000));
-            for &(m, n, v) in &specs {
-                cf.push(MetricId(m), CompId::node(n), v);
-            }
+        for tick in 1..=THRESHOLD {
+            refill(&mut cf, tick, &specs);
             store.ingest_columns(&cf, &mut route);
         }
-        // Seal to empty the hot buffers while keeping their capacity, so
-        // measured ticks cannot hit a hot-vec growth reallocation.
-        store.seal_all();
-        for tick in 4..7u64 {
-            cf.clear_for_tick(Ts(tick * 1_000));
-            for &(m, n, v) in &specs {
-                cf.push(MetricId(m), CompId::node(n), v);
-            }
+        let layout = store.hot_layout();
+        assert_eq!((layout.members, layout.cohort_seals), (200, 4), "{layout:?}");
+        for tick in THRESHOLD + 1..2 * THRESHOLD {
+            refill(&mut cf, tick, &specs);
             let before = hpcmon_metrics::alloc_count::thread_allocations();
             store.ingest_columns(&cf, &mut route);
             let after = hpcmon_metrics::alloc_count::thread_allocations();
-            assert_eq!(after - before, 0, "steady-state routed ingest must not allocate");
+            assert_eq!(after - before, 0, "tick {tick}: steady-state routed ingest allocated");
         }
+        assert_eq!(store.hot_layout(), layout, "nothing formed, left or sealed meanwhile");
+    }
+
+    #[test]
+    fn frame_handoff_and_ingest_make_at_most_one_allocation_a_tick() {
+        // The whole hot path from outside: take the arena's buffer, fill it,
+        // publish by epoch swap, ingest.  In steady state the only
+        // allocation left is the `Arc` control block `publish` makes.
+        use hpcmon_metrics::FrameArena;
+        let store = TimeSeriesStore::with_options(16, 1 << 20);
+        let (mut arena, mut route) = (FrameArena::new(), IngestRoute::new());
+        let mut tick = |t: u64| {
+            let mut cf = arena.take_current(Ts(t * MINUTE_MS));
+            for node in 0..512u32 {
+                for m in 0..4u32 {
+                    cf.push(MetricId(m), CompId::node(node), (t * 31 + node as u64) as f64 * 0.25);
+                }
+            }
+            let shared = arena.publish(cf);
+            store.ingest_columns(&shared, &mut route);
+        };
+        // Past the first two chunks of rows, so neither the stamps nor the
+        // matrix grows inside the measured ticks.
+        (0..130).for_each(&mut tick);
+        for t in 130..135 {
+            let before = hpcmon_metrics::alloc_count::thread_allocations();
+            tick(t);
+            let made = hpcmon_metrics::alloc_count::thread_allocations() - before;
+            assert!(made <= 1, "tick {t} made {made} allocations");
+        }
+    }
+
+    #[test]
+    fn a_retention_pass_that_drops_nothing_leaves_routes_alone() {
+        let store = TimeSeriesStore::with_options(2, 8);
+        let mut route = IngestRoute::new();
+        let specs: Vec<(u32, u32, f64)> = (0..40u32).map(|i| (i % 2, i / 2, i as f64)).collect();
+        let mut cf = column_frame(0, &specs);
+        // Two seal cycles in, three rows into the third.
+        for tick in 1..=19 {
+            refill(&mut cf, tick, &specs);
+            store.ingest_columns(&cf, &mut route);
+        }
+        let (gen, epoch) = (store.layout_gen(), store.epoch());
+        assert_eq!(store.drop_series_before(Ts(1)), 0, "every series still has hot points");
+        assert_eq!(store.layout_gen(), gen, "no slab compacted: no route goes stale");
+        assert_eq!(store.epoch(), epoch + 1, "the pass itself still counts as a mutation");
+        refill(&mut cf, 20, &specs);
+        let before = hpcmon_metrics::alloc_count::thread_allocations();
+        store.ingest_columns(&cf, &mut route);
+        let made = hpcmon_metrics::alloc_count::thread_allocations() - before;
+        assert_eq!(made, 0, "the warmed route stayed on its zero-allocation path");
     }
 
     proptest::proptest! {
@@ -1409,6 +1453,10 @@ mod tests {
             }
             store.ingest_columns(&cf, &mut route);
         }
+        // The frames rode cohorts: nothing below may show it.
+        let layout = store.hot_layout();
+        assert!(layout.members >= 2 * MIN_WIDTH && layout.cohort_seals >= 4, "{layout:?}");
+        assert_eq!(layout.evictions, 0);
         let (digest, stats) = (store.state_digest(), store.stats());
         let mut warm = store.evict_warm_before(Ts(u64::MAX));
         warm.sort_by_key(|b| (b.key, b.start));

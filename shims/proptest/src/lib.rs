@@ -144,6 +144,7 @@ impl_tuple_strategy! {
     (A: 0, B: 1),
     (A: 0, B: 1, C: 2),
     (A: 0, B: 1, C: 2, D: 3),
+    (A: 0, B: 1, C: 2, D: 3, E: 4),
 }
 
 /// Types with a whole-domain default strategy (`any::<T>()`).

@@ -2,31 +2,41 @@
 //!
 //! Renders the shim serde crate's [`Value`] model to JSON text and parses it
 //! back.  Only the free functions this workspace calls are provided:
-//! [`to_string`], [`to_string_pretty`], [`to_vec`], [`from_str`],
-//! [`from_slice`].
+//! [`to_string`], [`to_string_pretty`], [`to_vec`], [`to_writer`],
+//! [`from_str`], [`from_slice`].
 
 pub use serde::Error;
 use serde::{Deserialize, Serialize, Value};
 
 /// Serialize a value to compact JSON text.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let v = value.to_value()?;
-    let mut out = String::new();
-    write_value(&v, &mut out, None, 0);
-    Ok(out)
+    to_vec(value).map(text)
 }
 
 /// Serialize a value to human-readable, indented JSON text.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let v = value.to_value()?;
-    let mut out = String::new();
-    write_value(&v, &mut out, Some(2), 0);
-    Ok(out)
+    let mut out = Vec::new();
+    write_value(&value.to_value()?, &mut out, Some(2), 0);
+    Ok(text(out))
 }
 
 /// Serialize a value to compact JSON bytes.
 pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, Error> {
-    to_string(value).map(String::into_bytes)
+    let mut out = Vec::new();
+    to_writer(&mut out, value)?;
+    Ok(out)
+}
+
+/// Append a value's compact JSON bytes to `out`.  The real crate takes any
+/// `io::Write`; a `&mut Vec<u8>` is the only one this workspace hands it (a
+/// checkpoint serialized straight into its file's buffer).
+pub fn to_writer<T: Serialize + ?Sized>(out: &mut Vec<u8>, value: &T) -> Result<(), Error> {
+    write_value(&value.to_value()?, out, None, 0);
+    Ok(())
+}
+
+fn text(json: Vec<u8>) -> String {
+    String::from_utf8(json).expect("the writer copies whole `str`s and adds ASCII")
 }
 
 /// Deserialize a value from JSON text.
@@ -51,32 +61,32 @@ pub fn from_slice<'a, T: Deserialize<'a>>(bytes: &'a [u8]) -> Result<T, Error> {
 // Writer
 // ---------------------------------------------------------------------------
 
-fn write_value(v: &Value, out: &mut String, indent: Option<usize>, depth: usize) {
+fn write_value(v: &Value, out: &mut Vec<u8>, indent: Option<usize>, depth: usize) {
     match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(n) => out.push_str(&n.to_string()),
-        Value::UInt(n) => out.push_str(&n.to_string()),
+        Value::Null => out.extend_from_slice(b"null"),
+        Value::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
+        Value::Int(n) => out.extend_from_slice(n.to_string().as_bytes()),
+        Value::UInt(n) => out.extend_from_slice(n.to_string().as_bytes()),
         Value::Float(f) => {
             if f.is_finite() {
                 let s = f.to_string();
-                out.push_str(&s);
+                out.extend_from_slice(s.as_bytes());
                 // `Display` prints `2` for 2.0; JSON readers (and serde_json)
                 // keep the number a float by always including a fraction/exp.
                 if !s.contains('.') && !s.contains('e') && !s.contains('E') {
-                    out.push_str(".0");
+                    out.extend_from_slice(b".0");
                 }
             } else {
                 // serde_json renders non-finite floats as null.
-                out.push_str("null");
+                out.extend_from_slice(b"null");
             }
         }
         Value::Str(s) => write_str(s, out),
         Value::Seq(items) => {
-            out.push('[');
+            out.push(b'[');
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    out.push(b',');
                 }
                 newline_indent(out, indent, depth + 1);
                 write_value(item, out, indent, depth + 1);
@@ -84,41 +94,39 @@ fn write_value(v: &Value, out: &mut String, indent: Option<usize>, depth: usize)
             if !items.is_empty() {
                 newline_indent(out, indent, depth);
             }
-            out.push(']');
+            out.push(b']');
         }
         Value::Map(entries) => {
-            out.push('{');
+            out.push(b'{');
             for (i, (k, val)) in entries.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    out.push(b',');
                 }
                 newline_indent(out, indent, depth + 1);
                 write_str(k, out);
-                out.push(':');
+                out.push(b':');
                 if indent.is_some() {
-                    out.push(' ');
+                    out.push(b' ');
                 }
                 write_value(val, out, indent, depth + 1);
             }
             if !entries.is_empty() {
                 newline_indent(out, indent, depth);
             }
-            out.push('}');
+            out.push(b'}');
         }
     }
 }
 
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
+fn newline_indent(out: &mut Vec<u8>, indent: Option<usize>, depth: usize) {
     if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..depth * width {
-            out.push(' ');
-        }
+        out.push(b'\n');
+        out.resize(out.len() + depth * width, b' ');
     }
 }
 
-fn write_str(s: &str, out: &mut String) {
-    out.push('"');
+fn write_str(s: &str, out: &mut Vec<u8>) {
+    out.push(b'"');
     // Copy each run that needs no escape in one piece (the mirror of
     // `parse_string`).  Every byte that needs one is ASCII, so a run ends
     // on a char boundary.
@@ -126,19 +134,19 @@ fn write_str(s: &str, out: &mut String) {
     let mut run = 0;
     while let Some(len) = bytes[run..].iter().position(|&b| b == b'"' || b == b'\\' || b < 0x20) {
         let at = run + len;
-        out.push_str(&s[run..at]);
+        out.extend_from_slice(&bytes[run..at]);
         match bytes[at] {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
-            b => out.push_str(&format!("\\u{b:04x}")),
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            b => out.extend_from_slice(format!("\\u{b:04x}").as_bytes()),
         }
         run = at + 1;
     }
-    out.push_str(&s[run..]);
-    out.push('"');
+    out.extend_from_slice(&bytes[run..]);
+    out.push(b'"');
 }
 
 // ---------------------------------------------------------------------------
@@ -372,6 +380,16 @@ mod tests {
         assert_eq!(written("\n\r\t"), r#""\n\r\t""#);
         assert_eq!(written("a\u{1}b\u{1f}"), r#""a\u0001b\u001f""#);
         assert_eq!(written("\u{7f} "), "\"\u{7f} \"", "DEL and space are not escaped");
+    }
+
+    #[test]
+    fn to_writer_appends_what_to_vec_returns() {
+        let value = vec![("a\"b".to_owned(), 1.0), ("é".to_owned(), -2.5)];
+        let mut out = vec![0xFF, 0x00];
+        to_writer(&mut out, &value).unwrap();
+        assert_eq!(out[..2], [0xFF, 0x00]);
+        assert_eq!(out[2..], to_vec(&value).unwrap());
+        assert_eq!(to_string(&value).unwrap().as_bytes(), &out[2..]);
     }
 
     #[test]
