@@ -84,8 +84,9 @@ fn print_capability() {
     assert_eq!(digest(&plain), digest(&supervised), "store contents must be bit-identical");
     println!("  neutrality: supervision on == off, bit-for-bit (reports, signals, store)");
 
-    // Best-of-N throughput, same rationale as abl_parallel: best-of
-    // converges on the undisturbed cost of each configuration.
+    // Best-of-N throughput: a single timing is at the mercy of whatever
+    // else the machine is doing; best-of converges on the undisturbed
+    // cost of each configuration.
     const TICKS: u64 = 6;
     const ROUNDS: usize = 3;
     let mut t_plain = f64::MIN;

@@ -1,22 +1,11 @@
-//! Ablation: the crash-tolerant durability plane (DESIGN.md §15).
+//! Ablation: the durability plane's two kernels (DESIGN.md §15) — the
+//! ones no `benchmark/` workload isolates.  What the plane costs a tick,
+//! and what a recovery costs, are `durable_1k`'s cells (`tick_ms_p10`,
+//! `durability.append_sync_ms_p50`, `core.recover_s`); that it never feeds
+//! back into monitored state is asserted in `tests/durability.rs`.
 //!
-//! The WAL earns its keep only if the hot path barely notices it.  Three
-//! claims, printed as the artifact (`BENCH_abl_wal.json`):
-//!
-//! 1. Cost: the tick-overhead budget is 5%.  The measured ratio against a
-//!    4,096-node tick is printed, not asserted: `SimDisk` charges every
-//!    journaled byte to the tick as CPU (memcpy + CRC) where real
-//!    hardware overlaps DMA with compute, and CI containers time too
-//!    noisily for a hard gate.  The committed number is the artifact —
-//!    regressions in the journaling hot path show up as the ratio
-//!    drifting, not as a red build.
-//! 2. Neutrality: the plane never feeds back into monitored state — the
-//!    state-hash chain with durability ON equals the chain with it OFF.
-//!    This one IS asserted: a journal that perturbs what it journals is a
-//!    bug regardless of what the clock says.
-//! 3. Recovery scales with the *unreplayed* tail: raw append throughput
-//!    and recovery time at two log lengths are printed so regressions in
-//!    either direction are visible in the committed artifact.
+//! `wal_append_1kib_record` is the plane alone: 256 one-KiB records
+//! framed, CRC'd and appended under group commit, no pipeline around them.
 //!
 //! `checkpoint_1k` times the checkpoint itself at 1,024 nodes — the
 //! snapshot encoded to bytes, and the bytes decoded and loaded into a twin
@@ -28,130 +17,9 @@ use hpcmon::{CoreSnapshot, MonitoringSystem, SimConfig};
 use hpcmon_durability::{DurabilityConfig, DurabilityPlane, SimDisk, SyncPolicy};
 use hpcmon_sim::TopologySpec;
 use std::sync::Arc;
-use std::time::Instant;
 
-/// 4,096-node torus — the overhead claim is against a production-scale
-/// tick; at `SimConfig::small` the tick is so cheap that journaling tens
-/// of KiB could never look like 5%.
-fn big_config() -> SimConfig {
-    SimConfig {
-        topology: TopologySpec::Torus3D { dims: [16, 16, 8], nodes_per_router: 2 },
-        ..SimConfig::small()
-    }
-}
-
-fn cfg(sync: SyncPolicy) -> DurabilityConfig {
-    DurabilityConfig { sync, checkpoint_every: 32, scrub_every: 16 }
-}
-
-fn build(config: SimConfig, durability: Option<SyncPolicy>) -> MonitoringSystem {
-    let mut b = MonitoringSystem::builder(config).self_telemetry(false);
-    if let Some(sync) = durability {
-        b = b.durability(Arc::new(SimDisk::new()), cfg(sync));
-    }
-    b.build()
-}
-
-fn ticks_per_sec(durability: Option<SyncPolicy>, ticks: u64) -> f64 {
-    let mut mon = build(big_config(), durability);
-    mon.run_ticks(2); // warm-up: registries populated, stores primed
-    let start = Instant::now();
-    mon.run_ticks(ticks);
-    ticks as f64 / start.elapsed().as_secs_f64()
-}
-
-fn print_capability() {
-    println!("\n=== Ablation: durability plane (WAL + checkpoints) ===");
-
-    // Neutrality first: the hash chain must not know the plane exists.
-    let mut plain = build(SimConfig::small(), None);
-    let mut durable = build(SimConfig::small(), Some(SyncPolicy::EveryTick));
-    plain.set_state_hashing(true);
-    durable.set_state_hashing(true);
-    for _ in 0..8 {
-        plain.tick();
-        durable.tick();
-        assert_eq!(
-            plain.last_state_hash(),
-            durable.last_state_hash(),
-            "durability plane must be hash-neutral"
-        );
-    }
-    let counts = durable.durability_counts().unwrap();
-    assert_eq!(counts.records_appended, 8, "every tick journaled");
-    println!("  neutrality: durability on == off, identical state-hash chain (8 ticks)");
-    println!(
-        "  record size: {:.1} KiB/tick ({} samples + inputs + hash)",
-        counts.bytes_appended as f64 / 8.0 / 1024.0,
-        durable.store().stats().series,
-    );
-
-    // Best-of-N throughput at production scale (4,096 nodes); best-of
-    // converges on the undisturbed cost.
-    const TICKS: u64 = 8;
-    const ROUNDS: usize = 3;
-    let mut t_plain = f64::MIN;
-    let mut t_fsync = f64::MIN;
-    let mut t_group = f64::MIN;
-    for _ in 0..ROUNDS {
-        t_plain = t_plain.max(ticks_per_sec(None, TICKS));
-        t_fsync = t_fsync.max(ticks_per_sec(Some(SyncPolicy::EveryTick), TICKS));
-        t_group = t_group.max(ticks_per_sec(Some(SyncPolicy::GroupCommit(8)), TICKS));
-    }
-    println!("  tick overhead at 4,096 nodes:");
-    println!("  plain pipeline:      {t_plain:8.2} ticks/s");
-    println!(
-        "  fsync-per-tick:      {t_fsync:8.2} ticks/s ({:+.2}% vs plain, target <= 5%)",
-        (t_plain / t_fsync - 1.0) * 100.0
-    );
-    println!(
-        "  group-commit(8):     {t_group:8.2} ticks/s ({:+.2}% vs plain)",
-        (t_plain / t_group - 1.0) * 100.0
-    );
-
-    // Raw WAL append throughput, plane-level: no pipeline, just records.
-    let payload = vec![0xA5u8; 1024];
-    let disk = Arc::new(SimDisk::new());
-    let mut plane = DurabilityPlane::new(disk, cfg(SyncPolicy::GroupCommit(64)));
-    const RECORDS: u64 = 20_000;
-    let start = Instant::now();
-    for tick in 0..RECORDS {
-        plane.append_tick(tick, &payload);
-        plane.end_tick(tick);
-    }
-    let secs = start.elapsed().as_secs_f64();
-    let mb = plane.counts().bytes_appended as f64 / (1024.0 * 1024.0);
-    println!(
-        "  raw append: {RECORDS} x 1 KiB records in {:.1} ms ({:.0} rec/s, {:.1} MiB/s)",
-        secs * 1e3,
-        RECORDS as f64 / secs,
-        mb / secs
-    );
-
-    // Recovery time vs log length: with checkpoints disabled the whole
-    // log replays, so this is the worst case for each length.
-    for ticks in [50u64, 200] {
-        let no_ckpt =
-            DurabilityConfig { sync: SyncPolicy::EveryTick, checkpoint_every: 0, scrub_every: 0 };
-        let disk = Arc::new(SimDisk::new());
-        let mut mon = MonitoringSystem::builder(SimConfig::small())
-            .self_telemetry(false)
-            .durability(disk.clone(), no_ckpt)
-            .build();
-        mon.run_ticks(ticks);
-        drop(mon);
-        disk.crash();
-        let mut recovered =
-            MonitoringSystem::builder(SimConfig::small()).self_telemetry(false).build();
-        let start = Instant::now();
-        let outcome = recovered.recover_from_medium(disk, no_ckpt);
-        let ms = start.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(outcome.resumed_tick, ticks, "full replay, zero loss");
-        println!(
-            "  recovery, {ticks:3}-tick log, no checkpoint: {ms:7.1} ms ({:.2} ms/tick replayed)",
-            ms / ticks as f64
-        );
-    }
+fn build(config: SimConfig) -> MonitoringSystem {
+    MonitoringSystem::builder(config).self_telemetry(false).build()
 }
 
 /// What one checkpoint of a 1,024-node system costs, each way.
@@ -160,8 +28,8 @@ fn bench_checkpoint(c: &mut Criterion) {
         topology: TopologySpec::Torus3D { dims: [8, 8, 8], nodes_per_router: 2 },
         ..SimConfig::small()
     };
-    let mut mon = build(config(), None);
-    let mut twin = build(config(), None);
+    let mut mon = build(config());
+    let mut twin = build(config());
     println!("\n=== Checkpoint: 1,024 nodes ===");
     let mut group = c.benchmark_group("checkpoint_1k");
     for (ticks, run) in [(256u64, 256u64), (576, 320)] {
@@ -192,33 +60,19 @@ fn bench_checkpoint(c: &mut Criterion) {
 }
 
 fn bench(c: &mut Criterion) {
-    print_capability();
     bench_checkpoint(c);
     let mut group = c.benchmark_group("abl_wal");
     group.sample_size(10);
-    for (label, durability) in [
-        ("durability_off", None),
-        ("fsync_every_tick", Some(SyncPolicy::EveryTick)),
-        ("group_commit_8", Some(SyncPolicy::GroupCommit(8))),
-    ] {
-        group.bench_function(format!("tick_4096node_{label}"), |b| {
-            b.iter_with_setup(
-                || {
-                    let mut mon = build(big_config(), durability);
-                    mon.run_ticks(1);
-                    mon
-                },
-                |mut mon| mon.run_ticks(3),
-            )
-        });
-    }
     group.bench_function("wal_append_1kib_record", |b| {
         b.iter_with_setup(
             || {
                 (
                     DurabilityPlane::new(
                         Arc::new(SimDisk::new()),
-                        cfg(SyncPolicy::GroupCommit(64)),
+                        DurabilityConfig {
+                            sync: SyncPolicy::GroupCommit(64),
+                            ..DurabilityConfig::default()
+                        },
                     ),
                     vec![0xA5u8; 1024],
                 )

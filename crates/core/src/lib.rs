@@ -47,6 +47,6 @@ pub use hpcmon_viz as viz;
 pub use config::MonitorConfig;
 pub use hpcmon_sim::SimConfig;
 pub use system::{
-    CoreSnapshot, DurableSample, DurableTickRecord, GatewayOp, MonitorBuilder, MonitoringSystem,
-    RecoveryOutcome, RunSummary, TickInputs, TickStateHash,
+    CoreSnapshot, DurableSample, DurableTickRecord, GatewayOp, MonitorBuilder, MonitorOptions,
+    MonitoringSystem, RecoveryOutcome, RunSummary, TickInputs, TickStateHash,
 };

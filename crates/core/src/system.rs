@@ -43,7 +43,7 @@ use hpcmon_transport::{
     topics, BackpressurePolicy, Broker, Envelope, Payload, Subscription, TopicFilter, TopicStats,
 };
 use hpcmon_viz::{ClassStatus, StatusBoard};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -53,61 +53,104 @@ pub mod state;
 pub use durability::{DurableSample, DurableTickRecord, RecoveryOutcome};
 pub use state::{CoreSnapshot, GatewayOp, TickInputs, TickStateHash};
 
+/// The builder's plain-data options: everything about a run that is
+/// configuration rather than code (collectors, detectors and rule sets stay
+/// on [`MonitorBuilder`]).  One serde struct, so a description of a run —
+/// the flight recorder's log header — is these fields and not a copy of
+/// them; [`MonitorBuilder`]'s chained setters write into it.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct MonitorOptions {
+    /// The simulated machine.
+    pub sim: SimConfig,
+    /// Chaos seed and plan ([`MonitorBuilder::chaos`]); implies
+    /// `supervision`.
+    pub chaos: Option<(u64, ChaosPlan)>,
+    /// Worker-pool size, 0 = serial ([`MonitorBuilder::workers`]).
+    pub workers: usize,
+    /// Supervised self-healing collection ([`MonitorBuilder::supervision`]).
+    pub supervision: bool,
+    /// Whether the monitor observes itself
+    /// ([`MonitorBuilder::self_telemetry`]).
+    pub self_telemetry: bool,
+    /// Trace head-sampling policy ([`MonitorBuilder::tracing`]).
+    pub tracing: Sampler,
+    /// Query gateway, if served ([`MonitorBuilder::gateway`]).
+    pub gateway: Option<GatewayConfig>,
+    /// Benchmark-suite cadence in ticks, `None` = off
+    /// ([`MonitorBuilder::bench_suite_every`]).
+    pub bench_every_ticks: Option<u64>,
+    /// Whether the active probes run ([`MonitorBuilder::with_probes`]).
+    pub probes: bool,
+    /// Ticks of log-novelty training
+    /// ([`MonitorBuilder::novelty_training_ticks`]).
+    pub novelty_training_ticks: u64,
+    /// Machine-level power cap ([`MonitorBuilder::power_cap_w`]).
+    pub power_cap_w: Option<f64>,
+    /// Retention policy and its cadence in ticks
+    /// ([`MonitorBuilder::retention`]).
+    pub retention: Option<(RetentionPolicy, u64)>,
+    /// SLO/alerting plane, if on ([`MonitorBuilder::health`]).
+    pub health: Option<HealthConfig>,
+    /// Clock skew in ticks ([`MonitorBuilder::clock_epoch_offset_ticks`]).
+    pub clock_epoch_offset_ticks: u64,
+}
+
+impl MonitorOptions {
+    /// The builder's defaults for machine `sim`.
+    pub fn new(sim: SimConfig) -> MonitorOptions {
+        MonitorOptions {
+            sim,
+            chaos: None,
+            workers: 0,
+            supervision: false,
+            self_telemetry: true,
+            tracing: Sampler::one_in(64),
+            gateway: None,
+            bench_every_ticks: Some(10),
+            probes: true,
+            novelty_training_ticks: 30,
+            power_cap_w: None,
+            retention: None,
+            health: None,
+            clock_epoch_offset_ticks: 0,
+        }
+    }
+}
+
 /// Builder for a [`MonitoringSystem`].
 pub struct MonitorBuilder {
-    config: SimConfig,
+    options: MonitorOptions,
     registry: MetricRegistry,
     metrics: StdMetrics,
-    bench_every_ticks: Option<u64>,
-    probes: bool,
     probe_pairs: u32,
     response_rules: Vec<ResponseRule>,
     correlator_rules: Vec<Rule>,
     detectors: Vec<DetectorAttachment>,
-    novelty_training_ticks: u64,
     imbalance: ImbalanceDetector,
-    retention: Option<(RetentionPolicy, u64)>,
     extra_collectors: Vec<Box<dyn Collector>>,
-    power_cap_w: Option<f64>,
-    self_telemetry: bool,
-    gateway: Option<GatewayConfig>,
-    tracing: Sampler,
-    workers: usize,
-    supervision: bool,
-    chaos: Option<(u64, ChaosPlan)>,
-    clock_epoch_offset_ticks: u64,
-    health: Option<HealthConfig>,
     durability: Option<(Arc<dyn StorageMedium>, DurabilityConfig)>,
 }
 
 impl MonitorBuilder {
     /// Start from a machine configuration.
     pub fn new(config: SimConfig) -> MonitorBuilder {
+        MonitorBuilder::from_options(MonitorOptions::new(config))
+    }
+
+    /// Start from a whole set of options — how a recorded run is rebuilt.
+    pub fn from_options(options: MonitorOptions) -> MonitorBuilder {
         let registry = MetricRegistry::new();
         let metrics = StdMetrics::register(&registry);
         MonitorBuilder {
-            config,
+            options,
             registry,
             metrics,
-            bench_every_ticks: Some(10),
-            probes: true,
             probe_pairs: 16,
             response_rules: ResponseEngine::production_rules(),
             correlator_rules: Correlator::production_rules(),
             detectors: Vec::new(),
-            novelty_training_ticks: 30,
             imbalance: ImbalanceDetector::new(),
-            retention: None,
             extra_collectors: Vec::new(),
-            power_cap_w: None,
-            self_telemetry: true,
-            gateway: None,
-            tracing: Sampler::one_in(64),
-            workers: 0,
-            supervision: false,
-            chaos: None,
-            clock_epoch_offset_ticks: 0,
-            health: None,
             durability: None,
         }
     }
@@ -139,7 +182,7 @@ impl MonitorBuilder {
     /// `health/alerts` and surface as `hpcmon.self.health.*` series
     /// through the self feed.  Off, the whole plane costs one branch.
     pub fn health(mut self, cfg: HealthConfig) -> MonitorBuilder {
-        self.health = Some(cfg);
+        self.options.health = Some(cfg);
         self
     }
 
@@ -148,7 +191,7 @@ impl MonitorBuilder {
     /// offset by `ticks · tick_ms`.  Models the per-site clock skew a
     /// federation merge layer must align (default 0 — no skew).
     pub fn clock_epoch_offset_ticks(mut self, ticks: u64) -> MonitorBuilder {
-        self.clock_epoch_offset_ticks = ticks;
+        self.options.clock_epoch_offset_ticks = ticks;
         self
     }
 
@@ -162,7 +205,7 @@ impl MonitorBuilder {
     /// supervision off the pipeline is byte-identical to previous
     /// behavior — the `abl_chaos` ablation measures the overhead.
     pub fn supervision(mut self, enabled: bool) -> MonitorBuilder {
-        self.supervision = enabled;
+        self.options.supervision = enabled;
         self
     }
 
@@ -173,8 +216,7 @@ impl MonitorBuilder {
     /// seed and plan reproduce the same faults bit-for-bit at any worker
     /// count.
     pub fn chaos(mut self, seed: u64, plan: ChaosPlan) -> MonitorBuilder {
-        self.chaos = Some((seed, plan));
-        self.supervision = true;
+        self.options.chaos = Some((seed, plan));
         self
     }
 
@@ -186,7 +228,7 @@ impl MonitorBuilder {
     /// shards never share a series — so reports, signals, and stored data
     /// are identical for any worker count.
     pub fn workers(mut self, n: usize) -> MonitorBuilder {
-        self.workers = n;
+        self.options.workers = n;
         self
     }
 
@@ -195,7 +237,7 @@ impl MonitorBuilder {
     /// frames record a span per pipeline stage; drops and sheds record
     /// provenance spans for **every** frame regardless of sampling.
     pub fn tracing(mut self, sampler: Sampler) -> MonitorBuilder {
-        self.tracing = sampler;
+        self.options.tracing = sampler;
         self
     }
 
@@ -204,7 +246,7 @@ impl MonitorBuilder {
     /// under `gateway.*`, so with self-telemetry enabled gateway activity
     /// appears as `hpcmon.self.gateway.*` series.
     pub fn gateway(mut self, config: GatewayConfig) -> MonitorBuilder {
-        self.gateway = Some(config);
+        self.options.gateway = Some(config);
         self
     }
 
@@ -212,7 +254,7 @@ impl MonitorBuilder {
     /// the pipeline's instruments become inert no-ops and no `SelfCollector`
     /// is installed — the baseline configuration for overhead benchmarks.
     pub fn self_telemetry(mut self, enabled: bool) -> MonitorBuilder {
-        self.self_telemetry = enabled;
+        self.options.self_telemetry = enabled;
         self
     }
 
@@ -222,7 +264,7 @@ impl MonitorBuilder {
     /// paper, closed-loop over the monitoring data itself.
     pub fn power_cap_w(mut self, cap_w: f64) -> MonitorBuilder {
         assert!(cap_w > 0.0);
-        self.power_cap_w = Some(cap_w);
+        self.options.power_cap_w = Some(cap_w);
         self
     }
 
@@ -250,19 +292,19 @@ impl MonitorBuilder {
     /// Enforce a retention policy every `every_ticks` ticks.
     pub fn retention(mut self, policy: RetentionPolicy, every_ticks: u64) -> MonitorBuilder {
         assert!(every_ticks > 0);
-        self.retention = Some((policy, every_ticks));
+        self.options.retention = Some((policy, every_ticks));
         self
     }
 
     /// Run the benchmark suite every `n` ticks (`None` disables).
     pub fn bench_suite_every(mut self, n: Option<u64>) -> MonitorBuilder {
-        self.bench_every_ticks = n;
+        self.options.bench_every_ticks = n;
         self
     }
 
     /// Enable or disable the active probes.
     pub fn with_probes(mut self, enabled: bool) -> MonitorBuilder {
-        self.probes = enabled;
+        self.options.probes = enabled;
         self
     }
 
@@ -292,36 +334,37 @@ impl MonitorBuilder {
 
     /// Ticks of log-novelty training before flagging begins.
     pub fn novelty_training_ticks(mut self, ticks: u64) -> MonitorBuilder {
-        self.novelty_training_ticks = ticks;
+        self.options.novelty_training_ticks = ticks;
         self
     }
 
     /// Assemble the system.
     pub fn build(self) -> MonitoringSystem {
-        let mut engine = SimEngine::new(self.config.clone());
-        if self.clock_epoch_offset_ticks > 0 {
-            engine.set_epoch(Ts(self.clock_epoch_offset_ticks * self.config.tick_ms));
+        let o = self.options;
+        let mut engine = SimEngine::new(o.sim.clone());
+        if o.clock_epoch_offset_ticks > 0 {
+            engine.set_epoch(Ts(o.clock_epoch_offset_ticks * o.sim.tick_ms));
         }
         let registry = self.registry;
         let metrics = self.metrics;
         let broker = Broker::new();
         let store = Arc::new(TimeSeriesStore::new());
         let telemetry =
-            Arc::new(if self.self_telemetry { Telemetry::new() } else { Telemetry::disabled() });
+            Arc::new(if o.self_telemetry { Telemetry::new() } else { Telemetry::disabled() });
         // The store consumes frames losslessly off the broker.
         let store_sub =
             broker.subscribe(TopicFilter::new("metrics/#"), 4_096, BackpressurePolicy::Block);
         let mut collectors: Vec<Box<dyn Collector>> = standard_collectors(metrics);
         collectors.extend(self.extra_collectors);
-        if self.probes {
-            collectors.push(Box::new(FsProbe::new(metrics, self.config.seed ^ 0xF5)));
+        if o.probes {
+            collectors.push(Box::new(FsProbe::new(metrics, o.sim.seed ^ 0xF5)));
             collectors.push(Box::new(NetworkProbe::spread(
                 metrics,
                 engine.num_nodes(),
                 self.probe_pairs,
             )));
         }
-        if self.self_telemetry {
+        if o.self_telemetry {
             // Last, so it observes the instruments every earlier collector
             // and the previous tick's pipeline stages registered.
             collectors.push(Box::new(SelfCollector::new(
@@ -332,13 +375,13 @@ impl MonitorBuilder {
             )));
         }
         let instruments = PipelineInstruments::new(&telemetry, &collectors, &self.detectors);
-        instruments.parallel_workers.set(self.workers as f64);
-        let pool = (self.workers > 0).then(|| WorkerPool::new(self.workers));
-        let tracer = Arc::new(Tracer::new(self.tracing));
+        instruments.parallel_workers.set(o.workers as f64);
+        let pool = (o.workers > 0).then(|| WorkerPool::new(o.workers));
+        let tracer = Arc::new(Tracer::new(o.tracing));
         if tracer.is_enabled() {
             broker.set_tracer(tracer.clone());
         }
-        let gateway = self
+        let gateway = o
             .gateway
             .map(|cfg| Arc::new(Gateway::new(store.clone(), broker.clone(), &telemetry, cfg)));
         if let (Some(gw), true) = (&gateway, tracer.is_enabled()) {
@@ -347,12 +390,13 @@ impl MonitorBuilder {
         let supervisor = CollectorSupervisor::new(collectors.len());
         let ever_contributed = vec![false; collectors.len()];
         MonitoringSystem {
-            supervision: self.supervision,
+            supervision: o.supervision || o.chaos.is_some(),
             durability: self.durability.map(|(m, cfg)| DurabilityPlane::new(m, cfg)),
+            durability_feed_base: (0, 0),
             pending_inputs: TickInputs::default(),
-            health: self.health.map(HealthEngine::new),
+            health: o.health.map(HealthEngine::new),
             health_broker_baseline: (0, 0),
-            chaos: self.chaos.map(|(seed, plan)| ChaosEngine::new(seed, plan)),
+            chaos: o.chaos.map(|(seed, plan)| ChaosEngine::new(seed, plan)),
             supervisor,
             breaker: IngestBreaker::new(256, 16),
             stall_buffer: Vec::new(),
@@ -365,12 +409,12 @@ impl MonitorBuilder {
             last_state_hash: None,
             replay_hash_gauge: None,
             self_metric_flags: Vec::new(),
-            bench_suite: BenchmarkSuite::new(metrics, self.config.seed ^ 0xBE, 16),
-            bench_every_ticks: self.bench_every_ticks,
+            bench_suite: BenchmarkSuite::new(metrics, o.sim.seed ^ 0xBE, 16),
+            bench_every_ticks: o.bench_every_ticks,
             harvester: LogHarvester::new(Some(broker.clone())),
             correlator: Correlator::new(self.correlator_rules),
             novelty: NoveltyDetector::new(),
-            novelty_training_ticks: self.novelty_training_ticks,
+            novelty_training_ticks: o.novelty_training_ticks,
             response: ResponseEngine::new(self.response_rules),
             imbalance: self.imbalance,
             detectors: self.detectors,
@@ -379,9 +423,9 @@ impl MonitorBuilder {
             archive: Archive::new(),
             signals: Vec::new(),
             store_sub,
-            deadman: Deadman::new(self.config.tick_ms),
-            retention: self.retention,
-            power_cap_w: self.power_cap_w,
+            deadman: Deadman::new(o.sim.tick_ms),
+            retention: o.retention,
+            power_cap_w: o.power_cap_w,
             collectors,
             engine,
             registry,
@@ -699,6 +743,12 @@ pub struct MonitoringSystem {
     // The plane journals hashed state but is never itself hashed, so a
     // durable run's hash chain matches its non-durable twin.
     durability: Option<DurabilityPlane>,
+    // What the `store.durability` feed had reached when this plane was
+    // attached: a recovered plane counts from zero again, the restored
+    // health engine does not, and lifetime totals that fell would read as
+    // no evidence at all until they caught up.  (0, 0) in a run that never
+    // recovered.
+    durability_feed_base: (u64, u64),
     // External inputs received since the last tick, captured (only while
     // a durability plane is attached) so the tick-end WAL record can
     // replay them after a crash.
@@ -1472,7 +1522,8 @@ impl MonitoringSystem {
             let dc = plane.counts();
             let bad =
                 dc.append_failures + dc.checkpoint_failures + dc.corrupt_events + dc.scrub_failures;
-            self.pending_inputs.durability_feed = Some((dc.records_appended, bad));
+            let (good0, bad0) = self.durability_feed_base;
+            self.pending_inputs.durability_feed = Some((good0 + dc.records_appended, bad0 + bad));
         }
         if let Some((good, bad)) = self.pending_inputs.durability_feed {
             feeds.push(("store.durability", total(good, bad)));

@@ -11,14 +11,13 @@
 //!
 //! [`MonitoringSystem::recover_from_medium`] is the other half: after a
 //! crash, a *freshly built* system (same configuration) restores the
-//! newest valid checkpoint, replays the WAL tail through the ordinary
-//! [`MonitoringSystem::apply_tick_inputs`] + [`MonitoringSystem::tick`]
-//! path, and — when state hashing is enabled — verifies each replayed
-//! tick against the hash the crashed run recorded.  Recovery is
-//! fail-closed and never panics on damaged media: torn tails are
-//! truncated at the last valid CRC, mid-log corruption stops the replay
-//! at the first bad record, and everything dropped is counted in the
-//! returned [`RecoveryOutcome`].
+//! newest valid checkpoint and replays the WAL tail through
+//! [`MonitoringSystem::replay_tick`] — the ordinary input/tick path, and,
+//! when state hashing is enabled, a check of each replayed tick against
+//! the hash the crashed run recorded.  Recovery is fail-closed and never
+//! panics on damaged media: torn tails are truncated at the last valid
+//! CRC, mid-log corruption stops the replay at the first bad record, and
+//! everything dropped is counted in the returned [`RecoveryOutcome`].
 
 use super::state::{TickInputs, TickStateHash};
 use super::MonitoringSystem;
@@ -92,26 +91,27 @@ pub fn encode_tick_record(record: &DurableTickRecord, frame: &ColumnFrame) -> Ve
 /// schema skew, not bit rot).
 pub fn decode_tick_record(bytes: &[u8]) -> Option<(DurableTickRecord, Vec<DurableSample>)> {
     let json_len = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?) as usize;
-    let json = bytes.get(4..4 + json_len)?;
-    let record: DurableTickRecord = serde_json::from_slice(json).ok()?;
-    let mut off = 4 + json_len;
-    let n = u64::from_le_bytes(bytes.get(off..off + 8)?.try_into().ok()?) as usize;
-    off += 8;
-    if bytes.len() != off + n * SAMPLE_LEN {
+    let rest = bytes.get(4..)?;
+    let record: DurableTickRecord = serde_json::from_slice(rest.get(..json_len)?).ok()?;
+    let rest = &rest[json_len..];
+    let n = u64::from_le_bytes(rest.get(..8)?.try_into().ok()?);
+    // The count is bytes someone handed us: compare it to what is there by
+    // dividing, never by multiplying it out (25 is odd, so some `n` near
+    // 2^64 wraps `n * 25` onto any trailing length).
+    let body = &rest[8..];
+    if body.len() % SAMPLE_LEN != 0 || (body.len() / SAMPLE_LEN) as u64 != n {
         return None;
     }
-    let mut samples = Vec::with_capacity(n);
-    for _ in 0..n {
-        let s = &bytes[off..off + SAMPLE_LEN];
-        samples.push(DurableSample {
+    let samples = body
+        .chunks_exact(SAMPLE_LEN)
+        .map(|s| DurableSample {
             metric: u32::from_le_bytes(s[0..4].try_into().unwrap()),
             kind: s[4],
             index: u32::from_le_bytes(s[5..9].try_into().unwrap()),
             stamp: u64::from_le_bytes(s[9..17].try_into().unwrap()),
             value: f64::from_le_bytes(s[17..25].try_into().unwrap()),
-        });
-        off += SAMPLE_LEN;
-    }
+        })
+        .collect();
     Some((record, samples))
 }
 
@@ -135,6 +135,9 @@ pub struct RecoveryOutcome {
     pub hash_mismatches: u64,
     /// First tick whose hash mismatched, if any.
     pub first_mismatch_tick: Option<u64>,
+    /// The first subsystem whose sub-hash differed at that tick
+    /// ([`TickStateHash::first_divergence`]) — where to start looking.
+    pub first_mismatch_subsystem: Option<&'static str>,
     /// Records whose payload passed the WAL CRC but failed tick-record
     /// decoding (schema skew) — skipped, never fatal.
     pub undecodable_records: u64,
@@ -197,27 +200,51 @@ impl MonitoringSystem {
                     outcome.undecodable_records += 1;
                     continue;
                 };
-                self.apply_tick_inputs(&dtr.inputs);
-                self.tick();
+                // Policy here: count a mismatch and carry on — the medium
+                // is all there is, and a resumed run beats none.
+                let mismatch = self.replay_tick(&dtr);
                 outcome.replayed_ticks += 1;
-                if let (Some(expect), Some(got)) = (dtr.hash, self.last_state_hash) {
-                    if got.combined != expect.combined {
-                        outcome.hash_mismatches += 1;
-                        if outcome.first_mismatch_tick.is_none() {
-                            outcome.first_mismatch_tick = Some(dtr.tick);
-                        }
+                if let Some((expected, actual)) = mismatch {
+                    outcome.hash_mismatches += 1;
+                    if outcome.first_mismatch_tick.is_none() {
+                        outcome.first_mismatch_tick = Some(dtr.tick);
+                        outcome.first_mismatch_subsystem = expected.first_divergence(&actual);
                     }
                 }
             }
         }
         let resumed = self.engine.tick_count();
         outcome.resumed_tick = resumed;
+        // The `store.durability` SLO is fed lifetime totals and the new
+        // plane's start from zero: carry on from what the crashed run last
+        // fed (restored with the health engine, or replayed from the tail),
+        // so this run's first append — and whatever damage recovery itself
+        // counted — is a delta the SLO sees.
+        let fed = self.health.as_ref().and_then(|h| h.last_total("store.durability"));
+        self.durability_feed_base = fed.map_or((0, 0), |(good, bad)| (good as u64, bad as u64));
         // Reseal: checkpoint the recovered state so the next crash
         // restores from here instead of re-replaying this whole tail.
         let _ = self.write_checkpoint(&mut plane, resumed);
         self.pending_inputs = TickInputs::default();
         self.durability = Some(plane);
         outcome
+    }
+
+    /// Re-run one journaled tick and check it against the journal: apply
+    /// the record's inputs, tick, compare the whole [`TickStateHash`] with
+    /// the one recorded.  A mismatch comes back as `(expected, actual)`;
+    /// what to do about one is the caller's policy (crash recovery counts
+    /// it and continues, the flight recorder's replayer stops and
+    /// reports).  A record without a hash, or a system with hashing off,
+    /// has nothing to compare and never mismatches.
+    pub fn replay_tick(
+        &mut self,
+        record: &DurableTickRecord,
+    ) -> Option<(TickStateHash, TickStateHash)> {
+        self.apply_tick_inputs(&record.inputs);
+        self.tick();
+        let (expected, actual) = (record.hash?, self.last_state_hash?);
+        (expected != actual).then_some((expected, actual))
     }
 
     /// Checkpoint the whole system at `tick`, the `CoreSnapshot` serialized

@@ -6,9 +6,8 @@
 //! * **Explicit tick inputs** — [`TickInputs`] names every external,
 //!   non-deterministic input a tick can receive (job submissions, machine
 //!   fault injections, gateway query/subscription arrivals).  A recorder
-//!   funnels user calls through [`MonitoringSystem::apply_tick_inputs`]
-//!   and writes the same value to its event log; replay applies the logged
-//!   inputs instead.
+//!   writes each tick's value to its journal as the calls arrive; replay
+//!   hands the logged value to [`MonitoringSystem::apply_tick_inputs`].
 //! * **Per-tick state hashing** — with
 //!   [`MonitoringSystem::set_state_hashing`] enabled, every tick folds
 //!   each subsystem's deterministic observables into a [`TickStateHash`].
@@ -239,9 +238,10 @@ impl MonitoringSystem {
     }
 
     /// Apply one tick's recorded external inputs: submit jobs, schedule
-    /// machine faults, and re-issue gateway arrivals.  The recorder calls
-    /// this for live inputs (so record and replay share one code path);
-    /// the replayer calls it with inputs read from the event log.
+    /// machine faults, and re-issue gateway arrivals.  Replay's half of the
+    /// contract ([`MonitoringSystem::replay_tick`] calls it with inputs read
+    /// from a journal); a live run takes the same inputs through
+    /// `submit_job`, `schedule_fault` and the gateway as they arrive.
     pub fn apply_tick_inputs(&mut self, inputs: &TickInputs) {
         // Durable runs journal the inputs so crash recovery can replay
         // them.  The engine is driven directly below (not through

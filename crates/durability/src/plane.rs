@@ -22,15 +22,16 @@
 //!   and reported.
 //! * A torn tail (crash mid-append, damage running to end-of-log) is
 //!   truncated at the last valid CRC and operation resumes.
-//! * Mid-log damage — a bad record with data after it, a tick gap, a torn
-//!   tail on a non-final segment — is corruption: the log is cut at the
-//!   first bad record, everything after is dropped from the medium
-//!   (fail closed), and `first_bad_tick` pins the damage.
+//! * Mid-log damage — a bad record with data after it, a tick gap, a record
+//!   that is not a tick, a torn tail on a non-final segment — is
+//!   corruption: the log is cut at the first bad record, everything after
+//!   is dropped from the medium (fail closed), and `first_bad_tick` pins
+//!   the damage.
 
 use crate::medium::{DiskError, StorageMedium};
 use crate::wal::{
     decode_checkpoint, encode_checkpoint, encode_record, scan_segment, ScanEnd, SyncPolicy,
-    WalRecord, WAL_MAGIC,
+    WalRecord, KIND_TICK, WAL_MAGIC,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -238,18 +239,22 @@ impl DurabilityPlane {
             // Contiguity: records must continue the checkpoint's tick chain.
             let mut trusted = recs.len();
             for (i, r) in recs.iter().enumerate() {
-                if report.checkpoint_tick.is_some_and(|c| r.tick <= c) {
-                    continue; // covered by the checkpoint; redundant, harmless
+                if r.kind == KIND_TICK {
+                    if report.checkpoint_tick.is_some_and(|c| r.tick <= c) {
+                        continue; // covered by the checkpoint; redundant, harmless
+                    }
+                    if r.tick == *expected.get_or_insert(r.tick) {
+                        expected = Some(r.tick + 1);
+                        continue;
+                    }
                 }
-                let exp = *expected.get_or_insert(r.tick);
-                if r.tick != exp {
-                    report.corrupt_events += 1;
-                    report.first_bad_tick.get_or_insert(exp);
-                    trusted = i;
-                    damaged = true;
-                    break;
-                }
-                expected = Some(r.tick + 1);
+                // A tick gap — or a kind the plane never writes, which no
+                // crash can put here — is damage at this record.
+                report.corrupt_events += 1;
+                report.first_bad_tick.get_or_insert(expected.unwrap_or(0));
+                trusted = i;
+                damaged = true;
+                break;
             }
 
             match end {
@@ -289,7 +294,7 @@ impl DurabilityPlane {
                     // damage is physically gone, not just skipped.
                     let mut rebuilt = WAL_MAGIC.to_vec();
                     for r in &recs[..trusted] {
-                        encode_record(r.tick, &r.payload, &mut rebuilt);
+                        encode_record(r.kind, r.tick, &r.payload, &mut rebuilt);
                     }
                     let _ = medium.overwrite(name, &rebuilt);
                     live_seg = Some(name.clone());
@@ -340,7 +345,7 @@ impl DurabilityPlane {
     /// process crashes while the backlog is non-empty.
     pub fn append_tick(&mut self, tick: u64, payload: &[u8]) {
         self.scratch.clear();
-        encode_record(tick, payload, &mut self.scratch);
+        encode_record(KIND_TICK, tick, payload, &mut self.scratch);
         // Fast path: nothing queued, so the record can go straight from
         // the reused scratch buffer to the medium without ever being
         // allocated per tick.  It only enters the backlog (taking the

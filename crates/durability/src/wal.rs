@@ -8,13 +8,20 @@
 //! A segment file is the 8-byte magic `HPCMWAL1` followed by records:
 //!
 //! ```text
-//! [kind u8 = 0x01][tick u64 LE][len u32 LE][crc u32 LE][payload; len]
+//! [kind u8][tick u64 LE][len u32 LE][crc u32 LE][payload; len]
 //! ```
 //!
 //! The CRC covers kind + tick + len + payload, so a flipped bit anywhere
 //! in a record — header or body — fails the check.  Lengths are bounded
 //! (`MAX_RECORD_LEN`) so a corrupted length field cannot make the scanner
 //! trust a gigabyte of garbage.
+//!
+//! The scanner frames records and checks them; what a kind *means* is its
+//! reader's business.  The durability plane writes only [`KIND_TICK`] and
+//! treats any other kind in a segment as damage; the flight recorder's
+//! event log is one such record stream in a single file, opened by a
+//! [`KIND_HEADER`] and closed by a [`KIND_END`] (DESIGN.md §15 has the
+//! table of kinds and writers).
 //!
 //! A checkpoint file is `HPCMCKP1` + `[len u32][crc u32][payload]` with
 //! the CRC over the payload alone.
@@ -26,9 +33,18 @@ use serde::{Deserialize, Serialize};
 pub const WAL_MAGIC: &[u8; 8] = b"HPCMWAL1";
 /// Magic prefix of every checkpoint file.
 pub const CKPT_MAGIC: &[u8; 8] = b"HPCMCKP1";
-/// Record kind for a per-tick payload (the only kind today; the byte
-/// exists so future kinds don't need a new magic).
+/// Record kind for a per-tick payload: external inputs, state hash and
+/// the frame's samples.
 pub const KIND_TICK: u8 = 0x01;
+/// Record kind for an event log's run header (the configuration that
+/// rebuilds the recorded system).
+pub const KIND_HEADER: u8 = 0x02;
+/// Record kind for a full-state snapshot inside an event log; the payload
+/// is what a checkpoint file carries.
+pub const KIND_SNAPSHOT: u8 = 0x03;
+/// Record kind closing an event log, so a log cut on a record boundary is
+/// still recognisably cut.  Carries no payload.
+pub const KIND_END: u8 = 0x7F;
 /// Upper bound on a record payload.  A length field above this is
 /// corruption by definition, not a real record.
 pub const MAX_RECORD_LEN: u32 = 64 * 1024 * 1024;
@@ -68,6 +84,8 @@ impl SyncPolicy {
 /// One decoded WAL record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalRecord {
+    /// What the payload is (`KIND_*`).
+    pub kind: u8,
     /// The tick this record captures.
     pub tick: u64,
     /// Opaque payload (the core's serialized tick record).
@@ -75,10 +93,10 @@ pub struct WalRecord {
 }
 
 /// Encode one record (header + CRC + payload) into `out`.
-pub fn encode_record(tick: u64, payload: &[u8], out: &mut Vec<u8>) {
+pub fn encode_record(kind: u8, tick: u64, payload: &[u8], out: &mut Vec<u8>) {
     debug_assert!(payload.len() as u64 <= MAX_RECORD_LEN as u64);
     let start = out.len();
-    out.push(KIND_TICK);
+    out.push(kind);
     out.extend_from_slice(&tick.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&[0u8; 4]); // crc placeholder
@@ -141,7 +159,8 @@ pub fn scan_segment(bytes: &[u8]) -> (Vec<WalRecord>, ScanEnd) {
         if ok {
             let len = u32::from_le_bytes(rest[9..13].try_into().unwrap()) as usize;
             let tick = u64::from_le_bytes(rest[1..9].try_into().unwrap());
-            records.push(WalRecord { tick, payload: rest[HEADER_LEN..HEADER_LEN + len].to_vec() });
+            let payload = rest[HEADER_LEN..HEADER_LEN + len].to_vec();
+            records.push(WalRecord { kind: rest[0], tick, payload });
             off += total;
             continue;
         }
@@ -168,10 +187,9 @@ fn validate_record(rest: &[u8]) -> (bool, usize) {
     if rest.len() < HEADER_LEN {
         return (false, 0);
     }
-    let kind = rest[0];
     let len = u32::from_le_bytes(rest[9..13].try_into().unwrap());
-    if kind != KIND_TICK || len > MAX_RECORD_LEN {
-        // A bad kind or insane length leaves no trustworthy extent.
+    if len > MAX_RECORD_LEN {
+        // An insane length leaves no trustworthy extent.
         return (false, 0);
     }
     let total = HEADER_LEN + len as usize;
@@ -208,7 +226,7 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Option<Vec<u8>> {
     }
     let len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
     let crc = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
-    if bytes.len() != head + len {
+    if bytes.len() - head != len {
         return None;
     }
     let payload = &bytes[head..];
@@ -225,7 +243,7 @@ mod tests {
     fn segment(records: &[(u64, &[u8])]) -> Vec<u8> {
         let mut out = WAL_MAGIC.to_vec();
         for (tick, payload) in records {
-            encode_record(*tick, payload, &mut out);
+            encode_record(KIND_TICK, *tick, payload, &mut out);
         }
         out
     }
@@ -236,8 +254,28 @@ mod tests {
         let (records, end) = scan_segment(&seg);
         assert_eq!(end, ScanEnd::Clean);
         assert_eq!(records.len(), 3);
-        assert_eq!(records[0], WalRecord { tick: 0, payload: b"alpha".to_vec() });
-        assert_eq!(records[2], WalRecord { tick: 2, payload: Vec::new() });
+        assert_eq!(records[0], WalRecord { kind: KIND_TICK, tick: 0, payload: b"alpha".to_vec() });
+        assert_eq!(records[2], WalRecord { kind: KIND_TICK, tick: 2, payload: Vec::new() });
+    }
+
+    #[test]
+    fn every_kind_round_trips_and_a_flipped_kind_fails_its_crc() {
+        // The scanner frames and checks; it does not judge kinds — 0x42 is
+        // nobody's, and still comes back as written.
+        let kinds = [KIND_HEADER, KIND_TICK, KIND_SNAPSHOT, 0x42, KIND_END];
+        let mut seg = WAL_MAGIC.to_vec();
+        for (i, kind) in kinds.iter().enumerate() {
+            encode_record(*kind, i as u64, b"body", &mut seg);
+        }
+        let (records, end) = scan_segment(&seg);
+        assert_eq!(end, ScanEnd::Clean);
+        assert_eq!(records.iter().map(|r| r.kind).collect::<Vec<_>>(), kinds);
+        // The kind byte is under the CRC: tick → header is one bit.
+        let second = WAL_MAGIC.len() + HEADER_LEN + 4;
+        seg[second] ^= KIND_TICK ^ KIND_HEADER;
+        let (records, end) = scan_segment(&seg);
+        assert_eq!(records.len(), 1);
+        assert_eq!(end, ScanEnd::Corrupt { offset: second as u64, tick_hint: Some(0) });
     }
 
     #[test]

@@ -405,6 +405,14 @@ impl HealthEngine {
         out
     }
 
+    /// The lifetime totals last fed as [`FeedValue::Total`] on `feed` —
+    /// where a caller whose own counters restart (a durability plane after
+    /// recovery) has to carry on from for the SLO to keep seeing deltas.
+    pub fn last_total(&self, feed: &str) -> Option<(f64, f64)> {
+        let at = self.cfg.slos.iter().position(|spec| spec.feed == feed)?;
+        self.states[at].last_total
+    }
+
     /// Capture the mutable state for a snapshot.
     pub fn snapshot(&self) -> HealthSnapshot {
         HealthSnapshot { states: self.states.clone(), events: self.events.clone() }

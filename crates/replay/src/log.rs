@@ -1,63 +1,42 @@
-//! The framed binary event log.
+//! The event log: one WAL record stream in one file.
 //!
-//! Layout: an 8-byte magic (`HPCMRLY1`), then a sequence of frames
-//! `[kind: u8][len: u32 LE][payload: len bytes]`, terminated by an
-//! explicit end frame.  Payloads are the canonical JSON encodings of the
-//! run header ([`RunSpec`]), one [`TickRecord`] per tick, and periodic
-//! [`SnapshotRecord`]s; the explicit terminator means a log that was cut
-//! off mid-write (crashed recorder, truncated artifact upload) is
-//! *rejected* as [`LogError::Truncated`] rather than silently replayed
-//! short.
+//! Layout: the segment magic `HPCMWAL1`, then
+//! [`hpcmon_durability::wal`] records — the same CRC-checked
+//! `[kind][tick][len][crc][payload]` framing the durability plane appends
+//! to its segments, read back by the same scanner.  A `KIND_HEADER` record
+//! carries the [`RunSpec`] as JSON, each tick is a `KIND_TICK` record
+//! whose payload is what the plane journals for a tick
+//! ([`encode_tick_record`], with an empty sample section), each checkpoint
+//! a `KIND_SNAPSHOT` record holding the bytes of a checkpoint file (the
+//! [`CoreSnapshot`] as JSON), and an empty `KIND_END` record closes the
+//! log — so one cut off mid-write (crashed recorder, truncated artifact
+//! upload) is *rejected* as [`LogError::Truncated`] rather than silently
+//! replayed short, even when the cut falls between two records.
 
-use hpcmon::{CoreSnapshot, TickInputs, TickStateHash};
+use hpcmon::system::durability::{decode_tick_record, encode_tick_record};
+use hpcmon::{CoreSnapshot, DurableTickRecord};
+use hpcmon_durability::wal::{
+    encode_record, scan_segment, KIND_END, KIND_HEADER, KIND_SNAPSHOT, KIND_TICK, WAL_MAGIC,
+};
+use hpcmon_durability::ScanEnd;
+use hpcmon_metrics::ColumnFrame;
 use serde::{Deserialize, Serialize};
 
 use crate::RunSpec;
 
-/// First eight bytes of every event log: format name + version.
-pub const MAGIC: [u8; 8] = *b"HPCMRLY1";
-
-const FRAME_HEADER: u8 = 0x01;
-const FRAME_TICK: u8 = 0x02;
-const FRAME_SNAPSHOT: u8 = 0x03;
-const FRAME_END: u8 = 0x7F;
-
-/// Everything recorded about one tick: the external inputs it received
-/// and the state hash the recording run observed after it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TickRecord {
-    /// Tick number (1-based: the first `tick()` call is tick 1).
-    pub tick: u64,
-    /// External inputs applied before this tick ran.
-    pub inputs: TickInputs,
-    /// State hash observed after this tick in the recording run.
-    pub hash: TickStateHash,
-}
-
-/// A full deterministic-state checkpoint, written every
-/// [`RunSpec::snapshot_every`] ticks so replay can seek without
-/// re-running from tick 0.
-#[derive(Serialize, Deserialize)]
-pub struct SnapshotRecord {
-    /// Tick the snapshot was taken after.
-    pub tick: u64,
-    /// The serialized system state.
-    pub state: CoreSnapshot,
-}
-
 /// Why a byte buffer failed to parse as an event log.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LogError {
-    /// The buffer does not start with [`MAGIC`].
+    /// The buffer does not start with the WAL magic.
     BadMagic,
-    /// The buffer ends before the end frame (or mid-frame): the log was
-    /// cut off while being written or transferred.
+    /// The buffer ends before a valid end record: the log was cut off
+    /// while being written or transferred.
     Truncated,
-    /// A frame kind this version does not understand.
+    /// A record kind this version does not understand.
     UnknownFrame(u8),
-    /// A frame payload failed to decode.
+    /// A record failed its CRC, or its payload failed to decode.
     Corrupt(String),
-    /// The log has no header frame, or frames in an impossible order.
+    /// The log has no header record, or records in an impossible order.
     Malformed(String),
 }
 
@@ -65,9 +44,9 @@ impl std::fmt::Display for LogError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             LogError::BadMagic => write!(f, "not an hpcmon event log (bad magic)"),
-            LogError::Truncated => write!(f, "event log truncated before end frame"),
-            LogError::UnknownFrame(k) => write!(f, "unknown frame kind 0x{k:02X}"),
-            LogError::Corrupt(msg) => write!(f, "corrupt frame payload: {msg}"),
+            LogError::Truncated => write!(f, "event log truncated before its end record"),
+            LogError::UnknownFrame(k) => write!(f, "unknown record kind 0x{k:02X}"),
+            LogError::Corrupt(msg) => write!(f, "corrupt record: {msg}"),
             LogError::Malformed(msg) => write!(f, "malformed event log: {msg}"),
         }
     }
@@ -76,109 +55,94 @@ impl std::fmt::Display for LogError {
 impl std::error::Error for LogError {}
 
 /// A complete recorded run: header, per-tick records, and snapshots.
-#[derive(Serialize, Deserialize)]
 pub struct EventLog {
     /// The run configuration needed to rebuild an identical system.
     pub spec: RunSpec,
-    /// One record per executed tick, in order.
-    pub ticks: Vec<TickRecord>,
-    /// Checkpoints, in tick order (`snapshots[i].tick` is increasing).
-    pub snapshots: Vec<SnapshotRecord>,
+    /// One record per executed tick, in order: `ticks[i].tick == i + 1`,
+    /// and every `hash` is `Some` (a log tick without one is malformed).
+    pub ticks: Vec<DurableTickRecord>,
+    /// Checkpoints, in tick order, written every
+    /// [`RunSpec::snapshot_every`] ticks so replay can seek without
+    /// re-running from tick 0.
+    pub snapshots: Vec<CoreSnapshot>,
 }
 
 impl EventLog {
     /// Serialize to the framed binary format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4096);
-        out.extend_from_slice(&MAGIC);
-        push_frame(&mut out, FRAME_HEADER, &encode_json(&self.spec));
+        let mut out = WAL_MAGIC.to_vec();
+        encode_record(KIND_HEADER, 0, &encode_json(&self.spec), &mut out);
+        let snapshot = |s: &CoreSnapshot, out: &mut Vec<u8>| {
+            encode_record(KIND_SNAPSHOT, s.tick(), &encode_json(s), out)
+        };
         // Interleave snapshots at their tick position so a streaming
         // writer and this batch writer produce the same bytes.
-        let mut snap = self.snapshots.iter().peekable();
+        let no_samples = ColumnFrame::default();
+        let mut snaps = self.snapshots.iter().peekable();
         for rec in &self.ticks {
-            push_frame(&mut out, FRAME_TICK, &encode_json(rec));
-            while snap.peek().is_some_and(|s| s.tick == rec.tick) {
-                push_frame(&mut out, FRAME_SNAPSHOT, &encode_json(snap.next().unwrap()));
+            encode_record(KIND_TICK, rec.tick, &encode_tick_record(rec, &no_samples), &mut out);
+            while let Some(s) = snaps.next_if(|s| s.tick() == rec.tick) {
+                snapshot(s, &mut out);
             }
         }
         // Snapshots recorded past the last tick (tick-0 checkpoints of an
         // empty run) still need flushing.
-        for s in snap {
-            push_frame(&mut out, FRAME_SNAPSHOT, &encode_json(s));
+        for s in snaps {
+            snapshot(s, &mut out);
         }
-        push_frame(&mut out, FRAME_END, &[]);
+        encode_record(KIND_END, self.len(), &[], &mut out);
         out
     }
 
-    /// Parse the framed binary format, rejecting truncated or unknown
-    /// input.
+    /// Parse the framed binary format, rejecting truncated, damaged or
+    /// unknown input: nothing is decoded until every record has passed its
+    /// CRC.
     pub fn from_bytes(bytes: &[u8]) -> Result<EventLog, LogError> {
-        if bytes.len() < MAGIC.len() {
-            return Err(if bytes.is_empty() || MAGIC.starts_with(bytes) {
-                LogError::Truncated
-            } else {
-                LogError::BadMagic
-            });
+        if !bytes.starts_with(WAL_MAGIC) {
+            let cut = WAL_MAGIC.starts_with(bytes);
+            return Err(if cut { LogError::Truncated } else { LogError::BadMagic });
         }
-        if bytes[..MAGIC.len()] != MAGIC {
-            return Err(LogError::BadMagic);
+        let records = match scan_segment(bytes) {
+            (records, ScanEnd::Clean) => records,
+            (_, ScanEnd::TornTail { .. }) => return Err(LogError::Truncated),
+            (_, ScanEnd::Corrupt { offset, .. }) => {
+                return Err(LogError::Corrupt(format!("record at byte {offset} fails its check")))
+            }
+        };
+        // The end record first: a log without one is cut, whatever else
+        // it holds, and nothing of it is worth decoding.
+        let Some((end, records)) = records.split_last().filter(|(end, _)| end.kind == KIND_END)
+        else {
+            return Err(LogError::Truncated);
+        };
+        if !end.payload.is_empty() {
+            return Err(LogError::Corrupt("end record carries payload".into()));
         }
-        let mut cursor = MAGIC.len();
+        let malformed = |msg: String| Err(LogError::Malformed(msg));
         let mut spec: Option<RunSpec> = None;
-        let mut ticks: Vec<TickRecord> = Vec::new();
-        let mut snapshots: Vec<SnapshotRecord> = Vec::new();
-        let mut ended = false;
-        while cursor < bytes.len() {
-            if bytes.len() - cursor < 5 {
-                return Err(LogError::Truncated);
-            }
-            let kind = bytes[cursor];
-            let len = u32::from_le_bytes([
-                bytes[cursor + 1],
-                bytes[cursor + 2],
-                bytes[cursor + 3],
-                bytes[cursor + 4],
-            ]) as usize;
-            cursor += 5;
-            if bytes.len() - cursor < len {
-                return Err(LogError::Truncated);
-            }
-            let payload = &bytes[cursor..cursor + len];
-            cursor += len;
-            match kind {
-                FRAME_HEADER => {
-                    if spec.is_some() {
-                        return Err(LogError::Malformed("duplicate header frame".into()));
+        let mut ticks: Vec<DurableTickRecord> = Vec::new();
+        let mut snapshots: Vec<CoreSnapshot> = Vec::new();
+        for rec in records {
+            match rec.kind {
+                KIND_HEADER if spec.is_some() => return malformed("duplicate header".into()),
+                KIND_HEADER => spec = Some(decode_json(&rec.payload)?),
+                KIND_TICK => {
+                    let (tick, _) = decode_tick_record(&rec.payload)
+                        .ok_or_else(|| LogError::Corrupt("tick record does not decode".into()))?;
+                    if tick.tick != ticks.len() as u64 + 1 {
+                        return malformed(format!("tick {} follows {}", tick.tick, ticks.len()));
                     }
-                    spec = Some(decode_json(payload)?);
-                }
-                FRAME_TICK => {
-                    let rec: TickRecord = decode_json(payload)?;
-                    if let Some(last) = ticks.last() {
-                        if rec.tick != last.tick + 1 {
-                            return Err(LogError::Malformed(format!(
-                                "tick {} follows tick {}",
-                                rec.tick, last.tick
-                            )));
-                        }
+                    if tick.hash.is_none() {
+                        return malformed(format!("tick {} carries no state hash", tick.tick));
                     }
-                    ticks.push(rec);
+                    ticks.push(tick);
                 }
-                FRAME_SNAPSHOT => snapshots.push(decode_json(payload)?),
-                FRAME_END => {
-                    if !payload.is_empty() {
-                        return Err(LogError::Corrupt("end frame carries payload".into()));
-                    }
-                    ended = true;
-                    break;
-                }
+                KIND_SNAPSHOT => snapshots.push(decode_json(&rec.payload)?),
+                KIND_END => return malformed("records after an end record".into()),
                 other => return Err(LogError::UnknownFrame(other)),
             }
         }
-        if !ended {
-            return Err(LogError::Truncated);
-        }
-        let spec = spec.ok_or_else(|| LogError::Malformed("missing header frame".into()))?;
+        let spec = spec.ok_or_else(|| LogError::Malformed("missing header".into()))?;
         Ok(EventLog { spec, ticks, snapshots })
     }
 
@@ -206,15 +170,9 @@ impl EventLog {
 
     /// The latest snapshot at or before `tick` (tick 0 = initial state,
     /// which has no snapshot unless the recorder wrote one).
-    pub fn nearest_snapshot(&self, tick: u64) -> Option<&SnapshotRecord> {
-        self.snapshots.iter().rev().find(|s| s.tick <= tick)
+    pub fn nearest_snapshot(&self, tick: u64) -> Option<&CoreSnapshot> {
+        self.snapshots.iter().rev().find(|s| s.tick() <= tick)
     }
-}
-
-fn push_frame(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
-    out.push(kind);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
 }
 
 fn encode_json<T: Serialize>(value: &T) -> Vec<u8> {

@@ -2,13 +2,13 @@
 //! through the event log, hash every tick, checkpoint every K ticks.
 
 use hpcmon::system::TickReport;
-use hpcmon::{GatewayOp, MonitoringSystem, TickInputs};
+use hpcmon::{CoreSnapshot, DurableTickRecord, GatewayOp, MonitoringSystem, TickInputs};
 use hpcmon_gateway::{QueryError, QueryRequest, QueryResponse};
 use hpcmon_metrics::{JobId, Ts};
 use hpcmon_response::Consumer;
 use hpcmon_sim::{FaultKind, JobSpec};
 
-use crate::log::{EventLog, SnapshotRecord, TickRecord};
+use crate::log::EventLog;
 use crate::RunSpec;
 
 /// Records a run as it executes.
@@ -22,32 +22,30 @@ use crate::RunSpec;
 pub struct FlightRecorder {
     system: MonitoringSystem,
     spec: RunSpec,
-    ticks: Vec<TickRecord>,
-    snapshots: Vec<SnapshotRecord>,
+    ticks: Vec<DurableTickRecord>,
+    snapshots: Vec<CoreSnapshot>,
     pending: TickInputs,
-    tick: u64,
 }
 
 impl FlightRecorder {
     /// Build the system described by `spec` and start recording.
     ///
-    /// Panics if `spec.self_telemetry` is on: self-observation samples
+    /// Panics if `spec.options.self_telemetry` is on: self-observation samples
     /// carry wall-clock timer readings, which make the warm-tier store
     /// digest non-reproducible (DESIGN.md §11).
     pub fn new(spec: RunSpec) -> FlightRecorder {
         assert!(
-            !spec.self_telemetry,
-            "strict replay requires self_telemetry(false): self-observation \
+            !spec.options.self_telemetry,
+            "strict replay requires self_telemetry off: self-observation \
              values carry wall-clock timings that break hash reproducibility"
         );
-        let system = spec.build_system();
+        let system = spec.build_system(spec.options.workers);
         FlightRecorder {
             system,
             spec,
             ticks: Vec::new(),
             snapshots: Vec::new(),
             pending: TickInputs::default(),
-            tick: 0,
         }
     }
 
@@ -102,15 +100,15 @@ impl FlightRecorder {
     pub fn tick(&mut self) -> TickReport {
         let inputs = std::mem::take(&mut self.pending);
         let report = self.system.tick();
-        self.tick += 1;
+        let tick = self.ticks_recorded() + 1;
         let hash = self
             .system
             .last_state_hash()
             .expect("recorder systems always run with state hashing on");
-        debug_assert_eq!(hash.tick, self.tick);
-        self.ticks.push(TickRecord { tick: self.tick, inputs, hash });
-        if self.spec.snapshot_every > 0 && self.tick.is_multiple_of(self.spec.snapshot_every) {
-            self.snapshots.push(SnapshotRecord { tick: self.tick, state: self.system.snapshot() });
+        debug_assert_eq!(hash.tick, tick);
+        self.ticks.push(DurableTickRecord { tick, inputs, hash: Some(hash) });
+        if self.spec.snapshot_every > 0 && tick.is_multiple_of(self.spec.snapshot_every) {
+            self.snapshots.push(self.system.snapshot());
         }
         report
     }
@@ -130,7 +128,7 @@ impl FlightRecorder {
 
     /// Ticks recorded so far.
     pub fn ticks_recorded(&self) -> u64 {
-        self.tick
+        self.ticks.len() as u64
     }
 
     /// Finish recording and hand back the event log.

@@ -2,7 +2,7 @@
 //! the tick loop from recorded inputs, verify the hash chain, and report
 //! divergence with subsystem attribution.
 
-use hpcmon::{MonitoringSystem, TickStateHash};
+use hpcmon::{CoreSnapshot, MonitoringSystem, TickStateHash};
 
 use crate::log::EventLog;
 
@@ -92,7 +92,7 @@ pub struct Replayer<'log> {
 impl<'log> Replayer<'log> {
     /// Build a fresh system from the log header, positioned at tick 0.
     pub fn new(log: &'log EventLog) -> Replayer<'log> {
-        Replayer { system: log.spec.build_system(), log, cursor: 0, forced_full_tracing: false }
+        Replayer::with_workers(log, log.spec.options.workers)
     }
 
     /// Like [`Replayer::new`] but with a different collection
@@ -100,7 +100,7 @@ impl<'log> Replayer<'log> {
     /// a clean replay at another width doubles as a determinism check.
     pub fn with_workers(log: &'log EventLog, workers: usize) -> Replayer<'log> {
         Replayer {
-            system: log.spec.build_system_with_workers(workers),
+            system: log.spec.build_system(workers),
             log,
             cursor: 0,
             forced_full_tracing: false,
@@ -145,12 +145,12 @@ impl<'log> Replayer<'log> {
         let restored = match self.log.nearest_snapshot(target) {
             Some(snap) => {
                 // Restoring consumes a snapshot; the log keeps its copy.
-                self.system.restore_snapshot(snap.state.clone());
-                snap.tick
+                self.system.restore_snapshot(snap.clone());
+                snap.tick()
             }
             None => {
                 // No checkpoint: rebuild from scratch and replay it all.
-                self.system = self.log.spec.build_system();
+                self.system = self.log.spec.build_system(self.log.spec.options.workers);
                 if self.forced_full_tracing {
                     self.system.tracer().set_force_sampling(true);
                 }
@@ -171,32 +171,27 @@ impl<'log> Replayer<'log> {
         ReplayOutcome { ticks_verified: verified, divergence: None }
     }
 
-    /// Replay the next recorded tick: apply its logged inputs, run the
-    /// pipeline, compare hashes.  `None` = end of log; `Some(Ok(hash))`
-    /// = verified; `Some(Err(report))` = divergence.
+    /// Replay the next recorded tick through
+    /// [`MonitoringSystem::replay_tick`] (apply its logged inputs, run the
+    /// pipeline, compare hashes) and stop at a mismatch.  `None` = end of
+    /// log; `Some(Ok(hash))` = verified; `Some(Err(report))` = divergence.
     #[allow(clippy::type_complexity)]
     pub fn step(&mut self) -> Option<Result<TickStateHash, DivergenceReport>> {
         let record = self.log.ticks.get(self.cursor)?;
-        self.system.apply_tick_inputs(&record.inputs);
-        self.system.tick();
+        let mismatch = self.system.replay_tick(record);
         self.cursor += 1;
-        let actual =
-            self.system.last_state_hash().expect("replay systems always run with state hashing on");
-        if actual == record.hash {
-            return Some(Ok(actual));
-        }
-        let subsystem = record.hash.first_divergence(&actual).unwrap_or("combined");
-        Some(Err(DivergenceReport {
-            first_divergent_tick: record.tick,
-            subsystem,
-            expected: record.hash,
-            actual,
-            nearest_snapshot: self
-                .log
-                .nearest_snapshot(record.tick.saturating_sub(1))
-                .map(|s| s.tick),
-            forced_full_tracing: self.forced_full_tracing,
-        }))
+        Some(match mismatch {
+            None => Ok(self.system.last_state_hash().expect("replay systems always hash")),
+            Some((expected, actual)) => Err(DivergenceReport {
+                first_divergent_tick: record.tick,
+                subsystem: expected.first_divergence(&actual).unwrap_or("combined"),
+                expected,
+                actual,
+                nearest_snapshot: (self.log.nearest_snapshot(record.tick.saturating_sub(1)))
+                    .map(CoreSnapshot::tick),
+                forced_full_tracing: self.forced_full_tracing,
+            }),
+        })
     }
 
     /// Replay every remaining tick, stopping at the first divergence.

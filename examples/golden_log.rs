@@ -15,7 +15,7 @@
 //! after writing `divergence_report.txt` next to the log — CI uploads
 //! both as artifacts so the failing run is attachable offline.
 
-use hpcmon::SimConfig;
+use hpcmon::{MonitorOptions, SimConfig};
 use hpcmon_chaos::{ChaosFault, ChaosPlan};
 use hpcmon_gateway::{GatewayConfig, QueryRequest};
 use hpcmon_metrics::{MetricId, Ts, MINUTE_MS};
@@ -64,12 +64,13 @@ fn plan() -> ChaosPlan {
 }
 
 fn record(path: &Path) {
-    let spec = RunSpec::new(SimConfig::small())
-        .chaos(2018, plan())
-        .supervision(true)
-        .gateway(GatewayConfig { default_deadline_ms: 10_000, ..GatewayConfig::default() })
-        .snapshot_every(50);
-    let mut rec = FlightRecorder::new(spec);
+    let options = MonitorOptions {
+        chaos: Some((2018, plan())),
+        self_telemetry: false,
+        gateway: Some(GatewayConfig { default_deadline_ms: 10_000, ..GatewayConfig::default() }),
+        ..MonitorOptions::new(SimConfig::small())
+    };
+    let mut rec = FlightRecorder::new(RunSpec { options, snapshot_every: 50 });
     rec.submit_job(JobSpec::new(
         AppProfile::checkpointing("climate"),
         "bob",

@@ -9,9 +9,9 @@
 //!
 //! 1. **Record**: a 500-tick chaos soak (collector panics/hangs, broker
 //!    stalls, envelope corruption, store write failures, a gateway
-//!    serving recorded operator queries) is captured into an `HPCMRLY1`
-//!    event log — every external input plus a per-tick state hash, with
-//!    a snapshot checkpoint every 100 ticks.
+//!    serving recorded operator queries) is captured into an event log
+//!    of WAL records — every external input plus a per-tick state hash,
+//!    with a snapshot checkpoint every 100 ticks.
 //! 2. **Replay**: the log, round-tripped through its on-disk byte
 //!    format, re-executes bit-identically — all 500 hashes match, and
 //!    they keep matching when the replay uses a 4-worker pool instead of
@@ -28,7 +28,7 @@
 //! cargo run --release --example replay_incident
 //! ```
 
-use hpcmon::SimConfig;
+use hpcmon::{MonitorOptions, SimConfig};
 use hpcmon_chaos::{ChaosFault, ChaosPlan};
 use hpcmon_gateway::{GatewayConfig, QueryRequest};
 use hpcmon_metrics::{MetricId, Ts, MINUTE_MS};
@@ -83,12 +83,13 @@ fn incident_plan() -> ChaosPlan {
 /// Record the soak: jobs, machine faults, and operator queries all flow
 /// through the recorder so they land in the event log.
 fn record() -> EventLog {
-    let spec = RunSpec::new(SimConfig::small())
-        .chaos(2018, incident_plan())
-        .supervision(true)
-        .gateway(GatewayConfig { default_deadline_ms: 10_000, ..GatewayConfig::default() })
-        .snapshot_every(SNAPSHOT_EVERY);
-    let mut rec = FlightRecorder::new(spec);
+    let options = MonitorOptions {
+        chaos: Some((2018, incident_plan())),
+        self_telemetry: false,
+        gateway: Some(GatewayConfig { default_deadline_ms: 10_000, ..GatewayConfig::default() }),
+        ..MonitorOptions::new(SimConfig::small())
+    };
+    let mut rec = FlightRecorder::new(RunSpec { options, snapshot_every: SNAPSHOT_EVERY });
 
     rec.submit_job(JobSpec::new(
         AppProfile::checkpointing("climate"),
@@ -193,8 +194,9 @@ fn main() {
     // ---- 4. Diagnose a tampered log -----------------------------------
     let mut tampered = EventLog::read_from(&path).expect("reads back");
     let idx = 454usize; // tick 455: mid-block, between checkpoints 400 and 500
-    tampered.ticks[idx].hash.store ^= 1 << 17;
-    tampered.ticks[idx].hash.combined ^= 1 << 17;
+    let hash = tampered.ticks[idx].hash.as_mut().expect("a parsed log carries every hash");
+    hash.store ^= 1 << 17;
+    hash.combined ^= 1 << 17;
     let outcome = Replayer::new(&tampered).run_to_end();
     assert_eq!(outcome.ticks_verified, idx as u64);
     let report = outcome.divergence.expect("tampered log must diverge");

@@ -12,14 +12,17 @@
 //! single-bit flips of the on-disk files.
 
 use hpcmon::health::{HealthConfig, Transition};
-use hpcmon::system::durability::decode_tick_record;
-use hpcmon::{MonitoringSystem, SimConfig};
+use hpcmon::system::durability::{decode_tick_record, encode_tick_record};
+use hpcmon::{DurableTickRecord, MonitoringSystem, SimConfig};
 use hpcmon_chaos::{ChaosFault, ChaosPlan, ScheduledFault};
-use hpcmon_durability::wal::{decode_checkpoint, scan_segment};
+use hpcmon_durability::wal::{
+    decode_checkpoint, encode_record, scan_segment, KIND_END, KIND_HEADER, KIND_SNAPSHOT,
+    KIND_TICK, WAL_MAGIC,
+};
 use hpcmon_durability::{
     DurabilityConfig, DurabilityPlane, RecoveredState, ScanEnd, SimDisk, StorageMedium, SyncPolicy,
 };
-use hpcmon_metrics::{CompId, MetricId, Sample, SeriesKey, Ts};
+use hpcmon_metrics::{ColumnFrame, CompId, MetricId, Sample, SeriesKey, Ts};
 use hpcmon_sim::{AppProfile, JobSpec};
 use proptest::prelude::*;
 use std::sync::{Arc, Once};
@@ -384,6 +387,94 @@ fn durability_slo_feed_replays_through_a_crash() {
     assert_eq!(recovered.health_timeline(), twin.health_timeline());
 }
 
+/// A durable, health-graded run under write-fail `windows`, ticked to
+/// `ticks`; the system, its disk, and the builder a recovery needs.
+fn slo_run(windows: &[u64], ticks: u64) -> (MonitoringSystem, Arc<SimDisk>, MonitoringSystem) {
+    let mk = || {
+        let faults = windows.iter().map(|&at| (at, ChaosFault::DiskWriteFail { ticks: 6 }));
+        builder(0).chaos(11, plan(faults.collect())).health(HealthConfig::standard().durability())
+    };
+    let disk = Arc::new(SimDisk::new());
+    let mut mon = mk().durability(disk.clone(), SLO_CFG).build();
+    let mut fresh = mk().build();
+    for m in [&mut mon, &mut fresh] {
+        m.set_state_hashing(true);
+    }
+    seed_inputs(&mut mon);
+    mon.run_ticks(ticks);
+    (mon, disk, fresh)
+}
+
+const SLO_CFG: DurabilityConfig =
+    DurabilityConfig { sync: SyncPolicy::EveryTick, checkpoint_every: 8, scrub_every: 0 };
+
+fn durability_transitions(mon: &MonitoringSystem) -> Vec<(u64, Transition)> {
+    let durability = mon.alert_events().iter().filter(|e| e.key == "store/durability");
+    durability.map(|e| (e.tick, e.transition)).collect()
+}
+
+/// After a recovery the plane's counters start again from zero while the
+/// restored health engine remembers the crashed run's totals — here 29
+/// appends and the 13 failures of an earlier, resolved fault window — and
+/// lifetime totals that fell are no evidence at all.  The feed carries on
+/// from where the crashed run left it, so a second window opened on the
+/// first tick after recovery walks the alert through pending, firing and
+/// resolved tick for tick as in a twin that never crashed.
+#[test]
+fn disk_fault_window_right_after_recovery_fires_the_durability_slo() {
+    let (crash_tick, end_tick) = (30u64, 60u64);
+    let (twin, _, _) = slo_run(&[4, 31], end_tick);
+    let walked = durability_transitions(&twin);
+    assert_eq!(walked.len(), 6, "pending, firing, resolved — twice: {walked:?}");
+    assert!(walked[2].0 < crash_tick && crash_tick < walked[3].0, "{walked:?}");
+
+    let (crashed, disk, mut recovered) = slo_run(&[4, 31], crash_tick);
+    assert_eq!(durability_transitions(&crashed), walked[..3], "resolved before the crash");
+    drop(crashed);
+    disk.crash();
+    let outcome = recovered.recover_from_medium(disk, SLO_CFG);
+    assert_eq!((outcome.resumed_tick, outcome.hash_mismatches), (crash_tick, 0), "{outcome:?}");
+    let counts = recovered.durability_counts().unwrap();
+    assert_eq!((counts.records_appended, counts.append_failures), (0, 0), "counting from zero");
+    recovered.run_ticks(end_tick - crash_tick);
+    assert_eq!(durability_transitions(&recovered), walked, "{}", recovered.health_timeline());
+}
+
+/// What the recovered plane already knows when it is attached must reach
+/// the SLO too.  Recovery finds a flipped bit in the WAL tail and counts
+/// one corruption event; the crashed run had fed 13 failures, so a feed
+/// restarted at that 1 would have read as 12 fewer than before — nothing —
+/// and then become the baseline.  Carried on from the old totals it is one
+/// bad event against a 0.1% budget: the alert is pending on the first tick
+/// after recovery and firing on the second.
+#[test]
+fn damage_recovery_diagnosed_reaches_the_durability_slo() {
+    let (crashed, disk, mut recovered) = slo_run(&[4], 30);
+    let before = durability_transitions(&crashed);
+    assert!(crashed.durability_counts().unwrap().append_failures > 1);
+    drop(crashed);
+    disk.crash();
+    // The tail segment holds ticks 25–30; flip a payload bit of tick 27.
+    let (name, mut seg) = ("wal-0000000025.seg", disk.read("wal-0000000025.seg").unwrap());
+    let (records, _) = scan_segment(&seg);
+    let before_27: usize = records[..2].iter().map(|r| 17 + r.payload.len()).sum();
+    seg[WAL_MAGIC.len() + before_27 + 17 + 3] ^= 0x01;
+    disk.overwrite(name, &seg).unwrap();
+
+    let outcome = recovered.recover_from_medium(disk, SLO_CFG);
+    assert_eq!((outcome.report.corrupt_events, outcome.report.first_bad_tick), (1, Some(27)));
+    assert_eq!(outcome.resumed_tick, 26);
+    recovered.run_ticks(10);
+    let after = durability_transitions(&recovered);
+    assert_eq!(after[..before.len()], before, "history restored with the checkpoint");
+    assert_eq!(
+        after[before.len()..],
+        [(27, Transition::Pending), (28, Transition::Firing), (36, Transition::Resolved)],
+        "{}",
+        recovered.health_timeline()
+    );
+}
+
 /// The WAL payload is the real thing: each record decodes to the tick's
 /// external inputs, its state hash, and every sample of the published
 /// frame.
@@ -415,6 +506,68 @@ fn wal_records_carry_inputs_frame_samples_and_hashes() {
     }
     let (first, _) = decode_tick_record(&records[0].payload).unwrap();
     assert_eq!(first.inputs.jobs.len(), 1, "tick 1 recorded the submitted job");
+}
+
+/// `decode_tick_record` reads artifact files handed to
+/// `EventLog::read_from` as well as CRC-valid WAL payloads, and promises
+/// `None` — not a panic — on anything that is not a tick record.  The
+/// sample count is the dangerous field: 25 is odd, so for one stray byte
+/// after an empty sample section `n = 25⁻¹ mod 2⁶⁴` makes a wrapping
+/// `n * 25` land exactly on it, and `Vec::with_capacity(n)` used to abort
+/// with `capacity overflow`.
+#[test]
+fn decode_tick_record_refuses_a_crafted_sample_count() {
+    let record = DurableTickRecord { tick: 7, ..DurableTickRecord::default() };
+    let honest = encode_tick_record(&record, &ColumnFrame::default());
+    assert_eq!(decode_tick_record(&honest), Some((record, Vec::new())));
+    let count_at = honest.len() - 8;
+    assert_eq!(honest[count_at..], 0u64.to_le_bytes());
+
+    const INVERSE_OF_25: u64 = 0x8F5C_28F5_C28F_5C29;
+    assert_eq!(INVERSE_OF_25.wrapping_mul(25), 1);
+    for (n, stray) in [(INVERSE_OF_25, 1usize), (u64::MAX, 0), (u64::MAX, 25), (1, 0), (0, 1)] {
+        let mut crafted = honest.clone();
+        crafted[count_at..].copy_from_slice(&n.to_le_bytes());
+        crafted.extend(std::iter::repeat_n(0xAB, stray));
+        assert_eq!(decode_tick_record(&crafted), None, "count {n:#x}, {stray} trailing bytes");
+    }
+    // Neither does any prefix, nor a JSON length pointing past the end.
+    for cut in 0..honest.len() {
+        assert_eq!(decode_tick_record(&honest[..cut]), None, "prefix of {cut} bytes");
+    }
+    let mut long_head = honest.clone();
+    long_head[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert_eq!(decode_tick_record(&long_head), None);
+}
+
+/// The plane writes tick records and nothing else.  A segment holding any
+/// other kind — the flight recorder's header, snapshot and end records
+/// share the framing, so a misfiled event log would look like this — is
+/// damaged at that record: recovery keeps the ticks before it, drops
+/// everything after, counts it, and leaves a medium that recovers clean.
+#[test]
+fn a_segment_holding_a_non_tick_record_fails_closed() {
+    for kind in [KIND_HEADER, KIND_SNAPSHOT, KIND_END, 0x42] {
+        let mut seg = WAL_MAGIC.to_vec();
+        for tick in 1..=6u64 {
+            if tick == 4 {
+                encode_record(kind, tick, b"not a tick", &mut seg);
+            }
+            encode_record(KIND_TICK, tick, &synthetic_payload(tick), &mut seg);
+        }
+        assert_eq!(scan_segment(&seg).1, ScanEnd::Clean, "every record passes its CRC");
+        let disk = Arc::new(SimDisk::new());
+        disk.overwrite("wal-0000000001.seg", &seg).unwrap();
+        let (_plane, state) = DurabilityPlane::recover(disk.clone(), plane_cfg());
+        let ticks: Vec<u64> = state.records.iter().map(|r| r.tick).collect();
+        assert_eq!(ticks, [1, 2, 3], "kind {kind:#04x}: only the ticks before it are trusted");
+        assert!(state.records.iter().all(|r| r.kind == KIND_TICK));
+        let report = state.report;
+        assert_eq!((report.corrupt_events, report.first_bad_tick), (1, Some(4)), "{report:?}");
+        assert_eq!(report.records_dropped, 4, "the stranger and the three ticks behind it");
+        let (_plane, again) = DurabilityPlane::recover(disk, plane_cfg());
+        assert_eq!((again.report.corrupt_events, again.report.last_tick), (0, Some(3)));
+    }
 }
 
 // ---------------------------------------------------------------------------

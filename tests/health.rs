@@ -231,9 +231,13 @@ fn health_state_survives_snapshot_restore() {
 fn alert_timeline_replays_from_the_flight_recorder() {
     use hpcmon_replay::{FlightRecorder, Replayer, RunSpec};
     quiet_injected_panics();
-    let spec =
-        RunSpec::new(SimConfig::small()).chaos(42, stall_plan()).health(HealthConfig::standard());
-    let mut rec = FlightRecorder::new(spec);
+    let options = hpcmon::MonitorOptions {
+        chaos: Some((42, stall_plan())),
+        self_telemetry: false,
+        health: Some(HealthConfig::standard()),
+        ..hpcmon::MonitorOptions::new(SimConfig::small())
+    };
+    let mut rec = FlightRecorder::new(RunSpec { options, snapshot_every: 50 });
     for _ in 0..20 {
         rec.tick();
     }
