@@ -130,8 +130,7 @@ fn bench(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(1));
 
-    // Baseline first: the same global-shaped query against one member
-    // gateway directly (overhead_vs_group_baseline keys off this entry).
+    // The same global-shaped query against one member gateway directly.
     let fed = federation(10, false);
     let request = top_cpu(&fed);
     let direct = fed.site_system(0).gateway().unwrap().clone();

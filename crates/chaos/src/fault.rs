@@ -48,7 +48,7 @@ pub enum ChaosFault {
     /// Each envelope is independently corrupted (one bit flipped in its
     /// serialized form) with probability `rate` for the given number of
     /// ticks.  Corruption decisions are keyed on the broker sequence
-    /// number, so they are identical across worker counts.
+    /// number, so they are identical across runs.
     EnvelopeCorrupt {
         /// Per-envelope corruption probability in `[0, 1]`.
         rate: f64,

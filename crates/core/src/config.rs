@@ -1,16 +1,17 @@
 //! Serializable site configuration.
 //!
 //! Table I: "Reporting and alerting capabilities should be easily
-//! configurable."  A [`MonitorConfig`] is the whole deployment — machine
-//! shape, collection cadence, correlation rules, response rules, retention
-//! — as one JSON document a site can version-control and share, the same
-//! way the paper's sites share Grafana dashboard configs.
+//! configurable."  A [`MonitorConfig`] is the whole deployment — the
+//! builder's own [`MonitorOptions`] (machine shape, collection cadence,
+//! retention, gateway, health, tracing, …) plus the correlation and response
+//! rules — as one JSON document a site can version-control and share, the
+//! same way the paper's sites share Grafana dashboard configs.
 //!
 //! Streaming detector attachments are code (they hold `Box<dyn Detector>`
 //! state machines), so they remain builder-level; everything declarative
 //! lives here.
 
-use crate::system::{MonitorBuilder, MonitoringSystem};
+use crate::system::{MonitorBuilder, MonitorOptions, MonitoringSystem};
 use hpcmon_analysis::{Correlator, Rule};
 use hpcmon_response::{ResponseEngine, ResponseRule};
 use hpcmon_sim::SimConfig;
@@ -20,33 +21,24 @@ use serde::{Deserialize, Serialize};
 /// A complete, shareable monitoring deployment description.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MonitorConfig {
-    /// The machine (or the simulator standing in for it).
-    pub sim: SimConfig,
-    /// Benchmark-suite cadence in ticks (`None` disables).
-    pub bench_every_ticks: Option<u64>,
-    /// Whether active probes run.
-    pub probes: bool,
+    /// Everything the builder takes as plain data.
+    pub options: MonitorOptions,
     /// Log correlation rules.
     pub correlator_rules: Vec<Rule>,
     /// Response rules.
     pub response_rules: Vec<ResponseRule>,
-    /// Log-novelty training window, ticks.
-    pub novelty_training_ticks: u64,
-    /// Retention policy and its enforcement cadence in ticks.
-    pub retention: Option<(RetentionPolicy, u64)>,
 }
 
 impl MonitorConfig {
     /// The default production-flavored deployment on a small machine.
     pub fn default_site() -> MonitorConfig {
         MonitorConfig {
-            sim: SimConfig::small(),
-            bench_every_ticks: Some(10),
-            probes: true,
+            options: MonitorOptions {
+                retention: Some((RetentionPolicy::week_performant(), 60)),
+                ..MonitorOptions::new(SimConfig::small())
+            },
             correlator_rules: Correlator::production_rules(),
             response_rules: ResponseEngine::production_rules(),
-            novelty_training_ticks: 30,
-            retention: Some((RetentionPolicy::week_performant(), 60)),
         }
     }
 
@@ -62,16 +54,9 @@ impl MonitorConfig {
 
     /// Turn into a builder (attach code-level detectors afterwards).
     pub fn into_builder(self) -> MonitorBuilder {
-        let mut b = MonitoringSystem::builder(self.sim)
-            .bench_suite_every(self.bench_every_ticks)
-            .with_probes(self.probes)
+        MonitorBuilder::from_options(self.options)
             .correlator_rules(self.correlator_rules)
             .response_rules(self.response_rules)
-            .novelty_training_ticks(self.novelty_training_ticks);
-        if let Some((policy, every)) = self.retention {
-            b = b.retention(policy, every);
-        }
-        b
     }
 
     /// Build the system directly.
@@ -104,8 +89,8 @@ mod tests {
     fn edited_config_changes_behavior() {
         // A site that disables probes and the bench suite collects less.
         let mut quiet = MonitorConfig::default_site();
-        quiet.probes = false;
-        quiet.bench_every_ticks = None;
+        quiet.options.probes = false;
+        quiet.options.bench_every_ticks = None;
         let mut lean = quiet.build();
         let mut full = MonitorConfig::default_site().build();
         let lean_samples = lean.run_ticks(10).samples;

@@ -25,7 +25,6 @@
 //! ```
 
 pub mod config;
-pub mod parallel;
 pub mod pipeline;
 pub mod scenarios;
 pub mod system;

@@ -8,7 +8,6 @@
 //! accounting, tiered storage, streaming analysis, and configurable
 //! response with actions fed back to the scheduler.
 
-use crate::parallel::WorkerPool;
 use crate::pipeline::{finding_to_signal, DetectorAttachment};
 use bytes::Bytes;
 use hpcmon_analysis::{Correlator, Deadman, ImbalanceDetector, NoveltyDetector, Rule};
@@ -35,9 +34,7 @@ use hpcmon_response::{
 };
 use hpcmon_sim::{FaultKind, JobSpec, SimConfig, SimEngine};
 use hpcmon_store::{Archive, IngestRoute, LogStore, QueryEngine, RetentionPolicy, TimeSeriesStore};
-use hpcmon_telemetry::{
-    BusyTimer, Counter, Gauge, Histogram, StageTimer, Telemetry, TelemetryReport,
-};
+use hpcmon_telemetry::{Counter, Gauge, Histogram, StageTimer, Telemetry, TelemetryReport};
 use hpcmon_trace::{DropReason, Sampler, Stage, TraceContext, TraceStore, Tracer};
 use hpcmon_transport::{
     topics, BackpressurePolicy, Broker, Envelope, Payload, Subscription, TopicFilter, TopicStats,
@@ -58,15 +55,13 @@ pub use state::{CoreSnapshot, GatewayOp, TickInputs, TickStateHash};
 /// on [`MonitorBuilder`]).  One serde struct, so a description of a run —
 /// the flight recorder's log header — is these fields and not a copy of
 /// them; [`MonitorBuilder`]'s chained setters write into it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MonitorOptions {
     /// The simulated machine.
     pub sim: SimConfig,
     /// Chaos seed and plan ([`MonitorBuilder::chaos`]); implies
     /// `supervision`.
     pub chaos: Option<(u64, ChaosPlan)>,
-    /// Worker-pool size, 0 = serial ([`MonitorBuilder::workers`]).
-    pub workers: usize,
     /// Supervised self-healing collection ([`MonitorBuilder::supervision`]).
     pub supervision: bool,
     /// Whether the monitor observes itself
@@ -101,7 +96,6 @@ impl MonitorOptions {
         MonitorOptions {
             sim,
             chaos: None,
-            workers: 0,
             supervision: false,
             self_telemetry: true,
             tracing: Sampler::one_in(64),
@@ -177,8 +171,8 @@ impl MonitorBuilder {
     /// good/bad evidence from *deterministic* primary sources (coverage
     /// bitmap, stall backlog, breaker and spill state, store/broker op
     /// counts, chaos injection totals — never wall-clock telemetry), so
-    /// alert timelines are keyed by tick and bit-identical at any worker
-    /// count.  Transitions publish [`AlertEvent`]s on the broker topic
+    /// alert timelines are keyed by tick and bit-identical between runs.
+    /// Transitions publish [`AlertEvent`]s on the broker topic
     /// `health/alerts` and surface as `hpcmon.self.health.*` series
     /// through the self feed.  Off, the whole plane costs one branch.
     pub fn health(mut self, cfg: HealthConfig) -> MonitorBuilder {
@@ -213,22 +207,16 @@ impl MonitorBuilder {
     /// itself (implies [`MonitorBuilder::supervision`]).  `seed` keys the
     /// per-envelope corruption draws; the plan's tick numbers refer to
     /// [`MonitoringSystem::tick`] calls (the first tick is 1).  The same
-    /// seed and plan reproduce the same faults bit-for-bit at any worker
-    /// count.
+    /// seed and plan reproduce the same faults bit-for-bit.
     pub fn chaos(mut self, seed: u64, plan: ChaosPlan) -> MonitorBuilder {
         self.options.chaos = Some((seed, plan));
         self
     }
 
-    /// Fan the hot tick stages (collection, detector evaluation, store
-    /// ingest) across `n` persistent worker threads.  `0` (the default)
-    /// keeps the pipeline fully serial.  Output is deterministic either
-    /// way: collectors fill private frames merged in fixed collector
-    /// order, detector signals concatenate in attachment order, and store
-    /// shards never share a series — so reports, signals, and stored data
-    /// are identical for any worker count.
-    pub fn workers(mut self, n: usize) -> MonitorBuilder {
-        self.options.workers = n;
+    // Source-compatibility shim for the frozen `benchmark/src/workloads.rs:187`.
+    #[doc(hidden)]
+    pub fn workers(self, n: usize) -> MonitorBuilder {
+        assert_eq!(n, 0, "the tick is serial; the worker pool is gone (DESIGN.md §9)");
         self
     }
 
@@ -375,8 +363,6 @@ impl MonitorBuilder {
             )));
         }
         let instruments = PipelineInstruments::new(&telemetry, &collectors, &self.detectors);
-        instruments.parallel_workers.set(o.workers as f64);
-        let pool = (o.workers > 0).then(|| WorkerPool::new(o.workers));
         let tracer = Arc::new(Tracer::new(o.tracing));
         if tracer.is_enabled() {
             broker.set_tracer(tracer.clone());
@@ -436,7 +422,6 @@ impl MonitorBuilder {
             gateway,
             tracer,
             trace_store: TraceStore::new(256),
-            pool,
         }
     }
 }
@@ -481,18 +466,6 @@ struct PipelineInstruments {
     trace_completed: Arc<Counter>,
     trace_completed_with_drops: Arc<Counter>,
     trace_ring_rejected: Arc<Counter>,
-    // Parallel pipeline: worker count, jobs dispatched, and per-stage busy
-    // time.  Busy counters are fed by per-job `BusyTimer`s — each job's
-    // duration is added exactly once by the worker that ran it, while the
-    // wall-clock `stage_*` histograms above are recorded exactly once by
-    // the coordinating thread, so stage time is never double-counted.
-    // The same busy counters run in the serial path (busy ≈ wall there),
-    // keeping the self-telemetry series set identical across worker counts.
-    parallel_workers: Arc<Gauge>,
-    parallel_jobs: Arc<Counter>,
-    busy_collect: Arc<Counter>,
-    busy_analysis: Arc<Counter>,
-    busy_store: Arc<Counter>,
     // Self-healing export: fault-injection counts by kind, supervisor and
     // breaker state, and per-frame collector coverage.  Registered
     // unconditionally so the self-feed series set does not depend on
@@ -568,11 +541,6 @@ impl PipelineInstruments {
             trace_completed: t.counter("trace.completed"),
             trace_completed_with_drops: t.counter("trace.completed_with_drops"),
             trace_ring_rejected: t.counter("trace.ring_rejected"),
-            parallel_workers: t.gauge("parallel.workers"),
-            parallel_jobs: t.counter("parallel.jobs"),
-            busy_collect: t.counter("parallel.busy_ns.collect"),
-            busy_analysis: t.counter("parallel.busy_ns.analysis"),
-            busy_store: t.counter("parallel.busy_ns.store"),
             chaos_collector_panic: t.counter("chaos.injected.collector_panic"),
             chaos_collector_hang: t.counter("chaos.injected.collector_hang"),
             chaos_collector_slow: t.counter("chaos.injected.collector_slow"),
@@ -663,7 +631,7 @@ impl PipelineInstruments {
 }
 
 /// Per-tick outcome.  `PartialEq`/`Serialize` so determinism checks can
-/// compare whole reports across worker counts (and diff them as JSON).
+/// compare whole reports across runs (and diff them as JSON).
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct TickReport {
     /// Samples collected this tick.
@@ -722,9 +690,6 @@ pub struct MonitoringSystem {
     gateway: Option<Arc<Gateway>>,
     tracer: Arc<Tracer>,
     trace_store: TraceStore,
-    // `Some` fans the hot stages across persistent workers; `None` is the
-    // serial path.  Both produce byte-identical output (see DESIGN.md §9).
-    pool: Option<WorkerPool>,
     // Self-healing machinery (DESIGN.md §10).  With `supervision` false
     // none of it runs and the pipeline is byte-identical to the
     // unsupervised build.
@@ -812,8 +777,8 @@ impl MonitoringSystem {
 
     /// Advance machine + monitoring by one tick.  Reads top to bottom as
     /// the stage order DESIGN.md §2 documents; every stage is one private
-    /// method below, written once, with supervision and the worker pool as
-    /// inputs to it (DESIGN.md §9).
+    /// method below, written once, on the calling thread (DESIGN.md §9),
+    /// with supervision as an input to it.
     pub fn tick(&mut self) -> TickReport {
         // Stamp this tick's frame with a trace context.  The sampling
         // decision hashes the tick number: identical runs trace identical frames.
@@ -1002,17 +967,10 @@ impl MonitoringSystem {
         }
     }
 
-    /// Stage 1: run every collector into `frame`; per slot, in
-    /// registration order, settle its supervision, deadman beat and
-    /// coverage bit.
-    ///
-    /// Serially each collector fills `frame` directly (no parts, no copy);
-    /// under a worker pool each fills a private part-frame and the parts
-    /// merge in registration order, so the frame is byte-identical at any
-    /// worker count.  Collectors named "self" are barriers — they
-    /// republish instruments the other collectors update this tick — so
-    /// they always run inline at their own position, after the fan-out
-    /// (the builder installs the `SelfCollector` last, matching).
+    /// Stage 1: run every collector into `frame` — directly, in
+    /// registration order (the builder installs the `SelfCollector` last,
+    /// so it republishes what the others updated this tick) — and per slot
+    /// settle its supervision, deadman beat and coverage bit.
     ///
     /// Under supervision (DESIGN.md §10) every run is wrapped in a panic
     /// catch and the chaos engine's active faults: a segment that fails
@@ -1020,87 +978,13 @@ impl MonitoringSystem {
     /// quarantined with exponential-backoff re-probes, the gap handed to
     /// the deadman so it surfaces as `MonitoringGap`, never silence.
     /// Unsupervised, a collector panic propagates to the caller; with no
-    /// chaos plan and nothing ever quarantined every plan is "run", and
-    /// the supervisor calls below find nothing to do.
+    /// chaos plan and nothing ever quarantined every slot runs, and the
+    /// supervisor calls below find nothing to do.
     fn collect(&mut self, frame: &mut ColumnFrame) {
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        /// What one slot does this tick.
-        #[derive(Clone, Copy)]
-        enum Plan {
-            /// Quarantined and the re-probe is not due: skipped (the
-            /// deadman carries the gap).
-            Skip,
-            /// Chaos hang: never runs, counts as a failure.
-            Fail,
-            /// Runs; `inject_panic` fires the chaos panic inside the run,
-            /// `discard` drops the segment afterwards (deadline overrun).
-            Run { inject_panic: bool, discard: bool },
-        }
         let (tick, now) = (self.engine.tick_count(), frame.ts);
         let supervised = self.supervision;
         let budget = self.supervisor.config().slow_budget_factor;
-        let plans: Vec<Plan> = (self.collectors.iter().enumerate())
-            .map(|(i, c)| {
-                if !self.supervisor.should_run(i, tick) {
-                    return Plan::Skip;
-                }
-                match self.chaos.as_ref().and_then(|ch| ch.collector_fault(c.name())) {
-                    Some(CollectorFault::Hang) => Plan::Fail,
-                    Some(CollectorFault::Panic) => Plan::Run { inject_panic: true, discard: true },
-                    Some(CollectorFault::Slow(factor)) => {
-                        Plan::Run { inject_panic: false, discard: factor >= budget }
-                    }
-                    None => Plan::Run { inject_panic: false, discard: false },
-                }
-            })
-            .collect();
-        // One run: time it, and under supervision catch anything — injected
-        // chaos panics and real collector panics alike.  Returns whether
-        // the run panicked (never, unsupervised: it unwinds).
-        let engine = &self.engine;
-        let run = |c: &mut Box<dyn Collector>, out: &mut ColumnFrame, inject_panic, inst| {
-            let inst: &CollectorInstruments = inst;
-            let started = Instant::now();
-            let mut body = || {
-                c.collect(engine, out);
-                if inject_panic {
-                    panic!("chaos: injected collector panic");
-                }
-            };
-            let panicked = if supervised {
-                catch_unwind(AssertUnwindSafe(&mut body)).is_err()
-            } else {
-                body();
-                false
-            };
-            inst.latency.record_ns(started.elapsed().as_nanos() as u64);
-            panicked
-        };
-        // Fan out only under a pool: (part, panicked) per slot, empty on
-        // the serial path.
-        let mut parts: Vec<(ColumnFrame, bool)> = Vec::new();
-        if let Some(pool) = &self.pool {
-            parts = (0..self.collectors.len()).map(|_| (ColumnFrame::new(now), false)).collect();
-            let jobs = &self.instruments.parallel_jobs;
-            let busy = &self.instruments.busy_collect;
-            pool.scope(|sc| {
-                for (((c, part), inst), &plan) in (self.collectors.iter_mut())
-                    .zip(parts.iter_mut())
-                    .zip(&self.instruments.collectors)
-                    .zip(&plans)
-                {
-                    let Plan::Run { inject_panic, .. } = plan else { continue };
-                    if c.name() == "self" {
-                        continue;
-                    }
-                    jobs.inc();
-                    sc.spawn(move || {
-                        let _busy = BusyTimer::new(busy.clone());
-                        part.1 = run(c, &mut part.0, inject_panic, inst);
-                    });
-                }
-            });
-        }
         // Coverage bitmap: a slot is expected once it has ever
         // contributed, and reported if it contributed this tick.  Analysis
         // stages use it to *skip* segments a quarantined collector failed
@@ -1108,21 +992,40 @@ impl MonitoringSystem {
         let mut cov = FrameCoverage::default();
         for i in 0..self.collectors.len() {
             let before = frame.len();
-            // `Some(ok)` for a slot that was due this tick, `None` if skipped.
-            let outcome = match plans[i] {
-                Plan::Skip => None,
-                Plan::Fail => Some(false),
-                Plan::Run { inject_panic, discard } => {
-                    let panicked = if parts.is_empty() || self.collectors[i].name() == "self" {
-                        let _busy = BusyTimer::new(self.instruments.busy_collect.clone());
-                        let inst = &self.instruments.collectors[i];
-                        run(&mut self.collectors[i], frame, inject_panic, inst)
-                    } else {
-                        frame.append(&mut parts[i].0);
-                        parts[i].1
-                    };
-                    Some(!(panicked || discard))
-                }
+            let fault =
+                self.chaos.as_ref().and_then(|ch| ch.collector_fault(self.collectors[i].name()));
+            // `Some(ok)` for a slot that was due this tick; `None` for one
+            // quarantined with no re-probe due (the deadman carries the gap).
+            let outcome = if !self.supervisor.should_run(i, tick) {
+                None
+            } else if fault == Some(CollectorFault::Hang) {
+                // Chaos hang: never runs, counts as a failure.
+                Some(false)
+            } else {
+                // The chaos panic fires inside the run; a run over the
+                // deadline budget completes and is discarded afterwards.
+                let inject_panic = fault == Some(CollectorFault::Panic);
+                let discard = matches!(fault, Some(CollectorFault::Slow(f)) if f >= budget);
+                // Time the run, and under supervision catch anything —
+                // injected chaos panics and real collector panics alike
+                // (unsupervised, a panic unwinds to the caller).
+                let (engine, c) = (&self.engine, &mut self.collectors[i]);
+                let started = Instant::now();
+                let mut body = || {
+                    c.collect(engine, frame);
+                    if inject_panic {
+                        panic!("chaos: injected collector panic");
+                    }
+                };
+                let panicked = if supervised {
+                    catch_unwind(AssertUnwindSafe(&mut body)).is_err()
+                } else {
+                    body();
+                    false
+                };
+                let elapsed = started.elapsed().as_nanos() as u64;
+                self.instruments.collectors[i].latency.record_ns(elapsed);
+                Some(!(panicked || discard))
             };
             if outcome == Some(false) {
                 // A failed segment is discarded whole.
@@ -1199,7 +1102,7 @@ impl MonitoringSystem {
     /// the broker's defensive decode; a rejected envelope is counted
     /// (`transport.decode_errors`), its loss recorded with provenance, and
     /// the caller skips it.  The decision hashes the broker sequence
-    /// number, so the same envelopes are hit at any worker count.  The
+    /// number, so the same envelopes are hit on every run.  The
     /// flip position is computed over a *canonical* wire form with the
     /// trace context stripped: sampling decisions (including replay's
     /// forced 1-in-1 tracing) change the traced wire bytes, and the
@@ -1227,14 +1130,11 @@ impl MonitoringSystem {
     }
 
     /// Store one frame — the raw frame off the broker and the analysis
-    /// results frame alike.  Plain: through the cached route.  Under a
-    /// pool: shard-routed concurrent ingest — the route already groups
-    /// the key column by owning shard (frame order kept within each
-    /// batch) and shards never share a series, so the stored contents are
-    /// identical to serial insertion.  Under supervision: breaker-fronted
-    /// — a failing shard trips the breaker and frames spill (bounded,
-    /// drop-oldest with provenance) until a half-open probe finds the
-    /// store healthy again, then the spill drains in arrival order.
+    /// results frame alike.  Plain: through the cached route.  Under
+    /// supervision: breaker-fronted — a failing shard trips the breaker and
+    /// frames spill (bounded, drop-oldest with provenance) until a half-open
+    /// probe finds the store healthy again, then the spill drains in
+    /// arrival order.
     fn ingest(&mut self, frame: &Arc<ColumnFrame>, trace: Option<TraceContext>) {
         // Results frames (two fixed keys, led by `analysis.signals`) ride
         // their own cached route: sharing one would evict the raw frame's
@@ -1246,7 +1146,6 @@ impl MonitoringSystem {
         let store = &*self.store;
         let routes = &mut self.routes;
         if self.supervision {
-            let _busy = BusyTimer::new(self.instruments.busy_store.clone());
             let item = (Arc::clone(frame), trace);
             let report = self.breaker.submit(item, self.engine.tick_count(), |(cf, _)| {
                 store.try_ingest_columns(cf, &mut routes[lane(cf)])
@@ -1259,25 +1158,7 @@ impl MonitoringSystem {
                     "spill queue full: oldest frame evicted",
                 );
             }
-        } else if let Some(pool) = &self.pool {
-            let route = &mut routes[lane(frame)];
-            store.prepare_route(frame, route);
-            let shared: &IngestRoute = route;
-            let jobs = &self.instruments.parallel_jobs;
-            let busy = &self.instruments.busy_store;
-            pool.scope(|sc| {
-                for shard in (0..store.num_shards()).filter(|&s| shared.touches(s)) {
-                    jobs.inc();
-                    let cf = frame.as_ref();
-                    sc.spawn(move || {
-                        let _busy = BusyTimer::new(busy.clone());
-                        store.ingest_route_shard(shard, cf, shared);
-                    });
-                }
-            });
-            store.finish_route(route);
         } else {
-            let _busy = BusyTimer::new(self.instruments.busy_store.clone());
             store.ingest_columns(frame, &mut routes[lane(frame)]);
         }
     }
@@ -1311,25 +1192,19 @@ impl MonitoringSystem {
         signals
     }
 
-    /// Stage 4: streaming metric analysis on the fresh frame.  Attachments
-    /// are independent (private detector state, disjoint sample
-    /// partitions), so they evaluate concurrently when a pool is
-    /// configured; concatenating the per-attachment outputs in attachment
-    /// order reproduces the serial signal order exactly.
+    /// Stage 4: streaming metric analysis on the fresh frame: feed each
+    /// attachment, in attachment order, this frame's samples of its series.
+    /// The scan reads the key column alone; a match fetches its stamp and
+    /// value.
     fn evaluate_detectors(&mut self, frame: &ColumnFrame, signals: &mut Vec<Signal>) {
-        let busy = &self.instruments.busy_analysis;
-        // Feed one attachment this frame's samples of its series.  The scan
-        // reads the key column alone; a match fetches its stamp and value.
-        let evaluate = |att: &mut DetectorAttachment, inst, out: &mut Vec<Signal>| {
-            let inst: &DetectorInstruments = inst;
-            let _busy = BusyTimer::new(busy.clone());
+        for (att, inst) in self.detectors.iter_mut().zip(&self.instruments.detectors) {
             let started = Instant::now();
             let mut evals = 0u64;
             for (i, _) in frame.keys.iter().enumerate().filter(|(_, k)| **k == att.key) {
                 let s = frame.get(i);
                 evals += 1;
                 if let Some(anomaly) = att.detector.observe(s.ts, s.value) {
-                    out.push(Signal::new(
+                    signals.push(Signal::new(
                         anomaly.ts,
                         att.kind,
                         att.severity,
@@ -1341,23 +1216,6 @@ impl MonitoringSystem {
             }
             inst.evals.add(evals);
             inst.latency.record_ns(started.elapsed().as_nanos() as u64);
-        };
-        let n = self.detectors.len();
-        let pairs = self.detectors.iter_mut().zip(&self.instruments.detectors);
-        let Some(pool) = &self.pool else {
-            pairs.for_each(|(att, inst)| evaluate(att, inst, signals));
-            return;
-        };
-        let jobs = &self.instruments.parallel_jobs;
-        let mut outs: Vec<Vec<Signal>> = (0..n).map(|_| Vec::new()).collect();
-        pool.scope(|sc| {
-            for ((att, inst), out) in pairs.zip(outs.iter_mut()) {
-                jobs.inc();
-                sc.spawn(move || evaluate(att, inst, out));
-            }
-        });
-        for out in &mut outs {
-            signals.append(out);
         }
     }
 
@@ -1474,7 +1332,7 @@ impl MonitoringSystem {
     /// backlog, breaker and spill state, store/broker op counts, chaos
     /// injection totals — never from wall-clock telemetry (the gateway's
     /// shed counters, for instance, ride `Instant` deadlines), so alert
-    /// timelines are keyed by tick and bit-identical at any worker count.
+    /// timelines are keyed by tick and bit-identical between runs.
     /// Exemplars are the one exception: a newly firing alert grabs the
     /// trace id nearest its subsystem's p99 as a flamegraph link, and the
     /// canonical timeline zeroes it.
@@ -1763,7 +1621,7 @@ impl MonitoringSystem {
 
     /// The canonical alert timeline: one JSON line per transition with
     /// exemplar ids zeroed — the artifact determinism suites byte-diff
-    /// across worker counts.  Empty when health is off.
+    /// between runs.  Empty when health is off.
     pub fn health_timeline(&self) -> String {
         self.health.as_ref().map_or_else(String::new, |h| h.canonical_timeline())
     }
@@ -2187,8 +2045,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "collector exploded")]
     fn unsupervised_pool_propagates_a_collector_panic() {
-        // Supervision is what catches collector panics; without it the one
-        // `collect` must let a panic raised on a pool worker reach the caller.
+        // Supervision is what catches collector panics; without it `collect`
+        // must let one reach the caller.  (Named before the worker pool went.)
         struct Exploding;
         impl Collector for Exploding {
             fn name(&self) -> &str {
@@ -2199,29 +2057,9 @@ mod tests {
             }
         }
         let mut mon = MonitoringSystem::builder(SimConfig::small())
-            .workers(2)
             .install_collector(Box::new(Exploding))
             .build();
         mon.tick();
-    }
-
-    #[test]
-    fn parallel_pipeline_matches_serial() {
-        let run = |workers: usize| {
-            let mut mon = MonitoringSystem::builder(SimConfig::small()).workers(workers).build();
-            mon.submit_job(JobSpec::new(
-                AppProfile::checkpointing("climate"),
-                "bob",
-                32,
-                40 * 60_000,
-                Ts::ZERO,
-            ));
-            mon.schedule_fault(Ts::from_mins(5), FaultKind::NodeHang { node: 3 });
-            let s = mon.run_ticks(12);
-            (s, mon.signals().to_vec(), mon.store().stats().hot_points)
-        };
-        let serial = run(0);
-        assert_eq!(serial, run(2), "2 workers, identical output");
     }
 
     #[test]

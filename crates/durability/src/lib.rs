@@ -11,7 +11,7 @@
 //! * [`medium`] — the [`StorageMedium`] trait (append / sync / atomic
 //!   rename, with fault hooks) and [`SimDisk`], a deterministic in-memory
 //!   disk whose crashes, torn writes, and bit flips are seeded and
-//!   bit-identical at any worker count.
+//!   bit-identical on every run.
 //! * [`wal`] — the record and checkpoint codecs plus the segment scanner
 //!   that distinguishes a *torn tail* (truncate and continue) from
 //!   *mid-log corruption* (diagnose, count, fail closed — never panic).

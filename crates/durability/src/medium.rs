@@ -15,7 +15,7 @@
 //! real disk tears a sector-straddling write.  The chaos engine's
 //! `Disk*` faults project onto the fault hooks ([`StorageMedium::set_write_fail`]
 //! and friends), so the same seeded plan damages the medium bit-for-bit
-//! at any worker count.
+//! on every run.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -159,7 +159,7 @@ pub struct SimDisk {
 }
 
 /// SplitMix64 finalizer — seeded fault placement must be a pure function
-/// of the seed, identical at any worker count.
+/// of the seed, identical on every run.
 fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -18,9 +18,6 @@ pub struct SiteSpec {
     /// ticks ahead of federation time, so every sample it emits carries
     /// site-local timestamps the merge layer must re-align.
     pub epoch_offset_ticks: u64,
-    /// Worker threads for the site's tick pipeline (0 = serial; output is
-    /// identical either way).
-    pub workers: usize,
     /// The site's query gateway (always built — scatter needs it).
     pub gateway: GatewayConfig,
     /// Whether the site runs its self-telemetry layer.  Default off: the
@@ -33,13 +30,12 @@ pub struct SiteSpec {
 
 impl SiteSpec {
     /// A site over `config`, named `name`, with default gateway, no skew,
-    /// serial pipeline, and a default WAN link.
+    /// and a default WAN link.
     pub fn new(name: impl Into<String>, config: SimConfig) -> SiteSpec {
         SiteSpec {
             name: name.into(),
             config,
             epoch_offset_ticks: 0,
-            workers: 0,
             gateway: GatewayConfig::default(),
             self_telemetry: false,
             link: WanLinkSpec::default(),
@@ -49,12 +45,6 @@ impl SiteSpec {
     /// Set the clock-skew epoch offset (ticks).
     pub fn epoch_offset_ticks(mut self, ticks: u64) -> SiteSpec {
         self.epoch_offset_ticks = ticks;
-        self
-    }
-
-    /// Set the site's worker-thread count.
-    pub fn workers(mut self, n: usize) -> SiteSpec {
-        self.workers = n;
         self
     }
 

@@ -7,7 +7,7 @@
 //! configs, their seeds, and the WAN fault plan:
 //!
 //! * Sites step in **tick lockstep**, in fixed site order; each member
-//!   pipeline is itself deterministic at any worker count.
+//!   pipeline is itself deterministic.
 //! * WAN behavior is denominated in ticks and driven by the seeded
 //!   [`ChaosEngine`]; there are no wall-clock decisions on the data path.
 //! * Scatter uses the gateway's plan-level entry point
@@ -16,7 +16,7 @@
 //!   link RTT *before* the member query runs.
 //! * Merges sort by value with `(site index, component)` tie-breaks and
 //!   align all timestamps to federation time, so the same seed + plan
-//!   yield bit-identical federated answers at any worker count.
+//!   yield bit-identical federated answers on every run.
 
 use crate::config::FederationConfig;
 use crate::scatter::{
@@ -176,7 +176,7 @@ pub fn site_comp(site_index: usize) -> CompId {
 
 impl Federation {
     /// Build the federation: every member system is constructed (with its
-    /// gateway, worker count, and clock-skew epoch), links start quiet,
+    /// gateway and clock-skew epoch), links start quiet,
     /// and the WAN fault plan is armed.
     ///
     /// # Panics
@@ -196,7 +196,6 @@ impl Federation {
             .into_iter()
             .map(|spec| {
                 let system = MonitoringSystem::builder(spec.config)
-                    .workers(spec.workers)
                     .self_telemetry(spec.self_telemetry)
                     .gateway(spec.gateway)
                     .clock_epoch_offset_ticks(spec.epoch_offset_ticks)

@@ -29,8 +29,8 @@
 //!   federation time on both the request and response paths.
 //!
 //! Everything is deterministic: the same seeds and the same WAN fault
-//! plan produce bit-identical federated answers and rollup stores at any
-//! worker count.
+//! plan produce bit-identical federated answers and rollup stores on every
+//! run.
 
 #![warn(missing_docs)]
 

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Gateway sizing and policy knobs.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct GatewayConfig {
     /// Worker-pool shards; principals are hashed onto shards so one noisy
     /// consumer contends with itself first.

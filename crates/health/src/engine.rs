@@ -6,8 +6,8 @@
 //! *deterministic* pipeline state (coverage bitmaps, breaker phase, spill
 //! depths — never wall-clock instruments), and the engine updates every
 //! SLO's rolling windows and phase machine.  That is what makes alert
-//! timelines bit-identical at any worker count and exactly reproducible
-//! from a snapshot.
+//! timelines bit-identical between runs and exactly reproducible from a
+//! snapshot.
 
 use crate::alert::{
     ActiveAlert, AlertEvent, Grade, HealthReport, Silence, SiteHealth, SubsystemHealth, Transition,
@@ -431,7 +431,7 @@ impl HealthEngine {
 
     /// Order-sensitive digest of phases, windows, and the event history,
     /// excluding exemplar ids (wall-clock-tainted) so the digest agrees
-    /// across worker counts and telemetry settings.
+    /// across runs and telemetry settings.
     pub fn state_digest(&self) -> u64 {
         let mut h = StateHash::new(0x6E);
         h.usize(self.states.len());

@@ -17,7 +17,7 @@
 //!   [`Silence`]s, and hysteresis on both edges.  Every transition is an
 //!   [`AlertEvent`]: a serde value the pipeline publishes on the broker
 //!   (`health/alerts`), republishes as `hpcmon.self.health.*` series, and
-//!   byte-diffs across worker counts via [`HealthEngine::canonical_timeline`].
+//!   byte-diffs between runs via [`HealthEngine::canonical_timeline`].
 //! * [`HealthReport`] — the per-subsystem grades, active alerts, and
 //!   per-site rollup rows that `hpcmon-viz`'s health board renders.
 //!

@@ -138,15 +138,6 @@ impl ColumnFrame {
         self.values.truncate(n);
     }
 
-    /// Move every sample of `other` onto the end of this frame, column by
-    /// column (the parallel pipeline's merge step).  `other` is left empty
-    /// with its capacity intact.
-    pub fn append(&mut self, other: &mut ColumnFrame) {
-        self.keys.append(&mut other.keys);
-        self.stamps.append(&mut other.stamps);
-        self.values.append(&mut other.values);
-    }
-
     /// Reset for a new tick, retaining column capacity — the arena's
     /// reclamation step that makes the steady-state path allocation-free.
     pub fn clear_for_tick(&mut self, ts: Ts) {
@@ -258,22 +249,16 @@ mod tests {
     }
 
     #[test]
-    fn truncate_and_append_keep_columns_parallel() {
-        let mut a = ColumnFrame::new(Ts(5));
+    fn truncate_keeps_columns_parallel() {
         let mut b = ColumnFrame::new(Ts(5));
         for i in 0..4 {
-            a.push(mid(0), CompId::node(i), i as f64);
             b.push(mid(1), CompId::node(i), 10.0 + i as f64);
         }
         b.truncate(2);
         assert_eq!(b.len(), 2);
         assert_eq!(b.keys.len(), b.stamps.len());
         assert_eq!(b.keys.len(), b.values.len());
-        a.append(&mut b);
-        assert_eq!(a.len(), 6);
-        assert!(b.is_empty());
-        assert_eq!(a.get(5).key.metric, mid(1));
-        assert_eq!(a.get(5).value, 11.0);
+        assert_eq!(b.get(1).value, 11.0);
     }
 
     #[test]
@@ -333,9 +318,9 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Columnar append + part merge + epoch swap keep every sample, in
-        /// push order, across multiple collector segments and arena ticks
-        /// — checked against a plain `Vec<Sample>` oracle.
+        /// Columnar append + epoch swap keep every sample, in push order,
+        /// across multiple collector segments and arena ticks — checked
+        /// against a plain `Vec<Sample>` oracle.
         #[test]
         fn prop_columnar_epoch_swap_keeps_push_order(
             ticks in proptest::collection::vec(
@@ -356,15 +341,9 @@ mod tests {
                 let ts = Ts(t as u64 * 60_000);
                 let mut oracle: Vec<Sample> = Vec::new();
                 let mut cf = arena.take_current(ts);
-                for segment in segments {
-                    // Parallel merge: each segment appends into its own
-                    // part, then merges — same as the pool path.
-                    let mut part = ColumnFrame::new(ts);
-                    for &(m, n, v) in segment {
-                        oracle.push(Sample::new(MetricId(m), CompId::node(n), ts, v));
-                        part.push(MetricId(m), CompId::node(n), v);
-                    }
-                    cf.append(&mut part);
+                for &(m, n, v) in segments.iter().flatten() {
+                    oracle.push(Sample::new(MetricId(m), CompId::node(n), ts, v));
+                    cf.push(MetricId(m), CompId::node(n), v);
                 }
                 let shared = arena.publish(cf);
                 prop_assert_eq!(shared.ts, ts);

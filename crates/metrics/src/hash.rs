@@ -2,7 +2,7 @@
 //!
 //! Replay verification compares per-tick digests of live subsystem state
 //! against the recorded stream, so the hash must be (a) identical across
-//! worker counts and platforms, (b) cheap enough to run every tick over
+//! runs and platforms, (b) cheap enough to run every tick over
 //! thousands of samples — one multiply-xor round per 64-bit word, not
 //! byte-at-a-time — and (c) stable within an event-log format version
 //! (recorded hashes are only ever compared against hashes recomputed by

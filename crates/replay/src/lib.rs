@@ -80,14 +80,11 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// Build the [`MonitoringSystem`] this spec describes on a pool of
-    /// `workers` (hashes are worker-count-invariant, so replaying at a
-    /// count other than `options.workers` is itself a determinism check),
-    /// with state hashing enabled — it must be on before the first tick so
-    /// lazily registered metric ids line up between recording and replay.
-    pub fn build_system(&self, workers: usize) -> MonitoringSystem {
-        let options = MonitorOptions { workers, ..self.options.clone() };
-        let mut system = MonitorBuilder::from_options(options).build();
+    /// Build the [`MonitoringSystem`] this spec describes, with state
+    /// hashing enabled — it must be on before the first tick so lazily
+    /// registered metric ids line up between recording and replay.
+    pub fn build_system(&self) -> MonitoringSystem {
+        let mut system = MonitorBuilder::from_options(self.options.clone()).build();
         system.set_state_hashing(true);
         system
     }

@@ -39,7 +39,7 @@ impl FlightRecorder {
             "strict replay requires self_telemetry off: self-observation \
              values carry wall-clock timings that break hash reproducibility"
         );
-        let system = spec.build_system(spec.options.workers);
+        let system = spec.build_system();
         FlightRecorder {
             system,
             spec,

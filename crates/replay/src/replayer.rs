@@ -92,19 +92,7 @@ pub struct Replayer<'log> {
 impl<'log> Replayer<'log> {
     /// Build a fresh system from the log header, positioned at tick 0.
     pub fn new(log: &'log EventLog) -> Replayer<'log> {
-        Replayer::with_workers(log, log.spec.options.workers)
-    }
-
-    /// Like [`Replayer::new`] but with a different collection
-    /// worker-pool size — recorded hashes are worker-count-invariant, so
-    /// a clean replay at another width doubles as a determinism check.
-    pub fn with_workers(log: &'log EventLog, workers: usize) -> Replayer<'log> {
-        Replayer {
-            system: log.spec.build_system(workers),
-            log,
-            cursor: 0,
-            forced_full_tracing: false,
-        }
+        Replayer { system: log.spec.build_system(), log, cursor: 0, forced_full_tracing: false }
     }
 
     /// Force trace sampling to 1-in-1 for everything this replayer
@@ -128,36 +116,36 @@ impl<'log> Replayer<'log> {
         &self.system
     }
 
-    /// Seek to tick `target` by restoring the nearest checkpoint at or
-    /// before it, then replaying the remaining ticks with hash
-    /// verification.  Returns the outcome of the replayed stretch
-    /// (snapshot-restore itself is exact, so a divergence here indicates
-    /// either a perturbed log or real non-determinism).
+    /// Seek to tick `target`: carry on from the current position if it
+    /// lies between the nearest checkpoint at or before `target` and
+    /// `target` itself, else restore that checkpoint; then replay the
+    /// remaining ticks with hash verification.  Returns the outcome of the
+    /// replayed stretch (snapshot-restore itself is exact, so a divergence
+    /// here indicates either a perturbed log or real non-determinism).
     ///
-    /// With no usable snapshot this degrades to replay-from-0 up to
-    /// `target`.
+    /// With no usable snapshot a restore is a rebuild and replay-from-0.
     pub fn seek(&mut self, target: u64) -> ReplayOutcome {
         assert!(
             target <= self.log.len(),
             "seek target {target} past end of log ({} ticks)",
             self.log.len()
         );
-        let restored = match self.log.nearest_snapshot(target) {
-            Some(snap) => {
+        let snapshot = self.log.nearest_snapshot(target);
+        let base = snapshot.map_or(0, CoreSnapshot::tick);
+        if !((base..=target).contains(&self.position()) && self.on_recorded_chain()) {
+            match snapshot {
                 // Restoring consumes a snapshot; the log keeps its copy.
-                self.system.restore_snapshot(snap.clone());
-                snap.tick()
-            }
-            None => {
-                // No checkpoint: rebuild from scratch and replay it all.
-                self.system = self.log.spec.build_system(self.log.spec.options.workers);
-                if self.forced_full_tracing {
-                    self.system.tracer().set_force_sampling(true);
+                Some(snap) => self.system.restore_snapshot(snap.clone()),
+                None => {
+                    // No checkpoint: rebuild from scratch and replay it all.
+                    self.system = self.log.spec.build_system();
+                    if self.forced_full_tracing {
+                        self.system.tracer().set_force_sampling(true);
+                    }
                 }
-                0
             }
-        };
-        self.cursor = restored as usize;
+            self.cursor = base as usize;
+        }
         let mut verified = 0;
         while self.position() < target {
             match self.step() {
@@ -169,6 +157,13 @@ impl<'log> Replayer<'log> {
             }
         }
         ReplayOutcome { ticks_verified: verified, divergence: None }
+    }
+
+    /// Whether the system holds the recorded state at `position`: nothing
+    /// replayed yet, or the last tick it ran hashed as the log says — false
+    /// after a divergence, which `seek` must not carry on from.
+    fn on_recorded_chain(&self) -> bool {
+        self.cursor == 0 || self.system.last_state_hash() == self.log.ticks[self.cursor - 1].hash
     }
 
     /// Replay the next recorded tick through

@@ -778,7 +778,7 @@ mod tests {
     }
 
     /// `metrics` samples for each of `nodes`, node-major like the collectors.
-    fn frame_of(tick: u64, nodes: Range<u32>, metrics: u32) -> ColumnFrame {
+    fn frame_of(tick: u64, nodes: impl IntoIterator<Item = u32>, metrics: u32) -> ColumnFrame {
         let mut cf = ColumnFrame::new(Ts(tick * 1_000));
         for n in nodes {
             for m in 0..metrics {
@@ -830,9 +830,7 @@ mod tests {
         }
         // Nodes 8..12 go quiet for three ticks (a quarantined collector).
         for tick in 5..8 {
-            let mut cf = frame_of(tick, 0..8, 2);
-            cf.append(&mut frame_of(tick, 12..32, 2));
-            pair.frame(&cf);
+            pair.frame(&frame_of(tick, (0..8).chain(12..32), 2));
         }
         let layout = pair.routed.hot_layout();
         assert_eq!((layout.cohorts, layout.members, layout.evictions), (2, 56, 8), "{layout:?}");
@@ -1008,9 +1006,7 @@ mod tests {
         assert_eq!(pair.routed.hot_layout(), layout, "the cohorts never noticed");
         // A change in the middle is a member gone missing: evicted, and the
         // rows derived again.
-        let mut cf = frame_of(75, 0..32, 4);
-        cf.append(&mut frame_of(75, 33..64, 4));
-        pair.frame(&cf);
+        pair.frame(&frame_of(75, (0..32).chain(33..64), 4));
         assert_eq!(pair.routed.hot_layout().evictions, 4);
         assert_ne!(plan(&pair.route).0, gathers);
         pair.assert_same("a tail that comes and goes");

@@ -243,7 +243,7 @@ impl IngestRoute {
     }
 
     /// Whether any sample of the routed frame lands in `shard`.
-    pub fn touches(&self, shard: usize) -> bool {
+    pub(crate) fn touches(&self, shard: usize) -> bool {
         self.per_shard.get(shard).is_some_and(|plan| plan.len() > 0)
     }
 }
@@ -489,7 +489,7 @@ impl TimeSeriesStore {
     /// key that differs — hashing and lookups for that tail only.  The work
     /// is **lookup-only** (read locks, no mutation): series the store has
     /// not seen yet stay unresolved and are created on first ingest.
-    pub fn prepare_route(&self, cf: &ColumnFrame, route: &mut IngestRoute) {
+    pub(crate) fn prepare_route(&self, cf: &ColumnFrame, route: &mut IngestRoute) {
         let layout = self.layout_gen();
         if route.per_shard.len() != self.shards.len() || route.layout != layout {
             // Another store, or slots moved: no slot number survives.
@@ -526,7 +526,12 @@ impl TimeSeriesStore {
     /// shards can be ingested concurrently against the same shared route:
     /// each batch touches only its own shard (frame order kept within it),
     /// and all shared accounting is atomic.
-    pub fn ingest_route_shard(&self, shard_id: usize, cf: &ColumnFrame, route: &IngestRoute) {
+    pub(crate) fn ingest_route_shard(
+        &self,
+        shard_id: usize,
+        cf: &ColumnFrame,
+        route: &IngestRoute,
+    ) {
         assert_eq!(cf.len(), route.keys.len(), "the route was prepared for another frame");
         let plan = &route.per_shard[shard_id];
         let batch = plan.len() as u64;
@@ -548,7 +553,7 @@ impl TimeSeriesStore {
     /// series it created, cohorts it formed or evicted from — so the next
     /// tick is back on the fast path.  Lookup-only, and nearly free when
     /// nothing changed: one generation check per touched shard.
-    pub fn finish_route(&self, route: &mut IngestRoute) {
+    pub(crate) fn finish_route(&self, route: &mut IngestRoute) {
         let IngestRoute { keys, per_shard, .. } = route;
         for (shard, plan) in self.shards.iter().zip(per_shard) {
             if plan.len() > 0 {
@@ -845,10 +850,10 @@ impl TimeSeriesStore {
 
     /// 64-bit digest of the store's deterministic observables, for per-tick
     /// replay verification.  Deliberately counter-based (epoch, occupancy,
-    /// op counts): the counters are bit-identical across worker counts and
-    /// reruns, and any content divergence (different samples stored,
-    /// different seal/evict decisions) moves at least one of them.  Hashing
-    /// contents directly would cost a full store scan every tick.
+    /// op counts): the counters are bit-identical across reruns, and any
+    /// content divergence (different samples stored, different seal/evict
+    /// decisions) moves at least one of them.  Hashing contents directly
+    /// would cost a full store scan every tick.
     pub fn state_digest(&self) -> u64 {
         let mut h = hpcmon_metrics::StateHash::new(0x57);
         let occ = self.occupancy();

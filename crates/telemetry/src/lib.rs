@@ -285,33 +285,6 @@ impl Drop for StageTimer {
     }
 }
 
-/// Busy-time guard for fan-out work: times from construction to drop and
-/// **adds** the elapsed nanoseconds to a counter.
-///
-/// Where [`StageTimer`] records one wall-clock observation per stage (and
-/// must be held by exactly one coordinator to avoid double-counting),
-/// `BusyTimer` is held by each worker job: N concurrent jobs contribute
-/// their individual durations, so the counter accumulates total busy time
-/// across workers — the sum can legitimately exceed wall-clock, and the
-/// ratio busy/wall is the stage's effective parallelism.
-pub struct BusyTimer {
-    counter: Arc<Counter>,
-    start: Instant,
-}
-
-impl BusyTimer {
-    /// Start timing into `counter` (nanoseconds accumulated on drop).
-    pub fn new(counter: Arc<Counter>) -> BusyTimer {
-        BusyTimer { counter, start: Instant::now() }
-    }
-}
-
-impl Drop for BusyTimer {
-    fn drop(&mut self) {
-        self.counter.add(self.start.elapsed().as_nanos() as u64);
-    }
-}
-
 /// One instrument family: `entries` preserves registration order (the
 /// `visit_*` contract the self-feed depends on) while `index` makes
 /// register-or-fetch O(1) instead of a linear scan — registries carry
@@ -649,20 +622,6 @@ mod tests {
             let _timer = t.timer("stage.collect");
         }
         assert_eq!(t.histogram("stage.collect").count(), 1);
-    }
-
-    #[test]
-    fn busy_timer_accumulates_across_holders() {
-        let t = Telemetry::new();
-        let c = t.counter("parallel.busy_ns.collect");
-        {
-            let _a = BusyTimer::new(c.clone());
-            let _b = BusyTimer::new(c.clone());
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        // Two concurrent holders each contributed their full duration:
-        // the busy total exceeds the ~2 ms wall-clock of the block.
-        assert!(c.get() >= 2 * 2_000_000, "busy ns: {}", c.get());
     }
 
     #[test]

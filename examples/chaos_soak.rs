@@ -22,7 +22,7 @@
 //!
 //! ```sh
 //! cargo run --release --example chaos_soak            # seed 2018
-//! cargo run --release --example chaos_soak -- 7 4     # seed 7, 4 workers
+//! cargo run --release --example chaos_soak -- 7       # seed 7
 //! ```
 
 use hpcmon::{MonitoringSystem, SimConfig};
@@ -99,11 +99,10 @@ struct SoakOutcome {
     gaps_checked: usize,
 }
 
-fn run_soak(seed: u64, workers: usize) -> SoakOutcome {
+fn run_soak(seed: u64) -> SoakOutcome {
     let (plan, expected_gaps) = dense_plan();
     let mut mon = MonitoringSystem::builder(SimConfig::small())
         .self_telemetry(false)
-        .workers(workers)
         .gateway(GatewayConfig { default_deadline_ms: 10_000, ..GatewayConfig::default() })
         .chaos(seed, plan)
         .build();
@@ -194,12 +193,10 @@ fn run_soak(seed: u64, workers: usize) -> SoakOutcome {
 
 fn main() {
     quiet_injected_panics();
-    let mut args = std::env::args().skip(1);
-    let seed: u64 = args.next().map(|a| a.parse().expect("seed")).unwrap_or(2018);
-    let workers: usize = args.next().map(|a| a.parse().expect("workers")).unwrap_or(0);
+    let seed: u64 = std::env::args().nth(1).map(|a| a.parse().expect("seed")).unwrap_or(2018);
 
-    println!("=== chaos soak: {TICKS} ticks, seed {seed}, workers {workers} ===");
-    let first = run_soak(seed, workers);
+    println!("=== chaos soak: {TICKS} ticks, seed {seed} ===");
+    let first = run_soak(seed);
     let c = first.counts;
     println!(
         "  injected: {} total ({} panic, {} hang, {} slow, {} stall, {} corrupt, \
@@ -218,7 +215,7 @@ fn main() {
     println!("  healed: quarantine empty, coverage 100%, breaker closed, spill drained");
 
     // Invariant 5: bit-identical rerun.
-    let second = run_soak(seed, workers);
+    let second = run_soak(seed);
     assert_eq!(first.counts, second.counts, "injection counts must reproduce by seed");
     assert_eq!(first.decode_errors, second.decode_errors);
     assert_eq!(first.digest, second.digest, "store digest must reproduce bit-for-bit");

@@ -14,11 +14,11 @@
 //! Both recoveries then continue in lockstep with the reference for a
 //! tail of ticks, re-verifying the hash chain every tick.  Any violation
 //! panics, so the process exits nonzero — the CI crash-soak job runs this
-//! across seeds and worker counts.
+//! across seeds.
 //!
 //! ```sh
-//! cargo run --release --example crash_recovery            # seed 2018, serial
-//! cargo run --release --example crash_recovery -- 7 4     # seed 7, 4 workers
+//! cargo run --release --example crash_recovery            # seed 2018
+//! cargo run --release --example crash_recovery -- 7       # seed 7
 //! ```
 
 use hpcmon::{MonitoringSystem, SimConfig, TickStateHash};
@@ -61,10 +61,9 @@ fn fault_plan(crash_tick: u64) -> ChaosPlan {
     plan
 }
 
-fn builder(seed: u64, workers: usize, crash_tick: u64) -> hpcmon::system::MonitorBuilder {
+fn builder(seed: u64, crash_tick: u64) -> hpcmon::system::MonitorBuilder {
     MonitoringSystem::builder(SimConfig::small())
         .self_telemetry(false)
-        .workers(workers)
         .chaos(seed, fault_plan(crash_tick))
 }
 
@@ -84,13 +83,8 @@ fn state_json(mon: &MonitoringSystem) -> String {
 
 /// Uninterrupted reference run: hash chain for `ticks` ticks and the
 /// serialized snapshot at each tick the drill will byte-diff against.
-fn reference(
-    seed: u64,
-    workers: usize,
-    crash_tick: u64,
-    ticks: u64,
-) -> Vec<(TickStateHash, String)> {
-    let mut mon = builder(seed, workers, crash_tick).build();
+fn reference(seed: u64, crash_tick: u64, ticks: u64) -> Vec<(TickStateHash, String)> {
+    let mut mon = builder(seed, crash_tick).build();
     mon.set_state_hashing(true);
     seed_inputs(&mut mon);
     (0..ticks)
@@ -105,14 +99,13 @@ fn reference(
 /// `(resumed_tick, recovery_report_json)`.
 fn drill(
     seed: u64,
-    workers: usize,
     crash_tick: u64,
     policy: SyncPolicy,
     chain: &[(TickStateHash, String)],
 ) -> (u64, String) {
     let cfg = DurabilityConfig { sync: policy, checkpoint_every: 8, scrub_every: 4 };
     let disk = Arc::new(SimDisk::new());
-    let mut durable = builder(seed, workers, crash_tick).durability(disk.clone(), cfg).build();
+    let mut durable = builder(seed, crash_tick).durability(disk.clone(), cfg).build();
     durable.set_state_hashing(true);
     seed_inputs(&mut durable);
     for _ in 0..crash_tick {
@@ -126,7 +119,7 @@ fn drill(
     drop(durable);
     disk.crash();
 
-    let mut recovered = builder(seed, workers, crash_tick).build();
+    let mut recovered = builder(seed, crash_tick).build();
     recovered.set_state_hashing(true);
     let outcome = recovered.recover_from_medium(disk, cfg);
     let resumed = outcome.resumed_tick;
@@ -164,19 +157,17 @@ fn drill(
 
 fn main() {
     quiet_injected_panics();
-    let mut args = std::env::args().skip(1);
-    let seed: u64 = args.next().map(|a| a.parse().expect("seed")).unwrap_or(2018);
-    let workers: usize = args.next().map(|a| a.parse().expect("workers")).unwrap_or(0);
+    let seed: u64 = std::env::args().nth(1).map(|a| a.parse().expect("seed")).unwrap_or(2018);
     let crash_tick = 12 + seed % 9; // seeded kill point, 12..=20
 
-    println!("=== crash recovery drill: seed {seed}, workers {workers}, crash at {crash_tick} ===");
-    let chain = reference(seed, workers, crash_tick, crash_tick + TAIL + 4);
+    println!("=== crash recovery drill: seed {seed}, crash at {crash_tick} ===");
+    let chain = reference(seed, crash_tick, crash_tick + TAIL + 4);
 
-    let (resumed, report) = drill(seed, workers, crash_tick, SyncPolicy::EveryTick, &chain);
+    let (resumed, report) = drill(seed, crash_tick, SyncPolicy::EveryTick, &chain);
     println!("  fsync-per-tick: resumed at {resumed} (zero loss), report {report}");
 
     let policy = SyncPolicy::GroupCommit(4);
-    let (resumed, report) = drill(seed, workers, crash_tick, policy, &chain);
+    let (resumed, report) = drill(seed, crash_tick, policy, &chain);
     println!(
         "  group-commit(4): resumed at {resumed} (lost {} ≤ {}), report {report}",
         crash_tick - resumed,

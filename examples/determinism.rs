@@ -1,17 +1,17 @@
-//! Determinism probe for the parallel tick pipeline, built for diffing.
+//! Determinism probe for the tick pipeline, built for diffing.
 //!
 //! Runs a fixed fault-injection scenario and prints a canonical JSON
 //! document — per-tick `TickReport`s, the final signal stream, and a
 //! digest of every stored series.  Self-telemetry is off so no
 //! wall-clock-valued series enter the store; the output is therefore a
-//! pure function of the scenario, independent of the worker count.
+//! pure function of the scenario.
 //!
-//! CI runs this at two worker counts and byte-diffs the output:
+//! CI runs this twice and byte-diffs the output:
 //!
 //! ```sh
-//! cargo run --release --example parallel_determinism -- 0 > serial.json
-//! cargo run --release --example parallel_determinism -- 4 > par4.json
-//! diff serial.json par4.json
+//! cargo run --release --example determinism > a.json
+//! cargo run --release --example determinism > b.json
+//! diff a.json b.json
 //! ```
 
 use hpcmon::pipeline::DetectorAttachment;
@@ -23,9 +23,7 @@ use hpcmon_response::SignalKind;
 use hpcmon_sim::{AppProfile, FaultKind, JobSpec};
 use serde::Serialize;
 
-/// The diff surface.  The worker count itself is deliberately NOT in the
-/// document — the whole point is that output at any worker count diffs
-/// clean.
+/// The diff surface.
 #[derive(Serialize)]
 struct Doc {
     reports: Vec<hpcmon::system::TickReport>,
@@ -34,14 +32,8 @@ struct Doc {
 }
 
 fn main() {
-    let workers: usize = std::env::args()
-        .nth(1)
-        .map(|a| a.parse().expect("usage: parallel_determinism <workers>"))
-        .unwrap_or(0);
-
     let mut mon = MonitoringSystem::builder(SimConfig::small())
         .self_telemetry(false)
-        .workers(workers)
         .attach_detector(DetectorAttachment::new(
             SeriesKey::new(
                 StdMetrics::register(&MetricRegistry::new()).probe_ost_latency,

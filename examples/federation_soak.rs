@@ -6,14 +6,13 @@
 //! (every series, every point, values as exact bit patterns), a federated
 //! scatter answer with its provenance, and the WAN fault/drop counters.
 //!
-//! CI runs this at two worker counts and byte-diffs the output — the
-//! federated answer must be a pure function of the seeds and the fault
-//! plan, independent of how many threads each member pipeline uses:
+//! CI runs this twice and byte-diffs the output — the federated answer
+//! must be a pure function of the seeds and the fault plan:
 //!
 //! ```sh
-//! cargo run --release --example federation_soak -- 0 > fed_serial.json
-//! cargo run --release --example federation_soak -- 4 > fed_par4.json
-//! diff fed_serial.json fed_par4.json
+//! cargo run --release --example federation_soak > fed_a.json
+//! cargo run --release --example federation_soak > fed_b.json
+//! diff fed_a.json fed_b.json
 //! ```
 
 use hpcmon::SimConfig;
@@ -29,8 +28,7 @@ use serde::Serialize;
 const SITES: usize = 10;
 const TICKS: u64 = 300;
 
-/// The diff surface.  The worker count itself is deliberately NOT in the
-/// document — output at any worker count must diff clean.
+/// The diff surface.
 #[derive(Serialize)]
 struct Doc {
     store: Vec<(String, Vec<(u64, u64)>)>,
@@ -45,11 +43,6 @@ struct Doc {
 }
 
 fn main() {
-    let workers: usize = std::env::args()
-        .nth(1)
-        .map(|a| a.parse().expect("usage: federation_soak <workers>"))
-        .unwrap_or(0);
-
     // Ten 16-node sites: distinct seeds, staggered clock skews, one slow
     // link, one bandwidth-starved link.
     let sites: Vec<SiteSpec> = (0..SITES)
@@ -57,9 +50,8 @@ fn main() {
             let mut cfg = SimConfig::small();
             cfg.topology = TopologySpec::Torus3D { dims: [2, 2, 2], nodes_per_router: 2 };
             cfg.seed = 1000 + i as u64;
-            let mut spec = SiteSpec::new(format!("site{i:02}"), cfg)
-                .workers(workers)
-                .epoch_offset_ticks((i as u64 * 3) % 7);
+            let mut spec =
+                SiteSpec::new(format!("site{i:02}"), cfg).epoch_offset_ticks((i as u64 * 3) % 7);
             if i == 4 {
                 spec.link.latency_ticks = 3;
             }

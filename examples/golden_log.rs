@@ -1,19 +1,19 @@
-//! CI golden-log gate: record a seeded chaos run serially, replay it at a
-//! different worker count, and fail loudly (with artifacts) on divergence.
+//! CI golden-log gate: record a seeded chaos run, replay it in a second
+//! process, and fail loudly (with artifacts) on divergence.
 //!
 //! Two subcommands, so the record and replay halves run as separate CI
 //! steps with the event log on disk between them:
 //!
 //! ```sh
 //! cargo run --release --example golden_log -- record golden.hpcmrly
-//! cargo run --release --example golden_log -- replay golden.hpcmrly 4
+//! cargo run --release --example golden_log -- replay golden.hpcmrly
 //! ```
 //!
-//! `record` runs a 200-tick fault-injection soak (workers = 0) under the
-//! flight recorder and writes the event log.  `replay` re-executes it at
-//! the requested worker count and exits non-zero on any hash divergence,
-//! after writing `divergence_report.txt` next to the log — CI uploads
-//! both as artifacts so the failing run is attachable offline.
+//! `record` runs a 200-tick fault-injection soak under the flight recorder
+//! and writes the event log.  `replay` re-executes it and exits non-zero
+//! on any hash divergence, after writing `divergence_report.txt` next to
+//! the log — CI uploads both as artifacts so the failing run is attachable
+//! offline.
 
 use hpcmon::{MonitorOptions, SimConfig};
 use hpcmon_chaos::{ChaosFault, ChaosPlan};
@@ -101,13 +101,13 @@ fn record(path: &Path) {
     );
 }
 
-fn replay(path: &Path, workers: usize) -> ExitCode {
+fn replay(path: &Path) -> ExitCode {
     let log = EventLog::read_from(path).expect("event log reads");
-    let outcome = Replayer::with_workers(&log, workers).run_to_end();
+    let outcome = Replayer::new(&log).run_to_end();
     match outcome.divergence {
         None => {
             println!(
-                "replay at {workers} workers: {} / {} tick hashes verified, zero divergence",
+                "replay: {} / {} tick hashes verified, zero divergence",
                 outcome.ticks_verified,
                 log.len()
             );
@@ -136,12 +136,9 @@ fn main() -> ExitCode {
             record(Path::new(&args[2]));
             ExitCode::SUCCESS
         }
-        Some("replay") if args.len() == 4 => {
-            let workers: usize = args[3].parse().expect("workers must be a number");
-            replay(Path::new(&args[2]), workers)
-        }
+        Some("replay") if args.len() == 3 => replay(Path::new(&args[2])),
         _ => {
-            eprintln!("usage: golden_log record <path> | golden_log replay <path> <workers>");
+            eprintln!("usage: golden_log record <path> | golden_log replay <path>");
             ExitCode::FAILURE
         }
     }

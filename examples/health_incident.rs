@@ -4,17 +4,15 @@
 //! worker death — and prints the canonical alert timeline plus operator
 //! board renders at key ticks.
 //!
-//! Everything printed is deterministic and worker-count-invariant: CI
-//! runs this at workers 0 and 4 and diffs the transcripts byte for byte
-//! (exemplar trace ids ride wall-clock stage timings, so the transcript
-//! zeroes them, exactly as the canonical timeline does).  The example
-//! also self-checks the off-is-off contract: the same run without the
-//! health plane must leave stored bytes and the signal journal
-//! bit-identical.
+//! Everything printed is deterministic: CI runs this twice and diffs the
+//! transcripts byte for byte (exemplar trace ids ride wall-clock stage
+//! timings, so the transcript zeroes them, exactly as the canonical
+//! timeline does).  The example also self-checks the off-is-off contract:
+//! the same run without the health plane must leave stored bytes and the
+//! signal journal bit-identical.
 //!
 //! ```sh
-//! cargo run --release --example health_incident          # serial
-//! cargo run --release --example health_incident -- 4     # 4 workers
+//! cargo run --release --example health_incident
 //! ```
 
 use hpcmon::health::HealthConfig;
@@ -49,10 +47,9 @@ fn incident_plan() -> ChaosPlan {
     plan
 }
 
-fn builder(workers: usize, health: bool) -> MonitoringSystem {
+fn builder(health: bool) -> MonitoringSystem {
     let mut b = MonitoringSystem::builder(SimConfig::small())
         .self_telemetry(false)
-        .workers(workers)
         .chaos(SEED, incident_plan());
     if health {
         b = b.health(HealthConfig::standard());
@@ -70,9 +67,7 @@ fn dump_store(mon: &MonitoringSystem) -> Vec<(SeriesKey, Vec<(Ts, f64)>)> {
 
 fn main() {
     quiet_injected_panics();
-    let workers: usize = std::env::args().nth(1).map(|a| a.parse().expect("workers")).unwrap_or(0);
-
-    let mut mon = builder(workers, true);
+    let mut mon = builder(true);
     mon.set_state_hashing(true);
     println!("=== health incident walkthrough: {TICKS} ticks, seed {SEED} ===");
     for tick in 1..=TICKS {
@@ -98,14 +93,14 @@ fn main() {
 
     // Off is off: the monitored data plane is bit-identical without the
     // health plane.
-    let mut off = builder(workers, false);
+    let mut off = builder(false);
     off.run_ticks(TICKS);
     assert_eq!(dump_store(&off), dump_store(&mon), "stored bytes identical with health off");
     assert_eq!(off.signals(), mon.signals(), "signal journal identical with health off");
     println!("\noff-is-off: store and signal journal bit-identical without the health plane");
 
-    // The state-hash chain (health digest included) is worker-count
-    // invariant: CI diffs this line across worker counts.
+    // The state-hash chain (health digest included) is reproducible: CI
+    // diffs this line between two runs.
     let h = mon.last_state_hash().expect("hashing on");
     println!(
         "state hash @ tick {}: combined {:#018x} (pipeline {:#018x})",

@@ -13,9 +13,7 @@
 //!    of WAL records — every external input plus a per-tick state hash,
 //!    with a snapshot checkpoint every 100 ticks.
 //! 2. **Replay**: the log, round-tripped through its on-disk byte
-//!    format, re-executes bit-identically — all 500 hashes match, and
-//!    they keep matching when the replay uses a 4-worker pool instead of
-//!    the serial pipeline it was recorded with.
+//!    format, re-executes bit-identically — all 500 hashes match.
 //! 3. **Seek**: restoring the tick-400 checkpoint and re-stepping
 //!    400→500 with trace sampling forced to 1-in-1 reproduces the same
 //!    hash chain — forensics-grade tracing for the incident window
@@ -153,20 +151,10 @@ fn main() {
     // ---- 2. Replay, bit-identical -------------------------------------
     let t0 = std::time::Instant::now();
     let outcome = Replayer::new(&log).run_to_end();
-    assert!(outcome.is_clean(), "serial replay diverged: {:?}", outcome.divergence);
+    assert!(outcome.is_clean(), "replay diverged: {:?}", outcome.divergence);
     assert_eq!(outcome.ticks_verified, TICKS);
     println!(
-        "replay (serial):     {} / {TICKS} tick hashes verified in {:.1}s",
-        outcome.ticks_verified,
-        t0.elapsed().as_secs_f64(),
-    );
-
-    let t0 = std::time::Instant::now();
-    let outcome = Replayer::with_workers(&log, 4).run_to_end();
-    assert!(outcome.is_clean(), "4-worker replay diverged: {:?}", outcome.divergence);
-    assert_eq!(outcome.ticks_verified, TICKS);
-    println!(
-        "replay (4 workers):  {} / {TICKS} tick hashes verified in {:.1}s",
+        "replay:              {} / {TICKS} tick hashes verified in {:.1}s",
         outcome.ticks_verified,
         t0.elapsed().as_secs_f64(),
     );

@@ -9,10 +9,9 @@
 //!
 //! One extension beyond the real crate's surface: every benchmark
 //! executable also writes a machine-readable `BENCH_<name>.json` at the
-//! workspace root (median/p99 ns per iteration, derived throughput, and
-//! each measurement's overhead relative to the first entry of its group —
-//! the groups here are structured baseline-first), so CI and EXPERIMENTS.md
-//! tables can be regenerated without scraping stdout.
+//! workspace root (median/p99 ns per iteration and derived throughput), so
+//! CI and EXPERIMENTS.md tables can be regenerated without scraping stdout.
+//! An overhead is two of its medians divided by the reader.
 
 use std::fmt::Display;
 use std::sync::Mutex;
@@ -174,23 +173,16 @@ pub fn write_machine_report() {
         return;
     }
     let mut json = String::from("{\n  \"benchmarks\": [\n");
-    // Baseline for overhead: the first measurement of each group (the
-    // bench files are structured baseline-first: "off" before "on",
-    // serial before pooled).
     for (i, m) in results.iter().enumerate() {
-        let baseline = results.iter().find(|b| b.group == m.group).map(|b| b.median_ns);
-        let overhead = baseline.filter(|b| *b > 0.0).map(|b| m.median_ns / b - 1.0);
         json.push_str(&format!(
             "    {{\"group\": {:?}, \"id\": {:?}, \"median_ns\": {:.1}, \"p99_ns\": {:.1}, \
-             \"throughput_per_sec\": {}, \"throughput_unit\": {}, \
-             \"overhead_vs_group_baseline\": {}}}{}\n",
+             \"throughput_per_sec\": {}, \"throughput_unit\": {}}}{}\n",
             m.group,
             m.id,
             m.median_ns,
             m.p99_ns,
             m.throughput_per_sec.map_or("null".to_string(), |v| format!("{v:.1}")),
             m.throughput_unit.map_or("null".to_string(), |u| format!("{u:?}")),
-            overhead.map_or("null".to_string(), |v| format!("{v:.4}")),
             if i + 1 == results.len() { "" } else { "," },
         ));
     }

@@ -4,10 +4,14 @@
 //! The chaos engine breaks the *observers* — collectors panic and hang,
 //! envelopes arrive bit-flipped, store shards refuse writes, broker topics
 //! stall — and these tests pin the survival contract: every fault is
-//! deterministic by seed (bit-identical store dumps at any worker count),
-//! every collector gap surfaces through the deadman within two ticks,
-//! recovery restores full coverage, and no frame accepted by the spill
-//! queue is lost without being counted in `spill.dropped`.
+//! deterministic by seed (bit-identical store dumps between runs), every
+//! collector gap surfaces through the deadman within two ticks, recovery
+//! restores full coverage, and no frame accepted by the spill queue is lost
+//! without being counted in `spill.dropped`.
+//!
+//! `chaos_runs_are_bit_identical_across_worker_counts` is named for the
+//! worker pool PR 20 deleted; the name stays because the test floor tracks
+//! names, and it compares what it did between two runs of one seed.
 
 use hpcmon::system::TickReport;
 use hpcmon::{MonitoringSystem, SimConfig};
@@ -55,8 +59,8 @@ fn dense_plan() -> ChaosPlan {
     ])
 }
 
-fn builder(workers: usize) -> hpcmon::system::MonitorBuilder {
-    MonitoringSystem::builder(SimConfig::small()).self_telemetry(false).workers(workers)
+fn builder() -> hpcmon::system::MonitorBuilder {
+    MonitoringSystem::builder(SimConfig::small()).self_telemetry(false)
 }
 
 fn with_job(mut mon: MonitoringSystem) -> MonitoringSystem {
@@ -95,41 +99,40 @@ fn assert_dumps_bit_identical(
     }
 }
 
-fn run_chaos(workers: usize, seed: u64) -> (Vec<TickReport>, Vec<Signal>, MonitoringSystem) {
+fn run_chaos(seed: u64) -> (Vec<TickReport>, Vec<Signal>, MonitoringSystem) {
     quiet_injected_panics();
-    let mut mon = with_job(builder(workers).chaos(seed, dense_plan()).build());
+    let mut mon = with_job(builder().chaos(seed, dense_plan()).build());
     let reports: Vec<TickReport> = (0..20).map(|_| mon.tick()).collect();
     let signals = mon.signals().to_vec();
     (reports, signals, mon)
 }
 
-/// (c) Same seed + same schedule ⇒ bit-identical store dumps, reports,
-/// signals, and injection counts at workers 0 and 4.
+/// Two runs of `seed` agree bit for bit on store dumps, reports, signals,
+/// and injection counts.  Returns the first run's system.
+fn assert_rerun_is_bit_identical(seed: u64) -> MonitoringSystem {
+    let (r1, s1, m1) = run_chaos(seed);
+    let (r2, s2, m2) = run_chaos(seed);
+    assert_eq!(r1, r2, "TickReports differ");
+    assert_eq!(s1, s2, "signal streams differ");
+    assert_eq!(m1.chaos_counts(), m2.chaos_counts());
+    assert_dumps_bit_identical(&dump_store(&m1), &dump_store(&m2), "same seed rerun");
+    m1
+}
+
+/// (c) Same seed + same schedule ⇒ bit-identical runs, every fault of the
+/// dense plan fired.
 #[test]
 fn chaos_runs_are_bit_identical_across_worker_counts() {
-    let (base_reports, base_signals, base_mon) = run_chaos(0, 42);
-    let base_dump = dump_store(&base_mon);
-    assert!(base_mon.chaos_counts().unwrap().total() >= 7, "dense plan all fired");
-    for workers in [1, 4] {
-        let (reports, signals, mon) = run_chaos(workers, 42);
-        assert_eq!(base_reports, reports, "TickReports differ at workers={workers}");
-        assert_eq!(base_signals, signals, "signal streams differ at workers={workers}");
-        assert_eq!(base_mon.chaos_counts(), mon.chaos_counts());
-        assert_dumps_bit_identical(&base_dump, &dump_store(&mon), &format!("workers={workers}"));
-    }
+    let mon = assert_rerun_is_bit_identical(42);
+    assert!(mon.chaos_counts().unwrap().total() >= 7, "dense plan all fired");
 }
 
 /// Chaos is reproducible by seed: reruns agree exactly, and a different
 /// seed corrupts a different set of envelopes.
 #[test]
 fn chaos_is_reproducible_by_seed() {
-    let (r1, s1, m1) = run_chaos(0, 7);
-    let (r2, s2, m2) = run_chaos(0, 7);
-    assert_eq!(r1, r2);
-    assert_eq!(s1, s2);
-    assert_eq!(m1.chaos_counts(), m2.chaos_counts());
-    assert_dumps_bit_identical(&dump_store(&m1), &dump_store(&m2), "same seed rerun");
-    let (_, _, m3) = run_chaos(0, 8);
+    let m1 = assert_rerun_is_bit_identical(7);
+    let (_, _, m3) = run_chaos(8);
     assert_ne!(
         dump_store(&m1),
         dump_store(&m3),
@@ -142,7 +145,7 @@ fn chaos_is_reproducible_by_seed() {
 #[test]
 fn supervision_without_chaos_is_bit_identical_to_baseline() {
     let run = |supervised: bool| {
-        let mut mon = with_job(builder(0).supervision(supervised).build());
+        let mut mon = with_job(builder().supervision(supervised).build());
         let reports: Vec<TickReport> = (0..15).map(|_| mon.tick()).collect();
         (reports, mon.signals().to_vec(), dump_store(&mon))
     };
@@ -163,7 +166,7 @@ fn collector_fault_surfaces_within_two_ticks_and_heals() {
     let fault_tick = 5u64;
     let p =
         plan(vec![(fault_tick, ChaosFault::CollectorHang { collector: "power".into(), ticks: 3 })]);
-    let mut mon = with_job(builder(0).chaos(99, p).build());
+    let mut mon = with_job(builder().chaos(99, p).build());
     let mut gap_tick = None;
     for tick in 1..=16u64 {
         let r = mon.tick();
@@ -204,12 +207,12 @@ fn collector_fault_surfaces_within_two_ticks_and_heals() {
 fn store_fault_spills_then_drains_losslessly() {
     quiet_injected_panics();
     let baseline = {
-        let mut mon = with_job(builder(0).supervision(true).build());
+        let mut mon = with_job(builder().supervision(true).build());
         let reports: Vec<TickReport> = (0..14).map(|_| mon.tick()).collect();
         (reports, dump_store(&mon))
     };
     let p = plan(vec![(4, ChaosFault::StoreWriteFail { shard: 0, ticks: 3 })]);
-    let mut mon = with_job(builder(0).chaos(5, p).build());
+    let mut mon = with_job(builder().chaos(5, p).build());
     let mut spilled_at_peak = 0usize;
     let mut reports = Vec::new();
     for tick in 1..=14u64 {
@@ -241,13 +244,13 @@ fn store_fault_spills_then_drains_losslessly() {
 fn topic_stall_buffers_then_drains_in_order() {
     quiet_injected_panics();
     let baseline = {
-        let mut mon = with_job(builder(0).supervision(true).build());
+        let mut mon = with_job(builder().supervision(true).build());
         mon.run_ticks(12);
         dump_store(&mon)
     };
     let p =
         plan(vec![(4, ChaosFault::BrokerTopicStall { topic: "metrics/frame".into(), ticks: 2 })]);
-    let mut mon = with_job(builder(0).chaos(11, p).build());
+    let mut mon = with_job(builder().chaos(11, p).build());
     for tick in 1..=12u64 {
         mon.tick();
         match tick {
@@ -269,7 +272,7 @@ fn corrupt_envelopes_are_counted_and_skipped() {
     quiet_injected_panics();
     let ticks = 12u64;
     let p = plan(vec![(1, ChaosFault::EnvelopeCorrupt { rate: 0.7, ticks: 10 })]);
-    let mut mon = with_job(builder(0).chaos(1234, p).build());
+    let mut mon = with_job(builder().chaos(1234, p).build());
     mon.run_ticks(ticks);
     let corrupted = mon.chaos_counts().unwrap().envelope_corrupt;
     let decode_errors = mon.broker().stats().decode_errors;

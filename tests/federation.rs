@@ -1,6 +1,8 @@
 //! Federation integration suite: scatter-gather vs a merged-cluster
 //! oracle, partition provenance, clock-skew alignment, deadline shedding,
-//! and seed + worker-count bit-identity.
+//! and bit-identity between two runs of one seed
+//! (`bit_identity_across_worker_counts`: named before PR 20 deleted the
+//! worker pool; the test floor tracks names, so the name stays).
 
 use hpcmon_chaos::{ChaosFault, ChaosPlan, ScheduledFault};
 use hpcmon_federation::{
@@ -157,9 +159,8 @@ fn bit_identity_across_worker_counts() {
             },
         ])
     };
-    let run = |workers: usize| {
-        let specs = sites(3).into_iter().map(|s| s.workers(workers)).collect();
-        let mut fed = Federation::new(FederationConfig::new(specs).link_plan(11, plan()));
+    let run = || {
+        let mut fed = Federation::new(FederationConfig::new(sites(3)).link_plan(11, plan()));
         fed.run_ticks(25);
         let metric = fed.site_system(0).metrics().system_power;
         let request =
@@ -167,10 +168,10 @@ fn bit_identity_across_worker_counts() {
         let answer = fed.federated_query(&admin(), &request, 1_000);
         (fed.canonical_store(), serde_json::to_string(&answer).expect("serializable"))
     };
-    let (store0, answer0) = run(0);
-    let (store2, answer2) = run(2);
-    assert_eq!(store0, store2, "rollup stores must be bit-identical");
-    assert_eq!(answer0, answer2, "federated answers must be bit-identical");
+    let (store_a, answer_a) = run();
+    let (store_b, answer_b) = run();
+    assert_eq!(store_a, store_b, "rollup stores must be bit-identical");
+    assert_eq!(answer_a, answer_b, "federated answers must be bit-identical");
 }
 
 #[test]

@@ -1,7 +1,11 @@
 //! The SLO/alerting plane end to end (DESIGN.md §13): chaos-driven
 //! incidents must produce alert timelines with deterministic tick stamps,
-//! bit-identical at any worker count, replayable from a flight-recorder
-//! log, and the whole plane must be invisible when off.
+//! bit-identical between runs, replayable from a flight-recorder log, and
+//! the whole plane must be invisible when off.
+//!
+//! `alert_timelines_are_bit_identical_across_worker_counts` is named for
+//! the worker pool PR 20 deleted; the name stays because the test floor
+//! tracks names, and it compares what it did between two runs of one seed.
 
 use hpcmon::health::{HealthConfig, Silence, Transition};
 use hpcmon::system::TickReport;
@@ -40,8 +44,8 @@ fn store_fail_plan() -> ChaosPlan {
     plan(vec![(4, ChaosFault::StoreWriteFail { shard: 0, ticks: 3 })])
 }
 
-fn builder(workers: usize) -> hpcmon::system::MonitorBuilder {
-    MonitoringSystem::builder(SimConfig::small()).self_telemetry(false).workers(workers)
+fn builder() -> hpcmon::system::MonitorBuilder {
+    MonitoringSystem::builder(SimConfig::small()).self_telemetry(false)
 }
 
 fn dump_store(mon: &MonitoringSystem) -> Vec<(SeriesKey, Vec<(Ts, f64)>)> {
@@ -65,7 +69,7 @@ fn episodes(mon: &MonitoringSystem, key: &str) -> Vec<(u64, Transition)> {
 #[test]
 fn broker_stall_alert_timeline_is_exact() {
     quiet_injected_panics();
-    let mut mon = builder(0).chaos(42, stall_plan()).health(HealthConfig::standard()).build();
+    let mut mon = builder().chaos(42, stall_plan()).health(HealthConfig::standard()).build();
     mon.run_ticks(20);
     assert_eq!(
         episodes(&mon, "transport/delivery"),
@@ -88,7 +92,7 @@ fn broker_stall_alert_timeline_is_exact() {
 #[test]
 fn store_write_fail_alert_timeline_is_exact() {
     quiet_injected_panics();
-    let mut mon = builder(0).chaos(5, store_fail_plan()).health(HealthConfig::standard()).build();
+    let mut mon = builder().chaos(5, store_fail_plan()).health(HealthConfig::standard()).build();
     mon.run_ticks(24);
     let ingest = episodes(&mon, "store/ingest");
     assert_eq!(ingest[0], (4, Transition::Pending), "{}", mon.health_timeline());
@@ -105,24 +109,23 @@ fn store_write_fail_alert_timeline_is_exact() {
     assert!(mon.health_report().unwrap().active.is_empty());
 }
 
-/// The canonical alert timeline is bit-identical at workers 0 and 4, for
-/// both incident shapes, and every stored byte matches too.
+/// The canonical alert timeline is bit-identical between two runs, for both
+/// incident shapes, and every stored byte matches too.
 #[test]
 fn alert_timelines_are_bit_identical_across_worker_counts() {
     quiet_injected_panics();
     for (label, mk_plan) in
         [("stall", stall_plan as fn() -> ChaosPlan), ("store-fail", store_fail_plan)]
     {
-        let run = |workers: usize| {
-            let mut mon =
-                builder(workers).chaos(9, mk_plan()).health(HealthConfig::standard()).build();
+        let run = || {
+            let mut mon = builder().chaos(9, mk_plan()).health(HealthConfig::standard()).build();
             let reports: Vec<TickReport> = (0..20).map(|_| mon.tick()).collect();
             (mon.health_timeline(), reports, dump_store(&mon))
         };
-        let (base_timeline, base_reports, base_dump) = run(0);
+        let (base_timeline, base_reports, base_dump) = run();
         assert!(!base_timeline.is_empty(), "{label}: the incident paged");
-        let (timeline, reports, dump) = run(4);
-        assert_eq!(base_timeline, timeline, "{label}: timelines diverge across worker counts");
+        let (timeline, reports, dump) = run();
+        assert_eq!(base_timeline, timeline, "{label}: timelines diverge between runs");
         assert_eq!(base_reports, reports, "{label}: TickReports (with alerts) diverge");
         assert_eq!(base_dump, dump, "{label}: stored bytes diverge");
     }
@@ -134,21 +137,29 @@ fn alert_timelines_are_bit_identical_across_worker_counts() {
 #[test]
 fn health_plane_does_not_perturb_the_pipeline() {
     quiet_injected_panics();
-    let run = |health: bool| {
-        let mut b = builder(0).chaos(7, stall_plan());
+    let run = |incident: bool, health: bool| {
+        let mut b = builder();
+        if incident {
+            b = b.chaos(7, stall_plan());
+        }
         if health {
             b = b.health(HealthConfig::standard());
         }
         let mut mon = b.build();
-        mon.run_ticks(20);
-        (dump_store(&mon), mon.signals().to_vec(), mon.alert_events().len())
+        let reports: Vec<TickReport> = (0..20).map(|_| mon.tick()).collect();
+        (dump_store(&mon), mon.signals().to_vec(), mon.alert_events().len(), reports)
     };
-    let (base_dump, base_signals, base_alerts) = run(false);
-    let (dump, signals, alerts) = run(true);
+    let (base_dump, base_signals, base_alerts, _) = run(true, false);
+    let (dump, signals, alerts, _) = run(true, true);
     assert_eq!(base_alerts, 0, "health off records nothing");
     assert!(alerts > 0, "health on records the incident");
     assert_eq!(base_dump, dump, "stored bytes identical with health on");
     assert_eq!(base_signals, signals, "signal journal identical with health on");
+    // Nothing failing, nothing pages: then even the TickReports, which
+    // carry the alerts, match a run without the plane.
+    let quiet = run(false, true);
+    assert_eq!(quiet.2, 0, "no incident, no alert");
+    assert_eq!(quiet, run(false, false));
 }
 
 /// Alert transitions are published on `health/alerts` as serde JSON —
@@ -158,7 +169,7 @@ fn health_plane_does_not_perturb_the_pipeline() {
 fn alerts_publish_on_the_health_topic() {
     use hpcmon::transport::{BackpressurePolicy, Payload, TopicFilter};
     quiet_injected_panics();
-    let mut mon = builder(0).chaos(42, stall_plan()).health(HealthConfig::standard()).build();
+    let mut mon = builder().chaos(42, stall_plan()).health(HealthConfig::standard()).build();
     let sub = mon.broker().subscribe(TopicFilter::new("health/#"), 1024, BackpressurePolicy::Block);
     mon.run_ticks(20);
     let events: Vec<hpcmon::health::AlertEvent> = sub
@@ -186,7 +197,7 @@ fn silences_suppress_publishing_but_not_history() {
         from_tick: 0,
         until_tick: 1_000,
     });
-    let mut mon = builder(0).chaos(42, stall_plan()).health(cfg).build();
+    let mut mon = builder().chaos(42, stall_plan()).health(cfg).build();
     let sub = mon.broker().subscribe(TopicFilter::new("health/#"), 1024, BackpressurePolicy::Block);
     mon.run_ticks(20);
     let published = sub.drain().len();
@@ -205,7 +216,7 @@ fn silences_suppress_publishing_but_not_history() {
 #[test]
 fn health_state_survives_snapshot_restore() {
     quiet_injected_panics();
-    let mk = || builder(0).chaos(42, stall_plan()).health(HealthConfig::standard()).build();
+    let mk = || builder().chaos(42, stall_plan()).health(HealthConfig::standard()).build();
     let mut a = mk();
     a.set_state_hashing(true);
     a.run_ticks(6); // mid-incident: Firing, stall still buffering
@@ -224,9 +235,8 @@ fn health_state_survives_snapshot_restore() {
     assert_eq!(ha, hb, "state-hash chains agree after restore");
 }
 
-/// The incident replays from a flight-recorder log: hash chain verifies
-/// at a different worker count and the replayed system reproduces the
-/// recorded alert timeline exactly.
+/// The incident replays from a flight-recorder log: the hash chain verifies
+/// and the replayed system reproduces the recorded alert timeline exactly.
 #[test]
 fn alert_timeline_replays_from_the_flight_recorder() {
     use hpcmon_replay::{FlightRecorder, Replayer, RunSpec};
@@ -245,7 +255,7 @@ fn alert_timeline_replays_from_the_flight_recorder() {
     assert!(!recorded_timeline.is_empty(), "the recording paged");
     let log = rec.finish();
 
-    let mut rp = Replayer::with_workers(&log, 4);
+    let mut rp = Replayer::new(&log);
     while let Some(step) = rp.step() {
         if let Err(d) = step {
             panic!("replay diverged:\n{}", d.render());

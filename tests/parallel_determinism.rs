@@ -1,12 +1,16 @@
-//! Determinism of the parallel tick pipeline: the same scenario run with
-//! `workers = 0` (serial), `1`, and `4` must produce identical
-//! `TickReport`s, identical signal streams, and — with self-telemetry off,
-//! which removes wall-clock-valued series (latency p95s) — a byte-identical
-//! store.
+//! Determinism of the tick pipeline: the same scenario run twice must
+//! produce identical `TickReport`s, identical signal streams, and — with
+//! self-telemetry off, which removes wall-clock-valued series (latency
+//! p95s) — a byte-identical store.
 //!
 //! Telemetry-on runs are still compared on reports, signals, and the
 //! *set* of stored series: only the values of timing-derived series may
-//! differ (they differ between two serial runs too; see DESIGN.md §9).
+//! differ (DESIGN.md §9).
+//!
+//! The file and test names predate PR 20, which deleted the worker pool
+//! these runs used to be compared across; they stay because the test floor
+//! tracks tests by name, and each still compares what it did — between two
+//! runs of one seed.
 
 use hpcmon::pipeline::DetectorAttachment;
 use hpcmon::system::TickReport;
@@ -17,12 +21,9 @@ use hpcmon_metrics::{CompId, MetricRegistry, SeriesKey, Severity, Ts};
 use hpcmon_response::{Signal, SignalKind};
 use hpcmon_sim::{AppProfile, FaultKind, JobSpec};
 
-const WORKER_COUNTS: [usize; 3] = [0, 1, 4];
-
-fn build(workers: usize, self_telemetry: bool) -> MonitoringSystem {
+fn build(self_telemetry: bool) -> MonitoringSystem {
     let mut mon = MonitoringSystem::builder(SimConfig::small())
         .self_telemetry(self_telemetry)
-        .workers(workers)
         .attach_detector(DetectorAttachment::new(
             SeriesKey::new(
                 StdMetrics::register(&MetricRegistry::new()).probe_ost_latency,
@@ -62,70 +63,61 @@ fn dump_store(mon: &MonitoringSystem) -> Vec<(SeriesKey, Vec<(Ts, f64)>)> {
         .collect()
 }
 
-fn run(workers: usize, self_telemetry: bool) -> (Vec<TickReport>, Vec<Signal>, MonitoringSystem) {
-    let mut mon = build(workers, self_telemetry);
+type Run = (Vec<TickReport>, Vec<Signal>, MonitoringSystem);
+
+fn run(self_telemetry: bool) -> Run {
+    let mut mon = build(self_telemetry);
     let reports: Vec<TickReport> = (0..25).map(|_| mon.tick()).collect();
     let signals = mon.signals().to_vec();
     (reports, signals, mon)
 }
 
-#[test]
-fn store_contents_are_byte_identical_across_worker_counts() {
-    // Telemetry off: no wall-clock-valued series, so the ENTIRE store —
-    // every series, every point, every value — must match bit-for-bit.
-    let (base_reports, base_signals, base_mon) = run(WORKER_COUNTS[0], false);
-    let base_dump = dump_store(&base_mon);
-    assert!(base_reports.iter().any(|r| !r.signals.is_empty()), "scenario produces signals");
-    for &workers in &WORKER_COUNTS[1..] {
-        let (reports, signals, mon) = run(workers, false);
-        assert_eq!(base_reports, reports, "TickReports differ at workers={workers}");
-        assert_eq!(base_signals, signals, "signal streams differ at workers={workers}");
-        assert_eq!(base_mon.store().stats(), mon.store().stats());
-        let dump = dump_store(&mon);
-        assert_eq!(base_dump.len(), dump.len());
-        for ((bk, bp), (k, p)) in base_dump.iter().zip(&dump) {
-            assert_eq!(bk, k, "series sets diverge at workers={workers}");
-            assert_eq!(bp.len(), p.len(), "{bk:?} point counts differ at workers={workers}");
-            for ((bt, bv), (t, v)) in bp.iter().zip(p) {
-                assert_eq!(bt, t, "{bk:?} timestamps differ at workers={workers}");
-                assert_eq!(bv.to_bits(), v.to_bits(), "{bk:?} values differ at workers={workers}");
-            }
+/// Reports, signals, occupancy and the ENTIRE store — every series, every
+/// point, every value — match bit-for-bit.
+fn assert_bit_identical(
+    (base_reports, base_signals, base_mon): &Run,
+    (reports, signals, mon): &Run,
+) {
+    assert_eq!(base_reports, reports, "TickReports differ");
+    assert_eq!(base_signals, signals, "signal streams differ");
+    assert_eq!(base_mon.store().stats(), mon.store().stats());
+    let (base_dump, dump) = (dump_store(base_mon), dump_store(mon));
+    assert_eq!(base_dump.len(), dump.len());
+    for ((bk, bp), (k, p)) in base_dump.iter().zip(&dump) {
+        assert_eq!(bk, k, "series sets diverge");
+        assert_eq!(bp.len(), p.len(), "{bk:?} point counts differ");
+        for ((bt, bv), (t, v)) in bp.iter().zip(p) {
+            assert_eq!(bt, t, "{bk:?} timestamps differ");
+            assert_eq!(bv.to_bits(), v.to_bits(), "{bk:?} values differ");
         }
     }
 }
 
 #[test]
+fn store_contents_are_byte_identical_across_worker_counts() {
+    // Telemetry off: no wall-clock-valued series, so nothing is exempt.
+    let base = run(false);
+    assert!(base.0.iter().any(|r| !r.signals.is_empty()), "scenario produces signals");
+    assert_bit_identical(&base, &run(false));
+}
+
+#[test]
 fn reports_and_signals_match_with_self_telemetry_on() {
     // With the self feed running, timing-valued series (stage latency
-    // p95s) are wall-clock dependent — nondeterministic even between two
-    // serial runs.  Everything else must still match: per-tick reports,
-    // the signal stream, and the set of series the store holds.
-    let (base_reports, base_signals, base_mon) = run(WORKER_COUNTS[0], true);
-    for &workers in &WORKER_COUNTS[1..] {
-        let (reports, signals, mon) = run(workers, true);
-        assert_eq!(base_reports, reports, "TickReports differ at workers={workers}");
-        assert_eq!(base_signals, signals, "signal streams differ at workers={workers}");
-        assert_eq!(
-            base_mon.store().all_series(),
-            mon.store().all_series(),
-            "series sets differ at workers={workers}"
-        );
-        let s = mon.store().stats();
-        let b = base_mon.store().stats();
-        assert_eq!(
-            (b.series, b.hot_points, b.warm_points),
-            (s.series, s.hot_points, s.warm_points)
-        );
-    }
+    // p95s) are wall-clock dependent and differ between two runs.
+    // Everything else must still match: per-tick reports, the signal
+    // stream, and the set of series the store holds.
+    let (base_reports, base_signals, base_mon) = run(true);
+    let (reports, signals, mon) = run(true);
+    assert_eq!(base_reports, reports, "TickReports differ");
+    assert_eq!(base_signals, signals, "signal streams differ");
+    assert_eq!(base_mon.store().all_series(), mon.store().all_series(), "series sets differ");
+    let s = mon.store().stats();
+    let b = base_mon.store().stats();
+    assert_eq!((b.series, b.hot_points, b.warm_points), (s.series, s.hot_points, s.warm_points));
 }
 
 #[test]
 fn parallel_run_is_reproducible_with_itself() {
-    // Two runs at the same worker count must agree — concurrency admitted
-    // no scheduling nondeterminism into the data path.
-    let (r1, s1, m1) = run(4, false);
-    let (r2, s2, m2) = run(4, false);
-    assert_eq!(r1, r2);
-    assert_eq!(s1, s2);
-    assert_eq!(dump_store(&m1), dump_store(&m2));
+    assert_bit_identical(&run(false), &run(false));
 }

@@ -1,6 +1,7 @@
 //! The flight recorder end to end (DESIGN.md §11): a recorded chaos run
-//! replays bit-identically (at any worker count, with or without forced
-//! tracing), seek-to-T equals replay-from-0 at every T, a perturbed log
+//! replays bit-identically (with or without forced tracing, and from a
+//! header that still names a worker count), seek-to-T equals
+//! replay-from-0 at every T, a perturbed log
 //! produces an attributed divergence report — and the event log, which is
 //! one stream of WAL records, round-trips arbitrary runs bit-exactly and
 //! refuses every truncation, every flipped bit and every impossible record
@@ -88,9 +89,22 @@ fn replay_is_bit_identical() {
     assert_eq!(outcome.ticks_verified, 60);
 }
 
+/// A header recorded before PR 20 names the size of the worker pool the
+/// run used.  The option is retired: the key is ignored and the log replays
+/// bit-identically on the one runtime there is.
 #[test]
 fn replay_at_different_worker_count_is_bit_identical() {
-    let outcome = Replayer::with_workers(recorded(), 4).run_to_end();
+    let bytes = reframed(recorded(), |kind, tick, payload, out| {
+        if kind != KIND_HEADER {
+            return encode_record(kind, tick, payload, out);
+        }
+        let json = std::str::from_utf8(payload).expect("the header is JSON");
+        assert!(json.starts_with(r#"{"options":{"#), "header shape: {json}");
+        let old = json.replacen(r#"{"options":{"#, r#"{"options":{"workers":4,"#, 1);
+        encode_record(kind, tick, old.as_bytes(), out);
+    });
+    let log = EventLog::from_bytes(&bytes).expect("a header recorded at PR 19 still loads");
+    let outcome = Replayer::new(&log).run_to_end();
     assert!(outcome.is_clean(), "divergence: {:?}", outcome.divergence);
     assert_eq!(outcome.ticks_verified, 60);
 }
@@ -169,6 +183,34 @@ proptest! {
         }
         prop_assert_eq!(verified, 60 - target);
     }
+}
+
+/// A forward seek carries on from where the replayer stands when that is
+/// at or past the nearest checkpoint; only a backward seek, or one past a
+/// later checkpoint, restores.
+#[test]
+fn seek_forward_steps_on_from_the_current_position() {
+    // Without checkpoints a restore is a rebuild and a replay from tick 0.
+    let mut rec = FlightRecorder::new(RunSpec { options: quiet_options(), snapshot_every: 0 });
+    rec.run_ticks(20);
+    let log = rec.finish();
+    let mut rep = Replayer::new(&log);
+    assert_eq!(rep.seek(10).ticks_verified, 10);
+    let forward = rep.seek(20);
+    assert!(forward.is_clean(), "seek diverged: {:?}", forward.divergence);
+    assert_eq!((forward.ticks_verified, rep.position()), (10, 20), "ticks 11–20, not 1–20");
+    assert_eq!(rep.seek(5).ticks_verified, 5, "backward: rebuilt and replayed from 0");
+
+    // Checkpoints at 16, 32 and 48.
+    let mut rep = Replayer::new(recorded());
+    assert_eq!(rep.seek(20).ticks_verified, 4, "restored 16");
+    assert_eq!(rep.seek(30).ticks_verified, 10, "16 ≤ 20 ≤ 30: stepped on from 20");
+    assert_eq!(rep.seek(40).ticks_verified, 8, "a nearer checkpoint: restored 32");
+    assert_eq!(rep.seek(32).ticks_verified, 0, "backward onto a checkpoint: restored 32");
+    assert_eq!(rep.seek(20).ticks_verified, 4, "backward: restored 16");
+    let tail = rep.seek(31);
+    assert!(tail.is_clean(), "seek diverged: {:?}", tail.divergence);
+    assert_eq!((tail.ticks_verified, rep.position()), (11, 31));
 }
 
 #[test]

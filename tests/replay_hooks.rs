@@ -1,5 +1,5 @@
-//! Flight-recorder core hooks: hash determinism across runs and worker
-//! counts, and snapshot/restore continuation equivalence.
+//! Flight-recorder core hooks: hash determinism across runs, and
+//! snapshot/restore continuation equivalence.
 
 use hpcmon::{MonitoringSystem, SimConfig, TickStateHash};
 use hpcmon_chaos::{ChaosFault, ChaosPlan};
@@ -14,15 +14,12 @@ fn plan() -> ChaosPlan {
     plan
 }
 
-fn build(workers: usize, chaos: bool) -> MonitoringSystem {
-    let mut b = MonitoringSystem::builder(SimConfig::small())
-        .workers(workers)
+fn build() -> MonitoringSystem {
+    let mut mon = MonitoringSystem::builder(SimConfig::small())
         .self_telemetry(false)
-        .supervision(true);
-    if chaos {
-        b = b.chaos(0xD1CE, plan());
-    }
-    let mut mon = b.build();
+        .supervision(true)
+        .chaos(0xD1CE, plan())
+        .build();
     mon.set_state_hashing(true);
     mon
 }
@@ -45,17 +42,16 @@ fn drive(mon: &mut MonitoringSystem, ticks: u64) -> Vec<TickStateHash> {
 
 #[test]
 fn hashes_identical_across_reruns_and_worker_counts() {
-    let a = drive(&mut build(0, true), 40);
-    let b = drive(&mut build(0, true), 40);
-    let c = drive(&mut build(4, true), 40);
+    // (Named before PR 20 deleted the worker pool.)
+    let a = drive(&mut build(), 40);
+    let b = drive(&mut build(), 40);
     assert_eq!(a, b, "same config must rerun bit-identically");
-    assert_eq!(a, c, "worker count must not leak into state hashes");
 }
 
 #[test]
 fn divergence_names_the_first_differing_subsystem() {
-    let a = drive(&mut build(0, true), 10);
-    let mut mon = build(0, true);
+    let a = drive(&mut build(), 10);
+    let mut mon = build();
     mon.schedule_fault(Ts(60_000), FaultKind::NodeCrash { node: 1 });
     let b = drive(&mut mon, 10);
     let first = a.iter().zip(&b).find(|(x, y)| x != y).expect("input change must diverge");
@@ -66,11 +62,11 @@ fn divergence_names_the_first_differing_subsystem() {
 #[test]
 fn snapshot_seek_matches_uninterrupted_run() {
     // Uninterrupted reference run.
-    let mut reference = build(0, true);
+    let mut reference = build();
     let ref_hashes = drive(&mut reference, 40);
 
     // Recorded run: checkpoint at tick 25.
-    let mut rec = build(0, true);
+    let mut rec = build();
     rec.submit_job(JobSpec::new(
         AppProfile::compute_heavy("stencil"),
         "alice",
@@ -87,7 +83,7 @@ fn snapshot_seek_matches_uninterrupted_run() {
 
     // Seek: fresh system, restore, replay 26..=40.
     let decoded = serde_json::from_slice(&encoded).expect("snapshot deserializes");
-    let mut seek = build(0, true);
+    let mut seek = build();
     seek.restore_snapshot(decoded);
     for (i, want) in ref_hashes.iter().enumerate().skip(25) {
         seek.tick();
@@ -106,7 +102,7 @@ fn snapshot_seek_matches_uninterrupted_run() {
 fn hashing_off_reports_match_hashing_on() {
     // The hash hook must observe, never perturb: per-tick reports are
     // identical with the recorder on and off.
-    let mut on = build(0, true);
+    let mut on = build();
     let mut off = MonitoringSystem::builder(SimConfig::small())
         .self_telemetry(false)
         .supervision(true)
