@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! Fault injection for the monitoring plane — and the supervision
 //! machinery that survives it.
 //!

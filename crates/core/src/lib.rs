@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! `hpcmon` — an end-to-end monitoring framework for large-scale HPC
 //! systems.

@@ -1,3 +1,5 @@
+#![deny(unsafe_code)]
+
 //! `hpcmon-durability` — the crash-tolerance layer under the monitoring
 //! plane.
 //!
@@ -24,6 +26,7 @@
 //! `n` ticks.  Both are asserted by the crash/restart test suite against
 //! the flight recorder's per-tick state-hash chain.
 
+#[allow(unsafe_code)]
 pub mod crc;
 pub mod medium;
 mod plane;

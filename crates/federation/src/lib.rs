@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! Multi-site federation: a scatter-gather query plane over N member
 //! monitoring systems joined by simulated WAN links.
 //!

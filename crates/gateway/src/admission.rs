@@ -161,6 +161,11 @@ impl<T> AdmissionQueue<T> {
 
     /// Wake every parked popper so it re-evaluates its exit condition.
     pub fn wake_all(&self) {
+        // The exit condition lives outside the mutex.  Passing through the
+        // lock first means a popper that read it as false has reached
+        // `wait` (which releases the lock) before the notify goes out;
+        // without this the wake-up can land in between and be lost.
+        drop(self.inner.lock().expect("admission queue poisoned"));
         self.cv.notify_all();
     }
 

@@ -5,7 +5,6 @@ use crate::admission::{AdmissionQueue, PushError, TokenBuckets};
 use crate::cache::{CacheStats, ResultCache};
 use crate::request::{QueryError, QueryRequest, QueryResponse, SubscriptionUpdate};
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Sender};
 use hpcmon_metrics::{CompId, JobRecord, SeriesKey, Ts};
 use hpcmon_response::access::{AccessPolicy, Consumer, Role};
 use hpcmon_store::{QueryEngine, TimeSeriesStore};
@@ -16,6 +15,7 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -99,7 +99,7 @@ struct Job {
     request: QueryRequest,
     deadline: Instant,
     trace: Option<TraceContext>,
-    responder: Sender<Result<QueryResponse, QueryError>>,
+    responder: SyncSender<Result<QueryResponse, QueryError>>,
 }
 
 /// Stable label for a request variant (span notes, shed provenance).
@@ -512,7 +512,7 @@ impl Gateway {
         }
         // Reject malformed requests before they occupy queue or worker.
         request.validate()?;
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         let job = Job {
             consumer: consumer.clone(),
             request,

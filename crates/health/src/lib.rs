@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! Deterministic SLO engine and burn-rate alerting for the monitoring
 //! plane itself.
 //!

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 //! Shared data model for the `hpcmon` monitoring framework.
 //!
@@ -15,6 +16,7 @@
 //! namespace, one metric namespace.
 
 #[cfg(feature = "alloc-count")]
+#[allow(unsafe_code)]
 pub mod alloc_count;
 pub mod arena;
 pub mod component;

@@ -70,8 +70,7 @@ impl Ts {
         TsDelta(self.0 as i64 - other.0 as i64)
     }
 
-    /// Round down to a multiple of `interval_ms`.  Used by the synchronized
-    /// collection scheduler to align ticks system-wide.
+    /// Round down to a multiple of `interval_ms` (downsampling buckets).
     pub fn align_down(self, interval_ms: u64) -> Ts {
         assert!(interval_ms > 0, "alignment interval must be positive");
         Ts(self.0 - self.0 % interval_ms)

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! `hpcmon-sim` — a deterministic simulator of a Cray-class HPC system.
 //!

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! `hpcmon-telemetry` — the monitor monitoring itself.
 //!

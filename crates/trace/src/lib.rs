@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! `hpcmon-trace` — follow one frame end-to-end.
 //!
@@ -17,9 +18,10 @@
 //!   the frame records spans.  Drops and sheds are **always** recorded,
 //!   even for unsampled frames, so every *lost* datum has a trace
 //!   explaining which stage dropped it and why.
-//! * [`SpanRing`] — the lock-free bounded ring buffer spans are recorded
-//!   into; the [`Tracer`] keeps one ring per thread slot so the pipeline
-//!   thread and gateway workers never contend.
+//! * [`SpanRing`] — the bounded ring buffer spans are recorded into (a
+//!   mutex-guarded queue that rejects and counts when full); the
+//!   [`Tracer`] keeps one ring per thread slot so the pipeline thread and
+//!   gateway workers do not contend.
 //! * [`Tracer`] — hands out contexts and span guards; the hot path is a
 //!   couple of relaxed atomics when sampled and a branch when not.
 //! * [`TraceStore`] — assembles drained spans into completed [`Trace`]s,

@@ -1,120 +1,61 @@
-//! The lock-free bounded ring spans are recorded into.
+//! The bounded ring spans are recorded into.
 //!
-//! Recording must never block the pipeline and never allocate on the hot
-//! path beyond the span itself, so the ring is a fixed-capacity
-//! Vyukov-style bounded queue: producers claim a slot with one CAS and
-//! publish with one release store; the drain side pops with the symmetric
-//! protocol.  When the ring is full the span is *rejected and counted* —
+//! Recording must never stall the pipeline, so the ring is a
+//! fixed-capacity queue behind one mutex: a push takes the lock, checks
+//! the length and appends; the drain side takes the lock once and empties
+//! the queue.  When the ring is full the span is *rejected and counted* —
 //! tracing obeys the same "lossy but accounted" discipline as the broker,
-//! and a stalled drain can never wedge the tick loop.
+//! and a stalled drain can never wedge the tick loop.  The tracer keeps
+//! one ring per thread slot, so the lock is uncontended until more than
+//! eight threads record spans and two of them share a slot.
 
 use crate::span::SpanRecord;
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-struct Slot {
-    seq: AtomicUsize,
-    value: UnsafeCell<Option<SpanRecord>>,
-}
-
-/// A lock-free multi-producer bounded span queue (power-of-two capacity).
+/// A multi-producer bounded span queue.
 pub struct SpanRing {
-    slots: Box<[Slot]>,
-    mask: usize,
-    enqueue_pos: AtomicUsize,
-    dequeue_pos: AtomicUsize,
+    spans: Mutex<VecDeque<SpanRecord>>,
+    capacity: usize,
     rejected: AtomicU64,
 }
 
-// The UnsafeCell is only touched by the thread that won the slot's
-// sequence CAS (producer) or observed its published sequence (consumer);
-// the seq protocol orders those accesses.
-unsafe impl Send for SpanRing {}
-unsafe impl Sync for SpanRing {}
-
 impl SpanRing {
-    /// A ring holding up to `capacity` spans (rounded up to a power of two).
+    /// A ring holding up to `capacity` spans.
     pub fn new(capacity: usize) -> SpanRing {
-        let cap = capacity.max(2).next_power_of_two();
-        let slots = (0..cap)
-            .map(|i| Slot { seq: AtomicUsize::new(i), value: UnsafeCell::new(None) })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         SpanRing {
-            slots,
-            mask: cap - 1,
-            enqueue_pos: AtomicUsize::new(0),
-            dequeue_pos: AtomicUsize::new(0),
+            spans: Mutex::new(VecDeque::with_capacity(capacity)),
+            capacity,
             rejected: AtomicU64::new(0),
         }
     }
 
+    // A span is plain data: a producer that panicked mid-push left the
+    // queue whole, so a poisoned lock is still good to use.
+    fn lock(&self) -> MutexGuard<'_, VecDeque<SpanRecord>> {
+        self.spans.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Record a span.  Returns false (and counts the rejection) when full.
     pub fn push(&self, span: SpanRecord) -> bool {
-        let mut pos = self.enqueue_pos.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let diff = seq as isize - pos as isize;
-            if diff == 0 {
-                match self.enqueue_pos.compare_exchange_weak(
-                    pos,
-                    pos.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        unsafe { *slot.value.get() = Some(span) };
-                        slot.seq.store(pos.wrapping_add(1), Ordering::Release);
-                        return true;
-                    }
-                    Err(current) => pos = current,
-                }
-            } else if diff < 0 {
-                // The slot one lap behind is still occupied: full.
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-                return false;
-            } else {
-                pos = self.enqueue_pos.load(Ordering::Relaxed);
-            }
+        let mut spans = self.lock();
+        if spans.len() >= self.capacity {
+            self.rejected.fetch_add(1, Ordering::Relaxed);
+            return false;
         }
+        spans.push_back(span);
+        true
     }
 
     /// Take the oldest recorded span, if any.
     pub fn pop(&self) -> Option<SpanRecord> {
-        let mut pos = self.dequeue_pos.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let diff = seq as isize - pos.wrapping_add(1) as isize;
-            if diff == 0 {
-                match self.dequeue_pos.compare_exchange_weak(
-                    pos,
-                    pos.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        let value = unsafe { (*slot.value.get()).take() };
-                        slot.seq
-                            .store(pos.wrapping_add(self.mask).wrapping_add(1), Ordering::Release);
-                        return value;
-                    }
-                    Err(current) => pos = current,
-                }
-            } else if diff < 0 {
-                return None;
-            } else {
-                pos = self.dequeue_pos.load(Ordering::Relaxed);
-            }
-        }
+        self.lock().pop_front()
     }
 
-    /// Drain everything currently recorded into `out`.
+    /// Drain everything currently recorded into `out`, oldest first.
     pub fn drain_into(&self, out: &mut Vec<SpanRecord>) {
-        while let Some(span) = self.pop() {
-            out.push(span);
-        }
+        out.extend(self.lock().drain(..));
     }
 
     /// Spans rejected because the ring was full.
@@ -124,7 +65,7 @@ impl SpanRing {
 
     /// Slots available before producers start rejecting.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 }
 

@@ -15,6 +15,12 @@ thread_local! {
     static THREAD_SLOT: usize = NEXT_THREAD_SLOT.fetch_add(1, Ordering::Relaxed);
 }
 
+/// Rings per tracer; thread slot `s` records into ring `s % RINGS`.
+const RINGS: usize = 8;
+
+/// Spans one ring holds before it rejects.
+const RING_CAPACITY: usize = 4_096;
+
 /// Recording statistics for the tracer itself (the tracing layer obeys
 /// the same "observable monitor" rule as everything else).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -27,11 +33,12 @@ pub struct TracerStats {
     pub spans_rejected: u64,
 }
 
-/// Allocates trace/span identity and records spans into per-thread
-/// lock-free rings.
+/// Allocates trace/span identity and records spans into per-thread-slot
+/// rings.
 ///
 /// The hot path costs: an unsampled frame pays one atomic id allocation
-/// and a hash; a sampled span pays one additional ring push (one CAS).
+/// and a hash; a sampled span pays one additional ring push (one
+/// uncontended lock).
 /// With [`Sampler::off`] the tracer hands out no contexts at all and
 /// every guard is an inert branch.
 pub struct Tracer {
@@ -40,7 +47,7 @@ pub struct Tracer {
     // decision — replay uses this to get full traces for a window that was
     // originally recorded at 1-in-N.
     force_sampling: AtomicBool,
-    rings: Box<[SpanRing]>,
+    rings: [SpanRing; RINGS],
     next_trace: AtomicU64,
     next_span: AtomicU64,
     traces_sampled: AtomicU64,
@@ -49,18 +56,12 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// Default sizing: 8 thread rings of 4096 spans each.
+    /// A tracer with `RINGS` thread rings of `RING_CAPACITY` spans each.
     pub fn new(sampler: Sampler) -> Tracer {
-        Tracer::with_capacity(sampler, 8, 4_096)
-    }
-
-    /// Explicit sizing (both rounded up to powers of two).
-    pub fn with_capacity(sampler: Sampler, rings: usize, ring_capacity: usize) -> Tracer {
-        let n = rings.max(1).next_power_of_two();
         Tracer {
             sampler,
             force_sampling: AtomicBool::new(false),
-            rings: (0..n).map(|_| SpanRing::new(ring_capacity)).collect(),
+            rings: std::array::from_fn(|_| SpanRing::new(RING_CAPACITY)),
             next_trace: AtomicU64::new(1),
             next_span: AtomicU64::new(1),
             traces_sampled: AtomicU64::new(0),
@@ -99,7 +100,7 @@ impl Tracer {
 
     fn ring(&self) -> &SpanRing {
         let slot = THREAD_SLOT.with(|s| *s);
-        &self.rings[slot & (self.rings.len() - 1)]
+        &self.rings[slot % RINGS]
     }
 
     fn alloc_span_id(&self) -> SpanId {
@@ -371,5 +372,39 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(t.drain().len(), 200);
+    }
+
+    #[test]
+    fn threads_beyond_the_slot_count_share_rings_and_lose_nothing() {
+        // Sixteen threads onto eight rings: by pigeonhole at least one ring
+        // has two producers, whatever slots the other tests' threads took.
+        const THREADS: usize = 2 * RINGS;
+        const SPANS: usize = 100;
+        let t = std::sync::Arc::new(Tracer::new(Sampler::always()));
+        let start = std::sync::Arc::new(std::sync::Barrier::new(THREADS));
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| {
+                let (t, start) = (t.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    for i in 0..SPANS {
+                        let ctx = t.context_for(i as u64).unwrap();
+                        t.span(&ctx, Stage::Gateway).finish();
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let spans = t.drain();
+        assert_eq!(spans.len(), THREADS * SPANS);
+        let mut ids: Vec<u64> = spans.iter().map(|s| s.span_id.0).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), THREADS * SPANS, "every span recorded exactly once");
+        let stats = t.stats();
+        assert_eq!(stats.spans_recorded, (THREADS * SPANS) as u64);
+        assert_eq!(stats.spans_rejected, 0);
     }
 }

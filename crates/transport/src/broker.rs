@@ -14,11 +14,11 @@
 
 use crate::message::{DecodeError, Envelope, Payload};
 use crate::topic::TopicFilter;
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use hpcmon_trace::{DropReason, Stage, TraceContext, Tracer};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// What to do when a subscriber's queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,57 +83,165 @@ struct TopicCounters {
     bytes_published: AtomicU64,
 }
 
-struct SubscriberEntry {
-    filter: TopicFilter,
-    sender: Sender<Envelope>,
-    receiver_for_drop_oldest: Receiver<Envelope>,
-    policy: BackpressurePolicy,
-    // Shared with the Subscription; a strong count of 1 means the
-    // Subscription handle was dropped and this entry is dead.
-    dropped: Arc<AtomicU64>,
+struct QueueState {
+    items: VecDeque<Envelope>,
+    // Set when either end goes away: the broker's entry (unsubscribed,
+    // pruned, broker dropped) or the `Subscription` handle.
+    closed: bool,
 }
 
-impl SubscriberEntry {
+/// One subscription's bounded queue.  Every policy is one critical
+/// section on `state`, so evict-and-push cannot interleave with another
+/// publisher and the queue never holds more than `capacity`.
+struct SubQueue {
+    state: Mutex<QueueState>,
+    capacity: usize,
+    not_empty: Condvar,
+    not_full: Condvar,
+    dropped: AtomicU64,
+}
+
+/// What became of one envelope offered to a [`SubQueue`].
+enum Pushed {
+    Delivered,
+    /// `DropOldest` made room by evicting this envelope.
+    Evicted(Envelope),
+    /// `DropNewest` found the queue full; the new envelope is lost.
+    Rejected,
+    /// The other end is gone.
+    Closed,
+}
+
+impl SubQueue {
+    // Nothing inside a critical section can panic, so a poisoned lock
+    // (a holder unwound elsewhere) still guards a whole queue.
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn push(&self, env: Envelope, policy: BackpressurePolicy) -> Pushed {
+        let mut st = self.lock();
+        let mut outcome = Pushed::Delivered;
+        while !st.closed && st.items.len() >= self.capacity {
+            match policy {
+                BackpressurePolicy::Block => {
+                    st = self.not_full.wait(st).unwrap_or_else(PoisonError::into_inner);
+                }
+                BackpressurePolicy::DropNewest => {
+                    self.dropped.fetch_add(1, Ordering::Relaxed);
+                    return Pushed::Rejected;
+                }
+                BackpressurePolicy::DropOldest => {
+                    let victim = st.items.pop_front().expect("capacity is positive");
+                    self.dropped.fetch_add(1, Ordering::Relaxed);
+                    outcome = Pushed::Evicted(victim);
+                }
+            }
+        }
+        if st.closed {
+            return Pushed::Closed;
+        }
+        st.items.push_back(env);
+        drop(st);
+        self.not_empty.notify_one();
+        outcome
+    }
+
+    fn try_pop(&self) -> Option<Envelope> {
+        let env = self.lock().items.pop_front()?;
+        self.not_full.notify_one();
+        Some(env)
+    }
+
+    /// Blocking pop; `None` once the queue is closed *and* drained.
+    fn pop(&self) -> Option<Envelope> {
+        let mut st = self.lock();
+        loop {
+            if let Some(env) = st.items.pop_front() {
+                drop(st);
+                self.not_full.notify_one();
+                return Some(env);
+            }
+            if st.closed {
+                return None;
+            }
+            st = self.not_empty.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    fn drain(&self) -> Vec<Envelope> {
+        let out = self.lock().items.drain(..).collect();
+        self.not_full.notify_all();
+        out
+    }
+
+    fn len(&self) -> usize {
+        self.lock().items.len()
+    }
+
     fn is_closed(&self) -> bool {
-        Arc::strong_count(&self.dropped) == 1
+        self.lock().closed
     }
 }
 
-/// A subscription handle: a bounded receiver plus drop accounting.
+/// One end of a [`SubQueue`]: the broker's entry holds one, the
+/// [`Subscription`] the other.  Dropping either closes the queue and
+/// wakes whoever is parked on it — a `Block` publisher sees a pruned
+/// receiver, a consumer in `recv` sees `None` once the queue is drained.
+struct QueueEnd(Arc<SubQueue>);
+
+impl std::ops::Deref for QueueEnd {
+    type Target = SubQueue;
+    fn deref(&self) -> &SubQueue {
+        &self.0
+    }
+}
+
+impl Drop for QueueEnd {
+    fn drop(&mut self) {
+        self.lock().closed = true;
+        self.not_full.notify_all();
+        self.not_empty.notify_all();
+    }
+}
+
+struct SubscriberEntry {
+    filter: TopicFilter,
+    queue: QueueEnd,
+    policy: BackpressurePolicy,
+}
+
+/// A subscription handle: the consuming end of a bounded queue plus drop
+/// accounting.
 pub struct Subscription {
-    receiver: Receiver<Envelope>,
-    dropped: Arc<AtomicU64>,
+    queue: QueueEnd,
     filter: TopicFilter,
 }
 
 impl Subscription {
     /// Blocking receive; `None` when the broker is gone.
     pub fn recv(&self) -> Option<Envelope> {
-        self.receiver.recv().ok()
+        self.queue.pop()
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<Envelope> {
-        self.receiver.try_recv().ok()
+        self.queue.try_pop()
     }
 
     /// Drain everything currently queued.
     pub fn drain(&self) -> Vec<Envelope> {
-        let mut out = Vec::new();
-        while let Some(env) = self.try_recv() {
-            out.push(env);
-        }
-        out
+        self.queue.drain()
     }
 
     /// Messages dropped for this subscriber so far.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.queue.dropped.load(Ordering::Relaxed)
     }
 
     /// Messages currently queued.
     pub fn queued(&self) -> usize {
-        self.receiver.len()
+        self.queue.len()
     }
 
     /// The filter this subscription was created with.
@@ -155,16 +263,10 @@ impl Subscription {
 /// assert_eq!(sub.drain().len(), 1);
 /// assert_eq!(broker.stats().published, 2);
 /// ```
+#[derive(Default)]
 pub struct Broker {
     subscribers: RwLock<Vec<SubscriberEntry>>,
-    // Serializes DropOldest pop+push so concurrent publishers cannot
-    // interleave into a double-drop.
-    drop_oldest_lock: Mutex<()>,
     seq: AtomicU64,
-    published: AtomicU64,
-    delivered: AtomicU64,
-    dropped: AtomicU64,
-    bytes_published: AtomicU64,
     decode_errors: AtomicU64,
     // First-seen order; counters are atomics so publish only needs the
     // read lock once the topic exists.
@@ -188,16 +290,19 @@ impl Broker {
         policy: BackpressurePolicy,
     ) -> Subscription {
         assert!(capacity > 0, "subscription capacity must be positive");
-        let (tx, rx) = bounded(capacity);
-        let dropped = Arc::new(AtomicU64::new(0));
+        let queue = Arc::new(SubQueue {
+            state: Mutex::new(QueueState { items: VecDeque::new(), closed: false }),
+            capacity,
+            not_empty: Condvar::new(),
+            not_full: Condvar::new(),
+            dropped: AtomicU64::new(0),
+        });
         self.subscribers.write().push(SubscriberEntry {
             filter: filter.clone(),
-            sender: tx,
-            receiver_for_drop_oldest: rx.clone(),
+            queue: QueueEnd(queue.clone()),
             policy,
-            dropped: dropped.clone(),
         });
-        Subscription { receiver: rx, dropped, filter }
+        Subscription { queue: QueueEnd(queue), filter }
     }
 
     /// Attach a tracer: from here on, every drop during fan-out is also
@@ -235,12 +340,9 @@ impl Broker {
         trace: Option<TraceContext>,
     ) -> usize {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let bytes = payload.approx_bytes() as u64;
-        self.published.fetch_add(1, Ordering::Relaxed);
-        self.bytes_published.fetch_add(bytes, Ordering::Relaxed);
         let per_topic = self.topic_counters(topic);
         per_topic.published.fetch_add(1, Ordering::Relaxed);
-        per_topic.bytes_published.fetch_add(bytes, Ordering::Relaxed);
+        per_topic.bytes_published.fetch_add(payload.approx_bytes() as u64, Ordering::Relaxed);
         let tracer = self.tracer.read().clone();
         let trace_drop = |ctx: Option<&TraceContext>, reason: DropReason, pattern: &str| {
             if let (Some(t), Some(ctx)) = (tracer.as_deref(), ctx) {
@@ -249,102 +351,36 @@ impl Broker {
         };
         let mut delivered = 0usize;
         let mut saw_closed = false;
-        {
-            let subs = self.subscribers.read();
-            for sub in subs.iter() {
-                if sub.is_closed() {
-                    if sub.filter.matches(topic) {
-                        per_topic.pruned.fetch_add(1, Ordering::Relaxed);
-                        trace_drop(
-                            trace.as_ref(),
-                            DropReason::PrunedReceiver,
-                            sub.filter.pattern(),
-                        );
-                    }
+        for sub in self.subscribers.read().iter() {
+            if !sub.filter.matches(topic) {
+                saw_closed |= sub.queue.is_closed();
+                continue;
+            }
+            let pattern = sub.filter.pattern();
+            let env = Envelope { topic: topic.to_owned(), seq, trace, payload: payload.clone() };
+            match sub.queue.push(env, sub.policy) {
+                Pushed::Delivered => delivered += 1,
+                Pushed::Evicted(victim) => {
+                    delivered += 1;
+                    per_topic.drop_oldest.fetch_add(1, Ordering::Relaxed);
+                    // Provenance belongs to the evicted datum, not the
+                    // one being pushed.
+                    trace_drop(victim.trace.as_ref(), DropReason::DropOldest, pattern);
+                }
+                Pushed::Rejected => {
+                    per_topic.queue_full.fetch_add(1, Ordering::Relaxed);
+                    trace_drop(trace.as_ref(), DropReason::QueueFull, pattern);
+                }
+                Pushed::Closed => {
+                    per_topic.pruned.fetch_add(1, Ordering::Relaxed);
+                    trace_drop(trace.as_ref(), DropReason::PrunedReceiver, pattern);
                     saw_closed = true;
-                    continue;
-                }
-                if !sub.filter.matches(topic) {
-                    continue;
-                }
-                let env =
-                    Envelope { topic: topic.to_owned(), seq, trace, payload: payload.clone() };
-                match sub.policy {
-                    BackpressurePolicy::Block => {
-                        if sub.sender.send(env).is_ok() {
-                            delivered += 1;
-                        } else {
-                            per_topic.pruned.fetch_add(1, Ordering::Relaxed);
-                            trace_drop(
-                                trace.as_ref(),
-                                DropReason::PrunedReceiver,
-                                sub.filter.pattern(),
-                            );
-                            saw_closed = true;
-                        }
-                    }
-                    BackpressurePolicy::DropNewest => match sub.sender.try_send(env) {
-                        Ok(()) => delivered += 1,
-                        Err(TrySendError::Full(_)) => {
-                            sub.dropped.fetch_add(1, Ordering::Relaxed);
-                            self.dropped.fetch_add(1, Ordering::Relaxed);
-                            per_topic.queue_full.fetch_add(1, Ordering::Relaxed);
-                            trace_drop(trace.as_ref(), DropReason::QueueFull, sub.filter.pattern());
-                        }
-                        Err(TrySendError::Disconnected(_)) => {
-                            per_topic.pruned.fetch_add(1, Ordering::Relaxed);
-                            trace_drop(
-                                trace.as_ref(),
-                                DropReason::PrunedReceiver,
-                                sub.filter.pattern(),
-                            );
-                            saw_closed = true;
-                        }
-                    },
-                    BackpressurePolicy::DropOldest => {
-                        let mut env = env;
-                        loop {
-                            match sub.sender.try_send(env) {
-                                Ok(()) => {
-                                    delivered += 1;
-                                    break;
-                                }
-                                Err(TrySendError::Full(e)) => {
-                                    let _g = self.drop_oldest_lock.lock();
-                                    if let Ok(victim) = sub.receiver_for_drop_oldest.try_recv() {
-                                        sub.dropped.fetch_add(1, Ordering::Relaxed);
-                                        self.dropped.fetch_add(1, Ordering::Relaxed);
-                                        per_topic.drop_oldest.fetch_add(1, Ordering::Relaxed);
-                                        // Provenance belongs to the evicted
-                                        // datum, not the one being pushed.
-                                        trace_drop(
-                                            victim.trace.as_ref(),
-                                            DropReason::DropOldest,
-                                            sub.filter.pattern(),
-                                        );
-                                    }
-                                    env = e;
-                                }
-                                Err(TrySendError::Disconnected(_)) => {
-                                    per_topic.pruned.fetch_add(1, Ordering::Relaxed);
-                                    trace_drop(
-                                        trace.as_ref(),
-                                        DropReason::PrunedReceiver,
-                                        sub.filter.pattern(),
-                                    );
-                                    saw_closed = true;
-                                    break;
-                                }
-                            }
-                        }
-                    }
                 }
             }
         }
         if saw_closed {
-            self.prune_closed();
+            self.subscribers.write().retain(|s| !s.queue.is_closed());
         }
-        self.delivered.fetch_add(delivered as u64, Ordering::Relaxed);
         per_topic.delivered.fetch_add(delivered as u64, Ordering::Relaxed);
         delivered
     }
@@ -362,21 +398,6 @@ impl Broker {
         c
     }
 
-    fn prune_closed(&self) {
-        self.subscribers.write().retain(|s| !s.is_closed());
-    }
-
-    /// Detach `sub` from delivery without consuming it: the write lock
-    /// waits out any in-flight publish, and afterwards no new message can
-    /// reach the subscription — but everything already queued remains
-    /// drainable.  Returns false if `sub` was not attached here.
-    pub fn detach(&self, sub: &Subscription) -> bool {
-        let mut subs = self.subscribers.write();
-        let before = subs.len();
-        subs.retain(|s| !Arc::ptr_eq(&s.dropped, &sub.dropped));
-        before != subs.len()
-    }
-
     /// Remove subscribers matching a predicate on their filter pattern
     /// (explicit data-path reconfiguration).
     pub fn unsubscribe_where(&self, pred: impl Fn(&TopicFilter) -> bool) -> usize {
@@ -391,15 +412,21 @@ impl Broker {
         self.subscribers.read().len()
     }
 
-    /// Activity counters.
+    /// Activity counters: the per-topic counters summed, plus decode
+    /// errors (which belong to no topic).
     pub fn stats(&self) -> BrokerStats {
-        BrokerStats {
-            published: self.published.load(Ordering::Relaxed),
-            delivered: self.delivered.load(Ordering::Relaxed),
-            dropped: self.dropped.load(Ordering::Relaxed),
-            bytes_published: self.bytes_published.load(Ordering::Relaxed),
+        let mut stats = BrokerStats {
             decode_errors: self.decode_errors.load(Ordering::Relaxed),
+            ..BrokerStats::default()
+        };
+        for (_, c) in self.topics.read().iter() {
+            stats.published += c.published.load(Ordering::Relaxed);
+            stats.delivered += c.delivered.load(Ordering::Relaxed);
+            stats.dropped +=
+                c.queue_full.load(Ordering::Relaxed) + c.drop_oldest.load(Ordering::Relaxed);
+            stats.bytes_published += c.bytes_published.load(Ordering::Relaxed);
         }
+        stats
     }
 
     /// The audited wire-decode path for broker consumers: a malformed
@@ -409,12 +436,6 @@ impl Broker {
         Envelope::decode(bytes).inspect_err(|_| {
             self.decode_errors.fetch_add(1, Ordering::Relaxed);
         })
-    }
-
-    /// Count a decode failure observed outside [`Broker::decode_envelope`]
-    /// (e.g. a consumer that parses on its own thread).
-    pub fn count_decode_error(&self) {
-        self.decode_errors.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Per-topic publish/deliver/drop breakdown, in first-publish order.
@@ -444,26 +465,9 @@ impl Broker {
         self.subscribers
             .read()
             .iter()
-            .filter(|s| !s.is_closed())
-            .map(|s| (s.filter.pattern().to_owned(), s.receiver_for_drop_oldest.len()))
+            .filter(|s| !s.queue.is_closed())
+            .map(|s| (s.filter.pattern().to_owned(), s.queue.len()))
             .collect()
-    }
-}
-
-impl Default for Broker {
-    fn default() -> Self {
-        Broker {
-            subscribers: RwLock::new(Vec::new()),
-            drop_oldest_lock: Mutex::new(()),
-            seq: AtomicU64::new(0),
-            published: AtomicU64::new(0),
-            delivered: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            bytes_published: AtomicU64::new(0),
-            decode_errors: AtomicU64::new(0),
-            topics: RwLock::new(Vec::new()),
-            tracer: RwLock::new(None),
-        }
     }
 }
 
@@ -471,6 +475,7 @@ impl Default for Broker {
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use std::time::Duration;
 
     fn raw(n: u8) -> Payload {
         Payload::Raw(Bytes::from(vec![n]))
@@ -545,6 +550,7 @@ mod tests {
         assert_eq!(stats.iter().map(|t| t.published).sum::<u64>(), agg.published);
         assert_eq!(stats.iter().map(|t| t.dropped).sum::<u64>(), agg.dropped);
         assert_eq!(stats.iter().map(|t| t.delivered).sum::<u64>(), agg.delivered);
+        assert_eq!(stats.iter().map(|t| t.bytes_published).sum::<u64>(), agg.bytes_published);
     }
 
     #[test]
@@ -723,8 +729,7 @@ mod tests {
         let mut mangled = wire.clone();
         mangled[0] ^= 0x04; // '{' -> '\x7f': structurally broken JSON
         assert!(b.decode_envelope(&mangled).is_err());
-        b.count_decode_error();
-        assert_eq!(b.stats().decode_errors, 3);
+        assert_eq!(b.stats().decode_errors, 2);
     }
 
     #[test]
@@ -745,5 +750,115 @@ mod tests {
         b.publish("t", raw(0));
         b.publish("t", raw(1));
         assert_eq!(b.subscriber_count(), 0);
+    }
+
+    #[test]
+    fn dropping_a_subscription_releases_a_parked_block_publisher() {
+        use hpcmon_trace::{Sampler, Tracer};
+        let b = Broker::new();
+        let tracer = Arc::new(Tracer::new(Sampler::always()));
+        b.set_tracer(tracer.clone());
+        let s = b.subscribe(TopicFilter::all(), 1, BackpressurePolicy::Block);
+        assert_eq!(b.publish("t", raw(0)), 1, "queue is now full");
+        let ctx = tracer.context_for(0).unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let publisher = {
+            let b = b.clone();
+            std::thread::spawn(move || {
+                done_tx.send(b.publish_traced("t", raw(1), Some(ctx))).unwrap();
+            })
+        };
+        // Give the publisher time to park on the full queue.
+        std::thread::sleep(Duration::from_millis(200));
+        drop(s);
+        let delivered = done_rx
+            .recv_timeout(Duration::from_secs(3))
+            .expect("publisher still parked after its subscriber went away");
+        publisher.join().unwrap();
+        // The released publish is accounted like any other dead subscriber.
+        assert_eq!(delivered, 0);
+        assert_eq!(b.topic_stats()[0].pruned_receiver, 1);
+        assert_eq!(b.stats().dropped, 0);
+        assert_eq!(b.subscriber_count(), 0, "and the entry is pruned, not wedged");
+        let spans = tracer.drain();
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].trace_id, ctx.trace_id);
+        assert_eq!(spans[0].status.drop_reason(), Some(DropReason::PrunedReceiver));
+    }
+
+    #[test]
+    fn dropping_the_broker_releases_a_parked_consumer() {
+        let b = Broker::new();
+        let s = b.subscribe(TopicFilter::all(), 4, BackpressurePolicy::Block);
+        b.publish("t", raw(7));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let consumer = std::thread::spawn(move || {
+            let queued = s.recv(); // published before the drop: still delivered
+            let after = s.recv(); // parks until the broker goes away
+            done_tx.send((queued, after)).unwrap();
+        });
+        std::thread::sleep(Duration::from_millis(200));
+        drop(b);
+        let (queued, after) = done_rx
+            .recv_timeout(Duration::from_secs(3))
+            .expect("consumer still parked after the broker was dropped");
+        consumer.join().unwrap();
+        assert_eq!(queued.unwrap().payload, raw(7));
+        assert!(after.is_none());
+    }
+
+    /// Four concurrent publishers into a capacity-8 lossy subscription while
+    /// the test thread drains: the queue never exceeds its capacity and
+    /// every published message is drained, still queued, or counted dropped.
+    fn lossy_policy_conserves_messages(policy: BackpressurePolicy) {
+        const PUBLISHERS: u64 = 4;
+        const EACH: u64 = 500;
+        const CAPACITY: usize = 8;
+        let b = Broker::new();
+        let s = b.subscribe(TopicFilter::all(), CAPACITY, policy);
+        let handles: Vec<_> = (0..PUBLISHERS)
+            .map(|t| {
+                let b = b.clone();
+                std::thread::spawn(move || {
+                    for i in 0..EACH {
+                        assert!(b.publish(&format!("t/{t}"), raw(i as u8)) <= 1);
+                    }
+                })
+            })
+            .collect();
+        let mut drained = 0u64;
+        while handles.iter().any(|h| !h.is_finished()) {
+            assert!(s.queued() <= CAPACITY);
+            let batch = s.drain();
+            assert!(batch.len() <= CAPACITY);
+            drained += batch.len() as u64;
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+        let queued = s.queued();
+        assert!(queued <= CAPACITY);
+        assert_eq!(PUBLISHERS * EACH, drained + queued as u64 + s.dropped());
+        let topics = b.topic_stats();
+        let (queue_full, drop_oldest) =
+            topics.iter().fold((0, 0), |(f, o), t| (f + t.queue_full, o + t.drop_oldest));
+        assert_eq!(queue_full + drop_oldest, s.dropped());
+        assert_eq!(b.stats().dropped, s.dropped());
+        match policy {
+            BackpressurePolicy::DropNewest => assert_eq!(drop_oldest, 0),
+            _ => assert_eq!(queue_full, 0),
+        }
+        let delivered: u64 = topics.iter().map(|t| t.delivered).sum();
+        assert_eq!(delivered, drained + queued as u64 + drop_oldest);
+    }
+
+    #[test]
+    fn concurrent_publishers_conserve_under_drop_oldest() {
+        lossy_policy_conserves_messages(BackpressurePolicy::DropOldest);
+    }
+
+    #[test]
+    fn concurrent_publishers_conserve_under_drop_newest() {
+        lossy_policy_conserves_messages(BackpressurePolicy::DropNewest);
     }
 }

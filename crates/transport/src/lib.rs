@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! `hpcmon-transport` — data transport for monitoring pipelines.
 //!
@@ -12,24 +13,19 @@
 //!   per-subscriber bounded queues, explicit backpressure policies, and
 //!   drop accounting (a transport that silently loses data is exactly the
 //!   vendor failure mode the paper complains about).
-//! * [`relay::Relay`] — store-and-forward between brokers (ERD forwarding
-//!   off the SMW).
 //! * [`syslog`] — the one transport the sites actually had in common:
 //!   line-oriented log forwarding, with render/parse round-tripping.
-//! * [`sync::CollectionSync`] — the NCSA-style synchronized collection
-//!   schedule: all collectors sample at the same aligned instants.
+//!
+//! Forwarding between brokers is federation's tick-keyed `WanLink`
+//! (`hpcmon-federation`); loss is visible through the per-topic and
+//! per-subscriber drop counts plus drop-provenance spans; and the
+//! synchronized collection instant is the pipeline's tick itself.
 
 pub mod broker;
 pub mod message;
-pub mod relay;
-pub mod seq;
-pub mod sync;
 pub mod syslog;
 pub mod topic;
 
 pub use broker::{BackpressurePolicy, Broker, BrokerStats, Subscription, TopicStats};
 pub use message::{DecodeError, Envelope, Payload};
-pub use relay::Relay;
-pub use seq::SeqTracker;
-pub use sync::CollectionSync;
 pub use topic::{topics, TopicFilter};

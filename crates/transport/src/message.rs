@@ -107,7 +107,7 @@ impl std::fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 impl Envelope {
-    /// Serialize to the JSON wire form (relays, cross-process bridges).
+    /// Serialize to the JSON wire form (cross-process bridges).
     pub fn encode(&self) -> Result<Vec<u8>, serde_json::Error> {
         serde_json::to_vec(self)
     }

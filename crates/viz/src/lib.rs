@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! `hpcmon-viz` — dashboards, charts, and data export.
 //!

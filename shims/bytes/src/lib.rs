@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! Offline stand-in for `bytes`.
 //!
 //! [`Bytes`] here is an immutable byte buffer that clones by reference count

@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! Offline stand-in for `criterion`.
 //!
 //! Same macro/type surface as the real crate for the subset the bench files

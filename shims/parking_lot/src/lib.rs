@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! Offline stand-in for `parking_lot`.
 //!
 //! Wraps `std::sync` primitives with parking_lot's no-`Result` API (lock

@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! Offline stand-in for `proptest`.
 //!
 //! Runs each property over a fixed number of deterministically-generated

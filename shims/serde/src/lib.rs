@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! Offline stand-in for the `serde` crate.
 //!
 //! The real serde models serialization through a visitor-based data model;

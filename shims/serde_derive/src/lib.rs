@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! Offline stand-in for `serde_derive`.
 //!
 //! Parses the derive input token stream by hand (no `syn`/`quote` available

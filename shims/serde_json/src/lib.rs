@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! Offline stand-in for `serde_json`.
 //!
 //! Renders the shim serde crate's [`Value`] model to JSON text and parses it

@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! `hpcmon-repro` — umbrella package hosting the runnable examples under
 //! `examples/` and the cross-crate integration tests under `tests/`.
 //!
