@@ -26,8 +26,8 @@ use hpcmon_health::{
     Subsystem as HealthSubsystem,
 };
 use hpcmon_metrics::{
-    ColumnFrame, CompId, CompKind, FrameArena, FrameCoverage, JobId, LogRecord, MetricRegistry,
-    Severity, Ts,
+    ColumnFrame, CompId, CompKind, FrameArena, FrameCoverage, FrameLayout, JobId, LogRecord,
+    MetricId, MetricRegistry, Severity, Ts,
 };
 use hpcmon_response::{
     AccessPolicy, Action, ActionTaken, ResponseEngine, ResponseRule, Signal, SignalKind,
@@ -41,6 +41,7 @@ use hpcmon_transport::{
 };
 use hpcmon_viz::{ClassStatus, StatusBoard};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -375,7 +376,15 @@ impl MonitorBuilder {
         }
         let supervisor = CollectorSupervisor::new(collectors.len());
         let ever_contributed = vec![false; collectors.len()];
+        // Watch slot `i` of the arena's layout is attachment `i`'s series.
+        let mut arena = FrameArena::new();
+        for att in &self.detectors {
+            arena.watch(att.key);
+        }
+        let slot_of = |name: &str| collectors.iter().position(|c| c.name() == name);
         MonitoringSystem {
+            power_slot: slot_of("power"),
+            env_slot: slot_of("env"),
             supervision: o.supervision || o.chaos.is_some(),
             durability: self.durability.map(|(m, cfg)| DurabilityPlane::new(m, cfg)),
             durability_feed_base: (0, 0),
@@ -389,7 +398,7 @@ impl MonitorBuilder {
             ever_contributed,
             last_coverage: None,
             last_frame: None,
-            arena: FrameArena::new(),
+            arena,
             routes: [IngestRoute::new(), IngestRoute::new()],
             hashing: false,
             last_state_hash: None,
@@ -424,6 +433,40 @@ impl MonitorBuilder {
             trace_store: TraceStore::new(256),
         }
     }
+}
+
+/// Whether the frame segment of the collector in registration slot `slot`
+/// is present per the frame's coverage bitmap.  Frames without a bitmap
+/// (supervision off) and collectors that are not installed count as
+/// covered, so the built-in analyses behave exactly as before unless a
+/// supervised collector is *known* to have missed this tick — then they
+/// skip the segment instead of reading absence as zero.
+fn slot_covered(frame: &ColumnFrame, slot: Option<usize>) -> bool {
+    match (&frame.coverage, slot) {
+        (Some(cov), Some(slot)) => cov.covered(slot),
+        _ => true,
+    }
+}
+
+/// The frame's values of `metric` in component-index order: a slice of the
+/// value column when they sit there that way (one collector emitting its
+/// cabinets in order does), else gathered and sorted.
+fn cabinet_column<'a>(
+    frame: &'a ColumnFrame,
+    layout: &FrameLayout,
+    metric: MetricId,
+) -> Cow<'a, [f64]> {
+    let index = |pos: usize| frame.keys[pos].comp.index;
+    let mut runs = layout.runs_of(metric);
+    if let (Some(run), None) = (runs.next(), runs.next()) {
+        if let Some(range) = run.range().filter(|r| r.clone().is_sorted_by_key(index)) {
+            return Cow::Borrowed(&frame.values[range]);
+        }
+    }
+    let mut cabs: Vec<(u32, f64)> =
+        layout.positions_of(metric).map(|pos| (index(pos), frame.values[pos])).collect();
+    cabs.sort_by_key(|&(i, _)| i);
+    Cow::Owned(cabs.into_iter().map(|(_, v)| v).collect())
 }
 
 /// Advance a telemetry counter to an externally tracked lifetime total.
@@ -733,8 +776,14 @@ pub struct MonitoringSystem {
     last_frame: Option<Arc<ColumnFrame>>,
     // Ping-pong frame buffers (DESIGN.md §14): each tick takes the slot
     // the consumers of two ticks ago have released and refills it, so the
-    // steady-state hot path allocates nothing.
+    // steady-state hot path allocates nothing.  Its layout is where the
+    // analysis stage finds its samples: watch slot `i` holds the positions
+    // of `detectors[i]`'s series.
     arena: FrameArena,
+    // Registration slots of the collectors whose segments gate a built-in
+    // analysis (`None`: not installed, which counts as covered).
+    power_slot: Option<usize>,
+    env_slot: Option<usize>,
     // Cached ingest routes — key column -> shard/slot — valid while a
     // frame's key set and the store's slab layout are stable, which in
     // steady state is every tick.  One per frame shape (`[raw, results]`)
@@ -1194,15 +1243,17 @@ impl MonitoringSystem {
 
     /// Stage 4: streaming metric analysis on the fresh frame: feed each
     /// attachment, in attachment order, this frame's samples of its series.
-    /// The scan reads the key column alone; a match fetches its stamp and
-    /// value.
+    /// Their positions come from the arena's layout, which searched the key
+    /// column when it last changed.
     fn evaluate_detectors(&mut self, frame: &ColumnFrame, signals: &mut Vec<Signal>) {
-        for (att, inst) in self.detectors.iter_mut().zip(&self.instruments.detectors) {
+        let layout = self.arena.layout();
+        let attachments = self.detectors.iter_mut().zip(&self.instruments.detectors);
+        for (slot, (att, inst)) in attachments.enumerate() {
             let started = Instant::now();
-            let mut evals = 0u64;
-            for (i, _) in frame.keys.iter().enumerate().filter(|(_, k)| **k == att.key) {
-                let s = frame.get(i);
-                evals += 1;
+            let positions = layout.watched(slot);
+            for &pos in positions {
+                let s = frame.get(pos as usize);
+                debug_assert_eq!(s.key, att.key);
                 if let Some(anomaly) = att.detector.observe(s.ts, s.value) {
                     signals.push(Signal::new(
                         anomaly.ts,
@@ -1214,7 +1265,7 @@ impl MonitoringSystem {
                     ));
                 }
             }
-            inst.evals.add(evals);
+            inst.evals.add(positions.len() as u64);
             inst.latency.record_ns(started.elapsed().as_nanos() as u64);
         }
     }
@@ -1225,15 +1276,9 @@ impl MonitoringSystem {
     /// collector must not read as a balanced-at-zero machine.
     fn builtin_analyses(&mut self, frame: &ColumnFrame, signals: &mut Vec<Signal>) {
         let now = frame.ts;
-        if self.segment_covered(frame, "power") {
-            let cabinets: Vec<f64> = {
-                let mut cabs: Vec<(u32, f64)> = frame
-                    .of_metric(self.metrics.cabinet_power)
-                    .map(|s| (s.key.comp.index, s.value))
-                    .collect();
-                cabs.sort_by_key(|&(i, _)| i);
-                cabs.into_iter().map(|(_, v)| v).collect()
-            };
+        let layout = self.arena.layout();
+        if slot_covered(frame, self.power_slot) {
+            let cabinets = cabinet_column(frame, layout, self.metrics.cabinet_power);
             let reading = self.imbalance.assess(&cabinets);
             if reading.flagged {
                 let user = self.dominant_user();
@@ -1254,7 +1299,7 @@ impl MonitoringSystem {
                 signals.push(sig);
             }
         }
-        if self.segment_covered(frame, "env")
+        if slot_covered(frame, self.env_slot)
             && self.engine.environment().exceeds_ashrae_gas_limit()
         {
             signals.push(Signal::new(
@@ -1268,14 +1313,15 @@ impl MonitoringSystem {
         }
         // (The node health scan needs no gate: a missing node segment
         // simply contributes no node_health samples to iterate.)
-        for s in frame.of_metric(self.metrics.node_health) {
-            if s.value == 0.0 {
-                let node = s.key.comp.index;
+        for pos in layout.positions_of(self.metrics.node_health) {
+            if frame.values[pos] == 0.0 {
+                let comp = frame.keys[pos].comp;
+                let node = comp.index;
                 let mut sig = Signal::new(
                     now,
                     SignalKind::HealthCheckFailure,
                     Severity::Warning,
-                    s.key.comp,
+                    comp,
                     1.0,
                     format!("node {node} fails health check"),
                 );
@@ -1304,11 +1350,11 @@ impl MonitoringSystem {
     /// must hold the p-state where it is, not read as "0 W, full
     /// headroom".
     fn control_power_cap(&mut self, frame: &ColumnFrame, signals: &mut Vec<Signal>) {
-        let (Some(cap), true) = (self.power_cap_w, self.segment_covered(frame, "power")) else {
+        let (Some(cap), true) = (self.power_cap_w, slot_covered(frame, self.power_slot)) else {
             return;
         };
-        let total =
-            frame.of_metric(self.metrics.system_power).next().map(|s| s.value).unwrap_or(0.0);
+        let system_power = self.arena.layout().positions_of(self.metrics.system_power).next();
+        let total = system_power.map_or(0.0, |pos| frame.values[pos]);
         let pstate = self.engine.pstate();
         if total > cap && pstate > 0.3 {
             let next = (pstate - 0.05).max(0.3);
@@ -1432,21 +1478,6 @@ impl MonitoringSystem {
             self.trace_store.completed_with_drops(),
         );
         sync_counter(&self.instruments.trace_ring_rejected, tstats.spans_rejected);
-    }
-
-    /// Whether the frame segment owned by collector `name` is present per
-    /// the frame's coverage bitmap.  Frames without a bitmap (supervision
-    /// off) and collectors that are not installed count as covered, so
-    /// the built-in analyses behave exactly as before unless a supervised
-    /// collector is *known* to have missed this tick — then they skip the
-    /// segment instead of reading absence as zero.
-    fn segment_covered(&self, frame: &ColumnFrame, name: &str) -> bool {
-        match &frame.coverage {
-            Some(cov) => {
-                self.collectors.iter().position(|c| c.name() == name).is_none_or(|i| cov.covered(i))
-            }
-            None => true,
-        }
     }
 
     fn apply_action(&mut self, action: &ActionTaken) {
@@ -1983,6 +2014,43 @@ mod tests {
         // When the job ends, the controller recovers toward full speed.
         mon.run_ticks(80);
         assert!(mon.engine().pstate() > 0.9, "recovered: {}", mon.engine().pstate());
+    }
+
+    #[test]
+    fn cabinet_column_is_in_component_order_wherever_the_samples_sit() {
+        let cab = MetricId(5);
+        let sorted_scan = |frame: &ColumnFrame| {
+            let mut cabs: Vec<(u32, f64)> =
+                frame.of_metric(cab).map(|s| (s.key.comp.index, s.value)).collect();
+            cabs.sort_by_key(|&(i, _)| i);
+            cabs.into_iter().map(|(_, v)| v).collect::<Vec<f64>>()
+        };
+        // (cabinet indices in emission order, the column is a borrowed slice)
+        let cases: [(&[u32], bool); 5] = [
+            (&[0, 1, 2, 3], true),
+            (&[], false),
+            (&[2, 0, 3, 1], false),
+            // A second collector reporting the same cabinets again: two
+            // runs, ties kept in emission order.
+            (&[0, 1, 2, 9, 0, 1, 2], false),
+            (&[4], true),
+        ];
+        for (indices, borrowed) in cases {
+            let mut arena = FrameArena::new();
+            let mut frame = arena.take_current(Ts(60_000));
+            frame.push(MetricId(1), CompId::node(0), 1.0);
+            for (i, &index) in indices.iter().enumerate() {
+                if index == 9 {
+                    frame.push(MetricId(2), CompId::SYSTEM, -1.0);
+                } else {
+                    frame.push(cab, CompId::cabinet(index), 100.0 * index as f64 + i as f64);
+                }
+            }
+            let frame = arena.publish(frame);
+            let column = cabinet_column(&frame, arena.layout(), cab);
+            assert_eq!(*column, *sorted_scan(&frame), "{indices:?}");
+            assert_eq!(matches!(column, Cow::Borrowed(_)), borrowed, "{indices:?}");
+        }
     }
 
     #[test]

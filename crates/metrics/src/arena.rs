@@ -20,7 +20,7 @@
 //! of a collector's segment actually changes tick to tick.
 
 use crate::sample::{FrameCoverage, Sample, SeriesKey};
-use crate::{CompId, MetricId, Ts};
+use crate::{CompId, FrameLayout, MetricId, Ts};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -163,10 +163,17 @@ impl ColumnFrame {
 /// `Arc::try_unwrap` recovers the buffer and its column capacity.  The
 /// fallback — someone still holds the frame — allocates fresh and is
 /// counted in [`FrameArena::fresh_allocs`].
+///
+/// At `publish` the other slot still holds last tick's frame, so the new
+/// key column is compared against it there, without a second copy of the
+/// keys, and the arena's [`FrameLayout`] follows the frame it handed out
+/// last.  That takes one `publish` per `take_current`, which is the only
+/// way the pipeline calls them.
 #[derive(Debug, Default)]
 pub struct FrameArena {
     slots: [Option<Arc<ColumnFrame>>; 2],
     live: usize,
+    layout: FrameLayout,
     fresh_allocs: u64,
     reuses: u64,
 }
@@ -198,9 +205,21 @@ impl FrameArena {
     /// Finish a tick: move the filled frame into the live slot and hand
     /// back a shared handle.  No sample data is copied.
     pub fn publish(&mut self, frame: ColumnFrame) -> Arc<ColumnFrame> {
+        let prev = self.slots[self.live ^ 1].as_deref().map_or(&[][..], |cf| &cf.keys);
+        self.layout.observe(prev, &frame.keys);
         let arc = Arc::new(frame);
         self.slots[self.live] = Some(Arc::clone(&arc));
         arc
+    }
+
+    /// Where things are in the frame published last.
+    pub fn layout(&self) -> &FrameLayout {
+        &self.layout
+    }
+
+    /// [`FrameLayout::watch`] on the arena's layout.
+    pub fn watch(&mut self, key: SeriesKey) -> usize {
+        self.layout.watch(key)
     }
 
     /// Times `take_current` had to allocate a fresh buffer (the first two

@@ -22,6 +22,7 @@ pub mod arena;
 pub mod component;
 pub mod hash;
 pub mod job;
+pub mod layout;
 pub mod log;
 pub mod metric;
 pub mod sample;
@@ -31,6 +32,7 @@ pub use arena::{ColumnFrame, FrameArena, Mutability};
 pub use component::{CompId, CompKind};
 pub use hash::StateHash;
 pub use job::{JobId, JobRecord, JobState};
+pub use layout::{FrameLayout, MetricRun};
 pub use log::{LogRecord, Severity};
 pub use metric::{MetricId, MetricMeta, MetricRegistry, Unit};
 pub use sample::{FrameCoverage, Sample, SeriesKey};

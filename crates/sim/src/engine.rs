@@ -20,11 +20,12 @@ use crate::node::{GpuState, NodeHealth, NodeState, SERVICES};
 use crate::power::PowerModel;
 use crate::rng::Rng;
 use crate::routing::{self, RoutePolicy};
-use crate::sched::{SchedEvent, Scheduler};
+use crate::sched::{RunningJob, SchedEvent, Scheduler};
 use crate::topology::Topology;
 use crate::workload::{CommPattern, JobSpec};
 use hpcmon_metrics::{CompId, JobId, LogRecord, Severity, StateHash, Ts};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// Stable template ids for machine-generated log lines, used by the log
 /// analysis to recognize "well-known log lines" (paper §III-B).
@@ -67,6 +68,78 @@ struct JobTickDemand {
     io_want: f64,
     io_got: f64,
     any_hung: bool,
+}
+
+/// A running job's flows, routed.  Under [`RoutePolicy::Minimal`] they are
+/// a pure function of the topology, the job's id, node list and comm
+/// pattern, so derived once (on the first tick the job is stepped) instead
+/// of every tick.  Rank `r` owns flows `rank_flows[r]..rank_flows[r + 1]`;
+/// flow `f` is routed over `links[flow_links[f]..flow_links[f + 1]]`.
+struct JobRoutes {
+    rank_flows: Vec<u32>,
+    flow_links: Vec<u32>,
+    links: Vec<u32>,
+}
+
+impl JobRoutes {
+    fn derive(
+        topo: &Topology,
+        job: &RunningJob,
+        policy: RoutePolicy,
+        loads: &[f64],
+        threshold: f64,
+        partners: &mut Vec<u32>,
+    ) -> JobRoutes {
+        let mut r = JobRoutes { rank_flows: vec![0], flow_links: vec![0], links: Vec::new() };
+        for (rank, &src) in job.nodes.iter().enumerate() {
+            comm_partners(job.spec.app.comm, job.id, &job.nodes, rank, partners);
+            for &dst in partners.iter() {
+                let (from, to) = (topo.router_of(src), topo.router_of(dst));
+                r.links
+                    .extend(routing::route_with_policy(topo, from, to, policy, loads, threshold));
+                r.flow_links.push(r.links.len() as u32);
+            }
+            r.rank_flows.push(r.flow_links.len() as u32 - 1);
+        }
+        r
+    }
+
+    /// The paths of `rank`'s flows, in partner order.
+    fn paths_of(&self, rank: usize) -> impl ExactSizeIterator<Item = &[u32]> + '_ {
+        (self.rank_flows[rank] as usize..self.rank_flows[rank + 1] as usize)
+            .map(|f| &self.links[self.flow_links[f] as usize..self.flow_links[f + 1] as usize])
+    }
+}
+
+/// The nodes `rank` of job `id` sends to, into `out`.
+fn comm_partners(comm: CommPattern, id: JobId, nodes: &[u32], rank: usize, out: &mut Vec<u32>) {
+    let n_ranks = nodes.len();
+    out.clear();
+    match comm {
+        CommPattern::None => {}
+        CommPattern::Ring => out.push(nodes[(rank + 1) % n_ranks]),
+        CommPattern::Random(k) => out.extend(
+            (0..k as usize)
+                .map(|i| {
+                    // Deterministic pseudo-random partners so the
+                    // profile is repeatable run to run.
+                    let h = (id.0 as u64)
+                        .wrapping_mul(0x9E37)
+                        .wrapping_add(rank as u64 * 131 + i as u64 * 7919);
+                    nodes[(h % n_ranks as u64) as usize]
+                })
+                .filter(|&p| p != nodes[rank]),
+        ),
+    }
+}
+
+/// What `apply_workload` derives and reuses: rebuilt on demand, so never in
+/// a [`SimSnapshot`] and never in [`SimEngine::state_digest`].
+#[derive(Default)]
+struct WorkloadScratch {
+    job_routes: HashMap<JobId, JobRoutes>,
+    partners: Vec<u32>,
+    loads: Vec<f64>,
 }
 
 /// Complete serializable state of the simulator at a tick boundary, for
@@ -130,6 +203,7 @@ pub struct SimEngine {
     ashrae_flagged: bool,
     pstate_scale: f64,
     bb: Option<BurstBuffer>,
+    scratch: WorkloadScratch,
 }
 
 impl SimEngine {
@@ -188,6 +262,7 @@ impl SimEngine {
             ashrae_flagged: false,
             pstate_scale: 1.0,
             bb,
+            scratch: WorkloadScratch::default(),
         }
     }
 
@@ -560,34 +635,35 @@ impl SimEngine {
         let policy = self.config.route_policy;
         let threshold = self.config.congestion_threshold;
         let dt_s = dt as f64 / 1_000.0;
+        let SimEngine { sched, nodes, gpu_util, net, fs, bb, rng_work, topo, scratch, .. } = self;
+        let WorkloadScratch { job_routes, partners, loads } = scratch;
 
-        let mut demands: Vec<JobTickDemand> = Vec::with_capacity(self.sched.running().len());
+        let mut demands: Vec<JobTickDemand> = Vec::with_capacity(sched.running().len());
         let mut flow_cursor = 0usize;
 
-        // Load snapshot for adaptive routing (refreshed per job, which is a
-        // reasonable fidelity/cost point for a fluid model).
-        let n_jobs = self.sched.running().len();
-        for ji in 0..n_jobs {
-            let (id, app, nodes, progress_ms, elapsed_ms) = {
-                let r = &self.sched.running()[ji];
-                (r.id, r.spec.app.clone(), r.nodes.clone(), r.progress_ms, r.elapsed_ms(now))
-            };
-            let phase = *app.phase_at(progress_ms as u64);
-            let n_ranks = nodes.len();
+        for (ji, r) in sched.running().iter().enumerate() {
+            let (id, app, elapsed_ms) = (r.id, &r.spec.app, r.elapsed_ms(now));
+            let phase = *app.phase_at(r.progress_ms as u64);
+            let n_ranks = r.nodes.len();
             let mut any_hung = false;
             let mut net_demand_total = 0.0;
             let flow_start = flow_cursor;
             let mut active_ranks = 0usize;
 
-            let loads = if policy == RoutePolicy::Adaptive {
-                self.net.load_fractions(dt)
-            } else {
-                Vec::new()
-            };
+            // Adaptive paths depend on load, so they are chosen afresh every
+            // tick, against a load snapshot refreshed per job (a reasonable
+            // fidelity/cost point for a fluid model); minimal ones are kept.
+            if policy == RoutePolicy::Adaptive {
+                net.load_fractions_into(dt, loads);
+                job_routes.remove(&id);
+            }
+            let routes = &*job_routes
+                .entry(id)
+                .or_insert_with(|| JobRoutes::derive(topo, r, policy, loads, threshold, partners));
 
-            for (rank, &node_id) in nodes.iter().enumerate() {
+            for (rank, &node_id) in r.nodes.iter().enumerate() {
                 let idles = app.rank_idles(rank, n_ranks, elapsed_ms);
-                match self.nodes[node_id as usize].health {
+                match nodes[node_id as usize].health {
                     NodeHealth::Hung => {
                         any_hung = true;
                         continue;
@@ -595,49 +671,28 @@ impl SimEngine {
                     NodeHealth::Down => continue,
                     NodeHealth::Up => {}
                 }
-                let node = &mut self.nodes[node_id as usize];
+                let node = &mut nodes[node_id as usize];
                 if idles {
                     node.cpu_util = 0.02;
                     node.set_job_memory(phase.mem_fraction);
-                    self.gpu_util[node_id as usize] = 0.0;
+                    gpu_util[node_id as usize] = 0.0;
                     continue;
                 }
                 active_ranks += 1;
-                node.cpu_util = app.jitter(phase.cpu, &mut self.rng_work).min(1.0);
+                node.cpu_util = app.jitter(phase.cpu, rng_work).min(1.0);
                 node.set_job_memory(phase.mem_fraction);
-                self.gpu_util[node_id as usize] =
-                    app.jitter(phase.gpu, &mut self.rng_work).min(1.0);
+                gpu_util[node_id as usize] = app.jitter(phase.gpu, rng_work).min(1.0);
 
-                // Network flows.
+                // Network flows: the rank's bytes, split evenly over its
+                // partners.
                 if phase.net_bytes_per_sec > 0.0 && n_ranks > 1 {
-                    let bytes = app.jitter(phase.net_bytes_per_sec * dt_s, &mut self.rng_work);
-                    let partners: Vec<u32> = match app.comm {
-                        CommPattern::None => Vec::new(),
-                        CommPattern::Ring => vec![nodes[(rank + 1) % n_ranks]],
-                        CommPattern::Random(k) => (0..k as usize)
-                            .map(|i| {
-                                // Deterministic pseudo-random partners so the
-                                // profile is repeatable run to run.
-                                let h = (id.0 as u64)
-                                    .wrapping_mul(0x9E37)
-                                    .wrapping_add(rank as u64 * 131 + i as u64 * 7919);
-                                nodes[(h % n_ranks as u64) as usize]
-                            })
-                            .filter(|&p| p != node_id)
-                            .collect(),
-                    };
-                    if !partners.is_empty() {
-                        let per_partner = bytes / partners.len() as f64;
-                        for dst in partners {
-                            let src_r = self.topo.router_of(node_id);
-                            let dst_r = self.topo.router_of(dst);
-                            let path = routing::route_with_policy(
-                                &self.topo, src_r, dst_r, policy, &loads, threshold,
-                            );
-                            self.net.offer_flow(node_id, path, per_partner);
-                            net_demand_total += per_partner;
-                            flow_cursor += 1;
-                        }
+                    let bytes = app.jitter(phase.net_bytes_per_sec * dt_s, rng_work);
+                    let paths = routes.paths_of(rank);
+                    let per_partner = bytes / paths.len() as f64;
+                    flow_cursor += paths.len();
+                    for path in paths {
+                        net.offer_flow_links(node_id, path, per_partner);
+                        net_demand_total += per_partner;
                     }
                 }
             }
@@ -645,24 +700,19 @@ impl SimEngine {
             // Filesystem I/O for the job as a whole.
             let (mut io_want, mut io_got) = (0.0, 0.0);
             if active_ranks > 0 {
-                let want_r = app.jitter(
-                    phase.read_bytes_per_sec * dt_s * active_ranks as f64,
-                    &mut self.rng_work,
-                );
-                let want_w = app.jitter(
-                    phase.write_bytes_per_sec * dt_s * active_ranks as f64,
-                    &mut self.rng_work,
-                );
+                let want_r =
+                    app.jitter(phase.read_bytes_per_sec * dt_s * active_ranks as f64, rng_work);
+                let want_w =
+                    app.jitter(phase.write_bytes_per_sec * dt_s * active_ranks as f64, rng_work);
                 let meta = phase.metadata_ops_per_sec * dt_s * active_ranks as f64;
                 if want_r > 0.0 || want_w > 0.0 || meta > 0.0 {
                     // Checkpoint writes hit the burst buffer first; spill
                     // (and everything on bb-less machines) goes to the PFS.
-                    let absorbed = match &mut self.bb {
+                    let absorbed = match bb {
                         Some(bb) => bb.absorb(want_w, dt),
                         None => 0.0,
                     };
-                    let (got_r, got_w) =
-                        self.fs.offer_io(id.0, want_r, want_w - absorbed, meta, dt);
+                    let (got_r, got_w) = fs.offer_io(id.0, want_r, want_w - absorbed, meta, dt);
                     io_want = want_r + want_w;
                     io_got = got_r + got_w + absorbed;
                 }
@@ -677,11 +727,16 @@ impl SimEngine {
                 any_hung,
             });
         }
+        // A job that left `running` (completed, failed) takes its routes
+        // with it.
+        if job_routes.len() > sched.running().len() {
+            job_routes.retain(|id, _| sched.running().iter().any(|r| r.id == *id));
+        }
 
-        let achieved = self.net.settle(dt);
+        let achieved = net.settle(dt);
 
         for d in demands {
-            let r = &mut self.sched.running_mut()[d.job_index];
+            let r = &mut sched.running_mut()[d.job_index];
             let net_eff = if d.net_demand > 0.0 {
                 achieved[d.flow_range.clone()].iter().sum::<f64>() / d.net_demand
             } else {
@@ -994,6 +1049,7 @@ impl SimEngine {
             ashrae_flagged: snap.ashrae_flagged,
             pstate_scale: snap.pstate_scale,
             bb: snap.bb,
+            scratch: WorkloadScratch::default(),
         }
     }
 
@@ -1067,6 +1123,14 @@ mod tests {
         SimEngine::new(SimConfig::small())
     }
 
+    impl SimEngine {
+        /// Drop every cached job route, so the next step derives them
+        /// afresh — what the code this cache replaced did on every step.
+        fn forget_job_routes(&mut self) {
+            self.scratch.job_routes.clear();
+        }
+    }
+
     fn quick_job(nodes: u32, work_mins: u64) -> JobSpec {
         JobSpec::new(
             AppProfile::compute_heavy("stencil"),
@@ -1075,6 +1139,114 @@ mod tests {
             work_mins * 60_000,
             Ts::ZERO,
         )
+    }
+
+    /// The cache's oracle is the per-tick derivation it replaced: an engine
+    /// that forgets its routes before every step must stay digest-equal,
+    /// tick for tick, to one that keeps them — through job starts and
+    /// completions, a crash under a running job, a downed link and a
+    /// snapshot -> restore that leaves the cache behind.
+    #[test]
+    fn cached_job_routes_match_deriving_them_every_tick() {
+        for (policy, topology) in [
+            (RoutePolicy::Minimal, crate::topology::TopologySpec::small_torus()),
+            (RoutePolicy::Adaptive, crate::topology::TopologySpec::small_torus()),
+            (RoutePolicy::Minimal, crate::topology::TopologySpec::small_dragonfly()),
+        ] {
+            let cfg = SimConfig { route_policy: policy, topology, ..SimConfig::small() };
+            let build = || {
+                let mut e = SimEngine::new(cfg.clone());
+                let apps = [
+                    AppProfile::comm_heavy("fft"),
+                    AppProfile::compute_heavy("stencil"),
+                    AppProfile::checkpointing("climate"),
+                    AppProfile::io_storm("reader"),
+                ];
+                // More work than the machine has nodes for: jobs queue,
+                // start as others complete, and finish inside the run.
+                for i in 0..24u64 {
+                    let app = apps[i as usize % apps.len()].clone();
+                    let nodes = 8 + 8 * (i as u32 % 5);
+                    e.submit_job(JobSpec::new(app, "u", nodes, (10 + 3 * i) * 60_000, Ts::ZERO));
+                }
+                e.schedule_fault(Ts::from_mins(30), FaultKind::LinkDown { link: 3 });
+                e.schedule_fault(Ts::from_mins(90), FaultKind::LinkUp { link: 3 });
+                e
+            };
+            let (mut kept, mut forgot) = (build(), build());
+            for tick in 1..=400u64 {
+                if tick == 50 {
+                    // Crash a node that a job is running on right now.
+                    let victim = kept.scheduler().running()[0].nodes[1];
+                    for e in [&mut kept, &mut forgot] {
+                        e.schedule_fault(e.now(), FaultKind::NodeCrash { node: victim });
+                    }
+                }
+                if tick == 200 {
+                    kept.drain_logs();
+                    forgot.drain_logs();
+                    kept = SimEngine::restore(kept.snapshot());
+                    assert!(kept.scratch.job_routes.is_empty(), "routes are not snapshotted");
+                }
+                forgot.forget_job_routes();
+                kept.step();
+                forgot.step();
+                assert_eq!(kept.state_digest(), forgot.state_digest(), "{policy:?} tick {tick}");
+                // The cache holds the running jobs and nothing else.
+                let running = kept.scheduler().running().len();
+                assert_eq!(kept.scratch.job_routes.len(), running, "{policy:?} tick {tick}");
+            }
+            let failed = kept
+                .scheduler()
+                .records()
+                .iter()
+                .filter(|r| r.state == hpcmon_metrics::JobState::Failed)
+                .count();
+            let done = kept
+                .scheduler()
+                .records()
+                .iter()
+                .filter(|r| r.state == hpcmon_metrics::JobState::Completed)
+                .count();
+            assert!(failed >= 1 && done >= 10, "{policy:?}: failed {failed}, completed {done}");
+        }
+    }
+
+    /// A job's routes are the paths the public router returns, pair by pair.
+    #[test]
+    fn job_routes_are_the_routers_path_for_each_partner() {
+        let topo = Topology::build(crate::topology::TopologySpec::small_torus());
+        let mut loads = vec![0.0; topo.num_links() as usize];
+        loads.iter_mut().step_by(3).for_each(|l| *l = 2.0);
+        let mut partners = Vec::new();
+        for (app, policy) in [
+            (AppProfile::compute_heavy("ring"), RoutePolicy::Minimal),
+            (AppProfile::comm_heavy("random"), RoutePolicy::Minimal),
+            (AppProfile::comm_heavy("random"), RoutePolicy::Adaptive),
+            (AppProfile::io_storm("none"), RoutePolicy::Minimal),
+        ] {
+            let job = RunningJob {
+                id: JobId(7),
+                nodes: (0..40).map(|i| (i * 3) % topo.num_nodes()).collect(),
+                spec: JobSpec::new(app, "u", 40, 60_000, Ts::ZERO),
+                started: Ts::ZERO,
+                progress_ms: 0.0,
+                last_efficiency: 1.0,
+            };
+            let routes = JobRoutes::derive(&topo, &job, policy, &loads, 0.8, &mut partners);
+            for (rank, &src) in job.nodes.iter().enumerate() {
+                comm_partners(job.spec.app.comm, job.id, &job.nodes, rank, &mut partners);
+                let want: Vec<Vec<u32>> = partners
+                    .iter()
+                    .map(|&dst| {
+                        let (from, to) = (topo.router_of(src), topo.router_of(dst));
+                        routing::route_with_policy(&topo, from, to, policy, &loads, 0.8)
+                    })
+                    .collect();
+                let got: Vec<Vec<u32>> = routes.paths_of(rank).map(<[u32]>::to_vec).collect();
+                assert_eq!(got, want, "{policy:?} rank {rank}");
+            }
+        }
     }
 
     #[test]

@@ -22,12 +22,31 @@ pub struct Flow {
     pub demand_bytes: f64,
 }
 
+/// An offered flow whose path is `offered_links[first..first + len]`.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+struct OfferedFlow {
+    src_node: u32,
+    first: u32,
+    len: u32,
+    demand_bytes: f64,
+}
+
 /// Per-tick and cumulative state of every link, plus per-node injection.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NetworkState {
     capacity_bytes_per_sec: f64,
     link_up: Vec<bool>,
+    /// Always empty, kept so a snapshot reads and writes the shape it
+    /// always had: this tick's flows are in `offered`.
     flows: Vec<Flow>,
+    /// This tick's flows, their paths back to back in `offered_links` so
+    /// that offering one allocates nothing once the buffers have grown.
+    /// Both are empty again after `settle`, so at every tick boundary,
+    /// which is where snapshots are taken.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
+    offered: Vec<OfferedFlow>,
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
+    offered_links: Vec<u32>,
     demand: Vec<f64>,
     traffic: Vec<f64>,
     stalls: Vec<f64>,
@@ -48,6 +67,8 @@ impl NetworkState {
             capacity_bytes_per_sec,
             link_up: vec![true; links],
             flows: Vec::new(),
+            offered: Vec::new(),
+            offered_links: Vec::new(),
             demand: vec![0.0; links],
             traffic: vec![0.0; links],
             stalls: vec![0.0; links],
@@ -63,7 +84,7 @@ impl NetworkState {
     pub fn digest_into(&self, h: &mut StateHash) {
         h.f64(self.capacity_bytes_per_sec)
             .bools(&self.link_up)
-            .usize(self.flows.len())
+            .usize(self.offered.len())
             .f64s(&self.demand)
             .f64s(&self.traffic)
             .f64s(&self.stalls)
@@ -81,7 +102,8 @@ impl NetworkState {
 
     /// Reset per-tick accumulators.  Call once at the start of each tick.
     pub fn begin_tick(&mut self) {
-        self.flows.clear();
+        self.offered.clear();
+        self.offered_links.clear();
         self.demand.iter_mut().for_each(|d| *d = 0.0);
         self.traffic.iter_mut().for_each(|t| *t = 0.0);
         self.stalls.iter_mut().for_each(|s| *s = 0.0);
@@ -93,12 +115,20 @@ impl NetworkState {
     /// Offer a flow for this tick.  Zero-demand and empty-path (same-router)
     /// flows are accepted; an empty path always achieves full demand.
     pub fn offer_flow(&mut self, src_node: u32, path: Vec<u32>, demand_bytes: f64) {
+        self.offer_flow_links(src_node, &path, demand_bytes);
+    }
+
+    /// [`NetworkState::offer_flow`] for a path the caller keeps: the links
+    /// are copied into this tick's flow buffer.
+    pub fn offer_flow_links(&mut self, src_node: u32, path: &[u32], demand_bytes: f64) {
         debug_assert!(demand_bytes >= 0.0);
-        for &l in &path {
+        for &l in path {
             self.demand[l as usize] += demand_bytes;
         }
         self.injection_demand[src_node as usize] += demand_bytes;
-        self.flows.push(Flow { src_node, path, demand_bytes });
+        let (first, len) = (self.offered_links.len() as u32, path.len() as u32);
+        self.offered_links.extend_from_slice(path);
+        self.offered.push(OfferedFlow { src_node, first, len, demand_bytes });
     }
 
     /// Settle all offered flows for a tick of `dt_ms` and account traffic,
@@ -107,11 +137,11 @@ impl NetworkState {
     pub fn settle(&mut self, dt_ms: u64) -> Vec<f64> {
         self.last_dt_ms = dt_ms;
         let cap = self.capacity_bytes_per_sec * dt_ms as f64 / 1_000.0;
-        let flows = std::mem::take(&mut self.flows);
-        let mut achieved = Vec::with_capacity(flows.len());
-        for flow in &flows {
+        let mut achieved = Vec::with_capacity(self.offered.len());
+        for flow in &self.offered {
+            let path = &self.offered_links[flow.first as usize..(flow.first + flow.len) as usize];
             let mut fraction: f64 = 1.0;
-            for &l in &flow.path {
+            for &l in path {
                 let li = l as usize;
                 if !self.link_up[li] {
                     fraction = 0.0;
@@ -122,7 +152,7 @@ impl NetworkState {
                 }
             }
             let got = flow.demand_bytes * fraction;
-            for &l in &flow.path {
+            for &l in path {
                 let li = l as usize;
                 self.traffic[li] += got;
                 self.cumulative_traffic[li] += got;
@@ -136,6 +166,8 @@ impl NetworkState {
                 if self.link_up[li] { (self.demand[li] - cap).max(0.0) } else { self.demand[li] };
             self.stalls[li] = excess;
         }
+        self.offered.clear();
+        self.offered_links.clear();
         achieved
     }
 
@@ -187,8 +219,16 @@ impl NetworkState {
     /// Current per-link load fractions (demand / capacity), for adaptive
     /// routing decisions made *before* settling.
     pub fn load_fractions(&self, dt_ms: u64) -> Vec<f64> {
+        let mut loads = Vec::new();
+        self.load_fractions_into(dt_ms, &mut loads);
+        loads
+    }
+
+    /// [`NetworkState::load_fractions`] into a buffer the caller reuses.
+    pub fn load_fractions_into(&self, dt_ms: u64, loads: &mut Vec<f64>) {
         let cap = self.capacity_bytes_per_sec * dt_ms as f64 / 1_000.0;
-        self.demand.iter().map(|d| d / cap).collect()
+        loads.clear();
+        loads.extend(self.demand.iter().map(|d| d / cap));
     }
 
     /// Bytes node `node` successfully injected this tick.

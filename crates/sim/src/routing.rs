@@ -53,7 +53,7 @@ pub fn route_with_policy(
             }
             // Detour through the least-loaded neighbor, then minimally on.
             let mut best: Option<(f64, u32)> = None;
-            for n in topo.neighbors(src) {
+            for &n in topo.neighbors(src) {
                 if n == dst {
                     continue;
                 }

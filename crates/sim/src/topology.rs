@@ -67,6 +67,8 @@ pub struct Topology {
     spec: TopologySpec,
     links: Vec<Link>,
     link_index: HashMap<(u32, u32), u32>,
+    /// Each router's neighbors, in link-id order.
+    adjacency: Vec<Vec<u32>>,
     num_routers: u32,
     num_nodes: u32,
     num_cabinets: u32,
@@ -93,6 +95,7 @@ impl Topology {
             spec,
             links: Vec::new(),
             link_index: HashMap::new(),
+            adjacency: vec![Vec::new(); num_routers as usize],
             num_routers,
             num_nodes: num_routers * nodes_per_router,
             num_cabinets: dims[0],
@@ -126,6 +129,7 @@ impl Topology {
             spec,
             links: Vec::new(),
             link_index: HashMap::new(),
+            adjacency: vec![Vec::new(); num_routers as usize],
             num_routers,
             num_nodes: num_routers * nodes_per_router,
             num_cabinets: groups,
@@ -162,6 +166,7 @@ impl Topology {
         let id = self.links.len() as u32;
         self.links.push(Link { id, from, to, global });
         self.link_index.insert((from, to), id);
+        self.adjacency[from as usize].push(to);
     }
 
     /// The spec this topology was built from.
@@ -241,10 +246,9 @@ impl Topology {
         self.link_index.get(&(from, to)).copied()
     }
 
-    /// Router neighbors reachable over one link.
-    pub fn neighbors(&self, router: u32) -> Vec<u32> {
-        // Link ids are grouped by construction order, not by router, so scan.
-        self.links.iter().filter(|l| l.from == router).map(|l| l.to).collect()
+    /// Router neighbors reachable over one link, in link-id order.
+    pub fn neighbors(&self, router: u32) -> &[u32] {
+        &self.adjacency[router as usize]
     }
 
     /// Torus coordinates of a router (torus only).
@@ -319,9 +323,13 @@ mod tests {
     fn torus_neighbors_are_symmetric() {
         let t = Topology::build(TopologySpec::small_torus());
         for r in 0..t.num_routers() {
-            for n in t.neighbors(r) {
+            for &n in t.neighbors(r) {
                 assert!(t.link_between(n, r).is_some(), "reverse link {n}->{r}");
             }
+            // The adjacency index is the link list grouped by source.
+            let scanned: Vec<u32> =
+                t.links().iter().filter(|l| l.from == r).map(|l| l.to).collect();
+            assert_eq!(t.neighbors(r), scanned);
         }
     }
 
