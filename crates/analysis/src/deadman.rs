@@ -11,6 +11,9 @@ use hpcmon_metrics::Ts;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
+/// Grace before a feed is flagged, in expected intervals.
+const GRACE_FACTOR: f64 = 2.5;
+
 /// A feed that went quiet.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SilentFeed {
@@ -37,7 +40,6 @@ pub struct SilentFeed {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Deadman {
     expected_interval_ms: u64,
-    grace_factor: f64,
     feeds: HashMap<String, Option<Ts>>,
     /// Feeds the supervisor has quarantined: their grace collapses to
     /// zero, so one missed beat flags immediately.  A quarantined feed is
@@ -51,12 +53,7 @@ impl Deadman {
     /// with 2.5× grace before flagging.
     pub fn new(expected_interval_ms: u64) -> Deadman {
         assert!(expected_interval_ms > 0);
-        Deadman {
-            expected_interval_ms,
-            grace_factor: 2.5,
-            feeds: HashMap::new(),
-            quarantined: Vec::new(),
-        }
+        Deadman { expected_interval_ms, feeds: HashMap::new(), quarantined: Vec::new() }
     }
 
     /// 64-bit digest of the feed table, for per-tick replay verification.
@@ -64,7 +61,7 @@ impl Deadman {
     /// leak into the digest.
     pub fn state_digest(&self) -> u64 {
         let mut h = hpcmon_metrics::StateHash::new(0xDD);
-        h.u64(self.expected_interval_ms).f64(self.grace_factor);
+        h.u64(self.expected_interval_ms).f64(GRACE_FACTOR);
         let mut feeds: Vec<(&String, &Option<Ts>)> = self.feeds.iter().collect();
         feeds.sort_by_key(|(name, _)| name.as_str());
         h.usize(feeds.len());
@@ -78,13 +75,6 @@ impl Deadman {
             h.str(name);
         }
         h.finish()
-    }
-
-    /// Change the grace multiplier (≥ 1).
-    pub fn with_grace_factor(mut self, factor: f64) -> Deadman {
-        assert!(factor >= 1.0);
-        self.grace_factor = factor;
-        self
     }
 
     /// Register a feed that must report.  Registration time counts as the
@@ -103,7 +93,7 @@ impl Deadman {
 
     /// Deadline in ms after the last beat before a feed is overdue.
     pub fn deadline_ms(&self) -> u64 {
-        (self.expected_interval_ms as f64 * self.grace_factor) as u64
+        (self.expected_interval_ms as f64 * GRACE_FACTOR) as u64
     }
 
     /// Hand a feed to (or take it back from) quarantine.  While

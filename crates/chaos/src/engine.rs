@@ -437,11 +437,6 @@ impl ChaosEngine {
             + usize::from(self.disk_full_until.is_some())
     }
 
-    /// Scheduled faults not yet fired.
-    pub fn plan_remaining(&self) -> usize {
-        self.plan.remaining()
-    }
-
     /// Capture the full injector state for a flight-recorder checkpoint.
     pub fn snapshot(&self) -> ChaosSnapshot {
         ChaosSnapshot {

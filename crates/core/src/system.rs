@@ -60,11 +60,8 @@ pub use state::{CoreSnapshot, GatewayOp, TickInputs, TickStateHash};
 pub struct MonitorOptions {
     /// The simulated machine.
     pub sim: SimConfig,
-    /// Chaos seed and plan ([`MonitorBuilder::chaos`]); implies
-    /// `supervision`.
+    /// Chaos seed and plan ([`MonitorBuilder::chaos`]).
     pub chaos: Option<(u64, ChaosPlan)>,
-    /// Supervised self-healing collection ([`MonitorBuilder::supervision`]).
-    pub supervision: bool,
     /// Whether the monitor observes itself
     /// ([`MonitorBuilder::self_telemetry`]).
     pub self_telemetry: bool,
@@ -77,9 +74,6 @@ pub struct MonitorOptions {
     pub bench_every_ticks: Option<u64>,
     /// Whether the active probes run ([`MonitorBuilder::with_probes`]).
     pub probes: bool,
-    /// Ticks of log-novelty training
-    /// ([`MonitorBuilder::novelty_training_ticks`]).
-    pub novelty_training_ticks: u64,
     /// Machine-level power cap ([`MonitorBuilder::power_cap_w`]).
     pub power_cap_w: Option<f64>,
     /// Retention policy and its cadence in ticks
@@ -97,13 +91,11 @@ impl MonitorOptions {
         MonitorOptions {
             sim,
             chaos: None,
-            supervision: false,
             self_telemetry: true,
             tracing: Sampler::one_in(64),
             gateway: None,
             bench_every_ticks: Some(10),
             probes: true,
-            novelty_training_ticks: 30,
             power_cap_w: None,
             retention: None,
             health: None,
@@ -121,7 +113,6 @@ pub struct MonitorBuilder {
     response_rules: Vec<ResponseRule>,
     correlator_rules: Vec<Rule>,
     detectors: Vec<DetectorAttachment>,
-    imbalance: ImbalanceDetector,
     extra_collectors: Vec<Box<dyn Collector>>,
     durability: Option<(Arc<dyn StorageMedium>, DurabilityConfig)>,
 }
@@ -144,7 +135,6 @@ impl MonitorBuilder {
             response_rules: ResponseEngine::production_rules(),
             correlator_rules: Correlator::production_rules(),
             detectors: Vec::new(),
-            imbalance: ImbalanceDetector::new(),
             extra_collectors: Vec::new(),
             durability: None,
         }
@@ -190,25 +180,12 @@ impl MonitorBuilder {
         self
     }
 
-    /// Enable supervised self-healing collection (default off).  Each
-    /// collector runs under a supervisor that catches panics and budget
-    /// overruns, quarantines the failing slot with exponential-backoff
-    /// re-probes, and hands the gap to the deadman so it is *reported*,
-    /// never silent; store ingest runs behind a circuit breaker with a
-    /// bounded spill queue; frames carry a [`FrameCoverage`] bitmap so
-    /// analysis skips (rather than zero-fills) missing segments.  With
-    /// supervision off the pipeline is byte-identical to previous
-    /// behavior — the `abl_chaos` ablation measures the overhead.
-    pub fn supervision(mut self, enabled: bool) -> MonitorBuilder {
-        self.options.supervision = enabled;
-        self
-    }
-
     /// Inject a deterministic chaos plan into the *monitoring plane*
-    /// itself (implies [`MonitorBuilder::supervision`]).  `seed` keys the
-    /// per-envelope corruption draws; the plan's tick numbers refer to
-    /// [`MonitoringSystem::tick`] calls (the first tick is 1).  The same
-    /// seed and plan reproduce the same faults bit-for-bit.
+    /// itself: the faults land on the supervision every tick already runs
+    /// under (DESIGN.md §10).  `seed` keys the per-envelope corruption
+    /// draws; the plan's tick numbers refer to [`MonitoringSystem::tick`]
+    /// calls (the first tick is 1).  The same seed and plan reproduce the
+    /// same faults bit-for-bit.
     pub fn chaos(mut self, seed: u64, plan: ChaosPlan) -> MonitorBuilder {
         self.options.chaos = Some((seed, plan));
         self
@@ -315,18 +292,6 @@ impl MonitorBuilder {
         self
     }
 
-    /// Set the imbalance detector parameters.
-    pub fn imbalance_detector(mut self, det: ImbalanceDetector) -> MonitorBuilder {
-        self.imbalance = det;
-        self
-    }
-
-    /// Ticks of log-novelty training before flagging begins.
-    pub fn novelty_training_ticks(mut self, ticks: u64) -> MonitorBuilder {
-        self.options.novelty_training_ticks = ticks;
-        self
-    }
-
     /// Assemble the system.
     pub fn build(self) -> MonitoringSystem {
         let o = self.options;
@@ -381,11 +346,9 @@ impl MonitorBuilder {
         for att in &self.detectors {
             arena.watch(att.key);
         }
-        let slot_of = |name: &str| collectors.iter().position(|c| c.name() == name);
-        MonitoringSystem {
-            power_slot: slot_of("power"),
-            env_slot: slot_of("env"),
-            supervision: o.supervision || o.chaos.is_some(),
+        let mut mon = MonitoringSystem {
+            power_slot: None,
+            env_slot: None,
             durability: self.durability.map(|(m, cfg)| DurabilityPlane::new(m, cfg)),
             durability_feed_base: (0, 0),
             pending_inputs: TickInputs::default(),
@@ -409,9 +372,8 @@ impl MonitorBuilder {
             harvester: LogHarvester::new(Some(broker.clone())),
             correlator: Correlator::new(self.correlator_rules),
             novelty: NoveltyDetector::new(),
-            novelty_training_ticks: o.novelty_training_ticks,
             response: ResponseEngine::new(self.response_rules),
-            imbalance: self.imbalance,
+            imbalance: ImbalanceDetector::new(),
             detectors: self.detectors,
             store,
             log_store: Arc::new(LogStore::new()),
@@ -431,16 +393,21 @@ impl MonitorBuilder {
             gateway,
             tracer,
             trace_store: TraceStore::new(256),
-        }
+        };
+        mon.resolve_gate_slots();
+        mon
     }
 }
 
+/// Ticks of log-novelty training before flagging begins.
+const NOVELTY_TRAINING_TICKS: u64 = 30;
+
 /// Whether the frame segment of the collector in registration slot `slot`
-/// is present per the frame's coverage bitmap.  Frames without a bitmap
-/// (supervision off) and collectors that are not installed count as
-/// covered, so the built-in analyses behave exactly as before unless a
-/// supervised collector is *known* to have missed this tick — then they
-/// skip the segment instead of reading absence as zero.
+/// is present per the frame's coverage bitmap.  A collector that is not
+/// installed counts as covered, and so does every slot of a frame with no
+/// bitmap — one that did not come out of `collect`.  Otherwise a collector
+/// *known* to have missed this tick fails the gate, and the built-in
+/// analyses skip its segment instead of reading absence as zero.
 fn slot_covered(frame: &ColumnFrame, slot: Option<usize>) -> bool {
     match (&frame.coverage, slot) {
         (Some(cov), Some(slot)) => cov.covered(slot),
@@ -719,7 +686,6 @@ pub struct MonitoringSystem {
     harvester: LogHarvester,
     correlator: Correlator,
     novelty: NoveltyDetector,
-    novelty_training_ticks: u64,
     response: ResponseEngine,
     imbalance: ImbalanceDetector,
     detectors: Vec<DetectorAttachment>,
@@ -733,10 +699,6 @@ pub struct MonitoringSystem {
     gateway: Option<Arc<Gateway>>,
     tracer: Arc<Tracer>,
     trace_store: TraceStore,
-    // Self-healing machinery (DESIGN.md §10).  With `supervision` false
-    // none of it runs and the pipeline is byte-identical to the
-    // unsupervised build.
-    supervision: bool,
     // SLO/alerting plane (DESIGN.md §13).  `None` (the default) costs
     // one branch per tick and changes nothing observable.
     health: Option<HealthEngine>,
@@ -762,14 +724,14 @@ pub struct MonitoringSystem {
     // replay them after a crash.
     pending_inputs: TickInputs,
     chaos: Option<ChaosEngine>,
+    // Self-healing machinery (DESIGN.md §10), run on every tick.  The
+    // supervisor, `ever_contributed` and the coverage bitmap run parallel
+    // to `collectors`.
     supervisor: CollectorSupervisor,
     breaker: IngestBreaker<(Arc<ColumnFrame>, Option<TraceContext>)>,
     stall_buffer: Vec<(String, Payload, Option<TraceContext>)>,
     ever_contributed: Vec<bool>,
     last_coverage: Option<FrameCoverage>,
-    // Flight-recorder hooks (system::state, DESIGN.md §11).  With
-    // `hashing` false none of it runs and the pipeline is bit-identical
-    // to a build without the recorder.
     // The most recent frame published on the broker, for federation
     // rollups: a `Federation` reads it after each lockstep tick to build
     // the site's O(1)-series rollup without re-querying the store.
@@ -789,6 +751,9 @@ pub struct MonitoringSystem {
     // steady state is every tick.  One per frame shape (`[raw, results]`)
     // so the results frame never evicts the raw frame's route.
     routes: [IngestRoute; 2],
+    // Flight-recorder hooks (system::state, DESIGN.md §11).  With
+    // `hashing` false none of it runs and the pipeline is bit-identical
+    // to a build without the recorder.
     hashing: bool,
     last_state_hash: Option<TickStateHash>,
     replay_hash_gauge: Option<Arc<Gauge>>,
@@ -826,8 +791,7 @@ impl MonitoringSystem {
 
     /// Advance machine + monitoring by one tick.  Reads top to bottom as
     /// the stage order DESIGN.md §2 documents; every stage is one private
-    /// method below, written once, on the calling thread (DESIGN.md §9),
-    /// with supervision as an input to it.
+    /// method below, written once, on the calling thread (DESIGN.md §9).
     pub fn tick(&mut self) -> TickReport {
         // Stamp this tick's frame with a trace context.  The sampling
         // decision hashes the tick number: identical runs trace identical frames.
@@ -926,7 +890,7 @@ impl MonitoringSystem {
 
         // 7. Analysis results are stored WITH the raw data (Table I): the
         //    per-tick counts through the same ingest as the raw frame
-        //    (supervised, they queue behind earlier spilled data), each
+        //    (queued behind any spilled data), each
         //    signal as a searchable `analysis` log record.
         let mut results = ColumnFrame::new(now);
         results.push(self.metrics.analysis_signals, CompId::SYSTEM, signals.len() as f64);
@@ -1021,18 +985,15 @@ impl MonitoringSystem {
     /// so it republishes what the others updated this tick) — and per slot
     /// settle its supervision, deadman beat and coverage bit.
     ///
-    /// Under supervision (DESIGN.md §10) every run is wrapped in a panic
-    /// catch and the chaos engine's active faults: a segment that fails
-    /// (panic, hang, deadline overrun) is discarded and its slot
-    /// quarantined with exponential-backoff re-probes, the gap handed to
-    /// the deadman so it surfaces as `MonitoringGap`, never silence.
-    /// Unsupervised, a collector panic propagates to the caller; with no
-    /// chaos plan and nothing ever quarantined every slot runs, and the
-    /// supervisor calls below find nothing to do.
+    /// Every run is supervised (DESIGN.md §10): wrapped in a panic catch
+    /// and the chaos engine's active faults.  A segment that fails (panic,
+    /// hang, deadline overrun) is discarded and its slot quarantined with
+    /// exponential-backoff re-probes, the gap handed to the deadman so it
+    /// surfaces as `MonitoringGap`, never silence — one collector's panic
+    /// never ends the tick.
     fn collect(&mut self, frame: &mut ColumnFrame) {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let (tick, now) = (self.engine.tick_count(), frame.ts);
-        let supervised = self.supervision;
         let budget = self.supervisor.config().slow_budget_factor;
         // Coverage bitmap: a slot is expected once it has ever
         // contributed, and reported if it contributed this tick.  Analysis
@@ -1055,23 +1016,17 @@ impl MonitoringSystem {
                 // deadline budget completes and is discarded afterwards.
                 let inject_panic = fault == Some(CollectorFault::Panic);
                 let discard = matches!(fault, Some(CollectorFault::Slow(f)) if f >= budget);
-                // Time the run, and under supervision catch anything —
-                // injected chaos panics and real collector panics alike
-                // (unsupervised, a panic unwinds to the caller).
+                // Time the run and catch anything — injected chaos panics
+                // and real collector panics alike.
                 let (engine, c) = (&self.engine, &mut self.collectors[i]);
                 let started = Instant::now();
-                let mut body = || {
+                let panicked = catch_unwind(AssertUnwindSafe(|| {
                     c.collect(engine, frame);
                     if inject_panic {
                         panic!("chaos: injected collector panic");
                     }
-                };
-                let panicked = if supervised {
-                    catch_unwind(AssertUnwindSafe(&mut body)).is_err()
-                } else {
-                    body();
-                    false
-                };
+                }))
+                .is_err();
                 let elapsed = started.elapsed().as_nanos() as u64;
                 self.instruments.collectors[i].latency.record_ns(elapsed);
                 Some(!(panicked || discard))
@@ -1106,21 +1061,17 @@ impl MonitoringSystem {
                 self.deadman.register(name);
                 self.deadman.beat(name, now);
             }
-            if supervised {
-                self.ever_contributed[i] |= delivered > 0;
-                if self.ever_contributed[i] {
-                    cov.expect(i);
-                    if delivered > 0 {
-                        cov.report(i);
-                    }
+            self.ever_contributed[i] |= delivered > 0;
+            if self.ever_contributed[i] {
+                cov.expect(i);
+                if delivered > 0 {
+                    cov.report(i);
                 }
             }
         }
-        if supervised {
-            frame.coverage = Some(cov);
-            self.last_coverage = Some(cov);
-            self.instruments.supervisor_quarantined.set(self.supervisor.quarantined_count() as f64);
-        }
+        frame.coverage = Some(cov);
+        self.last_coverage = Some(cov);
+        self.instruments.supervisor_quarantined.set(self.supervisor.quarantined_count() as f64);
         self.instruments.frame_coverage_pct.set(cov.pct());
     }
 
@@ -1179,11 +1130,10 @@ impl MonitoringSystem {
     }
 
     /// Store one frame — the raw frame off the broker and the analysis
-    /// results frame alike.  Plain: through the cached route.  Under
-    /// supervision: breaker-fronted — a failing shard trips the breaker and
-    /// frames spill (bounded, drop-oldest with provenance) until a half-open
-    /// probe finds the store healthy again, then the spill drains in
-    /// arrival order.
+    /// results frame alike — through its cached route, behind the breaker:
+    /// a failing shard trips the breaker and frames spill (bounded,
+    /// drop-oldest with provenance) until a half-open probe finds the store
+    /// healthy again, then the spill drains in arrival order.
     fn ingest(&mut self, frame: &Arc<ColumnFrame>, trace: Option<TraceContext>) {
         // Results frames (two fixed keys, led by `analysis.signals`) ride
         // their own cached route: sharing one would evict the raw frame's
@@ -1192,23 +1142,18 @@ impl MonitoringSystem {
         let lane = |cf: &ColumnFrame| {
             usize::from(cf.keys.first().is_some_and(|k| k.metric == results_metric))
         };
-        let store = &*self.store;
-        let routes = &mut self.routes;
-        if self.supervision {
-            let item = (Arc::clone(frame), trace);
-            let report = self.breaker.submit(item, self.engine.tick_count(), |(cf, _)| {
-                store.try_ingest_columns(cf, &mut routes[lane(cf)])
-            });
-            for ctx in report.evicted.into_iter().filter_map(|(_, ctx)| ctx) {
-                self.tracer.record_drop(
-                    &ctx,
-                    Stage::Store,
-                    DropReason::SpillOverflow,
-                    "spill queue full: oldest frame evicted",
-                );
-            }
-        } else {
-            store.ingest_columns(frame, &mut routes[lane(frame)]);
+        let (store, routes) = (&*self.store, &mut self.routes);
+        let item = (Arc::clone(frame), trace);
+        let report = self.breaker.submit(item, self.engine.tick_count(), |(cf, _)| {
+            store.try_ingest_columns(cf, &mut routes[lane(cf)])
+        });
+        for ctx in report.evicted.into_iter().filter_map(|(_, ctx)| ctx) {
+            self.tracer.record_drop(
+                &ctx,
+                Stage::Store,
+                DropReason::SpillOverflow,
+                "spill queue full: oldest frame evicted",
+            );
         }
     }
 
@@ -1217,7 +1162,7 @@ impl MonitoringSystem {
         let mut records = self.harvester.harvest(&mut self.engine);
         records.extend(bench_logs);
         report.logs = records.len();
-        let training = self.engine.tick_count() <= self.novelty_training_ticks;
+        let training = self.engine.tick_count() <= NOVELTY_TRAINING_TICKS;
         if !training && self.novelty.is_training() {
             self.novelty.freeze();
         }
@@ -1385,9 +1330,8 @@ impl MonitoringSystem {
     fn evaluate_health(&mut self, published_now: u64) -> Vec<AlertEvent> {
         let Some(health) = &mut self.health else { return Vec::new() };
         let tick_no = self.engine.tick_count();
-        // Unsupervised there is no bitmap, a breaker that never left
-        // `Closed` and an empty spill, so these read as full health.
-        let cov_pct = self.last_coverage.map_or(100.0, |c| c.pct());
+        // `collect` stamped this tick's bitmap.
+        let cov_pct = self.last_coverage.unwrap_or_default().pct();
         // Broker counters survive a snapshot restore un-reset (the broker
         // is live infrastructure, not snapshotted state), so diff them
         // here against a baseline that `restore_snapshot` re-seeds, rather
@@ -1520,11 +1464,6 @@ impl MonitoringSystem {
         &self.engine
     }
 
-    /// Mutable machine access (fault injection mid-run, scheduler pokes).
-    pub fn engine_mut(&mut self) -> &mut SimEngine {
-        &mut self.engine
-    }
-
     /// The metric registry (names, units, descriptions).
     pub fn registry(&self) -> &MetricRegistry {
         &self.registry
@@ -1588,7 +1527,16 @@ impl MonitoringSystem {
             self.ever_contributed.remove(i);
             removed = true;
         }
+        // Later slots moved down one: the gates must follow them.
+        self.resolve_gate_slots();
         removed
+    }
+
+    /// Resolve the registration slots whose coverage bits gate the
+    /// built-in analyses (`None`: not installed).
+    fn resolve_gate_slots(&mut self) {
+        let slot_of = |name: &str| self.collectors.iter().position(|c| c.name() == name);
+        (self.power_slot, self.env_slot) = (slot_of("power"), slot_of("env"));
     }
 
     // ----- self-healing / chaos -----
@@ -1633,11 +1581,6 @@ impl MonitoringSystem {
         self.health.as_ref()
     }
 
-    /// Mutable health engine access (e.g. to add a runtime silence).
-    pub fn health_engine_mut(&mut self) -> Option<&mut HealthEngine> {
-        self.health.as_mut()
-    }
-
     /// Every alert lifecycle transition so far (empty when health is
     /// off).
     pub fn alert_events(&self) -> &[AlertEvent] {
@@ -1658,7 +1601,7 @@ impl MonitoringSystem {
     }
 
     /// Coverage bitmap of the most recent frame (`None` before the first
-    /// supervised tick, or when supervision is off).
+    /// tick).
     pub fn last_coverage(&self) -> Option<FrameCoverage> {
         self.last_coverage
     }
@@ -2111,23 +2054,92 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "collector exploded")]
-    fn unsupervised_pool_propagates_a_collector_panic() {
-        // Supervision is what catches collector panics; without it `collect`
-        // must let one reach the caller.  (Named before the worker pool went.)
-        struct Exploding;
-        impl Collector for Exploding {
+    fn a_collector_panic_is_quarantined_not_propagated() {
+        // A default build, no chaos plan: a real collector panic on ticks
+        // 5–7 must not end the tick.  Its partial segments are discarded,
+        // the gap is reported, and the backoff probe re-admits it.
+        use hpcmon_metrics::Unit;
+        struct Flaky {
+            id: MetricId,
+        }
+        impl Collector for Flaky {
             fn name(&self) -> &str {
-                "exploding"
+                "flaky"
             }
-            fn collect(&mut self, _: &SimEngine, _: &mut ColumnFrame) {
-                panic!("collector exploded");
+            fn collect(&mut self, engine: &SimEngine, frame: &mut ColumnFrame) {
+                let tick = engine.tick_count();
+                frame.push(self.id, CompId::SYSTEM, tick as f64);
+                assert!(!(5..=7).contains(&tick), "collector exploded");
             }
         }
+        let builder = MonitoringSystem::builder(SimConfig::small());
+        let id = builder.registry().register("flaky.feed", Unit::Count, "panics on ticks 5-7");
+        let mut mon = builder.install_collector(Box::new(Flaky { id })).build();
+        let mut gap_by_7 = false;
+        for tick in 1..=20u64 {
+            let report = mon.tick();
+            gap_by_7 |= tick <= 7
+                && report
+                    .signals
+                    .iter()
+                    .any(|s| s.kind == SignalKind::MonitoringGap && s.detail.contains("flaky"));
+        }
+        assert!(gap_by_7, "the panicking collector surfaced as MonitoringGap by tick 7");
+        let stored: Vec<u64> = mon
+            .query()
+            .series(SeriesKey::new(id, CompId::SYSTEM), hpcmon_store::TimeRange::all())
+            .into_iter()
+            .map(|(ts, _)| ts.0 / 60_000)
+            .collect();
+        assert!(!stored.iter().any(|t| (5..=7).contains(t)), "no points for ticks 5-7: {stored:?}");
+        assert!(stored.contains(&4) && stored.contains(&20), "stored around the gap: {stored:?}");
+        assert_eq!(mon.quarantined_collectors(), 0, "the probe re-admitted it");
+        assert_eq!(mon.last_coverage().unwrap().pct(), 100.0);
+    }
+
+    #[test]
+    fn options_recorded_with_deleted_keys_still_load() {
+        // Flight-recorder logs carry the options as their header; logs
+        // written while `supervision` and `novelty_training_ticks` were
+        // options must still replay.
+        let options = MonitorOptions::new(SimConfig::small());
+        let json = serde_json::to_string(&options).unwrap();
+        let old = json.replacen('{', r#"{"supervision":true,"novelty_training_ticks":30,"#, 1);
+        assert_eq!(serde_json::from_str::<MonitorOptions>(&old).unwrap(), options);
+    }
+
+    #[test]
+    fn silencing_a_collector_keeps_the_power_gate_on_the_power_slot() {
+        // `node` registers before `power`: silencing it moves `power` down
+        // a slot, and the gate must follow, or a hung power collector reads
+        // as "0 W, full headroom" and the p-state climbs.
+        use hpcmon_chaos::{ChaosFault, ScheduledFault};
+        let hang = ScheduledFault {
+            at_tick: 25,
+            fault: ChaosFault::CollectorHang { collector: "power".into(), ticks: 4 },
+        };
         let mut mon = MonitoringSystem::builder(SimConfig::small())
-            .install_collector(Box::new(Exploding))
+            .power_cap_w(30_000.0)
+            .bench_suite_every(None)
+            .with_probes(false)
+            .chaos(1, ChaosPlan::from_faults(vec![hang]))
             .build();
-        mon.tick();
+        mon.submit_job(JobSpec::new(
+            AppProfile::compute_heavy("vasp"),
+            "u",
+            128,
+            60 * 60_000,
+            Ts::ZERO,
+        ));
+        mon.run_ticks(20);
+        assert!(mon.silence_collector("node"));
+        mon.run_ticks(4);
+        let held = mon.engine().pstate();
+        assert!(held < 1.0, "the cap throttled before the hang: {held}");
+        for tick in 25..=28 {
+            mon.tick();
+            assert_eq!(mon.engine().pstate(), held, "p-state moved at tick {tick}");
+        }
     }
 
     #[test]

@@ -256,11 +256,6 @@ impl MonitoringSystem {
         })
     }
 
-    /// The attached durability plane, if one was configured.
-    pub fn durability_plane(&self) -> Option<&DurabilityPlane> {
-        self.durability.as_ref()
-    }
-
     /// Lifetime durability counters (`None` when no plane is attached).
     pub fn durability_counts(&self) -> Option<hpcmon_durability::DurabilityCounts> {
         self.durability.as_ref().map(|p| p.counts())

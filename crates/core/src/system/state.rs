@@ -226,11 +226,6 @@ impl MonitoringSystem {
         }
     }
 
-    /// Whether per-tick state hashing is enabled.
-    pub fn state_hashing(&self) -> bool {
-        self.hashing
-    }
-
     /// The hash computed at the end of the most recent tick (`None` before
     /// the first hashed tick).
     pub fn last_state_hash(&self) -> Option<TickStateHash> {
@@ -416,12 +411,14 @@ impl MonitoringSystem {
         fh.usize(hashed);
         let frame_h = fh.finish();
 
+        // This tick's `collect` stamped the bitmap.
+        let cov = self.last_coverage.unwrap_or_default();
         let mut ph = StateHash::new(0x7E);
         ph.u64(self.broker.seq())
             .usize(self.stall_buffer.len())
             .bools(&self.ever_contributed)
-            .u64(self.last_coverage.map_or(u64::MAX, |c| c.expected))
-            .u64(self.last_coverage.map_or(u64::MAX, |c| c.reported))
+            .u64(cov.expected)
+            .u64(cov.reported)
             .u64(self.bench_suite.rng_state())
             .u64(self.supervisor.state_digest())
             .u64(self.breaker.state_digest())

@@ -201,11 +201,6 @@ impl HealthEngine {
         &self.cfg
     }
 
-    /// Add a silence at runtime (takes effect from its `from_tick`).
-    pub fn add_silence(&mut self, silence: Silence) {
-        self.cfg.silences.push(silence);
-    }
-
     /// Evaluate one tick.  `feeds` maps feed keys to this tick's evidence;
     /// an SLO whose feed is absent sees a zero-traffic tick (no burn).
     /// `exemplar` is consulted once per *newly firing* alert to capture

@@ -1,7 +1,7 @@
 //! Allocation-counting harness (behind the test-only `alloc-count` feature).
 //!
 //! A thin wrapper over the system allocator that counts every allocation
-//! and reallocation — globally and per thread — so benches and regression
+//! and reallocation on the current thread, so benches and regression
 //! tests can assert that a hot path is allocation-free without guessing
 //! from throughput numbers.
 //!
@@ -18,16 +18,13 @@
 //! assert_eq!(hpcmon_metrics::alloc_count::thread_allocations(), before);
 //! ```
 //!
-//! The per-thread counter is what regression tests should use: test
-//! binaries run many tests concurrently, and only the current thread's
-//! count isolates the code under measurement.  The counter is
-//! const-initialized thread-local state, so reading it never allocates.
+//! The count is per thread because test binaries run many tests
+//! concurrently: only the current thread's count isolates the code under
+//! measurement.  The counter is const-initialized thread-local state, so
+//! reading it never allocates.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static GLOBAL_ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -41,7 +38,6 @@ pub struct CountingAllocator;
 impl CountingAllocator {
     #[inline]
     fn count(&self) {
-        GLOBAL_ALLOCS.fetch_add(1, Ordering::Relaxed);
         // `try_with`: the TLS slot may already be torn down during thread
         // exit, and allocations from destructors must not panic.
         let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
@@ -69,12 +65,6 @@ unsafe impl GlobalAlloc for CountingAllocator {
         self.count();
         System.alloc_zeroed(layout)
     }
-}
-
-/// Total allocations observed process-wide since start.  Meaningful only
-/// when [`CountingAllocator`] is installed as the global allocator.
-pub fn total_allocations() -> u64 {
-    GLOBAL_ALLOCS.load(Ordering::Relaxed)
 }
 
 /// Allocations observed on the **current thread** since it started.  The

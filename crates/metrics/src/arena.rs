@@ -61,8 +61,8 @@ pub struct ColumnFrame {
     pub stamps: Vec<Ts>,
     /// Observed value of each sample (parallel to `keys`).
     pub values: Vec<f64>,
-    /// Which collectors contributed (`None` until the supervised pipeline
-    /// stamps coverage).
+    /// Which collectors contributed: stamped on every frame the pipeline's
+    /// collect stage fills, `None` on frames built anywhere else.
     pub coverage: Option<FrameCoverage>,
 }
 
@@ -130,8 +130,8 @@ impl ColumnFrame {
         }
     }
 
-    /// Truncate to the first `n` samples (the supervised pipeline's discard
-    /// of a failed collector's partial segment).
+    /// Truncate to the first `n` samples (how the collect stage discards a
+    /// failed collector's partial segment).
     pub fn truncate(&mut self, n: usize) {
         self.keys.truncate(n);
         self.stamps.truncate(n);

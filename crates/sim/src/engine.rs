@@ -929,11 +929,6 @@ impl SimEngine {
         &self.gpus[g as usize]
     }
 
-    /// GPU utilization of the GPUs on a node.
-    pub fn node_gpu_util(&self, n: u32) -> f64 {
-        self.gpu_util[n as usize]
-    }
-
     /// Instantaneous node power, watts.
     pub fn node_power_w(&self, n: u32) -> f64 {
         self.power_w[n as usize]

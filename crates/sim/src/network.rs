@@ -192,11 +192,6 @@ impl NetworkState {
         self.traffic[link as usize]
     }
 
-    /// Offered demand on a link this tick (bytes).
-    pub fn link_demand_bytes(&self, link: u32) -> f64 {
-        self.demand[link as usize]
-    }
-
     /// Excess (stalled) bytes on a link this tick.
     pub fn link_stall_bytes(&self, link: u32) -> f64 {
         self.stalls[link as usize]

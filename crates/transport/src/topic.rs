@@ -13,12 +13,6 @@ pub mod topics {
     pub const METRICS: &str = "metrics";
     /// Log records.
     pub const LOGS: &str = "logs";
-    /// Analysis results re-published for downstream consumers.
-    pub const ANALYSIS: &str = "analysis";
-    /// Alerts from the response engine.
-    pub const ALERTS: &str = "alerts";
-    /// Scheduler/job events.
-    pub const JOBS: &str = "jobs";
     /// Federation plane: cross-site rollups and control traffic.
     pub const FED: &str = "fed";
     /// Monitoring-plane health: SLO alert lifecycle events.

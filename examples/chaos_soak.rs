@@ -149,7 +149,7 @@ fn run_soak(seed: u64) -> SoakOutcome {
     // Invariant 3: the last fault block cleared ~30 ticks before the end,
     // so the plane must have healed completely.
     assert_eq!(mon.quarantined_collectors(), 0, "quarantine must empty after faults clear");
-    let cov = mon.last_coverage().expect("supervised run stamps coverage");
+    let cov = mon.last_coverage().expect("every tick stamps coverage");
     assert!(cov.is_full(), "coverage must return to 100%, got {:.1}%", cov.pct());
     assert_eq!(mon.breaker_state(), BreakerState::Closed, "ingest breaker must close");
     assert_eq!(mon.spill_depth(), 0, "spill queue must drain");

@@ -140,12 +140,15 @@ fn chaos_is_reproducible_by_seed() {
     );
 }
 
-/// Supervision with no chaos plan changes nothing: reports, signals, and
-/// the stored bytes match an unsupervised run exactly.
+/// A chaos engine with an empty plan changes nothing: reports, signals,
+/// and the stored bytes match a default build exactly.  (Named when
+/// supervision was a switch; every tick is supervised now.)
 #[test]
 fn supervision_without_chaos_is_bit_identical_to_baseline() {
-    let run = |supervised: bool| {
-        let mut mon = with_job(builder().supervision(supervised).build());
+    let run = |chaos: bool| {
+        let b = builder();
+        let b = if chaos { b.chaos(42, ChaosPlan::from_faults(vec![])) } else { b };
+        let mut mon = with_job(b.build());
         let reports: Vec<TickReport> = (0..15).map(|_| mon.tick()).collect();
         (reports, mon.signals().to_vec(), dump_store(&mon))
     };
@@ -153,7 +156,7 @@ fn supervision_without_chaos_is_bit_identical_to_baseline() {
     let (reports, signals, dump) = run(true);
     assert_eq!(base_reports, reports);
     assert_eq!(base_signals, signals);
-    assert_dumps_bit_identical(&base_dump, &dump, "supervision on, chaos off");
+    assert_dumps_bit_identical(&base_dump, &dump, "empty chaos plan");
 }
 
 /// A faulted collector surfaces as a `MonitoringGap` within two ticks of
@@ -207,7 +210,7 @@ fn collector_fault_surfaces_within_two_ticks_and_heals() {
 fn store_fault_spills_then_drains_losslessly() {
     quiet_injected_panics();
     let baseline = {
-        let mut mon = with_job(builder().supervision(true).build());
+        let mut mon = with_job(builder().build());
         let reports: Vec<TickReport> = (0..14).map(|_| mon.tick()).collect();
         (reports, dump_store(&mon))
     };
@@ -244,7 +247,7 @@ fn store_fault_spills_then_drains_losslessly() {
 fn topic_stall_buffers_then_drains_in_order() {
     quiet_injected_panics();
     let baseline = {
-        let mut mon = with_job(builder().supervision(true).build());
+        let mut mon = with_job(builder().build());
         mon.run_ticks(12);
         dump_store(&mon)
     };

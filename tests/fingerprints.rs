@@ -36,14 +36,17 @@ fn with_jobs_and_crash(mut mon: MonitoringSystem) -> MonitoringSystem {
 }
 
 /// Run 64 hashed ticks; returns the fold of the hash chain plus every
-/// stored point, bit for bit, and the deepest ingest spill seen on the way.
-fn fingerprint(mon: &mut MonitoringSystem) -> (u64, usize) {
+/// stored point, bit for bit, the deepest ingest spill seen on the way and
+/// the lowest frame coverage.
+fn fingerprint(mon: &mut MonitoringSystem) -> (u64, usize, f64) {
     mon.set_state_hashing(true);
     let mut h = StateHash::new(0xF1);
     let mut deepest_spill = 0;
+    let mut lowest_coverage = f64::INFINITY;
     for _ in 0..TICKS {
         mon.tick();
         deepest_spill = deepest_spill.max(mon.spill_depth());
+        lowest_coverage = lowest_coverage.min(mon.last_coverage().expect("stamped").pct());
         h.u64(mon.last_state_hash().expect("hashing is on").combined);
     }
     for key in mon.store().all_series() {
@@ -52,17 +55,23 @@ fn fingerprint(mon: &mut MonitoringSystem) -> (u64, usize) {
             h.u64(ts.0).f64(v);
         }
     }
-    (h.finish(), deepest_spill)
+    (h.finish(), deepest_spill, lowest_coverage)
 }
 
+/// Re-pinned when supervision became unconditional: the pipeline sub-hash
+/// now folds a real coverage bitmap and `ever_contributed` where it folded
+/// `u64::MAX` and an all-false vector.  Every other sub-hash, every
+/// `TickReport` and the store dump are the previous build's, tick for tick.
 #[test]
 fn default_pipeline_matches_parent_build() {
     let mon = MonitoringSystem::builder(SimConfig::small()).self_telemetry(false).build();
-    assert_eq!(fingerprint(&mut with_jobs_and_crash(mon)).0, DEFAULT_FINGERPRINT);
+    let (hash, _, lowest_coverage) = fingerprint(&mut with_jobs_and_crash(mon));
+    assert_eq!(lowest_coverage, 100.0, "every collector reported on every tick");
+    assert_eq!(hash, DEFAULT_FINGERPRINT);
 }
 
 /// Every branch the unified stages fold in: a collector panic and a
-/// slow-over-budget discard (supervised collect), a shard write-fault
+/// slow-over-budget discard (collect), a shard write-fault
 /// window long enough that results frames queue behind spilled raw frames
 /// and drain in arrival order (breaker-fronted ingest), a topic stall and
 /// envelope corruption (transport).  (Named before PR 20 deleted the worker
@@ -95,7 +104,7 @@ fn chaos_pipeline_matches_parent_build_at_any_worker_count() {
             .chaos(2018, plan)
             .build(),
     );
-    let (hash, deepest_spill) = fingerprint(&mut mon);
+    let (hash, deepest_spill, _) = fingerprint(&mut mon);
     // The write-fault window really did park results behind raw frames.
     assert!(deepest_spill >= 4, "spill held raw + results frames: {deepest_spill}");
     assert_eq!(mon.spill_depth(), 0, "spill drained");
@@ -135,6 +144,6 @@ fn federation_head_store_matches_parent_build() {
     assert_eq!(h.finish(), FEDERATION_FINGERPRINT);
 }
 
-const DEFAULT_FINGERPRINT: u64 = 5155107106752127740;
+const DEFAULT_FINGERPRINT: u64 = 5051462296141442738;
 const CHAOS_FINGERPRINT: u64 = 18319780561118917598;
 const FEDERATION_FINGERPRINT: u64 = 16732624631793705389;

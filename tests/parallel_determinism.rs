@@ -7,10 +7,20 @@
 //! *set* of stored series: only the values of timing-derived series may
 //! differ (DESIGN.md §9).
 //!
-//! The file and test names predate PR 20, which deleted the worker pool
-//! these runs used to be compared across; they stay because the test floor
-//! tracks tests by name, and each still compares what it did — between two
-//! runs of one seed.
+//! Names that mention workers or parallelism predate the deletion of the
+//! worker pool these runs used to be compared across: this file's name,
+//! `store_contents_are_byte_identical_across_worker_counts` and
+//! `parallel_run_is_reproducible_with_itself` here, and elsewhere
+//! `chaos_runs_are_bit_identical_across_worker_counts` (chaos.rs),
+//! `fsync_crash_recovers_zero_loss_at_workers_0_and_4` (durability.rs),
+//! `bit_identity_across_worker_counts` (federation.rs),
+//! `chaos_pipeline_matches_parent_build_at_any_worker_count`
+//! (fingerprints.rs), `alert_timelines_are_bit_identical_across_worker_counts`
+//! (health.rs), `replay_at_different_worker_count_is_bit_identical`
+//! (replay.rs) and `hashes_identical_across_reruns_and_worker_counts`
+//! (replay_hooks.rs).  They keep their names because the test floor tracks
+//! tests by name; each now compares two runs of one seed on the one serial
+//! tick.
 
 use hpcmon::pipeline::DetectorAttachment;
 use hpcmon::system::TickReport;

@@ -17,7 +17,6 @@ fn plan() -> ChaosPlan {
 fn build() -> MonitoringSystem {
     let mut mon = MonitoringSystem::builder(SimConfig::small())
         .self_telemetry(false)
-        .supervision(true)
         .chaos(0xD1CE, plan())
         .build();
     mon.set_state_hashing(true);
@@ -105,7 +104,6 @@ fn hashing_off_reports_match_hashing_on() {
     let mut on = build();
     let mut off = MonitoringSystem::builder(SimConfig::small())
         .self_telemetry(false)
-        .supervision(true)
         .chaos(0xD1CE, plan())
         .build();
     on.submit_job(JobSpec::new(
