@@ -7,7 +7,7 @@
 //! requirement from Table I made literal.
 
 use crate::registry::StdMetrics;
-use hpcmon_metrics::{ColumnFrame, CompId, Mutability};
+use hpcmon_metrics::{ColumnFrame, CompId};
 use hpcmon_sim::SimEngine;
 
 /// One data source that contributes samples to a synchronized frame.
@@ -16,12 +16,6 @@ pub trait Collector: Send {
     fn name(&self) -> &str;
     /// Append this tick's samples to the columnar `frame`.
     fn collect(&mut self, engine: &SimEngine, frame: &mut ColumnFrame);
-    /// How this collector's frame segment evolves tick to tick (the
-    /// murk-style Static/PerTick/Sparse split).  A hint for consumers;
-    /// does not change storage.
-    fn mutability(&self) -> Mutability {
-        Mutability::PerTick
-    }
     /// Internal RNG state, for flight-recorder checkpoints (`None` for the
     /// common stateless collector; probes with measurement noise override).
     fn rng_state(&self) -> Option<u64> {
@@ -47,10 +41,6 @@ impl NodeCollector {
 impl Collector for NodeCollector {
     fn name(&self) -> &str {
         "node"
-    }
-
-    fn mutability(&self) -> Mutability {
-        Mutability::Static // key set fixed by node count; only values change
     }
 
     fn collect(&mut self, engine: &SimEngine, frame: &mut ColumnFrame) {
@@ -82,10 +72,6 @@ impl PowerCollector {
 impl Collector for PowerCollector {
     fn name(&self) -> &str {
         "power"
-    }
-
-    fn mutability(&self) -> Mutability {
-        Mutability::Static // nodes + cabinets + system: topology-fixed keys
     }
 
     fn collect(&mut self, engine: &SimEngine, frame: &mut ColumnFrame) {
@@ -132,10 +118,6 @@ impl Collector for NetworkCollector {
         "hsn"
     }
 
-    fn mutability(&self) -> Mutability {
-        Mutability::Static // link + node key set fixed by the fabric
-    }
-
     fn collect(&mut self, engine: &SimEngine, frame: &mut ColumnFrame) {
         let m = &self.metrics;
         let net = engine.network();
@@ -171,10 +153,6 @@ impl FsCollector {
 impl Collector for FsCollector {
     fn name(&self) -> &str {
         "fs"
-    }
-
-    fn mutability(&self) -> Mutability {
-        Mutability::Sparse // per-node read attribution follows job activity
     }
 
     fn collect(&mut self, engine: &SimEngine, frame: &mut ColumnFrame) {
@@ -225,10 +203,6 @@ impl Collector for EnvCollector {
         "env"
     }
 
-    fn mutability(&self) -> Mutability {
-        Mutability::Static // one room, four fixed sensors
-    }
-
     fn collect(&mut self, engine: &SimEngine, frame: &mut ColumnFrame) {
         let m = &self.metrics;
         let env = engine.environment();
@@ -255,10 +229,6 @@ impl QueueCollector {
 impl Collector for QueueCollector {
     fn name(&self) -> &str {
         "sched"
-    }
-
-    fn mutability(&self) -> Mutability {
-        Mutability::Static // four system-wide gauges
     }
 
     fn collect(&mut self, engine: &SimEngine, frame: &mut ColumnFrame) {
@@ -482,15 +452,5 @@ mod tests {
         }
         assert!(frame.iter().all(|s| s.ts == engine.now()));
         assert!(frame.len() > 500, "full sweep is rich: {}", frame.len());
-    }
-
-    #[test]
-    fn mutability_classes_are_declared() {
-        let (_, m) = setup();
-        let set = standard_collectors(m);
-        let classes: Vec<Mutability> = set.iter().map(|c| c.mutability()).collect();
-        assert!(classes.contains(&Mutability::Static));
-        assert!(classes.contains(&Mutability::Sparse));
-        assert!(classes.contains(&Mutability::PerTick));
     }
 }

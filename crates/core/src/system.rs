@@ -1576,11 +1576,6 @@ impl MonitoringSystem {
 
     // ----- health plane -----
 
-    /// The health engine, when the SLO/alerting plane is configured.
-    pub fn health_engine(&self) -> Option<&HealthEngine> {
-        self.health.as_ref()
-    }
-
     /// Every alert lifecycle transition so far (empty when health is
     /// off).
     pub fn alert_events(&self) -> &[AlertEvent] {

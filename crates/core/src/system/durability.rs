@@ -54,32 +54,30 @@ pub struct DurableSample {
     pub kind: u8,
     /// Component index.
     pub index: u32,
-    /// Sample timestamp, ms.
-    pub stamp: u64,
     /// Sample value.
     pub value: f64,
 }
 
 /// Bytes per sample in the binary section: metric u32 + kind u8 +
-/// index u32 + stamp u64 + value f64, all little-endian.
-pub const SAMPLE_LEN: usize = 4 + 1 + 4 + 8 + 8;
+/// index u32 + value f64, all little-endian.  No stamp: every sample is
+/// the frame's, and the record's `tick` names the frame.
+pub const SAMPLE_LEN: usize = 4 + 1 + 4 + 8;
 
-/// Encode a tick record as `[u32 json_len][json][u64 n][n × 25B samples]`.
+/// Encode a tick record as `[u32 json_len][json][u64 n][n × 17B samples]`.
 pub fn encode_tick_record(record: &DurableTickRecord, frame: &ColumnFrame) -> Vec<u8> {
     let json = serde_json::to_vec(record).expect("DurableTickRecord serializes");
     let mut out = Vec::with_capacity(4 + json.len() + 8 + frame.len() * SAMPLE_LEN);
     out.extend_from_slice(&(json.len() as u32).to_le_bytes());
     out.extend_from_slice(&json);
     out.extend_from_slice(&(frame.len() as u64).to_le_bytes());
-    for ((key, stamp), value) in frame.keys.iter().zip(&frame.stamps).zip(&frame.values) {
-        // One 25-byte write per sample: at production scale this loop
+    for (key, value) in frame.keys.iter().zip(&frame.values) {
+        // One 17-byte write per sample: at production scale this loop
         // runs ~100k times per tick, and per-field extends dominate it.
         let mut s = [0u8; SAMPLE_LEN];
         s[0..4].copy_from_slice(&key.metric.0.to_le_bytes());
         s[4] = key.comp.kind as u8;
         s[5..9].copy_from_slice(&key.comp.index.to_le_bytes());
-        s[9..17].copy_from_slice(&stamp.0.to_le_bytes());
-        s[17..25].copy_from_slice(&value.to_le_bytes());
+        s[9..17].copy_from_slice(&value.to_le_bytes());
         out.extend_from_slice(&s);
     }
     out
@@ -96,8 +94,10 @@ pub fn decode_tick_record(bytes: &[u8]) -> Option<(DurableTickRecord, Vec<Durabl
     let rest = &rest[json_len..];
     let n = u64::from_le_bytes(rest.get(..8)?.try_into().ok()?);
     // The count is bytes someone handed us: compare it to what is there by
-    // dividing, never by multiplying it out (25 is odd, so some `n` near
-    // 2^64 wraps `n * 25` onto any trailing length).
+    // dividing, never by multiplying it out (17 is odd, so some `n` near
+    // 2^64 wraps `n * 17` onto any trailing length).  A record in the older
+    // layout, 25 bytes a sample, fails here too: 25n bytes are never 17n
+    // for n ≥ 1, and with no samples the two layouts are the same bytes.
     let body = &rest[8..];
     if body.len() % SAMPLE_LEN != 0 || (body.len() / SAMPLE_LEN) as u64 != n {
         return None;
@@ -108,8 +108,7 @@ pub fn decode_tick_record(bytes: &[u8]) -> Option<(DurableTickRecord, Vec<Durabl
             metric: u32::from_le_bytes(s[0..4].try_into().unwrap()),
             kind: s[4],
             index: u32::from_le_bytes(s[5..9].try_into().unwrap()),
-            stamp: u64::from_le_bytes(s[9..17].try_into().unwrap()),
-            value: f64::from_le_bytes(s[17..25].try_into().unwrap()),
+            value: f64::from_le_bytes(s[9..17].try_into().unwrap()),
         })
         .collect();
     Some((record, samples))
@@ -155,8 +154,8 @@ impl MonitoringSystem {
     /// journaling from where it resumed.
     ///
     /// The system must be freshly built from the same configuration as
-    /// the crashed run (same collectors, detectors, chaos plan, worker
-    /// topology), with no ticks run yet.  Enable
+    /// the crashed run (same collectors, detectors, chaos plan, shard
+    /// count), with no ticks run yet.  Enable
     /// [`MonitoringSystem::set_state_hashing`] first to have every
     /// replayed tick verified against the recorded hash chain.
     ///

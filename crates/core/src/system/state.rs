@@ -307,8 +307,8 @@ impl MonitoringSystem {
 
     /// Load a snapshot back into this system, in place.  The system must
     /// have been built from the same configuration that produced the
-    /// snapshot (same collectors, detectors, worker topology expressible
-    /// either way — shard counts and slot counts are asserted).
+    /// snapshot (same collectors and detectors; collector, detector and
+    /// store shard counts, and the seal threshold, are asserted).
     ///
     /// The accumulated `signals()` journal is cleared: after a seek it
     /// would describe ticks this instance never ran.
@@ -393,7 +393,7 @@ impl MonitoringSystem {
         let mut fh = StateHash::new(0xF7);
         fh.u64(frame.ts.0);
         let mut hashed = 0usize;
-        for ((key, stamp), &value) in frame.keys.iter().zip(&frame.stamps).zip(&frame.values) {
+        for (key, &value) in frame.keys.iter().zip(&frame.values) {
             if flags.get(key.metric.0 as usize).copied().unwrap_or(false) {
                 continue;
             }
@@ -406,7 +406,9 @@ impl MonitoringSystem {
             let packed = ((key.metric.0 as u64) << 40)
                 | ((key.comp.kind as u64) << 32)
                 | key.comp.index as u64;
-            fh.u64(packed).u64(stamp.0).f64(value);
+            // Every sample's stamp is the frame's; it is still folded per
+            // sample, so the chain reads the same words as it always has.
+            fh.u64(packed).u64(frame.ts.0).f64(value);
         }
         fh.usize(hashed);
         let frame_h = fh.finish();

@@ -502,11 +502,6 @@ impl Federation {
         self.tick_ms
     }
 
-    /// Member site names, in site order.
-    pub fn site_names(&self) -> Vec<&str> {
-        self.sites.iter().map(|s| s.name.as_str()).collect()
-    }
-
     /// Number of member sites.
     pub fn num_sites(&self) -> usize {
         self.sites.len()
@@ -552,11 +547,6 @@ impl Federation {
     /// Federation-plane traces (rollup drops, scatter sheds).
     pub fn traces(&self) -> &TraceStore {
         &self.traces
-    }
-
-    /// The head-level health engine, when enabled.
-    pub fn health_engine(&self) -> Option<&HealthEngine> {
-        self.health.as_ref()
     }
 
     /// The head-level health report (per-site WAN rollup grades), when

@@ -7,58 +7,35 @@
 //! is handed to transport.
 //!
 //! [`ColumnFrame`] — the pipeline's only frame type — stores a tick's
-//! samples as three parallel columns (structure-of-arrays): series keys,
-//! timestamps, and values.  Collectors
+//! samples as two parallel columns (structure-of-arrays), series keys and
+//! values, under the one timestamp they share.  Collectors
 //! append into the columns once per tick; the finished frame is handed to
 //! transport and the store by **epoch swap** — the owning buffer moves into
 //! an `Arc` and a [`FrameArena`] keeps the previous tick's buffer around so
 //! the next tick can reclaim its capacity instead of allocating.  In steady
 //! state the hot path performs *zero* heap allocations per tick.
-//!
-//! [`Mutability`] carries the murk-style update-class hint (static /
-//! per-tick / sparse) that lets downstream consumers reason about how much
-//! of a collector's segment actually changes tick to tick.
 
 use crate::sample::{FrameCoverage, Sample, SeriesKey};
 use crate::{CompId, FrameLayout, MetricId, Ts};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// How a collector's segment of the frame evolves across ticks.
-///
-/// Borrowed from murk's Static/PerTick/Sparse mutability split: the class
-/// does not change *how* samples are stored, but tells consumers (and
-/// future delta-encoding transports) how much of the segment is expected to
-/// differ from the previous tick.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Mutability {
-    /// The segment's key set is fixed after the first tick; only values
-    /// change (e.g. per-node power, temperature).
-    Static,
-    /// Every value is rewritten every tick and the key set may drift
-    /// slowly (the default class).
-    PerTick,
-    /// Most ticks touch only a small, varying subset of keys (e.g.
-    /// filesystem probes that only report on activity).
-    Sparse,
-}
-
 /// A synchronized collection frame: every sample gathered at one aligned
 /// system-wide tick (the NCSA pattern — "collection times are synchronized
 /// across the entire system"), in columnar (SoA) form.
 ///
-/// Keys, timestamps, and values live in three parallel `Vec`s so a tick's
-/// worth of appends touches three dense arrays instead of one array of
-/// 32-byte structs, and capacity can be recycled tick over tick by a
-/// [`FrameArena`].
+/// Every sample carries the frame's `ts`, so a frame stores it once.  Keys
+/// and values live in two parallel `Vec`s so a tick's worth of appends
+/// touches two dense arrays instead of one array of 32-byte structs, and
+/// capacity can be recycled tick over tick by a [`FrameArena`].  A sample
+/// stamped apart from its tick is not a frame's: it goes to the store
+/// through `TimeSeriesStore::insert`.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ColumnFrame {
-    /// The aligned tick this frame belongs to.
+    /// The aligned tick this frame belongs to: every sample's timestamp.
     pub ts: Ts,
     /// Series identity of each sample, in append order.
     pub keys: Vec<SeriesKey>,
-    /// Collector-side timestamp of each sample (parallel to `keys`).
-    pub stamps: Vec<Ts>,
     /// Observed value of each sample (parallel to `keys`).
     pub values: Vec<f64>,
     /// Which collectors contributed: stamped on every frame the pipeline's
@@ -76,7 +53,6 @@ impl ColumnFrame {
     #[inline]
     pub fn push(&mut self, metric: MetricId, comp: CompId, value: f64) {
         self.keys.push(SeriesKey::new(metric, comp));
-        self.stamps.push(self.ts);
         self.values.push(value);
     }
 
@@ -93,16 +69,13 @@ impl ColumnFrame {
     /// The sample at position `i` (by value — samples are 32-byte `Copy`).
     #[inline]
     pub fn get(&self, i: usize) -> Sample {
-        Sample { key: self.keys[i], ts: self.stamps[i], value: self.values[i] }
+        Sample { key: self.keys[i], ts: self.ts, value: self.values[i] }
     }
 
     /// Iterate all samples by value, in append order (zero-allocation).
     pub fn iter(&self) -> impl Iterator<Item = Sample> + '_ {
-        self.keys.iter().zip(&self.stamps).zip(&self.values).map(|((&key, &ts), &value)| Sample {
-            key,
-            ts,
-            value,
-        })
+        let ts = self.ts;
+        self.keys.iter().zip(&self.values).map(move |(&key, &value)| Sample { key, ts, value })
     }
 
     /// Iterate samples of one metric, by value.
@@ -134,7 +107,6 @@ impl ColumnFrame {
     /// failed collector's partial segment).
     pub fn truncate(&mut self, n: usize) {
         self.keys.truncate(n);
-        self.stamps.truncate(n);
         self.values.truncate(n);
     }
 
@@ -143,7 +115,6 @@ impl ColumnFrame {
     pub fn clear_for_tick(&mut self, ts: Ts) {
         self.ts = ts;
         self.keys.clear();
-        self.stamps.clear();
         self.values.clear();
         self.coverage = None;
     }
@@ -275,7 +246,6 @@ mod tests {
         }
         b.truncate(2);
         assert_eq!(b.len(), 2);
-        assert_eq!(b.keys.len(), b.stamps.len());
         assert_eq!(b.keys.len(), b.values.len());
         assert_eq!(b.get(1).value, 11.0);
     }
@@ -295,6 +265,15 @@ mod tests {
         let legacy = r#"{"ts":5,"keys":[],"stamps":[],"values":[]}"#;
         let back: ColumnFrame = serde_json::from_str(legacy).unwrap();
         assert_eq!((back.ts, back.coverage), (Ts(5), None));
+        // A frame serialized with a stamp per sample (spilled frames in
+        // older checkpoints): the list is ignored, every sample takes the
+        // frame's stamp.
+        let keys = serde_json::to_string(&[cf.keys[0], cf.keys[0]]).unwrap();
+        let legacy = format!(r#"{{"ts":5,"keys":{keys},"stamps":[5,3],"values":[9.25,1]}}"#);
+        let back: ColumnFrame = serde_json::from_str(&legacy).unwrap();
+        assert_eq!(back.len(), 2);
+        assert!(back.iter().all(|s| s.ts == Ts(5)));
+        assert!((0..back.len()).all(|i| back.get(i).ts == Ts(5)));
     }
 
     #[test]

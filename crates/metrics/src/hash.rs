@@ -79,11 +79,6 @@ impl StateHash {
         self.u64(v as u64)
     }
 
-    /// Mix an i64.
-    pub fn i64(&mut self, v: i64) -> &mut Self {
-        self.u64(v as u64)
-    }
-
     /// Mix raw bytes (length-prefixed so `["ab","c"]` ≠ `["a","bc"]`).
     pub fn bytes(&mut self, v: &[u8]) -> &mut Self {
         self.u64(v.len() as u64);

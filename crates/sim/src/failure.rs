@@ -215,18 +215,6 @@ impl FailureRates {
         }
     }
 
-    /// Rates representative of a large production system (a 10k-node
-    /// machine sees a handful of node failures a day).
-    pub fn production() -> FailureRates {
-        FailureRates {
-            node_crash_per_hour: 2.0e-5,
-            node_hang_per_hour: 1.0e-5,
-            link_down_per_hour: 2.0e-6,
-            service_down_per_hour: 1.0e-5,
-            link_errors_per_gb: 0.05,
-        }
-    }
-
     /// Probability of one event in a tick of `dt_ms`, given a per-hour rate.
     pub fn per_tick_probability(rate_per_hour: f64, dt_ms: u64) -> f64 {
         (rate_per_hour * dt_ms as f64 / 3_600_000.0).min(1.0)

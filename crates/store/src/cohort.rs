@@ -12,8 +12,8 @@
 //! what keeps the tier invisible: a member seals on its own
 //! `seal_threshold`-th point because the whole cohort does, into the bytes
 //! [`SeriesBlock::compress`] would have made.  Anything that would break
-//! that — a member absent from a frame, present twice, stamped oddly,
-//! written through `insert()` — **evicts** the series involved into its own
+//! that — a member absent from a frame, present twice, written through
+//! `insert()` — **evicts** the series involved into its own
 //! `Vec<(Ts, f64)>`, the per-series representation `insert()` defines, and
 //! the cohort carries on without it.
 //!
@@ -412,7 +412,7 @@ impl Cohorts {
     }
 
     /// Evict whatever this batch does not treat as one more whole row:
-    /// members seen twice or at an odd stamp, the absentees of a cohort the
+    /// members seen twice, the absentees of a cohort the
     /// batch mostly covers, the present members of one it mostly misses or
     /// whose last row is newer than the batch.
     fn settle(&mut self, slots: &mut [SeriesSlot], seen: &[Seen], ts: Ts) {
@@ -456,9 +456,9 @@ impl Cohorts {
 #[derive(Clone, Copy, PartialEq)]
 enum Seen {
     Absent,
-    /// One sample, at the frame's stamp.
+    /// One sample.
     Once,
-    /// Two or more samples, or one at another stamp.
+    /// Two or more samples.
     Irregular,
 }
 
@@ -569,9 +569,6 @@ pub(crate) struct ShardPlan {
     unresolved: usize,
     /// `all` / `slot_of` changed since `rows` was derived.
     changed: bool,
-    /// Whether every sample the frame last prepared has for this shard
-    /// carries the frame's stamp.
-    pub(crate) synchronized: bool,
     rows: RowPlan,
 }
 
@@ -643,7 +640,7 @@ impl TimeSeriesStore {
     /// rows when they still fit, else the slow way round — settle the shard
     /// for this batch, derive fresh rows, and land those.
     pub(crate) fn ingest_batch(&self, shard: &mut Shard, cf: &ColumnFrame, plan: &ShardPlan) {
-        if plan.synchronized && plan.rows.fits(shard, cf.ts) {
+        if plan.rows.fits(shard, cf.ts) {
             return self.ingest_rows(shard, cf, &plan.rows);
         }
         let slot_of = self.settle_batch(shard, cf, plan);
@@ -666,14 +663,14 @@ impl TimeSeriesStore {
         }
         for &(pos, slot) in &rows.loose {
             let s = &mut slots[slot as usize];
-            self.append_point(s.key, &mut s.data, cf.stamps[pos as usize], cf.values[pos as usize]);
+            self.append_point(s.key, &mut s.data, cf.ts, cf.values[pos as usize]);
         }
     }
 
     /// Create the batch's missing series, evict every member it treats
     /// irregularly, and form a cohort of its newcomers if there are enough:
     /// hot-empty series in no cohort (newborn, or just sealed), present
-    /// exactly once at the frame's stamp.  Returns each position's slot.
+    /// exactly once.  Returns each position's slot.
     fn settle_batch(&self, shard: &mut Shard, cf: &ColumnFrame, plan: &ShardPlan) -> Vec<u32> {
         let mut slot_of = Vec::with_capacity(plan.all.len());
         for (&pos, &hint) in plan.all.iter().zip(&plan.slot_of) {
@@ -684,10 +681,9 @@ impl TimeSeriesStore {
             });
         }
         let mut seen = vec![Seen::Absent; shard.slots.len()];
-        for (&pos, &slot) in plan.all.iter().zip(&slot_of) {
+        for &slot in &slot_of {
             let s = &mut seen[slot as usize];
-            let first_on_time = *s == Seen::Absent && cf.stamps[pos as usize] == cf.ts;
-            *s = if first_on_time { Seen::Once } else { Seen::Irregular };
+            *s = if *s == Seen::Absent { Seen::Once } else { Seen::Irregular };
         }
         let Shard { slots, cohorts, .. } = shard;
         cohorts.settle(slots, &seen, cf.ts);
@@ -865,47 +861,40 @@ mod tests {
     }
 
     #[test]
-    fn cohort_member_written_twice_oddly_or_through_insert_is_evicted_alone() {
+    fn cohort_member_written_twice_or_through_insert_is_evicted_alone() {
         let mut pair = Pair::new(4, 16);
         // One seal cycle and three rows: every matrix is at full height.
         for tick in 0..19 {
             pair.frame(&frame_of(tick, 0..64, 1));
         }
         assert_eq!(pair.routed.hot_layout().members, 64);
-        // An irregular sample costs its own shard the row path for the
-        // tick; every other shard lands its row without allocating.
-        let irregular = |pair: &mut Pair, cf: &ColumnFrame, odd: usize| {
-            let owner = pair.routed.shard_index(&cf.keys[odd]);
-            pair.routed.prepare_route(cf, &mut pair.route);
-            for shard in 0..pair.routed.num_shards() {
-                let before = thread_allocations();
-                pair.routed.ingest_route_shard(shard, cf, &pair.route);
-                let made = thread_allocations() - before;
-                assert_eq!(made > 0, shard == owner, "shard {shard} of {owner}: {made}");
-            }
-            pair.routed.finish_route(&mut pair.route);
-            cf.iter().for_each(|s| pair.oracle.insert(&s));
-        };
-        // A duplicate key.
+        // A duplicate key costs its own shard the row path for the tick;
+        // every other shard lands its row without allocating.
         let mut cf = frame_of(19, 0..64, 1);
         cf.push(MetricId(0), CompId::node(5), -1.0);
-        irregular(&mut pair, &cf, 5);
+        let owner = pair.routed.shard_index(&cf.keys[5]);
+        pair.routed.prepare_route(&cf, &mut pair.route);
+        for shard in 0..pair.routed.num_shards() {
+            let before = thread_allocations();
+            pair.routed.ingest_route_shard(shard, &cf, &pair.route);
+            let made = thread_allocations() - before;
+            assert_eq!(made > 0, shard == owner, "shard {shard} of {owner}: {made}");
+        }
+        pair.routed.finish_route(&mut pair.route);
+        cf.iter().for_each(|s| pair.oracle.insert(&s));
         assert_eq!(pair.routed.hot_layout().evictions, 1);
-        // One odd stamp, older than the row before.
-        let mut cf = frame_of(20, 0..64, 1);
-        cf.stamps[7] = Ts(1_500);
-        irregular(&mut pair, &cf, 7);
-        assert_eq!(pair.routed.hot_layout().evictions, 2);
+        pair.frame(&frame_of(20, 0..64, 1));
+        assert_eq!(pair.routed.hot_layout().evictions, 1);
         // `insert()`, in and out of order.
         pair.insert(Sample::new(MetricId(0), CompId::node(2), Ts(20_500), 9.0));
         pair.insert(Sample::new(MetricId(0), CompId::node(2), Ts(500), 8.0));
         let layout = pair.routed.hot_layout();
-        assert_eq!((layout.members, layout.evictions), (61, 3), "{layout:?}");
+        assert_eq!((layout.members, layout.evictions), (62, 2), "{layout:?}");
         for tick in 21..60 {
             pair.frame(&frame_of(tick, 0..64, 1));
         }
-        assert_eq!(pair.routed.hot_layout().evictions, 3, "the rest never left");
-        pair.assert_same("three members evicted one at a time");
+        assert_eq!(pair.routed.hot_layout().evictions, 2, "the rest never left");
+        pair.assert_same("two members evicted one at a time");
     }
 
     #[test]

@@ -221,8 +221,8 @@ pub(crate) struct Shard {
 ///
 /// Frames produced by a fixed collector set repeat the same key column
 /// tick after tick, so the route — built once with hashing and lookups —
-/// is validated per tick by a key-column sweep, a stamp sweep and one
-/// generation check per shard, then reused: ingest costs one gather per
+/// is validated per tick by a key-column sweep and one generation check
+/// per shard, then reused: ingest costs one gather per
 /// cohort plus one slab index and push per loose sample, one lock per
 /// touched shard, and **zero allocations**.  A key column that changes is
 /// re-routed from the first key that differs, so a tail that comes and goes
@@ -508,14 +508,6 @@ impl TimeSeriesStore {
             for (i, key) in cf.keys.iter().enumerate().skip(common) {
                 route.per_shard[self.shard_index(key)].push(i as u32);
             }
-        }
-        // The stamp sweep: a sample stamped apart from its frame takes its
-        // own shard off the row path for this tick, and no other.
-        for plan in &mut route.per_shard {
-            plan.synchronized = true;
-        }
-        for (key, _) in cf.keys.iter().zip(&cf.stamps).filter(|(_, &s)| s != cf.ts) {
-            route.per_shard[self.shard_index(key)].synchronized = false;
         }
         self.finish_route(route);
     }

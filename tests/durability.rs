@@ -12,7 +12,7 @@
 //! single-bit flips of the on-disk files.
 
 use hpcmon::health::{HealthConfig, Transition};
-use hpcmon::system::durability::{decode_tick_record, encode_tick_record};
+use hpcmon::system::durability::{decode_tick_record, encode_tick_record, SAMPLE_LEN};
 use hpcmon::{DurableTickRecord, MonitoringSystem, SimConfig};
 use hpcmon_chaos::{ChaosFault, ChaosPlan, ScheduledFault};
 use hpcmon_durability::wal::{
@@ -510,9 +510,9 @@ fn wal_records_carry_inputs_frame_samples_and_hashes() {
 /// `decode_tick_record` reads artifact files handed to
 /// `EventLog::read_from` as well as CRC-valid WAL payloads, and promises
 /// `None` — not a panic — on anything that is not a tick record.  The
-/// sample count is the dangerous field: 25 is odd, so for one stray byte
-/// after an empty sample section `n = 25⁻¹ mod 2⁶⁴` makes a wrapping
-/// `n * 25` land exactly on it, and `Vec::with_capacity(n)` used to abort
+/// sample count is the dangerous field: 17 is odd, so for one stray byte
+/// after an empty sample section `n = 17⁻¹ mod 2⁶⁴` makes a wrapping
+/// `n * 17` land exactly on it, and `Vec::with_capacity(n)` used to abort
 /// with `capacity overflow`.
 #[test]
 fn decode_tick_record_refuses_a_crafted_sample_count() {
@@ -522,9 +522,10 @@ fn decode_tick_record_refuses_a_crafted_sample_count() {
     let count_at = honest.len() - 8;
     assert_eq!(honest[count_at..], 0u64.to_le_bytes());
 
-    const INVERSE_OF_25: u64 = 0x8F5C_28F5_C28F_5C29;
-    assert_eq!(INVERSE_OF_25.wrapping_mul(25), 1);
-    for (n, stray) in [(INVERSE_OF_25, 1usize), (u64::MAX, 0), (u64::MAX, 25), (1, 0), (0, 1)] {
+    const INVERSE_OF_17: u64 = 0xF0F0_F0F0_F0F0_F0F1;
+    assert_eq!(SAMPLE_LEN, 17);
+    assert_eq!(INVERSE_OF_17.wrapping_mul(17), 1);
+    for (n, stray) in [(INVERSE_OF_17, 1usize), (u64::MAX, 0), (u64::MAX, 17), (1, 0), (0, 1)] {
         let mut crafted = honest.clone();
         crafted[count_at..].copy_from_slice(&n.to_le_bytes());
         crafted.extend(std::iter::repeat_n(0xAB, stray));
@@ -537,6 +538,45 @@ fn decode_tick_record_refuses_a_crafted_sample_count() {
     let mut long_head = honest.clone();
     long_head[..4].copy_from_slice(&u32::MAX.to_le_bytes());
     assert_eq!(decode_tick_record(&long_head), None);
+}
+
+/// A tick record in the older layout — 25 bytes a sample, a stamp between
+/// index and value — is refused, not misread: `n` samples of 25 bytes are
+/// never `n` of 17.  Recovery counts each one as undecodable, replays none,
+/// and resumes at the checkpoint, as for any other schema skew.
+#[test]
+fn a_tick_record_with_a_stamp_per_sample_is_refused_and_counted() {
+    let cfg = DurabilityConfig { sync: SyncPolicy::EveryTick, checkpoint_every: 4, scrub_every: 0 };
+    let disk = Arc::new(SimDisk::new());
+    let mut mon = builder().durability(disk.clone(), cfg).build();
+    seed_inputs(&mut mon);
+    mon.run_ticks(6);
+    drop(mon);
+    disk.crash();
+    for name in disk.list().into_iter().filter(|f| f.starts_with("wal-")) {
+        let (records, end) = scan_segment(&disk.read(&name).unwrap());
+        assert_eq!(end, ScanEnd::Clean);
+        let mut seg = WAL_MAGIC.to_vec();
+        for r in records {
+            let (_, samples) = decode_tick_record(&r.payload).expect("this layout decodes");
+            assert!(!samples.is_empty());
+            let head = r.payload.len() - samples.len() * SAMPLE_LEN;
+            let mut old = r.payload[..head].to_vec();
+            for s in r.payload[head..].chunks_exact(SAMPLE_LEN) {
+                old.extend_from_slice(&s[..9]);
+                old.extend_from_slice(&(r.tick * 60_000).to_le_bytes());
+                old.extend_from_slice(&s[9..]);
+            }
+            assert_eq!(old.len(), head + samples.len() * 25);
+            assert_eq!(decode_tick_record(&old), None, "tick {}", r.tick);
+            encode_record(KIND_TICK, r.tick, &old, &mut seg);
+        }
+        disk.overwrite(&name, &seg).unwrap();
+    }
+    let outcome = builder().build().recover_from_medium(disk, cfg);
+    assert_eq!(outcome.checkpoint_tick, Some(4), "{outcome:?}");
+    assert_eq!(outcome.undecodable_records, 2, "ticks 5 and 6: {outcome:?}");
+    assert_eq!((outcome.replayed_ticks, outcome.resumed_tick), (0, 4));
 }
 
 /// The plane writes tick records and nothing else.  A segment holding any
