@@ -181,30 +181,23 @@ impl Detector for MadDetector {
     }
 }
 
-/// Fixed-bound detector: fires whenever the value crosses the limit
-/// (above when `upper`, below otherwise).  The ASHRAE/free-memory case.
+/// Fixed-bound detector: fires whenever the value exceeds the limit.
+/// The ASHRAE case.
 #[derive(Debug, Clone, Copy)]
 pub struct ThresholdDetector {
     limit: f64,
-    upper: bool,
 }
 
 impl ThresholdDetector {
     /// Fire when value exceeds `limit`.
     pub fn above(limit: f64) -> ThresholdDetector {
-        ThresholdDetector { limit, upper: true }
-    }
-
-    /// Fire when value drops below `limit`.
-    pub fn below(limit: f64) -> ThresholdDetector {
-        ThresholdDetector { limit, upper: false }
+        ThresholdDetector { limit }
     }
 }
 
 impl Detector for ThresholdDetector {
     fn observe(&mut self, ts: Ts, value: f64) -> Option<Anomaly> {
-        let fired = if self.upper { value > self.limit } else { value < self.limit };
-        fired.then_some(Anomaly { ts, value, score: value - self.limit })
+        (value > self.limit).then_some(Anomaly { ts, value, score: value - self.limit })
     }
 
     fn reset(&mut self) {}
@@ -237,11 +230,6 @@ impl CusumDetector {
             sum: 0.0,
             frozen_mean: None,
         }
-    }
-
-    /// Accumulated CUSUM statistic (σ units).
-    pub fn statistic(&self) -> f64 {
-        self.sum
     }
 }
 
@@ -387,13 +375,10 @@ mod tests {
     }
 
     #[test]
-    fn threshold_above_and_below() {
+    fn threshold_above() {
         let mut above = ThresholdDetector::above(10.0);
         assert!(above.observe(Ts(0), 10.5).is_some());
         assert!(above.observe(Ts(1), 10.0).is_none());
-        let mut below = ThresholdDetector::below(4.0 * 1e9);
-        assert!(below.observe(Ts(2), 1e9).is_some());
-        assert!(below.observe(Ts(3), 5e9).is_none());
     }
 
     #[test]
@@ -426,7 +411,7 @@ mod tests {
         values.extend((0..20).map(|i| 10.0 + (i % 4) as f64 * 0.1));
         let mut cusum = CusumDetector::new(40, 0.5, 20.0);
         assert!(feed(&mut cusum, &values).is_empty());
-        assert!(cusum.statistic() < 5.0, "accumulator stays far from the decision bound");
+        assert!(cusum.sum < 5.0, "accumulator stays far from the decision bound");
     }
 
     #[test]
@@ -444,6 +429,6 @@ mod tests {
             cusum.observe(Ts(i), 1.0 + (i % 2) as f64 * 0.01);
         }
         cusum.reset();
-        assert_eq!(cusum.statistic(), 0.0);
+        assert_eq!(cusum.sum, 0.0);
     }
 }

@@ -32,24 +32,6 @@ pub struct Incident {
     pub events: Vec<AssocEvent>,
 }
 
-impl Incident {
-    /// Time span covered by the incident.
-    pub fn span_ms(&self) -> u64 {
-        match (self.events.first(), self.events.last()) {
-            (Some(a), Some(b)) => b.ts.0.saturating_sub(a.ts.0),
-            _ => 0,
-        }
-    }
-
-    /// Distinct components involved.
-    pub fn comps(&self) -> Vec<CompId> {
-        let mut c: Vec<CompId> = self.events.iter().map(|e| e.comp).collect();
-        c.sort();
-        c.dedup();
-        c
-    }
-}
-
 /// Cluster events into incidents: sort by timestamp, then cut whenever the
 /// gap to the previous event exceeds `window_ms`.  Single-linkage in time,
 /// which matches how operators eyeball a log stream.
@@ -139,8 +121,6 @@ mod tests {
         assert_eq!(incidents.len(), 2);
         assert_eq!(incidents[0].events.len(), 3);
         assert_eq!(incidents[1].events.len(), 2);
-        assert_eq!(incidents[0].comps().len(), 3);
-        assert_eq!(incidents[0].span_ms(), 900);
     }
 
     #[test]
@@ -187,12 +167,5 @@ mod tests {
         assert_eq!(s.precision, 1.0, "vacuous precision");
         assert_eq!(s.recall, 0.0, "missed the true pair");
         assert_eq!(s.f1, 0.0);
-    }
-
-    #[test]
-    fn span_and_comps_dedup() {
-        let incidents = associate(vec![ev(0, 7, 1), ev(10, 7, 1), ev(20, 8, 1)], 100);
-        assert_eq!(incidents[0].comps(), vec![CompId::node(7), CompId::node(8)]);
-        assert_eq!(incidents[0].span_ms(), 20);
     }
 }

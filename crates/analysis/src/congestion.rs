@@ -29,7 +29,7 @@ pub enum CongestionLevel {
 
 impl CongestionLevel {
     /// Band a stall ratio (stalled bytes / offered bytes).
-    pub fn from_stall_ratio(ratio: f64) -> CongestionLevel {
+    pub(crate) fn from_stall_ratio(ratio: f64) -> CongestionLevel {
         if ratio < 0.05 {
             CongestionLevel::None
         } else if ratio < 0.25 {
@@ -55,7 +55,7 @@ pub struct LinkCounters {
 
 impl LinkCounters {
     /// Stall ratio: stalled / offered (0 when idle).
-    pub fn stall_ratio(&self) -> f64 {
+    pub(crate) fn stall_ratio(&self) -> f64 {
         let offered = self.traffic_bytes + self.stall_bytes;
         if offered <= 0.0 {
             0.0
@@ -124,14 +124,6 @@ impl CongestionMap {
             .iter()
             .max_by(|a, b| a.stall_ratio.partial_cmp(&b.stall_ratio).expect("no NaN"))
     }
-
-    /// System-wide mean stall ratio over active regions.
-    pub fn system_stall_ratio(&self) -> f64 {
-        if self.regions.is_empty() {
-            return 0.0;
-        }
-        self.regions.iter().map(|r| r.stall_ratio).sum::<f64>() / self.regions.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -192,15 +184,7 @@ mod tests {
         let map = CongestionMap::build(&counters, |_| 0);
         assert!(map.regions.is_empty());
         assert!(map.worst().is_none());
-        assert_eq!(map.system_stall_ratio(), 0.0);
         assert!(map.hot_regions(CongestionLevel::Low).is_empty());
-    }
-
-    #[test]
-    fn system_ratio_is_region_mean() {
-        let counters = vec![lc(0, 500.0, 500.0), lc(1, 1_000.0, 0.0)];
-        let map = CongestionMap::build(&counters, |l| l);
-        assert!((map.system_stall_ratio() - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -28,15 +28,11 @@ pub struct EventMatch {
     pub contains: Option<String>,
     /// Require at least this severity.
     pub min_severity: Option<Severity>,
-    /// Require this source subsystem.
-    pub source: Option<String>,
-    /// Require this component kind (any index).
-    pub comp_kind: Option<hpcmon_metrics::CompKind>,
 }
 
 impl EventMatch {
     /// Match a template id.
-    pub fn template(t: u32) -> EventMatch {
+    pub(crate) fn template(t: u32) -> EventMatch {
         EventMatch { template: Some(t), ..Default::default() }
     }
 
@@ -46,25 +42,13 @@ impl EventMatch {
     }
 
     /// Add a severity floor.
-    pub fn with_min_severity(mut self, sev: Severity) -> EventMatch {
+    pub(crate) fn with_min_severity(mut self, sev: Severity) -> EventMatch {
         self.min_severity = Some(sev);
         self
     }
 
-    /// Add a source requirement.
-    pub fn with_source(mut self, source: &str) -> EventMatch {
-        self.source = Some(source.to_owned());
-        self
-    }
-
-    /// Add a component-kind requirement.
-    pub fn with_comp_kind(mut self, kind: hpcmon_metrics::CompKind) -> EventMatch {
-        self.comp_kind = Some(kind);
-        self
-    }
-
     /// Whether a record satisfies every present clause.
-    pub fn matches(&self, rec: &LogRecord) -> bool {
+    pub(crate) fn matches(&self, rec: &LogRecord) -> bool {
         if let Some(t) = self.template {
             if rec.template != Some(t) {
                 return false;
@@ -77,16 +61,6 @@ impl EventMatch {
         }
         if let Some(min) = self.min_severity {
             if rec.severity < min {
-                return false;
-            }
-        }
-        if let Some(ref src) = self.source {
-            if &rec.source != src {
-                return false;
-            }
-        }
-        if let Some(kind) = self.comp_kind {
-            if rec.comp.kind != kind {
                 return false;
             }
         }
@@ -126,17 +100,6 @@ pub enum Rule {
         /// Maximum delay between them.
         window_ms: u64,
     },
-}
-
-impl Rule {
-    /// The rule's name.
-    pub fn name(&self) -> &str {
-        match self {
-            Rule::Single { name, .. } | Rule::Threshold { name, .. } | Rule::Pair { name, .. } => {
-                name
-            }
-        }
-    }
 }
 
 /// A fired rule.
@@ -369,17 +332,15 @@ impl Correlator {
         self.findings_emitted += findings.len() as u64;
         findings
     }
-
-    /// Observe a batch in order.
-    pub fn observe_all(&mut self, recs: &[LogRecord]) -> Vec<Finding> {
-        recs.iter().flat_map(|r| self.observe(r)).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpcmon_metrics::CompKind;
+
+    fn observe_all(c: &mut Correlator, recs: &[LogRecord]) -> Vec<Finding> {
+        recs.iter().flat_map(|r| c.observe(r)).collect()
+    }
 
     fn rec(ts_min: u64, comp: CompId, sev: Severity, msg: &str, template: u32) -> LogRecord {
         LogRecord::new(Ts::from_mins(ts_min), comp, sev, "test", msg).with_template(template)
@@ -394,21 +355,20 @@ mod tests {
         assert!(!EventMatch::contains("power").matches(&r));
         assert!(EventMatch::template(3).with_min_severity(Severity::Error).matches(&r));
         assert!(!EventMatch::template(3).with_min_severity(Severity::Critical).matches(&r));
-        assert!(EventMatch::default().with_source("test").matches(&r));
-        assert!(!EventMatch::default().with_source("hsn").matches(&r));
-        assert!(EventMatch::default().with_comp_kind(CompKind::Node).matches(&r));
-        assert!(!EventMatch::default().with_comp_kind(CompKind::Link).matches(&r));
     }
 
     #[test]
     fn single_rule_fires_every_match() {
         let mut c =
             Correlator::new(vec![Rule::Single { name: "s".into(), m: EventMatch::template(3) }]);
-        let hits = c.observe_all(&[
-            rec(0, CompId::link(0), Severity::Error, "a", 3),
-            rec(1, CompId::link(1), Severity::Error, "b", 4),
-            rec(2, CompId::link(2), Severity::Error, "c", 3),
-        ]);
+        let hits = observe_all(
+            &mut c,
+            &[
+                rec(0, CompId::link(0), Severity::Error, "a", 3),
+                rec(1, CompId::link(1), Severity::Error, "b", 4),
+                rec(2, CompId::link(2), Severity::Error, "c", 3),
+            ],
+        );
         assert_eq!(hits.len(), 2);
         assert_eq!(hits[0].comps, vec![CompId::link(0)]);
         assert_eq!(hits[1].comps, vec![CompId::link(2)]);
@@ -423,12 +383,14 @@ mod tests {
             window_ms: 5 * 60_000,
         }]);
         // Two matches in window: silence.
-        assert!(c
-            .observe_all(&[
+        assert!(observe_all(
+            &mut c,
+            &[
                 rec(0, CompId::link(0), Severity::Warning, "crc", 5),
                 rec(1, CompId::link(0), Severity::Warning, "crc", 5),
-            ])
-            .is_empty());
+            ]
+        )
+        .is_empty());
         // Third completes it.
         let hits = c.observe(&rec(2, CompId::link(0), Severity::Warning, "crc", 5));
         assert_eq!(hits.len(), 1);

@@ -92,7 +92,7 @@ impl Deadman {
     }
 
     /// Deadline in ms after the last beat before a feed is overdue.
-    pub fn deadline_ms(&self) -> u64 {
+    pub(crate) fn deadline_ms(&self) -> u64 {
         (self.expected_interval_ms as f64 * GRACE_FACTOR) as u64
     }
 
@@ -111,7 +111,7 @@ impl Deadman {
     }
 
     /// Whether a feed is currently quarantined.
-    pub fn is_quarantined(&self, feed: &str) -> bool {
+    pub(crate) fn is_quarantined(&self, feed: &str) -> bool {
         self.quarantined.iter().any(|f| f == feed)
     }
 

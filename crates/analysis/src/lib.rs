@@ -43,7 +43,7 @@ pub use correlator::{Correlator, CorrelatorSnapshot, EventMatch, Finding, Rule};
 pub use deadman::{Deadman, SilentFeed};
 pub use novelty::NoveltyDetector;
 pub use power_profile::{ImbalanceDetector, PowerProfileLibrary, ProfileVerdict};
-pub use stats::{Ewma, P2Quantile, RollingStats};
-pub use template_miner::{OccurrenceShift, TemplateMiner, TemplateStat};
+pub use stats::{P2Quantile, RollingStats};
+pub use template_miner::{TemplateMiner, TemplateStat};
 pub use trend::{LinearTrend, TrendTracker};
 pub use variability::{classify_jobs, JobClass, VariabilityReport};

@@ -70,7 +70,7 @@ impl NoveltyDetector {
     /// Signature of a free-text message: source plus the shape of its
     /// tokens (alphabetic tokens kept, numbers collapsed to `#`), so
     /// "job 17 started" and "job 23 started" share a signature.
-    pub fn signature(rec: &LogRecord) -> String {
+    pub(crate) fn signature(rec: &LogRecord) -> String {
         let mut sig = String::with_capacity(rec.message.len() + rec.source.len() + 1);
         sig.push_str(&rec.source);
         sig.push('|');
@@ -89,7 +89,7 @@ impl NoveltyDetector {
     }
 
     /// Observe during training: learn, never flag.
-    pub fn train(&mut self, rec: &LogRecord) {
+    pub(crate) fn train(&mut self, rec: &LogRecord) {
         self.seen_count += 1;
         match rec.template {
             Some(t) => {
@@ -124,16 +124,6 @@ impl NoveltyDetector {
             Some(t) => self.learn_template(t),
             None => self.learn_signature(Self::signature(rec)),
         }
-    }
-
-    /// Distinct shapes learned (templates + signatures).
-    pub fn known_shapes(&self) -> usize {
-        self.templates.len() + self.signatures.len()
-    }
-
-    /// Records observed in total.
-    pub fn seen_count(&self) -> u64 {
-        self.seen_count
     }
 }
 
@@ -183,10 +173,10 @@ mod tests {
         for i in 0..10 {
             assert!(!d.observe(&rec(&format!("weird {i}"), Some(i))));
         }
-        assert_eq!(d.seen_count(), 10);
+        assert_eq!(d.seen_count, 10);
         d.freeze();
         assert!(!d.is_training());
-        assert_eq!(d.known_shapes(), 10);
+        assert_eq!(d.templates.len() + d.signatures.len(), 10);
     }
 
     #[test]

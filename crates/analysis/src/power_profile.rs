@@ -20,7 +20,7 @@ pub const PROFILE_BUCKETS: usize = 32;
 
 /// Resample a run's mean-power series into [`PROFILE_BUCKETS`] normalized
 /// time buckets (so runs of different lengths compare).
-pub fn normalize_profile(series: &[f64]) -> Vec<f64> {
+pub(crate) fn normalize_profile(series: &[f64]) -> Vec<f64> {
     assert!(!series.is_empty(), "cannot normalize an empty profile");
     (0..PROFILE_BUCKETS)
         .map(|b| {
@@ -59,21 +59,6 @@ impl PowerProfileLibrary {
     /// Record a known-good run (mean node power per tick).
     pub fn record_reference(&mut self, app: &str, series: &[f64]) {
         self.profiles.insert(app.to_owned(), normalize_profile(series));
-    }
-
-    /// Whether an app has a reference.
-    pub fn has(&self, app: &str) -> bool {
-        self.profiles.contains_key(app)
-    }
-
-    /// Number of stored references.
-    pub fn len(&self) -> usize {
-        self.profiles.len()
-    }
-
-    /// Whether the library is empty.
-    pub fn is_empty(&self) -> bool {
-        self.profiles.is_empty()
     }
 
     /// Compare a run against the stored reference; `None` when the app has
@@ -180,7 +165,7 @@ mod tests {
         let mut lib = PowerProfileLibrary::new();
         let reference: Vec<f64> = (0..60).map(|i| 300.0 + 20.0 * ((i / 10) % 2) as f64).collect();
         lib.record_reference("lammps", &reference);
-        assert!(lib.has("lammps"));
+        assert!(lib.profiles.contains_key("lammps"));
         // Same shape, slightly different length and noise.
         let run: Vec<f64> = (0..55).map(|i| 302.0 + 20.0 * ((i / 9) % 2) as f64).collect();
         let v = lib.compare("lammps", &run).unwrap();
@@ -204,7 +189,7 @@ mod tests {
     fn unknown_app_has_no_verdict() {
         let lib = PowerProfileLibrary::new();
         assert!(lib.compare("mystery", &[1.0]).is_none());
-        assert!(lib.is_empty());
+        assert!(lib.profiles.is_empty());
     }
 
     #[test]

@@ -15,13 +15,13 @@ pub struct RollingStats {
 
 impl RollingStats {
     /// Window of `capacity` values; panics on zero.
-    pub fn new(capacity: usize) -> RollingStats {
+    pub(crate) fn new(capacity: usize) -> RollingStats {
         assert!(capacity > 0, "window capacity must be positive");
         RollingStats { capacity, window: VecDeque::with_capacity(capacity), sum: 0.0, sum_sq: 0.0 }
     }
 
     /// Push a value, evicting the oldest when full.
-    pub fn push(&mut self, v: f64) {
+    pub(crate) fn push(&mut self, v: f64) {
         if self.window.len() == self.capacity {
             let old = self.window.pop_front().expect("full window");
             self.sum -= old;
@@ -33,13 +33,13 @@ impl RollingStats {
     }
 
     /// Values currently in the window.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.window.len()
     }
 
     /// Fold the window contents and running moments into a flight-recorder
     /// digest.
-    pub fn digest_into(&self, h: &mut hpcmon_metrics::StateHash) {
+    pub(crate) fn digest_into(&self, h: &mut hpcmon_metrics::StateHash) {
         h.usize(self.capacity).usize(self.window.len());
         for &v in &self.window {
             h.f64(v);
@@ -47,18 +47,13 @@ impl RollingStats {
         h.f64(self.sum).f64(self.sum_sq);
     }
 
-    /// Whether no values have been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.window.is_empty()
-    }
-
     /// Whether the window has reached capacity.
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.window.len() == self.capacity
     }
 
     /// Mean of the window (`None` when empty).
-    pub fn mean(&self) -> Option<f64> {
+    pub(crate) fn mean(&self) -> Option<f64> {
         if self.window.is_empty() {
             None
         } else {
@@ -68,7 +63,7 @@ impl RollingStats {
 
     /// Population variance of the window.  Floating-point cancellation is
     /// corrected by clamping at zero.
-    pub fn variance(&self) -> Option<f64> {
+    pub(crate) fn variance(&self) -> Option<f64> {
         let n = self.window.len() as f64;
         if self.window.is_empty() {
             return None;
@@ -78,12 +73,12 @@ impl RollingStats {
     }
 
     /// Standard deviation of the window.
-    pub fn std_dev(&self) -> Option<f64> {
+    pub(crate) fn std_dev(&self) -> Option<f64> {
         self.variance().map(f64::sqrt)
     }
 
     /// Median of the window (by sorting a copy; windows are small).
-    pub fn median(&self) -> Option<f64> {
+    pub(crate) fn median(&self) -> Option<f64> {
         if self.window.is_empty() {
             return None;
         }
@@ -93,50 +88,11 @@ impl RollingStats {
     }
 
     /// Median absolute deviation (robust spread).
-    pub fn mad(&self) -> Option<f64> {
+    pub(crate) fn mad(&self) -> Option<f64> {
         let med = self.median()?;
         let mut devs: Vec<f64> = self.window.iter().map(|v| (v - med).abs()).collect();
         devs.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
         Some(devs[devs.len() / 2])
-    }
-
-    /// Coefficient of variation (std/mean); `None` when mean is ~0.
-    pub fn cv(&self) -> Option<f64> {
-        let mean = self.mean()?;
-        if mean.abs() < 1e-12 {
-            return None;
-        }
-        Some(self.std_dev()? / mean.abs())
-    }
-}
-
-/// Exponentially weighted moving average.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// Smoothing factor in `(0, 1]`; higher follows faster.
-    pub fn new(alpha: f64) -> Ewma {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0,1]");
-        Ewma { alpha, value: None }
-    }
-
-    /// Fold in a value and return the new average.
-    pub fn push(&mut self, v: f64) -> f64 {
-        let next = match self.value {
-            Some(prev) => prev + self.alpha * (v - prev),
-            None => v,
-        };
-        self.value = Some(next);
-        next
-    }
-
-    /// Current average, if any value was pushed.
-    pub fn value(&self) -> Option<f64> {
-        self.value
     }
 }
 
@@ -240,11 +196,6 @@ impl P2Quantile {
         }
         Some(self.heights[2])
     }
-
-    /// Samples observed.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
 }
 
 #[cfg(test)]
@@ -254,7 +205,7 @@ mod tests {
     #[test]
     fn rolling_basic_moments() {
         let mut r = RollingStats::new(4);
-        assert!(r.is_empty());
+        assert_eq!(r.len(), 0);
         assert_eq!(r.mean(), None);
         for v in [1.0, 2.0, 3.0, 4.0] {
             r.push(v);
@@ -287,18 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn rolling_cv() {
-        let mut r = RollingStats::new(4);
-        for v in [10.0, 10.0, 10.0, 10.0] {
-            r.push(v);
-        }
-        assert_eq!(r.cv(), Some(0.0));
-        let mut z = RollingStats::new(4);
-        z.push(0.0);
-        assert_eq!(z.cv(), None, "zero mean has no CV");
-    }
-
-    #[test]
     fn variance_never_negative_under_cancellation() {
         let mut r = RollingStats::new(8);
         for _ in 0..8 {
@@ -311,29 +250,6 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_window_rejected() {
         RollingStats::new(0);
-    }
-
-    #[test]
-    fn ewma_follows_level_shift() {
-        let mut e = Ewma::new(0.5);
-        assert_eq!(e.value(), None);
-        e.push(0.0);
-        for _ in 0..20 {
-            e.push(10.0);
-        }
-        assert!((e.value().unwrap() - 10.0).abs() < 0.01);
-    }
-
-    #[test]
-    fn ewma_first_value_is_identity() {
-        let mut e = Ewma::new(0.1);
-        assert_eq!(e.push(7.0), 7.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha must be in")]
-    fn ewma_bad_alpha() {
-        Ewma::new(0.0);
     }
 
     #[test]
@@ -368,7 +284,7 @@ mod tests {
         q.push(1.0);
         q.push(2.0);
         assert_eq!(q.value(), Some(2.0));
-        assert_eq!(q.count(), 3);
+        assert_eq!(q.count, 3);
     }
 
     #[test]

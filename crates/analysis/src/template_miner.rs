@@ -1,12 +1,10 @@
-//! Log template mining and occurrence-variation analysis.
+//! Log template mining.
 //!
 //! Paper §III-B: "Log analysis has significant research history involving
 //! techniques of abnormality detection and/or variation in occurrences of
 //! log lines."  The miner clusters free-form messages into templates by
-//! their token shape (numbers collapsed), counts occurrences, and compares
-//! occurrence rates between a baseline window and the current window — a
-//! line that was rare and is now frequent (or vice versa) is the classic
-//! precursor operators look for.
+//! their token shape (numbers collapsed) and counts occurrences; the
+//! operations report lists the loudest.
 
 use crate::novelty::NoveltyDetector;
 use hpcmon_metrics::LogRecord;
@@ -22,21 +20,6 @@ pub struct TemplateStat {
     pub example: String,
     /// Occurrences observed.
     pub count: u64,
-}
-
-/// A template whose occurrence rate shifted between windows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct OccurrenceShift {
-    /// The template signature.
-    pub signature: String,
-    /// A representative raw message.
-    pub example: String,
-    /// Count in the baseline window.
-    pub baseline: u64,
-    /// Count in the current window.
-    pub current: u64,
-    /// `current / max(baseline, 1)` — >1 means the line got louder.
-    pub ratio: f64,
 }
 
 /// Clusters messages by shape and counts occurrences within one window.
@@ -59,13 +42,6 @@ impl TemplateMiner {
         *self.counts.entry(sig.clone()).or_insert(0) += 1;
         self.examples.entry(sig).or_insert_with(|| rec.message.clone());
         self.total += 1;
-    }
-
-    /// Fold in a batch.
-    pub fn observe_all<'a>(&mut self, recs: impl IntoIterator<Item = &'a LogRecord>) {
-        for r in recs {
-            self.observe(r);
-        }
     }
 
     /// Records observed.
@@ -93,74 +69,6 @@ impl TemplateMiner {
         stats.sort_by(|a, b| b.count.cmp(&a.count).then(a.signature.cmp(&b.signature)));
         stats.truncate(k);
         stats
-    }
-
-    /// Occurrence shifts versus a `baseline` miner: templates whose count
-    /// ratio (normalized per observed record) changed by at least
-    /// `min_factor`, most-shifted first.  Templates absent from one side
-    /// count as zero there.
-    pub fn shifts_from(&self, baseline: &TemplateMiner, min_factor: f64) -> Vec<OccurrenceShift> {
-        assert!(min_factor >= 1.0);
-        // Normalize to per-1000-records rates so unequal window sizes
-        // compare fairly.
-        let rate = |count: u64, total: u64| {
-            if total == 0 {
-                0.0
-            } else {
-                count as f64 * 1_000.0 / total as f64
-            }
-        };
-        let mut all_sigs: Vec<&String> = self.counts.keys().chain(baseline.counts.keys()).collect();
-        all_sigs.sort();
-        all_sigs.dedup();
-        let mut shifts = Vec::new();
-        for sig in all_sigs {
-            let b = baseline.counts.get(sig).copied().unwrap_or(0);
-            let c = self.counts.get(sig).copied().unwrap_or(0);
-            let br = rate(b, baseline.total);
-            let cr = rate(c, self.total);
-            let ratio = if br <= 0.0 {
-                if cr > 0.0 {
-                    f64::INFINITY
-                } else {
-                    1.0
-                }
-            } else {
-                cr / br
-            };
-            if ratio >= min_factor
-                || (ratio > 0.0 && ratio <= 1.0 / min_factor)
-                || (cr == 0.0 && br > 0.0)
-            {
-                shifts.push(OccurrenceShift {
-                    signature: sig.clone(),
-                    example: self
-                        .examples
-                        .get(sig)
-                        .or_else(|| baseline.examples.get(sig))
-                        .cloned()
-                        .unwrap_or_default(),
-                    baseline: b,
-                    current: c,
-                    ratio: if cr == 0.0 && br > 0.0 { 0.0 } else { ratio },
-                });
-            }
-        }
-        shifts.sort_by(|a, b| {
-            let key = |s: &OccurrenceShift| {
-                if s.ratio.is_infinite() {
-                    f64::MAX
-                } else if s.ratio >= 1.0 {
-                    s.ratio
-                } else if s.ratio > 0.0 {
-                    1.0 / s.ratio
-                } else {
-                    f64::MAX / 2.0
-                }
-            };
-            key(b).partial_cmp(&key(a)).expect("finite keys").then(a.signature.cmp(&b.signature))
-        });
-        shifts
     }
 }
 
@@ -202,92 +110,5 @@ mod tests {
         assert_eq!(top.len(), 3);
         assert!(top[0].count >= top[1].count && top[1].count >= top[2].count);
         assert_eq!(m.top_k(100).len(), 5);
-    }
-
-    #[test]
-    fn shift_detects_new_loud_line() {
-        let mut baseline = TemplateMiner::new();
-        for _ in 0..100 {
-            baseline.observe(&rec("routine heartbeat ok"));
-        }
-        let mut current = TemplateMiner::new();
-        for _ in 0..80 {
-            current.observe(&rec("routine heartbeat ok"));
-        }
-        for _ in 0..20 {
-            current.observe(&rec("CRC retry on lane 2"));
-        }
-        let shifts = current.shifts_from(&baseline, 3.0);
-        assert_eq!(shifts.len(), 1, "{shifts:?}");
-        assert!(shifts[0].example.contains("CRC"));
-        assert!(shifts[0].ratio.is_infinite(), "new line: infinite ratio");
-        assert_eq!(shifts[0].baseline, 0);
-        assert_eq!(shifts[0].current, 20);
-    }
-
-    #[test]
-    fn shift_detects_vanished_line() {
-        let mut baseline = TemplateMiner::new();
-        for _ in 0..50 {
-            baseline.observe(&rec("lnet pinger ok"));
-        }
-        for _ in 0..50 {
-            baseline.observe(&rec("routine heartbeat ok"));
-        }
-        let mut current = TemplateMiner::new();
-        for _ in 0..100 {
-            current.observe(&rec("routine heartbeat ok"));
-        }
-        let shifts = current.shifts_from(&baseline, 3.0);
-        let vanished = shifts.iter().find(|s| s.example.contains("pinger")).unwrap();
-        assert_eq!(vanished.current, 0);
-        assert_eq!(vanished.ratio, 0.0);
-    }
-
-    #[test]
-    fn stable_rates_do_not_shift() {
-        let mk = |n: u64| {
-            let mut m = TemplateMiner::new();
-            for _ in 0..n {
-                m.observe(&rec("routine heartbeat ok"));
-            }
-            for _ in 0..n / 10 {
-                m.observe(&rec("session opened for user root"));
-            }
-            m
-        };
-        // Different window sizes, same per-record rates.
-        let baseline = mk(1_000);
-        let current = mk(300);
-        assert!(current.shifts_from(&baseline, 2.0).is_empty());
-    }
-
-    #[test]
-    fn rate_normalization_handles_unequal_windows() {
-        let mut baseline = TemplateMiner::new();
-        for _ in 0..1_000 {
-            baseline.observe(&rec("noise line x"));
-        }
-        for _ in 0..10 {
-            baseline.observe(&rec("crc retry lane 1"));
-        }
-        // Current window is 10x smaller but the CRC *rate* tripled.
-        let mut current = TemplateMiner::new();
-        for _ in 0..100 {
-            current.observe(&rec("noise line x"));
-        }
-        for _ in 0..3 {
-            current.observe(&rec("crc retry lane 7"));
-        }
-        let shifts = current.shifts_from(&baseline, 2.0);
-        assert_eq!(shifts.len(), 1);
-        assert!(shifts[0].example.contains("crc"));
-        assert!(shifts[0].ratio > 2.0 && shifts[0].ratio < 4.0, "{}", shifts[0].ratio);
-    }
-
-    #[test]
-    #[should_panic]
-    fn min_factor_below_one_rejected() {
-        TemplateMiner::new().shifts_from(&TemplateMiner::new(), 0.5);
     }
 }

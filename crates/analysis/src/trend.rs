@@ -24,11 +24,6 @@ pub struct LinearTrend {
 }
 
 impl LinearTrend {
-    /// Predicted value at `t`.
-    pub fn predict(&self, t: Ts) -> f64 {
-        self.slope_per_sec * t.as_secs_f64() + self.intercept
-    }
-
     /// The time at which the trend crosses `threshold`, if the slope heads
     /// toward it.  Returns `None` for flat or receding trends.
     pub fn time_to_cross(&self, threshold: f64) -> Option<Ts> {
@@ -91,16 +86,6 @@ impl TrendTracker {
         self.sum_vv += value * value;
     }
 
-    /// Points folded in.
-    pub fn len(&self) -> u64 {
-        self.n
-    }
-
-    /// Whether no points were folded in.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// Fit the line; `None` with fewer than 2 points or zero time spread.
     pub fn fit(&self) -> Option<LinearTrend> {
         if self.n < 2 {
@@ -136,6 +121,10 @@ impl TrendTracker {
 mod tests {
     use super::*;
 
+    fn predict(fit: &LinearTrend, t: Ts) -> f64 {
+        fit.slope_per_sec * t.as_secs_f64() + fit.intercept
+    }
+
     #[test]
     fn exact_line_is_recovered() {
         let mut t = TrendTracker::new();
@@ -157,7 +146,7 @@ mod tests {
             t.push(Ts::from_secs(i), i as f64); // slope 1/s from 0
         }
         let fit = t.fit().unwrap();
-        assert!((fit.predict(Ts::from_secs(100)) - 100.0).abs() < 1e-6);
+        assert!((predict(&fit, Ts::from_secs(100)) - 100.0).abs() < 1e-6);
         let cross = fit.time_to_cross(1_000.0).unwrap();
         assert!((cross.as_secs_f64() - 1_000.0).abs() < 1.0);
     }
@@ -204,7 +193,7 @@ mod tests {
         assert!(t.fit().is_none());
         t.push(Ts::ZERO, 1.0);
         assert!(t.fit().is_none());
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.n, 1);
     }
 
     #[test]
@@ -227,7 +216,7 @@ mod tests {
         let fit = t.fit().unwrap();
         assert!((fit.slope_per_sec - 3.0).abs() < 1e-6, "slope {}", fit.slope_per_sec);
         // Predict at the series' own timebase.
-        let p = fit.predict(Ts::from_secs(base + 50));
+        let p = predict(&fit, Ts::from_secs(base + 50));
         assert!((p - 151.0).abs() < 1e-3, "prediction {p}");
     }
 }

@@ -79,13 +79,6 @@ pub struct WanInjectedCounts {
     pub bandwidth: u64,
 }
 
-impl WanInjectedCounts {
-    /// Sum over every kind.
-    pub fn total(&self) -> u64 {
-        self.partition + self.delay + self.bandwidth
-    }
-}
-
 /// Per-kind counts of injected storage-medium fault events (durability
 /// plane).  Kept separate from [`InjectedCounts`] for the same reason as
 /// [`WanInjectedCounts`]: pipelines without a durability plane keep their
@@ -100,13 +93,6 @@ pub struct DiskInjectedCounts {
     pub corrupt_byte: u64,
     /// Disk-full (ENOSPC) windows activated.
     pub full: u64,
-}
-
-impl DiskInjectedCounts {
-    /// Sum over every kind.
-    pub fn total(&self) -> u64 {
-        self.write_fail + self.torn_write + self.corrupt_byte + self.full
-    }
 }
 
 /// The WAN faults active on one member site's link.
@@ -356,11 +342,6 @@ impl ChaosEngine {
         self.shards.contains_key(&shard)
     }
 
-    /// Shards failing this tick, ascending.
-    pub fn failing_shards(&self) -> Vec<usize> {
-        self.shards.keys().copied().collect()
-    }
-
     /// Take (and count) the gateway worker deaths due this tick.
     pub fn take_worker_deaths(&mut self) -> u64 {
         let n = self.pending_worker_deaths;
@@ -421,20 +402,6 @@ impl ChaosEngine {
     /// Per-kind injection counts so far.
     pub fn counts(&self) -> InjectedCounts {
         self.counts
-    }
-
-    /// Number of fault states active this tick (collectors + topics +
-    /// corruption window + shards + disturbed WAN links).  Zero means the
-    /// plane is currently undisturbed (pending scheduled faults may still
-    /// exist).
-    pub fn active_faults(&self) -> usize {
-        self.collectors.len()
-            + self.topics.len()
-            + usize::from(self.corrupt.is_some())
-            + self.shards.len()
-            + self.wan.len()
-            + usize::from(self.disk_write_fail_until.is_some())
-            + usize::from(self.disk_full_until.is_some())
     }
 
     /// Capture the full injector state for a flight-recorder checkpoint.
@@ -548,6 +515,18 @@ mod tests {
     use super::*;
     use crate::fault::ScheduledFault;
 
+    /// Fault states active this tick (collectors + topics + corruption
+    /// window + shards + disturbed WAN links + disk windows).
+    fn active_faults(eng: &ChaosEngine) -> usize {
+        eng.collectors.len()
+            + eng.topics.len()
+            + usize::from(eng.corrupt.is_some())
+            + eng.shards.len()
+            + eng.wan.len()
+            + usize::from(eng.disk_write_fail_until.is_some())
+            + usize::from(eng.disk_full_until.is_some())
+    }
+
     fn plan(faults: Vec<(u64, ChaosFault)>) -> ChaosPlan {
         ChaosPlan::from_faults(
             faults.into_iter().map(|(at_tick, fault)| ScheduledFault { at_tick, fault }).collect(),
@@ -575,7 +554,7 @@ mod tests {
         assert!(eng.collector_fault("power").is_none(), "panic is one-shot");
         assert_eq!(eng.counts().collector_hang, 1);
         assert_eq!(eng.counts().collector_panic, 1);
-        assert_eq!(eng.active_faults(), 0);
+        assert_eq!(active_faults(&eng), 0);
     }
 
     #[test]
@@ -612,7 +591,7 @@ mod tests {
         eng.begin_tick(1);
         assert!(eng.shard_failing(3));
         assert!(!eng.shard_failing(0));
-        assert_eq!(eng.failing_shards(), vec![3]);
+        assert_eq!(eng.shards.keys().copied().collect::<Vec<_>>(), vec![3]);
         assert!(eng.topic_stalled("metrics/frame"));
         eng.begin_tick(2);
         assert!(eng.shard_failing(3));
@@ -644,22 +623,21 @@ mod tests {
         eng.begin_tick(2);
         assert!(eng.wan_partitioned("siteB"));
         assert_eq!(eng.wan_bandwidth_cap("siteC"), Some(64));
-        assert_eq!(eng.active_faults(), 2, "two disturbed links");
+        assert_eq!(active_faults(&eng), 2, "two disturbed links");
         eng.begin_tick(3);
         assert!(!eng.wan_partitioned("siteB"), "partition expired");
         assert_eq!(eng.wan_added_latency_ticks("siteB"), 3, "delay still running");
         assert_eq!(eng.wan_bandwidth_cap("siteC"), None, "squeeze expired");
         eng.begin_tick(5);
         assert_eq!(eng.wan_added_latency_ticks("siteB"), 0);
-        assert_eq!(eng.active_faults(), 0);
+        assert_eq!(active_faults(&eng), 0);
         let w = eng.wan_counts();
         assert_eq!((w.partition, w.delay, w.bandwidth), (1, 1, 1));
-        assert_eq!(w.total(), 3);
         // Snapshot round-trips the WAN state.
         let mut restored = ChaosEngine::restore(eng.snapshot());
         assert_eq!(restored.state_digest(), eng.state_digest());
         restored.begin_tick(6);
-        assert_eq!(restored.wan_counts().total(), 3);
+        assert_eq!(restored.wan_counts(), w);
     }
 
     #[test]
@@ -679,7 +657,7 @@ mod tests {
         eng.begin_tick(1);
         assert!(eng.disk_write_failing());
         assert!(!eng.disk_full());
-        assert_eq!(eng.active_faults(), 1);
+        assert_eq!(active_faults(&eng), 1);
         eng.begin_tick(2);
         assert!(eng.disk_write_failing(), "2-tick window");
         let torn = eng.take_torn_writes();
@@ -693,7 +671,6 @@ mod tests {
         assert!(eng.disk_full());
         let d = eng.disk_counts();
         assert_eq!((d.write_fail, d.torn_write, d.corrupt_byte, d.full), (1, 1, 1, 1));
-        assert_eq!(d.total(), 4);
         // Same seed and plan re-draw identical torn/corrupt seeds.
         let mut twin = ChaosEngine::new(
             21,

@@ -119,28 +119,6 @@ pub enum ChaosFault {
     },
 }
 
-impl ChaosFault {
-    /// Stable label for telemetry and logs.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ChaosFault::CollectorPanic { .. } => "collector_panic",
-            ChaosFault::CollectorHang { .. } => "collector_hang",
-            ChaosFault::CollectorSlow { .. } => "collector_slow",
-            ChaosFault::BrokerTopicStall { .. } => "topic_stall",
-            ChaosFault::EnvelopeCorrupt { .. } => "envelope_corrupt",
-            ChaosFault::StoreWriteFail { .. } => "store_write_fail",
-            ChaosFault::GatewayWorkerDeath => "gateway_worker_death",
-            ChaosFault::WanPartition { .. } => "wan_partition",
-            ChaosFault::WanDelay { .. } => "wan_delay",
-            ChaosFault::WanBandwidth { .. } => "wan_bandwidth",
-            ChaosFault::DiskWriteFail { .. } => "disk_write_fail",
-            ChaosFault::DiskTornWrite => "disk_torn_write",
-            ChaosFault::DiskCorruptByte => "disk_corrupt_byte",
-            ChaosFault::DiskFull { .. } => "disk_full",
-        }
-    }
-}
-
 /// A fault scheduled at an absolute monitoring tick.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScheduledFault {
@@ -186,7 +164,7 @@ impl ChaosPlan {
     }
 
     /// Pop every fault due at or before `tick`, in schedule order.
-    pub fn pop_due(&mut self, tick: u64) -> Vec<ScheduledFault> {
+    pub(crate) fn pop_due(&mut self, tick: u64) -> Vec<ScheduledFault> {
         let start = self.cursor;
         while self.cursor < self.faults.len() && self.faults[self.cursor].at_tick <= tick {
             self.cursor += 1;
@@ -195,18 +173,8 @@ impl ChaosPlan {
     }
 
     /// Faults not yet fired.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.faults.len() - self.cursor
-    }
-
-    /// Total number of scheduled faults (fired + pending).
-    pub fn len(&self) -> usize {
-        self.faults.len()
-    }
-
-    /// Whether the plan holds no faults at all.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
     }
 }
 
@@ -235,7 +203,7 @@ mod tests {
     #[test]
     fn schedule_after_partial_consumption() {
         let mut plan = ChaosPlan::new();
-        assert!(plan.is_empty());
+        assert!(plan.faults.is_empty());
         plan.schedule(10, ChaosFault::GatewayWorkerDeath);
         plan.schedule(3, ChaosFault::StoreWriteFail { shard: 0, ticks: 2 });
         assert_eq!(plan.pop_due(5).len(), 1);
@@ -244,7 +212,7 @@ mod tests {
         assert_eq!(due.len(), 2);
         assert!(matches!(due[0].fault, ChaosFault::EnvelopeCorrupt { .. }));
         assert!(matches!(due[1].fault, ChaosFault::GatewayWorkerDeath));
-        assert_eq!(plan.len(), 3);
+        assert_eq!(plan.faults.len(), 3);
     }
 
     #[test]
@@ -256,14 +224,5 @@ mod tests {
         let s = serde_json::to_string(&plan).unwrap();
         let back: ChaosPlan = serde_json::from_str(&s).unwrap();
         assert_eq!(plan, back);
-    }
-
-    #[test]
-    fn labels_are_stable() {
-        assert_eq!(ChaosFault::GatewayWorkerDeath.label(), "gateway_worker_death");
-        assert_eq!(
-            ChaosFault::BrokerTopicStall { topic: "metrics/frame".into(), ticks: 1 }.label(),
-            "topic_stall"
-        );
     }
 }

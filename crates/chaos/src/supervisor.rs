@@ -52,7 +52,7 @@ impl CollectorSupervisor {
     }
 
     /// Supervisor with explicit policy.
-    pub fn with_config(n_slots: usize, config: SupervisorConfig) -> CollectorSupervisor {
+    pub(crate) fn with_config(n_slots: usize, config: SupervisorConfig) -> CollectorSupervisor {
         CollectorSupervisor { config, slots: vec![SlotState::default(); n_slots] }
     }
 
@@ -106,16 +106,6 @@ impl CollectorSupervisor {
         self.slots.iter().filter(|s| s.quarantined).count()
     }
 
-    /// Indices of quarantined slots, ascending.
-    pub fn quarantined_slots(&self) -> Vec<usize> {
-        (0..self.slots.len()).filter(|&i| self.slots[i].quarantined).collect()
-    }
-
-    /// Consecutive failures recorded against `slot` (0 when healthy).
-    pub fn consecutive_failures(&self, slot: usize) -> u64 {
-        self.slots[slot].consecutive_failures
-    }
-
     /// Capture the per-slot health state for a flight-recorder checkpoint.
     pub fn snapshot(&self) -> SupervisorSnapshot {
         SupervisorSnapshot { config: self.config, slots: self.slots.clone() }
@@ -167,14 +157,15 @@ mod tests {
         // Fails again: backoff 4 (capped) → probe at tick 7.
         assert_eq!(sup.record_failure(0, 3), 4);
         assert_eq!(sup.record_failure(0, 7), 4, "capped");
-        assert_eq!(sup.consecutive_failures(0), 4);
-        assert_eq!(sup.quarantined_slots(), vec![0]);
+        assert_eq!(sup.slots[0].consecutive_failures, 4);
+        assert_eq!(sup.quarantined_count(), 1);
+        assert!(sup.slots[0].quarantined);
         // Probe at tick 11 succeeds: fully cleared.
         assert!(sup.is_probe(0, 11));
         sup.record_success(0);
         assert!(sup.should_run(0, 12) && !sup.is_probe(0, 12));
         assert_eq!(sup.quarantined_count(), 0);
-        assert_eq!(sup.consecutive_failures(0), 0);
+        assert_eq!(sup.slots[0].consecutive_failures, 0);
         // Slot 1 was never disturbed.
         assert!(sup.should_run(1, 0));
     }

@@ -33,7 +33,7 @@ pub struct NodeCollector {
 
 impl NodeCollector {
     /// Build against the standard metric set.
-    pub fn new(metrics: StdMetrics) -> NodeCollector {
+    pub(crate) fn new(metrics: StdMetrics) -> NodeCollector {
         NodeCollector { metrics }
     }
 }
@@ -64,7 +64,7 @@ pub struct PowerCollector {
 
 impl PowerCollector {
     /// Build against the standard metric set.
-    pub fn new(metrics: StdMetrics) -> PowerCollector {
+    pub(crate) fn new(metrics: StdMetrics) -> PowerCollector {
         PowerCollector { metrics }
     }
 }
@@ -102,7 +102,7 @@ pub struct NetworkCollector {
 
 impl NetworkCollector {
     /// Full-fidelity collector.
-    pub fn new(metrics: StdMetrics) -> NetworkCollector {
+    pub(crate) fn new(metrics: StdMetrics) -> NetworkCollector {
         NetworkCollector { metrics, link_stride: 1 }
     }
 
@@ -145,7 +145,7 @@ pub struct FsCollector {
 
 impl FsCollector {
     /// Build against the standard metric set.
-    pub fn new(metrics: StdMetrics) -> FsCollector {
+    pub(crate) fn new(metrics: StdMetrics) -> FsCollector {
         FsCollector { metrics }
     }
 }
@@ -193,7 +193,7 @@ pub struct EnvCollector {
 
 impl EnvCollector {
     /// Build against the standard metric set.
-    pub fn new(metrics: StdMetrics) -> EnvCollector {
+    pub(crate) fn new(metrics: StdMetrics) -> EnvCollector {
         EnvCollector { metrics }
     }
 }
@@ -221,7 +221,7 @@ pub struct QueueCollector {
 
 impl QueueCollector {
     /// Build against the standard metric set.
-    pub fn new(metrics: StdMetrics) -> QueueCollector {
+    pub(crate) fn new(metrics: StdMetrics) -> QueueCollector {
         QueueCollector { metrics }
     }
 }
@@ -248,7 +248,7 @@ pub struct GpuHealthCollector {
 
 impl GpuHealthCollector {
     /// Build against the standard metric set.
-    pub fn new(metrics: StdMetrics) -> GpuHealthCollector {
+    pub(crate) fn new(metrics: StdMetrics) -> GpuHealthCollector {
         GpuHealthCollector { metrics }
     }
 }
@@ -280,7 +280,7 @@ pub struct BbCollector {
 
 impl BbCollector {
     /// Build against the standard metric set.
-    pub fn new(metrics: StdMetrics) -> BbCollector {
+    pub(crate) fn new(metrics: StdMetrics) -> BbCollector {
         BbCollector { metrics }
     }
 }

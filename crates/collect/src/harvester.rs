@@ -5,8 +5,8 @@
 //! between files, some log events are multi-line, and some files are
 //! binary."  The harvester reproduces that mess deterministically — each
 //! log source renders into a different vendor format — and then parses
-//! everything back into [`LogRecord`]s, counting (never hiding) the lines
-//! it could not understand.
+//! everything back into [`LogRecord`]s.  Every format the machine renders
+//! parses back; a foreign line no parser understands is skipped.
 
 use hpcmon_metrics::{LogRecord, Severity, Ts};
 use hpcmon_sim::SimEngine;
@@ -28,7 +28,7 @@ pub enum VendorFormat {
 impl VendorFormat {
     /// Which format a given source subsystem writes (deterministic, so the
     /// mess is reproducible).
-    pub fn for_source(source: &str) -> VendorFormat {
+    pub(crate) fn for_source(source: &str) -> VendorFormat {
         match source {
             "console" => VendorFormat::CrayConsole,
             "hwerr" => VendorFormat::JsonEvent,
@@ -37,7 +37,7 @@ impl VendorFormat {
     }
 
     /// Render a record in this format.
-    pub fn render(&self, rec: &LogRecord) -> String {
+    pub(crate) fn render(&self, rec: &LogRecord) -> String {
         match self {
             VendorFormat::Canonical => syslog::render_line(rec),
             VendorFormat::CrayConsole => {
@@ -71,7 +71,7 @@ impl VendorFormat {
 }
 
 /// Try to parse a line in any known vendor format.
-pub fn parse_any(line: &str) -> Option<LogRecord> {
+pub(crate) fn parse_any(line: &str) -> Option<LogRecord> {
     let trimmed = line.trim();
     if trimmed.is_empty() {
         return None;
@@ -152,27 +152,17 @@ fn parse_comp_path(s: &str) -> Option<hpcmon_metrics::CompId> {
     Some(hpcmon_metrics::CompId { kind, index })
 }
 
-/// Harvest statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HarvestStats {
-    /// Records successfully normalized.
-    pub parsed: u64,
-    /// Lines rejected by every parser.
-    pub rejected: u64,
-}
-
 /// Drains the machine's log stream, round-trips it through the vendor
 /// formats, normalizes it, and publishes onto the broker.
 pub struct LogHarvester {
     broker: Option<Arc<Broker>>,
-    stats: HarvestStats,
 }
 
 impl LogHarvester {
     /// A harvester that publishes normalized records to `broker` under
     /// `logs/<source>` topics.  Pass `None` to only normalize.
     pub fn new(broker: Option<Arc<Broker>>) -> LogHarvester {
-        LogHarvester { broker, stats: HarvestStats::default() }
+        LogHarvester { broker }
     }
 
     /// Drain, render through vendor formats, parse back, publish.
@@ -182,26 +172,17 @@ impl LogHarvester {
         for rec in raw {
             let fmt = VendorFormat::for_source(&rec.source);
             let line = fmt.render(&rec);
-            match parse_any(&line) {
-                Some(parsed) => {
-                    self.stats.parsed += 1;
-                    if let Some(broker) = &self.broker {
-                        broker.publish(
-                            &topics::logs(&parsed.source),
-                            Payload::Log(Arc::new(parsed.clone())),
-                        );
-                    }
-                    out.push(parsed);
+            if let Some(parsed) = parse_any(&line) {
+                if let Some(broker) = &self.broker {
+                    broker.publish(
+                        &topics::logs(&parsed.source),
+                        Payload::Log(Arc::new(parsed.clone())),
+                    );
                 }
-                None => self.stats.rejected += 1,
+                out.push(parsed);
             }
         }
         out
-    }
-
-    /// Cumulative statistics.
-    pub fn stats(&self) -> HarvestStats {
-        self.stats
     }
 }
 
@@ -257,15 +238,19 @@ mod tests {
 
     #[test]
     fn harvester_normalizes_machine_logs() {
-        let mut engine = SimEngine::new(SimConfig::small());
-        engine.schedule_fault(Ts::from_mins(1), FaultKind::NodeCrash { node: 3 });
-        engine.schedule_fault(Ts::from_mins(1), FaultKind::LinkDown { link: 0 });
-        engine.step();
-        engine.step();
+        let machine = || {
+            let mut engine = SimEngine::new(SimConfig::small());
+            engine.schedule_fault(Ts::from_mins(1), FaultKind::NodeCrash { node: 3 });
+            engine.schedule_fault(Ts::from_mins(1), FaultKind::LinkDown { link: 0 });
+            engine.step();
+            engine.step();
+            engine
+        };
+        let mut engine = machine();
         let mut harvester = LogHarvester::new(None);
         let records = harvester.harvest(&mut engine);
         assert!(!records.is_empty());
-        assert_eq!(harvester.stats().rejected, 0, "all machine formats parse");
+        assert_eq!(records.len(), machine().drain_logs().len(), "all machine formats parse");
         // Crash and link events survive normalization with templates.
         assert!(records
             .iter()

@@ -76,11 +76,6 @@ impl NetworkProbe {
             .collect();
         NetworkProbe { metrics, pairs }
     }
-
-    /// The probe pairs in use.
-    pub fn pairs(&self) -> &[(u32, u32)] {
-        &self.pairs
-    }
 }
 
 impl Collector for NetworkProbe {
@@ -186,7 +181,7 @@ mod tests {
     fn probe_pairs_are_distinct_endpoints() {
         let m = metrics();
         let probe = NetworkProbe::spread(m, 10, 5);
-        for &(a, b) in probe.pairs() {
+        for &(a, b) in &probe.pairs {
             assert_ne!(a, b);
             assert!(a < 10 && b < 10);
         }

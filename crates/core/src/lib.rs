@@ -25,7 +25,6 @@
 //! assert!(mon.store().stats().series > 0);
 //! ```
 
-pub mod config;
 pub mod pipeline;
 pub mod scenarios;
 pub mod system;
@@ -44,7 +43,6 @@ pub use hpcmon_trace as trace;
 pub use hpcmon_transport as transport;
 pub use hpcmon_viz as viz;
 
-pub use config::MonitorConfig;
 pub use hpcmon_sim::SimConfig;
 pub use system::{
     CoreSnapshot, DurableSample, DurableTickRecord, GatewayOp, MonitorBuilder, MonitorOptions,

@@ -36,7 +36,7 @@ impl DetectorAttachment {
 
 /// Convert a correlator finding into a response signal.  Rule names map to
 /// severities so paging rules can be expressed over signal severity.
-pub fn finding_to_signal(finding: &Finding) -> Signal {
+pub(crate) fn finding_to_signal(finding: &Finding) -> Signal {
     let severity = match finding.rule.as_str() {
         "node-heartbeat-lost" => Severity::Critical,
         "link-failure-kills-jobs" => Severity::Error,

@@ -10,7 +10,7 @@
 
 use crate::pipeline::{finding_to_signal, DetectorAttachment};
 use bytes::Bytes;
-use hpcmon_analysis::{Correlator, Deadman, ImbalanceDetector, NoveltyDetector, Rule};
+use hpcmon_analysis::{Correlator, Deadman, ImbalanceDetector, NoveltyDetector};
 use hpcmon_chaos::{
     BreakerState, ChaosEngine, ChaosPlan, CollectorFault, CollectorSupervisor, IngestBreaker,
     InjectedCounts,
@@ -20,7 +20,7 @@ use hpcmon_collect::{
     BenchmarkSuite, Collector, FsProbe, LogHarvester, NetworkProbe, SelfCollector, StdMetrics,
 };
 use hpcmon_durability::{DurabilityConfig, DurabilityCounts, DurabilityPlane, StorageMedium};
-use hpcmon_gateway::{Gateway, GatewayConfig};
+use hpcmon_gateway::{Gateway, GatewayConfig, QueryError, QueryRequest};
 use hpcmon_health::{
     AlertEvent, FeedValue, Grade, HealthConfig, HealthEngine, HealthReport,
     Subsystem as HealthSubsystem,
@@ -30,7 +30,7 @@ use hpcmon_metrics::{
     MetricId, MetricRegistry, Severity, Ts,
 };
 use hpcmon_response::{
-    AccessPolicy, Action, ActionTaken, ResponseEngine, ResponseRule, Signal, SignalKind,
+    AccessPolicy, Action, ActionTaken, Consumer, ResponseEngine, Signal, SignalKind,
 };
 use hpcmon_sim::{FaultKind, JobSpec, SimConfig, SimEngine};
 use hpcmon_store::{Archive, IngestRoute, LogStore, QueryEngine, RetentionPolicy, TimeSeriesStore};
@@ -110,8 +110,6 @@ pub struct MonitorBuilder {
     registry: MetricRegistry,
     metrics: StdMetrics,
     probe_pairs: u32,
-    response_rules: Vec<ResponseRule>,
-    correlator_rules: Vec<Rule>,
     detectors: Vec<DetectorAttachment>,
     extra_collectors: Vec<Box<dyn Collector>>,
     durability: Option<(Arc<dyn StorageMedium>, DurabilityConfig)>,
@@ -119,7 +117,7 @@ pub struct MonitorBuilder {
 
 impl MonitorBuilder {
     /// Start from a machine configuration.
-    pub fn new(config: SimConfig) -> MonitorBuilder {
+    pub(crate) fn new(config: SimConfig) -> MonitorBuilder {
         MonitorBuilder::from_options(MonitorOptions::new(config))
     }
 
@@ -132,8 +130,6 @@ impl MonitorBuilder {
             registry,
             metrics,
             probe_pairs: 16,
-            response_rules: ResponseEngine::production_rules(),
-            correlator_rules: Correlator::production_rules(),
             detectors: Vec::new(),
             extra_collectors: Vec::new(),
             durability: None,
@@ -274,18 +270,6 @@ impl MonitorBuilder {
         self
     }
 
-    /// Replace the response rule set.
-    pub fn response_rules(mut self, rules: Vec<ResponseRule>) -> MonitorBuilder {
-        self.response_rules = rules;
-        self
-    }
-
-    /// Replace the log correlation rule set.
-    pub fn correlator_rules(mut self, rules: Vec<Rule>) -> MonitorBuilder {
-        self.correlator_rules = rules;
-        self
-    }
-
     /// Attach a streaming detector to a series.
     pub fn attach_detector(mut self, attachment: DetectorAttachment) -> MonitorBuilder {
         self.detectors.push(attachment);
@@ -370,9 +354,9 @@ impl MonitorBuilder {
             bench_suite: BenchmarkSuite::new(metrics, o.sim.seed ^ 0xBE, 16),
             bench_every_ticks: o.bench_every_ticks,
             harvester: LogHarvester::new(Some(broker.clone())),
-            correlator: Correlator::new(self.correlator_rules),
+            correlator: Correlator::new(Correlator::production_rules()),
             novelty: NoveltyDetector::new(),
-            response: ResponseEngine::new(self.response_rules),
+            response: ResponseEngine::new(ResponseEngine::production_rules()),
             imbalance: ImbalanceDetector::new(),
             detectors: self.detectors,
             store,
@@ -785,6 +769,27 @@ impl MonitoringSystem {
             self.pending_inputs.faults.push((at, kind));
         }
         self.engine.schedule_fault(at, kind);
+    }
+
+    /// Register a standing gateway subscription ([`Gateway::subscribe`]);
+    /// `None` when no gateway is configured.  Journaled like a job: a
+    /// subscription publishes onto the broker every tick it delivers, so
+    /// crash recovery must replay it to stay on the same hash chain.
+    pub fn subscribe(
+        &mut self,
+        consumer: &Consumer,
+        request: QueryRequest,
+        topic: &str,
+    ) -> Option<Result<u64, QueryError>> {
+        let gw = self.gateway.as_ref()?;
+        if self.durability.is_some() {
+            self.pending_inputs.gateway_ops.push(GatewayOp::Subscribe {
+                consumer: consumer.clone(),
+                request: request.clone(),
+                topic: topic.to_string(),
+            });
+        }
+        Some(gw.subscribe(consumer, request, topic))
     }
 
     // ----- the pipeline -----
@@ -1481,7 +1486,9 @@ impl MonitoringSystem {
 
     /// The query gateway, if one was configured with
     /// [`MonitorBuilder::gateway`].  Clone the `Arc` to issue queries from
-    /// consumer threads while the pipeline keeps ticking.
+    /// consumer threads while the pipeline keeps ticking.  Register
+    /// standing subscriptions through [`MonitoringSystem::subscribe`],
+    /// which journals them for crash recovery.
     pub fn gateway(&self) -> Option<&Arc<Gateway>> {
         self.gateway.as_ref()
     }
@@ -1607,11 +1614,6 @@ impl MonitoringSystem {
         self.last_frame.as_ref()
     }
 
-    /// Milliseconds of simulated time per tick.
-    pub fn tick_ms(&self) -> u64 {
-        self.engine.config().tick_ms
-    }
-
     /// The time-series store.
     pub fn store(&self) -> &TimeSeriesStore {
         &self.store
@@ -1653,7 +1655,7 @@ impl MonitoringSystem {
     }
 
     /// Signals visible to a given consumer under the access policy.
-    pub fn signals_for(&self, consumer: &hpcmon_response::Consumer) -> Vec<&Signal> {
+    pub fn signals_for(&self, consumer: &Consumer) -> Vec<&Signal> {
         AccessPolicy.filter(consumer, &self.signals)
     }
 
@@ -1849,8 +1851,8 @@ mod tests {
         let mut mon = quick_system();
         mon.schedule_fault(Ts::from_mins(2), FaultKind::NodeCrash { node: 7 });
         mon.run_ticks(4);
-        let admin = hpcmon_response::Consumer::admin("ops");
-        let user = hpcmon_response::Consumer::user("portal", "nobody");
+        let admin = Consumer::admin("ops");
+        let user = Consumer::user("portal", "nobody");
         assert!(mon.signals_for(&admin).len() >= mon.signals_for(&user).len());
     }
 
@@ -2135,6 +2137,16 @@ mod tests {
             mon.tick();
             assert_eq!(mon.engine().pstate(), held, "p-state moved at tick {tick}");
         }
+    }
+
+    #[test]
+    fn disabling_probes_and_the_bench_suite_collects_less() {
+        let mut lean = MonitoringSystem::builder(SimConfig::small())
+            .with_probes(false)
+            .bench_suite_every(None)
+            .build();
+        let mut full = MonitoringSystem::builder(SimConfig::small()).build();
+        assert!(lean.run_ticks(10).samples < full.run_ticks(10).samples);
     }
 
     #[test]

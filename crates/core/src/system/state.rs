@@ -66,16 +66,6 @@ pub struct TickInputs {
     pub durability_feed: Option<(u64, u64)>,
 }
 
-impl TickInputs {
-    /// Whether this tick received no external input at all.
-    pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
-            && self.faults.is_empty()
-            && self.gateway_ops.is_empty()
-            && self.durability_feed.is_none()
-    }
-}
-
 /// One recorded gateway arrival.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum GatewayOp {
@@ -236,7 +226,8 @@ impl MonitoringSystem {
     /// machine faults, and re-issue gateway arrivals.  Replay's half of the
     /// contract ([`MonitoringSystem::replay_tick`] calls it with inputs read
     /// from a journal); a live run takes the same inputs through
-    /// `submit_job`, `schedule_fault` and the gateway as they arrive.
+    /// `submit_job`, `schedule_fault`, `subscribe` and the gateway's
+    /// `query` as they arrive.
     pub fn apply_tick_inputs(&mut self, inputs: &TickInputs) {
         // Durable runs journal the inputs so crash recovery can replay
         // them.  The engine is driven directly below (not through

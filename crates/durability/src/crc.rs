@@ -49,7 +49,7 @@ pub const CRC_INIT: u32 = 0xFFFF_FFFF;
 /// Fold `bytes` into a running CRC started at [`CRC_INIT`].  Streaming
 /// form so callers can cover a header and a payload without gluing them
 /// into one allocation.
-pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
+pub(crate) fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("sse4.2") {
         // SAFETY: sse4.2 was just verified present on this CPU.
@@ -97,13 +97,13 @@ fn update_soft(mut crc: u32, bytes: &[u8]) -> u32 {
 }
 
 /// Finalize a streaming CRC.
-pub fn crc32_finish(crc: u32) -> u32 {
+pub(crate) fn crc32_finish(crc: u32) -> u32 {
     crc ^ 0xFFFF_FFFF
 }
 
 /// CRC-32C of `bytes` (Castagnoli, init/xorout `0xFFFF_FFFF`, reflected —
 /// the same value `crc32c` libraries produce).
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     crc32_finish(crc32_update(CRC_INIT, bytes))
 }
 

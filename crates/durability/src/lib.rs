@@ -32,7 +32,7 @@ pub mod medium;
 mod plane;
 pub mod wal;
 
-pub use medium::{DiskCounts, DiskError, SimDisk, StorageMedium};
+pub use medium::{DiskError, SimDisk, StorageMedium};
 pub use plane::{
     DurabilityConfig, DurabilityCounts, DurabilityPlane, RecoveredState, RecoveryReport,
 };

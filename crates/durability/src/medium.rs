@@ -44,27 +44,6 @@ impl std::fmt::Display for DiskError {
 
 impl std::error::Error for DiskError {}
 
-/// Monotonic operation and fault counters for a medium.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DiskCounts {
-    /// Successful appends.
-    pub appends: u64,
-    /// Bytes accepted by appends.
-    pub appended_bytes: u64,
-    /// Syncs performed.
-    pub syncs: u64,
-    /// Appends refused by an injected write failure.
-    pub write_fails: u64,
-    /// Appends refused because the medium was full.
-    pub full_rejections: u64,
-    /// Crashes that tore a pending tail (kept a partial prefix).
-    pub torn_crashes: u64,
-    /// Durable bytes flipped by injected corruption.
-    pub corrupted_bytes: u64,
-    /// Crashes simulated.
-    pub crashes: u64,
-}
-
 /// The minimal storage surface a WAL needs, with fault hooks the chaos
 /// projection drives.  All methods take `&self`: a medium is shared
 /// between the durability plane (appending) and the chaos projection
@@ -148,14 +127,12 @@ struct DiskInner {
     write_fail: bool,
     full: bool,
     torn_seed: Option<u64>,
-    counts: DiskCounts,
 }
 
 /// Deterministic in-memory disk with crash and fault-injection semantics.
 #[derive(Debug, Default)]
 pub struct SimDisk {
     inner: Mutex<DiskInner>,
-    capacity: Option<u64>,
 }
 
 /// SplitMix64 finalizer — seeded fault placement must be a pure function
@@ -173,21 +150,13 @@ impl SimDisk {
         SimDisk::default()
     }
 
-    /// Disk that rejects appends with [`DiskError::Full`] once total bytes
-    /// (durable + pending) would exceed `bytes`.
-    pub fn with_capacity(bytes: u64) -> SimDisk {
-        SimDisk { inner: Mutex::new(DiskInner::default()), capacity: Some(bytes) }
-    }
-
     /// Simulate power loss: pending bytes are discarded.  If a torn write
     /// is armed, one seeded *prefix* of each pending tail survives instead
     /// — a record cut mid-frame, which recovery must truncate at the last
     /// valid CRC.
     pub fn crash(&self) {
         let mut inner = self.inner.lock().unwrap();
-        inner.counts.crashes += 1;
         let torn = inner.torn_seed.take();
-        let mut tore_something = false;
         for (i, file) in inner.files.values_mut().enumerate() {
             if file.pending.is_empty() {
                 continue;
@@ -200,22 +169,13 @@ impl SimDisk {
                 if keep > 0 {
                     file.durable.push(file.pending[..keep].to_vec());
                     file.durable_len += keep;
-                    tore_something = true;
                 }
             }
             file.pending.clear();
         }
-        if tore_something {
-            inner.counts.torn_crashes += 1;
-        }
         // Fault windows do not survive the machine they were injected on.
         inner.write_fail = false;
         inner.full = false;
-    }
-
-    /// Operation and fault counters so far.
-    pub fn counts(&self) -> DiskCounts {
-        self.inner.lock().unwrap().counts
     }
 
     /// Total bytes on the medium (durable + pending).
@@ -236,26 +196,17 @@ impl StorageMedium for SimDisk {
     fn append(&self, file: &str, bytes: &[u8]) -> Result<(), DiskError> {
         let mut inner = self.inner.lock().unwrap();
         if inner.write_fail {
-            inner.counts.write_fails += 1;
             return Err(DiskError::WriteFail);
         }
-        let over_cap = self.capacity.is_some_and(|cap| {
-            let used: u64 = inner.files.values().map(|f| f.total_len() as u64).sum();
-            used + bytes.len() as u64 > cap
-        });
-        if inner.full || over_cap {
-            inner.counts.full_rejections += 1;
+        if inner.full {
             return Err(DiskError::Full);
         }
-        inner.counts.appends += 1;
-        inner.counts.appended_bytes += bytes.len() as u64;
         inner.files.entry(file.to_string()).or_default().pending.extend_from_slice(bytes);
         Ok(())
     }
 
     fn sync(&self, file: &str) -> Result<(), DiskError> {
         let mut inner = self.inner.lock().unwrap();
-        inner.counts.syncs += 1;
         let f = inner.files.get_mut(file).ok_or(DiskError::NotFound)?;
         if !f.pending.is_empty() {
             f.durable_len += f.pending.len();
@@ -272,17 +223,9 @@ impl StorageMedium for SimDisk {
     fn overwrite_owned(&self, file: &str, bytes: Vec<u8>) -> Result<(), DiskError> {
         let mut inner = self.inner.lock().unwrap();
         if inner.write_fail {
-            inner.counts.write_fails += 1;
             return Err(DiskError::WriteFail);
         }
-        let used: u64 = inner
-            .files
-            .iter()
-            .filter(|(name, _)| name.as_str() != file)
-            .map(|(_, f)| f.total_len() as u64)
-            .sum();
-        if inner.full || self.capacity.is_some_and(|cap| used + bytes.len() as u64 > cap) {
-            inner.counts.full_rejections += 1;
+        if inner.full {
             return Err(DiskError::Full);
         }
         let replacement =
@@ -353,7 +296,6 @@ impl StorageMedium for SimDisk {
                 for chunk in &mut f.durable {
                     if off < chunk.len() {
                         chunk[off] ^= 0x5A;
-                        inner.counts.corrupted_bytes += 1;
                         return true;
                     }
                     off -= chunk.len();
@@ -380,7 +322,6 @@ mod tests {
         disk.sync("a.log").unwrap();
         disk.crash();
         assert_eq!(disk.read("a.log").unwrap(), b"again", "synced bytes survive");
-        assert_eq!(disk.counts().crashes, 2);
     }
 
     #[test]
@@ -410,18 +351,7 @@ mod tests {
         assert_eq!(disk.append("f", b"x"), Err(DiskError::Full));
         disk.set_full(false);
         disk.append("f", b"x").unwrap();
-        let c = disk.counts();
-        assert_eq!((c.write_fails, c.full_rejections, c.appends), (1, 1, 1));
-    }
-
-    #[test]
-    fn capacity_cap_rejects_overflow() {
-        let disk = SimDisk::with_capacity(8);
-        disk.append("f", b"12345678").unwrap();
-        assert_eq!(disk.append("f", b"9"), Err(DiskError::Full));
-        // Overwrite within the cap is fine (it replaces, not extends).
-        disk.overwrite("f", b"1234").unwrap();
-        disk.append("f", b"5678").unwrap();
+        assert_eq!(disk.read("f").unwrap(), b"x", "only the accepted append landed");
     }
 
     #[test]
@@ -445,7 +375,7 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_byte_is_seeded_and_counted() {
+    fn corrupt_byte_is_seeded() {
         let disk = SimDisk::new();
         assert!(!disk.corrupt_byte(1), "empty medium: nothing to corrupt");
         disk.overwrite("f", &[0u8; 64]).unwrap();
@@ -457,6 +387,5 @@ mod tests {
         twin.overwrite("f", &[0u8; 64]).unwrap();
         twin.corrupt_byte(42);
         assert_eq!(a, twin.read("f").unwrap());
-        assert_eq!(disk.counts().corrupted_bytes, 1);
     }
 }

@@ -533,21 +533,6 @@ impl DurabilityPlane {
     pub fn backlog_len(&self) -> usize {
         self.backlog.len()
     }
-
-    /// Current segment file name.
-    pub fn segment(&self) -> &str {
-        &self.seg
-    }
-
-    /// Tick of the newest checkpoint written or restored.
-    pub fn last_checkpoint_tick(&self) -> Option<u64> {
-        self.last_ckpt_tick
-    }
-
-    /// Worst-case ticks lost to a crash under the configured sync policy.
-    pub fn loss_bound(&self) -> u64 {
-        self.cfg.sync.loss_bound()
-    }
 }
 
 #[cfg(test)]
@@ -629,7 +614,7 @@ mod tests {
         assert_eq!(state.checkpoint, Some((9, b"snap@9".to_vec())));
         let ticks: Vec<u64> = state.records.iter().map(|r| r.tick).collect();
         assert_eq!(ticks, vec![10, 11], "only the tail past the checkpoint replays");
-        assert_eq!(plane2.last_checkpoint_tick(), Some(9));
+        assert_eq!(plane2.last_ckpt_tick, Some(9));
     }
 
     #[test]
@@ -745,6 +730,6 @@ mod tests {
         assert_eq!(state.report, RecoveryReport::default());
         assert!(state.checkpoint.is_none());
         assert!(state.records.is_empty());
-        assert_eq!(plane.segment(), "wal-0000000000.seg");
+        assert_eq!(plane.seg, "wal-0000000000.seg");
     }
 }

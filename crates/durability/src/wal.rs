@@ -70,7 +70,7 @@ impl SyncPolicy {
     }
 
     /// Whether a tick ending at `tick` must sync.
-    pub fn should_sync(&self, tick: u64) -> bool {
+    pub(crate) fn should_sync(&self, tick: u64) -> bool {
         match self {
             SyncPolicy::EveryTick => true,
             SyncPolicy::GroupCommit(n) => {
@@ -93,8 +93,16 @@ pub struct WalRecord {
 }
 
 /// Encode one record (header + CRC + payload) into `out`.
+///
+/// Panics if `payload` is longer than [`MAX_RECORD_LEN`]: the scanner would
+/// refuse the record as an insane length, so it must fail where it is
+/// written, not where it is read.
 pub fn encode_record(kind: u8, tick: u64, payload: &[u8], out: &mut Vec<u8>) {
-    debug_assert!(payload.len() as u64 <= MAX_RECORD_LEN as u64);
+    assert!(
+        payload.len() as u64 <= MAX_RECORD_LEN as u64,
+        "a {}-byte WAL record payload exceeds MAX_RECORD_LEN",
+        payload.len()
+    );
     let start = out.len();
     out.push(kind);
     out.extend_from_slice(&tick.to_le_bytes());
@@ -206,7 +214,7 @@ fn validate_record(rest: &[u8]) -> (bool, usize) {
 /// whatever `fill` appends to the buffer it is handed — so a caller that
 /// serializes its payload writes it once, in place, instead of building it
 /// and copying it in.
-pub fn encode_checkpoint(fill: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+pub(crate) fn encode_checkpoint(fill: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     let mut out = CKPT_MAGIC.to_vec();
     out.extend_from_slice(&[0; 8]);
     let head = out.len();
@@ -256,6 +264,13 @@ mod tests {
         assert_eq!(records.len(), 3);
         assert_eq!(records[0], WalRecord { kind: KIND_TICK, tick: 0, payload: b"alpha".to_vec() });
         assert_eq!(records[2], WalRecord { kind: KIND_TICK, tick: 2, payload: Vec::new() });
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_RECORD_LEN")]
+    fn a_payload_over_the_record_bound_panics_at_the_writer() {
+        let payload = vec![0u8; MAX_RECORD_LEN as usize + 1];
+        encode_record(KIND_TICK, 0, &payload, &mut Vec::new());
     }
 
     #[test]

@@ -153,7 +153,6 @@ pub struct Federation {
     broker: Arc<Broker>,
     store: Arc<TimeSeriesStore>,
     rollup_sub: Subscription,
-    telemetry: Arc<Telemetry>,
     c_scatter: Arc<Counter>,
     c_shed: Arc<Counter>,
     c_wan_dropped: Arc<Counter>,
@@ -218,7 +217,7 @@ impl Federation {
             4_096,
             BackpressurePolicy::Block,
         );
-        let telemetry = Arc::new(Telemetry::new());
+        let telemetry = Telemetry::new();
         let c_scatter = telemetry.counter("fed.scatter.queries");
         let c_shed = telemetry.counter("fed.scatter.deadline_shed");
         let c_wan_dropped = telemetry.counter("fed.wan.dropped");
@@ -239,7 +238,6 @@ impl Federation {
             broker,
             store,
             rollup_sub,
-            telemetry,
             c_scatter,
             c_shed,
             c_wan_dropped,
@@ -529,19 +527,9 @@ impl Federation {
         QueryEngine::new(&self.store)
     }
 
-    /// The federation's metric registry.
-    pub fn registry(&self) -> &MetricRegistry {
-        &self.registry
-    }
-
     /// Metric ids of the federation rollup and self series.
     pub fn metric_ids(&self) -> FedMetricIds {
         self.ids
-    }
-
-    /// The federation's self-telemetry registry.
-    pub fn telemetry(&self) -> &Arc<Telemetry> {
-        &self.telemetry
     }
 
     /// Federation-plane traces (rollup drops, scatter sheds).

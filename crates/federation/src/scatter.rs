@@ -104,7 +104,7 @@ impl FedQueryResult {
 /// across sites is the sum of per-site counts); the other functions apply
 /// directly — for `Mean`/`Quantile` this is the function *of the per-site
 /// aggregates*, the standard rollup approximation.
-pub fn merge_points(per_site: &[(String, QueryResponse)], agg: AggFn) -> Vec<(Ts, f64)> {
+pub(crate) fn merge_points(per_site: &[(String, QueryResponse)], agg: AggFn) -> Vec<(Ts, f64)> {
     let mut by_ts: BTreeMap<Ts, Vec<f64>> = BTreeMap::new();
     for (_, resp) in per_site {
         if let QueryResponse::Points(points) = resp {
@@ -123,7 +123,7 @@ pub fn merge_points(per_site: &[(String, QueryResponse)], agg: AggFn) -> Vec<(Ts
 /// Merge per-site `Ranked` answers into a global ranking: value
 /// descending, ties broken by `(site index, component)` so the order is a
 /// pure function of the data, truncated to `limit`.
-pub fn merge_ranked(per_site: &[(String, QueryResponse)], limit: usize) -> Vec<FedRow> {
+pub(crate) fn merge_ranked(per_site: &[(String, QueryResponse)], limit: usize) -> Vec<FedRow> {
     let mut rows: Vec<(usize, FedRow)> = Vec::new();
     for (site_idx, (site, resp)) in per_site.iter().enumerate() {
         if let QueryResponse::Ranked(ranked) = resp {

@@ -35,30 +35,23 @@ pub struct WanLink {
     backlog: VecDeque<InTransit>,
     /// Batches evicted by backlog overflow (lifetime).
     dropped: u64,
-    /// Batches delivered to the head (lifetime).
-    delivered: u64,
 }
 
 impl WanLink {
     /// A quiet link with the given static parameters.
-    pub fn new(spec: WanLinkSpec) -> WanLink {
-        WanLink { spec, backlog: VecDeque::new(), dropped: 0, delivered: 0 }
-    }
-
-    /// Static link parameters.
-    pub fn spec(&self) -> &WanLinkSpec {
-        &self.spec
+    pub(crate) fn new(spec: WanLinkSpec) -> WanLink {
+        WanLink { spec, backlog: VecDeque::new(), dropped: 0 }
     }
 
     /// Base one-way latency in ticks.
-    pub fn latency_ticks(&self) -> u64 {
+    pub(crate) fn latency_ticks(&self) -> u64 {
         self.spec.latency_ticks
     }
 
     /// Enqueue a batch sent at `tick` with `added_latency` extra one-way
     /// ticks (from a chaos delay window).  Returns the batch evicted to
     /// make room, if the bounded backlog overflowed.
-    pub fn enqueue(
+    pub(crate) fn enqueue(
         &mut self,
         tick: u64,
         added_latency: u64,
@@ -80,7 +73,7 @@ impl WanLink {
     /// bandwidth cap (`chaos_cap` ∧ the static spec; the head-of-line
     /// batch always goes through so a cap below one batch size delays
     /// rather than wedges).  `partitioned` blocks delivery entirely.
-    pub fn deliver_due(
+    pub(crate) fn deliver_due(
         &mut self,
         tick: u64,
         partitioned: bool,
@@ -107,25 +100,19 @@ impl WanLink {
             }
             let batch = self.backlog.pop_front().expect("front checked above");
             used += batch.bytes;
-            self.delivered += 1;
             out.push(batch);
         }
         out
     }
 
     /// Batches currently queued on the link.
-    pub fn backlog_len(&self) -> usize {
+    pub(crate) fn backlog_len(&self) -> usize {
         self.backlog.len()
     }
 
     /// Batches evicted by backlog overflow so far.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Batches delivered so far.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
     }
 }
 
@@ -150,7 +137,7 @@ mod tests {
         let due = link.deliver_due(4, false, None);
         assert_eq!(due.len(), 1);
         assert_eq!(due[0].frame.ts, Ts(2));
-        assert_eq!(link.delivered(), 2);
+        assert_eq!(link.backlog_len(), 0);
     }
 
     #[test]

@@ -33,12 +33,12 @@ struct BucketState {
 
 impl TokenBuckets {
     /// A limiter with the given capacity and refill rate.
-    pub fn new(burst: f64, per_sec: f64) -> TokenBuckets {
+    pub(crate) fn new(burst: f64, per_sec: f64) -> TokenBuckets {
         TokenBuckets { burst, per_sec, inner: Mutex::new(HashMap::new()) }
     }
 
     /// Take one token for `principal` at time `now`; false means shed.
-    pub fn try_admit(&self, principal: &str, now: Instant) -> bool {
+    pub(crate) fn try_admit(&self, principal: &str, now: Instant) -> bool {
         if self.burst <= 0.0 {
             return true;
         }
@@ -83,7 +83,7 @@ pub struct AdmissionQueue<T> {
 
 impl<T> AdmissionQueue<T> {
     /// A queue admitting at most `capacity` entries.
-    pub fn new(capacity: usize) -> AdmissionQueue<T> {
+    pub(crate) fn new(capacity: usize) -> AdmissionQueue<T> {
         AdmissionQueue {
             inner: std::sync::Mutex::new(QueueState { q: VecDeque::new(), closed: false }),
             cv: std::sync::Condvar::new(),
@@ -94,7 +94,7 @@ impl<T> AdmissionQueue<T> {
     /// Enqueue `item`.  When full, entries for which `expired` is true are
     /// removed and passed to `shed` (which must answer their waiters);
     /// if the queue is still full afterwards the push is refused.
-    pub fn push(
+    pub(crate) fn push(
         &self,
         item: T,
         expired: impl Fn(&T) -> bool,
@@ -143,7 +143,7 @@ impl<T> AdmissionQueue<T> {
     /// other workers) or once the queue is closed and drained.  Callers
     /// that flip their exit condition must also call
     /// [`AdmissionQueue::wake_all`] so parked workers observe it.
-    pub fn pop_unless(&self, exit: impl Fn() -> bool) -> Option<T> {
+    pub(crate) fn pop_unless(&self, exit: impl Fn() -> bool) -> Option<T> {
         let mut state = self.inner.lock().expect("admission queue poisoned");
         loop {
             if exit() {
@@ -160,7 +160,7 @@ impl<T> AdmissionQueue<T> {
     }
 
     /// Wake every parked popper so it re-evaluates its exit condition.
-    pub fn wake_all(&self) {
+    pub(crate) fn wake_all(&self) {
         // The exit condition lives outside the mutex.  Passing through the
         // lock first means a popper that read it as false has reached
         // `wait` (which releases the lock) before the notify goes out;
@@ -170,19 +170,14 @@ impl<T> AdmissionQueue<T> {
     }
 
     /// Close the queue: pending items remain poppable, waiters wake.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.inner.lock().expect("admission queue poisoned").closed = true;
         self.cv.notify_all();
     }
 
     /// Entries currently queued.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.lock().expect("admission queue poisoned").q.len()
-    }
-
-    /// Whether nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -261,7 +256,7 @@ mod tests {
             }
             got
         });
-        while !q.is_empty() {
+        while q.len() > 0 {
             std::thread::yield_now();
         }
         die.store(true, Ordering::Relaxed);

@@ -61,7 +61,7 @@ pub struct ResultCache {
 
 impl ResultCache {
     /// A cache holding at most `capacity` responses; zero disables caching.
-    pub fn new(capacity: usize) -> ResultCache {
+    pub(crate) fn new(capacity: usize) -> ResultCache {
         ResultCache {
             inner: Mutex::new(Inner { map: HashMap::new(), order: VecDeque::new(), next_seq: 0 }),
             capacity,
@@ -75,7 +75,7 @@ impl ResultCache {
 
     /// Look up `key`, valid only at `epoch`.  A present-but-stale entry is
     /// removed and counted as an invalidation (and a miss).
-    pub fn get(&self, key: &str, epoch: EpochPair) -> Option<Arc<QueryResponse>> {
+    pub(crate) fn get(&self, key: &str, epoch: EpochPair) -> Option<Arc<QueryResponse>> {
         if self.capacity == 0 {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -110,7 +110,7 @@ impl ResultCache {
 
     /// Store a response computed at `epoch`, evicting least-recently-used
     /// entries if over capacity.
-    pub fn put(&self, key: String, epoch: EpochPair, value: Arc<QueryResponse>) {
+    pub(crate) fn put(&self, key: String, epoch: EpochPair, value: Arc<QueryResponse>) {
         if self.capacity == 0 {
             return;
         }
@@ -147,18 +147,8 @@ impl ResultCache {
         }
     }
 
-    /// Current entry count.
-    pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Accounting snapshot.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -214,6 +204,6 @@ mod tests {
         let c = ResultCache::new(0);
         c.put("k".into(), (1, 0), resp(1.0));
         assert!(c.get("k", (1, 0)).is_none());
-        assert!(c.is_empty());
+        assert!(c.inner.lock().map.is_empty());
     }
 }

@@ -86,7 +86,7 @@ impl QueryRequest {
     /// ranges and zero buckets are rejected before admission, so a bad
     /// request never occupies a worker.  (Deserialized `TimeRange`s bypass
     /// `TimeRange::new`'s assertion, so this must be checked here.)
-    pub fn validate(&self) -> Result<(), QueryError> {
+    pub(crate) fn validate(&self) -> Result<(), QueryError> {
         let check_range = |r: &TimeRange| {
             if r.from > r.to {
                 Err(QueryError::InvalidParam(format!(

@@ -808,7 +808,7 @@ impl Gateway {
     /// Stop accepting work and join the worker pool.  Queued jobs drain
     /// first; callers still waiting get [`QueryError::Shutdown`] only if
     /// their responder is dropped unanswered.
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         if self.inner.shutdown.swap(true, Ordering::AcqRel) {
             return;
         }

@@ -25,17 +25,6 @@ pub enum Transition {
     Resolved,
 }
 
-impl Transition {
-    /// Uppercase label for rendered timelines.
-    pub fn label(self) -> &'static str {
-        match self {
-            Transition::Pending => "PENDING",
-            Transition::Firing => "FIRING",
-            Transition::Resolved => "RESOLVED",
-        }
-    }
-}
-
 /// One alert lifecycle transition, keyed by tick.
 ///
 /// `exemplar_trace` is observability garnish, not state: it links the
@@ -81,7 +70,7 @@ pub struct Silence {
 
 impl Silence {
     /// Does this silence cover `key` at `tick`?
-    pub fn matches(&self, key: &str, tick: u64) -> bool {
+    pub(crate) fn matches(&self, key: &str, tick: u64) -> bool {
         if tick < self.from_tick || tick >= self.until_tick {
             return false;
         }

@@ -121,7 +121,7 @@ impl HealthConfig {
     }
 
     /// Append an SLO.
-    pub fn slo(mut self, spec: SloSpec) -> HealthConfig {
+    pub(crate) fn slo(mut self, spec: SloSpec) -> HealthConfig {
         self.slos.push(spec);
         self
     }
@@ -194,11 +194,6 @@ impl HealthEngine {
     pub fn new(cfg: HealthConfig) -> HealthEngine {
         let states = cfg.slos.iter().map(|_| SloState::default()).collect();
         HealthEngine { cfg, states, events: Vec::new() }
-    }
-
-    /// The configuration this engine evaluates.
-    pub fn config(&self) -> &HealthConfig {
-        &self.cfg
     }
 
     /// Evaluate one tick.  `feeds` maps feed keys to this tick's evidence;
@@ -469,12 +464,10 @@ mod tests {
     }
 
     fn one_slo() -> HealthConfig {
-        HealthConfig::default().slo(
-            SloSpec::new("ingest", Subsystem::Store, "store.ingest", 0.999)
-                .hysteresis(2, 3)
-                .burns(2.0, 1.0)
-                .windows(5, 60),
-        )
+        HealthConfig::default().slo(SloSpec {
+            resolve_ticks: 3,
+            ..SloSpec::new("ingest", Subsystem::Store, "store.ingest", 0.999)
+        })
     }
 
     fn tick_feed(good: f64, bad: f64) -> Vec<(&'static str, FeedValue)> {
@@ -536,9 +529,12 @@ mod tests {
 
     #[test]
     fn total_feeds_are_diffed() {
-        let mut eng = HealthEngine::new(HealthConfig::default().slo(
-            SloSpec::new("x", Subsystem::Transport, "t", 0.9).hysteresis(1, 1).burns(1.0, 1.0),
-        ));
+        let mut eng = HealthEngine::new(HealthConfig::default().slo(SloSpec {
+            pending_ticks: 1,
+            resolve_ticks: 1,
+            fast_burn: 1.0,
+            ..SloSpec::new("x", Subsystem::Transport, "t", 0.9)
+        }));
         // Lifetime totals: 100 good always, bad jumps 0 → 50 at tick 3.
         for t in 0..3 {
             let ev = eng.observe_tick(
@@ -624,14 +620,18 @@ mod tests {
     fn report_grades_worst_of() {
         let cfg = HealthConfig::default()
             .slo(
-                SloSpec::new("ingest", Subsystem::Store, "s", 0.999)
-                    .severity(Severity::Error)
-                    .hysteresis(1, 5),
+                SloSpec {
+                    pending_ticks: 1,
+                    ..SloSpec::new("ingest", Subsystem::Store, "s", 0.999)
+                }
+                .severity(Severity::Error),
             )
             .slo(
-                SloSpec::new("coverage", Subsystem::Collect, "c", 0.99)
-                    .severity(Severity::Warning)
-                    .hysteresis(10, 5),
+                SloSpec {
+                    pending_ticks: 10,
+                    ..SloSpec::new("coverage", Subsystem::Collect, "c", 0.99)
+                }
+                .severity(Severity::Warning),
             );
         let mut eng = HealthEngine::new(cfg);
         eng.observe_tick(

@@ -85,7 +85,7 @@ impl SloSpec {
     /// A spec with the standard window/hysteresis defaults: fast window 5,
     /// slow window 60, burn thresholds 2.0 (fast) and 1.0 (slow), two
     /// pending ticks, five resolve ticks, `Warning` severity.
-    pub fn new(name: &str, subsystem: Subsystem, feed: &str, target: f64) -> SloSpec {
+    pub(crate) fn new(name: &str, subsystem: Subsystem, feed: &str, target: f64) -> SloSpec {
         SloSpec {
             name: name.to_string(),
             subsystem,
@@ -102,47 +102,26 @@ impl SloSpec {
         }
     }
 
-    /// Override both rolling windows.
-    pub fn windows(mut self, fast: usize, slow: usize) -> SloSpec {
-        self.fast_window = fast.max(1);
-        self.slow_window = slow.max(self.fast_window);
-        self
-    }
-
-    /// Override both burn-rate thresholds.
-    pub fn burns(mut self, fast: f64, slow: f64) -> SloSpec {
-        self.fast_burn = fast;
-        self.slow_burn = slow;
-        self
-    }
-
-    /// Override the Pending→Firing / Firing→Resolved hysteresis.
-    pub fn hysteresis(mut self, pending_ticks: u64, resolve_ticks: u64) -> SloSpec {
-        self.pending_ticks = pending_ticks.max(1);
-        self.resolve_ticks = resolve_ticks.max(1);
-        self
-    }
-
     /// Override the alert severity.
-    pub fn severity(mut self, severity: Severity) -> SloSpec {
+    pub(crate) fn severity(mut self, severity: Severity) -> SloSpec {
         self.severity = severity;
         self
     }
 
     /// Attach the SLO to a federation site; the site joins the dedup key.
-    pub fn site(mut self, site: &str) -> SloSpec {
+    pub(crate) fn site(mut self, site: &str) -> SloSpec {
         self.site = Some(site.to_string());
         self
     }
 
     /// Error budget: the tolerated bad fraction, floored so a `target` of
     /// exactly 1.0 still yields finite burn rates.
-    pub fn budget(&self) -> f64 {
+    pub(crate) fn budget(&self) -> f64 {
         (1.0 - self.target).max(1e-9)
     }
 
     /// Stable dedup key: `subsystem/name`, plus `@site` in federation mode.
-    pub fn key(&self) -> String {
+    pub(crate) fn key(&self) -> String {
         match &self.site {
             Some(site) => format!("{}/{}@{}", self.subsystem.label(), self.name, site),
             None => format!("{}/{}", self.subsystem.label(), self.name),

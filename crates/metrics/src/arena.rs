@@ -146,7 +146,6 @@ pub struct FrameArena {
     live: usize,
     layout: FrameLayout,
     fresh_allocs: u64,
-    reuses: u64,
 }
 
 impl FrameArena {
@@ -162,7 +161,6 @@ impl FrameArena {
         self.live ^= 1;
         match self.slots[self.live].take().and_then(|a| Arc::try_unwrap(a).ok()) {
             Some(mut cf) => {
-                self.reuses += 1;
                 cf.clear_for_tick(ts);
                 cf
             }
@@ -188,7 +186,8 @@ impl FrameArena {
         &self.layout
     }
 
-    /// [`FrameLayout::watch`] on the arena's layout.
+    /// Watch `key` in the arena's layout; the returned slot is what
+    /// [`FrameLayout::watched`] takes.
     pub fn watch(&mut self, key: SeriesKey) -> usize {
         self.layout.watch(key)
     }
@@ -198,11 +197,6 @@ impl FrameArena {
     /// two-ticks-ago frame).  Flat in steady state.
     pub fn fresh_allocs(&self) -> u64 {
         self.fresh_allocs
-    }
-
-    /// Times `take_current` reclaimed a previous buffer's capacity.
-    pub fn reuses(&self) -> u64 {
-        self.reuses
     }
 }
 
@@ -294,7 +288,6 @@ mod tests {
         }
         // Ticks 0 and 1 allocate; 2..6 reclaim the two-ticks-ago buffer.
         assert_eq!(arena.fresh_allocs(), 2);
-        assert_eq!(arena.reuses(), 4);
     }
 
     #[test]
@@ -307,7 +300,6 @@ mod tests {
             held.push(arena.publish(cf)); // never dropped
         }
         assert_eq!(arena.fresh_allocs(), 4, "held frames cannot be reclaimed");
-        assert_eq!(arena.reuses(), 0);
         // Every published frame is intact and distinct.
         for (tick, f) in held.iter().enumerate() {
             assert_eq!(f.ts, Ts(tick as u64));

@@ -107,21 +107,6 @@ impl CompId {
         CompId { kind: CompKind::Cabinet, index }
     }
 
-    /// A blade by global index.
-    pub fn blade(index: u32) -> CompId {
-        CompId { kind: CompKind::Blade, index }
-    }
-
-    /// A chassis by global index.
-    pub fn chassis(index: u32) -> CompId {
-        CompId { kind: CompKind::Chassis, index }
-    }
-
-    /// A GPU by global index.
-    pub fn gpu(index: u32) -> CompId {
-        CompId { kind: CompKind::Gpu, index }
-    }
-
     /// An HSN link by global index.
     pub fn link(index: u32) -> CompId {
         CompId { kind: CompKind::Link, index }
@@ -145,11 +130,6 @@ impl CompId {
     /// A job, keyed by job id.
     pub fn job(index: u32) -> CompId {
         CompId { kind: CompKind::Job, index }
-    }
-
-    /// A service slot.
-    pub fn service(index: u32) -> CompId {
-        CompId { kind: CompKind::Service, index }
     }
 
     /// A burst-buffer node by index.
@@ -185,15 +165,11 @@ mod tests {
         assert_eq!(CompId::node(7).kind, CompKind::Node);
         assert_eq!(CompId::node(7).index, 7);
         assert_eq!(CompId::cabinet(3).kind, CompKind::Cabinet);
-        assert_eq!(CompId::gpu(11).kind, CompKind::Gpu);
         assert_eq!(CompId::link(2).kind, CompKind::Link);
         assert_eq!(CompId::router(4).kind, CompKind::Router);
         assert_eq!(CompId::ost(1).kind, CompKind::Ost);
         assert_eq!(CompId::mds(0).kind, CompKind::Mds);
         assert_eq!(CompId::job(99).kind, CompKind::Job);
-        assert_eq!(CompId::blade(5).kind, CompKind::Blade);
-        assert_eq!(CompId::chassis(6).kind, CompKind::Chassis);
-        assert_eq!(CompId::service(1).kind, CompKind::Service);
         assert_eq!(CompId::SYSTEM.kind, CompKind::System);
         assert_eq!(CompId::ENVIRONMENT.kind, CompKind::Environment);
     }

@@ -5,7 +5,7 @@
 //! it is what lets Figure 4's drill-down attribute an I/O spike to a job and
 //! Figure 5's per-job panels select the right nodes and time window.
 
-use crate::{CompId, Ts};
+use crate::Ts;
 use serde::{Deserialize, Serialize};
 
 /// Job identifier (dense, assigned by the scheduler).
@@ -25,13 +25,6 @@ pub enum JobState {
     Failed,
     /// Killed before start by a failed pre-job health check (CSCS gating).
     RejectedByHealthCheck,
-}
-
-impl JobState {
-    /// Whether the job has reached a terminal state.
-    pub fn is_terminal(self) -> bool {
-        matches!(self, JobState::Completed | JobState::Failed | JobState::RejectedByHealthCheck)
-    }
 }
 
 /// A job's allocation and timeframe, as stored for later attribution.
@@ -76,11 +69,6 @@ impl JobRecord {
         }
     }
 
-    /// The job's component id for per-job series.
-    pub fn comp(&self) -> CompId {
-        CompId::job(self.id.0)
-    }
-
     /// Whether the job was running (inclusive start, exclusive end) at `ts`.
     pub fn running_at(&self, ts: Ts) -> bool {
         match (self.start, self.end) {
@@ -102,11 +90,6 @@ impl JobRecord {
             _ => None,
         }
     }
-
-    /// Queue wait time: submission until start (if started).
-    pub fn wait_ms(&self) -> Option<u64> {
-        self.start.map(|s| s.0.saturating_sub(self.submit.0))
-    }
 }
 
 #[cfg(test)]
@@ -121,10 +104,8 @@ mod tests {
     fn fresh_job_is_queued() {
         let j = job();
         assert_eq!(j.state, JobState::Queued);
-        assert!(!j.state.is_terminal());
         assert!(!j.running_at(Ts(150)));
         assert_eq!(j.runtime_ms(), None);
-        assert_eq!(j.wait_ms(), None);
     }
 
     #[test]
@@ -138,7 +119,6 @@ mod tests {
         assert!(j.running_at(Ts(299)));
         assert!(!j.running_at(Ts(300)));
         assert_eq!(j.runtime_ms(), Some(100));
-        assert_eq!(j.wait_ms(), Some(100));
     }
 
     #[test]
@@ -155,20 +135,6 @@ mod tests {
         let j = job();
         assert!(j.uses_node(1));
         assert!(!j.uses_node(5));
-    }
-
-    #[test]
-    fn terminal_states() {
-        assert!(JobState::Completed.is_terminal());
-        assert!(JobState::Failed.is_terminal());
-        assert!(JobState::RejectedByHealthCheck.is_terminal());
-        assert!(!JobState::Running.is_terminal());
-        assert!(!JobState::Queued.is_terminal());
-    }
-
-    #[test]
-    fn comp_id_uses_job_id() {
-        assert_eq!(job().comp(), CompId::job(1));
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub struct MetricRun {
 
 impl MetricRun {
     /// The run's positions, ascending.
-    pub fn positions(&self) -> impl Iterator<Item = usize> {
+    pub(crate) fn positions(&self) -> impl Iterator<Item = usize> {
         let (start, stride) = (self.start as usize, self.stride as usize);
         (0..self.len as usize).map(move |i| start + i * stride)
     }
@@ -62,7 +62,7 @@ impl MetricRun {
 /// of a registry) gets one run per sample instead of a 4-GiB table.
 const DENSE_METRICS: usize = 1 << 16;
 
-/// The layout of the key column it last [`FrameLayout::observe`]d.
+/// The layout of the key column it last observed.
 #[derive(Debug, Default)]
 pub struct FrameLayout {
     generation: u64,
@@ -82,15 +82,10 @@ impl FrameLayout {
     /// # Panics
     /// Once a frame has been observed: positions are kept from the first
     /// difference on, which would miss `key` in the unchanged prefix.
-    pub fn watch(&mut self, key: SeriesKey) -> usize {
+    pub(crate) fn watch(&mut self, key: SeriesKey) -> usize {
         assert_eq!(self.generation, 0, "watch before the first frame");
         self.watched.push((key, Vec::new()));
         self.watched.len() - 1
-    }
-
-    /// Bumped whenever the described key column differs from the one before.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Positions of watched key `slot` in the described column, ascending.
@@ -111,7 +106,7 @@ impl FrameLayout {
     /// Describe `keys`, given that the column described so far is `prev`:
     /// nothing to do when they are equal; otherwise everything from their
     /// first difference on is re-derived.
-    pub fn observe(&mut self, prev: &[SeriesKey], keys: &[SeriesKey]) {
+    pub(crate) fn observe(&mut self, prev: &[SeriesKey], keys: &[SeriesKey]) {
         assert_eq!(self.len, prev.len(), "the layout describes another column");
         assert!(keys.len() <= u32::MAX as usize, "positions are u32");
         let common = prev.iter().zip(keys).take_while(|(a, b)| a == b).count();
@@ -211,7 +206,7 @@ mod tests {
         let mut layout = FrameLayout::default();
         let node_3_health = layout.watch(key(3, 3));
         layout.observe(&[], &keys);
-        assert_eq!(layout.generation(), 1);
+        assert_eq!(layout.generation, 1);
         assert_eq!(layout.runs.len(), 5);
         let health: Vec<&MetricRun> = layout.runs_of(MetricId(3)).collect();
         assert_eq!(health, [&MetricRun { metric: MetricId(3), start: 3, stride: 4, len: 1_000 }]);
@@ -220,7 +215,7 @@ mod tests {
         assert_eq!(layout.watched(node_3_health), [15]);
         // The same column again is the same generation.
         layout.observe(&keys, &keys);
-        assert_eq!(layout.generation(), 1);
+        assert_eq!(layout.generation, 1);
         assert_matches_scan(&layout, &keys, 5);
     }
 
@@ -234,11 +229,11 @@ mod tests {
         layout.observe(&[], &body);
         let body_runs = layout.runs.clone();
         layout.observe(&body, &with_tail);
-        assert_eq!(layout.generation(), 2);
+        assert_eq!(layout.generation, 2);
         assert_eq!(layout.watched(tail_key), [201]);
         assert_matches_scan(&layout, &with_tail, 9);
         layout.observe(&with_tail, &body);
-        assert_eq!((layout.generation(), &layout.runs), (3, &body_runs));
+        assert_eq!((layout.generation, &layout.runs), (3, &body_runs));
         assert!(layout.watched(tail_key).is_empty());
     }
 
@@ -302,7 +297,7 @@ mod tests {
                 }
                 layout.observe(&prev, &keys);
                 generation += u64::from(keys != prev);
-                proptest::prop_assert_eq!(layout.generation(), generation);
+                proptest::prop_assert_eq!(layout.generation, generation);
                 assert_matches_scan(&layout, &keys, 14);
                 prev = keys;
             }

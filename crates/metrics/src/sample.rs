@@ -79,11 +79,6 @@ impl FrameCoverage {
         self.expected & bit == 0 || self.reported & bit != 0
     }
 
-    /// Expected slots that failed to report, ascending.
-    pub fn missing(&self) -> Vec<usize> {
-        (0..64).filter(|&s| self.expected & (1 << s) != 0 && !self.covered(s)).collect()
-    }
-
     /// Percentage of expected slots that reported, in `[0, 100]`.  An empty
     /// expectation is full coverage.
     pub fn pct(&self) -> f64 {
@@ -126,7 +121,7 @@ mod tests {
     }
 
     #[test]
-    fn coverage_pct_and_missing() {
+    fn coverage_pct_and_covered() {
         let mut cov = FrameCoverage::default();
         assert_eq!(cov.pct(), 100.0, "no expectations is full coverage");
         assert!(cov.is_full());
@@ -135,7 +130,6 @@ mod tests {
         cov.expect(5);
         cov.report(0);
         cov.report(5);
-        assert_eq!(cov.missing(), vec![2]);
         assert!(!cov.is_full());
         assert!(!cov.covered(2));
         assert!(cov.covered(0));

@@ -50,11 +50,6 @@ impl Ts {
         self.0 as f64 / SECOND_MS as f64
     }
 
-    /// Fractional minutes since epoch.
-    pub fn as_mins_f64(self) -> f64 {
-        self.0 as f64 / MINUTE_MS as f64
-    }
-
     /// Saturating addition of a number of milliseconds.
     pub fn add_ms(self, ms: u64) -> Ts {
         Ts(self.0.saturating_add(ms))
@@ -76,17 +71,6 @@ impl Ts {
         Ts(self.0 - self.0 % interval_ms)
     }
 
-    /// Round up to a multiple of `interval_ms`.
-    pub fn align_up(self, interval_ms: u64) -> Ts {
-        assert!(interval_ms > 0, "alignment interval must be positive");
-        let down = self.align_down(interval_ms);
-        if down == self {
-            self
-        } else {
-            down.add_ms(interval_ms)
-        }
-    }
-
     /// Render as `HHH:MM:SS` for dashboards.
     pub fn display_hms(self) -> String {
         let s = self.as_secs();
@@ -98,11 +82,6 @@ impl TsDelta {
     /// Absolute magnitude in milliseconds.
     pub fn abs_ms(self) -> u64 {
         self.0.unsigned_abs()
-    }
-
-    /// Signed fractional seconds.
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / SECOND_MS as f64
     }
 }
 
@@ -133,18 +112,15 @@ mod tests {
         assert_eq!(Ts::from_mins(2).0, 120_000);
         assert_eq!(Ts::from_secs(90).as_secs(), 90);
         assert!((Ts(1_500).as_secs_f64() - 1.5).abs() < 1e-12);
-        assert!((Ts::from_mins(3).as_mins_f64() - 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn alignment() {
         let t = Ts(61_234);
         assert_eq!(t.align_down(MINUTE_MS), Ts(60_000));
-        assert_eq!(t.align_up(MINUTE_MS), Ts(120_000));
-        // Already aligned values stay put in both directions.
+        // Already aligned values stay put.
         let a = Ts(120_000);
         assert_eq!(a.align_down(MINUTE_MS), a);
-        assert_eq!(a.align_up(MINUTE_MS), a);
         assert_eq!(Ts::ZERO.align_down(MINUTE_MS), Ts::ZERO);
     }
 

@@ -84,7 +84,7 @@ impl RunSpec {
     /// Build the [`MonitoringSystem`] this spec describes, with state
     /// hashing enabled — it must be on before the first tick so lazily
     /// registered metric ids line up between recording and replay.
-    pub fn build_system(&self) -> MonitoringSystem {
+    pub(crate) fn build_system(&self) -> MonitoringSystem {
         let mut system = MonitorBuilder::from_options(self.options.clone()).build();
         system.set_state_hashing(true);
         system

@@ -170,7 +170,7 @@ impl EventLog {
 
     /// The latest snapshot at or before `tick` (tick 0 = initial state,
     /// which has no snapshot unless the recorder wrote one).
-    pub fn nearest_snapshot(&self, tick: u64) -> Option<&CoreSnapshot> {
+    pub(crate) fn nearest_snapshot(&self, tick: u64) -> Option<&CoreSnapshot> {
         self.snapshots.iter().rev().find(|s| s.tick() <= tick)
     }
 }

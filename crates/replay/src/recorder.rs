@@ -85,13 +85,13 @@ impl FlightRecorder {
         request: QueryRequest,
         topic: &str,
     ) -> Option<Result<u64, QueryError>> {
-        let gw = self.system.gateway()?.clone();
+        let result = self.system.subscribe(consumer, request.clone(), topic)?;
         self.pending.gateway_ops.push(GatewayOp::Subscribe {
             consumer: consumer.clone(),
-            request: request.clone(),
+            request,
             topic: topic.to_string(),
         });
-        Some(gw.subscribe(consumer, request, topic))
+        Some(result)
     }
 
     /// Advance one tick: run the pipeline, log this tick's buffered
@@ -127,7 +127,7 @@ impl FlightRecorder {
     }
 
     /// Ticks recorded so far.
-    pub fn ticks_recorded(&self) -> u64 {
+    pub(crate) fn ticks_recorded(&self) -> u64 {
         self.ticks.len() as u64
     }
 

@@ -7,11 +7,10 @@
 //! question(s) cannot be shared with them."
 //!
 //! Here the control is built in rather than bolted on: every consumer has
-//! a [`Role`], and [`AccessPolicy::visible`] decides what each consumer
+//! a [`Role`], and [`AccessPolicy`] decides what each consumer
 //! may see.  Admins see everything; users see system-level signals and
 //! anything about their own jobs, never other users' job details.
 
-use crate::engine::ActionTaken;
 use crate::signal::Signal;
 use hpcmon_metrics::{CompKind, JobRecord, SeriesKey};
 use serde::{Deserialize, Serialize};
@@ -52,7 +51,7 @@ pub struct AccessPolicy;
 
 impl AccessPolicy {
     /// Whether `consumer` may see `signal`.
-    pub fn visible(&self, consumer: &Consumer, signal: &Signal) -> bool {
+    pub(crate) fn visible(&self, consumer: &Consumer, signal: &Signal) -> bool {
         match &consumer.role {
             Role::Admin => true,
             Role::User(user) => {
@@ -71,14 +70,6 @@ impl AccessPolicy {
     /// Filter a batch of signals for one consumer.
     pub fn filter<'a>(&self, consumer: &Consumer, signals: &'a [Signal]) -> Vec<&'a Signal> {
         signals.iter().filter(|s| self.visible(consumer, s)).collect()
-    }
-
-    /// Whether `consumer` may see an executed action record.
-    pub fn action_visible(&self, consumer: &Consumer, action: &ActionTaken) -> bool {
-        match &consumer.role {
-            Role::Admin => true,
-            Role::User(user) => action.user.as_deref() == Some(user.as_str()),
-        }
     }
 
     /// Data-level scoping: whether `consumer` may read the raw series `key`,
@@ -105,7 +96,6 @@ impl AccessPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Action;
     use crate::signal::SignalKind;
     use hpcmon_metrics::{CompId, Severity, Ts};
 
@@ -219,23 +209,5 @@ mod tests {
 
         // Infrastructure internals stay ops-only even for job owners.
         assert!(!p.series_visible(&alice, &key(CompId::router(1)), &jobs));
-    }
-
-    #[test]
-    fn action_visibility() {
-        let p = AccessPolicy;
-        let action = |user: Option<&str>| ActionTaken {
-            ts: Ts(0),
-            rule: "r".into(),
-            action: Action::NotifyUser,
-            comp: CompId::job(1),
-            detail: "d".into(),
-            user: user.map(|u| u.to_owned()),
-        };
-        assert!(p.action_visible(&Consumer::admin("ops"), &action(None)));
-        let alice = Consumer::user("p", "alice");
-        assert!(p.action_visible(&alice, &action(Some("alice"))));
-        assert!(!p.action_visible(&alice, &action(Some("bob"))));
-        assert!(!p.action_visible(&alice, &action(None)));
     }
 }

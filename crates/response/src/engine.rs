@@ -43,35 +43,28 @@ pub struct SignalMatch {
     pub kind: Option<SignalKind>,
     /// Minimum severity.
     pub min_severity: Severity,
-    /// Minimum score magnitude.
-    pub min_score: f64,
 }
 
 impl SignalMatch {
     /// Match a kind at or above a severity.
-    pub fn kind(kind: SignalKind, min_severity: Severity) -> SignalMatch {
-        SignalMatch { kind: Some(kind), min_severity, min_score: 0.0 }
+    pub(crate) fn kind(kind: SignalKind, min_severity: Severity) -> SignalMatch {
+        SignalMatch { kind: Some(kind), min_severity }
     }
 
     /// Match anything at or above a severity.
-    pub fn any(min_severity: Severity) -> SignalMatch {
-        SignalMatch { kind: None, min_severity, min_score: 0.0 }
-    }
-
-    /// Require a minimum score magnitude.
-    pub fn with_min_score(mut self, score: f64) -> SignalMatch {
-        self.min_score = score;
-        self
+    pub(crate) fn any(min_severity: Severity) -> SignalMatch {
+        SignalMatch { kind: None, min_severity }
     }
 
     /// Whether a signal satisfies this match.
-    pub fn matches(&self, s: &Signal) -> bool {
+    pub(crate) fn matches(&self, s: &Signal) -> bool {
         if let Some(k) = self.kind {
             if s.kind != k {
                 return false;
             }
         }
-        s.severity >= self.min_severity && s.score.abs() >= self.min_score
+        // A NaN score matches no rule.
+        s.severity >= self.min_severity && !s.score.is_nan()
     }
 }
 
@@ -263,11 +256,6 @@ impl ResponseEngine {
             .filter(|a| matches!(&a.action, Action::Alert { route: r } if r == route))
             .collect()
     }
-
-    /// Number of configured rules.
-    pub fn rule_count(&self) -> usize {
-        self.rules.len()
-    }
 }
 
 #[cfg(test)]
@@ -330,22 +318,6 @@ mod tests {
     }
 
     #[test]
-    fn min_score_gates() {
-        let mut e = engine_one(ResponseRule {
-            name: "r".into(),
-            m: SignalMatch::any(Severity::Info).with_min_score(5.0),
-            actions: vec![Action::NotifyUser],
-            cooldown_ms: 0,
-        });
-        let mut weak = sig(0, SignalKind::MetricAnomaly, Severity::Error, CompId::node(0));
-        weak.score = 2.0;
-        assert!(e.handle(&weak).is_empty());
-        let mut strong = weak.clone();
-        strong.score = -9.0; // magnitude counts
-        assert_eq!(e.handle(&strong).len(), 1);
-    }
-
-    #[test]
     fn multiple_rules_and_actions() {
         let mut e = ResponseEngine::new(ResponseEngine::production_rules());
         let s = sig(0, SignalKind::HealthCheckFailure, Severity::Critical, CompId::node(7));
@@ -368,7 +340,7 @@ mod tests {
         e.handle(&sig(0, SignalKind::Congestion, Severity::Info, CompId::cabinet(0)));
         e.handle(&sig(1, SignalKind::Congestion, Severity::Info, CompId::cabinet(0)));
         assert_eq!(e.journal().len(), 4);
-        assert_eq!(e.rule_count(), 1);
+        assert_eq!(e.rules.len(), 1);
     }
 
     #[test]

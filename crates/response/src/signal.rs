@@ -29,24 +29,6 @@ pub enum SignalKind {
     MonitoringGap,
 }
 
-impl SignalKind {
-    /// Stable label used in alert routing and dashboards.
-    pub fn label(self) -> &'static str {
-        match self {
-            SignalKind::MetricAnomaly => "metric-anomaly",
-            SignalKind::Changepoint => "changepoint",
-            SignalKind::LogCorrelation => "log-correlation",
-            SignalKind::LogNovelty => "log-novelty",
-            SignalKind::HealthCheckFailure => "health-check",
-            SignalKind::PowerAnomaly => "power-anomaly",
-            SignalKind::Congestion => "congestion",
-            SignalKind::TrendForecast => "trend-forecast",
-            SignalKind::EnvironmentViolation => "environment",
-            SignalKind::MonitoringGap => "monitoring-gap",
-        }
-    }
-}
-
 /// One analysis finding, normalized for the response engine.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Signal {
@@ -90,24 +72,6 @@ impl Signal {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn labels_are_unique() {
-        let kinds = [
-            SignalKind::MetricAnomaly,
-            SignalKind::Changepoint,
-            SignalKind::LogCorrelation,
-            SignalKind::LogNovelty,
-            SignalKind::HealthCheckFailure,
-            SignalKind::PowerAnomaly,
-            SignalKind::Congestion,
-            SignalKind::TrendForecast,
-            SignalKind::EnvironmentViolation,
-            SignalKind::MonitoringGap,
-        ];
-        let labels: std::collections::HashSet<&str> = kinds.iter().map(|k| k.label()).collect();
-        assert_eq!(labels.len(), kinds.len());
-    }
 
     #[test]
     fn constructor_and_user() {

@@ -59,7 +59,7 @@ pub struct BurstBuffer {
 
 impl BurstBuffer {
     /// Fold the full burst-buffer state into a flight-recorder digest.
-    pub fn digest_into(&self, h: &mut StateHash) {
+    pub(crate) fn digest_into(&self, h: &mut StateHash) {
         h.usize(self.nodes.len());
         for n in &self.nodes {
             h.bool(n.configured)
@@ -88,11 +88,6 @@ impl BurstBuffer {
             ],
             next: 0,
         }
-    }
-
-    /// Configuration in effect.
-    pub fn config(&self) -> BbConfig {
-        self.config
     }
 
     /// Number of buffer nodes.
@@ -162,7 +157,7 @@ impl BurstBuffer {
     }
 
     /// Break or fix a node's configuration (the LANL check target).
-    pub fn set_configured(&mut self, i: u32, configured: bool) {
+    pub(crate) fn set_configured(&mut self, i: u32, configured: bool) {
         self.nodes[i as usize].configured = configured;
     }
 

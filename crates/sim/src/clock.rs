@@ -30,7 +30,7 @@ pub struct DriftClock {
 
 impl DriftClock {
     /// A perfectly synchronized machine (the baseline the paper wishes for).
-    pub fn synchronized(nodes: usize) -> DriftClock {
+    pub(crate) fn synchronized(nodes: usize) -> DriftClock {
         DriftClock {
             drifts: vec![NodeDrift { offset_ms: 0, rate_ppm: 0.0 }; nodes],
             synchronized: true,
@@ -57,11 +57,6 @@ impl DriftClock {
         DriftClock { drifts, synchronized: false }
     }
 
-    /// Number of nodes covered.
-    pub fn nodes(&self) -> usize {
-        self.drifts.len()
-    }
-
     /// The local timestamp node `node` would put on an event occurring at
     /// global time `global`.
     pub fn local_time(&self, node: u32, global: Ts) -> Ts {
@@ -83,11 +78,6 @@ impl DriftClock {
         // local = global + offset + global*ppm  =>  global = (local - offset)/(1+ppm)
         let global = (local.0 as f64 - d.offset_ms as f64) / (1.0 + d.rate_ppm * 1e-6);
         Ts(global.round().max(0.0) as u64)
-    }
-
-    /// Raw drift parameters for a node (exposed for analysis ablations).
-    pub fn drift_of(&self, node: u32) -> NodeDrift {
-        self.drifts[node as usize]
     }
 }
 
@@ -161,10 +151,10 @@ mod tests {
         let back: DriftClock = serde_json::from_str(&s).unwrap();
         // JSON float text loses the last ulp; compare with tolerance.
         assert_eq!(back.synchronized, c.synchronized);
-        assert_eq!(back.nodes(), c.nodes());
-        for n in 0..c.nodes() as u32 {
-            assert_eq!(back.drift_of(n).offset_ms, c.drift_of(n).offset_ms);
-            assert!((back.drift_of(n).rate_ppm - c.drift_of(n).rate_ppm).abs() < 1e-9);
+        assert_eq!(back.drifts.len(), c.drifts.len());
+        for (b, a) in back.drifts.iter().zip(&c.drifts) {
+            assert_eq!(b.offset_ms, a.offset_ms);
+            assert!((b.rate_ppm - a.rate_ppm).abs() < 1e-9);
         }
     }
 }

@@ -22,13 +22,8 @@ pub struct ClockConfig {
 
 impl ClockConfig {
     /// NTP-disciplined clocks.
-    pub fn synced() -> ClockConfig {
+    pub(crate) fn synced() -> ClockConfig {
         ClockConfig { synchronized: true, max_offset_ms: 0, max_rate_ppm: 0.0 }
-    }
-
-    /// Free-running commodity clocks.
-    pub fn drifting(max_offset_ms: u64, max_rate_ppm: f64) -> ClockConfig {
-        ClockConfig { synchronized: false, max_offset_ms, max_rate_ppm }
     }
 }
 
@@ -90,21 +85,8 @@ impl SimConfig {
         }
     }
 
-    /// A mid-size dragonfly machine (Aries-flavored), used by the
-    /// congestion and power experiments.
-    pub fn dragonfly_medium() -> SimConfig {
-        SimConfig {
-            topology: TopologySpec::Dragonfly {
-                groups: 8,
-                routers_per_group: 16,
-                nodes_per_router: 4,
-            },
-            ..SimConfig::small()
-        }
-    }
-
     /// Validate invariants; call before building an engine.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.tick_ms == 0 {
             return Err("tick_ms must be positive".into());
         }
@@ -136,7 +118,6 @@ mod tests {
     #[test]
     fn small_config_is_valid() {
         assert!(SimConfig::small().validate().is_ok());
-        assert!(SimConfig::dragonfly_medium().validate().is_ok());
     }
 
     #[test]
@@ -171,10 +152,7 @@ mod tests {
     }
 
     #[test]
-    fn clock_config_modes() {
+    fn synced_clock_config() {
         assert!(ClockConfig::synced().synchronized);
-        let d = ClockConfig::drifting(5_000, 100.0);
-        assert!(!d.synchronized);
-        assert_eq!(d.max_offset_ms, 5_000);
     }
 }

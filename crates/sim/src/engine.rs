@@ -207,8 +207,7 @@ pub struct SimEngine {
 }
 
 impl SimEngine {
-    /// Build a fresh machine.  Panics on an invalid configuration; use
-    /// [`SimConfig::validate`] first if the config is untrusted.
+    /// Build a fresh machine.  Panics on an invalid configuration.
     pub fn new(config: SimConfig) -> SimEngine {
         config.validate().expect("invalid SimConfig");
         let topo = Topology::build(config.topology);
@@ -964,11 +963,6 @@ impl SimEngine {
         &mut self.sched
     }
 
-    /// Clock drift model (for association ablations).
-    pub fn clock(&self) -> &DriftClock {
-        &self.clock
-    }
-
     /// Drain all log records produced since the last drain.
     pub fn drain_logs(&mut self) -> Vec<LogRecord> {
         std::mem::take(&mut self.logs)
@@ -1399,7 +1393,7 @@ mod tests {
         }
         e.step();
         // 128 nodes / 16 per job = 8 running, rest queued.
-        assert_eq!(e.scheduler().queue_depth(), 32);
+        assert_eq!(e.scheduler().queue_depth_at(e.now()), 32);
     }
 
     #[test]
@@ -1414,9 +1408,8 @@ mod tests {
         assert!(logs.iter().any(|l| l.template == Some(templates::LINK_FAILED)));
         assert!(!e.network().link_is_up(0));
         // Comm-heavy job generated traffic somewhere.
-        let total: f64 = (0..e.network().num_links() as u32)
-            .map(|l| e.network().cumulative_link_traffic(l))
-            .sum();
+        let total: f64 =
+            (0..e.network().num_links() as u32).map(|l| e.network().link_traffic_bytes(l)).sum();
         assert!(total > 0.0);
     }
 

@@ -45,7 +45,7 @@ pub struct EnvState {
 
 impl EnvState {
     /// A clean, well-conditioned machine room.
-    pub fn new() -> EnvState {
+    pub(crate) fn new() -> EnvState {
         EnvState {
             base_temp_c: 22.0,
             temp_swing_c: 1.5,
@@ -63,12 +63,12 @@ impl EnvState {
     /// Inject a corrosive-gas spike of `added_ppb` lasting `duration_ms`
     /// from `now` (e.g. construction work near the air intake — the sort of
     /// event ORNL's monitoring now catches).
-    pub fn inject_gas_spike(&mut self, now: Ts, added_ppb: f64, duration_ms: u64) {
+    pub(crate) fn inject_gas_spike(&mut self, now: Ts, added_ppb: f64, duration_ms: u64) {
         self.spike = Some((now.add_ms(duration_ms), added_ppb));
     }
 
     /// Advance the environment to `now` over a tick of `dt_ms`.
-    pub fn step(&mut self, now: Ts, dt_ms: u64, rng: &mut Rng) {
+    pub(crate) fn step(&mut self, now: Ts, dt_ms: u64, rng: &mut Rng) {
         // Diurnal cycle with period 24h of simulated time.
         let day_fraction = (now.0 % 86_400_000) as f64 / 86_400_000.0;
         let phase = std::f64::consts::TAU * day_fraction;
@@ -98,7 +98,7 @@ impl EnvState {
     }
 
     /// Fold the full environment state into a flight-recorder digest.
-    pub fn digest_into(&self, h: &mut hpcmon_metrics::StateHash) {
+    pub(crate) fn digest_into(&self, h: &mut hpcmon_metrics::StateHash) {
         h.f64(self.temp_c)
             .f64(self.humidity_pct)
             .f64(self.so2_ppb)

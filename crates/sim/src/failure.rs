@@ -133,18 +133,12 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// Empty plan.
-    pub fn new() -> FaultPlan {
+    pub(crate) fn new() -> FaultPlan {
         FaultPlan::default()
     }
 
-    /// Build from an unordered list.
-    pub fn from_faults(mut faults: Vec<Fault>) -> FaultPlan {
-        faults.sort_by_key(|f| f.at);
-        FaultPlan { faults, cursor: 0 }
-    }
-
     /// Add a fault (keeps the plan sorted relative to unfired faults).
-    pub fn schedule(&mut self, at: Ts, kind: FaultKind) {
+    pub(crate) fn schedule(&mut self, at: Ts, kind: FaultKind) {
         let pos = self.faults[self.cursor..]
             .iter()
             .position(|f| f.at > at)
@@ -154,7 +148,7 @@ impl FaultPlan {
     }
 
     /// Pop every fault due at or before `now`, in time order.
-    pub fn pop_due(&mut self, now: Ts) -> Vec<Fault> {
+    pub(crate) fn pop_due(&mut self, now: Ts) -> Vec<Fault> {
         let start = self.cursor;
         while self.cursor < self.faults.len() && self.faults[self.cursor].at <= now {
             self.cursor += 1;
@@ -164,26 +158,11 @@ impl FaultPlan {
 
     /// Fold the plan position into a flight-recorder digest (fire times
     /// plus cursor; the kinds are covered by their downstream effects).
-    pub fn digest_into(&self, h: &mut hpcmon_metrics::StateHash) {
+    pub(crate) fn digest_into(&self, h: &mut hpcmon_metrics::StateHash) {
         h.usize(self.faults.len()).usize(self.cursor);
         for f in &self.faults {
             h.u64(f.at.0);
         }
-    }
-
-    /// Faults not yet fired.
-    pub fn remaining(&self) -> usize {
-        self.faults.len() - self.cursor
-    }
-
-    /// Total number of scheduled faults (fired + pending).
-    pub fn len(&self) -> usize {
-        self.faults.len()
-    }
-
-    /// Whether the plan holds no faults at all.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
     }
 }
 
@@ -205,7 +184,7 @@ pub struct FailureRates {
 
 impl FailureRates {
     /// A reliable machine: nothing fails stochastically.
-    pub fn none() -> FailureRates {
+    pub(crate) fn none() -> FailureRates {
         FailureRates {
             node_crash_per_hour: 0.0,
             node_hang_per_hour: 0.0,
@@ -216,7 +195,7 @@ impl FailureRates {
     }
 
     /// Probability of one event in a tick of `dt_ms`, given a per-hour rate.
-    pub fn per_tick_probability(rate_per_hour: f64, dt_ms: u64) -> f64 {
+    pub(crate) fn per_tick_probability(rate_per_hour: f64, dt_ms: u64) -> f64 {
         (rate_per_hour * dt_ms as f64 / 3_600_000.0).min(1.0)
     }
 }
@@ -227,28 +206,27 @@ mod tests {
 
     #[test]
     fn plan_fires_in_order() {
-        let mut plan = FaultPlan::from_faults(vec![
-            Fault { at: Ts::from_mins(5), kind: FaultKind::NodeCrash { node: 1 } },
-            Fault { at: Ts::from_mins(2), kind: FaultKind::LinkDown { link: 0 } },
-            Fault { at: Ts::from_mins(2), kind: FaultKind::GpuFail { gpu: 3 } },
-        ]);
-        assert_eq!(plan.len(), 3);
+        let mut plan = FaultPlan::new();
+        plan.schedule(Ts::from_mins(5), FaultKind::NodeCrash { node: 1 });
+        plan.schedule(Ts::from_mins(2), FaultKind::LinkDown { link: 0 });
+        plan.schedule(Ts::from_mins(2), FaultKind::GpuFail { gpu: 3 });
+        assert_eq!(plan.faults.len(), 3);
         let due = plan.pop_due(Ts::from_mins(1));
         assert!(due.is_empty());
         let due = plan.pop_due(Ts::from_mins(2));
         assert_eq!(due.len(), 2);
-        assert_eq!(plan.remaining(), 1);
+        assert_eq!(plan.cursor, 2);
         let due = plan.pop_due(Ts::from_mins(60));
         assert_eq!(due.len(), 1);
         assert!(matches!(due[0].kind, FaultKind::NodeCrash { node: 1 }));
-        assert_eq!(plan.remaining(), 0);
+        assert_eq!(plan.cursor, 3);
         assert!(plan.pop_due(Ts::from_mins(61)).is_empty());
     }
 
     #[test]
     fn schedule_into_existing_plan() {
         let mut plan = FaultPlan::new();
-        assert!(plan.is_empty());
+        assert!(plan.faults.is_empty());
         plan.schedule(Ts::from_mins(10), FaultKind::MdsRestore);
         plan.schedule(Ts::from_mins(5), FaultKind::MdsDegrade { factor: 4.0 });
         let due = plan.pop_due(Ts::from_mins(7));
@@ -281,10 +259,8 @@ mod tests {
 
     #[test]
     fn serde_round_trip() {
-        let plan = FaultPlan::from_faults(vec![Fault {
-            at: Ts(1),
-            kind: FaultKind::MemoryLeak { node: 2, bytes_per_tick: 1e6 },
-        }]);
+        let mut plan = FaultPlan::new();
+        plan.schedule(Ts(1), FaultKind::MemoryLeak { node: 2, bytes_per_tick: 1e6 });
         let s = serde_json::to_string(&plan).unwrap();
         let back: FaultPlan = serde_json::from_str(&s).unwrap();
         assert_eq!(plan, back);

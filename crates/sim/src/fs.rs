@@ -29,7 +29,7 @@ pub struct FsConfig {
 
 impl FsConfig {
     /// A modest scratch filesystem.
-    pub fn scratch() -> FsConfig {
+    pub(crate) fn scratch() -> FsConfig {
         FsConfig {
             num_osts: 16,
             ost_bandwidth_bytes_per_sec: 2.0e9,
@@ -65,7 +65,7 @@ pub struct FsState {
 
 impl FsState {
     /// Fresh healthy filesystem.
-    pub fn new(config: FsConfig) -> FsState {
+    pub(crate) fn new(config: FsConfig) -> FsState {
         assert!(config.num_osts >= 1);
         FsState {
             config,
@@ -90,7 +90,7 @@ impl FsState {
     }
 
     /// Fold the full filesystem state into a flight-recorder digest.
-    pub fn digest_into(&self, h: &mut StateHash) {
+    pub(crate) fn digest_into(&self, h: &mut StateHash) {
         h.usize(self.osts.len());
         for o in &self.osts {
             h.f64(o.degradation_factor).f64(o.read_bytes).f64(o.write_bytes).f64(o.demand_bytes);
@@ -104,7 +104,7 @@ impl FsState {
     }
 
     /// Reset per-tick accumulators.
-    pub fn begin_tick(&mut self) {
+    pub(crate) fn begin_tick(&mut self) {
         for o in &mut self.osts {
             o.read_bytes = 0.0;
             o.write_bytes = 0.0;
@@ -119,7 +119,7 @@ impl FsState {
     /// (read, write) bytes after per-OST capacity limiting — capacity
     /// enforcement happens immediately against demand accumulated so far
     /// this tick, which is a fair fluid approximation.
-    pub fn offer_io(
+    pub(crate) fn offer_io(
         &mut self,
         stripe_offset: u32,
         read_bytes: f64,
@@ -154,13 +154,13 @@ impl FsState {
     }
 
     /// Degrade (or restore, with 1.0) an OST's service rate/latency.
-    pub fn set_ost_degradation(&mut self, ost: u32, factor: f64) {
+    pub(crate) fn set_ost_degradation(&mut self, ost: u32, factor: f64) {
         assert!(factor >= 1.0, "degradation factor must be >= 1");
         self.osts[ost as usize].degradation_factor = factor;
     }
 
     /// Degrade (or restore) the MDS.
-    pub fn set_mds_degradation(&mut self, factor: f64) {
+    pub(crate) fn set_mds_degradation(&mut self, factor: f64) {
         assert!(factor >= 1.0);
         self.mds_degradation_factor = factor;
     }
@@ -178,7 +178,7 @@ impl FsState {
     }
 
     /// OST utilization in `[0, 1]` over the last tick.
-    pub fn ost_utilization(&self, ost: u32) -> f64 {
+    pub(crate) fn ost_utilization(&self, ost: u32) -> f64 {
         if self.last_dt_ms == 0 {
             return 0.0;
         }
@@ -194,7 +194,7 @@ impl FsState {
     }
 
     /// MDS utilization in `[0, 1]` over the last tick.
-    pub fn mds_utilization(&self) -> f64 {
+    pub(crate) fn mds_utilization(&self) -> f64 {
         if self.last_dt_ms == 0 {
             return 0.0;
         }

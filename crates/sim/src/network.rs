@@ -81,7 +81,7 @@ impl NetworkState {
     }
 
     /// Fold the full network state into a flight-recorder digest.
-    pub fn digest_into(&self, h: &mut StateHash) {
+    pub(crate) fn digest_into(&self, h: &mut StateHash) {
         h.f64(self.capacity_bytes_per_sec)
             .bools(&self.link_up)
             .usize(self.offered.len())
@@ -93,11 +93,6 @@ impl NetworkState {
             .f64s(&self.injection_demand)
             .f64s(&self.cumulative_traffic)
             .u64(self.last_dt_ms);
-    }
-
-    /// Per-link capacity in bytes/second.
-    pub fn capacity_bytes_per_sec(&self) -> f64 {
-        self.capacity_bytes_per_sec
     }
 
     /// Reset per-tick accumulators.  Call once at the start of each tick.
@@ -120,7 +115,7 @@ impl NetworkState {
 
     /// [`NetworkState::offer_flow`] for a path the caller keeps: the links
     /// are copied into this tick's flow buffer.
-    pub fn offer_flow_links(&mut self, src_node: u32, path: &[u32], demand_bytes: f64) {
+    pub(crate) fn offer_flow_links(&mut self, src_node: u32, path: &[u32], demand_bytes: f64) {
         debug_assert!(demand_bytes >= 0.0);
         for &l in path {
             self.demand[l as usize] += demand_bytes;
@@ -172,7 +167,7 @@ impl NetworkState {
     }
 
     /// Mark a link up or down (failure injection).
-    pub fn set_link_up(&mut self, link: u32, up: bool) {
+    pub(crate) fn set_link_up(&mut self, link: u32, up: bool) {
         self.link_up[link as usize] = up;
     }
 
@@ -183,7 +178,7 @@ impl NetworkState {
 
     /// Record bit errors observed on a link this tick (set by the engine's
     /// error process).
-    pub fn add_link_errors(&mut self, link: u32, errors: f64) {
+    pub(crate) fn add_link_errors(&mut self, link: u32, errors: f64) {
         self.errors[link as usize] += errors;
     }
 
@@ -220,20 +215,10 @@ impl NetworkState {
     }
 
     /// [`NetworkState::load_fractions`] into a buffer the caller reuses.
-    pub fn load_fractions_into(&self, dt_ms: u64, loads: &mut Vec<f64>) {
+    pub(crate) fn load_fractions_into(&self, dt_ms: u64, loads: &mut Vec<f64>) {
         let cap = self.capacity_bytes_per_sec * dt_ms as f64 / 1_000.0;
         loads.clear();
         loads.extend(self.demand.iter().map(|d| d / cap));
-    }
-
-    /// Bytes node `node` successfully injected this tick.
-    pub fn node_injected_bytes(&self, node: u32) -> f64 {
-        self.injected[node as usize]
-    }
-
-    /// Bytes node `node` wanted to inject this tick.
-    pub fn node_injection_demand(&self, node: u32) -> f64 {
-        self.injection_demand[node as usize]
     }
 
     /// Injection bandwidth as a percentage of one link's capacity — the
@@ -245,11 +230,6 @@ impl NetworkState {
         }
         let cap = self.capacity_bytes_per_sec * self.last_dt_ms as f64 / 1_000.0;
         100.0 * self.injected[node as usize] / cap
-    }
-
-    /// Lifetime bytes moved over a link.
-    pub fn cumulative_link_traffic(&self, link: u32) -> f64 {
-        self.cumulative_traffic[link as usize]
     }
 
     /// Number of links tracked.
@@ -280,7 +260,7 @@ mod tests {
         assert_eq!(ns.link_traffic_bytes(path[0]), 500.0);
         assert_eq!(ns.link_stall_bytes(path[0]), 0.0);
         assert!((ns.link_utilization(path[0]) - 0.5).abs() < 1e-12);
-        assert_eq!(ns.node_injected_bytes(0), 500.0);
+        assert_eq!(ns.injected[0], 500.0);
         assert!((ns.node_injection_pct(0) - 50.0).abs() < 1e-12);
     }
 
@@ -335,7 +315,7 @@ mod tests {
         ns.offer_flow(2, Vec::new(), 123.0);
         let got = ns.settle(1_000);
         assert_eq!(got, vec![123.0]);
-        assert_eq!(ns.node_injected_bytes(2), 123.0);
+        assert_eq!(ns.injected[2], 123.0);
     }
 
     #[test]
@@ -346,11 +326,11 @@ mod tests {
         ns.offer_flow(0, path.clone(), 500.0);
         ns.settle(1_000);
         let link = path[0];
-        assert_eq!(ns.cumulative_link_traffic(link), 500.0);
+        assert_eq!(ns.cumulative_traffic[link as usize], 500.0);
         ns.begin_tick();
         assert_eq!(ns.link_traffic_bytes(link), 0.0);
-        assert_eq!(ns.node_injected_bytes(0), 0.0);
-        assert_eq!(ns.cumulative_link_traffic(link), 500.0, "cumulative survives");
+        assert_eq!(ns.injected[0], 0.0);
+        assert_eq!(ns.cumulative_traffic[link as usize], 500.0, "cumulative survives");
     }
 
     #[test]
@@ -383,7 +363,7 @@ mod tests {
         ns.set_link_up(path[0], false);
         ns.offer_flow(0, path, 400.0);
         ns.settle(1_000);
-        assert_eq!(ns.node_injection_demand(0), 400.0);
-        assert_eq!(ns.node_injected_bytes(0), 0.0);
+        assert_eq!(ns.injection_demand[0], 400.0);
+        assert_eq!(ns.injected[0], 0.0);
     }
 }

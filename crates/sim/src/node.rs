@@ -12,11 +12,6 @@ use serde::{Deserialize, Serialize};
 /// Names of the essential per-node services the health checks probe.
 pub const SERVICES: [&str; 4] = ["slurmd", "munge", "lnet", "ntpd"];
 
-/// Index of a service name in [`SERVICES`].
-pub fn service_index(name: &str) -> Option<usize> {
-    SERVICES.iter().position(|&s| s == name)
-}
-
 /// Health of a node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum NodeHealth {
@@ -44,12 +39,12 @@ impl GpuState {
     pub const DRIFT_FAILURE_THRESHOLD_PCT: f64 = 10.0;
 
     /// A factory-fresh GPU.
-    pub fn new() -> GpuState {
+    pub(crate) fn new() -> GpuState {
         GpuState { healthy: true, resistance_drift_pct: 0.0 }
     }
 
     /// Per-tick failure probability given current drift.
-    pub fn failure_probability(&self) -> f64 {
+    pub(crate) fn failure_probability(&self) -> f64 {
         if !self.healthy {
             return 0.0;
         }
@@ -96,7 +91,7 @@ pub struct NodeState {
 
 impl NodeState {
     /// A healthy idle node with the given memory and GPUs.
-    pub fn new(mem_total_bytes: f64, gpus: Vec<u32>) -> NodeState {
+    pub(crate) fn new(mem_total_bytes: f64, gpus: Vec<u32>) -> NodeState {
         NodeState {
             health: NodeHealth::Up,
             cpu_util: 0.0,
@@ -121,15 +116,6 @@ impl NodeState {
         (self.mem_used_bytes / self.mem_total_bytes).clamp(0.0, 1.0)
     }
 
-    /// Whether the node can accept a new job: up, idle, services healthy,
-    /// filesystem mounted (the CSCS pre-job health assessment).
-    pub fn schedulable(&self) -> bool {
-        self.health == NodeHealth::Up
-            && self.running_job.is_none()
-            && self.services_ok.iter().all(|&s| s)
-            && self.fs_mounted
-    }
-
     /// Whether the node passes a health check (ignores occupancy).
     pub fn passes_health_check(&self) -> bool {
         self.health == NodeHealth::Up
@@ -140,7 +126,7 @@ impl NodeState {
 
     /// Apply the per-tick memory leak; accumulated leak is capped so used
     /// memory cannot exceed installed memory.
-    pub fn apply_leak(&mut self) {
+    pub(crate) fn apply_leak(&mut self) {
         if self.mem_leak_bytes_per_tick > 0.0 {
             self.leaked_bytes =
                 (self.leaked_bytes + self.mem_leak_bytes_per_tick).min(0.95 * self.mem_total_bytes);
@@ -152,7 +138,7 @@ impl NodeState {
     /// Set memory use from the current job phase: OS baseline, job
     /// memory, and whatever the leak has eaten.  `job_fraction` is the
     /// phase's fraction of node memory.
-    pub fn set_job_memory(&mut self, job_fraction: f64) {
+    pub(crate) fn set_job_memory(&mut self, job_fraction: f64) {
         let base = 0.05 * self.mem_total_bytes;
         let job = job_fraction.clamp(0.0, 1.0) * 0.9 * self.mem_total_bytes;
         self.mem_used_bytes = (base + job + self.leaked_bytes).min(self.mem_total_bytes);
@@ -161,14 +147,14 @@ impl NodeState {
     /// Reset transient per-job state when the node becomes idle.  Leaked
     /// memory persists — leaks in system daemons survive job boundaries,
     /// which is what makes them worth monitoring.
-    pub fn release(&mut self) {
+    pub(crate) fn release(&mut self) {
         self.running_job = None;
         self.cpu_util = 0.0;
         self.set_job_memory(0.0);
     }
 
     /// Mark crashed: all services gone, memory state lost.
-    pub fn crash(&mut self) {
+    pub(crate) fn crash(&mut self) {
         self.health = NodeHealth::Down;
         self.services_ok = [false; SERVICES.len()];
         self.fs_mounted = false;
@@ -177,7 +163,7 @@ impl NodeState {
     }
 
     /// Recover to a clean healthy state (reboot clears leaks too).
-    pub fn recover(&mut self) {
+    pub(crate) fn recover(&mut self) {
         self.health = NodeHealth::Up;
         self.services_ok = [true; SERVICES.len()];
         self.fs_mounted = true;
@@ -200,26 +186,23 @@ mod tests {
     }
 
     #[test]
-    fn fresh_node_is_schedulable() {
+    fn fresh_node_is_healthy() {
         let n = node();
-        assert!(n.schedulable());
         assert!(n.passes_health_check());
         assert!(n.free_mem_bytes() > 0.9 * 64.0 * GIB);
     }
 
     #[test]
-    fn occupied_node_not_schedulable_but_healthy() {
+    fn occupied_node_is_healthy() {
         let mut n = node();
         n.running_job = Some(3);
-        assert!(!n.schedulable());
         assert!(n.passes_health_check());
     }
 
     #[test]
     fn dead_service_fails_health_check() {
         let mut n = node();
-        n.services_ok[service_index("munge").unwrap()] = false;
-        assert!(!n.schedulable());
+        n.services_ok[SERVICES.iter().position(|&s| s == "munge").unwrap()] = false;
         assert!(!n.passes_health_check());
     }
 
@@ -280,11 +263,9 @@ mod tests {
         n.running_job = Some(1);
         n.crash();
         assert_eq!(n.health, NodeHealth::Down);
-        assert!(!n.schedulable());
         assert!(n.running_job.is_none());
         n.recover();
         assert_eq!(n.health, NodeHealth::Up);
-        assert!(n.schedulable());
         assert!(n.fs_mounted);
     }
 
@@ -316,16 +297,9 @@ mod tests {
     }
 
     #[test]
-    fn service_index_lookup() {
-        assert_eq!(service_index("slurmd"), Some(0));
-        assert_eq!(service_index("nope"), None);
-    }
-
-    #[test]
-    fn hung_node_is_not_schedulable() {
+    fn hung_node_fails_health_check() {
         let mut n = node();
         n.health = NodeHealth::Hung;
-        assert!(!n.schedulable());
         assert!(!n.passes_health_check());
     }
 }

@@ -28,7 +28,7 @@ pub struct PowerModel {
 
 impl PowerModel {
     /// Values typical of an XC40 compute blade share.
-    pub fn xc40() -> PowerModel {
+    pub(crate) fn xc40() -> PowerModel {
         PowerModel {
             node_idle_w: 95.0,
             cpu_dynamic_w: 255.0,
@@ -38,19 +38,11 @@ impl PowerModel {
         }
     }
 
-    /// Instantaneous power of one node.  A `Down` node draws nothing; a
-    /// `Hung` node draws idle power (which is how KAUST spots hangs —
-    /// "anomalous power-use behaviors within a job ... such as hung
-    /// nodes").
-    pub fn node_power_w(&self, node: &NodeState, gpu_util: f64, rng: &mut Rng) -> f64 {
-        self.node_power_w_at(node, gpu_util, 1.0, rng)
-    }
-
     /// Power at a given CPU frequency scale (p-state).  Dynamic CPU power
     /// follows the classic ~f³ law (P ∝ f·V² with V roughly ∝ f), which is
     /// what makes the SNL p-state sweeps interesting: halving frequency
     /// costs 2× runtime but cuts dynamic power ~8×.
-    pub fn node_power_w_at(
+    pub(crate) fn node_power_w_at(
         &self,
         node: &NodeState,
         gpu_util: f64,
@@ -73,13 +65,6 @@ impl PowerModel {
             }
         }
     }
-
-    /// Peak power of a node with `n_gpus` GPUs (for budget computations).
-    pub fn node_peak_w(&self, n_gpus: usize) -> f64 {
-        self.node_idle_w
-            + self.cpu_dynamic_w
-            + n_gpus as f64 * (self.gpu_idle_w + self.gpu_dynamic_w)
-    }
 }
 
 #[cfg(test)]
@@ -100,7 +85,7 @@ mod tests {
     fn idle_node_draws_idle_power() {
         let m = quiet_model();
         let mut rng = Rng::new(1);
-        let p = m.node_power_w(&node_with(0.0, 0), 0.0, &mut rng);
+        let p = m.node_power_w_at(&node_with(0.0, 0), 0.0, 1.0, &mut rng);
         assert!((p - m.node_idle_w).abs() < 1e-9);
     }
 
@@ -108,8 +93,8 @@ mod tests {
     fn busy_node_draws_more() {
         let m = quiet_model();
         let mut rng = Rng::new(1);
-        let idle = m.node_power_w(&node_with(0.0, 0), 0.0, &mut rng);
-        let busy = m.node_power_w(&node_with(1.0, 0), 0.0, &mut rng);
+        let idle = m.node_power_w_at(&node_with(0.0, 0), 0.0, 1.0, &mut rng);
+        let busy = m.node_power_w_at(&node_with(1.0, 0), 0.0, 1.0, &mut rng);
         assert!((busy - idle - m.cpu_dynamic_w).abs() < 1e-9);
         // Realistic imbalance signal: busy/idle ratio is large enough to
         // produce the ~3x cabinet variation of Figure 3.
@@ -120,9 +105,9 @@ mod tests {
     fn gpu_power_adds_per_gpu() {
         let m = quiet_model();
         let mut rng = Rng::new(1);
-        let none = m.node_power_w(&node_with(0.5, 0), 0.0, &mut rng);
-        let two_idle = m.node_power_w(&node_with(0.5, 2), 0.0, &mut rng);
-        let two_busy = m.node_power_w(&node_with(0.5, 2), 1.0, &mut rng);
+        let none = m.node_power_w_at(&node_with(0.5, 0), 0.0, 1.0, &mut rng);
+        let two_idle = m.node_power_w_at(&node_with(0.5, 2), 0.0, 1.0, &mut rng);
+        let two_busy = m.node_power_w_at(&node_with(0.5, 2), 1.0, 1.0, &mut rng);
         assert!((two_idle - none - 2.0 * m.gpu_idle_w).abs() < 1e-9);
         assert!((two_busy - two_idle - 2.0 * m.gpu_dynamic_w).abs() < 1e-9);
     }
@@ -133,7 +118,7 @@ mod tests {
         let mut rng = Rng::new(1);
         let mut n = node_with(1.0, 2);
         n.crash();
-        assert_eq!(m.node_power_w(&n, 1.0, &mut rng), 0.0);
+        assert_eq!(m.node_power_w_at(&n, 1.0, 1.0, &mut rng), 0.0);
     }
 
     #[test]
@@ -142,7 +127,7 @@ mod tests {
         let mut rng = Rng::new(1);
         let mut n = node_with(1.0, 1);
         n.health = NodeHealth::Hung;
-        let p = m.node_power_w(&n, 1.0, &mut rng);
+        let p = m.node_power_w_at(&n, 1.0, 1.0, &mut rng);
         assert!((p - m.node_idle_w - m.gpu_idle_w).abs() < 1e-9);
     }
 
@@ -150,22 +135,9 @@ mod tests {
     fn utilization_is_clamped() {
         let m = quiet_model();
         let mut rng = Rng::new(1);
-        let over = m.node_power_w(&node_with(5.0, 0), 0.0, &mut rng);
-        let full = m.node_power_w(&node_with(1.0, 0), 0.0, &mut rng);
+        let over = m.node_power_w_at(&node_with(5.0, 0), 0.0, 1.0, &mut rng);
+        let full = m.node_power_w_at(&node_with(1.0, 0), 0.0, 1.0, &mut rng);
         assert_eq!(over, full);
-    }
-
-    #[test]
-    fn peak_bounds_actual() {
-        let m = PowerModel::xc40();
-        let mut rng = Rng::new(2);
-        for gpus in 0..3usize {
-            let peak = m.node_peak_w(gpus);
-            for _ in 0..100 {
-                let p = m.node_power_w(&node_with(1.0, gpus), 1.0, &mut rng);
-                assert!(p <= peak + 5.0 * m.noise_w);
-            }
-        }
     }
 
     #[test]
@@ -192,7 +164,7 @@ mod tests {
         let n = node_with(0.5, 0);
         let base = m.node_idle_w + 0.5 * m.cpu_dynamic_w;
         let mean: f64 =
-            (0..5_000).map(|_| m.node_power_w(&n, 0.0, &mut rng)).sum::<f64>() / 5_000.0;
+            (0..5_000).map(|_| m.node_power_w_at(&n, 0.0, 1.0, &mut rng)).sum::<f64>() / 5_000.0;
         assert!((mean - base).abs() < 0.5, "mean {mean} vs base {base}");
     }
 }

@@ -32,12 +32,12 @@ impl Rng {
 
     /// Derive an independent child generator (used to give each subsystem
     /// its own stream so adding draws in one does not perturb another).
-    pub fn fork(&mut self, tag: u64) -> Rng {
+    pub(crate) fn fork(&mut self, tag: u64) -> Rng {
         Rng::new(self.next_u64() ^ tag.wrapping_mul(0xA24B_AED4_963E_E407))
     }
 
     /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -46,7 +46,7 @@ impl Rng {
     }
 
     /// Uniform in `[0, 1)`.
-    pub fn f64(&mut self) -> f64 {
+    pub(crate) fn f64(&mut self) -> f64 {
         // 53 random mantissa bits.
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
@@ -60,18 +60,18 @@ impl Rng {
     }
 
     /// Uniform in `[lo, hi)`. Panics if the range is empty.
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
+    pub(crate) fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
         assert!(hi > lo, "empty range");
         lo + self.f64() * (hi - lo)
     }
 
     /// Bernoulli trial with probability `p` (clamped to `[0,1]`).
-    pub fn chance(&mut self, p: f64) -> bool {
+    pub(crate) fn chance(&mut self, p: f64) -> bool {
         self.f64() < p.clamp(0.0, 1.0)
     }
 
     /// Standard normal via Box–Muller.
-    pub fn normal(&mut self) -> f64 {
+    pub(crate) fn normal(&mut self) -> f64 {
         // Avoid ln(0).
         let u1 = (1.0 - self.f64()).max(f64::MIN_POSITIVE);
         let u2 = self.f64();
@@ -83,15 +83,9 @@ impl Rng {
         mean + std_dev * self.normal()
     }
 
-    /// Exponential with the given rate (λ). Panics on non-positive rate.
-    pub fn exponential(&mut self, rate: f64) -> f64 {
-        assert!(rate > 0.0, "rate must be positive");
-        -(1.0 - self.f64()).max(f64::MIN_POSITIVE).ln() / rate
-    }
-
     /// Poisson-distributed count with the given mean (Knuth's method; fine
     /// for the small means used by the failure and log generators).
-    pub fn poisson(&mut self, mean: f64) -> u64 {
+    pub(crate) fn poisson(&mut self, mean: f64) -> u64 {
         if mean <= 0.0 {
             return 0;
         }
@@ -109,13 +103,6 @@ impl Rng {
                 return k;
             }
         }
-    }
-
-    /// Weibull with the given scale and shape (component lifetimes).
-    pub fn weibull(&mut self, scale: f64, shape: f64) -> f64 {
-        assert!(scale > 0.0 && shape > 0.0, "weibull parameters must be positive");
-        let u = (1.0 - self.f64()).max(f64::MIN_POSITIVE);
-        scale * (-u.ln()).powf(1.0 / shape)
     }
 
     /// Choose a uniformly random element of a non-empty slice.
@@ -193,14 +180,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_mean() {
-        let mut r = Rng::new(13);
-        let n = 50_000;
-        let mean = (0..n).map(|_| r.exponential(2.0)).sum::<f64>() / n as f64;
-        assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
-    }
-
-    #[test]
     fn poisson_mean() {
         let mut r = Rng::new(17);
         let n = 20_000;
@@ -208,14 +187,6 @@ mod tests {
         assert!((mean - 3.0).abs() < 0.1, "mean {mean}");
         assert_eq!(r.poisson(0.0), 0);
         assert_eq!(r.poisson(-1.0), 0);
-    }
-
-    #[test]
-    fn weibull_positive() {
-        let mut r = Rng::new(19);
-        for _ in 0..1_000 {
-            assert!(r.weibull(100.0, 1.5) > 0.0);
-        }
     }
 
     #[test]

@@ -130,11 +130,6 @@ fn dragonfly_route(topo: &Topology, src: u32, dst: u32) -> Vec<u32> {
     path
 }
 
-/// Number of hops on the minimal path (for placement quality metrics).
-pub fn hop_distance(topo: &Topology, src: u32, dst: u32) -> u32 {
-    minimal_route(topo, src, dst).len() as u32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,7 +174,7 @@ mod tests {
         let topo = Topology::build(TopologySpec::Torus3D { dims: [6, 6, 6], nodes_per_router: 1 });
         let src = topo.torus_router([0, 0, 0]);
         let dst = topo.torus_router([2, 3, 1]);
-        assert_eq!(hop_distance(&topo, src, dst), 6);
+        assert_eq!(minimal_route(&topo, src, dst).len(), 6);
     }
 
     #[test]
@@ -198,7 +193,7 @@ mod tests {
         let topo = Topology::build(TopologySpec::small_dragonfly());
         for src in 0..topo.num_routers() {
             for dst in 0..topo.num_routers() {
-                assert!(hop_distance(&topo, src, dst) <= 3, "{src}->{dst}");
+                assert!(minimal_route(&topo, src, dst).len() <= 3, "{src}->{dst}");
             }
         }
     }

@@ -9,8 +9,8 @@
 //!   problem, and a problem should only be encountered by at most one batch
 //!   job".  With gating on, candidate nodes are health-checked before job
 //!   start and after job end; failures take the node out of service.
-//! * **Queue-depth monitoring** (CSC/NERSC): [`Scheduler::queue_depth`] is
-//!   the series those sites watch for backlog anomalies.
+//! * **Queue-depth monitoring** (CSC/NERSC): [`Scheduler::queue_depth_at`]
+//!   is the series those sites watch for backlog anomalies.
 
 use crate::workload::JobSpec;
 use hpcmon_metrics::{JobId, JobRecord, JobState, StateHash, Ts};
@@ -66,7 +66,7 @@ pub struct RunningJob {
 
 impl RunningJob {
     /// Milliseconds of wall-clock elapsed since start at `now`.
-    pub fn elapsed_ms(&self, now: Ts) -> u64 {
+    pub(crate) fn elapsed_ms(&self, now: Ts) -> u64 {
         now.0.saturating_sub(self.started.0)
     }
 }
@@ -123,7 +123,7 @@ pub struct Scheduler {
 
 impl Scheduler {
     /// Fold the full scheduler state into a flight-recorder digest.
-    pub fn digest_into(&self, h: &mut StateHash) {
+    pub(crate) fn digest_into(&self, h: &mut StateHash) {
         h.u64(self.num_nodes as u64);
         h.usize(self.alloc.len());
         for a in &self.alloc {
@@ -146,7 +146,7 @@ impl Scheduler {
     }
 
     /// Create for a machine of `num_nodes`.
-    pub fn new(config: SchedulerConfig, num_nodes: u32) -> Scheduler {
+    pub(crate) fn new(config: SchedulerConfig, num_nodes: u32) -> Scheduler {
         Scheduler {
             config,
             num_nodes,
@@ -159,12 +159,12 @@ impl Scheduler {
     }
 
     /// Configuration in effect.
-    pub fn config(&self) -> SchedulerConfig {
+    pub(crate) fn config(&self) -> SchedulerConfig {
         self.config
     }
 
     /// Submit a job; returns its id.
-    pub fn submit(&mut self, spec: JobSpec) -> JobId {
+    pub(crate) fn submit(&mut self, spec: JobSpec) -> JobId {
         let id = JobId(self.records.len() as u32);
         self.records.push(JobRecord::submitted(
             id,
@@ -175,13 +175,6 @@ impl Scheduler {
         ));
         self.queue.push_back((id, spec));
         id
-    }
-
-    /// Number of queued (not yet running) jobs — the CSC/NERSC backlog
-    /// metric.  Includes future-dated submissions; see
-    /// [`Scheduler::queue_depth_at`] for the time-aware view.
-    pub fn queue_depth(&self) -> usize {
-        self.queue.len()
     }
 
     /// Queued jobs already submitted as of `now` (what the batch system
@@ -196,7 +189,7 @@ impl Scheduler {
     }
 
     /// Mutable access for the engine's progress updates.
-    pub fn running_mut(&mut self) -> &mut Vec<RunningJob> {
+    pub(crate) fn running_mut(&mut self) -> &mut Vec<RunningJob> {
         &mut self.running
     }
 
@@ -216,7 +209,7 @@ impl Scheduler {
     }
 
     /// Return a sidelined node to service (post-repair).
-    pub fn return_to_service(&mut self, node: u32) {
+    pub(crate) fn return_to_service(&mut self, node: u32) {
         self.oos[node as usize] = false;
     }
 
@@ -242,7 +235,7 @@ impl Scheduler {
     /// `healthy` answers the CSCS pre-job health assessment for a node;
     /// `shuffle` provides randomness for [`Placement::Random`] (a closure so
     /// the scheduler stays RNG-agnostic).
-    pub fn try_start(
+    pub(crate) fn try_start(
         &mut self,
         now: Ts,
         healthy: &dyn Fn(u32) -> bool,
@@ -345,7 +338,7 @@ impl Scheduler {
 
     /// Finish a running job (called by the engine when its work is done).
     /// With gating enabled, `healthy` drives the post-job assessment.
-    pub fn complete(
+    pub(crate) fn complete(
         &mut self,
         id: JobId,
         now: Ts,
@@ -373,7 +366,7 @@ impl Scheduler {
     /// A job failed to launch (e.g. a dead daemon on one of its nodes).
     /// The job dies but the node stays in service — which is exactly how
     /// an ungated machine lets one bad node eat job after job.
-    pub fn launch_failed(&mut self, id: JobId, node: u32, now: Ts) -> Vec<SchedEvent> {
+    pub(crate) fn launch_failed(&mut self, id: JobId, node: u32, now: Ts) -> Vec<SchedEvent> {
         let Some(pos) = self.running.iter().position(|r| r.id == id) else {
             return Vec::new();
         };
@@ -388,7 +381,7 @@ impl Scheduler {
     }
 
     /// A node died: fail any job on it and sideline the node.
-    pub fn node_failed(&mut self, node: u32, now: Ts) -> Vec<SchedEvent> {
+    pub(crate) fn node_failed(&mut self, node: u32, now: Ts) -> Vec<SchedEvent> {
         let mut events = Vec::new();
         self.oos[node as usize] = true;
         if let Some(id) = self.alloc[node as usize] {
@@ -496,7 +489,7 @@ mod tests {
         let a = s.submit(spec(4));
         let b = s.submit(spec(4));
         let c = s.submit(spec(4));
-        assert_eq!(s.queue_depth(), 3);
+        assert_eq!(s.queue.len(), 3);
         let mut sh = no_shuffle();
         let ev = s.try_start(Ts::ZERO, &all_healthy, &mut sh);
         let started: Vec<_> = ev
@@ -507,7 +500,7 @@ mod tests {
             })
             .collect();
         assert_eq!(started, vec![a, b]);
-        assert_eq!(s.queue_depth(), 1);
+        assert_eq!(s.queue.len(), 1);
         assert_eq!(s.record(c).state, JobState::Queued);
         assert_eq!(s.free_count(), 0);
     }
@@ -650,7 +643,7 @@ mod tests {
         s.try_start(Ts::from_mins(1), &all_healthy, &mut sh);
         assert_eq!(s.record(now_job).state, JobState::Running);
         assert_eq!(s.record(future).state, JobState::Queued);
-        assert_eq!(s.queue_depth(), 1);
+        assert_eq!(s.queue.len(), 1);
         assert_eq!(s.queue_depth_at(Ts::from_mins(1)), 0, "future job invisible");
         assert_eq!(s.queue_depth_at(Ts::from_mins(30)), 1);
         // Its time arrives: it starts.

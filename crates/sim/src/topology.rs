@@ -36,18 +36,6 @@ pub enum TopologySpec {
     },
 }
 
-impl TopologySpec {
-    /// A small torus suitable for tests.
-    pub fn small_torus() -> TopologySpec {
-        TopologySpec::Torus3D { dims: [4, 4, 4], nodes_per_router: 2 }
-    }
-
-    /// A small dragonfly suitable for tests.
-    pub fn small_dragonfly() -> TopologySpec {
-        TopologySpec::Dragonfly { groups: 6, routers_per_group: 8, nodes_per_router: 4 }
-    }
-}
-
 /// A directed link between two routers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Link {
@@ -170,12 +158,12 @@ impl Topology {
     }
 
     /// The spec this topology was built from.
-    pub fn spec(&self) -> TopologySpec {
+    pub(crate) fn spec(&self) -> TopologySpec {
         self.spec
     }
 
     /// Number of compute nodes.
-    pub fn num_nodes(&self) -> u32 {
+    pub(crate) fn num_nodes(&self) -> u32 {
         self.num_nodes
     }
 
@@ -194,18 +182,13 @@ impl Topology {
         self.num_cabinets
     }
 
-    /// All directed links.
-    pub fn links(&self) -> &[Link] {
-        &self.links
-    }
-
     /// Link metadata by id.
     pub fn link(&self, id: u32) -> Link {
         self.links[id as usize]
     }
 
     /// Nodes attached to each router.
-    pub fn nodes_per_router(&self) -> u32 {
+    pub(crate) fn nodes_per_router(&self) -> u32 {
         match self.spec {
             TopologySpec::Torus3D { nodes_per_router, .. } => nodes_per_router,
             TopologySpec::Dragonfly { nodes_per_router, .. } => nodes_per_router,
@@ -213,7 +196,7 @@ impl Topology {
     }
 
     /// The router hosting a node.
-    pub fn router_of(&self, node: u32) -> u32 {
+    pub(crate) fn router_of(&self, node: u32) -> u32 {
         assert!(node < self.num_nodes, "node {node} out of range");
         node / self.nodes_per_router()
     }
@@ -242,17 +225,17 @@ impl Topology {
     }
 
     /// Directed link id from `from` to `to`, if adjacent.
-    pub fn link_between(&self, from: u32, to: u32) -> Option<u32> {
+    pub(crate) fn link_between(&self, from: u32, to: u32) -> Option<u32> {
         self.link_index.get(&(from, to)).copied()
     }
 
     /// Router neighbors reachable over one link, in link-id order.
-    pub fn neighbors(&self, router: u32) -> &[u32] {
+    pub(crate) fn neighbors(&self, router: u32) -> &[u32] {
         &self.adjacency[router as usize]
     }
 
     /// Torus coordinates of a router (torus only).
-    pub fn torus_coords(&self, router: u32) -> [u32; 3] {
+    pub(crate) fn torus_coords(&self, router: u32) -> [u32; 3] {
         match self.spec {
             TopologySpec::Torus3D { dims, .. } => {
                 let x = router % dims[0];
@@ -265,7 +248,7 @@ impl Topology {
     }
 
     /// Router id from torus coordinates (torus only).
-    pub fn torus_router(&self, coords: [u32; 3]) -> u32 {
+    pub(crate) fn torus_router(&self, coords: [u32; 3]) -> u32 {
         match self.spec {
             TopologySpec::Torus3D { dims, .. } => {
                 coords[0] + coords[1] * dims[0] + coords[2] * dims[0] * dims[1]
@@ -275,7 +258,7 @@ impl Topology {
     }
 
     /// Dragonfly group of a router (dragonfly only).
-    pub fn group_of(&self, router: u32) -> u32 {
+    pub(crate) fn group_of(&self, router: u32) -> u32 {
         match self.spec {
             TopologySpec::Dragonfly { routers_per_group, .. } => router / routers_per_group,
             _ => panic!("group_of on non-dragonfly topology"),
@@ -284,7 +267,7 @@ impl Topology {
 
     /// The router in `group` that owns the global link toward `peer_group`
     /// (dragonfly only).
-    pub fn gateway_router(&self, group: u32, peer_group: u32) -> u32 {
+    pub(crate) fn gateway_router(&self, group: u32, peer_group: u32) -> u32 {
         match self.spec {
             TopologySpec::Dragonfly { routers_per_group, .. } => {
                 // Deterministic spread of global links across a group's routers.
@@ -299,6 +282,18 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TopologySpec {
+        /// A small torus suitable for tests.
+        pub(crate) fn small_torus() -> TopologySpec {
+            TopologySpec::Torus3D { dims: [4, 4, 4], nodes_per_router: 2 }
+        }
+
+        /// A small dragonfly suitable for tests.
+        pub(crate) fn small_dragonfly() -> TopologySpec {
+            TopologySpec::Dragonfly { groups: 6, routers_per_group: 8, nodes_per_router: 4 }
+        }
+    }
 
     #[test]
     fn torus_counts() {
@@ -327,8 +322,7 @@ mod tests {
                 assert!(t.link_between(n, r).is_some(), "reverse link {n}->{r}");
             }
             // The adjacency index is the link list grouped by source.
-            let scanned: Vec<u32> =
-                t.links().iter().filter(|l| l.from == r).map(|l| l.to).collect();
+            let scanned: Vec<u32> = t.links.iter().filter(|l| l.from == r).map(|l| l.to).collect();
             assert_eq!(t.neighbors(r), scanned);
         }
     }
@@ -336,7 +330,7 @@ mod tests {
     #[test]
     fn degenerate_dimension_has_no_self_links() {
         let t = Topology::build(TopologySpec::Torus3D { dims: [4, 1, 1], nodes_per_router: 1 });
-        assert!(t.links().iter().all(|l| l.from != l.to));
+        assert!(t.links.iter().all(|l| l.from != l.to));
         // A ring of 4: each router has exactly 2 neighbors.
         for r in 0..4 {
             assert_eq!(t.neighbors(r).len(), 2);
@@ -388,7 +382,7 @@ mod tests {
         // Intra-group: 4 groups * 3*2 directed pairs = 24.
         // Global: C(4,2)=6 pairs * 2 directions = 12.
         assert_eq!(t.num_links(), 36);
-        assert_eq!(t.links().iter().filter(|l| l.global).count(), 12);
+        assert_eq!(t.links.iter().filter(|l| l.global).count(), 12);
     }
 
     #[test]
@@ -408,7 +402,7 @@ mod tests {
     #[test]
     fn dragonfly_global_links_connect_gateways() {
         let t = Topology::build(TopologySpec::small_dragonfly());
-        for l in t.links().iter().filter(|l| l.global) {
+        for l in t.links.iter().filter(|l| l.global) {
             assert_ne!(t.group_of(l.from), t.group_of(l.to));
             // The reverse global link exists too.
             assert!(t.link_between(l.to, l.from).is_some());
@@ -434,7 +428,7 @@ mod tests {
     #[test]
     fn link_ids_are_dense_and_consistent() {
         let t = Topology::build(TopologySpec::small_dragonfly());
-        for (i, l) in t.links().iter().enumerate() {
+        for (i, l) in t.links.iter().enumerate() {
             assert_eq!(l.id as usize, i);
             assert_eq!(t.link_between(l.from, l.to), Some(l.id));
         }

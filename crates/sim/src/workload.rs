@@ -43,22 +43,6 @@ pub struct Phase {
     pub metadata_ops_per_sec: f64,
 }
 
-impl Phase {
-    /// A phase that does nothing (barrier/idle).
-    pub fn idle(duration_ms: u64) -> Phase {
-        Phase {
-            duration_ms,
-            cpu: 0.02,
-            gpu: 0.0,
-            mem_fraction: 0.1,
-            net_bytes_per_sec: 0.0,
-            read_bytes_per_sec: 0.0,
-            write_bytes_per_sec: 0.0,
-            metadata_ops_per_sec: 0.0,
-        }
-    }
-}
-
 /// A named, repeatable application profile.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AppProfile {
@@ -78,7 +62,7 @@ pub struct AppProfile {
 
 impl AppProfile {
     /// Total per-pass duration.
-    pub fn pass_duration_ms(&self) -> u64 {
+    pub(crate) fn pass_duration_ms(&self) -> u64 {
         self.phases.iter().map(|p| p.duration_ms).sum()
     }
 
@@ -103,7 +87,7 @@ impl AppProfile {
     /// window.  Ranks in the *upper* `idle_fraction` of the job idle, so the
     /// idlers cluster on the same cabinets under contiguous placement —
     /// which is what makes the per-cabinet power variation of Figure 3.
-    pub fn rank_idles(&self, rank: usize, n_ranks: usize, elapsed_ms: u64) -> bool {
+    pub(crate) fn rank_idles(&self, rank: usize, n_ranks: usize, elapsed_ms: u64) -> bool {
         match self.imbalance {
             Some((from, to, frac)) if elapsed_ms >= from && elapsed_ms < to => {
                 rank >= ((1.0 - frac) * n_ranks as f64).round() as usize
@@ -113,7 +97,7 @@ impl AppProfile {
     }
 
     /// Apply profile noise to a demand value.
-    pub fn jitter(&self, value: f64, rng: &mut Rng) -> f64 {
+    pub(crate) fn jitter(&self, value: f64, rng: &mut Rng) -> f64 {
         if self.noise <= 0.0 {
             return value;
         }
@@ -371,13 +355,5 @@ mod tests {
     #[should_panic(expected = "at least one node")]
     fn zero_node_job_rejected() {
         JobSpec::new(AppProfile::compute_heavy("x"), "u", 0, 1, Ts::ZERO);
-    }
-
-    #[test]
-    fn idle_phase_is_quiet() {
-        let p = Phase::idle(1_000);
-        assert!(p.cpu < 0.1);
-        assert_eq!(p.net_bytes_per_sec, 0.0);
-        assert_eq!(p.read_bytes_per_sec, 0.0);
     }
 }

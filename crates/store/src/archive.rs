@@ -28,48 +28,14 @@ pub struct ArchiveCatalog {
     pub bytes: usize,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Segment {
     catalog: ArchiveCatalog,
     blocks: Vec<SeriesBlock>,
 }
 
-/// Monotonic archive operation counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct ArchiveOpCounts {
-    /// Segments filed (archive or load).
-    pub segments_filed: u64,
-    /// Segments purged at end of retention.
-    pub segments_purged: u64,
-    /// Reloads back into a store.
-    pub reloads: u64,
-    /// Segments refused because they carried zero blocks (e.g. a truncated
-    /// or hand-edited segment file).  Absent in counters serialized before
-    /// the field existed — those deserialize as zero.
-    #[serde(with = "count_or_zero")]
-    pub empty_segments_rejected: u64,
-    /// Segment files refused because they did not parse (truncated or
-    /// bit-rotted on the cold tier).  Same legacy-default rule as above.
-    #[serde(with = "count_or_zero")]
-    pub corrupt_files_rejected: u64,
-}
-
-mod count_or_zero {
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    pub fn serialize<S: Serializer>(v: &u64, s: S) -> Result<S::Ok, S::Error> {
-        v.serialize(s)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<u64, D::Error> {
-        Ok(Option::<u64>::deserialize(d)?.unwrap_or(0))
-    }
-}
-
-/// Why the archive refused an operation.
-///
-/// An operator feeding the archiver a corrupt segment file must get an
-/// error row on the dashboard, not a crashed archiver.
+/// Why the archive refused an operation: an error, never a crashed
+/// archiver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArchiveError {
     /// A segment with zero blocks has no time range and cannot be filed.
@@ -90,9 +56,6 @@ impl std::error::Error for ArchiveError {}
 #[derive(Debug, Default)]
 pub struct Archive {
     segments: Vec<Option<Segment>>,
-    ops: ArchiveOpCounts,
-    // Separate from `ops` because reloads happen through `&self`.
-    reloads: std::sync::atomic::AtomicU64,
 }
 
 impl Archive {
@@ -119,9 +82,8 @@ impl Archive {
         self.file_segment(blocks).ok()
     }
 
-    /// File an explicit set of blocks as a segment.  Refuses (and counts)
-    /// an empty block list: it has no time range to catalog, and typically
-    /// means the caller fed the archiver a corrupt or truncated segment.
+    /// File an explicit set of blocks as a segment.  Refuses an empty
+    /// block list: it has no time range to catalog.
     pub fn file_segment(
         &mut self,
         blocks: Vec<SeriesBlock>,
@@ -129,7 +91,6 @@ impl Archive {
         let (Some(start), Some(end)) =
             (blocks.iter().map(|b| b.start).min(), blocks.iter().map(|b| b.end).max())
         else {
-            self.ops.empty_segments_rejected += 1;
             return Err(ArchiveError::EmptySegment);
         };
         let points: u64 = blocks.iter().map(|b| b.count as u64).sum();
@@ -143,7 +104,6 @@ impl Archive {
             bytes,
         };
         self.segments.push(Some(Segment { catalog: catalog.clone(), blocks }));
-        self.ops.segments_filed += 1;
         Ok(catalog)
     }
 
@@ -169,7 +129,6 @@ impl Archive {
         match self.segments.get(segment as usize).and_then(|s| s.as_ref()) {
             Some(seg) => {
                 store.reload_blocks(seg.blocks.clone());
-                self.reloads.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 true
             }
             None => false,
@@ -177,66 +136,14 @@ impl Archive {
     }
 
     /// Permanently delete a segment (end of retention).
-    pub fn purge(&mut self, segment: u32) -> bool {
+    pub(crate) fn purge(&mut self, segment: u32) -> bool {
         match self.segments.get_mut(segment as usize) {
             Some(slot @ Some(_)) => {
                 *slot = None;
-                self.ops.segments_purged += 1;
                 true
             }
             _ => false,
         }
-    }
-
-    /// Monotonic operation counters.
-    pub fn op_counts(&self) -> ArchiveOpCounts {
-        ArchiveOpCounts {
-            reloads: self.reloads.load(std::sync::atomic::Ordering::Relaxed),
-            ..self.ops
-        }
-    }
-
-    /// Total archived bytes.
-    pub fn total_bytes(&self) -> usize {
-        self.segments.iter().flatten().map(|s| s.catalog.bytes).sum()
-    }
-
-    /// Write a segment to a file (the real cold tier: tape/object-store
-    /// stand-in).  The format is self-describing JSON of the compressed
-    /// blocks; the blocks themselves stay Gorilla-compressed inside it.
-    pub fn save_segment(&self, segment: u32, path: &std::path::Path) -> std::io::Result<()> {
-        let seg =
-            self.segments.get(segment as usize).and_then(|s| s.as_ref()).ok_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::NotFound, "no such segment")
-            })?;
-        let json = serde_json::to_vec(seg).map_err(std::io::Error::other)?;
-        // Write-then-rename so a crash mid-write can never leave a torn
-        // segment file at the catalogued path: the rename is atomic, and
-        // until it happens readers still see the old (or no) file.
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, json)?;
-        match std::fs::rename(&tmp, path) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                std::fs::remove_file(&tmp).ok();
-                Err(e)
-            }
-        }
-    }
-
-    /// Load a previously saved segment file into this archive under a new
-    /// segment id.  Returns the new catalog entry.
-    pub fn load_segment(&mut self, path: &std::path::Path) -> std::io::Result<ArchiveCatalog> {
-        let bytes = std::fs::read(path)?;
-        let seg: Segment = serde_json::from_slice(&bytes).map_err(|e| {
-            // Truncated or bit-rotted file: an error row on the dashboard,
-            // never a crashed archiver.
-            self.ops.corrupt_files_rejected += 1;
-            std::io::Error::other(e)
-        })?;
-        // A structurally valid file can still carry zero blocks (truncated
-        // or hand-edited): surface it as an error, never a panic.
-        self.file_segment(seg.blocks).map_err(std::io::Error::other)
     }
 }
 
@@ -300,11 +207,11 @@ mod tests {
         fill(&store, 0, 0..10);
         let mut archive = Archive::new();
         let cat = archive.archive_before(&store, Ts::from_mins(100)).unwrap();
-        assert!(archive.total_bytes() > 0);
+        assert!(cat.bytes > 0);
         assert!(archive.purge(cat.segment));
         assert!(!archive.purge(cat.segment), "double purge is false");
         assert!(!archive.reload_into(cat.segment, &store));
-        assert_eq!(archive.total_bytes(), 0);
+        assert!(archive.catalog().is_empty());
     }
 
     #[test]
@@ -332,130 +239,10 @@ mod tests {
     }
 
     #[test]
-    fn save_and_load_segment_file_round_trip() {
-        let store = TimeSeriesStore::with_options(2, 16);
-        fill(&store, 0, 0..64);
-        let mut archive = Archive::new();
-        let cat = archive.archive_before(&store, Ts::from_mins(100)).unwrap();
-        let path =
-            std::env::temp_dir().join(format!("hpcmon_archive_test_{}.json", std::process::id()));
-        archive.save_segment(cat.segment, &path).unwrap();
-        // A fresh archive (say, at a disaster-recovery site) loads it.
-        let mut restored = Archive::new();
-        let new_cat = restored.load_segment(&path).unwrap();
-        assert_eq!(new_cat.points, cat.points);
-        assert_eq!(new_cat.start, cat.start);
-        assert_eq!(new_cat.end, cat.end);
-        let fresh = TimeSeriesStore::new();
-        assert!(restored.reload_into(new_cat.segment, &fresh));
-        let key = SeriesKey::new(MetricId(0), CompId::node(0));
-        assert_eq!(fresh.query(key, Ts::ZERO, Ts(u64::MAX)).len(), 64);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn save_unknown_segment_errors() {
-        let archive = Archive::new();
-        let path = std::env::temp_dir().join("hpcmon_never_written.json");
-        assert!(archive.save_segment(9, &path).is_err());
-    }
-
-    #[test]
-    fn load_garbage_file_errors() {
-        let path = std::env::temp_dir().join(format!("hpcmon_garbage_{}.json", std::process::id()));
-        std::fs::write(&path, b"not json at all").unwrap();
-        let mut archive = Archive::new();
-        assert!(archive.load_segment(&path).is_err());
-        assert_eq!(archive.op_counts().corrupt_files_rejected, 1);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn truncated_segment_file_is_rejected_and_counted() {
-        // The torn-write scenario save_segment's temp+rename now prevents:
-        // if such a file ever does appear (e.g. copied off a dying disk),
-        // loading it must fail with a counted error, not a panic.
-        let store = TimeSeriesStore::with_options(2, 16);
-        fill(&store, 0, 0..64);
-        let mut archive = Archive::new();
-        let cat = archive.archive_before(&store, Ts::from_mins(100)).unwrap();
-        let path =
-            std::env::temp_dir().join(format!("hpcmon_truncated_{}.json", std::process::id()));
-        archive.save_segment(cat.segment, &path).unwrap();
-        let full = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &full[..full.len() / 2]).unwrap();
-        let mut fresh = Archive::new();
-        assert!(fresh.load_segment(&path).is_err());
-        let ops = fresh.op_counts();
-        assert_eq!(ops.corrupt_files_rejected, 1);
-        assert_eq!(ops.segments_filed, 0);
-        assert!(fresh.catalog().is_empty());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn save_segment_leaves_no_temp_file_behind() {
-        let store = TimeSeriesStore::new();
-        fill(&store, 0, 0..10);
-        let mut archive = Archive::new();
-        let cat = archive.archive_before(&store, Ts::from_mins(100)).unwrap();
-        let path = std::env::temp_dir().join(format!("hpcmon_atomic_{}.json", std::process::id()));
-        archive.save_segment(cat.segment, &path).unwrap();
-        assert!(path.exists());
-        assert!(!path.with_extension("tmp").exists(), "temp file was renamed away");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn op_counts_track_file_reload_purge() {
-        let store = TimeSeriesStore::new();
-        fill(&store, 0, 0..10);
-        let mut archive = Archive::new();
-        let cat = archive.archive_before(&store, Ts::from_mins(100)).unwrap();
-        archive.reload_into(cat.segment, &store);
-        archive.purge(cat.segment);
-        let ops = archive.op_counts();
-        assert_eq!(ops.segments_filed, 1);
-        assert_eq!(ops.reloads, 1);
-        assert_eq!(ops.segments_purged, 1);
-    }
-
-    #[test]
-    fn empty_segment_is_refused_and_counted_not_a_panic() {
+    fn empty_segment_is_refused_not_a_panic() {
         let mut archive = Archive::new();
         assert_eq!(archive.file_segment(Vec::new()), Err(ArchiveError::EmptySegment));
-        assert_eq!(archive.file_segment(Vec::new()), Err(ArchiveError::EmptySegment));
-        let ops = archive.op_counts();
-        assert_eq!(ops.empty_segments_rejected, 2);
-        assert_eq!(ops.segments_filed, 0);
         assert!(archive.catalog().is_empty());
-    }
-
-    #[test]
-    fn load_zero_block_segment_file_errors_cleanly() {
-        // Structurally valid segment JSON with no blocks — the shape a
-        // truncation-then-repair or hand edit produces.  Loading it must
-        // return an error (and count the rejection), not crash.
-        let path = std::env::temp_dir().join(format!("hpcmon_empty_{}.json", std::process::id()));
-        std::fs::write(
-            &path,
-            br#"{"catalog":{"segment":0,"start":0,"end":0,"blocks":0,"points":0,"bytes":0},"blocks":[]}"#,
-        )
-        .unwrap();
-        let mut archive = Archive::new();
-        assert!(archive.load_segment(&path).is_err());
-        assert_eq!(archive.op_counts().empty_segments_rejected, 1);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn op_counts_without_rejection_field_deserialize_as_zero() {
-        // Counters serialized before `empty_segments_rejected` existed.
-        let legacy = r#"{"segments_filed":3,"segments_purged":1,"reloads":2}"#;
-        let ops: ArchiveOpCounts = serde_json::from_str(legacy).unwrap();
-        assert_eq!(ops.segments_filed, 3);
-        assert_eq!(ops.empty_segments_rejected, 0);
-        assert_eq!(ops.corrupt_files_rejected, 0);
     }
 
     #[test]

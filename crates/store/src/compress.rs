@@ -27,14 +27,9 @@ pub struct BitWriter {
 }
 
 impl BitWriter {
-    /// Empty writer.
-    pub fn new() -> BitWriter {
-        BitWriter::default()
-    }
-
     /// Append the low `n` bits of `value`, most significant first.
     #[inline]
-    pub fn write_bits(&mut self, value: u64, n: u8) {
+    pub(crate) fn write_bits(&mut self, value: u64, n: u8) {
         assert!(n <= 64);
         let n = n as u32;
         let v = if n == 0 { 0 } else { value << (64 - n) };
@@ -51,15 +46,10 @@ impl BitWriter {
     }
 
     /// Finish, returning the packed bytes (the last byte zero-padded).
-    pub fn finish(mut self) -> Vec<u8> {
+    pub(crate) fn finish(mut self) -> Vec<u8> {
         let tail = self.fill.div_ceil(8) as usize;
         self.bytes.extend_from_slice(&self.acc.to_be_bytes()[..tail]);
         self.bytes
-    }
-
-    /// Bits written so far.
-    pub fn bit_len(&self) -> usize {
-        self.bytes.len() * 8 + self.fill as usize
     }
 }
 
@@ -72,7 +62,7 @@ pub struct BitReader<'a> {
 
 impl<'a> BitReader<'a> {
     /// Read from the start of `bytes`.
-    pub fn new(bytes: &'a [u8]) -> BitReader<'a> {
+    pub(crate) fn new(bytes: &'a [u8]) -> BitReader<'a> {
         BitReader { bytes, pos: 0 }
     }
 
@@ -104,14 +94,9 @@ impl<'a> BitReader<'a> {
         Some(())
     }
 
-    /// Next bit; `None` at end of input.
-    pub fn read_bit(&mut self) -> Option<bool> {
-        self.read_bits(1).map(|b| b == 1)
-    }
-
     /// Next `n` bits as an integer (MSB first); `None` if fewer remain.
     #[inline]
-    pub fn read_bits(&mut self, n: u8) -> Option<u64> {
+    pub(crate) fn read_bits(&mut self, n: u8) -> Option<u64> {
         assert!(n <= 64);
         if n > 56 {
             // One load guarantees 57 bits: take a wide read in two.
@@ -206,12 +191,7 @@ pub(crate) fn encode_timestamps(ts: impl ExactSizeIterator<Item = Ts> + Clone) -
     out
 }
 
-/// Compress a monotone-nondecreasing timestamp sequence.
-pub fn compress_timestamps(ts: &[Ts]) -> Vec<u8> {
-    encode_timestamps(ts.iter().copied())
-}
-
-/// Streaming decoder for [`compress_timestamps`] output.
+/// Streaming decoder for [`encode_timestamps`] output.
 ///
 /// Fails closed on truncated input, overflow, or a cumulative timestamp
 /// that goes negative: a corrupt or adversarial block must surface as an
@@ -261,8 +241,8 @@ impl<'a> TimestampDecoder<'a> {
     }
 }
 
-/// Decompress timestamps written by [`compress_timestamps`].
-pub fn decompress_timestamps(bytes: &[u8]) -> Option<Vec<Ts>> {
+/// Decompress timestamps written by [`encode_timestamps`].
+pub(crate) fn decompress_timestamps(bytes: &[u8]) -> Option<Vec<Ts>> {
     let mut d = TimestampDecoder::new(bytes)?;
     let mut out = Vec::with_capacity(d.len);
     for _ in 0..d.len {
@@ -325,12 +305,7 @@ pub(crate) fn encode_values(values: impl ExactSizeIterator<Item = f64> + Clone) 
     out
 }
 
-/// Compress a float sequence with the Gorilla XOR scheme.
-pub fn compress_values(values: &[f64]) -> Vec<u8> {
-    encode_values(values.iter().copied())
-}
-
-/// Streaming decoder for [`compress_values`] output.
+/// Streaming decoder for [`encode_values`] output.
 pub(crate) struct ValueDecoder<'a> {
     bits: BitReader<'a>,
     /// Declared value count (bounded by the input's bit length).
@@ -392,8 +367,8 @@ impl<'a> ValueDecoder<'a> {
     }
 }
 
-/// Decompress floats written by [`compress_values`].
-pub fn decompress_values(bytes: &[u8]) -> Option<Vec<f64>> {
+/// Decompress floats written by [`encode_values`].
+pub(crate) fn decompress_values(bytes: &[u8]) -> Option<Vec<f64>> {
     let mut d = ValueDecoder::new(bytes)?;
     let mut out = Vec::with_capacity(d.len);
     for _ in 0..d.len {
@@ -407,9 +382,29 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn compress_timestamps(ts: &[Ts]) -> Vec<u8> {
+        encode_timestamps(ts.iter().copied())
+    }
+
+    fn compress_values(values: &[f64]) -> Vec<u8> {
+        encode_values(values.iter().copied())
+    }
+
+    impl BitWriter {
+        fn bit_len(&self) -> usize {
+            self.bytes.len() * 8 + self.fill as usize
+        }
+    }
+
+    impl BitReader<'_> {
+        fn read_bit(&mut self) -> Option<bool> {
+            self.read_bits(1).map(|b| b == 1)
+        }
+    }
+
     #[test]
     fn bitwriter_round_trip() {
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::default();
         w.write_bits(1, 1);
         w.write_bits(0b1011, 4);
         w.write_bits(u64::MAX, 64);
@@ -677,7 +672,7 @@ mod tests {
         }
 
         impl BitWriter {
-            pub fn write_bit(&mut self, bit: bool) {
+            pub(crate) fn write_bit(&mut self, bit: bool) {
                 if self.bit_pos == 0 {
                     self.bytes.push(0);
                 }
@@ -688,14 +683,14 @@ mod tests {
                 self.bit_pos = (self.bit_pos + 1) % 8;
             }
 
-            pub fn write_bits(&mut self, value: u64, n: u8) {
+            pub(crate) fn write_bits(&mut self, value: u64, n: u8) {
                 assert!(n <= 64);
                 for i in (0..n).rev() {
                     self.write_bit((value >> i) & 1 == 1);
                 }
             }
 
-            pub fn finish(self) -> Vec<u8> {
+            pub(crate) fn finish(self) -> Vec<u8> {
                 self.bytes
             }
         }
@@ -706,18 +701,18 @@ mod tests {
         }
 
         impl<'a> BitReader<'a> {
-            pub fn new(bytes: &'a [u8]) -> BitReader<'a> {
+            pub(crate) fn new(bytes: &'a [u8]) -> BitReader<'a> {
                 BitReader { bytes, pos: 0 }
             }
 
-            pub fn read_bit(&mut self) -> Option<bool> {
+            pub(crate) fn read_bit(&mut self) -> Option<bool> {
                 let byte = self.bytes.get(self.pos / 8)?;
                 let bit = (byte >> (7 - (self.pos % 8) as u8)) & 1 == 1;
                 self.pos += 1;
                 Some(bit)
             }
 
-            pub fn read_bits(&mut self, n: u8) -> Option<u64> {
+            pub(crate) fn read_bits(&mut self, n: u8) -> Option<u64> {
                 let mut v = 0u64;
                 for _ in 0..n {
                     v = (v << 1) | self.read_bit()? as u64;
@@ -726,7 +721,7 @@ mod tests {
             }
         }
 
-        pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
+        pub(crate) fn write_varint(out: &mut Vec<u8>, mut v: u64) {
             loop {
                 let byte = (v & 0x7F) as u8;
                 v >>= 7;
@@ -755,7 +750,7 @@ mod tests {
             }
         }
 
-        pub fn compress_timestamps(ts: &[Ts]) -> Vec<u8> {
+        pub(crate) fn compress_timestamps(ts: &[Ts]) -> Vec<u8> {
             let mut out = Vec::with_capacity(ts.len() + 8);
             write_varint(&mut out, ts.len() as u64);
             if ts.is_empty() {
@@ -776,7 +771,7 @@ mod tests {
             out
         }
 
-        pub fn decompress_timestamps(bytes: &[u8]) -> Option<Vec<Ts>> {
+        pub(crate) fn decompress_timestamps(bytes: &[u8]) -> Option<Vec<Ts>> {
             let mut pos = 0usize;
             let n = read_varint(bytes, &mut pos)? as usize;
             if n > bytes.len() - pos {
@@ -809,7 +804,7 @@ mod tests {
             Some(out)
         }
 
-        pub fn compress_values(values: &[f64]) -> Vec<u8> {
+        pub(crate) fn compress_values(values: &[f64]) -> Vec<u8> {
             let mut header = Vec::new();
             write_varint(&mut header, values.len() as u64);
             if values.is_empty() {
@@ -849,7 +844,7 @@ mod tests {
             header
         }
 
-        pub fn decompress_values(bytes: &[u8]) -> Option<Vec<f64>> {
+        pub(crate) fn decompress_values(bytes: &[u8]) -> Option<Vec<f64>> {
             let mut pos = 0usize;
             let n = read_varint(bytes, &mut pos)? as usize;
             if n > 0 && 64usize.saturating_add(n - 1) > (bytes.len() - pos).saturating_mul(8) {
@@ -960,7 +955,7 @@ mod tests {
                 let pad = 0xA5A5_A5A5_A5A5_A5A5u64;
                 let value = 0x9E37_79B9_7F4A_7C15u64.rotate_left((fill as u32) * 7 + width as u32);
                 let low = if width == 64 { value } else { value & ((1 << width) - 1) };
-                let (mut w, mut r) = (BitWriter::new(), reference::BitWriter::default());
+                let (mut w, mut r) = (BitWriter::default(), reference::BitWriter::default());
                 w.write_bits(pad, fill);
                 w.write_bits(value, width);
                 w.write_bits(0b101, 3);
@@ -986,7 +981,7 @@ mod tests {
     fn impossible_windows_are_corruption_not_different_data() {
         // `11`, leading = 31, length = 63: 94 bits of window in a 64-bit
         // word.  The old decoder underflowed `64 - 31 - 63` in `u8`.
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::default();
         w.write_bits(1.5f64.to_bits(), 64);
         w.write_bits(0b11 << 11 | 31 << 6 | 63, 13);
         w.write_bits(u64::MAX, 63);
@@ -996,7 +991,7 @@ mod tests {
         assert_eq!(reference::decompress_values(&wide), None);
 
         // `10` (reuse the window) before any window was opened.
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::default();
         w.write_bits(1.5f64.to_bits(), 64);
         w.write_bits(0b10, 2);
         w.write_bits(u64::MAX, 64);

@@ -38,7 +38,7 @@ pub mod retention;
 pub mod snapshot;
 pub mod tsdb;
 
-pub use archive::{Archive, ArchiveCatalog, ArchiveError, ArchiveOpCounts};
+pub use archive::{Archive, ArchiveCatalog, ArchiveError};
 pub use cohort::HotLayout;
 pub use logstore::{LogQuery, LogStore};
 pub use query::{AggFn, InvalidParam, JobSeries, QueryEngine, TimeRange};

@@ -8,7 +8,7 @@
 //! the index; [`LogStore::scan_substring`] is the brute-force fallback the
 //! `abl_logindex` bench compares against.
 
-use hpcmon_metrics::{CompId, LogRecord, Severity, Ts};
+use hpcmon_metrics::{LogRecord, Severity};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 
@@ -19,14 +19,8 @@ pub struct LogQuery {
     pub tokens: Vec<String>,
     /// Minimum severity, if any.
     pub min_severity: Option<Severity>,
-    /// Restrict to one component.
-    pub comp: Option<CompId>,
     /// Restrict to one source subsystem.
     pub source: Option<String>,
-    /// Inclusive time window.
-    pub from: Option<Ts>,
-    /// Inclusive end of window.
-    pub to: Option<Ts>,
 }
 
 impl LogQuery {
@@ -38,19 +32,6 @@ impl LogQuery {
     /// Add a minimum severity.
     pub fn with_min_severity(mut self, sev: Severity) -> LogQuery {
         self.min_severity = Some(sev);
-        self
-    }
-
-    /// Add a time window.
-    pub fn with_window(mut self, from: Ts, to: Ts) -> LogQuery {
-        self.from = Some(from);
-        self.to = Some(to);
-        self
-    }
-
-    /// Restrict to a component.
-    pub fn with_comp(mut self, comp: CompId) -> LogQuery {
-        self.comp = Some(comp);
         self
     }
 
@@ -66,23 +47,8 @@ impl LogQuery {
                 return false;
             }
         }
-        if let Some(c) = self.comp {
-            if rec.comp != c {
-                return false;
-            }
-        }
         if let Some(ref s) = self.source {
             if &rec.source != s {
-                return false;
-            }
-        }
-        if let Some(f) = self.from {
-            if rec.ts < f {
-                return false;
-            }
-        }
-        if let Some(t) = self.to {
-            if rec.ts > t {
                 return false;
             }
         }
@@ -103,7 +69,7 @@ pub struct LogStore {
 }
 
 /// Split a message into lowercase alphanumeric tokens.
-pub fn tokenize(text: &str) -> Vec<String> {
+pub(crate) fn tokenize(text: &str) -> Vec<String> {
     text.split(|c: char| !c.is_alphanumeric())
         .filter(|t| !t.is_empty())
         .map(|t| t.to_lowercase())
@@ -185,35 +151,11 @@ impl LogStore {
             .collect()
     }
 
-    /// Count matches without materializing them.
-    pub fn count(&self, query: &LogQuery) -> usize {
-        self.search(query).len()
-    }
-
     /// Brute-force substring scan over every record (the unindexed
     /// baseline; case-sensitive substring semantics).
     pub fn scan_substring(&self, needle: &str) -> Vec<LogRecord> {
         let inner = self.inner.read();
         inner.records.iter().filter(|r| r.message.contains(needle)).cloned().collect()
-    }
-
-    /// Occurrence counts per template id (the "variation in occurrences of
-    /// log lines" analysis input).
-    pub fn template_histogram(&self) -> HashMap<u32, usize> {
-        let inner = self.inner.read();
-        let mut hist = HashMap::new();
-        for r in &inner.records {
-            if let Some(t) = r.template {
-                *hist.entry(t).or_insert(0) += 1;
-            }
-        }
-        hist
-    }
-
-    /// Records in a time window (for windowed correlation).
-    pub fn window(&self, from: Ts, to: Ts) -> Vec<LogRecord> {
-        let inner = self.inner.read();
-        inner.records.iter().filter(|r| r.ts >= from && r.ts <= to).cloned().collect()
     }
 
     /// Approximate memory footprint of the index, bytes.
@@ -226,6 +168,7 @@ impl LogStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpcmon_metrics::{CompId, Ts};
 
     fn rec(ts: u64, node: u32, sev: Severity, source: &str, msg: &str) -> LogRecord {
         LogRecord::new(Ts(ts), CompId::node(node), sev, source, msg)
@@ -274,12 +217,8 @@ mod tests {
     }
 
     #[test]
-    fn window_and_comp_filters() {
+    fn source_filter() {
         let store = populated();
-        let q = LogQuery::tokens(&["link"]).with_window(Ts(1_500), Ts(3_500));
-        assert_eq!(store.search(&q).len(), 1);
-        let q = LogQuery::tokens(&["link"]).with_comp(CompId::node(0));
-        assert_eq!(store.search(&q).len(), 2);
         let q = LogQuery::tokens(&["link"]).with_source("hsn");
         assert_eq!(store.search(&q).len(), 2);
     }
@@ -299,33 +238,12 @@ mod tests {
     }
 
     #[test]
-    fn template_histogram_counts() {
-        let store = LogStore::new();
-        for i in 0..5 {
-            store.append(rec(i, 0, Severity::Info, "x", "m").with_template(7));
-        }
-        store.append(rec(9, 0, Severity::Info, "x", "m").with_template(8));
-        store.append(rec(10, 0, Severity::Info, "x", "untemplated"));
-        let h = store.template_histogram();
-        assert_eq!(h.get(&7), Some(&5));
-        assert_eq!(h.get(&8), Some(&1));
-        assert_eq!(h.len(), 2);
-    }
-
-    #[test]
     fn get_and_len() {
         let store = populated();
         assert_eq!(store.len(), 4);
         assert!(!store.is_empty());
         assert_eq!(store.get(1).unwrap().source, "fs");
         assert!(store.get(99).is_none());
-    }
-
-    #[test]
-    fn window_fetch() {
-        let store = populated();
-        assert_eq!(store.window(Ts(2_000), Ts(3_000)).len(), 2);
-        assert!(store.window(Ts(10_000), Ts(20_000)).is_empty());
     }
 
     #[test]

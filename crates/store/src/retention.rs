@@ -27,22 +27,6 @@ pub struct RetentionPolicy {
 }
 
 impl RetentionPolicy {
-    /// Keep one simulated week performant, everything forever.
-    pub fn week_performant() -> RetentionPolicy {
-        RetentionPolicy {
-            keep_performant_ms: 7 * 24 * 3_600_000,
-            purge_after_ms: None,
-            rollup_bucket_ms: None,
-        }
-    }
-
-    /// Enable rollups at `bucket_ms` for archived data.
-    pub fn with_rollup(mut self, bucket_ms: u64) -> RetentionPolicy {
-        assert!(bucket_ms > 0);
-        self.rollup_bucket_ms = Some(bucket_ms);
-        self
-    }
-
     /// Outcome of one enforcement pass.
     pub fn enforce(
         &self,
@@ -67,8 +51,8 @@ impl RetentionPolicy {
                         if block.decode_into(Ts::ZERO, Ts(u64::MAX), &mut pts).is_err() {
                             continue;
                         }
-                        // `with_rollup` rejects zero buckets, so this cannot
-                        // fail; an empty rollup is the safe fallback.
+                        // A zero bucket cannot downsample: an empty rollup
+                        // is the safe fallback.
                         for (t, v) in crate::query::QueryEngine::downsample_points(
                             &pts,
                             bucket,
@@ -123,6 +107,15 @@ pub struct RetentionReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Keep one simulated week performant, everything forever.
+    fn week_performant() -> RetentionPolicy {
+        RetentionPolicy {
+            keep_performant_ms: 7 * 24 * 3_600_000,
+            purge_after_ms: None,
+            rollup_bucket_ms: None,
+        }
+    }
     use hpcmon_metrics::{CompId, MetricId, Sample, SeriesKey};
 
     fn fill(store: &TimeSeriesStore, minutes: std::ops::Range<u64>) {
@@ -197,7 +190,7 @@ mod tests {
     fn keep_forever_never_purges() {
         let store = TimeSeriesStore::with_options(2, 16);
         let mut archive = Archive::new();
-        let policy = RetentionPolicy::week_performant();
+        let policy = week_performant();
         fill(&store, 0..60);
         // A month later, archive but never purge.
         let month = Ts(30 * 24 * 3_600_000);
@@ -219,9 +212,8 @@ mod tests {
         let policy = RetentionPolicy {
             keep_performant_ms: 30 * 60_000,
             purge_after_ms: None,
-            rollup_bucket_ms: None,
-        }
-        .with_rollup(60 * 60_000); // hourly rollups
+            rollup_bucket_ms: Some(60 * 60_000), // hourly rollups
+        };
         let report = policy.enforce(Ts::from_mins(120), &store, &mut archive);
         assert!(report.archived.is_some());
         // Raw old points are gone, but hourly means remain queryable.
@@ -244,7 +236,7 @@ mod tests {
     fn enforce_near_epoch_is_safe() {
         let store = TimeSeriesStore::new();
         let mut archive = Archive::new();
-        let policy = RetentionPolicy::week_performant();
+        let policy = week_performant();
         let report = policy.enforce(Ts::from_mins(1), &store, &mut archive);
         assert!(report.archived.is_none());
         assert_eq!(report.purged_segments, 0);

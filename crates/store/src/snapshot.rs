@@ -399,16 +399,6 @@ impl TimeSeriesStore {
         self.warm_bytes.store(warm_bytes, Ordering::Relaxed);
         Ok(())
     }
-
-    /// Rebuild a store from a checkpoint: contents land in the same shards
-    /// (shard choice is a pure function of the key), occupancy counters are
-    /// recomputed from the restored contents, and the monotonic counters
-    /// and epoch resume at their recorded values.
-    pub fn restore(snap: StoreSnapshot) -> TimeSeriesStore {
-        let store = TimeSeriesStore::with_options(snap.head.num_shards, snap.head.seal_threshold);
-        store.load_snapshot(snap);
-        store
-    }
 }
 
 // ----- base64 (standard alphabet, padded) -----
@@ -474,6 +464,13 @@ mod tests {
     use hpcmon_metrics::alloc_count::thread_allocations;
     use hpcmon_metrics::{ColumnFrame, Sample, MINUTE_MS};
 
+    /// A fresh store of the checkpoint's shape with the checkpoint loaded.
+    fn restore(snap: StoreSnapshot) -> TimeSeriesStore {
+        let store = TimeSeriesStore::with_options(snap.head.num_shards, snap.head.seal_threshold);
+        store.load_snapshot(snap);
+        store
+    }
+
     const ALL: (Ts, Ts) = (Ts::ZERO, Ts(u64::MAX));
 
     /// One tick of a small machine: constants, counters, noise and, on
@@ -521,7 +518,7 @@ mod tests {
 
     fn through_json(store: &TimeSeriesStore) -> TimeSeriesStore {
         let json = serde_json::to_vec(&store.snapshot()).expect("serializes");
-        TimeSeriesStore::restore(serde_json::from_slice(&json).expect("round trips"))
+        restore(serde_json::from_slice(&json).expect("round trips"))
     }
 
     fn bits(points: Vec<(Ts, f64)>) -> Vec<(Ts, u64)> {
@@ -713,7 +710,7 @@ mod tests {
                     // A flip inside a warm stream or a value: still a
                     // well-formed section, and it loads.
                     let head = head.clone();
-                    let store = TimeSeriesStore::restore(StoreSnapshot { head, section });
+                    let store = restore(StoreSnapshot { head, section });
                     proptest::prop_assert_eq!(store.stats(), store.occupancy());
                 }
                 flipped[bit / 8] ^= 1 << (bit % 8);
@@ -789,8 +786,10 @@ mod tests {
         let mut body = vec![VERSION, 1, 0, 0, 0];
         body.extend_from_slice(&single[5..5 + 9 + 4]);
         put_block_header(&mut body, Ts(20), Ts(10), 2);
-        put_stream(&mut body, |o| o.extend(compress::compress_timestamps(&[Ts(20), Ts(10)])));
-        put_stream(&mut body, |o| o.extend(compress::compress_values(&[1.0, 2.0])));
+        put_stream(&mut body, |o| {
+            compress::encode_timestamps_into(o, [Ts(20), Ts(10)].into_iter())
+        });
+        put_stream(&mut body, |o| compress::encode_values_into(o, [1.0, 2.0].into_iter()));
         assert_eq!(validate(&sealed(body)), Err("hot block out of order or outside its span"));
     }
 

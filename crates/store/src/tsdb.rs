@@ -142,7 +142,7 @@ impl SeriesBlock {
     }
 
     /// Check that the block decodes, without materialising it.
-    pub fn validate(&self) -> Result<(), BlockError> {
+    pub(crate) fn validate(&self) -> Result<(), BlockError> {
         self.try_visit(|_, _| {}).ok_or_else(|| self.diagnose())
     }
 
@@ -180,7 +180,7 @@ impl SeriesBlock {
     }
 
     /// Whether the block overlaps `[from, to]`.
-    pub fn overlaps(&self, from: Ts, to: Ts) -> bool {
+    pub(crate) fn overlaps(&self, from: Ts, to: Ts) -> bool {
         self.start <= to && self.end >= from
     }
 }
@@ -370,7 +370,7 @@ impl TimeSeriesStore {
     }
 
     /// Whether a shard currently refuses fault-aware writes.
-    pub fn shard_write_faulted(&self, shard: usize) -> bool {
+    pub(crate) fn shard_write_faulted(&self, shard: usize) -> bool {
         self.write_faults.get(shard).is_some_and(|f| f.load(Ordering::Acquire))
     }
 
@@ -399,7 +399,7 @@ impl TimeSeriesStore {
     }
 
     /// Which shard a series key lives in.
-    pub fn shard_index(&self, key: &SeriesKey) -> usize {
+    pub(crate) fn shard_index(&self, key: &SeriesKey) -> usize {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
         (h.finish() as usize) % self.shards.len()
@@ -476,7 +476,7 @@ impl TimeSeriesStore {
     /// that move or remove slots (a retention pass that drops something, a
     /// snapshot load).  The slot numbers an [`IngestRoute`] holds are valid
     /// exactly while this still reads the value they were resolved at.
-    pub fn layout_gen(&self) -> u64 {
+    pub(crate) fn layout_gen(&self) -> u64 {
         self.layout_gen.load(Ordering::Acquire)
     }
 
@@ -820,16 +820,6 @@ impl TimeSeriesStore {
         self.corrupt_blocks.load(Ordering::Relaxed)
     }
 
-    /// Admit a warm block without the reload validation — test-only, to
-    /// exercise the query path's skip-and-count defense for corruption
-    /// that bypasses the ingest boundary (e.g. in-memory bit flips).
-    #[cfg(test)]
-    fn inject_warm_block(&self, block: SeriesBlock) {
-        let mut shard = self.shard_of(&block.key).write();
-        let slot = self.resolve_slot(&mut shard, block.key);
-        shard.slots[slot as usize].data.warm.push(block);
-    }
-
     /// Monotonic operation counters.
     pub fn op_counts(&self) -> StoreOpCounts {
         StoreOpCounts {
@@ -875,6 +865,17 @@ mod tests {
     use super::*;
     use crate::cohort::MIN_WIDTH;
     use hpcmon_metrics::MINUTE_MS;
+
+    impl TimeSeriesStore {
+        /// Admit a warm block without the reload validation, to exercise
+        /// the query path's skip-and-count defense for corruption that
+        /// bypasses the ingest boundary (e.g. in-memory bit flips).
+        fn inject_warm_block(&self, block: SeriesBlock) {
+            let mut shard = self.shard_of(&block.key).write();
+            let slot = self.resolve_slot(&mut shard, block.key);
+            shard.slots[slot as usize].data.warm.push(block);
+        }
+    }
 
     fn key(m: u32, n: u32) -> SeriesKey {
         SeriesKey::new(MetricId(m), CompId::node(n))

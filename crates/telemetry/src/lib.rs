@@ -82,7 +82,7 @@ impl Gauge {
     }
 
     /// Current level.
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 }
@@ -159,7 +159,7 @@ impl Histogram {
     }
 
     /// Observation count.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
 
@@ -235,11 +235,10 @@ impl Histogram {
     }
 }
 
-/// Span guard: times from construction to [`StageTimer::stop`] (or drop) and
-/// records into a histogram plus an optional last-value gauge.
+/// Span guard: times from construction to drop and records into a
+/// histogram.
 pub struct StageTimer {
-    hist: Option<Arc<Histogram>>,
-    last_gauge: Option<Arc<Gauge>>,
+    hist: Arc<Histogram>,
     tag: u64,
     start: Instant,
 }
@@ -247,13 +246,7 @@ pub struct StageTimer {
 impl StageTimer {
     /// Start timing into `hist`.
     pub fn new(hist: Arc<Histogram>) -> StageTimer {
-        StageTimer { hist: Some(hist), last_gauge: None, tag: 0, start: Instant::now() }
-    }
-
-    /// Also publish the elapsed time (in ms) to a gauge on completion.
-    pub fn with_gauge(mut self, gauge: Arc<Gauge>) -> StageTimer {
-        self.last_gauge = Some(gauge);
-        self
+        StageTimer { hist, tag: 0, start: Instant::now() }
     }
 
     /// Tag the recorded observation with an exemplar (a trace id); the
@@ -262,27 +255,11 @@ impl StageTimer {
         self.tag = tag;
         self
     }
-
-    /// Stop explicitly, returning elapsed nanoseconds.
-    pub fn stop(mut self) -> u64 {
-        self.finish()
-    }
-
-    fn finish(&mut self) -> u64 {
-        let ns = self.start.elapsed().as_nanos() as u64;
-        if let Some(h) = self.hist.take() {
-            h.record_ns_tagged(ns, self.tag);
-            if let Some(g) = self.last_gauge.take() {
-                g.set(ns as f64 / 1e6);
-            }
-        }
-        ns
-    }
 }
 
 impl Drop for StageTimer {
     fn drop(&mut self) {
-        self.finish();
+        self.hist.record_ns_tagged(self.start.elapsed().as_nanos() as u64, self.tag);
     }
 }
 
@@ -328,8 +305,6 @@ struct Inner {
 pub struct Telemetry {
     inner: RwLock<Inner>,
     active: bool,
-    /// Times a poisoned registry lock was recovered instead of panicking.
-    lock_recoveries: AtomicU64,
 }
 
 impl Default for Telemetry {
@@ -341,20 +316,12 @@ impl Default for Telemetry {
 impl Telemetry {
     /// An active registry.
     pub fn new() -> Telemetry {
-        Telemetry {
-            inner: RwLock::new(Inner::default()),
-            active: true,
-            lock_recoveries: AtomicU64::new(0),
-        }
+        Telemetry { inner: RwLock::new(Inner::default()), active: true }
     }
 
     /// An inert registry: instruments exist but record nothing.
     pub fn disabled() -> Telemetry {
-        Telemetry {
-            inner: RwLock::new(Inner::default()),
-            active: false,
-            lock_recoveries: AtomicU64::new(0),
-        }
+        Telemetry { inner: RwLock::new(Inner::default()), active: false }
     }
 
     /// Whether instruments record.
@@ -362,30 +329,17 @@ impl Telemetry {
         self.active
     }
 
-    /// Acquire the registry read lock, recovering (and counting) a
-    /// poisoned lock rather than panicking: a panic elsewhere must not
-    /// cascade into every thread that touches telemetry (no-panic
-    /// policy).  The registry's invariants are append-only maps, which
+    /// Acquire the registry read lock, recovering a poisoned lock rather
+    /// than panicking: a panic elsewhere must not cascade into every
+    /// thread that touches telemetry (no-panic policy).  The registry's invariants are append-only maps, which
     /// stay consistent across an interrupted writer.
     fn read(&self) -> std::sync::RwLockReadGuard<'_, Inner> {
-        self.inner.read().unwrap_or_else(|poisoned| {
-            self.lock_recoveries.fetch_add(1, Ordering::Relaxed);
-            poisoned.into_inner()
-        })
+        self.inner.read().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     /// Write-lock counterpart of [`Telemetry::read`].
     fn write(&self) -> std::sync::RwLockWriteGuard<'_, Inner> {
-        self.inner.write().unwrap_or_else(|poisoned| {
-            self.lock_recoveries.fetch_add(1, Ordering::Relaxed);
-            poisoned.into_inner()
-        })
-    }
-
-    /// Times a poisoned registry lock was recovered instead of
-    /// propagating a panic (0 in a healthy process).
-    pub fn lock_recoveries(&self) -> u64 {
-        self.lock_recoveries.load(Ordering::Relaxed)
+        self.inner.write().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     /// Register or fetch a counter.
@@ -428,12 +382,6 @@ impl Telemetry {
         let h = Arc::new(Histogram::new(self.active));
         inner.histograms.insert(name, h.clone());
         h
-    }
-
-    /// Start a span timer recording into histogram `name` and gauge
-    /// `<name>.last_ms`.
-    pub fn timer(&self, name: &str) -> StageTimer {
-        StageTimer::new(self.histogram(name)).with_gauge(self.gauge(&format!("{name}.last_ms")))
     }
 
     /// Visit every counter (registration order) with its current total.
@@ -587,7 +535,6 @@ mod tests {
         let g = t.gauge("q.depth");
         g.set(7.5);
         assert_eq!(g.get(), 7.5);
-        assert_eq!(t.lock_recoveries(), 0, "healthy use never trips poison recovery");
     }
 
     #[test]
@@ -620,7 +567,7 @@ mod tests {
     fn stage_timer_records_on_drop() {
         let t = Telemetry::new();
         {
-            let _timer = t.timer("stage.collect");
+            let _timer = StageTimer::new(t.histogram("stage.collect"));
         }
         assert_eq!(t.histogram("stage.collect").count(), 1);
     }
@@ -714,7 +661,7 @@ mod tests {
     fn stage_timer_tag_lands_in_bucket() {
         let t = Telemetry::new();
         {
-            let _timer = t.timer("stage.x").with_tag(11);
+            let _timer = StageTimer::new(t.histogram("stage.x")).with_tag(11);
         }
         assert_eq!(t.histogram("stage.x").exemplar_near_quantile(0.5), 11);
     }

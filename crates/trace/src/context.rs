@@ -13,11 +13,6 @@ pub struct TraceId(pub u64);
 impl TraceId {
     /// The reserved "no trace" id.
     pub const NONE: TraceId = TraceId(0);
-
-    /// Whether this is a real allocated id.
-    pub fn is_some(self) -> bool {
-        self.0 != 0
-    }
 }
 
 /// Identity of one span within a trace.  `SpanId(0)` means "no span":
@@ -52,13 +47,8 @@ pub struct TraceContext {
 
 impl TraceContext {
     /// A context at the head of a new trace.
-    pub fn root(trace_id: TraceId, sampled: bool) -> TraceContext {
+    pub(crate) fn root(trace_id: TraceId, sampled: bool) -> TraceContext {
         TraceContext { trace_id, span_id: SpanId::NONE, sampled }
-    }
-
-    /// The same trace, re-parented under `span`.
-    pub fn under(self, span: SpanId) -> TraceContext {
-        TraceContext { span_id: span, ..self }
     }
 }
 
@@ -76,11 +66,7 @@ mod tests {
 
     #[test]
     fn reserved_ids() {
-        assert!(!TraceId::NONE.is_some());
-        assert!(TraceId(1).is_some());
         let ctx = TraceContext::root(TraceId(9), false);
         assert_eq!(ctx.span_id, SpanId::NONE);
-        assert_eq!(ctx.under(SpanId(3)).span_id, SpanId(3));
-        assert_eq!(ctx.under(SpanId(3)).trace_id, TraceId(9));
     }
 }

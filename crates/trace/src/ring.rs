@@ -23,7 +23,7 @@ pub struct SpanRing {
 
 impl SpanRing {
     /// A ring holding up to `capacity` spans.
-    pub fn new(capacity: usize) -> SpanRing {
+    pub(crate) fn new(capacity: usize) -> SpanRing {
         SpanRing {
             spans: Mutex::new(VecDeque::with_capacity(capacity)),
             capacity,
@@ -38,7 +38,7 @@ impl SpanRing {
     }
 
     /// Record a span.  Returns false (and counts the rejection) when full.
-    pub fn push(&self, span: SpanRecord) -> bool {
+    pub(crate) fn push(&self, span: SpanRecord) -> bool {
         let mut spans = self.lock();
         if spans.len() >= self.capacity {
             self.rejected.fetch_add(1, Ordering::Relaxed);
@@ -54,12 +54,12 @@ impl SpanRing {
     }
 
     /// Drain everything currently recorded into `out`, oldest first.
-    pub fn drain_into(&self, out: &mut Vec<SpanRecord>) {
+    pub(crate) fn drain_into(&self, out: &mut Vec<SpanRecord>) {
         out.extend(self.lock().drain(..));
     }
 
     /// Spans rejected because the ring was full.
-    pub fn rejected(&self) -> u64 {
+    pub(crate) fn rejected(&self) -> u64 {
         self.rejected.load(Ordering::Relaxed)
     }
 

@@ -47,22 +47,17 @@ impl Sampler {
     }
 
     /// Whether tracing is enabled at all (drop provenance included).
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.denom != 0
     }
 
     /// The sampling decision for sequence number `seq`.
-    pub fn decide(&self, seq: u64) -> bool {
+    pub(crate) fn decide(&self, seq: u64) -> bool {
         match self.denom {
             0 => false,
             1 => true,
             n => splitmix64(seq).is_multiple_of(n),
         }
-    }
-
-    /// The configured denominator (0 = off).
-    pub fn denominator(&self) -> u64 {
-        self.denom
     }
 }
 

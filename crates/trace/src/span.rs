@@ -140,7 +140,7 @@ impl SpanRecord {
     }
 
     /// Whether this span records a loss.
-    pub fn is_drop(&self) -> bool {
+    pub(crate) fn is_drop(&self) -> bool {
         matches!(self.status, SpanStatus::Dropped(_))
     }
 }

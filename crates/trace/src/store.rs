@@ -124,14 +124,6 @@ impl TraceStore {
         n
     }
 
-    /// Force-complete everything still pending (end of run / example).
-    pub fn flush(&mut self) -> usize {
-        for p in self.pending.values_mut() {
-            p.idle_rounds = Self::IDLE_ROUNDS;
-        }
-        self.ingest(Vec::new())
-    }
-
     /// Retained completed traces, oldest first.
     pub fn completed(&self) -> impl DoubleEndedIterator<Item = &Trace> {
         self.completed.iter()
@@ -140,11 +132,6 @@ impl TraceStore {
     /// Find a retained trace by id.
     pub fn find(&self, id: TraceId) -> Option<&Trace> {
         self.completed.iter().find(|t| t.id == id)
-    }
-
-    /// The most recently completed trace.
-    pub fn latest(&self) -> Option<&Trace> {
-        self.completed.back()
     }
 
     /// Retained traces that recorded at least one loss, oldest first.
@@ -165,11 +152,6 @@ impl TraceStore {
     /// Spans ingested over this store's lifetime.
     pub fn spans_seen(&self) -> u64 {
         self.spans_seen
-    }
-
-    /// Traces currently buffered awaiting completion.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
     }
 }
 
@@ -195,10 +177,10 @@ mod tests {
     fn trace_completes_after_one_idle_round() {
         let mut store = TraceStore::new(8);
         assert_eq!(store.ingest(vec![span(1, 1, 0, 0, SpanStatus::Completed)]), 0);
-        assert_eq!(store.pending_len(), 1);
+        assert_eq!(store.pending.len(), 1);
         // Next round with no new spans for trace 1: it completes.
         assert_eq!(store.ingest(Vec::new()), 1);
-        assert_eq!(store.pending_len(), 0);
+        assert_eq!(store.pending.len(), 0);
         let t = store.find(TraceId(1)).unwrap();
         assert_eq!(t.spans.len(), 1);
         assert_eq!(t.root().unwrap().span_id, SpanId(1));
@@ -240,19 +222,10 @@ mod tests {
         for i in 1..=4u64 {
             store.ingest(vec![span(i, i, 0, 0, SpanStatus::Completed)]);
         }
-        store.flush();
+        store.ingest(Vec::new());
         assert_eq!(store.completed_total(), 4);
         assert!(store.find(TraceId(1)).is_none());
         assert!(store.find(TraceId(4)).is_some());
         assert_eq!(store.completed().count(), 2);
-    }
-
-    #[test]
-    fn flush_completes_everything() {
-        let mut store = TraceStore::new(8);
-        store.ingest(vec![span(7, 1, 0, 0, SpanStatus::Completed)]);
-        assert_eq!(store.flush(), 1);
-        assert_eq!(store.pending_len(), 0);
-        assert_eq!(store.latest().unwrap().id, TraceId(7));
     }
 }

@@ -70,11 +70,6 @@ impl Tracer {
         }
     }
 
-    /// The configured head sampler.
-    pub fn sampler(&self) -> Sampler {
-        self.sampler
-    }
-
     /// Whether tracing is enabled at all.
     pub fn is_enabled(&self) -> bool {
         self.sampler.is_enabled()
@@ -88,13 +83,8 @@ impl Tracer {
         self.force_sampling.store(force, Ordering::Relaxed);
     }
 
-    /// Whether the 1-in-1 sampling override is active.
-    pub fn force_sampling(&self) -> bool {
-        self.force_sampling.load(Ordering::Relaxed)
-    }
-
     /// Nanoseconds since this tracer's epoch (the span clock).
-    pub fn now_ns(&self) -> u64 {
+    pub(crate) fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
 
@@ -122,16 +112,6 @@ impl Tracer {
         Some(TraceContext::root(id, sampled))
     }
 
-    /// A context that records unconditionally (examples, debugging).
-    pub fn context_always(&self) -> Option<TraceContext> {
-        if !self.sampler.is_enabled() {
-            return None;
-        }
-        self.traces_sampled.fetch_add(1, Ordering::Relaxed);
-        let id = TraceId(self.next_trace.fetch_add(1, Ordering::Relaxed));
-        Some(TraceContext::root(id, true))
-    }
-
     /// Open a span under `ctx` (as child of `ctx.span_id`).  For an
     /// unsampled context the guard is inert: it records nothing and its
     /// [`SpanGuard::context`] keeps the parent's span id, so any drop
@@ -147,7 +127,6 @@ impl Tracer {
             sampled: ctx.sampled,
             start_ns: if ctx.sampled { self.now_ns() } else { 0 },
             note: String::new(),
-            finished: false,
         }
     }
 
@@ -169,7 +148,7 @@ impl Tracer {
     }
 
     /// Low-level: push a finished span into this thread's ring.
-    pub fn record(&self, span: SpanRecord) {
+    pub(crate) fn record(&self, span: SpanRecord) {
         if self.ring().push(span) {
             self.spans_recorded.fetch_add(1, Ordering::Relaxed);
         }
@@ -194,8 +173,7 @@ impl Tracer {
     }
 }
 
-/// An open span: records on [`SpanGuard::finish`] (or drop) with status
-/// `Completed`, or via [`SpanGuard::finish_dropped`] with a loss reason.
+/// An open span: records on drop with status `Completed`.
 pub struct SpanGuard<'a> {
     tracer: &'a Tracer,
     trace_id: TraceId,
@@ -205,7 +183,6 @@ pub struct SpanGuard<'a> {
     sampled: bool,
     start_ns: u64,
     note: String,
-    finished: bool,
 }
 
 impl SpanGuard<'_> {
@@ -219,64 +196,29 @@ impl SpanGuard<'_> {
         }
     }
 
-    /// This span's id (`SpanId::NONE` when the guard is inert).
-    pub fn span_id(&self) -> SpanId {
-        self.span_id
-    }
-
     /// Attach free-form detail to the span.
     pub fn set_note(&mut self, note: impl Into<String>) {
         if self.sampled {
             self.note = note.into();
         }
     }
+}
 
-    /// Close the span as completed, returning its duration in
-    /// nanoseconds (0 for inert guards).
-    pub fn finish(mut self) -> u64 {
-        self.close(SpanStatus::Completed)
-    }
-
-    /// Close the span as a loss.  Unlike ordinary completion this records
-    /// even for unsampled contexts — drops always get provenance.
-    pub fn finish_dropped(mut self, reason: DropReason) {
+impl Drop for SpanGuard<'_> {
+    fn drop(&mut self) {
         if !self.sampled {
-            let ctx =
-                TraceContext { trace_id: self.trace_id, span_id: self.parent, sampled: false };
-            let note = std::mem::take(&mut self.note);
-            self.finished = true;
-            self.tracer.record_drop(&ctx, self.stage, reason, &note);
             return;
         }
-        self.close(SpanStatus::Dropped(reason));
-    }
-
-    fn close(&mut self, status: SpanStatus) -> u64 {
-        if self.finished {
-            return 0;
-        }
-        self.finished = true;
-        if !self.sampled {
-            return 0;
-        }
-        let end_ns = self.tracer.now_ns();
         self.tracer.record(SpanRecord {
             trace_id: self.trace_id,
             span_id: self.span_id,
             parent: self.parent,
             stage: self.stage,
             start_ns: self.start_ns,
-            end_ns,
-            status,
+            end_ns: self.tracer.now_ns(),
+            status: SpanStatus::Completed,
             note: std::mem::take(&mut self.note),
         });
-        end_ns.saturating_sub(self.start_ns)
-    }
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        self.close(SpanStatus::Completed);
     }
 }
 
@@ -288,7 +230,6 @@ mod tests {
     fn off_tracer_allocates_nothing() {
         let t = Tracer::new(Sampler::off());
         assert!(t.context_for(0).is_none());
-        assert!(t.context_always().is_none());
         assert!(t.drain().is_empty());
     }
 
@@ -300,9 +241,9 @@ mod tests {
         let root = t.span(&ctx, Stage::Tick);
         let rctx = root.context();
         let child = t.span(&rctx, Stage::Collect);
-        let child_id = child.span_id();
+        let child_id = child.span_id;
         drop(child);
-        let root_id = root.span_id();
+        let root_id = root.span_id;
         drop(root);
         let spans = t.drain();
         assert_eq!(spans.len(), 2);
@@ -333,22 +274,10 @@ mod tests {
     }
 
     #[test]
-    fn guard_finish_dropped_records_even_unsampled() {
-        let t = Tracer::new(Sampler::one_in(u64::MAX));
-        let ctx = t.context_for(1).unwrap();
-        let guard = t.span(&ctx, Stage::Gateway);
-        guard.finish_dropped(DropReason::DeadlineShed);
-        let spans = t.drain();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].status, SpanStatus::Dropped(DropReason::DeadlineShed));
-        assert_eq!(spans[0].stage, Stage::Gateway);
-    }
-
-    #[test]
     fn stats_count_traces_and_spans() {
         let t = Tracer::new(Sampler::always());
         let ctx = t.context_for(0).unwrap();
-        t.span(&ctx, Stage::Tick).finish();
+        drop(t.span(&ctx, Stage::Tick));
         let stats = t.stats();
         assert_eq!(stats.traces_sampled, 1);
         assert_eq!(stats.spans_recorded, 1);
@@ -364,7 +293,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for i in 0..50 {
                     let ctx = t.context_for(i).unwrap();
-                    t.span(&ctx, Stage::Gateway).finish();
+                    drop(t.span(&ctx, Stage::Gateway));
                 }
             }));
         }
@@ -389,7 +318,7 @@ mod tests {
                     start.wait();
                     for i in 0..SPANS {
                         let ctx = t.context_for(i as u64).unwrap();
-                        t.span(&ctx, Stage::Gateway).finish();
+                        drop(t.span(&ctx, Stage::Gateway));
                     }
                 })
             })

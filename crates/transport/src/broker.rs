@@ -42,8 +42,8 @@ pub struct BrokerStats {
     pub dropped: u64,
     /// Approximate payload bytes published.
     pub bytes_published: u64,
-    /// Serialized envelopes that failed [`Envelope::decode`] at a broker
-    /// consumer (truncated / bit-flipped payloads, counted and skipped).
+    /// Serialized envelopes that failed to decode at a broker consumer
+    /// (truncated / bit-flipped payloads, counted and skipped).
     pub decode_errors: u64,
 }
 
@@ -215,7 +215,6 @@ struct SubscriberEntry {
 /// accounting.
 pub struct Subscription {
     queue: QueueEnd,
-    filter: TopicFilter,
 }
 
 impl Subscription {
@@ -242,11 +241,6 @@ impl Subscription {
     /// Messages currently queued.
     pub fn queued(&self) -> usize {
         self.queue.len()
-    }
-
-    /// The filter this subscription was created with.
-    pub fn filter(&self) -> &TopicFilter {
-        &self.filter
     }
 }
 
@@ -298,11 +292,11 @@ impl Broker {
             dropped: AtomicU64::new(0),
         });
         self.subscribers.write().push(SubscriberEntry {
-            filter: filter.clone(),
+            filter,
             queue: QueueEnd(queue.clone()),
             policy,
         });
-        Subscription { queue: QueueEnd(queue), filter }
+        Subscription { queue: QueueEnd(queue) }
     }
 
     /// Attach a tracer: from here on, every drop during fan-out is also
@@ -396,20 +390,6 @@ impl Broker {
         let c = Arc::new(TopicCounters::default());
         topics.push((topic.to_owned(), c.clone()));
         c
-    }
-
-    /// Remove subscribers matching a predicate on their filter pattern
-    /// (explicit data-path reconfiguration).
-    pub fn unsubscribe_where(&self, pred: impl Fn(&TopicFilter) -> bool) -> usize {
-        let mut subs = self.subscribers.write();
-        let before = subs.len();
-        subs.retain(|s| !pred(&s.filter));
-        before - subs.len()
-    }
-
-    /// Current subscriber count.
-    pub fn subscriber_count(&self) -> usize {
-        self.subscribers.read().len()
     }
 
     /// Activity counters: the per-topic counters summed, plus decode
@@ -663,19 +643,6 @@ mod tests {
     }
 
     #[test]
-    fn unsubscribe_where_removes_paths() {
-        let b = Broker::new();
-        let _s1 = b.subscribe(TopicFilter::new("metrics/#"), 4, BackpressurePolicy::Block);
-        let _s2 = b.subscribe(TopicFilter::new("logs/#"), 4, BackpressurePolicy::Block);
-        assert_eq!(b.subscriber_count(), 2);
-        let removed = b.unsubscribe_where(|f| f.pattern().starts_with("logs"));
-        assert_eq!(removed, 1);
-        assert_eq!(b.subscriber_count(), 1);
-        assert_eq!(b.publish("logs/x", raw(0)), 0);
-        assert_eq!(b.publish("metrics/x", raw(0)), 1);
-    }
-
-    #[test]
     fn no_subscribers_is_fine() {
         let b = Broker::new();
         assert_eq!(b.publish("anything", raw(9)), 0);
@@ -744,12 +711,12 @@ mod tests {
         let b = Broker::new();
         let s = b.subscribe(TopicFilter::all(), 1, BackpressurePolicy::Block);
         drop(s);
-        assert_eq!(b.subscriber_count(), 1);
+        assert_eq!(b.subscribers.read().len(), 1);
         // A dead Block subscriber with a full queue must not stall
         // publishers; it is skipped and pruned instead.
         b.publish("t", raw(0));
         b.publish("t", raw(1));
-        assert_eq!(b.subscriber_count(), 0);
+        assert_eq!(b.subscribers.read().len(), 0);
     }
 
     #[test]
@@ -779,7 +746,7 @@ mod tests {
         assert_eq!(delivered, 0);
         assert_eq!(b.topic_stats()[0].pruned_receiver, 1);
         assert_eq!(b.stats().dropped, 0);
-        assert_eq!(b.subscriber_count(), 0, "and the entry is pruned, not wedged");
+        assert_eq!(b.subscribers.read().len(), 0, "and the entry is pruned, not wedged");
         let spans = tracer.drain();
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].trace_id, ctx.trace_id);

@@ -31,18 +31,18 @@ mod raw_bytes {
     use bytes::Bytes;
     use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
-    pub fn serialize<S: Serializer>(b: &Bytes, s: S) -> Result<S::Ok, S::Error> {
+    pub(crate) fn serialize<S: Serializer>(b: &Bytes, s: S) -> Result<S::Ok, S::Error> {
         b.as_ref().serialize(s)
     }
 
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Bytes, D::Error> {
+    pub(crate) fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Bytes, D::Error> {
         Ok(Bytes::from(Vec::<u8>::deserialize(d)?))
     }
 }
 
 impl Payload {
     /// Approximate in-memory size, for throughput accounting.
-    pub fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         match self {
             Payload::Columns(c) => c.len() * std::mem::size_of::<hpcmon_metrics::Sample>(),
             Payload::Log(l) => l.message.len() + l.source.len() + 32,
@@ -63,14 +63,6 @@ impl Payload {
     pub fn as_log(&self) -> Option<&LogRecord> {
         match self {
             Payload::Log(l) => Some(l),
-            _ => None,
-        }
-    }
-
-    /// The job record, if this is a job payload.
-    pub fn as_job(&self) -> Option<&JobRecord> {
-        match self {
-            Payload::Job(j) => Some(j),
             _ => None,
         }
     }
@@ -116,7 +108,7 @@ impl Envelope {
     /// and sanity-checks it.  Truncated, bit-flipped, or otherwise mangled
     /// payloads return an error — they must be **counted and skipped** by
     /// the caller (see `Broker::decode_envelope`), never unwrapped.
-    pub fn decode(bytes: &[u8]) -> Result<Envelope, DecodeError> {
+    pub(crate) fn decode(bytes: &[u8]) -> Result<Envelope, DecodeError> {
         let env: Envelope =
             serde_json::from_slice(bytes).map_err(|e| DecodeError(e.to_string()))?;
         // Valid JSON can still be a mangled envelope: a flipped bit inside
@@ -141,7 +133,6 @@ mod tests {
         let c = Payload::Columns(Arc::new(cf));
         assert!(c.as_columns().is_some());
         assert!(c.as_log().is_none());
-        assert!(c.as_job().is_none());
         assert_eq!(c.as_columns().unwrap().len(), 2);
         assert!(c.approx_bytes() > 0);
 

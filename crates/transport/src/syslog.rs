@@ -4,7 +4,8 @@
 //! log messages" (paper §IV-B).  This module renders [`LogRecord`]s to the
 //! canonical single-line format and parses them back, tolerating the kinds
 //! of real-world damage the sites describe: unknown severities, missing
-//! template ids, and junk lines (which are counted, not silently skipped).
+//! template ids, and junk lines (which parse to `None`, never to a wrong
+//! record).
 
 use hpcmon_metrics::{CompId, CompKind, LogRecord, Severity, Ts};
 
@@ -16,16 +17,6 @@ pub fn render_line(rec: &LogRecord) -> String {
         Some(t) => format!("{} #t{}", rec.render(), t),
         None => rec.render(),
     }
-}
-
-/// Outcome of parsing a batch of lines.
-#[derive(Debug, Default)]
-pub struct ParseReport {
-    /// Successfully parsed records.
-    pub records: Vec<LogRecord>,
-    /// Lines that could not be parsed (kept for forensics, per the paper's
-    /// "new or infrequent events may be missed" warning).
-    pub rejected: Vec<String>,
 }
 
 /// Parse one line in the canonical format.
@@ -50,21 +41,6 @@ pub fn parse_line(line: &str) -> Option<LogRecord> {
     let mut rec = LogRecord::new(Ts(ts), comp, severity, source, message);
     rec.template = template;
     Some(rec)
-}
-
-/// Parse a whole batch, partitioning good and bad lines.
-pub fn parse_lines<'a>(lines: impl Iterator<Item = &'a str>) -> ParseReport {
-    let mut report = ParseReport::default();
-    for line in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_line(line) {
-            Some(rec) => report.records.push(rec),
-            None => report.rejected.push(line.to_owned()),
-        }
-    }
-    report
 }
 
 fn parse_comp(s: &str) -> Option<CompId> {
@@ -107,19 +83,6 @@ mod tests {
             LogRecord::new(Ts(1), CompId::SYSTEM, Severity::Info, "console", "mount: /scratch: ok");
         let back = parse_line(&render_line(&r)).unwrap();
         assert_eq!(back.message, "mount: /scratch: ok");
-    }
-
-    #[test]
-    fn junk_lines_are_rejected_not_dropped() {
-        let input = "12345 ERROR node/7 hsn: link down #t3\n\
-                     this is not a log line\n\
-                     99 NOPE node/1 x: y\n\
-                     \n\
-                     50 WARN ost/3 fs: slow";
-        let report = parse_lines(input.lines());
-        assert_eq!(report.records.len(), 2);
-        assert_eq!(report.rejected.len(), 2);
-        assert!(report.rejected[0].contains("not a log line"));
     }
 
     #[test]

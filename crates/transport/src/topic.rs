@@ -67,12 +67,12 @@ impl TopicFilter {
     }
 
     /// The raw pattern.
-    pub fn pattern(&self) -> &str {
+    pub(crate) fn pattern(&self) -> &str {
         &self.pattern
     }
 
     /// Whether this filter matches a concrete topic.
-    pub fn matches(&self, topic: &str) -> bool {
+    pub(crate) fn matches(&self, topic: &str) -> bool {
         let mut f = self.pattern.split('/');
         let mut t = topic.split('/');
         loop {

@@ -83,16 +83,6 @@ impl Dashboard {
         }
     }
 
-    /// Serialize for sharing.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("dashboard is serializable")
-    }
-
-    /// Load a shared config.
-    pub fn from_json(json: &str) -> Result<Dashboard, String> {
-        serde_json::from_str(json).map_err(|e| e.to_string())
-    }
-
     /// Render every panel against a store for a time range.  Panels whose
     /// metric is unknown render an explanatory stub instead of failing —
     /// a dashboard copied from another site may reference sources this
@@ -240,15 +230,6 @@ mod tests {
         };
         let text = d.render(&store, &registry, TimeRange::all());
         assert!(text.contains("not collected at this site"));
-    }
-
-    #[test]
-    fn config_shares_via_json() {
-        let d = Dashboard::ops_default();
-        let json = d.to_json();
-        let back = Dashboard::from_json(&json).unwrap();
-        assert_eq!(d, back);
-        assert!(Dashboard::from_json("{broken").is_err());
     }
 
     #[test]

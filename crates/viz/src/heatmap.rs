@@ -15,24 +15,17 @@ pub struct CabinetHeatmap {
     title: String,
     columns: usize,
     values: Vec<f64>,
-    labels: bool,
 }
 
 impl CabinetHeatmap {
     /// Build with `columns` cabinets per machine-room row.
     pub fn new(title: &str, columns: usize, values: Vec<f64>) -> CabinetHeatmap {
         assert!(columns > 0, "need at least one column");
-        CabinetHeatmap { title: title.to_owned(), columns, values, labels: true }
-    }
-
-    /// Disable the numeric side labels.
-    pub fn without_labels(mut self) -> CabinetHeatmap {
-        self.labels = false;
-        self
+        CabinetHeatmap { title: title.to_owned(), columns, values }
     }
 
     /// Shade character for a normalized value in `[0, 1]`.
-    pub fn shade(norm: f64) -> char {
+    pub(crate) fn shade(norm: f64) -> char {
         let idx = (norm.clamp(0.0, 1.0) * (SHADES.len() - 1) as f64).round() as usize;
         SHADES[idx.min(SHADES.len() - 1)]
     }
@@ -55,10 +48,8 @@ impl CabinetHeatmap {
                 out.push(Self::shade((v - min) / span));
                 out.push(' ');
             }
-            if self.labels {
-                let row_mean = row.iter().sum::<f64>() / row.len() as f64;
-                out.push_str(&format!("  mean {row_mean:.0}"));
-            }
+            let row_mean = row.iter().sum::<f64>() / row.len() as f64;
+            out.push_str(&format!("  mean {row_mean:.0}"));
             out.push('\n');
         }
         out.push_str(&format!("  scale: {min:.0} {} .. {} {max:.0}\n", SHADES[0], SHADES[4]));
@@ -119,10 +110,8 @@ mod tests {
     }
 
     #[test]
-    fn empty_and_labels_off() {
+    fn empty_heatmap_says_so() {
         assert!(CabinetHeatmap::new("e", 4, vec![]).render().contains("(no cabinets)"));
-        let text = CabinetHeatmap::new("n", 2, vec![1.0, 2.0]).without_labels().render();
-        assert!(!text.contains("mean"));
     }
 
     #[test]

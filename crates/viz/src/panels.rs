@@ -38,16 +38,6 @@ impl JobPanel {
         self
     }
 
-    /// Number of metric rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the panel has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Render the condensed panel.
     pub fn render(&self) -> String {
         let mut out = format!(
@@ -189,8 +179,7 @@ mod tests {
     #[test]
     fn empty_panel() {
         let p = JobPanel::new(job());
-        assert!(p.is_empty());
-        assert_eq!(p.len(), 0);
+        assert!(p.rows.is_empty());
         let text = p.render();
         assert!(text.contains("Job 7"));
     }

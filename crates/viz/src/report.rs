@@ -32,7 +32,6 @@ pub struct OpsReport {
     benchmarks: Vec<(String, Vec<f64>)>,
     templates: Vec<(u64, String)>,
     telemetry: Option<String>,
-    notes: Vec<String>,
 }
 
 impl OpsReport {
@@ -90,12 +89,6 @@ impl OpsReport {
         self
     }
 
-    /// Append a free-form note.
-    pub fn note(mut self, text: &str) -> OpsReport {
-        self.notes.push(text.to_owned());
-        self
-    }
-
     /// Render to markdown.
     pub fn render(&self) -> String {
         let mut out = format!("# {}\n\n", self.title);
@@ -149,9 +142,6 @@ impl OpsReport {
             }
             out.push_str("```\n\n");
         }
-        for note in &self.notes {
-            out.push_str(&format!("> {note}\n"));
-        }
         out
     }
 }
@@ -175,7 +165,6 @@ mod tests {
             .benchmark("io tts s", vec![45.0, 46.0, 44.5, 120.0, 118.0])
             .top_templates(vec![(740, "systemd: Started Session".into())])
             .telemetry("self-telemetry\n  stage.collect p95=1.2ms\n")
-            .note("OST 3 degradation under investigation.")
     }
 
     #[test]
@@ -194,7 +183,6 @@ mod tests {
         assert!(md.contains("740×"));
         assert!(md.contains("## Monitor self-telemetry"));
         assert!(md.contains("stage.collect p95=1.2ms"));
-        assert!(md.contains("> OST 3 degradation"));
     }
 
     #[test]

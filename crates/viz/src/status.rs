@@ -25,13 +25,13 @@ impl ClassStatus {
     }
 
     /// Total components in the class.
-    pub fn total(&self) -> usize {
+    pub(crate) fn total(&self) -> usize {
         self.states.iter().map(|(_, c)| c).sum()
     }
 
     /// Fraction in the first ("good") state, in `[0, 1]`; 1.0 for an
     /// empty class.
-    pub fn healthy_fraction(&self) -> f64 {
+    pub(crate) fn healthy_fraction(&self) -> f64 {
         let total = self.total();
         if total == 0 {
             return 1.0;

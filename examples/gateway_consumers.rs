@@ -61,7 +61,7 @@ fn main() {
     // The admin's standing subscription: system power, delivered
     // incrementally on every tick.
     let ops = Consumer::admin("ops-dashboard");
-    let sub_id = gw
+    let sub_id = mon
         .subscribe(
             &ops,
             QueryRequest::Series {
@@ -70,6 +70,7 @@ fn main() {
             },
             "gateway/updates/system-power",
         )
+        .expect("gateway configured")
         .expect("subscribe");
 
     // Both principals hammer the gateway concurrently with the same

@@ -22,8 +22,11 @@ use hpcmon_durability::wal::{
 use hpcmon_durability::{
     DurabilityConfig, DurabilityPlane, RecoveredState, ScanEnd, SimDisk, StorageMedium, SyncPolicy,
 };
+use hpcmon_gateway::{GatewayConfig, QueryRequest};
 use hpcmon_metrics::{ColumnFrame, CompId, MetricId, Sample, SeriesKey, Ts};
+use hpcmon_response::Consumer;
 use hpcmon_sim::{AppProfile, JobSpec};
+use hpcmon_store::TimeRange;
 use proptest::prelude::*;
 use std::sync::{Arc, Once};
 
@@ -666,6 +669,51 @@ fn non_finite_samples_survive_checkpoint_crash_and_recovery() {
     assert_eq!(outcome.hash_mismatches, 0, "{outcome:?}");
     assert_eq!(bits(&recovered), expected);
     assert_eq!(recovered.store().op_counts(), ops);
+}
+
+/// A standing subscription registered on a live durable run is an input
+/// like a job: it publishes onto the broker every tick it delivers, so the
+/// WAL must carry it for recovery to replay the same hash chain.
+#[test]
+fn a_gateway_subscription_on_a_live_durable_run_replays_through_a_crash() {
+    let (subscribe_after, crash_tick) = (10u64, 13u64);
+    let cfg = DurabilityConfig { sync: SyncPolicy::EveryTick, checkpoint_every: 8, scrub_every: 0 };
+    let mk = || builder().gateway(GatewayConfig::default());
+    let run = |mon: &mut MonitoringSystem| {
+        mon.set_state_hashing(true);
+        seed_inputs(mon);
+        for tick in 1..=crash_tick {
+            if tick == subscribe_after + 1 {
+                let request = QueryRequest::Series {
+                    key: SeriesKey::new(mon.metrics().system_power, CompId::SYSTEM),
+                    range: TimeRange::all(),
+                };
+                let id = mon.subscribe(&Consumer::admin("ops"), request, "ops/power");
+                assert!(matches!(id, Some(Ok(_))), "{id:?}");
+            }
+            mon.tick();
+        }
+    };
+    let mut reference = mk().build();
+    run(&mut reference);
+    let disk = Arc::new(SimDisk::new());
+    let mut durable = mk().durability(disk.clone(), cfg).build();
+    run(&mut durable);
+    assert_eq!(durable.last_state_hash(), reference.last_state_hash());
+    drop(durable);
+    disk.crash();
+
+    let mut recovered = mk().build();
+    recovered.set_state_hashing(true);
+    let outcome = recovered.recover_from_medium(disk, cfg);
+    assert_eq!((outcome.checkpoint_tick, outcome.resumed_tick), (Some(8), crash_tick));
+    assert_eq!(outcome.hash_mismatches, 0, "{outcome:?}");
+    assert_eq!(state_json(&recovered), state_json(&reference));
+    for _ in 0..3 {
+        reference.tick();
+        recovered.tick();
+    }
+    assert_eq!(recovered.last_state_hash(), reference.last_state_hash());
 }
 
 fn plane_cfg() -> DurabilityConfig {
