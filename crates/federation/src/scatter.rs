@@ -11,9 +11,8 @@
 
 use hpcmon_gateway::{QueryError, QueryResponse};
 use hpcmon_metrics::{CompId, Ts};
-use hpcmon_store::AggFn;
+use hpcmon_store::{AggFn, Fold};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// What happened to one member site during a scatter.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -105,19 +104,19 @@ impl FedQueryResult {
 /// directly — for `Mean`/`Quantile` this is the function *of the per-site
 /// aggregates*, the standard rollup approximation.
 pub(crate) fn merge_points(per_site: &[(String, QueryResponse)], agg: AggFn) -> Vec<(Ts, f64)> {
-    let mut by_ts: BTreeMap<Ts, Vec<f64>> = BTreeMap::new();
-    for (_, resp) in per_site {
-        if let QueryResponse::Points(points) = resp {
-            for &(ts, v) in points {
-                by_ts.entry(ts).or_default().push(v);
-            }
-        }
-    }
     let merge = match agg {
         AggFn::Count => AggFn::Sum,
         other => other,
     };
-    by_ts.into_iter().filter_map(|(ts, vals)| merge.apply(&vals).map(|v| (ts, v))).collect()
+    let mut fold = Fold::new(merge);
+    for (_, resp) in per_site {
+        if let QueryResponse::Points(points) = resp {
+            for &(ts, v) in points {
+                fold.push(ts, v);
+            }
+        }
+    }
+    fold.finish()
 }
 
 /// Merge per-site `Ranked` answers into a global ranking: value

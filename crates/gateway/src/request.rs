@@ -83,7 +83,8 @@ pub enum QueryRequest {
 
 impl QueryRequest {
     /// Surface-level validation that does not need the store: inverted
-    /// ranges and zero buckets are rejected before admission, so a bad
+    /// ranges, zero buckets and quantiles outside `[0, 1]` are rejected
+    /// before admission, so a bad
     /// request never occupies a worker.  (Deserialized `TimeRange`s bypass
     /// `TimeRange::new`'s assertion, so this must be checked here.)
     pub(crate) fn validate(&self) -> Result<(), QueryError> {
@@ -97,13 +98,25 @@ impl QueryRequest {
                 Ok(())
             }
         };
+        // `AggFn::apply` clamps a quantile, so an out-of-range one would
+        // silently answer as the minimum or maximum.
+        let check_agg = |agg: &AggFn| match agg {
+            AggFn::Quantile(q) if !(0.0..=1.0).contains(q) => {
+                Err(QueryError::InvalidParam(format!("quantile {q} outside [0, 1]")))
+            }
+            _ => Ok(()),
+        };
         match self {
             QueryRequest::Series { range, .. }
-            | QueryRequest::AggregateAcross { range, .. }
             | QueryRequest::ComponentsOfKind { range, .. }
             | QueryRequest::AlignJoin { range, .. } => check_range(range),
-            QueryRequest::Downsample { range, bucket_ms, .. } => {
+            QueryRequest::AggregateAcross { range, agg, .. } => {
                 check_range(range)?;
+                check_agg(agg)
+            }
+            QueryRequest::Downsample { range, bucket_ms, agg, .. } => {
+                check_range(range)?;
+                check_agg(agg)?;
                 if *bucket_ms == 0 {
                     return Err(QueryError::InvalidParam(
                         "downsample bucket must be positive".into(),

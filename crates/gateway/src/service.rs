@@ -291,23 +291,9 @@ impl GatewayInner {
                 // Users aggregate over their visible components only: the
                 // sum of "my nodes" is meaningful, the machine-wide total
                 // is need-to-know.
-                let per_comp = self.store.query_metric(*metric, range.from, range.to);
-                let mut by_ts: std::collections::BTreeMap<Ts, Vec<f64>> = Default::default();
-                for (comp, pts) in per_comp {
-                    let key = SeriesKey::new(*metric, comp);
-                    if !self.policy.series_visible(consumer, &key, jobs) {
-                        continue;
-                    }
-                    for (t, v) in pts {
-                        by_ts.entry(t).or_default().push(v);
-                    }
-                }
-                Ok(QueryResponse::Points(
-                    by_ts
-                        .into_iter()
-                        .filter_map(|(t, vals)| agg.apply(&vals).map(|v| (t, v)))
-                        .collect(),
-                ))
+                Ok(QueryResponse::Points(engine.aggregate_visible(*metric, *range, *agg, |comp| {
+                    self.policy.series_visible(consumer, &SeriesKey::new(*metric, comp), jobs)
+                })))
             }
             QueryRequest::ComponentsOfKind { metric, kind, range } => {
                 let rows = engine

@@ -27,7 +27,8 @@
 //!   index and a full-scan fallback (the `abl_logindex` ablation measures
 //!   the difference).
 //! * [`query`] — range scans, group-by, per-bucket aggregation,
-//!   downsampling, and per-job extraction against stored allocations.
+//!   downsampling, and per-job extraction against stored allocations; every
+//!   per-stamp aggregate is one [`Fold`] over the series as they stream out.
 
 pub mod archive;
 pub mod cohort;
@@ -41,7 +42,7 @@ pub mod tsdb;
 pub use archive::{Archive, ArchiveCatalog, ArchiveError};
 pub use cohort::HotLayout;
 pub use logstore::{LogQuery, LogStore};
-pub use query::{AggFn, InvalidParam, JobSeries, QueryEngine, TimeRange};
+pub use query::{AggFn, Fold, InvalidParam, JobSeries, QueryEngine, TimeRange};
 pub use retention::{RetentionPolicy, RetentionReport};
 pub use snapshot::StoreSnapshot;
 pub use tsdb::{

@@ -5,7 +5,7 @@
 //! extractions and computations" and "concurrent conditions on disparate
 //! components should be able to be identified."  The primitives here are
 //! what every figure-reproduction scenario is built from: Figure 4's
-//! aggregate-then-drill-down is `aggregate_per_bucket` + `top_components_at`;
+//! aggregate-then-drill-down is `aggregate_across_components` + `top_components_at`;
 //! Figure 5's per-job panels are `job_series`.
 
 use crate::tsdb::TimeSeriesStore;
@@ -84,11 +84,134 @@ impl AggFn {
             AggFn::Count => values.len() as f64,
             AggFn::Quantile(q) => {
                 let mut sorted = values.to_vec();
-                sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in quantile input"));
+                sorted.sort_by(|a, b| nan_last(*a, *b));
                 let rank = ((q.clamp(0.0, 1.0)) * (sorted.len() - 1) as f64).round() as usize;
                 sorted[rank]
             }
         })
+    }
+
+    /// The accumulator a stamp starts from: what the per-stamp operation
+    /// folds its first value into.  `-0.0` for sums because `Iterator::sum`
+    /// starts there, so `-0.0 + v` is bit for bit what [`AggFn::apply`]
+    /// computes.
+    fn identity(&self) -> f64 {
+        match self {
+            AggFn::Sum | AggFn::Mean => -0.0,
+            AggFn::Min => f64::INFINITY,
+            AggFn::Max => f64::NEG_INFINITY,
+            AggFn::Count | AggFn::Quantile(_) => 0.0,
+        }
+    }
+}
+
+/// Ascending order with every NaN after every number: a total order over
+/// the values a store can hold, in which ±0 still tie.
+fn nan_last(a: f64, b: f64) -> std::cmp::Ordering {
+    a.is_nan().cmp(&b.is_nan()).then_with(|| a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Equal))
+}
+
+/// A per-stamp fold: points of any number of series are pushed one after
+/// another, and each stamp keeps one running value and a count instead of
+/// every value — except under [`AggFn::Quantile`], which needs them all.
+/// A stamp's operands meet in push order, so [`Fold::finish`] is bit for
+/// bit [`AggFn::apply`] over each stamp's values gathered in that order.
+///
+/// Pushes are cheapest in stamp order, series after series: the cursor
+/// steps forward, and a series that starts again from an older stamp finds
+/// its place by binary search.
+///
+/// ```
+/// use hpcmon_metrics::Ts;
+/// use hpcmon_store::{AggFn, Fold};
+///
+/// let mut fold = Fold::new(AggFn::Mean);
+/// for series in [[(0, 1.0), (60, 3.0)], [(0, 3.0), (120, 5.0)]] {
+///     for (t, v) in series {
+///         fold.push(Ts(t), v);
+///     }
+/// }
+/// assert_eq!(fold.finish(), vec![(Ts(0), 2.0), (Ts(60), 3.0), (Ts(120), 5.0)]);
+/// ```
+#[derive(Debug)]
+pub struct Fold {
+    agg: AggFn,
+    /// Every stamp pushed so far, ascending and distinct; `acc` and
+    /// `counts` (and under `Quantile`, `values`) run parallel to it.
+    stamps: Vec<Ts>,
+    acc: Vec<f64>,
+    counts: Vec<usize>,
+    values: Vec<Vec<f64>>,
+    /// The stamp the last push landed on.
+    cursor: usize,
+}
+
+impl Fold {
+    /// An empty fold computing `agg` per stamp.
+    pub fn new(agg: AggFn) -> Fold {
+        Fold {
+            agg,
+            stamps: Vec::new(),
+            acc: Vec::new(),
+            counts: Vec::new(),
+            values: Vec::new(),
+            cursor: 0,
+        }
+    }
+
+    /// Fold `v` into stamp `t`.
+    #[inline]
+    pub fn push(&mut self, t: Ts, v: f64) {
+        let i = self.seek(t);
+        let acc = &mut self.acc[i];
+        match self.agg {
+            AggFn::Sum | AggFn::Mean => *acc += v,
+            AggFn::Min => *acc = f64::min(*acc, v),
+            AggFn::Max => *acc = f64::max(*acc, v),
+            AggFn::Count => {}
+            AggFn::Quantile(_) => self.values[i].push(v),
+        }
+        self.counts[i] += 1;
+        self.cursor = i;
+    }
+
+    /// The position of stamp `t`, inserted with the identity if new.
+    #[inline]
+    fn seek(&mut self, t: Ts) -> usize {
+        let mut i = self.cursor;
+        if self.stamps.get(i).is_some_and(|&s| s > t) {
+            i = self.stamps[..i].partition_point(|&s| s < t);
+        } else {
+            while self.stamps.get(i).is_some_and(|&s| s < t) {
+                i += 1;
+            }
+        }
+        if self.stamps.get(i) != Some(&t) {
+            self.stamps.insert(i, t);
+            self.acc.insert(i, self.agg.identity());
+            self.counts.insert(i, 0);
+            if let AggFn::Quantile(_) = self.agg {
+                self.values.insert(i, Vec::new());
+            }
+        }
+        i
+    }
+
+    /// One `(stamp, aggregate)` per stamp pushed, in stamp order.
+    pub fn finish(self) -> Vec<(Ts, f64)> {
+        self.read(self.agg)
+    }
+
+    /// The result as `agg`, which must fold the same way as the fold's own
+    /// function: a `Mean` fold reads as `Sum` too.
+    fn read(&self, agg: AggFn) -> Vec<(Ts, f64)> {
+        let value = |i: usize| match agg {
+            AggFn::Sum | AggFn::Min | AggFn::Max => self.acc[i],
+            AggFn::Mean => self.acc[i] / self.counts[i] as f64,
+            AggFn::Count => self.counts[i] as f64,
+            AggFn::Quantile(_) => agg.apply(&self.values[i]).expect("a stamp holds a value"),
+        };
+        self.stamps.iter().enumerate().map(|(i, &t)| (t, value(i))).collect()
     }
 }
 
@@ -117,14 +240,22 @@ impl<'a> QueryEngine<'a> {
         range: TimeRange,
         agg: AggFn,
     ) -> Vec<(Ts, f64)> {
-        let per_comp = self.store.query_metric(metric, range.from, range.to);
-        let mut by_ts: std::collections::BTreeMap<Ts, Vec<f64>> = std::collections::BTreeMap::new();
-        for (_, pts) in per_comp {
-            for (t, v) in pts {
-                by_ts.entry(t).or_default().push(v);
-            }
-        }
-        by_ts.into_iter().filter_map(|(t, vals)| agg.apply(&vals).map(|v| (t, v))).collect()
+        self.aggregate_visible(metric, range, agg, |_| true)
+    }
+
+    /// [`QueryEngine::aggregate_across_components`] over only the
+    /// components `keep` admits.  The predicate sees each series' component
+    /// before any of its points are read, so what it rejects costs nothing.
+    pub fn aggregate_visible(
+        &self,
+        metric: MetricId,
+        range: TimeRange,
+        agg: AggFn,
+        keep: impl Fn(CompId) -> bool,
+    ) -> Vec<(Ts, f64)> {
+        let mut fold = Fold::new(agg);
+        self.store.visit_metric(metric, range.from, range.to, keep, |t, v| fold.push(t, v));
+        fold.finish()
     }
 
     /// Aggregate one metric per component *kind* group — e.g. power summed
@@ -161,7 +292,8 @@ impl<'a> QueryEngine<'a> {
                 pts.iter().min_by_key(|(t, _)| t.delta(at).abs_ms()).map(|&(_, v)| (c, v))
             })
             .collect();
-        rows.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("no NaN in metric values"));
+        // Largest first, NaN last.
+        rows.sort_by(|a, b| a.1.is_nan().cmp(&b.1.is_nan()).then_with(|| nan_last(b.1, a.1)));
         rows.truncate(limit);
         rows
     }
@@ -192,51 +324,11 @@ impl<'a> QueryEngine<'a> {
         if bucket_ms == 0 {
             return Err(InvalidParam("downsample bucket must be positive".into()));
         }
-        // Fast path: time-ordered input (the store always returns sorted
-        // points) streams through one bucket accumulator.  A regression in
-        // order falls back to grouping the whole set.
-        let mut out: Vec<(Ts, f64)> = Vec::new();
-        let mut bucket_start: Option<Ts> = None;
-        let mut bucket_vals: Vec<f64> = Vec::new();
+        let mut fold = Fold::new(agg);
         for &(t, v) in pts {
-            let start = t.align_down(bucket_ms);
-            match bucket_start {
-                Some(b) if b == start => bucket_vals.push(v),
-                Some(b) if start > b => {
-                    if let Some(a) = agg.apply(&bucket_vals) {
-                        out.push((b, a));
-                    }
-                    bucket_start = Some(start);
-                    bucket_vals.clear();
-                    bucket_vals.push(v);
-                }
-                Some(_) => {
-                    // Out-of-order bucket: group everything instead.
-                    return Ok(Self::downsample_unordered(pts, bucket_ms, agg));
-                }
-                None => {
-                    bucket_start = Some(start);
-                    bucket_vals.push(v);
-                }
-            }
+            fold.push(t.align_down(bucket_ms), v);
         }
-        if let (Some(b), false) = (bucket_start, bucket_vals.is_empty()) {
-            if let Some(a) = agg.apply(&bucket_vals) {
-                out.push((b, a));
-            }
-        }
-        Ok(out)
-    }
-
-    /// Slow path for unsorted input: regroup every point by bucket in one
-    /// full pass.  Only runs when the input really is out of order.
-    fn downsample_unordered(pts: &[(Ts, f64)], bucket_ms: u64, agg: AggFn) -> Vec<(Ts, f64)> {
-        let mut by_bucket: std::collections::BTreeMap<Ts, Vec<f64>> =
-            std::collections::BTreeMap::new();
-        for &(t, v) in pts {
-            by_bucket.entry(t.align_down(bucket_ms)).or_default().push(v);
-        }
-        by_bucket.into_iter().filter_map(|(b, vals)| agg.apply(&vals).map(|a| (b, a))).collect()
+        Ok(fold.finish())
     }
 
     /// Align two series on exactly-equal timestamps (inner join) — the
@@ -276,16 +368,11 @@ impl<'a> QueryEngine<'a> {
                 (CompId::node(n), self.series(key, range))
             })
             .collect();
-        let mut by_ts: std::collections::BTreeMap<Ts, Vec<f64>> = std::collections::BTreeMap::new();
-        for (_, pts) in &per_node {
-            for &(t, v) in pts {
-                by_ts.entry(t).or_default().push(v);
-            }
+        let mut fold = Fold::new(AggFn::Mean);
+        for &(t, v) in per_node.iter().flat_map(|(_, pts)| pts) {
+            fold.push(t, v);
         }
-        let sum: Vec<(Ts, f64)> =
-            by_ts.iter().map(|(t, vs)| (*t, vs.iter().sum::<f64>())).collect();
-        let mean: Vec<(Ts, f64)> =
-            by_ts.iter().map(|(t, vs)| (*t, vs.iter().sum::<f64>() / vs.len() as f64)).collect();
+        let (sum, mean) = (fold.read(AggFn::Sum), fold.read(AggFn::Mean));
         JobSeries { metric, per_node, sum, mean }
     }
 }
@@ -349,6 +436,118 @@ mod tests {
             assert_eq!(t, Ts::from_mins(i as u64));
             assert_eq!(v, 4.0 * i as f64 + 6.0);
         }
+    }
+
+    const ALL_FNS: [AggFn; 6] =
+        [AggFn::Sum, AggFn::Mean, AggFn::Min, AggFn::Max, AggFn::Count, AggFn::Quantile(0.3)];
+
+    fn bits(points: &[(Ts, f64)]) -> Vec<(Ts, u64)> {
+        points.iter().map(|&(t, v)| (t, v.to_bits())).collect()
+    }
+
+    #[test]
+    fn sums_start_where_iterator_sum_does() {
+        let empty: f64 = std::iter::empty::<f64>().sum();
+        assert_eq!(AggFn::Sum.identity().to_bits(), empty.to_bits());
+        // A lone -0.0 stays -0.0, as `apply` has it.
+        let mut fold = Fold::new(AggFn::Sum);
+        fold.push(Ts(0), -0.0);
+        assert_eq!(bits(&fold.finish()), bits(&[(Ts(0), AggFn::Sum.apply(&[-0.0]).unwrap())]));
+    }
+
+    #[test]
+    fn fold_is_apply_over_values_in_push_order() {
+        // Runs that step forward, skip stamps, go back, repeat a stamp, and
+        // carry signed zeros, infinities and NaN.
+        let specials = [-0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 1e300, -1e-300];
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut points = Vec::new();
+        for _ in 0..40 {
+            let mut t = next() % 30;
+            for _ in 0..next() % 25 {
+                let r = next();
+                let v = match r % 5 {
+                    0 => specials[(r >> 8) as usize % specials.len()],
+                    _ => (r >> 11) as f64 / 1e3 - 4e12,
+                };
+                points.push((Ts(t * 1_000), v));
+                t = match r >> 60 {
+                    0 => t.saturating_sub(3),
+                    1 => t,
+                    _ => t + 1 + (r >> 56) % 3,
+                };
+            }
+        }
+        for agg in ALL_FNS {
+            let mut by_ts: std::collections::BTreeMap<Ts, Vec<f64>> = Default::default();
+            let mut fold = Fold::new(agg);
+            for &(t, v) in &points {
+                by_ts.entry(t).or_default().push(v);
+                fold.push(t, v);
+            }
+            let want: Vec<(Ts, f64)> =
+                by_ts.into_iter().map(|(t, vs)| (t, agg.apply(&vs).unwrap())).collect();
+            // Rust leaves the sign and payload of a NaN that arithmetic
+            // makes unspecified, so a NaN result is compared as NaN alone.
+            let canon = |points: Vec<(Ts, f64)>| -> Vec<(Ts, u64)> {
+                let bits = |v: f64| if v.is_nan() { f64::NAN.to_bits() } else { v.to_bits() };
+                points.into_iter().map(|(t, v)| (t, bits(v))).collect()
+            };
+            assert_eq!(canon(fold.finish()), canon(want), "{agg:?}");
+        }
+    }
+
+    #[test]
+    fn a_nan_orders_last_and_panics_nothing() {
+        let store = TimeSeriesStore::new();
+        store.insert(&Sample::new(MetricId(0), CompId::node(0), Ts(0), f64::NAN));
+        store.insert(&Sample::new(MetricId(0), CompId::node(1), Ts(0), 1.0));
+        store.insert(&Sample::new(MetricId(0), CompId::node(2), Ts(0), 3.0));
+        let q = QueryEngine::new(&store);
+        let top = q.top_components_at(MetricId(0), Ts(0), 0, 3);
+        assert_eq!(top[..2], [(CompId::node(2), 3.0), (CompId::node(1), 1.0)]);
+        assert!(top[2].1.is_nan());
+        let low =
+            q.aggregate_across_components(MetricId(0), TimeRange::all(), AggFn::Quantile(0.0));
+        assert_eq!(low, vec![(Ts(0), 1.0)]);
+        assert!(AggFn::Quantile(1.0).apply(&[f64::NAN, 2.0]).unwrap().is_nan());
+        // Signed zeros still tie: the stable sort keeps them as they came.
+        assert_eq!(AggFn::Quantile(0.0).apply(&[0.0, -0.0]).unwrap().to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn a_fold_allocates_the_same_over_more_series() {
+        // Same stamps everywhere: 16 series of metric 0, 64 of metric 1, in
+        // cohorts, sealed blocks and a hot tail.
+        let store = TimeSeriesStore::with_options(4, 32);
+        let mut route = crate::IngestRoute::new();
+        for t in 0..100u64 {
+            let mut cf = hpcmon_metrics::ColumnFrame::new(Ts(t * 1_000));
+            for n in 0..64u32 {
+                if n < 16 {
+                    cf.push(MetricId(0), CompId::node(n), (t * 64 + n as u64) as f64);
+                }
+                cf.push(MetricId(1), CompId::node(n), (t + n as u64) as f64);
+            }
+            store.ingest_columns(&cf, &mut route);
+        }
+        let q = QueryEngine::new(&store);
+        let range = TimeRange::new(Ts(10_000), Ts(90_000));
+        let allocations = |metric| {
+            let before = hpcmon_metrics::alloc_count::thread_allocations();
+            let out = q.aggregate_across_components(MetricId(metric), range, AggFn::Mean);
+            let made = hpcmon_metrics::alloc_count::thread_allocations() - before;
+            assert_eq!(out.len(), 81);
+            made
+        };
+        let (narrow, wide) = (allocations(0), allocations(1));
+        assert!(wide <= narrow, "64 series: {wide} allocations, 16: {narrow}");
     }
 
     #[test]

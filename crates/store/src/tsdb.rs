@@ -185,6 +185,52 @@ impl SeriesBlock {
     }
 }
 
+/// One warm block's decoded stamps, kept for the next block whose stamp
+/// bytes are the same — a cohort seals every member with identical stamp
+/// bytes, so across the series of one metric the stamps mostly decode once.
+#[derive(Debug, Default)]
+struct StampCache {
+    /// The stamp bytes `stamps` decoded from; `None` until a decode succeeds.
+    bytes: Option<Vec<u8>>,
+    stamps: Vec<Ts>,
+}
+
+impl StampCache {
+    /// Fill `out` with `block`'s points inside `[from, to]`, decoding only
+    /// its values when its stamp bytes are those last decoded here.  `None`
+    /// on any corruption — exactly the blocks
+    /// [`SeriesBlock::decode_into`] rejects.
+    fn decode_into(
+        &mut self,
+        block: &SeriesBlock,
+        from: Ts,
+        to: Ts,
+        out: &mut Vec<(Ts, f64)>,
+    ) -> Option<()> {
+        out.clear();
+        if self.bytes.as_deref() != Some(&block.ts_bytes[..]) {
+            self.bytes = None;
+            self.stamps.clear();
+            let mut ts = compress::TimestampDecoder::new(&block.ts_bytes)?;
+            for _ in 0..ts.len {
+                self.stamps.push(ts.next_ts()?);
+            }
+            self.bytes = Some(block.ts_bytes.clone());
+        }
+        let mut vals = compress::ValueDecoder::new(&block.val_bytes)?;
+        if vals.len != self.stamps.len() || vals.len != block.count as usize {
+            return None;
+        }
+        for &t in &self.stamps {
+            let v = vals.next_value()?;
+            if t >= from && t <= to {
+                out.push((t, v));
+            }
+        }
+        Some(())
+    }
+}
+
 #[derive(Debug, Default)]
 pub(crate) struct SeriesData {
     pub(crate) warm: Vec<SeriesBlock>,
@@ -618,22 +664,66 @@ impl TimeSeriesStore {
         out
     }
 
-    /// All series keys for a metric (any component).
+    /// All series keys for a metric (any component), in key order.
     pub fn series_of_metric(&self, metric: MetricId) -> Vec<SeriesKey> {
-        let mut keys: Vec<SeriesKey> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                s.read()
-                    .slots
-                    .iter()
-                    .map(|slot| slot.key)
-                    .filter(|k| k.metric == metric)
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        keys.sort();
+        // Counted first, so the list is one allocation however long it is.
+        let count = (self.shards.iter())
+            .map(|s| s.read().slots.iter().filter(|s| s.key.metric == metric).count())
+            .sum();
+        let mut keys = Vec::with_capacity(count);
+        for shard in &self.shards {
+            keys.extend(shard.read().slots.iter().map(|s| s.key).filter(|k| k.metric == metric));
+        }
+        // Keys are distinct, so this is the stable order without its buffer.
+        keys.sort_unstable();
         keys
+    }
+
+    /// Hand `visit` every point in `[from, to]` of each series of `metric`
+    /// whose component `keep` admits: series in
+    /// [`TimeSeriesStore::series_of_metric`] order, each series' points in
+    /// stored order — warm blocks, then hot.  That is not always stamp order
+    /// (an insert can land behind a sealed block), but the points of one
+    /// stamp come in the order [`TimeSeriesStore::query`]'s stable sort
+    /// keeps, so a fold over the visits meets every stamp's operands as a
+    /// fold over the `query` results would.  Nothing is materialised: warm
+    /// blocks decode one at a time through a reused buffer, hot points are
+    /// read in place.  A corrupt block is skipped whole and counted, as
+    /// `query` does.
+    pub(crate) fn visit_metric(
+        &self,
+        metric: MetricId,
+        from: Ts,
+        to: Ts,
+        keep: impl Fn(CompId) -> bool,
+        mut visit: impl FnMut(Ts, f64),
+    ) {
+        let mut decoded = Vec::new();
+        // By a block's position among its series' overlapping blocks: the
+        // series of one metric seal together, so the block at the same
+        // position of the previous series usually carries the same stamps.
+        let mut stamps: Vec<StampCache> = Vec::new();
+        for key in self.series_of_metric(metric) {
+            if !keep(key.comp) {
+                continue;
+            }
+            let shard = self.shard_of(&key).read();
+            let Some(slot) = shard.index.get(&key).map(|&slot| &shard.slots[slot as usize]) else {
+                continue;
+            };
+            for (i, block) in slot.data.warm.iter().filter(|b| b.overlaps(from, to)).enumerate() {
+                if i == stamps.len() {
+                    stamps.push(StampCache::default());
+                }
+                match stamps[i].decode_into(block, from, to, &mut decoded) {
+                    Some(()) => decoded.iter().for_each(|&(t, v)| visit(t, v)),
+                    None => {
+                        self.corrupt_blocks.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            }
+            shard.cohorts.hot(slot).within(from, to).points().for_each(|(t, v)| visit(t, v));
+        }
     }
 
     /// All distinct series keys.
@@ -1146,7 +1236,7 @@ mod tests {
             evicted.into_iter().partition(|b| b.decompress().is_ok());
         assert_eq!(bad.len(), 1);
         // Reload rejects the corrupt block outright…
-        store.reload_blocks(bad);
+        store.reload_blocks(bad.clone());
         assert_eq!(store.corrupt_blocks(), 1);
         assert_eq!(store.stats().corrupt_blocks, 1);
         assert_eq!(store.occupancy().corrupt_blocks, 1);
@@ -1155,6 +1245,42 @@ mod tests {
         let pts = store.query(key(0, 1), Ts::ZERO, Ts(u64::MAX));
         assert_eq!(pts.len(), 20, "two good blocks survive");
         assert_eq!(store.stats(), store.occupancy(), "counters stay consistent");
+
+        // Past the reload guard, a fold skips the block whole and counts it
+        // once, as `query` does.
+        store.inject_warm_block(bad.into_iter().next().unwrap());
+        let q = crate::QueryEngine::new(&store);
+        let all = crate::TimeRange::all();
+        let sums = q.aggregate_across_components(MetricId(0), all, crate::AggFn::Sum);
+        assert_eq!(sums, pts, "one series: the sums are its good points");
+        assert_eq!(store.corrupt_blocks(), 2);
+    }
+
+    #[test]
+    fn query_fold_reuses_stamps_but_not_corrupt_values() {
+        // Two series whose blocks carry the same stamp bytes: the second
+        // decodes only its values, and a corrupt value stream there is
+        // still skipped whole and counted.
+        let block = |n: u32| {
+            let pts: Vec<(Ts, f64)> =
+                (0..10u64).map(|i| (Ts(i * 1_000), (i + 100 * n as u64) as f64)).collect();
+            SeriesBlock::compress(key(0, n), &pts)
+        };
+        assert_eq!(block(1).ts_bytes, block(2).ts_bytes);
+        let counts = |second: SeriesBlock| {
+            let store = TimeSeriesStore::with_options(2, 1_000);
+            store.inject_warm_block(block(1));
+            store.inject_warm_block(second);
+            let q = crate::QueryEngine::new(&store);
+            let all = crate::TimeRange::all();
+            let out = q.aggregate_across_components(MetricId(0), all, crate::AggFn::Count);
+            (out.iter().map(|&(_, n)| n).collect::<Vec<_>>(), store.corrupt_blocks())
+        };
+        assert_eq!(counts(block(2)), (vec![2.0; 10], 0));
+        let mut bad = block(2);
+        bad.val_bytes.truncate(bad.val_bytes.len() - 2);
+        assert_eq!(bad.decompress(), Err(BlockError::Values));
+        assert_eq!(counts(bad), (vec![1.0; 10], 1));
     }
 
     #[test]

@@ -10,6 +10,7 @@
 use crate::chart::LineChart;
 use crate::csv::table_to_csv;
 use hpcmon_metrics::{CompId, JobRecord, Ts};
+use std::cmp::Ordering;
 
 /// The assembled view.
 pub struct DrilldownView {
@@ -42,9 +43,13 @@ impl DrilldownView {
     }
 
     /// The timestamp of the aggregate's maximum (the natural drill-down
-    /// point); `None` when the series is empty.
+    /// point), NaN ranking below every number; `None` when the series is
+    /// empty.
     pub fn peak_of(aggregate: &[(Ts, f64)]) -> Option<Ts> {
-        aggregate.iter().max_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN")).map(|p| p.0)
+        let nan_first = |a: f64, b: f64| {
+            b.is_nan().cmp(&a.is_nan()).then_with(|| a.partial_cmp(&b).unwrap_or(Ordering::Equal))
+        };
+        aggregate.iter().max_by(|a, b| nan_first(a.1, b.1)).map(|p| p.0)
     }
 
     /// Render to text.
@@ -125,6 +130,10 @@ mod tests {
         let agg = vec![(Ts(0), 1.0), (Ts(10), 9.0), (Ts(20), 3.0)];
         assert_eq!(DrilldownView::peak_of(&agg), Some(Ts(10)));
         assert_eq!(DrilldownView::peak_of(&[]), None);
+        // A NaN ranks below every number; equal values keep the last.
+        let agg = vec![(Ts(0), f64::NAN), (Ts(10), -0.0), (Ts(20), 0.0), (Ts(30), f64::NAN)];
+        assert_eq!(DrilldownView::peak_of(&agg), Some(Ts(20)));
+        assert_eq!(DrilldownView::peak_of(&[(Ts(0), f64::NAN)]), Some(Ts(0)));
     }
 
     #[test]

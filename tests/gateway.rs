@@ -4,8 +4,8 @@
 
 use hpcmon::{MonitoringSystem, SimConfig};
 use hpcmon_gateway::{GatewayConfig, QueryError, QueryRequest, QueryResponse, SubscriptionUpdate};
-use hpcmon_metrics::{CompId, CompKind, JobRecord, SeriesKey, Ts};
-use hpcmon_response::Consumer;
+use hpcmon_metrics::{CompId, CompKind, JobRecord, MetricId, Sample, SeriesKey, Ts};
+use hpcmon_response::{AccessPolicy, Consumer};
 use hpcmon_sim::{AppProfile, JobSpec};
 use hpcmon_store::{AggFn, TimeRange};
 use hpcmon_transport::{BackpressurePolicy, TopicFilter};
@@ -216,6 +216,29 @@ fn user_scope_limits_series_visibility() {
     assert!(!rows.is_empty());
     assert!(rows.iter().all(|(c, _)| alice_job.nodes.contains(&c.index)), "{rows:?}");
 
+    // A user's aggregate is the aggregate of the series they may see, and
+    // of no other: brute force over the visible series, in key order.
+    let jobs = mon.engine().scheduler().records().to_vec();
+    let store = mon.store();
+    let mut by_ts: std::collections::BTreeMap<Ts, Vec<f64>> = Default::default();
+    for key in store.series_of_metric(metrics.node_cpu) {
+        if AccessPolicy.series_visible(&alice, &key, &jobs) {
+            for (t, v) in store.query(key, all.from, all.to) {
+                by_ts.entry(t).or_default().push(v);
+            }
+        }
+    }
+    let want: Vec<(Ts, u64)> =
+        by_ts.into_iter().map(|(t, vs)| (t, AggFn::Sum.apply(&vs).unwrap().to_bits())).collect();
+    let request =
+        QueryRequest::AggregateAcross { metric: metrics.node_cpu, range: all, agg: AggFn::Sum };
+    let Ok(QueryResponse::Points(got)) = gw.query(&alice, request.clone()) else {
+        panic!("points expected")
+    };
+    assert_eq!(got.iter().map(|&(t, v)| (t, v.to_bits())).collect::<Vec<_>>(), want);
+    assert!(!got.is_empty());
+    assert_ne!(Ok(QueryResponse::Points(got)), gw.query(&Consumer::admin("ops"), request));
+
     // Unknown job ids are an error value, not a panic.
     assert!(matches!(
         gw.query(&alice, QueryRequest::JobSeries { job_id: 999, metric: metrics.node_cpu }),
@@ -355,6 +378,62 @@ fn malformed_requests_are_error_values() {
         ),
         Err(QueryError::InvalidParam(_))
     ));
+    // A quantile outside [0, 1] would be clamped into a wrong answer.
+    for q in [f64::NAN, -0.1, 1.5, f64::INFINITY] {
+        let agg = AggFn::Quantile(q);
+        let across = QueryRequest::AggregateAcross {
+            metric: metrics.node_cpu,
+            range: TimeRange::all(),
+            agg,
+        };
+        assert!(matches!(gw.query(&ops, across), Err(QueryError::InvalidParam(_))), "{q}");
+        let down = QueryRequest::Downsample {
+            key: SeriesKey::new(metrics.node_cpu, CompId::node(0)),
+            range: TimeRange::all(),
+            bucket_ms: 60_000,
+            agg,
+        };
+        assert!(matches!(gw.query(&ops, down), Err(QueryError::InvalidParam(_))), "{q}");
+    }
+    let median = AggFn::Quantile(0.5);
+    let across = QueryRequest::AggregateAcross {
+        metric: metrics.node_cpu,
+        range: TimeRange::all(),
+        agg: median,
+    };
+    assert!(gw.query(&ops, across).is_ok());
+}
+
+/// A NaN in the store is a value like any other: the queries that sort
+/// values answer with it ranked last instead of killing the worker.
+#[test]
+fn a_stored_nan_is_answered_not_fatal() {
+    let mut mon = system_with_jobs();
+    let gw = mon.gateway().unwrap().clone();
+    let respawned = mon.telemetry().counter("gateway.workers.respawned");
+    let metric = MetricId(4_000);
+    let at = Ts::from_mins(3);
+    mon.store().insert(&Sample::new(metric, CompId::node(0), at, f64::NAN));
+    mon.store().insert(&Sample::new(metric, CompId::node(1), at, 1.0));
+    let ops = Consumer::admin("ops");
+
+    let top = QueryRequest::TopComponentsAt { metric, at, tolerance_ms: 0, limit: 10 };
+    let Ok(QueryResponse::Ranked(rows)) = gw.query(&ops, top) else {
+        panic!("ranked rows expected")
+    };
+    assert_eq!(rows[0], (CompId::node(1), 1.0));
+    assert!(rows[1].1.is_nan());
+    for (q, lowest) in [(0.0, true), (1.0, false)] {
+        let agg = AggFn::Quantile(q);
+        let request = QueryRequest::AggregateAcross { metric, range: TimeRange::all(), agg };
+        let Ok(QueryResponse::Points(points)) = gw.query(&ops, request) else {
+            panic!("points expected")
+        };
+        assert_eq!(points.len(), 1);
+        assert_eq!(points[0].1 == 1.0, lowest, "NaN sorts last: {points:?}");
+    }
+    mon.run_ticks(1);
+    assert_eq!(respawned.get(), 0, "no worker died");
 }
 
 /// The pipeline keeps ticking while consumer threads hammer the gateway —

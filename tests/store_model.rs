@@ -6,6 +6,10 @@
 //!   `BTreeMap<SeriesKey, _>` of plain vectors that restates what `insert()`
 //!   promises: points kept in stamp order, a tie landing after its equals, a
 //!   seal every `threshold` points.
+//! * **Aggregates** across a metric's series come from the same model read
+//!   series by series, grouped per stamp and handed to `AggFn::apply` — the
+//!   materialising path the store's fold must equal bit for bit, including
+//!   series an insert behind a sealed block leaves out of stamp order.
 //! * **Counters** — `op_counts`, `epoch`, `occupancy`, `state_digest` — and
 //!   the exact bytes of every warm block and checkpoint come from a twin
 //!   store that only ever sees `insert()`, the reference ingest.
@@ -19,7 +23,9 @@
 
 use hpcmon_metrics::{ColumnFrame, CompId, MetricId, Sample, SeriesKey, Ts};
 use hpcmon_store::cohort::MIN_WIDTH;
-use hpcmon_store::{HotLayout, IngestRoute, SeriesBlock, TimeSeriesStore, WriteError};
+use hpcmon_store::{
+    AggFn, HotLayout, IngestRoute, QueryEngine, SeriesBlock, TimeRange, TimeSeriesStore, WriteError,
+};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -102,6 +108,12 @@ enum Op {
         from: u64,
         to: u64,
     },
+    /// Every `AggFn` across the series of `metric`, against brute force.
+    Aggregate {
+        metric: u32,
+        from: u64,
+        to: u64,
+    },
 }
 
 fn decode((op, a, b, c, value): (u8, u32, u32, u64, f64)) -> Op {
@@ -126,9 +138,14 @@ fn decode((op, a, b, c, value): (u8, u32, u32, u64, f64)) -> Op {
         21 if a % 3 == 0 => Op::RefusedFrame { shard: b as usize % SHARDS },
         21 if a % 3 == 1 => Op::SnapshotLoad,
         21 => Op::Silence { start: b % POPULATION, len: 1 + c as u32 % (POPULATION / 2) },
-        _ => {
+        _ if b >> 31 == 0 => {
             Op::Query { series: a % (POPULATION + TAIL), from: c % 60, to: c % 60 + b as u64 % 60 }
         }
+        _ => Op::Aggregate {
+            metric: [0, 1, 2, 3, 9][a as usize % 5],
+            from: c % 60,
+            to: c % 60 + b as u64 % 60,
+        },
     }
 }
 
@@ -196,6 +213,24 @@ impl Model {
         let mut out: Points = stored.copied().filter(|&(t, _)| t >= from && t <= to).collect();
         out.sort_by_key(|&(t, _)| t);
         out
+    }
+
+    /// `agg` per stamp over the admitted series of `metric`, each read
+    /// whole by [`Model::query`] in key order.
+    fn aggregate(
+        &self,
+        metric: MetricId,
+        (from, to): (Ts, Ts),
+        agg: AggFn,
+        keep: impl Fn(CompId) -> bool,
+    ) -> Points {
+        let mut by_ts: BTreeMap<Ts, Vec<f64>> = BTreeMap::new();
+        for &key in self.series.keys().filter(|k| k.metric == metric && keep(k.comp)) {
+            for (t, v) in self.query(key, from, to) {
+                by_ts.entry(t).or_default().push(v);
+            }
+        }
+        by_ts.into_iter().map(|(t, vs)| (t, agg.apply(&vs).expect("a stamp has a value"))).collect()
     }
 }
 
@@ -325,6 +360,21 @@ impl Case {
                 let (from, to) = (Ts(from * STEP), Ts(to * STEP));
                 let got = self.store.query(key(series), from, to);
                 assert_eq!(bits(got), bits(self.model.query(key(series), from, to)));
+            }
+            Op::Aggregate { metric, from, to } => {
+                let (metric, range) =
+                    (MetricId(metric), TimeRange::new(Ts(from * STEP), Ts(to * STEP)));
+                let engine = QueryEngine::new(&self.store);
+                let aggs = [AggFn::Sum, AggFn::Mean, AggFn::Min, AggFn::Max, AggFn::Count];
+                for agg in aggs.into_iter().chain([AggFn::Quantile(0.25)]) {
+                    let got = engine.aggregate_across_components(metric, range, agg);
+                    let want = self.model.aggregate(metric, (range.from, range.to), agg, |_| true);
+                    assert_eq!(bits(got), bits(want), "{agg:?}");
+                }
+                let keep = |c: CompId| c.index % 3 != 1;
+                let got = engine.aggregate_visible(metric, range, AggFn::Mean, keep);
+                let want = self.model.aggregate(metric, (range.from, range.to), AggFn::Mean, keep);
+                assert_eq!(bits(got), bits(want), "a visible subset");
             }
         }
     }
