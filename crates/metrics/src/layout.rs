@@ -68,6 +68,8 @@ pub struct FrameLayout {
     generation: u64,
     /// Length of the described column.
     len: usize,
+    /// How much of the previous generation's column the last change kept.
+    kept: usize,
     /// Ascending by `start`; the runs of one metric never interleave.
     runs: Vec<MetricRun>,
     /// Per metric id, 1 + the index of its latest run (0: none yet).
@@ -86,6 +88,23 @@ impl FrameLayout {
         assert_eq!(self.generation, 0, "watch before the first frame");
         self.watched.push((key, Vec::new()));
         self.watched.len() - 1
+    }
+
+    /// Advanced each time the described key column changes.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// How long a prefix the described column shares with the one this
+    /// layout described at generation `g`: all of it while `g` is current,
+    /// the prefix the last change kept when `g` is one behind, `None` when
+    /// it is further behind (or ahead) than that.
+    pub fn unchanged_since(&self, g: u64) -> Option<usize> {
+        match self.generation.checked_sub(g)? {
+            0 => Some(self.len),
+            1 => Some(self.kept),
+            _ => None,
+        }
     }
 
     /// Positions of watched key `slot` in the described column, ascending.
@@ -115,6 +134,7 @@ impl FrameLayout {
         }
         self.generation += 1;
         self.len = keys.len();
+        self.kept = common;
         self.cut(common as u32);
         for (pos, key) in keys.iter().enumerate().skip(common) {
             self.append(pos as u32, key.metric);
@@ -247,6 +267,31 @@ mod tests {
         assert!(layout.open.len() <= 1);
     }
 
+    #[test]
+    fn unchanged_since_is_the_prefix_one_generation_kept() {
+        let body: Vec<SeriesKey> = (0..10).map(|n| key(0, n)).collect();
+        let mut with_tail = body.clone();
+        with_tail.push(key(1, 0));
+        let mut layout = FrameLayout::default();
+        // Before the first frame: the empty column, and nothing after it.
+        assert_eq!((layout.generation(), layout.unchanged_since(0)), (0, Some(0)));
+        assert_eq!(layout.unchanged_since(1), None, "ahead");
+        layout.observe(&[], &body);
+        assert_eq!((layout.generation(), layout.unchanged_since(1)), (1, Some(10)));
+        assert_eq!(layout.unchanged_since(0), Some(0), "one behind: the empty column");
+        layout.observe(&body, &with_tail);
+        assert_eq!(layout.unchanged_since(2), Some(11), "current");
+        assert_eq!(layout.unchanged_since(1), Some(10), "one behind");
+        assert_eq!(layout.unchanged_since(0), None, "two behind");
+        // The same column again is no change: one behind still reads the tail.
+        layout.observe(&with_tail, &with_tail);
+        assert_eq!(layout.unchanged_since(1), Some(10));
+        let mut changed = with_tail.clone();
+        changed[3] = key(2, 3);
+        layout.observe(&with_tail, &changed);
+        assert_eq!((layout.unchanged_since(3), layout.unchanged_since(2)), (Some(11), Some(3)));
+    }
+
     proptest::proptest! {
         /// Frames built from segments that vanish and return, a tail that
         /// comes and goes, duplicate keys and keys outside any run: after
@@ -296,8 +341,13 @@ mod tests {
                     keys.insert(at.min(keys.len()), key(m, c));
                 }
                 layout.observe(&prev, &keys);
-                generation += u64::from(keys != prev);
+                let common = prev.iter().zip(&keys).take_while(|(a, b)| a == b).count();
+                if keys != prev {
+                    generation += 1;
+                    proptest::prop_assert_eq!(layout.unchanged_since(generation - 1), Some(common));
+                }
                 proptest::prop_assert_eq!(layout.generation, generation);
+                proptest::prop_assert_eq!(layout.unchanged_since(generation), Some(keys.len()));
                 assert_matches_scan(&layout, &keys, 14);
                 prev = keys;
             }

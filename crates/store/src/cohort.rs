@@ -21,9 +21,10 @@
 //! of the crate reads a series' hot points through `Cohorts::hot`.
 
 use crate::compress;
-use crate::tsdb::{SeriesBlock, SeriesSlot, Shard, TimeSeriesStore};
+use crate::tsdb::{IngestRoute, SeriesBlock, SeriesSlot, Shard, TimeSeriesStore};
 use hpcmon_metrics::{ColumnFrame, SeriesKey, Ts};
 use std::ops::Range;
+use std::sync::atomic::Ordering;
 
 /// Rows a cohort's matrix grows by.  A constant, not `seal_threshold`: a
 /// store built never to seal (`usize::MAX / 2`) must still take wide frames,
@@ -47,6 +48,18 @@ const RETIRED: u32 = u32::MAX;
 /// A frame position whose series does not exist yet (or, in a gather, a
 /// member the key column does not carry).
 const UNRESOLVED: u32 = u32::MAX;
+/// Shards an ingest holds at once: the default shard count, so a default
+/// store takes a frame in one pass over its values.  The guards sit in a
+/// stack array; a store with more shards takes the frame in several passes.
+const LOCKED: usize = 16;
+/// Frame positions each step of the gather covers: 32 KB of values, read
+/// once while every cohort takes the columns that fall in them.  (Store-only
+/// ingest of 1.2 M samples into 16 shards with the arena's verdict, first
+/// touch of the new row included, p50s of 3–8 runs: 8.2–9.3 ms at 1,024,
+/// 8.1–9.4 at 4,096, 7.5–8.8 at 16,384 — none resolved from the others —
+/// and 10.1–10.9 with one block the size of the frame, i.e. one shard's
+/// gather after another.)
+const BLOCK: usize = 4_096;
 
 /// Where a series' hot points live: `(cohort, column)` for a member, whose
 /// own `hot` then stays empty.
@@ -79,14 +92,25 @@ impl Cohort {
         &self.chunks[r / CHUNK_ROWS][(r % CHUNK_ROWS) * w..][..w]
     }
 
-    fn push_row(&mut self, ts: Ts, values: impl ExactSizeIterator<Item = f64>) {
-        debug_assert_eq!(values.len(), self.width());
+    /// Start a row stamped `ts`; its values follow through [`Self::fill`].
+    fn open_row(&mut self, ts: Ts) {
         let chunk = self.rows() / CHUNK_ROWS;
         if chunk == self.chunks.len() {
             self.chunks.push(Vec::with_capacity(CHUNK_ROWS * self.width()));
         }
-        self.chunks[chunk].extend(values);
         self.stamps.push(ts);
+    }
+
+    /// Append the next columns' values to the open row.
+    fn fill(&mut self, values: impl ExactSizeIterator<Item = f64>) {
+        let chunk = (self.rows() - 1) / CHUNK_ROWS;
+        self.chunks[chunk].extend(values);
+    }
+
+    /// Whether the last row holds a value for every column.
+    fn row_is_full(&self) -> bool {
+        let r = self.rows() - 1;
+        self.chunks[r / CHUNK_ROWS].len() == (r % CHUNK_ROWS + 1) * self.width()
     }
 
     fn column(&self, column: usize) -> Hot<'_> {
@@ -472,6 +496,31 @@ struct Gather {
     present: usize,
     /// The last of their positions.
     last_pos: u32,
+    /// Step `b` of the blocked gather fills columns `cuts[b]..cuts[b + 1]`.
+    cuts: Vec<u32>,
+}
+
+impl Gather {
+    /// Assign the columns, in order, to the `BLOCK`s of frame positions:
+    /// a column goes to the block holding the highest position up to and
+    /// including its own.  Where positions ascend with the columns that is
+    /// the block holding its own; where they do not (a retired column reads
+    /// the batch's first position, or the key column was permuted) a column
+    /// never fills before the columns left of it, and some reads leave the
+    /// block.
+    fn cut(&mut self) {
+        self.cuts.clear();
+        self.cuts.push(0);
+        let (mut high, mut end) = (0, BLOCK);
+        for (j, &p) in self.pos.iter().enumerate() {
+            high = high.max(p as usize);
+            while high >= end {
+                self.cuts.push(j as u32);
+                end += BLOCK;
+            }
+        }
+        self.cuts.push(self.pos.len() as u32);
+    }
 }
 
 /// How a shard's batch lands, derived from its slot hints and the shard's
@@ -539,6 +588,10 @@ impl RowPlan {
                     *p = all[0];
                 }
             }
+        }
+        // Rows that are not clean are never landed.
+        if self.clean {
+            self.gathers.iter_mut().for_each(Gather::cut);
         }
     }
 
@@ -636,34 +689,87 @@ impl ShardPlan {
 }
 
 impl TimeSeriesStore {
-    /// Land `plan`'s samples of `cf` in `shard`: straight through the cached
-    /// rows when they still fit, else the slow way round — settle the shard
-    /// for this batch, derive fresh rows, and land those.
-    pub(crate) fn ingest_batch(&self, shard: &mut Shard, cf: &ColumnFrame, plan: &ShardPlan) {
-        if plan.rows.fits(shard, cf.ts) {
-            return self.ingest_rows(shard, cf, &plan.rows);
+    /// Land `cf` through `route`, prepared for it, `LOCKED` shards at a
+    /// time: every touched shard's write lock is taken in index order — the
+    /// order `snapshot()` takes its read locks — and held until the group
+    /// has landed.  A shard whose cached rows no longer fit goes the slow
+    /// way first, alone; the rest land together ([`Self::land`]).
+    pub(crate) fn ingest_route(&self, cf: &ColumnFrame, route: &IngestRoute) {
+        assert_eq!(cf.len(), route.keys.len(), "the route was prepared for another frame");
+        for (group, plans) in route.per_shard.chunks(LOCKED).enumerate() {
+            let batch: u64 = plans.iter().map(|p| p.len() as u64).sum();
+            if batch == 0 {
+                continue;
+            }
+            self.samples_ingested.fetch_add(batch, Ordering::Relaxed);
+            // One occupancy bump for the whole batch — seals subtract their
+            // own counts as they happen, so the final tally matches the
+            // per-sample accounting of `insert`.
+            self.hot_points.fetch_add(batch, Ordering::Relaxed);
+            let shards = &self.shards[group * LOCKED..];
+            let mut guards: [Option<_>; LOCKED] = std::array::from_fn(|i| {
+                plans.get(i).filter(|p| p.len() > 0).map(|_| shards[i].write())
+            });
+            let mut lanes: [Option<(&mut Shard, &RowPlan)>; LOCKED] = std::array::from_fn(|_| None);
+            for ((lane, guard), plan) in lanes.iter_mut().zip(&mut guards).zip(plans) {
+                let Some(shard) = guard.as_deref_mut() else { continue };
+                if plan.rows.fits(shard, cf.ts) {
+                    *lane = Some((shard, &plan.rows));
+                } else {
+                    self.ingest_batch(shard, cf, plan);
+                }
+            }
+            self.land(cf, &mut lanes);
+            drop(guards);
+            self.bump_epoch_by(batch);
         }
+    }
+
+    /// The slow way round for one shard whose cached rows no longer fit:
+    /// settle the shard for this batch, derive fresh rows, and land those.
+    fn ingest_batch(&self, shard: &mut Shard, cf: &ColumnFrame, plan: &ShardPlan) {
         let slot_of = self.settle_batch(shard, cf, plan);
         let mut rows = RowPlan::default();
         rows.derive(&plan.all, &slot_of, &cf.keys, shard);
         assert!(rows.clean, "a settled shard takes its batch as whole rows");
-        self.ingest_rows(shard, cf, &rows);
+        self.land(cf, &mut [Some((shard, &rows))]);
     }
 
-    /// One gathered row per cohort (sealing at the threshold, the tick every
-    /// member would seal on alone), then the loose samples one by one.
-    fn ingest_rows(&self, shard: &mut Shard, cf: &ColumnFrame, rows: &RowPlan) {
-        let Shard { slots, cohorts, .. } = shard;
-        for g in &rows.gathers {
-            let cohort = &mut cohorts.list[g.cohort as usize];
-            cohort.push_row(cf.ts, g.pos.iter().map(|&p| cf.values[p as usize]));
-            if cohort.rows() >= self.seal_threshold {
-                cohorts.seal(g.cohort as usize, slots, self);
+    /// Land each lane's rows in its shard: one row opened per gathered
+    /// cohort, filled in one pass over `cf`'s values, `BLOCK` positions at
+    /// a time, each cohort taking the columns its cuts assign the block;
+    /// then the cohorts that reached the threshold seal (the tick every
+    /// member would seal on alone), and the loose samples are appended one
+    /// by one.
+    fn land(&self, cf: &ColumnFrame, lanes: &mut [Option<(&mut Shard, &RowPlan)>]) {
+        for (shard, rows) in lanes.iter_mut().flatten() {
+            for g in &rows.gathers {
+                shard.cohorts.list[g.cohort as usize].open_row(cf.ts);
             }
         }
-        for &(pos, slot) in &rows.loose {
-            let s = &mut slots[slot as usize];
-            self.append_point(s.key, &mut s.data, cf.ts, cf.values[pos as usize]);
+        for block in 0..cf.len().div_ceil(BLOCK) {
+            for (shard, rows) in lanes.iter_mut().flatten() {
+                for g in &rows.gathers {
+                    let Some(&[from, to]) = g.cuts.get(block..block + 2) else { continue };
+                    let columns = &g.pos[from as usize..to as usize];
+                    let cohort = &mut shard.cohorts.list[g.cohort as usize];
+                    cohort.fill(columns.iter().map(|&p| cf.values[p as usize]));
+                }
+            }
+        }
+        for (shard, rows) in lanes.iter_mut().flatten() {
+            let Shard { slots, cohorts, .. } = &mut **shard;
+            for g in &rows.gathers {
+                let cohort = &cohorts.list[g.cohort as usize];
+                debug_assert!(cohort.row_is_full(), "every column of the row was filled");
+                if cohort.rows() >= self.seal_threshold {
+                    cohorts.seal(g.cohort as usize, slots, self);
+                }
+            }
+            for &(pos, slot) in &rows.loose {
+                let s = &mut slots[slot as usize];
+                self.append_point(s.key, &mut s.data, cf.ts, cf.values[pos as usize]);
+            }
         }
     }
 
@@ -711,7 +817,6 @@ impl TimeSeriesStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tsdb::IngestRoute;
     use hpcmon_metrics::alloc_count::thread_allocations;
     use hpcmon_metrics::{CompId, MetricId, Sample};
 
@@ -860,28 +965,47 @@ mod tests {
         pair.assert_same("minority frames");
     }
 
+    /// Allocations `ingest_route` makes landing `cf`, on a fresh copy of
+    /// the pair `build` makes.
+    fn landing_allocations(build: impl Fn() -> Pair, cf: &ColumnFrame) -> u64 {
+        let mut pair = build();
+        pair.routed.prepare_route(cf, &mut pair.route, None);
+        let before = thread_allocations();
+        pair.routed.ingest_route(cf, &pair.route);
+        thread_allocations() - before
+    }
+
     #[test]
     fn cohort_member_written_twice_or_through_insert_is_evicted_alone() {
-        let mut pair = Pair::new(4, 16);
         // One seal cycle and three rows: every matrix is at full height.
-        for tick in 0..19 {
-            pair.frame(&frame_of(tick, 0..64, 1));
-        }
+        let full_height = || {
+            let mut pair = Pair::new(4, 16);
+            for tick in 0..19 {
+                pair.frame(&frame_of(tick, 0..64, 1));
+            }
+            pair
+        };
+        let mut pair = full_height();
         assert_eq!(pair.routed.hot_layout().members, 64);
         // A duplicate key costs its own shard the row path for the tick;
-        // every other shard lands its row without allocating.
+        // every other shard lands its row without allocating.  So the frame
+        // allocates what the owner's slow path does on its own ...
         let mut cf = frame_of(19, 0..64, 1);
         cf.push(MetricId(0), CompId::node(5), -1.0);
         let owner = pair.routed.shard_index(&cf.keys[5]);
-        pair.routed.prepare_route(&cf, &mut pair.route);
-        for shard in 0..pair.routed.num_shards() {
+        let alone = {
+            let mut twin = full_height();
+            twin.routed.prepare_route(&cf, &mut twin.route, None);
+            let mut shard = twin.routed.shards[owner].write();
             let before = thread_allocations();
-            pair.routed.ingest_route_shard(shard, &cf, &pair.route);
-            let made = thread_allocations() - before;
-            assert_eq!(made > 0, shard == owner, "shard {shard} of {owner}: {made}");
-        }
-        pair.routed.finish_route(&mut pair.route);
-        cf.iter().for_each(|s| pair.oracle.insert(&s));
+            twin.routed.ingest_batch(&mut shard, &cf, &twin.route.per_shard[owner]);
+            thread_allocations() - before
+        };
+        assert!(alone > 0, "the owner's slow path allocates");
+        assert_eq!(landing_allocations(full_height, &cf), alone, "owner {owner} alone");
+        // ... and the same frame without the duplicate allocates nothing.
+        assert_eq!(landing_allocations(full_height, &frame_of(19, 0..64, 1)), 0);
+        pair.frame(&cf);
         assert_eq!(pair.routed.hot_layout().evictions, 1);
         pair.frame(&frame_of(20, 0..64, 1));
         assert_eq!(pair.routed.hot_layout().evictions, 1);
@@ -999,6 +1123,111 @@ mod tests {
         assert_eq!(pair.routed.hot_layout().evictions, 4);
         assert_ne!(plan(&pair.route).0, gathers);
         pair.assert_same("a tail that comes and goes");
+    }
+
+    /// Keys enough for three whole steps of the blocked gather and part of
+    /// a fourth (`tests/store_model.rs` frames are narrower than one).
+    const WIDE: u32 = 3 * BLOCK as u32 + 17;
+
+    /// `cf` with its key column reversed.
+    fn reversed(cf: ColumnFrame) -> ColumnFrame {
+        let mut cf = cf;
+        cf.keys.reverse();
+        cf.values.reverse();
+        cf
+    }
+
+    /// The block cuts each gather of the route holds.
+    fn cuts(route: &IngestRoute) -> Vec<&[u32]> {
+        route.per_shard.iter().flat_map(|p| &p.rows.gathers).map(|g| &g.cuts[..]).collect()
+    }
+
+    #[test]
+    fn cohort_gather_wider_than_a_block_in_frame_order() {
+        let mut pair = Pair::new(2, 64);
+        for tick in 0..10 {
+            pair.frame(&frame_of(tick, 0..WIDE, 1));
+        }
+        let layout = pair.routed.hot_layout();
+        assert_eq!((layout.members, layout.formations, layout.evictions), (WIDE as usize, 2, 0));
+        // Positions ascend with the columns: every step fills some of each.
+        for cuts in cuts(&pair.route) {
+            assert_eq!(cuts.len(), 5, "four steps");
+            assert!(cuts.windows(2).all(|w| w[0] < w[1]), "{cuts:?}");
+        }
+        pair.assert_same("frames of four blocks");
+    }
+
+    #[test]
+    fn cohort_gather_wider_than_a_block_with_positions_descending() {
+        let mut pair = Pair::new(2, 64);
+        for tick in 0..3 {
+            pair.frame(&frame_of(tick, 0..WIDE, 1));
+        }
+        // The same keys reversed: the cohorts keep their columns, whose
+        // positions now descend, so the last step fills every column.
+        for tick in 3..10 {
+            pair.frame(&reversed(frame_of(tick, 0..WIDE, 1)));
+        }
+        assert_eq!(pair.routed.hot_layout().evictions, 0);
+        for cuts in cuts(&pair.route) {
+            assert_eq!(cuts[..4], [0, 0, 0, 0], "{cuts:?}");
+        }
+        pair.assert_same("frames reversed after formation");
+    }
+
+    #[test]
+    fn cohort_gather_wider_than_a_block_past_a_retired_column() {
+        let mut pair = Pair::new(2, 64);
+        for tick in 0..3 {
+            pair.frame(&frame_of(tick, 0..WIDE, 1));
+        }
+        // Node 5,000 misses a frame: evicted, its column retired and read
+        // from the batch's first position for every row after.
+        pair.frame(&frame_of(3, (0..5_000).chain(5_001..WIDE), 1));
+        for tick in 4..10 {
+            pair.frame(&frame_of(tick, 0..WIDE, 1));
+        }
+        let layout = pair.routed.hot_layout();
+        assert_eq!((layout.members, layout.evictions), (WIDE as usize - 1, 1));
+        pair.assert_same("a retired column");
+    }
+
+    #[test]
+    fn cohort_gather_wider_than_a_block_with_a_tail_that_comes_and_goes() {
+        let mut pair = Pair::new(2, 64);
+        for tick in 0..12 {
+            let mut cf = frame_of(tick, 0..WIDE, 1);
+            if tick % 3 == 1 {
+                (0..5).for_each(|c| cf.push(MetricId(9), CompId::node(c), tick as f64));
+            }
+            pair.frame(&cf);
+        }
+        assert_eq!(pair.routed.hot_layout().evictions, 0);
+        pair.assert_same("a tail past the third block");
+    }
+
+    #[test]
+    fn cohort_gather_wider_than_a_block_seals_inside_the_run() {
+        let mut pair = Pair::new(2, 4);
+        for tick in 0..10 {
+            pair.frame(&frame_of(tick, 0..WIDE, 1));
+        }
+        assert_eq!(pair.routed.hot_layout().cohort_seals, 4, "two seals a shard");
+        pair.assert_same("two seals, two rows open");
+    }
+
+    #[test]
+    fn cohort_store_with_more_shards_than_one_pass_locks() {
+        // 40 shards: three groups of `LOCKED`, the last one part-full.
+        let mut pair = Pair::new(2 * LOCKED + 8, 8);
+        for tick in 0..20 {
+            pair.frame(&frame_of(tick, 0..400, 2));
+        }
+        let layout = pair.routed.hot_layout();
+        assert_eq!((layout.members, layout.evictions), (800, 0), "{layout:?}");
+        assert!(layout.cohort_seals >= 2 * 40, "{layout:?}");
+        pair.assert_same("a frame taken in three passes");
     }
 
     #[test]

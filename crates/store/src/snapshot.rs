@@ -574,23 +574,23 @@ mod tests {
                 store.insert(&s);
             }
         });
-        // Shards ingested on their own threads, last shard first, so series
-        // are created in another order than the frame's.
-        let parallel = filled(19, 2, 0x2018, |store, cf| {
-            let mut route = IngestRoute::new();
-            store.prepare_route(cf, &mut route);
-            std::thread::scope(|scope| {
-                for shard in (0..store.num_shards()).rev() {
-                    let route = &route;
-                    scope.spawn(move || store.ingest_route_shard(shard, cf, route));
-                }
-            });
+        // Every frame through the route in descending key order, so series
+        // are created in another order than the frame's.  The sort is
+        // stable: the key each frame carries twice keeps its samples' order.
+        let reversed = filled(19, 2, 0x2018, |store, cf| {
+            let mut order: Vec<usize> = (0..cf.len()).collect();
+            order.sort_by_key(|&i| std::cmp::Reverse(cf.keys[i]));
+            let mut rev = ColumnFrame::new(cf.ts);
+            for i in order {
+                rev.push(cf.keys[i].metric, cf.keys[i].comp, cf.values[i]);
+            }
+            by_columns(store, &rev);
         });
         assert_eq!(columns.section, rows.snapshot().section);
-        assert_eq!(columns.section, parallel.snapshot().section);
+        assert_eq!(columns.section, reversed.snapshot().section);
         assert_eq!(
             serde_json::to_vec(&columns).unwrap(),
-            serde_json::to_vec(&parallel.snapshot()).unwrap()
+            serde_json::to_vec(&reversed.snapshot()).unwrap()
         );
     }
 

@@ -11,7 +11,7 @@
 
 use crate::cohort::{Cohorts, Seat, ShardPlan};
 use crate::compress;
-use hpcmon_metrics::{ColumnFrame, CompId, MetricId, Sample, SeriesKey, Ts};
+use hpcmon_metrics::{ColumnFrame, CompId, FrameLayout, MetricId, Sample, SeriesKey, Ts};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::{DefaultHasher, Entry};
@@ -267,18 +267,24 @@ pub(crate) struct Shard {
 ///
 /// Frames produced by a fixed collector set repeat the same key column
 /// tick after tick, so the route — built once with hashing and lookups —
-/// is validated per tick by a key-column sweep and one generation check
-/// per shard, then reused: ingest costs one gather per
-/// cohort plus one slab index and push per loose sample, one lock per
-/// touched shard, and **zero allocations**.  A key column that changes is
-/// re-routed from the first key that differs, so a tail that comes and goes
-/// (the benchmark suite's samples every tenth tick) costs the tail.
+/// is validated per tick and reused.  The key column is checked by the
+/// verdict of the [`FrameLayout`] that published the frame, when the caller
+/// has one, else by a sweep against the route's own copy; the slots by one
+/// generation check per shard.  Ingest then costs one pass over the frame's
+/// values that fills every cohort's row, plus one slab index and push per
+/// loose sample, every touched shard locked once, and **zero
+/// allocations**.  A key column that changes is re-routed from the first
+/// key that differs, so a tail that comes and goes (the benchmark suite's
+/// samples every tenth tick) costs the tail.
 #[derive(Debug, Default)]
 pub struct IngestRoute {
     /// Store layout generation the slot numbers were resolved at.
     layout: u64,
+    /// The generation of the publishing [`FrameLayout`] whose key column
+    /// `keys` equals, if the last prepare was handed its verdict.
+    arena: Option<u64>,
     /// The key column the route describes.
-    keys: Vec<SeriesKey>,
+    pub(crate) keys: Vec<SeriesKey>,
     pub(crate) per_shard: Vec<ShardPlan>,
 }
 
@@ -433,7 +439,7 @@ impl TimeSeriesStore {
         self.epoch.fetch_add(1, Ordering::Release);
     }
 
-    fn bump_epoch_by(&self, n: u64) {
+    pub(crate) fn bump_epoch_by(&self, n: u64) {
         // Batched ingest advances the epoch by the sample count so the
         // epoch value stays identical to per-sample insertion.
         self.epoch.fetch_add(n, Ordering::Release);
@@ -532,19 +538,36 @@ impl TimeSeriesStore {
 
     /// Ensure `route` describes `cf`'s key column against the current slab
     /// layout and cohorts.  A changed key column is re-routed from the first
-    /// key that differs — hashing and lookups for that tail only.  The work
-    /// is **lookup-only** (read locks, no mutation): series the store has
-    /// not seen yet stay unresolved and are created on first ingest.
-    pub(crate) fn prepare_route(&self, cf: &ColumnFrame, route: &mut IngestRoute) {
+    /// key that differs — hashing and lookups for that tail only.  Where
+    /// that is comes from `arena`, the layout that published `cf` last, when
+    /// the route's keys are a column it described one generation ago or
+    /// now; otherwise from a sweep of both key columns.  The work is
+    /// **lookup-only** (read locks, no mutation): series the store has not
+    /// seen yet stay unresolved and are created on first ingest.
+    pub(crate) fn prepare_route(
+        &self,
+        cf: &ColumnFrame,
+        route: &mut IngestRoute,
+        arena: Option<&FrameLayout>,
+    ) {
         let layout = self.layout_gen();
         if route.per_shard.len() != self.shards.len() || route.layout != layout {
             // Another store, or slots moved: no slot number survives.
             route.per_shard.clear();
             route.per_shard.resize_with(self.shards.len(), ShardPlan::default);
             route.keys.clear();
+            route.arena = None;
             route.layout = layout;
         }
-        let common = route.keys.iter().zip(&cf.keys).take_while(|(a, b)| a == b).count();
+        let sweep =
+            |keys: &[SeriesKey]| keys.iter().zip(&cf.keys).take_while(|(a, b)| a == b).count();
+        let verdict = arena.zip(route.arena).and_then(|(a, g)| a.unchanged_since(g));
+        debug_assert!(
+            verdict.is_none_or(|common| common == sweep(&route.keys)),
+            "the arena's verdict disagrees with the key columns"
+        );
+        let common = verdict.unwrap_or_else(|| sweep(&route.keys));
+        route.arena = arena.map(FrameLayout::generation);
         if common < route.keys.len() || common < cf.keys.len() {
             for plan in &mut route.per_shard {
                 plan.cut(common as u32);
@@ -556,35 +579,6 @@ impl TimeSeriesStore {
             }
         }
         self.finish_route(route);
-    }
-
-    /// Ingest the samples of `cf` that land in `shard`, holding that
-    /// shard's write lock once for the whole batch.  `route` must have been
-    /// prepared for `cf` ([`TimeSeriesStore::prepare_route`]).  Distinct
-    /// shards can be ingested concurrently against the same shared route:
-    /// each batch touches only its own shard (frame order kept within it),
-    /// and all shared accounting is atomic.
-    pub(crate) fn ingest_route_shard(
-        &self,
-        shard_id: usize,
-        cf: &ColumnFrame,
-        route: &IngestRoute,
-    ) {
-        assert_eq!(cf.len(), route.keys.len(), "the route was prepared for another frame");
-        let plan = &route.per_shard[shard_id];
-        let batch = plan.len() as u64;
-        if batch == 0 {
-            return;
-        }
-        self.samples_ingested.fetch_add(batch, Ordering::Relaxed);
-        // One occupancy bump for the whole batch — seals subtract their
-        // own counts as they happen, so the final tally matches the
-        // per-sample accounting of `insert`.
-        self.hot_points.fetch_add(batch, Ordering::Relaxed);
-        let mut guard = self.shards[shard_id].write();
-        self.ingest_batch(&mut guard, cf, plan);
-        drop(guard);
-        self.bump_epoch_by(batch);
     }
 
     /// Bring `route` up to date with what an ingest through it changed —
@@ -604,11 +598,10 @@ impl TimeSeriesStore {
     /// counts, and epoch identical to [`TimeSeriesStore::insert`] of each
     /// sample in frame order, but a synchronized frame lands as one row per
     /// cohort, with one lock per touched shard and no per-tick rebuild.
+    /// The key column is checked against the route's by a sweep.
     pub fn ingest_columns(&self, cf: &ColumnFrame, route: &mut IngestRoute) {
-        self.prepare_route(cf, route);
-        for shard_id in 0..self.shards.len() {
-            self.ingest_route_shard(shard_id, cf, route);
-        }
+        self.prepare_route(cf, route, None);
+        self.ingest_route(cf, route);
         self.finish_route(route);
     }
 
@@ -617,20 +610,24 @@ impl TimeSeriesStore {
     /// spilled frame can be retried later without double-ingesting its
     /// healthy shards.  The route build is lookup-only, so a refused frame
     /// leaves the store untouched.
+    ///
+    /// `arena` is the layout of the [`hpcmon_metrics::FrameArena`] that
+    /// published `cf`, passed only while `cf` is the frame it published
+    /// last: its verdict on the key column then stands in for the sweep.
+    /// `None` sweeps, as [`TimeSeriesStore::ingest_columns`] does.
     pub fn try_ingest_columns(
         &self,
         cf: &ColumnFrame,
         route: &mut IngestRoute,
+        arena: Option<&FrameLayout>,
     ) -> Result<(), WriteError> {
-        self.prepare_route(cf, route);
+        self.prepare_route(cf, route, arena);
         for shard_id in 0..self.shards.len() {
             if route.touches(shard_id) && self.shard_write_faulted(shard_id) {
                 return Err(WriteError::ShardUnavailable(shard_id));
             }
         }
-        for shard_id in 0..self.shards.len() {
-            self.ingest_route_shard(shard_id, cf, route);
-        }
+        self.ingest_route(cf, route);
         self.finish_route(route);
         Ok(())
     }
@@ -1405,14 +1402,14 @@ mod tests {
             (0..40u64).map(|i| ((i % 3) as u32, (i % 9) as u32, i as f64)).collect();
         let cf = column_frame(1_000, &specs);
         let mut route = IngestRoute::new();
-        store.prepare_route(&cf, &mut route);
+        store.prepare_route(&cf, &mut route, None);
         let touched =
             (0..store.num_shards()).find(|&s| route.touches(s)).expect("frame touches a shard");
         store.set_shard_write_fault(touched, true);
         assert!(store.shard_write_faulted(touched));
         let e0 = store.epoch();
         assert_eq!(
-            store.try_ingest_columns(&cf, &mut route),
+            store.try_ingest_columns(&cf, &mut route, None),
             Err(WriteError::ShardUnavailable(touched))
         );
         // Nothing landed — not even the healthy shards — and no counter moved.
@@ -1420,7 +1417,7 @@ mod tests {
         assert_eq!(store.op_counts().samples_ingested, 0);
         assert!(store.all_series().is_empty());
         store.set_shard_write_fault(touched, false);
-        assert!(store.try_ingest_columns(&cf, &mut route).is_ok());
+        assert!(store.try_ingest_columns(&cf, &mut route, None).is_ok());
         assert_eq!(store.op_counts().samples_ingested, 40);
         // The healthy fault-aware path matches per-sample insertion exactly.
         let oracle = TimeSeriesStore::with_options(4, 512);
@@ -1434,6 +1431,133 @@ mod tests {
         // Out-of-range shard indexes are ignored, not a panic.
         store.set_shard_write_fault(99, true);
         assert!(!store.shard_write_faulted(99));
+    }
+
+    /// Frames published through a `FrameArena` and ingested through one
+    /// route, with the arena's verdict or without, beside an `insert()` twin.
+    struct Published {
+        arena: hpcmon_metrics::FrameArena,
+        store: TimeSeriesStore,
+        oracle: TimeSeriesStore,
+        route: IngestRoute,
+        tick: u64,
+    }
+
+    impl Published {
+        fn new() -> Published {
+            Published {
+                arena: hpcmon_metrics::FrameArena::new(),
+                store: TimeSeriesStore::with_options(4, 8),
+                oracle: TimeSeriesStore::with_options(4, 8),
+                route: IngestRoute::new(),
+                tick: 0,
+            }
+        }
+
+        /// The next tick's frame: three metrics for each of `nodes`, then
+        /// a two-key tail if `tail`.
+        fn publish(&mut self, nodes: u32, tail: bool) -> std::sync::Arc<ColumnFrame> {
+            self.tick += 1;
+            let t = self.tick;
+            let mut cf = self.arena.take_current(Ts(t * 1_000));
+            for n in 0..nodes {
+                for m in 0..3 {
+                    cf.push(MetricId(m), CompId::node(n), (t * 13 + u64::from(n * 3 + m)) as f64);
+                }
+            }
+            if tail {
+                cf.push(MetricId(7), CompId::SYSTEM, t as f64);
+                cf.push(MetricId(8), CompId::SYSTEM, -(t as f64));
+            }
+            self.arena.publish(cf)
+        }
+
+        /// Ingest `cf`, with the arena's verdict if `hinted` (only right
+        /// for the frame it published last), and check the store against
+        /// its twin.
+        fn ingest(&mut self, cf: &ColumnFrame, hinted: bool) {
+            let verdict = hinted.then(|| self.arena.layout());
+            assert_eq!(self.store.try_ingest_columns(cf, &mut self.route, verdict), Ok(()));
+            assert_eq!(self.route.arena, verdict.map(FrameLayout::generation));
+            insert_each(&self.oracle, cf);
+            assert_same_contents(&self.store, &self.oracle);
+        }
+    }
+
+    #[test]
+    fn route_takes_the_arena_verdict_for_unchanged_keys_and_a_tail() {
+        let mut p = Published::new();
+        // Past two seals, the tail on every third tick.
+        for tick in 0..20 {
+            let cf = p.publish(16, tick % 3 == 0);
+            p.ingest(&cf, true);
+        }
+        assert!(p.store.hot_layout().members >= 48, "{:?}", p.store.hot_layout());
+        let next = p.publish(16, false);
+        assert_eq!(p.route.keys, next.keys, "the route holds the column");
+    }
+
+    #[test]
+    fn route_falls_back_to_the_sweep_past_a_generation_gap() {
+        let mut p = Published::new();
+        for _ in 0..3 {
+            let cf = p.publish(16, false);
+            p.ingest(&cf, true);
+        }
+        // Published and lost in transit: the tail comes and goes unseen, so
+        // the next frame is two generations past the route's.
+        let lost = p.publish(16, true);
+        let cf = p.publish(12, false);
+        assert_eq!(p.arena.layout().unchanged_since(p.route.arena.unwrap()), None);
+        p.ingest(&cf, true);
+        drop(lost);
+        for nodes in [12, 16, 16] {
+            let cf = p.publish(nodes, false);
+            p.ingest(&cf, true);
+        }
+    }
+
+    #[test]
+    fn route_forgets_the_verdict_across_an_unhinted_frame() {
+        let mut p = Published::new();
+        let mut held = p.publish(16, false);
+        p.ingest(&held, true);
+        for tick in 0..12 {
+            let cf = p.publish(16, tick % 4 == 1);
+            // A frame the arena did not publish last — a spilled one, or
+            // another column entirely — between two hinted ones.  Had the
+            // route kept its generation, the next hinted frame would be
+            // taken for the column the route no longer holds.
+            if tick % 2 == 0 {
+                let mut other = ColumnFrame::new(Ts(held.ts.0 + 1));
+                other.push(MetricId(9), CompId::SYSTEM, tick as f64);
+                other.push(MetricId(0), CompId::node(3), -1.0);
+                p.ingest(&other, false);
+            } else {
+                p.ingest(&held, false);
+            }
+            p.ingest(&cf, true);
+            held = cf;
+        }
+    }
+
+    #[test]
+    fn route_with_a_verdict_rebuilds_after_a_retention_drop() {
+        let mut p = Published::new();
+        // Eight ticks: every series seals exactly, all-warm and droppable.
+        for _ in 0..8 {
+            let cf = p.publish(16, false);
+            p.ingest(&cf, true);
+        }
+        let gen = p.store.layout_gen();
+        assert_eq!(p.store.drop_series_before(Ts(1_000_000)), 48);
+        assert_eq!(p.oracle.drop_series_before(Ts(1_000_000)), 48);
+        assert!(p.store.layout_gen() > gen);
+        // The arena's column is unchanged, but no slot the route holds is.
+        for _ in 0..10 {
+            let cf = p.publish(16, false);
+            p.ingest(&cf, true);
+        }
     }
 
     /// Refill `cf` for `tick` with one sample per spec.

@@ -241,6 +241,44 @@ fn store_fault_spills_then_drains_losslessly() {
     );
 }
 
+/// The same outage across a benchmark-suite tick: the key column changes
+/// while frames spill, and the drain hands the store frames published ticks
+/// ago — whose key columns the arena's layout no longer describes — before
+/// the next current one.  Store contents and tick reports still equal a
+/// fault-free run.
+#[test]
+fn store_fault_across_a_key_column_change_drains_losslessly() {
+    quiet_injected_panics();
+    let baseline = {
+        let mut mon = with_job(builder().build());
+        let reports: Vec<TickReport> = (0..24).map(|_| mon.tick()).collect();
+        (reports, dump_store(&mon))
+    };
+    let p = plan(vec![(9, ChaosFault::StoreWriteFail { shard: 0, ticks: 3 })]);
+    let mut mon = with_job(builder().chaos(5, p).build());
+    let mut reports = Vec::new();
+    let mut spilled_samples = Vec::new();
+    for _ in 1..=24u64 {
+        reports.push(mon.tick());
+        if mon.breaker_state() != BreakerState::Closed {
+            spilled_samples.push(reports.last().unwrap().samples);
+        }
+    }
+    assert!(spilled_samples.len() >= 3, "the breaker stayed open over the outage");
+    assert!(
+        spilled_samples.windows(2).any(|w| w[0] != w[1]),
+        "the key column changed while frames spilled: {spilled_samples:?}"
+    );
+    assert_eq!(mon.breaker_state(), BreakerState::Closed, "breaker closed after the probe");
+    assert_eq!((mon.spill_depth(), mon.spill_dropped()), (0, 0), "spill drained, nothing lost");
+    assert_eq!(baseline.0, reports, "analysis was unaffected by the store outage");
+    assert_dumps_bit_identical(
+        &baseline.1,
+        &dump_store(&mon),
+        "store contents after drain match a fault-free run",
+    );
+}
+
 /// A stalled broker topic buffers frames in order and replays them the
 /// tick the stall clears: nothing is lost, nothing is reordered.
 #[test]

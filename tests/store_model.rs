@@ -15,13 +15,16 @@
 //!   store that only ever sees `insert()`, the reference ingest.
 //!
 //! The store under test is fed through the route: whole synchronized frames
-//! and every way a frame can fall short of one.  Frames are at least
+//! and every way a frame can fall short of one.  Some frames are published
+//! through a `FrameArena` first and ingested with its verdict on the key
+//! column, some published frames are lost before the store sees them, and
+//! the rest go in bare, so the route meets every generation gap.  Frames are at least
 //! 4 x `MIN_WIDTH` wide per shard and thresholds 4..32, so cases form cohorts,
 //! evict from them and seal them — asserted at the end through
 //! `hot_layout()`.  The proptest shim does not shrink: a failing case prints
 //! its index and decoded op list.
 
-use hpcmon_metrics::{ColumnFrame, CompId, MetricId, Sample, SeriesKey, Ts};
+use hpcmon_metrics::{ColumnFrame, CompId, FrameArena, MetricId, Sample, SeriesKey, Ts};
 use hpcmon_store::cohort::MIN_WIDTH;
 use hpcmon_store::{
     AggFn, HotLayout, IngestRoute, QueryEngine, SeriesBlock, TimeRange, TimeSeriesStore, WriteError,
@@ -29,6 +32,7 @@ use hpcmon_store::{
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 const SHARDS: usize = 2;
 /// Series every full frame carries.
@@ -73,9 +77,16 @@ enum Shape {
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
+    /// Ingested through the route; first published through the case's
+    /// arena, and ingested with its verdict, if `published`.
     Frame {
         shape: Shape,
         value: f64,
+        published: bool,
+    },
+    /// Published through the arena, never ingested (lost in transit).
+    Lost {
+        shape: Shape,
     },
     /// `insert()`: `ahead` steps past the newest stamp, or `behind` it.
     Insert {
@@ -117,7 +128,7 @@ enum Op {
 }
 
 fn decode((op, a, b, c, value): (u8, u32, u32, u64, f64)) -> Op {
-    let frame = |shape| Op::Frame { shape, value };
+    let frame = |shape| Op::Frame { shape, value, published: c >> 63 == 0 };
     // Half of all ops are plain synchronized frames: cohorts need runs of
     // them to fill and seal.
     match op % 23 {
@@ -126,6 +137,7 @@ fn decode((op, a, b, c, value): (u8, u32, u32, u64, f64)) -> Op {
             let len = 1 + b % (POPULATION / 2 + 8);
             frame(Shape::MinusSegment { start: a % POPULATION, len })
         }
+        13 if c % 4 == 0 => Op::Lost { shape: Shape::PlusTail { n: 1 + a % TAIL } },
         13 => frame(Shape::PlusTail { n: 1 + a % TAIL }),
         14 => frame(Shape::Duplicate { i: a % POPULATION }),
         15 => frame(Shape::Old { back: 1 + c % 3 }),
@@ -243,6 +255,7 @@ struct Case {
     threshold: usize,
     store: TimeSeriesStore,
     route: IngestRoute,
+    arena: FrameArena,
     twin: TimeSeriesStore,
     model: Model,
     /// Newest stamp any frame or insert has carried.
@@ -257,6 +270,7 @@ impl Case {
             threshold,
             store: TimeSeriesStore::with_options(SHARDS, threshold),
             route: IngestRoute::new(),
+            arena: FrameArena::new(),
             twin: TimeSeriesStore::with_options(SHARDS, threshold),
             model: Model::default(),
             newest: 0,
@@ -291,6 +305,14 @@ impl Case {
         cf
     }
 
+    /// `cf` as the arena's next published frame.
+    fn publish(&mut self, cf: &ColumnFrame) -> Arc<ColumnFrame> {
+        let mut frame = self.arena.take_current(cf.ts);
+        frame.keys.extend_from_slice(&cf.keys);
+        frame.values.extend_from_slice(&cf.values);
+        self.arena.publish(frame)
+    }
+
     /// Feed the oracles what the store under test just took through the route.
     fn oracles_take(&mut self, cf: &ColumnFrame) {
         for s in cf.iter() {
@@ -301,10 +323,21 @@ impl Case {
 
     fn apply(&mut self, op: Op) {
         match op {
-            Op::Frame { shape, value } => {
+            Op::Frame { shape, value, published: false } => {
                 let cf = self.build_frame(shape, value);
                 self.store.ingest_columns(&cf, &mut self.route);
                 self.oracles_take(&cf);
+            }
+            Op::Frame { shape, value, published: true } => {
+                let cf = self.build_frame(shape, value);
+                let cf = self.publish(&cf);
+                let verdict = Some(self.arena.layout());
+                assert_eq!(self.store.try_ingest_columns(&cf, &mut self.route, verdict), Ok(()));
+                self.oracles_take(&cf);
+            }
+            Op::Lost { shape } => {
+                let cf = self.build_frame(shape, 0.0);
+                self.publish(&cf);
             }
             Op::Insert { series, ahead, steps, value } => {
                 let ts = if ahead {
@@ -338,12 +371,12 @@ impl Case {
                 let cf = self.build_frame(Shape::Full, 0.5);
                 let before = (self.store.state_digest(), self.store.hot_layout());
                 self.store.set_shard_write_fault(shard, true);
-                let refused = self.store.try_ingest_columns(&cf, &mut self.route);
+                let refused = self.store.try_ingest_columns(&cf, &mut self.route, None);
                 assert_eq!(refused, Err(WriteError::ShardUnavailable(shard)));
                 self.store.set_shard_write_fault(shard, false);
                 assert_eq!(before, (self.store.state_digest(), self.store.hot_layout()));
                 // Retried once the shard is back, as the spill queue would.
-                assert_eq!(self.store.try_ingest_columns(&cf, &mut self.route), Ok(()));
+                assert_eq!(self.store.try_ingest_columns(&cf, &mut self.route, None), Ok(()));
                 self.oracles_take(&cf);
             }
             Op::SnapshotLoad => {
