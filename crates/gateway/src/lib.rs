@@ -15,7 +15,9 @@
 //!   with per-query deadline budgets.
 //! * [`cache::ResultCache`] — an LRU keyed on (normalized request, scope,
 //!   store epoch, job-view version); the store bumps its epoch on every
-//!   mutation, so a cached response is never served across a change.
+//!   mutation, so a cached response is never served whole across a change.
+//!   A sliding `AggregateAcross` is extended instead while the store's
+//!   history epoch holds: only the stamps since its last answer are folded.
 //! * [`admission`] — per-principal token buckets plus a bounded admission
 //!   queue that sheds expired requests instead of stalling.
 //! * Standing subscriptions — continuous queries re-evaluated each tick

@@ -2,16 +2,17 @@
 //! caching, and standing subscriptions.
 
 use crate::admission::{AdmissionQueue, PushError, TokenBuckets};
-use crate::cache::{CacheStats, ResultCache};
+use crate::cache::{self, CacheStats, Extent, Lookup, ResultCache};
 use crate::request::{QueryError, QueryRequest, QueryResponse, SubscriptionUpdate};
 use bytes::Bytes;
-use hpcmon_metrics::{CompId, JobRecord, SeriesKey, Ts};
+use hpcmon_metrics::{CompId, JobRecord, MetricId, SeriesKey, Ts};
 use hpcmon_response::access::{AccessPolicy, Consumer, Role};
-use hpcmon_store::{QueryEngine, TimeSeriesStore};
+use hpcmon_store::{AggFn, QueryEngine, TimeRange, TimeSeriesStore};
 use hpcmon_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use hpcmon_trace::{DropReason, Stage, TraceContext, Tracer};
 use hpcmon_transport::{Broker, Payload};
 use parking_lot::{Mutex, RwLock};
+use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -59,6 +60,7 @@ impl Default for GatewayConfig {
 struct GatewayMetrics {
     queries: Arc<Counter>,
     cache_hits: Arc<Counter>,
+    /// Lookups that went to the store: misses and extensions.
     cache_misses: Arc<Counter>,
     cache_hit_ratio: Arc<Gauge>,
     shed_rate_limited: Arc<Counter>,
@@ -210,18 +212,14 @@ impl GatewayInner {
         }
     }
 
-    /// The cache key: scope fingerprint + canonical serde form of the
-    /// request.  Two consumers with the same *role scope* share entries
-    /// (two admin dashboards hit each other's cache); different scopes
-    /// never do.
-    fn cache_key(consumer: &Consumer, request: &QueryRequest) -> String {
-        let req = serde_json::to_string(request).unwrap_or_default();
-        format!("{}|{}", Self::scope_tag(consumer), req)
-    }
-
-    /// Execute with caching.  The store epoch and job version are captured
-    /// **before** evaluation, so a mutation racing the query conservatively
-    /// invalidates the entry rather than ever validating a stale one.
+    /// Execute with caching, keyed on the scope fingerprint and the
+    /// request (see [`cache::key`]): two consumers with the same *role
+    /// scope* share entries (two admin dashboards hit each other's cache);
+    /// different scopes never do.  Both store epochs and the job version
+    /// are captured **before** evaluation, so a mutation racing the query
+    /// conservatively invalidates the entry rather than ever validating a
+    /// stale one.  An aggregate whose entry can be extended folds only the
+    /// stamps after the entry's final ones.
     fn execute(
         &self,
         consumer: &Consumer,
@@ -229,22 +227,60 @@ impl GatewayInner {
         exemplar: u64,
     ) -> Result<Arc<QueryResponse>, QueryError> {
         let started = Instant::now();
-        let store_epoch = self.store.epoch();
-        let jobs_version = self.jobs_version.load(Ordering::Acquire);
-        let epoch = (store_epoch, jobs_version);
-        let key = Self::cache_key(consumer, request);
-        if let Some(hit) = self.cache.get(&key, epoch) {
+        let (history, head) = self.store.history();
+        let epoch = (self.store.epoch(), self.jobs_version.load(Ordering::Acquire));
+        let (key, range) = cache::key(&Self::scope_tag(consumer), request);
+        let lookup = self.cache.get(&key, epoch, range.map(|r| (r, history)));
+        if let Lookup::Hit(hit) = lookup {
             self.metrics.cache_hits.inc();
             self.metrics.eval.record_ns_tagged(started.elapsed().as_nanos() as u64, exemplar);
             return Ok(hit);
         }
         self.metrics.cache_misses.inc();
         let jobs = self.jobs.read().clone();
-        let result = self.evaluate(consumer, request, &jobs);
+        let result = match (lookup, request) {
+            (
+                Lookup::Extend { mut kept, from },
+                &QueryRequest::AggregateAcross { metric, range, agg },
+            ) => {
+                if from <= range.to {
+                    let rest = TimeRange { from, to: range.to };
+                    kept.extend(self.aggregate(consumer, metric, rest, agg, &jobs));
+                }
+                Ok(QueryResponse::Points(kept))
+            }
+            _ => self.evaluate(consumer, request, &jobs),
+        };
         self.metrics.eval.record_ns_tagged(started.elapsed().as_nanos() as u64, exemplar);
         let resp = Arc::new(result?);
-        self.cache.put(key, epoch, resp.clone());
+        let extent = range.map(|range| Extent {
+            range,
+            history,
+            closed: head.min(Ts(range.to.0.saturating_add(1))),
+        });
+        self.cache.put(key, epoch, extent, resp.clone());
         Ok(resp)
+    }
+
+    /// `agg` per stamp across the components of `metric` that `consumer`
+    /// may see.  Admins get the machine-wide fold; users aggregate over
+    /// their visible components only: the sum of "my nodes" is meaningful,
+    /// the machine-wide total is need-to-know.
+    fn aggregate(
+        &self,
+        consumer: &Consumer,
+        metric: MetricId,
+        range: TimeRange,
+        agg: AggFn,
+        jobs: &[JobRecord],
+    ) -> Vec<(Ts, f64)> {
+        let engine = QueryEngine::new(&self.store);
+        if consumer.role == Role::Admin {
+            return engine.aggregate_across_components(metric, range, agg);
+        }
+        engine.aggregate_visible(metric, range, agg, |comp| {
+            self.policy.series_visible(consumer, &SeriesKey::new(metric, comp), jobs)
+        })
     }
 
     fn deny(&self, what: String) -> QueryError {
@@ -283,17 +319,7 @@ impl GatewayInner {
                 Ok(QueryResponse::Points(engine.series(*key, *range)))
             }
             QueryRequest::AggregateAcross { metric, range, agg } => {
-                if is_admin {
-                    return Ok(QueryResponse::Points(
-                        engine.aggregate_across_components(*metric, *range, *agg),
-                    ));
-                }
-                // Users aggregate over their visible components only: the
-                // sum of "my nodes" is meaningful, the machine-wide total
-                // is need-to-know.
-                Ok(QueryResponse::Points(engine.aggregate_visible(*metric, *range, *agg, |comp| {
-                    self.policy.series_visible(consumer, &SeriesKey::new(*metric, comp), jobs)
-                })))
+                Ok(QueryResponse::Points(self.aggregate(consumer, *metric, *range, *agg, jobs)))
             }
             QueryRequest::ComponentsOfKind { metric, kind, range } => {
                 let rows = engine
@@ -639,7 +665,21 @@ impl Gateway {
         let jobs = inner.jobs.read().clone();
         let mut subs = inner.subs.lock();
         for sub in subs.iter_mut() {
-            let resp = match inner.evaluate(&sub.consumer, &sub.request, &jobs) {
+            // A `Series` subscription reads only past its watermark; one
+            // whose range has run out goes quiet.
+            let request = match (&sub.request, sub.watermark) {
+                (&QueryRequest::Series { key, range }, Some(w)) => {
+                    match w.0.checked_add(1).map(|next| Ts(next).max(range.from)) {
+                        Some(from) if from <= range.to => Cow::Owned(QueryRequest::Series {
+                            key,
+                            range: TimeRange { from, ..range },
+                        }),
+                        _ => continue,
+                    }
+                }
+                _ => Cow::Borrowed(&sub.request),
+            };
+            let resp = match inner.evaluate(&sub.consumer, &request, &jobs) {
                 Ok(r) => r,
                 // A subscription that has become unanswerable (job ended,
                 // access revoked) just goes quiet; it is not an admission
@@ -647,19 +687,13 @@ impl Gateway {
                 Err(_) => continue,
             };
             let delivery = match (&sub.request, resp) {
-                (QueryRequest::Series { .. }, QueryResponse::Points(pts)) => {
-                    let fresh: Vec<(Ts, f64)> = match sub.watermark {
-                        Some(w) => pts.iter().copied().filter(|(t, _)| *t > w).collect(),
-                        None => pts,
-                    };
-                    match fresh.last() {
-                        Some(&(t, _)) => {
-                            sub.watermark = Some(sub.watermark.map_or(t, |w| w.max(t)));
-                            Some((true, QueryResponse::Points(fresh)))
-                        }
-                        None => None,
+                (QueryRequest::Series { .. }, QueryResponse::Points(fresh)) => match fresh.last() {
+                    Some(&(t, _)) => {
+                        sub.watermark = Some(t);
+                        Some((true, QueryResponse::Points(fresh)))
                     }
-                }
+                    None => None,
+                },
                 (_, resp) => {
                     if sub.last.as_ref() == Some(&resp) {
                         None
@@ -681,7 +715,7 @@ impl Gateway {
         drop(subs);
         // Refresh the level-style gauges once per tick.
         let stats = inner.cache.stats();
-        let lookups = stats.hits + stats.misses;
+        let lookups = stats.hits + stats.extended + stats.misses;
         if lookups > 0 {
             inner.metrics.cache_hit_ratio.set(stats.hits as f64 / lookups as f64);
         }

@@ -723,6 +723,10 @@ impl TimeSeriesStore {
             drop(guards);
             self.bump_epoch_by(batch);
         }
+        // One head check for the frame, never one per sample.
+        if !cf.is_empty() {
+            self.note_write(cf.ts);
+        }
     }
 
     /// The slow way round for one shard whose cached rows no longer fit:

@@ -359,6 +359,8 @@ impl TimeSeriesStore {
         for (i, &f) in head.write_faults.iter().enumerate() {
             self.set_shard_write_fault(i, f);
         }
+        // Any stamp may hold other points now; the head stays where it is.
+        self.bump_history();
     }
 
     /// Fill the emptied shards from a section and set the occupancy counters

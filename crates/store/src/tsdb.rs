@@ -371,6 +371,15 @@ pub struct TimeSeriesStore {
     // result cache — key entries on this value: an entry computed at epoch
     // E is valid exactly while `epoch()` still returns E.
     pub(crate) epoch: AtomicU64,
+    // The history epoch: bumped only by what can change the points of a
+    // stamp behind `head` — a write behind it, eviction, reload, a
+    // retention drop, a snapshot load, a read that finds a corrupt block.
+    // While it reads H, every stamp below the head read with H is final,
+    // so a cached aggregate can be extended instead of recomputed.
+    // Neither is snapshotted, restored or hashed.
+    history: AtomicU64,
+    // The newest stamp ever written; never lowered.
+    head: AtomicU64,
     // Bumped only by operations that move or remove slab slots (a
     // retention pass that drops something, a snapshot load) — NOT by
     // appends.  The slot numbers an `IngestRoute` resolved at generation G
@@ -406,6 +415,8 @@ impl TimeSeriesStore {
             warm_points: AtomicU64::new(0),
             warm_bytes: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
+            history: AtomicU64::new(0),
+            head: AtomicU64::new(0),
             layout_gen: AtomicU64::new(0),
             write_faults: (0..shards).map(|_| AtomicBool::new(false)).collect(),
         }
@@ -445,6 +456,30 @@ impl TimeSeriesStore {
         self.epoch.fetch_add(n, Ordering::Release);
     }
 
+    /// The history epoch and the head, the newest stamp ever written.  A
+    /// write at or past the head and a seal leave the history epoch as it
+    /// is; anything else that can change the points of a stamp behind the
+    /// head advances it.  So two reads separated by an unchanged history
+    /// epoch `H` see the same points at every stamp below the head the
+    /// first read got with `H`: what a cache needs to extend an answer
+    /// instead of recomputing it.  Read it before the query it guards.
+    pub fn history(&self) -> (u64, Ts) {
+        let history = self.history.load(Ordering::Acquire);
+        (history, Ts(self.head.load(Ordering::Acquire)))
+    }
+
+    pub(crate) fn bump_history(&self) {
+        self.history.fetch_add(1, Ordering::Release);
+    }
+
+    /// Account a write at `ts`, once it has landed: it raises the head, or
+    /// rewrites history if it landed behind it.
+    pub(crate) fn note_write(&self, ts: Ts) {
+        if self.head.fetch_max(ts.0, Ordering::AcqRel) > ts.0 {
+            self.bump_history();
+        }
+    }
+
     /// Number of shards (the fan-out width for batched ingest).
     pub fn num_shards(&self) -> usize {
         self.shards.len()
@@ -477,6 +512,7 @@ impl TimeSeriesStore {
         self.append_point(sample.key, &mut slot.data, sample.ts, sample.value);
         drop(shard);
         self.bump_epoch();
+        self.note_write(sample.ts);
     }
 
     /// Resolve (or create) the slab slot for `key` in a locked shard.
@@ -650,6 +686,7 @@ impl TimeSeriesStore {
             // not take down the query (or the pipeline).
             if block.decode_into(from, to, &mut out).is_err() {
                 self.corrupt_blocks.fetch_add(1, Ordering::Relaxed);
+                self.bump_history();
             }
         }
         out.extend(hot.points());
@@ -716,6 +753,7 @@ impl TimeSeriesStore {
                     Some(()) => decoded.iter().for_each(|&(t, v)| visit(t, v)),
                     None => {
                         self.corrupt_blocks.fetch_add(1, Ordering::Relaxed);
+                        self.bump_history();
                     }
                 }
             }
@@ -786,6 +824,7 @@ impl TimeSeriesStore {
         self.warm_points.fetch_sub(points, Ordering::Relaxed);
         self.warm_bytes.fetch_sub(bytes, Ordering::Relaxed);
         self.bump_epoch();
+        self.bump_history();
         evicted
     }
 
@@ -819,6 +858,7 @@ impl TimeSeriesStore {
             }
         }
         self.bump_epoch();
+        self.bump_history();
     }
 
     /// Delete series whose data ends before `cutoff` and have no hot points
@@ -858,6 +898,7 @@ impl TimeSeriesStore {
         }
         self.series_count.fetch_sub(dropped as u64, Ordering::Relaxed);
         self.bump_epoch();
+        self.bump_history();
         dropped
     }
 
@@ -1174,6 +1215,86 @@ mod tests {
         assert!(e4 > e3, "reload advances the epoch");
         store.drop_series_before(Ts(u64::MAX));
         assert!(store.epoch() > e4, "retention drop advances the epoch");
+    }
+
+    #[test]
+    fn history_moves_only_when_a_stamp_behind_the_head_can_change() {
+        let store = TimeSeriesStore::with_options(2, 4);
+        let mut route = IngestRoute::new();
+        let specs: Vec<(u32, u32, f64)> = (0..6).map(|n| (0, n, n as f64)).collect();
+        let frame = |ts: u64| column_frame(ts, &specs);
+        let history = || store.history().0;
+        let moved = |op: &mut dyn FnMut(), what: &str, bumps: bool| {
+            let (h, epoch) = (history(), store.epoch());
+            op();
+            assert_eq!(history() > h, bumps, "{what}");
+            assert!(history() <= h + 1, "{what} bumps once at most");
+            assert!(store.epoch() >= epoch, "{what} keeps its epoch bumps");
+        };
+        moved(&mut || store.ingest_columns(&frame(1_000), &mut route), "a first frame", false);
+        moved(
+            &mut || store.ingest_columns(&frame(1_000), &mut route),
+            "a frame at the head",
+            false,
+        );
+        moved(&mut || store.ingest_columns(&frame(2_000), &mut route), "a frame past it", false);
+        assert_eq!(store.history().1, Ts(2_000), "the head is the newest stamp");
+        moved(&mut || store.ingest_columns(&frame(1_500), &mut route), "an old frame", true);
+        moved(&mut || store.insert(&sample(0, 1, 500, 9.0)), "an insert behind the head", true);
+        moved(&mut || store.insert(&sample(0, 1, 2_000, 9.0)), "an insert at the head", false);
+        assert_eq!(store.history().1, Ts(2_000), "writes behind never lower the head");
+        let sealed = store.op_counts().blocks_sealed;
+        for ts in [3_000, 3_100, 3_200, 3_300] {
+            moved(&mut || store.ingest_columns(&frame(ts), &mut route), "a frame past it", false);
+        }
+        assert!(store.op_counts().blocks_sealed > sealed, "threshold seals rewrite nothing");
+        moved(&mut || store.seal_all(), "seal_all", false);
+        moved(
+            &mut || {
+                store.set_shard_write_fault(0, true);
+                let refused = store.try_ingest_columns(&frame(4_000), &mut route, None);
+                assert_eq!(refused, Err(WriteError::ShardUnavailable(0)));
+                store.set_shard_write_fault(0, false);
+            },
+            "a refused frame",
+            false,
+        );
+        let evicted = std::cell::Cell::new(Vec::new());
+        moved(&mut || evicted.set(store.evict_warm_before(Ts(1_500))), "an eviction", true);
+        moved(&mut || store.reload_blocks(evicted.take()), "a reload", true);
+        moved(&mut || _ = store.drop_series_before(Ts(1_000)), "a retention pass", true);
+        let snap = store.snapshot();
+        moved(&mut || store.load_snapshot(snap.clone()), "a snapshot load", true);
+        assert_eq!(store.history().1, Ts(3_300), "a load leaves the head alone");
+        let q = crate::QueryEngine::new(&store);
+        moved(&mut || _ = q.series(key(0, 1), crate::TimeRange::all()), "a clean read", false);
+        let mut bad = SeriesBlock::compress(key(0, 1), &[(Ts(100), 1.0), (Ts(200), 2.0)]);
+        corrupt(&mut bad);
+        store.inject_warm_block(bad);
+        moved(&mut || _ = store.query(key(0, 1), Ts::ZERO, Ts(u64::MAX)), "a corrupt query", true);
+        let all = crate::TimeRange::all();
+        let mut fold = || _ = q.aggregate_across_components(MetricId(0), all, crate::AggFn::Sum);
+        moved(&mut fold, "a fold over a corrupt block", true);
+    }
+
+    #[test]
+    fn history_is_neither_snapshotted_nor_hashed() {
+        let store = TimeSeriesStore::with_options(2, 4);
+        for ts in 0..10u64 {
+            store.insert(&sample(0, ts as u32 % 3, ts * 1_000, ts as f64));
+        }
+        let snap = store.snapshot();
+        let (once, twice) =
+            (TimeSeriesStore::with_options(2, 4), TimeSeriesStore::with_options(2, 4));
+        once.load_snapshot(snap.clone());
+        twice.load_snapshot(snap.clone());
+        twice.load_snapshot(snap.clone());
+        assert_ne!(once.history().0, twice.history().0);
+        let json = |s: &TimeSeriesStore| serde_json::to_vec(&s.snapshot()).expect("serializes");
+        assert_eq!(json(&once), json(&twice));
+        assert_eq!(json(&once), json(&store));
+        assert_eq!(once.state_digest(), twice.state_digest());
+        assert_eq!(once.state_digest(), store.state_digest());
     }
 
     #[test]

@@ -527,3 +527,62 @@ fn injected_worker_death_is_survived_and_respawned() {
     assert!(reaped, "tick-loop supervision replaced the dead worker");
     assert!(matches!(gw.query(&Consumer::admin("ops"), req), Ok(QueryResponse::Points(_))));
 }
+
+/// (i) A sliding aggregate, admin- or user-scoped, extends its cached
+/// answer across ticks — a seal included — and stays bit-identical to a
+/// fresh fold; a write behind the newest stamp forces a recompute.
+#[test]
+fn aggregate_answers_extend_across_ticks() {
+    let mut mon = system_with_jobs();
+    let metric = mon.metrics().node_power;
+    let gw = mon.gateway().unwrap().clone();
+    let alice = Consumer::user("alice-portal", "alice");
+    let panels = [
+        (Consumer::admin("ops-board"), AggFn::Sum),
+        (Consumer::admin("ops"), AggFn::Mean),
+        (alice.clone(), AggFn::Max),
+        (alice, AggFn::Mean),
+    ];
+    let bits = |pts: &[(Ts, f64)]| pts.iter().map(|&(t, v)| (t, v.to_bits())).collect::<Vec<_>>();
+    // Every panel over the last six ticks, each checked against a fresh
+    // fold.
+    let refresh = |mon: &MonitoringSystem| {
+        let now = mon.engine().now();
+        let range = TimeRange::new(now.sub_ms(5 * 60_000), now);
+        let jobs = mon.engine().scheduler().records().to_vec();
+        let answer = |(who, agg): &(Consumer, AggFn)| {
+            let request = QueryRequest::AggregateAcross { metric, range, agg: *agg };
+            let Ok(QueryResponse::Points(got)) = gw.query(who, request) else {
+                panic!("points expected")
+            };
+            let want = mon.query().aggregate_visible(metric, range, *agg, |comp| {
+                AccessPolicy.series_visible(who, &SeriesKey::new(metric, comp), &jobs)
+            });
+            assert_eq!(bits(&got), bits(&want), "{} {agg:?} at {now:?}", who.name);
+            assert_eq!(got.len(), 6);
+            got
+        };
+        panels.iter().map(answer).collect::<Vec<_>>()
+    };
+    refresh(&mon);
+    for tick in 0..12 {
+        mon.tick();
+        if tick == 5 {
+            mon.store().seal_all();
+        }
+        refresh(&mon);
+    }
+    let before = gw.cache_stats();
+    assert!(before.extended > 0, "{before:?}");
+
+    // A write behind the head: the next answer is recomputed, not extended.
+    let now = mon.engine().now();
+    let node = running_job(&mon, "alice").nodes[0];
+    let stale = refresh(&mon);
+    mon.store().insert(&Sample::new(metric, CompId::node(node), now.sub_ms(2 * 60_000), 1.0e6));
+    let fresh = refresh(&mon);
+    let after = gw.cache_stats();
+    assert_eq!(after.extended, before.extended, "{after:?}");
+    assert!(after.misses > before.misses && after.invalidated > before.invalidated);
+    assert!(stale.iter().zip(&fresh).all(|(s, f)| s != f), "the write behind is in every answer");
+}

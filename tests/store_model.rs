@@ -10,6 +10,10 @@
 //!   series by series, grouped per stamp and handed to `AggFn::apply` — the
 //!   materialising path the store's fold must equal bit for bit, including
 //!   series an insert behind a sealed block leaves out of stamp order.
+//! * **Cached aggregates** — answered through a `Gateway` over the store
+//!   under test, whose result cache extends an answer from one op to the
+//!   next while the store's history epoch stands — are checked against the
+//!   same brute force.
 //! * **Counters** — `op_counts`, `epoch`, `occupancy`, `state_digest` — and
 //!   the exact bytes of every warm block and checkpoint come from a twin
 //!   store that only ever sees `insert()`, the reference ingest.
@@ -24,11 +28,17 @@
 //! `hot_layout()`.  The proptest shim does not shrink: a failing case prints
 //! its index and decoded op list.
 
-use hpcmon_metrics::{ColumnFrame, CompId, FrameArena, MetricId, Sample, SeriesKey, Ts};
+use hpcmon_gateway::{Gateway, GatewayConfig, QueryRequest, QueryResponse};
+use hpcmon_metrics::{
+    ColumnFrame, CompId, FrameArena, JobId, JobRecord, MetricId, Sample, SeriesKey, Ts,
+};
+use hpcmon_response::Consumer;
 use hpcmon_store::cohort::MIN_WIDTH;
 use hpcmon_store::{
     AggFn, HotLayout, IngestRoute, QueryEngine, SeriesBlock, TimeRange, TimeSeriesStore, WriteError,
 };
+use hpcmon_telemetry::Telemetry;
+use hpcmon_transport::Broker;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -53,7 +63,7 @@ fn key(i: u32) -> SeriesKey {
 }
 
 /// How a routed frame falls short of the full key column, if it does.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Shape {
     Full,
     /// Without `len` consecutive keys from `start` on.
@@ -75,7 +85,7 @@ enum Shape {
     },
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Op {
     /// Ingested through the route; first published through the case's
     /// arena, and ingested with its verdict, if `published`.
@@ -125,11 +135,35 @@ enum Op {
         from: u64,
         to: u64,
     },
+    /// A dashboard panel through the case's gateway: `agg` across the
+    /// series of `metric` over the last `span` steps, as the admin or as a
+    /// user who sees a third of the nodes.  The panel joins the case's
+    /// dashboard, and every panel on it is refreshed against brute force.
+    CachedAggregate {
+        metric: u32,
+        span: u64,
+        agg: AggFn,
+        user: bool,
+    },
 }
+
+/// The aggregation functions, each the `agg` of one dashboard panel.
+const AGGS: [AggFn; 6] =
+    [AggFn::Sum, AggFn::Mean, AggFn::Min, AggFn::Max, AggFn::Count, AggFn::Quantile(0.25)];
 
 fn decode((op, a, b, c, value): (u8, u32, u32, u64, f64)) -> Op {
     let frame = |shape| Op::Frame { shape, value, published: c >> 63 == 0 };
-    // Half of all ops are plain synchronized frames: cohorts need runs of
+    if op >= 207 {
+        // One of six panels.
+        let panel = (c % 6) as usize;
+        return Op::CachedAggregate {
+            metric: [0, 9][panel % 2],
+            span: [8, 30][panel / 2 % 2],
+            agg: AGGS[panel],
+            user: panel.is_multiple_of(3),
+        };
+    }
+    // Two in five ops are plain synchronized frames: cohorts need runs of
     // them to fill and seal.
     match op % 23 {
         0..=11 => frame(Shape::Full),
@@ -246,6 +280,11 @@ impl Model {
     }
 }
 
+/// The nodes the user's job holds.
+fn visible_to_the_user(comp: CompId) -> bool {
+    comp.index % 3 != 1
+}
+
 fn bits(points: Points) -> Vec<(Ts, u64)> {
     points.into_iter().map(|(t, v)| (t, v.to_bits())).collect()
 }
@@ -253,7 +292,11 @@ fn bits(points: Points) -> Vec<(Ts, u64)> {
 /// One case's three parties and the clock frames are stamped from.
 struct Case {
     threshold: usize,
-    store: TimeSeriesStore,
+    store: Arc<TimeSeriesStore>,
+    /// Serves `CachedAggregate` from `store`, one entry per panel.
+    gateway: Gateway,
+    /// The panels asked so far, each refreshed by every `CachedAggregate`.
+    dashboard: Vec<Op>,
     route: IngestRoute,
     arena: FrameArena,
     twin: TimeSeriesStore,
@@ -266,9 +309,16 @@ struct Case {
 
 impl Case {
     fn new(threshold: usize) -> Case {
+        let store = Arc::new(TimeSeriesStore::with_options(SHARDS, threshold));
+        let config = GatewayConfig { shards: 1, workers_per_shard: 1, ..GatewayConfig::default() };
+        let gateway = Gateway::new(store.clone(), Broker::new(), &Telemetry::new(), config);
+        let nodes = (0..POPULATION / 4).filter(|&n| visible_to_the_user(CompId::node(n))).collect();
+        gateway.update_jobs(vec![JobRecord::submitted(JobId(1), "alice", "app", nodes, Ts::ZERO)]);
         Case {
             threshold,
-            store: TimeSeriesStore::with_options(SHARDS, threshold),
+            store,
+            gateway,
+            dashboard: Vec::new(),
             route: IngestRoute::new(),
             arena: FrameArena::new(),
             twin: TimeSeriesStore::with_options(SHARDS, threshold),
@@ -409,7 +459,35 @@ impl Case {
                 let want = self.model.aggregate(metric, (range.from, range.to), AggFn::Mean, keep);
                 assert_eq!(bits(got), bits(want), "a visible subset");
             }
+            Op::CachedAggregate { .. } => {
+                if !self.dashboard.contains(&op) {
+                    self.dashboard.push(op);
+                }
+                for &panel in &self.dashboard {
+                    self.refresh(panel);
+                }
+            }
         }
+    }
+
+    /// Answer one `CachedAggregate` panel through the gateway and check it
+    /// against the model, bit for bit.
+    fn refresh(&self, panel: Op) {
+        let Op::CachedAggregate { metric, span, agg, user } = panel else { return };
+        // The last `span` steps, or the first while there are not as many.
+        let (metric, from) = (MetricId(metric), Ts(self.newest.saturating_sub(span * STEP)));
+        let range = TimeRange::new(from, from.add_ms(span * STEP));
+        let (who, keep): (_, fn(CompId) -> bool) = if user {
+            (Consumer::user("portal", "alice"), visible_to_the_user)
+        } else {
+            (Consumer::admin("board"), |_| true)
+        };
+        let request = QueryRequest::AggregateAcross { metric, range, agg };
+        let Ok(QueryResponse::Points(got)) = self.gateway.plan_query(&who, &request) else {
+            panic!("an aggregate answers with points")
+        };
+        let want = self.model.aggregate(metric, (range.from, range.to), agg, keep);
+        assert_eq!(bits(got), bits(want), "{agg:?} as {}", who.name);
     }
 
     /// Evict everything ending at or before `cutoff` from all three; the
@@ -457,8 +535,9 @@ impl Case {
     }
 }
 
-/// Run one case; returns the path its hot tier took.
-fn run_case(threshold: usize, ops: &[Op]) -> HotLayout {
+/// Run one case; returns the path its hot tier took and how many cached
+/// aggregates were extended.
+fn run_case(threshold: usize, ops: &[Op]) -> (HotLayout, u64) {
     let mut case = Case::new(threshold);
     for &op in ops {
         case.apply(op);
@@ -469,25 +548,26 @@ fn run_case(threshold: usize, ops: &[Op]) -> HotLayout {
     let evicted = case.check_evicted(ALL.1);
     case.reload(evicted);
     case.check();
-    case.store.hot_layout()
+    (case.store.hot_layout(), case.gateway.cache_stats().extended)
 }
 
 fn run_cases(cases: u32) {
     let strategy = (
         4usize..33,
         collection::vec(
-            (0u8..230, any::<u32>(), any::<u32>(), any::<u64>(), -1.0e6f64..1.0e6),
+            (0u8..255, any::<u32>(), any::<u32>(), any::<u64>(), -1.0e6f64..1.0e6),
             8..72,
         ),
     );
     let seed = proptest::seed_from_name("store_matches_its_model");
-    let mut total = HotLayout::default();
+    let (mut total, mut extended) = (HotLayout::default(), 0);
     for case in 0..cases {
         let mut rng = TestRng::new(seed ^ u64::from(case).wrapping_mul(0x9e37_79b9));
         let (threshold, raw) = strategy.generate(&mut rng);
         let ops: Vec<Op> = raw.into_iter().map(decode).collect();
         match catch_unwind(AssertUnwindSafe(|| run_case(threshold, &ops))) {
-            Ok(layout) => {
+            Ok((layout, extensions)) => {
+                extended += extensions;
                 total.formations += layout.formations;
                 total.evictions += layout.evictions;
                 total.cohort_seals += layout.cohort_seals;
@@ -503,6 +583,7 @@ fn run_cases(cases: u32) {
     assert!(total.formations >= cases, "{total:?}");
     assert!(total.evictions >= cases, "{total:?}");
     assert!(total.cohort_seals >= cases, "{total:?}");
+    assert!(extended >= cases, "{extended} cached aggregates extended");
 }
 
 #[test]
