@@ -21,7 +21,7 @@
 //! of the crate reads a series' hot points through `Cohorts::hot`.
 
 use crate::compress;
-use crate::tsdb::{IngestRoute, SeriesBlock, SeriesSlot, Shard, TimeSeriesStore};
+use crate::tsdb::{push_warm, IngestRoute, SeriesBlock, SeriesSlot, Shard, TimeSeriesStore};
 use hpcmon_metrics::{ColumnFrame, SeriesKey, Ts};
 use std::ops::Range;
 use std::sync::atomic::Ordering;
@@ -386,7 +386,7 @@ impl Cohorts {
                     val_bytes: stream.clone(),
                 };
                 store.account_seal(&block);
-                slot.data.warm.push(block);
+                push_warm(&mut slot.data.warm, block);
             },
         );
         cohort.reset();

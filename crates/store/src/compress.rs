@@ -1,11 +1,13 @@
 //! Time-series block compression.
 //!
-//! Timestamps use zigzag-varint delta-of-delta (a perfectly regular cadence
-//! costs one byte per point after the header); values use the Gorilla XOR
+//! Timestamps use zigzag-varint delta-of-delta with each run of zero
+//! delta-of-deltas written once (a perfectly regular cadence costs a few
+//! bytes a block, whatever its length); values use the Gorilla XOR
 //! scheme (Facebook, VLDB'15): identical values cost one bit, values with a
 //! stable exponent/mantissa window cost a few bits.  Together they bring a
-//! one-minute node-metric stream to roughly 1–3 bytes per sample, which is
-//! what makes "keep all data" (Table I) a defensible requirement.
+//! one-minute node-metric stream to under two bytes a sample (1.75 at
+//! 4,096 nodes), which is what makes "keep all data" (Table I) a
+//! defensible requirement.
 //!
 //! Every series seals on the same tick, so the encoder sits on the tick's
 //! critical path under the shard write lock.  The kernels therefore move
@@ -157,21 +159,37 @@ fn read_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
     }
 }
 
-// ----- timestamps: delta-of-delta varint -----
+// ----- timestamps: delta-of-delta varint, zero runs coded once -----
 
 /// Feed `emit` the varint payloads of a timestamp stream: the count, the
-/// first timestamp, then zigzag delta-of-deltas (the first against zero).
+/// first timestamp, then the zigzag delta-of-deltas (the first against
+/// zero).  A run of `k` zero delta-of-deltas is written once, as `0` and
+/// `k - 1`; no other delta-of-delta zigzags to `0`, so the code is
+/// unambiguous.
 #[inline]
 fn timestamp_codes(mut ts: impl ExactSizeIterator<Item = Ts>, mut emit: impl FnMut(u64)) {
     emit(ts.len() as u64);
     let Some(first) = ts.next() else { return };
     emit(first.0);
-    let (mut prev, mut prev_delta) = (first.0 as i64, 0i64);
+    let (mut prev, mut prev_delta, mut zeros) = (first.0 as i64, 0i64, 0u64);
     for t in ts {
         let delta = t.0 as i64 - prev;
-        emit(zigzag(delta - prev_delta));
+        if delta == prev_delta {
+            zeros += 1;
+        } else {
+            if zeros > 0 {
+                emit(0);
+                emit(zeros - 1);
+                zeros = 0;
+            }
+            emit(zigzag(delta - prev_delta));
+        }
         prev_delta = delta;
         prev = t.0 as i64;
+    }
+    if zeros > 0 {
+        emit(0);
+        emit(zeros - 1);
     }
 }
 
@@ -193,14 +211,21 @@ pub(crate) fn encode_timestamps(ts: impl ExactSizeIterator<Item = Ts> + Clone) -
 
 /// Streaming decoder for [`encode_timestamps`] output.
 ///
-/// Fails closed on truncated input, overflow, or a cumulative timestamp
-/// that goes negative: a corrupt or adversarial block must surface as an
-/// error, never silently round-trip to *different* data.
+/// Fails closed on truncated input, overflow, a run longer than the points
+/// left, or a cumulative timestamp that goes negative: a corrupt or
+/// adversarial block must surface as an error, never silently round-trip
+/// to *different* data.
 pub(crate) struct TimestampDecoder<'a> {
     bytes: &'a [u8],
     pos: usize,
-    /// Declared point count (bounded by the input's byte length).
+    /// Declared point count.  The bytes present do not bound it (a run
+    /// codes any number of points in a few bytes): a caller bounds it by
+    /// something else — a block's value stream — before looping on it.
     pub(crate) len: usize,
+    // Points not yet handed out.
+    left: usize,
+    // Zero delta-of-deltas still owed by the current run.
+    run: usize,
     // Last timestamp, or negative when the first does not fit an `i64`
     // (legal alone, but no delta can follow it).
     cur: i64,
@@ -209,29 +234,39 @@ pub(crate) struct TimestampDecoder<'a> {
 }
 
 impl<'a> TimestampDecoder<'a> {
-    /// Read the length header; `None` if it cannot be honest.
+    /// Read the length header.
     pub(crate) fn new(bytes: &'a [u8]) -> Option<TimestampDecoder<'a>> {
         let mut pos = 0usize;
         let len = usize::try_from(read_varint(bytes, &mut pos)?).ok()?;
-        // The length header is attacker/corruption-controlled: never trust it
-        // into an allocation.  Each point costs at least one varint byte, so a
-        // plausible block carries at least `len` bytes after the header.
-        if len > bytes.len() - pos {
-            return None;
-        }
-        Some(TimestampDecoder { bytes, pos, len, cur: 0, delta: 0, started: false })
+        let (cur, delta) = (0, 0);
+        Some(TimestampDecoder { bytes, pos, len, left: len, run: 0, cur, delta, started: false })
     }
 
-    /// The next timestamp; `None` on corruption.  Call at most `len` times.
+    /// The next timestamp; `None` on corruption or past `len`.  Inside a run
+    /// a point costs a decrement, not a varint read.
     #[inline]
     pub(crate) fn next_ts(&mut self) -> Option<Ts> {
-        let v = read_varint(self.bytes, &mut self.pos)?;
-        if !self.started {
-            self.started = true;
-            self.cur = i64::try_from(v).unwrap_or(-1);
-            return Some(Ts(v));
+        self.left = self.left.checked_sub(1)?;
+        if self.run > 0 {
+            self.run -= 1;
+        } else {
+            let v = read_varint(self.bytes, &mut self.pos)?;
+            if !self.started {
+                self.started = true;
+                self.cur = i64::try_from(v).unwrap_or(-1);
+                return Some(Ts(v));
+            }
+            if v == 0 {
+                // This point and `more` after it repeat the delta.
+                let more = read_varint(self.bytes, &mut self.pos)?;
+                if more > self.left as u64 {
+                    return None;
+                }
+                self.run = more as usize;
+            } else {
+                self.delta = self.delta.checked_add(unzigzag(v))?;
+            }
         }
-        self.delta = self.delta.checked_add(unzigzag(v))?;
         let next = self.cur.checked_add(self.delta)?;
         if self.cur < 0 || next < 0 {
             return None;
@@ -241,14 +276,35 @@ impl<'a> TimestampDecoder<'a> {
     }
 }
 
-/// Decompress timestamps written by [`encode_timestamps`].
-pub(crate) fn decompress_timestamps(bytes: &[u8]) -> Option<Vec<Ts>> {
-    let mut d = TimestampDecoder::new(bytes)?;
-    let mut out = Vec::with_capacity(d.len);
-    for _ in 0..d.len {
-        out.push(d.next_ts()?);
+/// Check that [`TimestampDecoder`] would hand out every declared point of
+/// `bytes`, walking the codes once and stepping over each run
+/// arithmetically: O(bytes), whatever the header claims.
+pub(crate) fn check_timestamps(bytes: &[u8]) -> Option<()> {
+    let mut pos = 0usize;
+    let mut left = read_varint(bytes, &mut pos)?;
+    if left == 0 {
+        return Some(());
     }
-    Some(out)
+    let first = read_varint(bytes, &mut pos)?;
+    left -= 1;
+    let (mut cur, mut delta) = (i64::try_from(first).unwrap_or(-1), 0i64);
+    while left > 0 {
+        let v = read_varint(bytes, &mut pos)?;
+        let steps = if v == 0 {
+            read_varint(bytes, &mut pos)?.checked_add(1).filter(|&k| k <= left)?
+        } else {
+            delta = delta.checked_add(unzigzag(v))?;
+            1
+        };
+        // A run's stamps lie between `cur` and its last: check the last.
+        let last = i128::from(cur) + i128::from(delta) * i128::from(steps);
+        if cur < 0 || !(0..=i128::from(i64::MAX)).contains(&last) {
+            return None;
+        }
+        cur = last as i64;
+        left -= steps;
+    }
+    Some(())
 }
 
 // ----- values: Gorilla XOR -----
@@ -367,27 +423,51 @@ impl<'a> ValueDecoder<'a> {
     }
 }
 
-/// Decompress floats written by [`encode_values`].
-pub(crate) fn decompress_values(bytes: &[u8]) -> Option<Vec<f64>> {
+/// Check that [`ValueDecoder`] would hand out every declared value of
+/// `bytes`, without keeping them.
+pub(crate) fn check_values(bytes: &[u8]) -> Option<()> {
     let mut d = ValueDecoder::new(bytes)?;
-    let mut out = Vec::with_capacity(d.len);
-    for _ in 0..d.len {
-        out.push(d.next_value()?);
-    }
-    Some(out)
+    (0..d.len).try_for_each(|_| d.next_value().map(drop))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Most points a test stream may claim.  The stamp codec leaves
+    /// bounding its header to the caller (a block bounds it by its value
+    /// stream), so the test decoders, kernel and reference alike, bound it
+    /// here.
+    const MAX_POINTS: usize = 1 << 17;
 
     fn compress_timestamps(ts: &[Ts]) -> Vec<u8> {
         encode_timestamps(ts.iter().copied())
     }
 
+    /// Every stamp of `bytes` through [`TimestampDecoder`], checking on the
+    /// way that the arithmetic walk of [`check_timestamps`] agrees.
+    fn decompress_timestamps(bytes: &[u8]) -> Option<Vec<Ts>> {
+        let mut d = TimestampDecoder::new(bytes)?;
+        if d.len > MAX_POINTS {
+            return None;
+        }
+        let out: Option<Vec<Ts>> = (0..d.len).map(|_| d.next_ts()).collect();
+        assert_eq!(check_timestamps(bytes).is_some(), out.is_some(), "walk and decoder disagree");
+        out
+    }
+
     fn compress_values(values: &[f64]) -> Vec<u8> {
         encode_values(values.iter().copied())
+    }
+
+    /// Every value of `bytes` through [`ValueDecoder`], checking on the way
+    /// that [`check_values`] agrees.
+    fn decompress_values(bytes: &[u8]) -> Option<Vec<f64>> {
+        let mut d = ValueDecoder::new(bytes)?;
+        let out: Option<Vec<f64>> = (0..d.len).map(|_| d.next_value()).collect();
+        assert_eq!(check_values(bytes).is_some(), out.is_some(), "check and decoder disagree");
+        out
     }
 
     impl BitWriter {
@@ -444,12 +524,20 @@ mod tests {
     }
 
     #[test]
-    fn regular_cadence_is_one_byte_per_point() {
+    fn regular_cadence_costs_a_few_bytes_whatever_its_length() {
         let ts: Vec<Ts> = (0..1_000).map(Ts::from_mins).collect();
         let bytes = compress_timestamps(&ts);
-        // header + first + first delta + 998 single-byte zero dods.
-        assert!(bytes.len() < 1_020, "got {} bytes", bytes.len());
+        // header 2 + first 1 + first delta 3 + one run of 998 zero dods 3.
+        assert_eq!(bytes.len(), 9, "got {}", hex(&bytes));
         assert_eq!(decompress_timestamps(&bytes).unwrap(), ts);
+        // Jitter costs the points it moves: a stamp one off the cadence
+        // breaks the run with three one-byte delta-of-deltas (+1, -2, +1)
+        // and opens a second run.
+        let mut jittered = ts.clone();
+        jittered[500].0 += 1;
+        let bytes = compress_timestamps(&jittered);
+        assert_eq!(bytes.len(), 9 + 3 + 3, "got {}", hex(&bytes));
+        assert_eq!(decompress_timestamps(&bytes).unwrap(), jittered);
     }
 
     #[test]
@@ -535,22 +623,55 @@ mod tests {
 
     #[test]
     fn oversized_declared_length_is_rejected_before_allocating() {
-        // A header claiming u64::MAX points over a 3-byte body must fail
+        // A header claiming u64::MAX values over a 3-byte body must fail
         // up front — before the fix it reached `Vec::with_capacity(n)`.
         let mut bytes = Vec::new();
         write_varint(&mut bytes, u64::MAX);
         bytes.extend_from_slice(&[1, 2, 3]);
-        assert_eq!(decompress_timestamps(&bytes), None);
         assert_eq!(decompress_values(&bytes), None);
+        // A stamp stream has no such budget (see the runs below), and its
+        // walk stops at the body's end, not after u64::MAX points.
+        assert_eq!(check_timestamps(&bytes), None);
+    }
 
-        // One over the plausible budget is already rejected...
+    /// `count` stamps: `first`, then `codes` (already zigzagged; a `0` is
+    /// followed by its run length minus one).
+    fn stamp_stream(count: u64, first: u64, codes: &[u64]) -> Vec<u8> {
         let mut bytes = Vec::new();
-        write_varint(&mut bytes, 4);
-        bytes.extend_from_slice(&[0, 0, 0]); // 3 bytes < 4 points
-        assert_eq!(decompress_timestamps(&bytes), None);
-        // ...while an exactly-plausible block still decodes.
-        let ts = vec![Ts(0), Ts(1), Ts(2), Ts(3)];
-        assert!(decompress_timestamps(&compress_timestamps(&ts)).is_some());
+        for v in [count, first].iter().chain(codes) {
+            write_varint(&mut bytes, *v);
+        }
+        bytes
+    }
+
+    #[test]
+    fn runs_that_overclaim_truncate_or_overflow_are_corruption() {
+        let min = zigzag(60_000);
+        // Four points: the first, one delta, and a run of two.
+        let good = stamp_stream(4, 0, &[min, 0, 1]);
+        assert_eq!(good, compress_timestamps(&[0, 1, 2, 3].map(Ts::from_mins)));
+        assert_eq!(decompress_timestamps(&good), Some([0, 1, 2, 3].map(Ts::from_mins).to_vec()));
+        // A run of two is not a run of three, and `0` needs its length.
+        assert_eq!(decompress_timestamps(&stamp_stream(4, 0, &[min, 0, 2])), None);
+        assert_eq!(decompress_timestamps(&stamp_stream(4, 0, &[min, 0])), None);
+        // Each point of a run stays in range, checked at the run's end by
+        // the walk: past `i64::MAX`, or below zero.
+        let big = zigzag(1 << 62);
+        assert_eq!(decompress_timestamps(&stamp_stream(12, 0, &[big, 0, 9])), None);
+        assert!(decompress_timestamps(&stamp_stream(2, 0, &[big])).is_some());
+        let down = zigzag(-10);
+        assert_eq!(decompress_timestamps(&stamp_stream(102, 1_000, &[down, 0, 99])), None);
+        assert!(decompress_timestamps(&stamp_stream(101, 1_000, &[down, 0, 98])).is_some());
+        // A run may repeat the first stamp (duplicates) and may follow a
+        // run (no encoder writes that, but it is the same data).
+        let dup = stamp_stream(5, 7, &[0, 1, 0, 0, 4]);
+        assert_eq!(decompress_timestamps(&dup), Some(vec![Ts(7), Ts(7), Ts(7), Ts(7), Ts(9)]));
+        // The walk steps over a run of 2^64 - 2 points in one step.
+        let long = stamp_stream(u64::MAX, 5, &[0, u64::MAX - 2]);
+        assert_eq!(long.len(), 22);
+        assert_eq!(check_timestamps(&long), Some(()));
+        assert_eq!(check_timestamps(&stamp_stream(u64::MAX, 5, &[0, u64::MAX - 1])), None);
+        assert_eq!(check_timestamps(&stamp_stream(u64::MAX, 5, &[2, 0, u64::MAX - 3])), None);
     }
 
     #[test]
@@ -574,29 +695,38 @@ mod tests {
         #[test]
         fn prop_adversarial_dod_streams_round_trip_or_fail_explicitly(
             first in 0u64..1_000_000_000,
-            deltas in proptest::collection::vec(-1_099_511_627_776i64..1_099_511_627_776, 1..50),
+            groups in proptest::collection::vec(
+                (-1_099_511_627_776i64..1_099_511_627_776, 1usize..300, 0u8..3),
+                1..50,
+            ),
         ) {
             // Hand-encode a delta-of-delta stream with large negative
-            // swings (±2^40).  If every cumulative timestamp stays
-            // non-negative the decoder must be lossless; otherwise it
-            // must refuse — never clamp to different data.
-            let n = deltas.len() + 1;
-            let mut bytes = Vec::new();
-            write_varint(&mut bytes, n as u64);
-            write_varint(&mut bytes, first);
+            // swings (±2^40), each delta held for a run of points — a
+            // repeated delta, possibly zero (duplicate stamps), possibly
+            // written as two runs back to back.  If every cumulative
+            // timestamp stays non-negative the decoder must be lossless;
+            // otherwise it must refuse — never clamp to different data.
+            let mut codes = Vec::new();
             let mut prev_delta = 0i64;
-            for (i, &d) in deltas.iter().enumerate() {
-                if i == 0 {
-                    write_varint(&mut bytes, zigzag(d));
-                } else {
-                    write_varint(&mut bytes, zigzag(d - prev_delta));
+            let mut deltas = Vec::new();
+            for &(d, k, pick) in &groups {
+                // A third of the groups hold the previous delta.
+                let d = if pick == 0 { prev_delta } else { d };
+                let run = if d == prev_delta { k } else { k - 1 };
+                if d != prev_delta {
+                    codes.push(zigzag(d - prev_delta));
                 }
+                if run > 0 {
+                    codes.extend([0, run as u64 - 1]);
+                }
+                deltas.extend(std::iter::repeat_n(d, k));
                 prev_delta = d;
             }
+            let bytes = stamp_stream(deltas.len() as u64 + 1, first, &codes);
             let mut expected = vec![first as i64];
             let mut cur = first as i64;
             for &d in &deltas {
-                cur += d; // |values| ≤ 2^30 + 50·2^40: no i64 overflow
+                cur += d; // |values| ≤ 2^30 + 15,000·2^40: no i64 overflow
                 expected.push(cur);
             }
             let decoded = decompress_timestamps(&bytes);
@@ -620,25 +750,38 @@ mod tests {
         #[test]
         fn prop_corrupt_length_headers_fail_closed(
             n in any::<u64>(),
+            opens_with_a_run in any::<bool>(),
+            run in any::<u64>(),
             raw_body in proptest::collection::vec(0u64..256, 0..64),
         ) {
-            let body: Vec<u8> = raw_body.iter().map(|&b| b as u8).collect();
-            // Arbitrary declared length over an arbitrary small body: the
-            // decoders must either decode exactly `n` points that fit the
-            // input's byte/bit budget, or refuse — never allocate on the
-            // say-so of a corrupt header.
+            // Arbitrary declared length over an arbitrary small body, which
+            // may open with a run of any length: the decoders must either
+            // decode exactly `n` points that fit the input's budget, or
+            // refuse — never loop or allocate on the say-so of a corrupt
+            // header.  A stamp stream's budget is not its bytes (a run codes
+            // any number of points), so a block bounds it by the value
+            // stream's bits: lock step visits no more points than those.
+            let mut body = Vec::new();
+            if opens_with_a_run {
+                for v in [1_000, zigzag(60_000), 0, run] {
+                    write_varint(&mut body, v);
+                }
+            }
+            body.extend(raw_body.iter().map(|&b| b as u8));
             let mut bytes = Vec::new();
             write_varint(&mut bytes, n);
             bytes.extend_from_slice(&body);
-            if let Some(out) = decompress_timestamps(&bytes) {
-                prop_assert_eq!(out.len() as u64, n);
-                prop_assert!(out.len() <= body.len());
-                prop_assert!(out.capacity() <= bytes.len());
+            check_timestamps(&bytes); // O(bytes), whatever it finds
+            let count = u32::try_from(n).unwrap_or(u32::MAX);
+            let mut visited = 0u64;
+            let decoded = crate::tsdb::decode_streams(&bytes, &bytes, count, |_, _| visited += 1);
+            prop_assert!(visited <= 8 * body.len() as u64, "{visited} points from {body:?}");
+            if decoded.is_some() {
+                prop_assert_eq!(visited, n);
             }
             if let Some(out) = decompress_values(&bytes) {
                 prop_assert_eq!(out.len() as u64, n);
                 prop_assert!(n == 0 || 64 + (n as usize - 1) <= body.len() * 8);
-                prop_assert!(out.capacity() <= bytes.len().saturating_mul(8));
             }
         }
 
@@ -658,11 +801,15 @@ mod tests {
     // ----- the format, pinned independently of the kernels above -----
 
     /// The bit-at-a-time codec this module shipped before the word-wise
-    /// kernels, kept verbatim as the oracle for the byte format.  Its only
-    /// edit: the value decoder refuses the two window states no encoder
-    /// emits, where it used to overflow a `u8` subtraction or shift.
-    mod reference {
+    /// kernels, kept as the oracle for the byte format.  Its edits: the
+    /// value decoder refuses the two window states no encoder emits, where
+    /// it used to overflow a `u8` subtraction or shift; and the stamp codec
+    /// gained the run rule (a run of `k` zero delta-of-deltas is `0`,
+    /// `k - 1`), written here as a second pass over the delta-of-deltas and
+    /// decoded one point at a time.
+    pub(crate) mod reference {
         use super::super::{unzigzag, zigzag};
+        use super::MAX_POINTS;
         use hpcmon_metrics::Ts;
 
         #[derive(Default)]
@@ -757,16 +904,24 @@ mod tests {
                 return out;
             }
             write_varint(&mut out, ts[0].0);
-            if ts.len() == 1 {
-                return out;
-            }
-            let first_delta = ts[1].0 as i64 - ts[0].0 as i64;
-            write_varint(&mut out, zigzag(first_delta));
-            let mut prev_delta = first_delta;
-            for w in ts.windows(2).skip(1) {
+            let mut dods = Vec::with_capacity(ts.len());
+            let mut prev_delta = 0i64;
+            for w in ts.windows(2) {
                 let delta = w[1].0 as i64 - w[0].0 as i64;
-                write_varint(&mut out, zigzag(delta - prev_delta));
+                dods.push(delta - prev_delta);
                 prev_delta = delta;
+            }
+            let mut i = 0;
+            while i < dods.len() {
+                let zeros = dods[i..].iter().take_while(|&&d| d == 0).count();
+                if zeros == 0 {
+                    write_varint(&mut out, zigzag(dods[i]));
+                    i += 1;
+                } else {
+                    write_varint(&mut out, 0);
+                    write_varint(&mut out, zeros as u64 - 1);
+                    i += zeros;
+                }
             }
             out
         }
@@ -774,7 +929,7 @@ mod tests {
         pub(crate) fn decompress_timestamps(bytes: &[u8]) -> Option<Vec<Ts>> {
             let mut pos = 0usize;
             let n = read_varint(bytes, &mut pos)? as usize;
-            if n > bytes.len() - pos {
+            if n > MAX_POINTS {
                 return None;
             }
             let mut out = Vec::with_capacity(n);
@@ -786,20 +941,26 @@ mod tests {
             if n == 1 {
                 return Some(out);
             }
-            let mut delta = unzigzag(read_varint(bytes, &mut pos)?);
-            let mut cur = i64::try_from(first).ok()?.checked_add(delta)?;
-            if cur < 0 {
-                return None;
-            }
-            out.push(Ts(cur as u64));
-            for _ in 2..n {
-                let dod = unzigzag(read_varint(bytes, &mut pos)?);
-                delta = delta.checked_add(dod)?;
-                cur = cur.checked_add(delta)?;
-                if cur < 0 {
+            let mut cur = i64::try_from(first).ok()?;
+            let mut delta = 0i64;
+            while out.len() < n {
+                let code = read_varint(bytes, &mut pos)?;
+                let points = if code == 0 {
+                    read_varint(bytes, &mut pos)?.checked_add(1)?
+                } else {
+                    delta = delta.checked_add(unzigzag(code))?;
+                    1
+                };
+                if points > (n - out.len()) as u64 {
                     return None;
                 }
-                out.push(Ts(cur as u64));
+                for _ in 0..points {
+                    cur = cur.checked_add(delta)?;
+                    if cur < 0 {
+                        return None;
+                    }
+                    out.push(Ts(cur as u64));
+                }
             }
             Some(out)
         }
@@ -908,8 +1069,10 @@ mod tests {
 
     #[test]
     fn golden_blocks_pin_the_byte_format() {
-        // Hex committed from the bit-at-a-time codec at the parent commit:
-        // the kernels and the reference above cannot drift together.
+        // Hex committed from the bit-at-a-time codec when block format v2
+        // (the run code) was introduced: the kernels and the reference above
+        // cannot drift together.  Only the first stamp stream changed from
+        // v1, where each of its six zero delta-of-deltas was a `00` byte.
         let minutes: Vec<Ts> = (0..8).map(Ts::from_mins).collect();
         let steps = [200.0, 200.0, 200.5, 201.0, 201.0, 150.25, 150.25, 1e-3];
         // Multi-byte varints, a repeated stamp, a negative delta-of-delta;
@@ -927,7 +1090,7 @@ mod tests {
             (
                 &minutes,
                 &steps,
-                "0800c0a907000000000000",
+                "0800c0a9070005",
                 "0840690000000000007307c82db09beb0fbfccaa9374bc6a7f",
             ),
             (
@@ -938,6 +1101,13 @@ mod tests {
             ),
             (&lone, &[f64::MIN_POSITIVE], "01ffffffffffffffffff01", "010010000000000000"),
         ];
+        // A sealed one-minute block: 512 stamps in 14 bytes — the count, the
+        // first stamp, the first delta, and one run of 510.
+        let block: Vec<Ts> = (0..512).map(|i| Ts(1_537_000_000_000 + i * 60_000)).collect();
+        let block_hex = "80048094dbe2dd2cc0a90700fd03";
+        assert_eq!(hex(&compress_timestamps(&block)), block_hex);
+        assert_eq!(hex(&reference::compress_timestamps(&block)), block_hex);
+        assert_eq!(decompress_timestamps(&compress_timestamps(&block)), Some(block));
         for (ts, vals, ts_hex, val_hex) in cases {
             assert_eq!(hex(&compress_timestamps(ts)), ts_hex);
             assert_eq!(hex(&compress_values(vals)), val_hex);
@@ -1045,6 +1215,39 @@ mod tests {
                 prop_assert_eq!(&bytes, &reference::compress_timestamps(ts));
                 prop_assert_eq!(decompress_timestamps(&bytes).as_deref(), Some(ts));
                 prop_assert_eq!(bytes.capacity(), bytes.len(), "one exact-sized allocation");
+            }
+        }
+
+        #[test]
+        fn prop_run_heavy_stamps_equal_the_reference_on_every_truncation(
+            first in 0u64..4_000_000_000_000,
+            one_minute in any::<bool>(),
+            cadence in 0u64..100_000,
+            len in 1usize..1_500,
+            events in proptest::collection::vec((0usize..1_500, 0u8..3, 1u64..5_000), 0..12),
+        ) {
+            // A synchronized cadence with sparse damage: a stamp jittered
+            // off the beat, a gap of whole periods, a stamp repeated.
+            let cadence = if one_minute { 60_000 } else { cadence };
+            let mut ts: Vec<Ts> = (0..len as u64).map(|i| Ts(first + i * cadence)).collect();
+            for &(at, kind, size) in &events {
+                let at = at % len;
+                match kind {
+                    0 => ts[at].0 += size % cadence.max(1),
+                    1 => ts[at..].iter_mut().for_each(|t| t.0 += size * cadence),
+                    _ => ts[at..].iter_mut().for_each(|t| t.0 -= cadence.min(t.0 - first)),
+                }
+                ts.sort_unstable();
+            }
+            let bytes = compress_timestamps(&ts);
+            prop_assert_eq!(&bytes, &reference::compress_timestamps(&ts));
+            prop_assert_eq!(bytes.capacity(), bytes.len(), "one exact-sized allocation");
+            prop_assert_eq!(decompress_timestamps(&bytes).as_deref(), Some(&ts[..]));
+            prop_assert!(bytes.len() <= 22 + 24 * events.len(), "{} bytes", bytes.len());
+            for cut in 0..bytes.len() {
+                let got = decompress_timestamps(&bytes[..cut]);
+                prop_assert_eq!(&got, &reference::decompress_timestamps(&bytes[..cut]));
+                prop_assert_eq!(got, None);
             }
         }
 

@@ -11,8 +11,9 @@
 //!
 //! The pieces:
 //!
-//! * [`compress`] — delta-of-delta timestamps + Gorilla XOR floats; regular
-//!   one-minute cadences compress to ~2 bytes/sample.
+//! * [`compress`] — delta-of-delta timestamps, runs of a regular cadence
+//!   coded once, + Gorilla XOR floats; one-minute node metrics compress to
+//!   under 2 bytes a sample, nearly all of it values.
 //! * [`tsdb::TimeSeriesStore`] — sharded hot buffers that seal into
 //!   compressed warm blocks; one store holds raw metrics *and* analysis
 //!   outputs (they are just more series).

@@ -8,14 +8,18 @@
 //! one pass:
 //!
 //! ```text
-//! section := version:u8 (= 1)  series:u32  series*  digest:u64
+//! section := version:u8 (= 2)  series:u32  series*  digest:u64
 //! series  := metric:u32 kind:u8 index:u32  warm:u32  block{warm}  block
 //! block   := start:u64 end:u64 count:u32  ts_len:u32 ts_bytes  val_len:u32 val_bytes
 //! ```
 //!
 //! All integers little-endian; series in strictly increasing key order, so
 //! equal stores give equal bytes whatever order their series were created
-//! in.  Warm blocks are copied verbatim.  The last block of a series is its
+//! in.  Warm blocks are copied verbatim, so the version names the block
+//! format too: version 2 is the stamp stream whose zero delta-of-deltas
+//! are coded in runs ([`crate::compress`]).  A version-1 section is refused
+//! — its warm streams would reach the store undecoded — and no version-1
+//! reader is kept.  The last block of a series is its
 //! **hot buffer, encoded as the block a seal would make of it** — the same
 //! codec and framing, nothing re-encoded on the way back: loading decodes it
 //! into a hot buffer again, so occupancy, `state_digest()` and the seal
@@ -38,7 +42,7 @@ use hpcmon_metrics::{CompId, CompKind, MetricId, SeriesKey, StateHash, Ts};
 use serde::{Deserialize, Error, Serialize, Value};
 use std::sync::atomic::Ordering;
 
-const VERSION: u8 = 1;
+const VERSION: u8 = 2;
 const DIGEST_TAG: u64 = 0x5ec7;
 /// `start`, `end`, `count` and the two stream lengths.
 const BLOCK_HEADER: usize = 8 + 8 + 4 + 4 + 4;
@@ -295,7 +299,8 @@ impl TimeSeriesStore {
         }
         // The hot streams are sized by the codec as it goes: a block opens
         // with its first stamp and value in full, and three bytes a point
-        // after that covers the usual mix without a regrow.
+        // after that covers the usual mix of values (stamps, coded in runs,
+        // are a few bytes a block) without a regrow.
         let mut hot = Vec::with_capacity(series * (BLOCK_HEADER + 16) + hot_points * 3);
         let (mut tile, mut base, mut ts_stream) = (Vec::new(), 0, 0..0);
         for guard in &shards {
@@ -763,11 +768,34 @@ mod tests {
     }
 
     #[test]
+    fn a_hot_block_whose_stamps_claim_u32_max_points_in_one_run_is_refused() {
+        // Twelve bytes of well-formed stamps for u32::MAX points: the
+        // count, a first stamp, and one run.  Beside a true four-point
+        // value stream, and beside one that also claims u32::MAX.
+        let ts = [0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0, 0, 0xFD, 0xFF, 0xFF, 0xFF, 0x0F];
+        let four = compress::encode_values([1.0, 2.0, 3.0, 4.0].into_iter());
+        let mut claims = four.clone();
+        claims.splice(..1, [0xFF, 0xFF, 0xFF, 0xFF, 0x0F]);
+        for vals in [four, claims] {
+            let mut body = vec![VERSION, 1, 0, 0, 0];
+            body.extend_from_slice(&[0; 9 + 4]);
+            put_block_header(&mut body, Ts(0), Ts(0), u32::MAX);
+            put_stream(&mut body, |o| o.extend_from_slice(&ts));
+            put_stream(&mut body, |o| o.extend_from_slice(&vals));
+            assert_rejected_without_allocating(&sealed(body), "a run of u32::MAX");
+        }
+    }
+
+    #[test]
     fn unknown_version_disordered_keys_and_unordered_hot_points_are_refused() {
         let good = two_seal_store(1).snapshot().section;
-        let mut body = body_of(&good);
-        body[0] = VERSION + 1;
-        assert_eq!(validate(&sealed(body)), Err("unknown version"));
+        // The next version, and version 1: its stamp streams wrote a `00`
+        // byte per regular point, which this codec reads as a run.
+        for version in [VERSION + 1, 1] {
+            let mut body = body_of(&good);
+            body[0] = version;
+            assert_eq!(validate(&sealed(body)), Err("unknown version"), "version {version}");
+        }
         assert_eq!(validate(&good[..good.len() - 1]), Err("digest mismatch"));
         assert_eq!(validate(&[]), Err("truncated"));
         let mut trailing = body_of(&good);

@@ -130,11 +130,12 @@ impl SeriesBlock {
     }
 
     /// Why [`Self::try_visit`] failed: each stream on its own, timestamps
-    /// first, then the counts.
+    /// first, then the counts.  The stamps are walked, not decoded, so a
+    /// header claiming billions of points costs what its bytes cost.
     fn diagnose(&self) -> BlockError {
-        if compress::decompress_timestamps(&self.ts_bytes).is_none() {
+        if compress::check_timestamps(&self.ts_bytes).is_none() {
             BlockError::Timestamps
-        } else if compress::decompress_values(&self.val_bytes).is_none() {
+        } else if compress::check_values(&self.val_bytes).is_none() {
             BlockError::Values
         } else {
             BlockError::CountMismatch
@@ -168,10 +169,16 @@ impl SeriesBlock {
 
     /// Decompress back to points, or report why the bytes are corrupt.
     pub fn decompress(&self) -> Result<Vec<(Ts, f64)>, BlockError> {
-        // Not `count`: only the stream headers are bounded by the bytes present.
-        let mut out = Vec::with_capacity(self.ts_bytes.len().min(self.count as usize));
+        let mut out = Vec::with_capacity(self.point_bound());
         self.decode_into(Ts::ZERO, Ts(u64::MAX), &mut out)?;
         Ok(out)
+    }
+
+    /// The most points the block can decode to, whatever `count` claims:
+    /// a value costs at least a bit (the stamps, coded in runs, bound
+    /// nothing).
+    fn point_bound(&self) -> usize {
+        (self.count as usize).min(8 * self.val_bytes.len())
     }
 
     /// Compressed size in bytes.
@@ -208,17 +215,25 @@ impl StampCache {
         out: &mut Vec<(Ts, f64)>,
     ) -> Option<()> {
         out.clear();
+        // The value header is bounded by its bits; the stamp header must
+        // match it before the stamps are looped over.
+        let mut vals = compress::ValueDecoder::new(&block.val_bytes)?;
+        if vals.len != block.count as usize {
+            return None;
+        }
         if self.bytes.as_deref() != Some(&block.ts_bytes[..]) {
             self.bytes = None;
             self.stamps.clear();
             let mut ts = compress::TimestampDecoder::new(&block.ts_bytes)?;
+            if ts.len != vals.len {
+                return None;
+            }
             for _ in 0..ts.len {
                 self.stamps.push(ts.next_ts()?);
             }
             self.bytes = Some(block.ts_bytes.clone());
         }
-        let mut vals = compress::ValueDecoder::new(&block.val_bytes)?;
-        if vals.len != self.stamps.len() || vals.len != block.count as usize {
+        if self.stamps.len() != vals.len {
             return None;
         }
         for &t in &self.stamps {
@@ -229,6 +244,18 @@ impl StampCache {
         }
         Some(())
     }
+}
+
+/// Append a freshly sealed block to a series' warm list.  The first takes
+/// one slot, not the four an empty `Vec` grows to: every series seals its
+/// first block on the same tick, and at 65,536 nodes three empty 80-byte
+/// slots a series were ~285 MB of that tick's peak.  Later pushes grow as
+/// `Vec` does.
+pub(crate) fn push_warm(warm: &mut Vec<SeriesBlock>, block: SeriesBlock) {
+    if warm.capacity() == 0 {
+        warm.reserve_exact(1);
+    }
+    warm.push(block);
 }
 
 #[derive(Debug, Default)]
@@ -547,7 +574,7 @@ impl TimeSeriesStore {
         if data.hot.len() >= self.seal_threshold {
             let block = SeriesBlock::compress(key, &data.hot);
             self.account_seal(&block);
-            data.warm.push(block);
+            push_warm(&mut data.warm, block);
             data.hot.clear();
         }
     }
@@ -676,10 +703,10 @@ impl TimeSeriesStore {
         };
         let overlapping = || slot.data.warm.iter().filter(|b| b.overlaps(from, to));
         let hot = shard.cohorts.hot(slot).within(from, to);
-        // Sized up front (a block holds at most one point per timestamp
-        // byte, whatever its header claims), so the result is the query's
-        // only allocation.
-        let bound: usize = overlapping().map(|b| b.ts_bytes.len().min(b.count as usize)).sum();
+        // Sized up front (a block holds at most one point per value bit,
+        // whatever its header claims), so the result is the query's only
+        // allocation.
+        let bound: usize = overlapping().map(SeriesBlock::point_bound).sum();
         let mut out = Vec::with_capacity(bound + hot.len());
         for block in overlapping() {
             // A corrupt block degrades one range of one series; it must
@@ -797,7 +824,7 @@ impl TimeSeriesStore {
                 if !slot.data.hot.is_empty() {
                     let block = SeriesBlock::compress(slot.key, &slot.data.hot);
                     self.account_seal(&block);
-                    slot.data.warm.push(block);
+                    push_warm(&mut slot.data.warm, block);
                     slot.data.hot.clear();
                 }
             }
@@ -1831,6 +1858,9 @@ mod tests {
         warm.sort_by_key(|b| (b.key, b.start));
         let mut hash = hpcmon_metrics::StateHash::new(0);
         for b in &warm {
+            let (ts, vals): (Vec<Ts>, Vec<f64>) = b.decompress().unwrap().into_iter().unzip();
+            assert_eq!(b.ts_bytes, compress::tests::reference::compress_timestamps(&ts));
+            assert_eq!(b.val_bytes, compress::tests::reference::compress_values(&vals));
             hash.bytes(&b.ts_bytes).bytes(&b.val_bytes);
         }
         (digest, stats, warm.len(), hash.finish())
@@ -1838,25 +1868,26 @@ mod tests {
 
     #[test]
     fn seeded_fill_is_byte_identical_to_the_bit_at_a_time_codec() {
-        // Digest and stats were recorded at the commit that still had the
-        // bit-at-a-time codec: the block format did not change, so they may
-        // not.  That commit also pinned the length and hash of the snapshot's
-        // JSON; the packed checkpoint section replaced that text, so the
-        // bytes pinned now are the ones the codec itself produces — every
-        // warm block's two streams, in key then time order, hashed by the
-        // build before the section existed.
+        // Every warm block is checked against the bit-at-a-time reference
+        // codec as the fill is fingerprinted.  The pins were re-recorded
+        // when block format v2 coded runs of zero delta-of-deltas once:
+        // stamp bytes shrank (warm bytes 21,147 → 19,867; the fill jitters
+        // every seventh stamp, so runs are short), and with them the digest
+        // (it folds `warm_bytes`) and the stream hash.  Counts and values
+        // did not move.  The hash is over every warm block's two streams,
+        // in key then time order.
         let (digest, stats, blocks, stream_hash) = seeded_fill_fingerprint();
-        assert_eq!(digest, 0x18c6_dcb7_fd4d_1b9b);
+        assert_eq!(digest, 0x227d_ac76_0d52_1d0a);
         let expected = StoreStats {
             series: 40,
             hot_points: 880,
             warm_points: 5_120,
-            warm_bytes: 21_147,
-            bytes_per_point: 21_147.0 / 5_120.0,
+            warm_bytes: 19_867,
+            bytes_per_point: 19_867.0 / 5_120.0,
             corrupt_blocks: 0,
         };
         assert_eq!(stats, expected);
-        assert_eq!((blocks, stream_hash), (80, 0xcb62_a402_3c72_0af1));
+        assert_eq!((blocks, stream_hash), (80, 0x9ad0_77b3_1205_be57));
     }
 
     #[test]
@@ -1920,6 +1951,76 @@ mod tests {
         // Timestamps are diagnosed first, as when the streams decoded in turn.
         corrupt(&mut bad);
         assert_eq!(bad.validate(), Err(BlockError::Timestamps));
+    }
+
+    #[test]
+    fn stamps_claiming_u32_max_points_in_one_run_cost_their_bytes_not_their_claim() {
+        // Twelve bytes of well-formed stamps for u32::MAX points (the count,
+        // a first stamp, one run), beside a true four-point value stream
+        // (the block's count claiming u32::MAX too, or agreeing with the
+        // values) and beside one that claims u32::MAX too.  Looping once per
+        // claimed point would take minutes; sizing by `count` would ask for
+        // 64 GB.
+        let ts_bytes = vec![0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0, 0, 0xFD, 0xFF, 0xFF, 0xFF, 0x0F];
+        let four = compress::encode_values([1.0, 2.0, 3.0, 4.0].into_iter());
+        let mut claims = four.clone();
+        claims.splice(..1, [0xFF, 0xFF, 0xFF, 0xFF, 0x0F]);
+        let cases = [
+            (u32::MAX, four.clone(), BlockError::CountMismatch),
+            (4, four, BlockError::CountMismatch),
+            (u32::MAX, claims, BlockError::Values),
+        ];
+        for (count, val_bytes, why) in cases {
+            let block = SeriesBlock {
+                key: key(0, 1),
+                start: Ts::ZERO,
+                end: Ts::ZERO,
+                count,
+                ts_bytes: ts_bytes.clone(),
+                val_bytes,
+            };
+            let before = hpcmon_metrics::alloc_count::thread_allocations();
+            assert_eq!(block.validate(), Err(why));
+            assert_eq!(hpcmon_metrics::alloc_count::thread_allocations(), before);
+            assert_eq!(block.decompress(), Err(why));
+            let store = TimeSeriesStore::with_options(1, 64);
+            store.insert(&sample(0, 1, 5, 9.0));
+            store.inject_warm_block(block.clone());
+            assert_eq!(store.query(key(0, 1), Ts::ZERO, Ts(u64::MAX)), vec![(Ts(5), 9.0)]);
+            assert_eq!(store.corrupt_blocks(), 1);
+            let q = crate::QueryEngine::new(&store);
+            let all = crate::TimeRange::all();
+            let sums = q.aggregate_across_components(MetricId(0), all, crate::AggFn::Sum);
+            assert_eq!((sums, store.corrupt_blocks()), (vec![(Ts(5), 9.0)], 2));
+            store.reload_blocks(vec![block]);
+            assert_eq!(store.corrupt_blocks(), 3);
+        }
+    }
+
+    #[test]
+    fn a_series_first_warm_block_reserves_one_slot() {
+        // A cohort member and a lone series (fed by `insert`), each after
+        // one seal: no empty slots behind the block.
+        let store = TimeSeriesStore::with_options(1, 8);
+        let mut route = IngestRoute::new();
+        for tick in 0..8u64 {
+            let specs: Vec<_> = (0..2 * MIN_WIDTH as u32).map(|n| (0, n, n as f64)).collect();
+            store.ingest_columns(&column_frame(tick * MINUTE_MS, &specs), &mut route);
+            store.insert(&sample(1, 0, tick * MINUTE_MS, tick as f64));
+        }
+        assert!(store.hot_layout().cohort_seals >= 1, "{:?}", store.hot_layout());
+        let shard = store.shards[0].read();
+        for key in [key(0, 3), key(1, 0)] {
+            let warm = &shard.slots[shard.index[&key] as usize].data.warm;
+            assert_eq!((warm.len(), warm.capacity()), (1, 1), "{key:?}");
+        }
+        drop(shard);
+        // `seal_all` seals a part-filled buffer the same way.
+        store.insert(&sample(2, 0, 0, 1.0));
+        store.seal_all();
+        let shard = store.shards[0].read();
+        let warm = &shard.slots[shard.index[&key(2, 0)] as usize].data.warm;
+        assert_eq!((warm.len(), warm.capacity()), (1, 1));
     }
 
     #[test]
