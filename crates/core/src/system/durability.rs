@@ -22,7 +22,7 @@
 use super::state::{TickInputs, TickStateHash};
 use super::MonitoringSystem;
 use hpcmon_durability::{
-    DiskError, DurabilityConfig, DurabilityPlane, RecoveryReport, StorageMedium,
+    DiskError, DurabilityConfig, DurabilityPlane, RecoveredState, RecoveryReport, StorageMedium,
 };
 use hpcmon_metrics::ColumnFrame;
 use hpcmon_telemetry::StageTimer;
@@ -88,6 +88,23 @@ pub fn encode_tick_record(record: &DurableTickRecord, frame: &ColumnFrame) -> Ve
 /// has already CRC-checked the payload, so a decode failure here means
 /// schema skew, not bit rot).
 pub fn decode_tick_record(bytes: &[u8]) -> Option<(DurableTickRecord, Vec<DurableSample>)> {
+    let (record, body) = decode_tick_head(bytes)?;
+    let samples = body
+        .chunks_exact(SAMPLE_LEN)
+        .map(|s| DurableSample {
+            metric: u32::from_le_bytes(s[0..4].try_into().unwrap()),
+            kind: s[4],
+            index: u32::from_le_bytes(s[5..9].try_into().unwrap()),
+            value: f64::from_le_bytes(s[9..17].try_into().unwrap()),
+        })
+        .collect();
+    Some((record, samples))
+}
+
+/// A tick record's JSON head, and its sample section in place once the
+/// section's count checks out: what replay needs, without decoding the
+/// samples.  `None` exactly where [`decode_tick_record`] is.
+fn decode_tick_head(bytes: &[u8]) -> Option<(DurableTickRecord, &[u8])> {
     let json_len = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?) as usize;
     let rest = bytes.get(4..)?;
     let record: DurableTickRecord = serde_json::from_slice(rest.get(..json_len)?).ok()?;
@@ -102,16 +119,7 @@ pub fn decode_tick_record(bytes: &[u8]) -> Option<(DurableTickRecord, Vec<Durabl
     if body.len() % SAMPLE_LEN != 0 || (body.len() / SAMPLE_LEN) as u64 != n {
         return None;
     }
-    let samples = body
-        .chunks_exact(SAMPLE_LEN)
-        .map(|s| DurableSample {
-            metric: u32::from_le_bytes(s[0..4].try_into().unwrap()),
-            kind: s[4],
-            index: u32::from_le_bytes(s[5..9].try_into().unwrap()),
-            value: f64::from_le_bytes(s[9..17].try_into().unwrap()),
-        })
-        .collect();
-    Some((record, samples))
+    Some((record, body))
 }
 
 /// What [`MonitoringSystem::recover_from_medium`] did: the storage-layer
@@ -172,14 +180,18 @@ impl MonitoringSystem {
             "recover_from_medium: a durability plane is already attached"
         );
         let (mut plane, state) = DurabilityPlane::recover(medium, cfg);
+        let RecoveredState { checkpoint, mut records, report } = state;
         let mut outcome = RecoveryOutcome {
-            report: state.report,
-            checkpoint_tick: state.checkpoint.as_ref().map(|(t, _)| *t),
+            report,
+            checkpoint_tick: checkpoint.as_ref().map(|(t, _)| *t),
             ..RecoveryOutcome::default()
         };
-        let mut replay_tail = true;
-        if let Some((_, payload)) = &state.checkpoint {
-            match serde_json::from_slice::<super::CoreSnapshot>(payload) {
+        // What recovery read is freed as soon as it is used, so the reseal
+        // below does not stack its buffers on top of the checkpoint's.
+        if let Some((_, payload)) = checkpoint {
+            let parsed = serde_json::from_slice::<super::CoreSnapshot>(&payload);
+            drop(payload);
+            match parsed {
                 Ok(snap) => self.restore_snapshot(snap),
                 Err(_) => {
                     // CRC-valid bytes that are not a CoreSnapshot: schema
@@ -188,27 +200,26 @@ impl MonitoringSystem {
                     // than replay inputs against the wrong baseline.
                     outcome.checkpoint_undecodable = true;
                     outcome.checkpoint_tick = None;
-                    outcome.report.records_dropped += state.records.len() as u64;
-                    replay_tail = false;
+                    outcome.report.records_dropped += records.len() as u64;
+                    records.clear();
                 }
             }
         }
-        if replay_tail {
-            for rec in &state.records {
-                let Some((dtr, _)) = decode_tick_record(&rec.payload) else {
-                    outcome.undecodable_records += 1;
-                    continue;
-                };
-                // Policy here: count a mismatch and carry on — the medium
-                // is all there is, and a resumed run beats none.
-                let mismatch = self.replay_tick(&dtr);
-                outcome.replayed_ticks += 1;
-                if let Some((expected, actual)) = mismatch {
-                    outcome.hash_mismatches += 1;
-                    if outcome.first_mismatch_tick.is_none() {
-                        outcome.first_mismatch_tick = Some(dtr.tick);
-                        outcome.first_mismatch_subsystem = expected.first_divergence(&actual);
-                    }
+        for rec in records {
+            // Replay needs the head alone; the samples are the store's.
+            let Some((dtr, _)) = decode_tick_head(&rec.payload) else {
+                outcome.undecodable_records += 1;
+                continue;
+            };
+            // Policy here: count a mismatch and carry on — the medium
+            // is all there is, and a resumed run beats none.
+            let mismatch = self.replay_tick(&dtr);
+            outcome.replayed_ticks += 1;
+            if let Some((expected, actual)) = mismatch {
+                outcome.hash_mismatches += 1;
+                if outcome.first_mismatch_tick.is_none() {
+                    outcome.first_mismatch_tick = Some(dtr.tick);
+                    outcome.first_mismatch_subsystem = expected.first_divergence(&actual);
                 }
             }
         }

@@ -70,6 +70,15 @@ pub trait StorageMedium: Send + Sync {
     /// Read `file` in full (durable bytes plus any still-pending tail —
     /// what a reader of the live file would see).
     fn read(&self, file: &str) -> Result<Vec<u8>, DiskError>;
+    /// Lend `with` the bytes [`read`](Self::read) would return, for a
+    /// caller that only looks at them: a medium that keeps files in memory
+    /// hands over its own buffer instead of a copy.  `with` must not call
+    /// back into the medium (an implementation may hold a lock while it
+    /// runs); compute inside it, then delete or rewrite after it returns.
+    fn read_with(&self, file: &str, with: &mut dyn FnMut(&[u8])) -> Result<(), DiskError> {
+        with(&self.read(file)?);
+        Ok(())
+    }
     /// Every file name, sorted.
     fn list(&self) -> Vec<String>;
     /// Size of `file` in bytes (durable + pending), if it exists.
@@ -255,6 +264,25 @@ impl StorageMedium for SimDisk {
         Ok(out)
     }
 
+    fn read_with(&self, file: &str, with: &mut dyn FnMut(&[u8])) -> Result<(), DiskError> {
+        let mut inner = self.inner.lock().unwrap();
+        let f = inner.files.get_mut(file).ok_or(DiskError::NotFound)?;
+        // Fold the synced chunks into one, so this lend and later ones hand
+        // out a slice as is.  Chunks are an artifact of `sync`; folding them
+        // moves no byte across the durable/pending line.
+        if f.durable.len() > 1 {
+            f.durable = vec![f.durable_bytes()];
+        }
+        let durable = f.durable.first().map_or(&[][..], Vec::as_slice);
+        if f.pending.is_empty() {
+            with(durable);
+        } else {
+            // Pending bytes sit apart until a sync; only then is a copy due.
+            with(&[durable, &f.pending].concat());
+        }
+        Ok(())
+    }
+
     fn list(&self) -> Vec<String> {
         self.inner.lock().unwrap().files.keys().cloned().collect()
     }
@@ -372,6 +400,79 @@ mod tests {
         disk.set_write_fail(false);
         assert_eq!(disk.read("a").unwrap(), b"newer");
         assert_eq!(disk.rename("missing", "x"), Err(DiskError::NotFound));
+    }
+
+    /// What `read_with` lends, copied.
+    fn lent(disk: &SimDisk, file: &str) -> Vec<u8> {
+        let mut bytes = None;
+        disk.read_with(file, &mut |b| bytes = Some(b.to_vec())).unwrap();
+        bytes.unwrap()
+    }
+
+    /// Every file lends exactly what `read` returns.
+    fn lends_what_it_reads(disk: &SimDisk, state: &str) {
+        for file in disk.list() {
+            assert_eq!(lent(disk, &file), disk.read(&file).unwrap(), "{state}: {file}");
+        }
+    }
+
+    #[test]
+    fn a_lend_is_what_read_returns_in_every_state_of_a_file() {
+        let disk = SimDisk::new();
+        for i in 0..40u8 {
+            disk.append("many.seg", &[i; 7]).unwrap();
+            disk.sync("many.seg").unwrap();
+        }
+        disk.append("group.seg", b"synced").unwrap();
+        disk.sync("group.seg").unwrap();
+        lends_what_it_reads(&disk, "synced in many chunks");
+        // Group commit: pending bytes behind durable ones, and alone.
+        disk.append("group.seg", b" and pending").unwrap();
+        disk.append("fresh.seg", b"only pending").unwrap();
+        lends_what_it_reads(&disk, "with pending bytes");
+        // A merged file takes new chunks, and lends them too.
+        for i in 0..5u8 {
+            disk.append("many.seg", &[0xA0 | i; 3]).unwrap();
+            disk.sync("many.seg").unwrap();
+        }
+        lends_what_it_reads(&disk, "after a lend merged its chunks");
+        disk.append("many.seg", b"torn tail").unwrap();
+        disk.arm_torn_write(11);
+        disk.crash();
+        lends_what_it_reads(&disk, "after a torn crash");
+        assert!(disk.read("group.seg").unwrap().starts_with(b"synced"));
+        assert!(disk.corrupt_byte(5));
+        lends_what_it_reads(&disk, "after corrupt_byte");
+        assert_eq!(
+            disk.read_with("missing", &mut |_| panic!("nothing to lend")),
+            Err(DiskError::NotFound)
+        );
+    }
+
+    #[test]
+    fn merged_chunks_crash_tear_and_corrupt_as_unmerged_ones_do() {
+        // Two disks fed the same bytes, one lent between the steps so its
+        // chunks merge: every fault lands on the same byte of both.
+        let (merged, chunked) = (SimDisk::new(), SimDisk::new());
+        for disk in [&merged, &chunked] {
+            for i in 0..30u8 {
+                disk.append("a.seg", &[i; 11]).unwrap();
+                disk.sync("a.seg").unwrap();
+                disk.append("b.seg", &[!i; 5]).unwrap();
+                disk.sync("b.seg").unwrap();
+            }
+            disk.append("b.seg", &[0x77; 40]).unwrap();
+        }
+        lent(&merged, "a.seg");
+        lent(&merged, "b.seg");
+        for seed in [1, 99, 12345] {
+            assert!(merged.corrupt_byte(seed) && chunked.corrupt_byte(seed));
+        }
+        for disk in [&merged, &chunked] {
+            disk.arm_torn_write(3);
+            disk.crash();
+        }
+        assert_eq!(merged.durable_files(), chunked.durable_files());
     }
 
     #[test]

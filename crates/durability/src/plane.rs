@@ -31,7 +31,7 @@
 use crate::medium::{DiskError, StorageMedium};
 use crate::wal::{
     decode_checkpoint, encode_checkpoint, encode_record, scan_segment, ScanEnd, SyncPolicy,
-    WalRecord, KIND_TICK, WAL_MAGIC,
+    WalRecord, HEADER_LEN, KIND_TICK, WAL_MAGIC,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -137,6 +137,16 @@ fn parse_ckpt(name: &str) -> Option<u64> {
     name.strip_prefix("ckpt-")?.strip_suffix(".ck")?.parse().ok()
 }
 
+/// What recovery does to a segment file once its scan is over.
+enum SegmentFix {
+    /// Every byte is trusted: appends may resume on it.
+    Keep,
+    /// Cut to its trusted prefix, so the damage is physically gone.
+    Rewrite(Vec<u8>),
+    /// Nothing in it is trusted.
+    Delete,
+}
+
 /// The live write-ahead-log + checkpoint orchestrator over a medium.
 pub struct DurabilityPlane {
     medium: Arc<dyn StorageMedium>,
@@ -196,7 +206,12 @@ impl DurabilityPlane {
         ckpts.sort();
         let mut checkpoint: Option<(u64, Vec<u8>)> = None;
         for (tick, name) in ckpts.iter().rev() {
-            match medium.read(name).ok().and_then(|b| decode_checkpoint(&b)) {
+            // Only a payload that verifies is copied off the medium.
+            let mut payload = None;
+            let _ = medium.read_with(name, &mut |b| {
+                payload = decode_checkpoint(b).map(<[u8]>::to_vec);
+            });
+            match payload {
                 Some(payload) => {
                     checkpoint = Some((*tick, payload));
                     break;
@@ -208,6 +223,7 @@ impl DurabilityPlane {
             }
         }
         report.checkpoint_tick = checkpoint.as_ref().map(|(t, _)| *t);
+        let covered = report.checkpoint_tick;
 
         let mut segs: Vec<(u64, String)> =
             files.iter().filter_map(|f| parse_seg(f).map(|t| (t, f.clone()))).collect();
@@ -218,7 +234,7 @@ impl DurabilityPlane {
         // checkpoint there is no external anchor, so the first record
         // defines the chain base (embedders may start counting at 0 or 1);
         // every later record must still be contiguous.
-        let mut expected: Option<u64> = report.checkpoint_tick.map(|t| t + 1);
+        let mut expected: Option<u64> = covered.map(|t| t + 1);
         let mut damaged = false;
         // Last segment file still present after cleanup — appends resume here.
         let mut live_seg: Option<String> = None;
@@ -226,87 +242,100 @@ impl DurabilityPlane {
         for (idx, (_start, name)) in segs.iter().enumerate() {
             if damaged {
                 // Everything beyond the first damage is untrusted: fail closed.
-                let (recs, _) = scan_segment(&medium.read(name).unwrap_or_default());
-                report.records_dropped += recs.len() as u64;
+                let mut dropped = 0;
+                let _ = medium.read_with(name, &mut |b| {
+                    scan_segment(b, |_| dropped += 1);
+                });
+                report.records_dropped += dropped;
                 let _ = medium.delete(name);
                 continue;
             }
             let is_last = idx + 1 == segs.len();
-            let bytes = medium.read(name).unwrap_or_default();
-            let (recs, end) = scan_segment(&bytes);
             report.segments_scanned += 1;
-
-            // Contiguity: records must continue the checkpoint's tick chain.
-            let mut trusted = recs.len();
-            for (i, r) in recs.iter().enumerate() {
-                if r.kind == KIND_TICK {
-                    if report.checkpoint_tick.is_some_and(|c| r.tick <= c) {
-                        continue; // covered by the checkpoint; redundant, harmless
+            // The segment is walked in place: only records past the
+            // checkpoint are copied out, and a trusted prefix only when the
+            // file must be cut to it.
+            let mut walk = |bytes: &[u8]| {
+                // Records seen, records trusted, and where the trusted ones end.
+                let (mut seen, mut trusted, mut trusted_end) = (0, None, WAL_MAGIC.len());
+                let end = scan_segment(bytes, |r| {
+                    seen += 1;
+                    if trusted.is_some() {
+                        return;
                     }
-                    if r.tick == *expected.get_or_insert(r.tick) {
-                        expected = Some(r.tick + 1);
-                        continue;
+                    // Contiguity: records must continue the checkpoint's tick chain.
+                    if r.kind == KIND_TICK {
+                        if covered.is_some_and(|c| r.tick <= c) {
+                            // Covered by the checkpoint; redundant, harmless.
+                            trusted_end += HEADER_LEN + r.payload.len();
+                            return;
+                        }
+                        if r.tick == *expected.get_or_insert(r.tick) {
+                            expected = Some(r.tick + 1);
+                            trusted_end += HEADER_LEN + r.payload.len();
+                            records.push(r.to_record());
+                            return;
+                        }
                     }
-                }
-                // A tick gap — or a kind the plane never writes, which no
-                // crash can put here — is damage at this record.
-                report.corrupt_events += 1;
-                report.first_bad_tick.get_or_insert(expected.unwrap_or(0));
-                trusted = i;
-                damaged = true;
-                break;
-            }
-
-            match end {
-                ScanEnd::Clean => {}
-                ScanEnd::TornTail { valid_bytes, dropped_bytes } => {
-                    if damaged {
-                        // Already cut earlier in this segment; the rebuild
-                        // below drops the torn bytes too.
-                    } else if is_last {
-                        // The expected crash signature: truncate at the
-                        // last valid CRC and carry on.
-                        report.torn_tail_bytes += dropped_bytes;
-                        let _ = medium.overwrite(name, &bytes[..valid_bytes as usize]);
-                    } else {
-                        // Torn bytes with a whole segment after them — a
-                        // crash cannot produce that ordering.
-                        report.corrupt_events += 1;
-                        report.first_bad_tick.get_or_insert(expected.unwrap_or(0));
+                    // A tick gap — or a kind the plane never writes, which no
+                    // crash can put here — is damage at this record.
+                    report.corrupt_events += 1;
+                    report.first_bad_tick.get_or_insert(expected.unwrap_or(0));
+                    trusted = Some(seen - 1);
+                    damaged = true;
+                });
+                let trusted = trusted.unwrap_or(seen);
+                let mut fix = SegmentFix::Keep;
+                match end {
+                    ScanEnd::Clean => {}
+                    ScanEnd::TornTail { valid_bytes, dropped_bytes } => {
+                        if damaged {
+                            // Already cut earlier in this segment; the rebuild
+                            // below drops the torn bytes too.
+                        } else if is_last {
+                            // The expected crash signature: truncate at the
+                            // last valid CRC and carry on.
+                            report.torn_tail_bytes += dropped_bytes;
+                            fix = SegmentFix::Rewrite(bytes[..valid_bytes as usize].to_vec());
+                        } else {
+                            // Torn bytes with a whole segment after them — a
+                            // crash cannot produce that ordering.
+                            report.corrupt_events += 1;
+                            report.first_bad_tick.get_or_insert(expected.unwrap_or(0));
+                            damaged = true;
+                        }
+                    }
+                    ScanEnd::Corrupt { .. } => {
+                        if !damaged {
+                            report.corrupt_events += 1;
+                            report.first_bad_tick.get_or_insert(expected.unwrap_or(0));
+                        }
                         damaged = true;
                     }
                 }
-                ScanEnd::Corrupt { .. } => {
-                    if !damaged {
-                        report.corrupt_events += 1;
-                        report.first_bad_tick.get_or_insert(expected.unwrap_or(0));
-                    }
-                    damaged = true;
+                if damaged {
+                    report.records_dropped += (seen - trusted) as u64;
+                    fix = if trusted == 0 {
+                        SegmentFix::Delete
+                    } else {
+                        SegmentFix::Rewrite(bytes[..trusted_end].to_vec())
+                    };
                 }
-            }
-
-            if damaged {
-                report.records_dropped += (recs.len() - trusted) as u64;
-                if trusted == 0 {
-                    let _ = medium.delete(name);
-                } else {
-                    // Rebuild the segment from its trusted prefix so the
-                    // damage is physically gone, not just skipped.
-                    let mut rebuilt = WAL_MAGIC.to_vec();
-                    for r in &recs[..trusted] {
-                        encode_record(r.kind, r.tick, &r.payload, &mut rebuilt);
-                    }
-                    let _ = medium.overwrite(name, &rebuilt);
+                fix
+            };
+            let mut fix = None;
+            let _ = medium.read_with(name, &mut |bytes| fix = Some(walk(bytes)));
+            // An unreadable segment reads as an empty one.
+            match fix.unwrap_or_else(|| walk(&[])) {
+                SegmentFix::Keep => live_seg = Some(name.clone()),
+                SegmentFix::Rewrite(trusted) => {
+                    let _ = medium.overwrite_owned(name, trusted);
                     live_seg = Some(name.clone());
                 }
-            } else {
-                live_seg = Some(name.clone());
+                SegmentFix::Delete => {
+                    let _ = medium.delete(name);
+                }
             }
-
-            let covered = report.checkpoint_tick;
-            records.extend(
-                recs.into_iter().take(trusted).filter(|r| covered.is_none_or(|c| r.tick > c)),
-            );
         }
 
         report.records_recovered = records.len() as u64;
@@ -494,18 +523,17 @@ impl DurabilityPlane {
         let idx = (self.scrub_cursor as usize) % files.len();
         self.scrub_cursor = self.scrub_cursor.wrapping_add(1);
         let name = files[idx].clone();
-        let ok = match self.medium.read(&name) {
-            Err(_) => false,
-            Ok(bytes) => {
-                if name.ends_with(".seg") {
-                    matches!(scan_segment(&bytes).1, ScanEnd::Clean)
-                } else if name.ends_with(".ck") {
-                    decode_checkpoint(&bytes).is_some()
-                } else {
-                    true
-                }
-            }
-        };
+        // Verified in place: the scrub copies nothing off the medium.
+        let mut ok = false;
+        let _ = self.medium.read_with(&name, &mut |bytes| {
+            ok = if name.ends_with(".seg") {
+                scan_segment(bytes, |_| ()) == ScanEnd::Clean
+            } else if name.ends_with(".ck") {
+                decode_checkpoint(bytes).is_some()
+            } else {
+                true
+            };
+        });
         self.counts.scrub_files += 1;
         if !ok {
             self.counts.scrub_failures += 1;

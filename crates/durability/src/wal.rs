@@ -49,7 +49,8 @@ pub const KIND_END: u8 = 0x7F;
 /// corruption by definition, not a real record.
 pub const MAX_RECORD_LEN: u32 = 64 * 1024 * 1024;
 
-const HEADER_LEN: usize = 1 + 8 + 4 + 4;
+/// Bytes of a record's frame ahead of its payload.
+pub(crate) const HEADER_LEN: usize = 1 + 8 + 4 + 4;
 
 /// When the WAL is made durable relative to the tick that produced it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -81,7 +82,8 @@ impl SyncPolicy {
     }
 }
 
-/// One decoded WAL record.
+/// One WAL record with its own payload, for a caller that keeps it past
+/// the bytes it was scanned from ([`RecordRef::to_record`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalRecord {
     /// What the payload is (`KIND_*`).
@@ -90,6 +92,25 @@ pub struct WalRecord {
     pub tick: u64,
     /// Opaque payload (the core's serialized tick record).
     pub payload: Vec<u8>,
+}
+
+/// One record as [`scan_segment`] frames it: the payload is a slice of the
+/// scanned bytes, so looking at a record copies nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordRef<'a> {
+    /// What the payload is (`KIND_*`).
+    pub kind: u8,
+    /// The tick this record captures.
+    pub tick: u64,
+    /// The payload, in place.
+    pub payload: &'a [u8],
+}
+
+impl RecordRef<'_> {
+    /// The record with a copy of its payload.
+    pub fn to_record(&self) -> WalRecord {
+        WalRecord { kind: self.kind, tick: self.tick, payload: self.payload.to_vec() }
+    }
 }
 
 /// Encode one record (header + CRC + payload) into `out`.
@@ -140,35 +161,35 @@ pub enum ScanEnd {
     },
 }
 
-/// Scan a WAL segment, returning every valid record up to the first
-/// damage and how the scan ended.  Never panics on arbitrary bytes.
-pub fn scan_segment(bytes: &[u8]) -> (Vec<WalRecord>, ScanEnd) {
-    let mut records = Vec::new();
+/// Scan a WAL segment, handing `each` every valid record up to the first
+/// damage, in order, and returning how the scan ended.  Records are lent
+/// in place: a caller copies only what it keeps.  Never panics on
+/// arbitrary bytes.
+pub fn scan_segment<'a>(bytes: &'a [u8], mut each: impl FnMut(RecordRef<'a>)) -> ScanEnd {
     if bytes.is_empty() {
-        return (records, ScanEnd::Clean);
+        return ScanEnd::Clean;
     }
     if bytes.len() < WAL_MAGIC.len() {
         // A torn first write of the magic itself.
-        return (records, ScanEnd::TornTail { valid_bytes: 0, dropped_bytes: bytes.len() as u64 });
+        return ScanEnd::TornTail { valid_bytes: 0, dropped_bytes: bytes.len() as u64 };
     }
     if &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-        return (records, ScanEnd::Corrupt { offset: 0, tick_hint: None });
+        return ScanEnd::Corrupt { offset: 0, tick_hint: None };
     }
     let mut off = WAL_MAGIC.len();
+    let mut tick_hint = None;
     loop {
         if off == bytes.len() {
-            return (records, ScanEnd::Clean);
+            return ScanEnd::Clean;
         }
-        let tick_hint = records.last().map(|r: &WalRecord| r.tick);
         let rest = &bytes[off..];
         // Partial header or body at EOF is a torn tail by construction:
         // nothing can follow it.
         let (ok, total) = validate_record(rest);
         if ok {
-            let len = u32::from_le_bytes(rest[9..13].try_into().unwrap()) as usize;
             let tick = u64::from_le_bytes(rest[1..9].try_into().unwrap());
-            let payload = rest[HEADER_LEN..HEADER_LEN + len].to_vec();
-            records.push(WalRecord { kind: rest[0], tick, payload });
+            each(RecordRef { kind: rest[0], tick, payload: &rest[HEADER_LEN..total] });
+            tick_hint = Some(tick);
             off += total;
             continue;
         }
@@ -176,15 +197,12 @@ pub fn scan_segment(bytes: &[u8]) -> (Vec<WalRecord>, ScanEnd) {
         // the record is incomplete, or it is the last thing in the file.
         let runs_to_eof = total == 0 || off + total >= bytes.len();
         if runs_to_eof {
-            return (
-                records,
-                ScanEnd::TornTail {
-                    valid_bytes: off as u64,
-                    dropped_bytes: (bytes.len() - off) as u64,
-                },
-            );
+            return ScanEnd::TornTail {
+                valid_bytes: off as u64,
+                dropped_bytes: (bytes.len() - off) as u64,
+            };
         }
-        return (records, ScanEnd::Corrupt { offset: off as u64, tick_hint });
+        return ScanEnd::Corrupt { offset: off as u64, tick_hint };
     }
 }
 
@@ -225,9 +243,9 @@ pub(crate) fn encode_checkpoint(fill: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     out
 }
 
-/// Decode a checkpoint file, returning the payload iff magic, length and
-/// CRC all check out.
-pub fn decode_checkpoint(bytes: &[u8]) -> Option<Vec<u8>> {
+/// Decode a checkpoint file, returning its payload in place iff magic,
+/// length and CRC all check out.
+pub fn decode_checkpoint(bytes: &[u8]) -> Option<&[u8]> {
     let head = CKPT_MAGIC.len() + 8;
     if bytes.len() < head || &bytes[..CKPT_MAGIC.len()] != CKPT_MAGIC {
         return None;
@@ -241,12 +259,19 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Option<Vec<u8>> {
     if crc32(payload) != crc {
         return None;
     }
-    Some(payload.to_vec())
+    Some(payload)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every record the scan lends, copied, and how it ended.
+    fn scan(bytes: &[u8]) -> (Vec<WalRecord>, ScanEnd) {
+        let mut records = Vec::new();
+        let end = scan_segment(bytes, |r| records.push(r.to_record()));
+        (records, end)
+    }
 
     fn segment(records: &[(u64, &[u8])]) -> Vec<u8> {
         let mut out = WAL_MAGIC.to_vec();
@@ -259,7 +284,7 @@ mod tests {
     #[test]
     fn roundtrip_and_clean_scan() {
         let seg = segment(&[(0, b"alpha"), (1, b"beta"), (2, b"")]);
-        let (records, end) = scan_segment(&seg);
+        let (records, end) = scan(&seg);
         assert_eq!(end, ScanEnd::Clean);
         assert_eq!(records.len(), 3);
         assert_eq!(records[0], WalRecord { kind: KIND_TICK, tick: 0, payload: b"alpha".to_vec() });
@@ -282,13 +307,13 @@ mod tests {
         for (i, kind) in kinds.iter().enumerate() {
             encode_record(*kind, i as u64, b"body", &mut seg);
         }
-        let (records, end) = scan_segment(&seg);
+        let (records, end) = scan(&seg);
         assert_eq!(end, ScanEnd::Clean);
         assert_eq!(records.iter().map(|r| r.kind).collect::<Vec<_>>(), kinds);
         // The kind byte is under the CRC: tick → header is one bit.
         let second = WAL_MAGIC.len() + HEADER_LEN + 4;
         seg[second] ^= KIND_TICK ^ KIND_HEADER;
-        let (records, end) = scan_segment(&seg);
+        let (records, end) = scan(&seg);
         assert_eq!(records.len(), 1);
         assert_eq!(end, ScanEnd::Corrupt { offset: second as u64, tick_hint: Some(0) });
     }
@@ -297,15 +322,15 @@ mod tests {
     fn every_truncation_is_a_torn_tail_never_a_panic() {
         let seg = segment(&[(0, b"alpha"), (1, b"longer payload here"), (2, b"z")]);
         for end in 0..seg.len() {
-            let (records, scan) = scan_segment(&seg[..end]);
-            match scan {
+            let (records, verdict) = scan(&seg[..end]);
+            match verdict {
                 ScanEnd::Clean => {
                     // Only at record boundaries.
                     assert!(records.len() <= 3);
                 }
                 ScanEnd::TornTail { valid_bytes, dropped_bytes } => {
                     assert_eq!(valid_bytes + dropped_bytes, end as u64);
-                    let (again, end2) = scan_segment(&seg[..valid_bytes as usize]);
+                    let (again, end2) = scan(&seg[..valid_bytes as usize]);
                     assert_eq!(end2, ScanEnd::Clean, "truncation must be clean");
                     assert_eq!(again, records);
                 }
@@ -321,7 +346,7 @@ mod tests {
         let off = WAL_MAGIC.len() + (17 + 5) + 17; // first payload byte of record 1
         let mut bad = seg.clone();
         bad[off] ^= 0x01;
-        let (records, end) = scan_segment(&bad);
+        let (records, end) = scan(&bad);
         assert_eq!(records.len(), 1, "only the prefix before the damage survives");
         match end {
             ScanEnd::Corrupt { offset, tick_hint } => {
@@ -338,7 +363,7 @@ mod tests {
         let mut bad = seg.clone();
         let last = bad.len() - 1;
         bad[last] ^= 0x80;
-        let (records, end) = scan_segment(&bad);
+        let (records, end) = scan(&bad);
         assert_eq!(records.len(), 1);
         assert!(matches!(end, ScanEnd::TornTail { .. }), "got {end:?}");
     }
@@ -352,7 +377,7 @@ mod tests {
         raw.extend_from_slice(&[0u8; 4]);
         seg.extend_from_slice(&raw);
         seg.extend_from_slice(b"trailing bytes beyond the bad record");
-        let (records, end) = scan_segment(&seg);
+        let (records, end) = scan(&seg);
         assert_eq!(records.len(), 1);
         // Incomplete extent → treated as running to EOF → torn tail.
         assert!(matches!(end, ScanEnd::TornTail { .. }), "got {end:?}");
@@ -362,7 +387,7 @@ mod tests {
     fn bad_magic_is_corruption_at_offset_zero() {
         let mut seg = segment(&[(0, b"alpha")]);
         seg[0] ^= 0xFF;
-        let (records, end) = scan_segment(&seg);
+        let (records, end) = scan(&seg);
         assert!(records.is_empty());
         assert_eq!(end, ScanEnd::Corrupt { offset: 0, tick_hint: None });
     }
@@ -376,8 +401,8 @@ mod tests {
         assert_eq!(enc[..8], CKPT_MAGIC[..]);
         assert_eq!(enc[8..12], 14u32.to_le_bytes());
         assert_eq!(enc[12..16], crc32(b"snapshot bytes").to_le_bytes());
-        assert_eq!(decode_checkpoint(&enc).as_deref(), Some(&b"snapshot bytes"[..]));
-        assert_eq!(decode_checkpoint(&encode_checkpoint(|_| ())), Some(Vec::new()));
+        assert_eq!(decode_checkpoint(&enc), Some(&b"snapshot bytes"[..]));
+        assert_eq!(decode_checkpoint(&encode_checkpoint(|_| ())), Some(&[][..]));
         for end in 0..enc.len() {
             assert_eq!(decode_checkpoint(&enc[..end]), None, "truncation at {end} accepted");
         }

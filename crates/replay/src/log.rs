@@ -102,13 +102,15 @@ impl EventLog {
             let cut = WAL_MAGIC.starts_with(bytes);
             return Err(if cut { LogError::Truncated } else { LogError::BadMagic });
         }
-        let records = match scan_segment(bytes) {
-            (records, ScanEnd::Clean) => records,
-            (_, ScanEnd::TornTail { .. }) => return Err(LogError::Truncated),
-            (_, ScanEnd::Corrupt { offset, .. }) => {
+        // Records are lent in place; only what they decode to is kept.
+        let mut records = Vec::new();
+        match scan_segment(bytes, |r| records.push(r)) {
+            ScanEnd::Clean => {}
+            ScanEnd::TornTail { .. } => return Err(LogError::Truncated),
+            ScanEnd::Corrupt { offset, .. } => {
                 return Err(LogError::Corrupt(format!("record at byte {offset} fails its check")))
             }
-        };
+        }
         // The end record first: a log without one is cut, whatever else
         // it holds, and nothing of it is worth decoding.
         let Some((end, records)) = records.split_last().filter(|(end, _)| end.kind == KIND_END)
@@ -125,9 +127,9 @@ impl EventLog {
         for rec in records {
             match rec.kind {
                 KIND_HEADER if spec.is_some() => return malformed("duplicate header".into()),
-                KIND_HEADER => spec = Some(decode_json(&rec.payload)?),
+                KIND_HEADER => spec = Some(decode_json(rec.payload)?),
                 KIND_TICK => {
-                    let (tick, _) = decode_tick_record(&rec.payload)
+                    let (tick, _) = decode_tick_record(rec.payload)
                         .ok_or_else(|| LogError::Corrupt("tick record does not decode".into()))?;
                     if tick.tick != ticks.len() as u64 + 1 {
                         return malformed(format!("tick {} follows {}", tick.tick, ticks.len()));
@@ -137,7 +139,7 @@ impl EventLog {
                     }
                     ticks.push(tick);
                 }
-                KIND_SNAPSHOT => snapshots.push(decode_json(&rec.payload)?),
+                KIND_SNAPSHOT => snapshots.push(decode_json(rec.payload)?),
                 KIND_END => return malformed("records after an end record".into()),
                 other => return Err(LogError::UnknownFrame(other)),
             }

@@ -412,20 +412,21 @@ impl TimeSeriesStore {
 
 const B64: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
 
+/// Encode into a buffer sized up front, a whole group at a time.
 fn base64_encode(bytes: &[u8]) -> String {
-    let mut out = Vec::with_capacity(bytes.len().div_ceil(3) * 4);
+    let mut out = vec![0u8; bytes.len().div_ceil(3) * 4];
     let sextets = |n: u32| [18, 12, 6, 0].map(|shift| B64[(n >> shift) as usize & 63]);
-    let mut chunks = bytes.chunks_exact(3);
-    for c in &mut chunks {
-        out.extend_from_slice(&sextets(u32::from_be_bytes([0, c[0], c[1], c[2]])));
+    let groups = bytes.chunks_exact(3);
+    let rest = groups.remainder();
+    let mut quads = out.chunks_exact_mut(4);
+    for (c, quad) in groups.zip(&mut quads) {
+        quad.copy_from_slice(&sextets(u32::from_be_bytes([0, c[0], c[1], c[2]])));
     }
-    let rest = chunks.remainder();
-    if !rest.is_empty() {
+    if let Some(quad) = quads.next() {
         let mut padded = [0u8; 4];
         padded[1..1 + rest.len()].copy_from_slice(rest);
-        let mut quad = sextets(u32::from_be_bytes(padded));
+        quad.copy_from_slice(&sextets(u32::from_be_bytes(padded)));
         quad[rest.len() + 1..].fill(b'=');
-        out.extend_from_slice(&quad);
     }
     String::from_utf8(out).expect("base64 is ASCII")
 }
@@ -447,8 +448,25 @@ fn base64_decode(text: &str) -> Option<Vec<u8>> {
         return None;
     }
     let pad = text.iter().rev().take(2).take_while(|&&c| c == b'=').count();
-    let mut out = Vec::with_capacity(text.len() / 4 * 3);
-    for quad in text[..text.len() - pad].chunks(4) {
+    // Whole groups in bulk; a padded final group (one or two bytes) apart.
+    let (body, tail) = text.split_at(text.len() - if pad > 0 { 4 } else { 0 });
+    let mut out = vec![0u8; body.len() / 4 * 3 + (3 - pad) % 3];
+    let (bulk, last) = out.split_at_mut(body.len() / 4 * 3);
+    // Every sextet is below 64 and `INVALID` is not: OR-ing them all and
+    // refusing once at the end keeps the loop free of early exits.
+    let mut seen = 0u8;
+    for (quad, bytes) in body.chunks_exact(4).zip(bulk.chunks_exact_mut(3)) {
+        let v = [quad[0], quad[1], quad[2], quad[3]].map(|c| VALUE[c as usize]);
+        seen |= v[0] | v[1] | v[2] | v[3];
+        let n = (v[0] as u32) << 18 | (v[1] as u32) << 12 | (v[2] as u32) << 6 | v[3] as u32;
+        bytes.copy_from_slice(&n.to_be_bytes()[1..]);
+    }
+    if seen >= 64 {
+        return None;
+    }
+    if !tail.is_empty() {
+        // A short final group carries 12 or 18 bits: one or two bytes.
+        let quad = &tail[..4 - pad];
         let mut n = 0u32;
         for &c in quad {
             let v = VALUE[c as usize];
@@ -457,9 +475,8 @@ fn base64_decode(text: &str) -> Option<Vec<u8>> {
             }
             n = n << 6 | v as u32;
         }
-        // A short final group carries 12 or 18 bits: one or two bytes.
-        n <<= 6 * (4 - quad.len());
-        out.extend_from_slice(&n.to_be_bytes()[1..quad.len()]);
+        n <<= 6 * pad;
+        last.copy_from_slice(&n.to_be_bytes()[1..quad.len()]);
     }
     Some(out)
 }
@@ -870,6 +887,107 @@ mod tests {
         }
         for bad in ["Zg=", "Zg", "Z===", "=Zg=", "Zm9v Zm9v", "Zm9\u{e9}"] {
             assert_eq!(base64_decode(bad), None, "{bad:?}");
+        }
+    }
+
+    /// The per-group codec the bulk one replaced, kept as its oracle.
+    fn reference_base64_encode(bytes: &[u8]) -> String {
+        let mut out = Vec::with_capacity(bytes.len().div_ceil(3) * 4);
+        let sextets = |n: u32| [18, 12, 6, 0].map(|shift| B64[(n >> shift) as usize & 63]);
+        let mut chunks = bytes.chunks_exact(3);
+        for c in &mut chunks {
+            out.extend_from_slice(&sextets(u32::from_be_bytes([0, c[0], c[1], c[2]])));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut padded = [0u8; 4];
+            padded[1..1 + rest.len()].copy_from_slice(rest);
+            let mut quad = sextets(u32::from_be_bytes(padded));
+            quad[rest.len() + 1..].fill(b'=');
+            out.extend_from_slice(&quad);
+        }
+        String::from_utf8(out).unwrap()
+    }
+
+    fn reference_base64_decode(text: &str) -> Option<Vec<u8>> {
+        let mut value = [0xFFu8; 256];
+        for (i, &c) in B64.iter().enumerate() {
+            value[c as usize] = i as u8;
+        }
+        let text = text.as_bytes();
+        if !text.len().is_multiple_of(4) {
+            return None;
+        }
+        let pad = text.iter().rev().take(2).take_while(|&&c| c == b'=').count();
+        let mut out = Vec::with_capacity(text.len() / 4 * 3);
+        for quad in text[..text.len() - pad].chunks(4) {
+            let mut n = 0u32;
+            for &c in quad {
+                let v = value[c as usize];
+                if v == 0xFF {
+                    return None;
+                }
+                n = n << 6 | v as u32;
+            }
+            // A short final group carries 12 or 18 bits: one or two bytes.
+            n <<= 6 * (4 - quad.len());
+            out.extend_from_slice(&n.to_be_bytes()[1..quad.len()]);
+        }
+        Some(out)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(8))]
+
+        #[test]
+        fn prop_base64_matches_the_per_group_codec_at_every_length(
+            seed in proptest::any::<u64>(),
+        ) {
+            let mut x = seed;
+            let bytes: Vec<u8> = (0..1100)
+                .map(|_| {
+                    x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+                    (x >> 56) as u8
+                })
+                .collect();
+            for len in 0..=bytes.len() {
+                let coded = base64_encode(&bytes[..len]);
+                proptest::prop_assert_eq!(&coded, &reference_base64_encode(&bytes[..len]));
+                proptest::prop_assert_eq!(base64_decode(&coded), reference_base64_decode(&coded));
+                proptest::prop_assert_eq!(base64_decode(&coded).as_deref(), Some(&bytes[..len]));
+            }
+        }
+    }
+
+    #[test]
+    fn base64_refuses_every_non_alphabet_byte_at_every_position() {
+        // 766 bytes: 255 whole groups in bulk and a one-byte final group,
+        // decoded apart, that ends in `==`.
+        let bytes: Vec<u8> = (0..766u32).map(|i| (i * 7 + 3) as u8).collect();
+        let coded = base64_encode(&bytes);
+        assert_eq!(coded.len(), 1024);
+        assert!(coded.ends_with("=="));
+        assert_eq!(base64_decode(&coded).as_deref(), Some(&bytes[..]));
+        let strangers: Vec<u8> = (0..=127u8).filter(|c| !B64.contains(c)).collect();
+        assert!(strangers.contains(&b'='));
+        // `=` in the data, a third `=`, or padding not at the end: all refused.
+        let mut text = coded.clone().into_bytes();
+        for at in 0..text.len() {
+            let was = text[at];
+            for &c in strangers.iter().filter(|&&c| c != was) {
+                text[at] = c;
+                let damaged = std::str::from_utf8(&text).unwrap();
+                assert_eq!(base64_decode(damaged), None, "{:?} at {at}", c as char);
+            }
+            text[at] = was;
+        }
+        // Bytes above ASCII come in pairs or more in a `str`.
+        for at in 0..coded.len() - 1 {
+            for wide in ["\u{80}", "é", "ÿ"] {
+                let mut damaged = coded.clone();
+                damaged.replace_range(at..at + 2, wide);
+                assert_eq!(base64_decode(&damaged), None, "{wide:?} at {at}");
+            }
         }
     }
 

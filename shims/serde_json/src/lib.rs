@@ -43,7 +43,7 @@ fn text(json: Vec<u8>) -> String {
 
 /// Deserialize a value from JSON text.
 pub fn from_str<'a, T: Deserialize<'a>>(s: &'a str) -> Result<T, Error> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+    let mut p = Parser { text: s, bytes: s.as_bytes(), pos: 0 };
     p.skip_ws();
     let v = p.parse_value()?;
     p.skip_ws();
@@ -134,7 +134,7 @@ fn write_str(s: &str, out: &mut Vec<u8>) {
     // on a char boundary.
     let bytes = s.as_bytes();
     let mut run = 0;
-    while let Some(len) = bytes[run..].iter().position(|&b| b == b'"' || b == b'\\' || b < 0x20) {
+    while let Some(len) = find_special(&bytes[run..]) {
         let at = run + len;
         out.extend_from_slice(&bytes[run..at]);
         match bytes[at] {
@@ -151,11 +151,34 @@ fn write_str(s: &str, out: &mut Vec<u8>) {
     out.push(b'"');
 }
 
+/// Whether `b` ends a run a string copies as is: a quote, a backslash or
+/// a control byte.  `|`, not `||`: no branch per byte.
+fn special(b: u8) -> bool {
+    (b == b'"') | (b == b'\\') | (b < 0x20)
+}
+
+/// Where the first [`special`] byte of `bytes` is.  Strings here run to
+/// megabytes (a checkpoint's store section), so whole 64-byte blocks are
+/// tested first, each with a fold that looks at every byte and so
+/// compiles to vector compares; only the block that hits is searched.
+fn find_special(bytes: &[u8]) -> Option<usize> {
+    let mut at = 0;
+    for block in bytes.chunks_exact(64) {
+        if block.iter().fold(false, |hit, &b| hit | special(b)) {
+            break;
+        }
+        at += 64;
+    }
+    bytes[at..].iter().position(|&b| special(b)).map(|len| at + len)
+}
+
 // ---------------------------------------------------------------------------
 // Parser
 // ---------------------------------------------------------------------------
 
 struct Parser<'a> {
+    /// The text being parsed (`bytes` is the same text, as bytes).
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -279,13 +302,20 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(Error::msg("unterminated string")),
-                Some(b'"') => {
+            // Copy up to the next quote, escape or control byte in one
+            // piece.  Each is ASCII, so the run ends on a char boundary and
+            // is a slice of the already-validated text.
+            let start = self.pos;
+            let len = find_special(&self.bytes[start..])
+                .ok_or_else(|| Error::msg("unterminated string"))?;
+            self.pos += len;
+            out.push_str(&self.text[start..self.pos]);
+            match self.bytes[self.pos] {
+                b'"' => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                b'\\' => {
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -315,23 +345,10 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Bulk-copy up to the next quote or escape.  Both
-                    // delimiters are ASCII, so the chunk boundary is a
-                    // char boundary; validating only the chunk keeps
-                    // string parsing O(n) instead of O(n²) (re-checking
-                    // the whole remaining input per char made multi-MB
-                    // documents take minutes).
-                    let start = self.pos;
-                    while let Some(&b) = self.bytes.get(self.pos) {
-                        if b == b'"' || b == b'\\' {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|e| Error::msg(e.to_string()))?;
-                    out.push_str(chunk);
+                control => {
+                    // A raw control byte is taken as it stands.
+                    out.push(control as char);
+                    self.pos += 1;
                 }
             }
         }
@@ -436,10 +453,28 @@ mod tests {
         assert_eq!(from_str::<Record>(&to_string(&with).unwrap()).unwrap(), with);
     }
 
+    #[test]
+    fn an_escape_at_every_offset_of_a_long_run_round_trips() {
+        // Offsets 0–200 put the escape in each of the first four 64-byte
+        // blocks, on and beside every block boundary.
+        let run = "abcdefghijklmnopqrstuvwxyz0123456789".repeat(8);
+        for (escape, written_as) in
+            [("\"", "\\\""), ("\\", "\\\\"), ("\n", "\\n"), ("\u{1}", "\\u0001")]
+        {
+            for at in 0..=200 {
+                let s = format!("{}{escape}{}", &run[..at], &run[at..]);
+                let json = to_string(&s).unwrap();
+                let want = format!("\"{}{written_as}{}\"", &run[..at], &run[at..]);
+                assert_eq!(json, want, "{escape:?} at {at}");
+                assert_eq!(from_str::<String>(&json).unwrap(), s, "{escape:?} at {at}");
+            }
+        }
+    }
+
     proptest::proptest! {
         #[test]
         fn prop_strings_round_trip(
-            picks in proptest::collection::vec(0usize..16, 0..40),
+            picks in proptest::collection::vec(0usize..16, 0..400),
         ) {
             const ALPHABET: [&str; 16] = [
                 "a", "Z", " ", "\"", "\\", "/", "\n", "\r", "\t", "\u{0}", "\u{8}", "\u{1f}",

@@ -4,8 +4,10 @@
 
 use hpcmon::sim::{AppProfile, JobSpec, SimConfig, SimEngine, TopologySpec};
 use hpcmon::MonitoringSystem;
+use hpcmon_durability::{DurabilityConfig, DurabilityPlane, SimDisk, SyncPolicy};
 use hpcmon_metrics::alloc_count::{thread_allocations, CountingAllocator};
 use hpcmon_metrics::Ts;
+use std::sync::Arc;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -66,4 +68,25 @@ fn a_tick_of_the_whole_pipeline_allocates_at_most_1500_times() {
         worst = worst.max(thread_allocations() - before);
     }
     assert!(worst <= 1_500, "a tick allocated {worst} times");
+}
+
+/// The scrub verifies a file where it lies: a segment of 64 records costs
+/// the file listing and its name, not a copy of the file or of each record.
+#[test]
+fn a_scrub_step_over_a_64_record_segment_allocates_at_most_8_times() {
+    let cfg = DurabilityConfig { sync: SyncPolicy::EveryTick, checkpoint_every: 0, scrub_every: 0 };
+    let disk = Arc::new(SimDisk::new());
+    let mut plane = DurabilityPlane::new(disk.clone(), cfg);
+    let payload = vec![0x5Au8; 1000];
+    for tick in 0..64 {
+        plane.append_tick(tick, &payload);
+        plane.end_tick(tick);
+    }
+    for pass in 0..2 {
+        let before = thread_allocations();
+        let (file, ok) = plane.scrub_step().expect("one file to scrub");
+        let allocations = thread_allocations() - before;
+        assert!(ok && file == "wal-0000000000.seg", "{file}: {ok}");
+        assert!(allocations <= 8, "pass {pass}: a scrub step allocated {allocations} times");
+    }
 }

@@ -21,6 +21,7 @@ use hpcmon_durability::wal::{
 };
 use hpcmon_durability::{
     DurabilityConfig, DurabilityPlane, RecoveredState, ScanEnd, SimDisk, StorageMedium, SyncPolicy,
+    WalRecord,
 };
 use hpcmon_gateway::{GatewayConfig, QueryRequest};
 use hpcmon_metrics::{ColumnFrame, CompId, MetricId, Sample, SeriesKey, Ts};
@@ -225,7 +226,7 @@ fn midlog_corruption_fails_closed_to_a_tick() {
 
     // Flip one payload bit inside the tick-6 record of the sole segment.
     let seg = disk.read("wal-0000000000.seg").unwrap();
-    let (records, end) = scan_segment(&seg);
+    let (records, end) = scan(&seg);
     assert_eq!(end, ScanEnd::Clean);
     assert_eq!(records.len(), 12);
     let mut off = 8; // segment magic
@@ -458,7 +459,7 @@ fn damage_recovery_diagnosed_reaches_the_durability_slo() {
     disk.crash();
     // The tail segment holds ticks 25–30; flip a payload bit of tick 27.
     let (name, mut seg) = ("wal-0000000025.seg", disk.read("wal-0000000025.seg").unwrap());
-    let (records, _) = scan_segment(&seg);
+    let (records, _) = scan(&seg);
     let before_27: usize = records[..2].iter().map(|r| 17 + r.payload.len()).sum();
     seg[WAL_MAGIC.len() + before_27 + 17 + 3] ^= 0x01;
     disk.overwrite(name, &seg).unwrap();
@@ -490,7 +491,7 @@ fn wal_records_carry_inputs_frame_samples_and_hashes() {
     mon.run_ticks(3);
 
     let seg = disk.read("wal-0000000000.seg").unwrap();
-    let (records, end) = scan_segment(&seg);
+    let (records, end) = scan(&seg);
     assert_eq!(end, ScanEnd::Clean);
     assert_eq!(records.len(), 3);
     for (i, r) in records.iter().enumerate() {
@@ -557,7 +558,7 @@ fn a_tick_record_with_a_stamp_per_sample_is_refused_and_counted() {
     drop(mon);
     disk.crash();
     for name in disk.list().into_iter().filter(|f| f.starts_with("wal-")) {
-        let (records, end) = scan_segment(&disk.read(&name).unwrap());
+        let (records, end) = scan(&disk.read(&name).unwrap());
         assert_eq!(end, ScanEnd::Clean);
         let mut seg = WAL_MAGIC.to_vec();
         for r in records {
@@ -582,6 +583,51 @@ fn a_tick_record_with_a_stamp_per_sample_is_refused_and_counted() {
     assert_eq!((outcome.replayed_ticks, outcome.resumed_tick), (0, 4));
 }
 
+/// Recovery reads only a record's JSON head to replay it, but still checks
+/// the sample section's count: a record whose section is cut short, or is
+/// in the 25-byte layout, is counted undecodable exactly as a full decode
+/// would count it, and the good record beside them still replays.
+#[test]
+fn recovery_checks_the_sample_section_it_does_not_decode() {
+    let cfg = DurabilityConfig { sync: SyncPolicy::EveryTick, checkpoint_every: 4, scrub_every: 0 };
+    let disk = Arc::new(SimDisk::new());
+    let mut mon = builder().durability(disk.clone(), cfg).build();
+    seed_inputs(&mut mon);
+    mon.run_ticks(7);
+    drop(mon);
+    disk.crash();
+    let name = "wal-0000000005.seg";
+    let (records, end) = scan(&disk.read(name).unwrap());
+    assert_eq!((records.len(), end), (3, ScanEnd::Clean));
+    let mut seg = WAL_MAGIC.to_vec();
+    for r in records {
+        let (_, samples) = decode_tick_record(&r.payload).expect("as written, it decodes");
+        let head = r.payload.len() - samples.len() * SAMPLE_LEN;
+        let payload = match r.tick {
+            // One byte short of its count.
+            5 => r.payload[..r.payload.len() - 1].to_vec(),
+            // Every sample with a stamp: 25 bytes each.
+            6 => {
+                let mut old = r.payload[..head].to_vec();
+                for s in r.payload[head..].chunks_exact(SAMPLE_LEN) {
+                    old.extend_from_slice(&s[..9]);
+                    old.extend_from_slice(&(r.tick * 60_000).to_le_bytes());
+                    old.extend_from_slice(&s[9..]);
+                }
+                old
+            }
+            _ => r.payload,
+        };
+        assert_eq!(decode_tick_record(&payload).is_none(), r.tick != 7, "tick {}", r.tick);
+        encode_record(KIND_TICK, r.tick, &payload, &mut seg);
+    }
+    disk.overwrite(name, &seg).unwrap();
+    let outcome = builder().build().recover_from_medium(disk, cfg);
+    assert_eq!(outcome.checkpoint_tick, Some(4), "{outcome:?}");
+    assert_eq!(outcome.undecodable_records, 2, "ticks 5 and 6: {outcome:?}");
+    assert_eq!((outcome.replayed_ticks, outcome.resumed_tick), (1, 5), "tick 7 replays");
+}
+
 /// The plane writes tick records and nothing else.  A segment holding any
 /// other kind — the flight recorder's header, snapshot and end records
 /// share the framing, so a misfiled event log would look like this — is
@@ -597,7 +643,7 @@ fn a_segment_holding_a_non_tick_record_fails_closed() {
             }
             encode_record(KIND_TICK, tick, &synthetic_payload(tick), &mut seg);
         }
-        assert_eq!(scan_segment(&seg).1, ScanEnd::Clean, "every record passes its CRC");
+        assert_eq!(scan(&seg).1, ScanEnd::Clean, "every record passes its CRC");
         let disk = Arc::new(SimDisk::new());
         disk.overwrite("wal-0000000001.seg", &seg).unwrap();
         let (_plane, state) = DurabilityPlane::recover(disk.clone(), plane_cfg());
@@ -742,11 +788,18 @@ fn recorded_log() -> Vec<(String, Vec<u8>)> {
     files
 }
 
+/// Every record the scanner lends, copied, and how the scan ended.
+fn scan(bytes: &[u8]) -> (Vec<WalRecord>, ScanEnd) {
+    let mut records = Vec::new();
+    let end = scan_segment(bytes, |r| records.push(r.to_record()));
+    (records, end)
+}
+
 /// Whether a file image is self-evidently damaged, by the same CRC rules
 /// recovery uses.
 fn is_damaged(name: &str, bytes: &[u8]) -> bool {
     if name.ends_with(".seg") {
-        !matches!(scan_segment(bytes).1, ScanEnd::Clean)
+        !matches!(scan(bytes).1, ScanEnd::Clean)
     } else {
         decode_checkpoint(bytes).is_none()
     }

@@ -290,11 +290,8 @@ fn log_from_seeds(seeds: &[u64]) -> EventLog {
 /// `(kind, tick, payload)` — how a well-checksummed log that no recorder
 /// would write gets made.
 fn reframed(log: &EventLog, edit: impl Fn(u8, u64, &[u8], &mut Vec<u8>)) -> Vec<u8> {
-    let (records, _) = scan_segment(&log.to_bytes());
     let mut out = WAL_MAGIC.to_vec();
-    for r in &records {
-        edit(r.kind, r.tick, &r.payload, &mut out);
-    }
+    scan_segment(&log.to_bytes(), |r| edit(r.kind, r.tick, r.payload, &mut out));
     out
 }
 
@@ -361,7 +358,8 @@ fn every_bit_flip_and_every_prefix_of_a_recorded_log_is_refused() {
 #[test]
 fn damage_to_the_chaos_log_is_refused_at_every_record() {
     let bytes = recorded().to_bytes();
-    let (records, _) = scan_segment(&bytes);
+    let mut records = Vec::new();
+    scan_segment(&bytes, |r| records.push(r));
     assert_eq!(records.len(), 1 + 60 + 3 + 1, "header, ticks, snapshots, end");
     let mut bad = bytes.clone();
     let mut flip = |bit: usize| {
