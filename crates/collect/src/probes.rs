@@ -118,7 +118,8 @@ mod tests {
         let mut probe = FsProbe::new(m, 1);
         engine.step();
         let before = collect_one(&mut probe, &engine);
-        let healthy = before.mean_of(m.probe_ost_latency).unwrap();
+        let latencies: Vec<f64> = before.of_metric(m.probe_ost_latency).map(|s| s.value).collect();
+        let healthy = latencies.iter().sum::<f64>() / latencies.len() as f64;
         engine.schedule_fault(Ts::from_mins(2), FaultKind::OstDegrade { ost: 3, factor: 10.0 });
         engine.step();
         engine.step();

@@ -1147,16 +1147,10 @@ impl MonitoringSystem {
         let lane = |cf: &ColumnFrame| {
             usize::from(cf.keys.first().is_some_and(|k| k.metric == results_metric))
         };
-        // The arena's layout describes the frame it published last and no
-        // other: that one frame's key column is checked by its verdict, a
-        // spilled, stalled or results frame by the route's own sweep.
-        let (layout, last) = (self.arena.layout(), self.last_frame.as_ref());
-        let verdict =
-            |cf: &Arc<ColumnFrame>| last.is_some_and(|l| Arc::ptr_eq(l, cf)).then_some(layout);
         let (store, routes) = (&*self.store, &mut self.routes);
         let item = (Arc::clone(frame), trace);
         let report = self.breaker.submit(item, self.engine.tick_count(), |(cf, _)| {
-            store.try_ingest_columns(cf, &mut routes[lane(cf)], verdict(cf))
+            store.try_ingest_columns(cf, &mut routes[lane(cf)])
         });
         for ctx in report.evicted.into_iter().filter_map(|(_, ctx)| ctx) {
             self.tracer.record_drop(
@@ -1618,6 +1612,11 @@ impl MonitoringSystem {
     /// Federation rollups read this instead of re-querying the store.
     pub fn last_frame(&self) -> Option<&Arc<ColumnFrame>> {
         self.last_frame.as_ref()
+    }
+
+    /// Where each metric's samples sit in [`Self::last_frame`].
+    pub fn frame_layout(&self) -> &FrameLayout {
+        self.arena.layout()
     }
 
     /// The time-series store.

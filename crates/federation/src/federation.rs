@@ -276,11 +276,23 @@ impl Federation {
             let m = site.system.metrics();
             let comp = site_comp(i);
             let fed_ts = frame.ts.sub_ms(site.epoch_offset_ms);
+            // Each metric's values where the site's layout says they sit,
+            // in frame order: the same sums a scan of the frame would give.
+            let layout = site.system.frame_layout();
+            let values = |metric| layout.positions_of(metric).map(|p| frame.values[p]);
+            let mean = |metric| {
+                let (n, sum) = values(metric).fold((0usize, 0.0), |(n, sum), v| (n + 1, sum + v));
+                if n == 0 {
+                    0.0
+                } else {
+                    sum / n as f64
+                }
+            };
             let mut rollup = ColumnFrame::new(fed_ts);
-            rollup.push(self.ids.power_w, comp, frame.sum_of(m.system_power));
-            rollup.push(self.ids.cpu_util, comp, frame.mean_of(m.node_cpu).unwrap_or(0.0));
-            rollup.push(self.ids.queue_depth, comp, frame.sum_of(m.queue_depth));
-            rollup.push(self.ids.running_jobs, comp, frame.sum_of(m.running_jobs));
+            rollup.push(self.ids.power_w, comp, values(m.system_power).sum());
+            rollup.push(self.ids.cpu_util, comp, mean(m.node_cpu));
+            rollup.push(self.ids.queue_depth, comp, values(m.queue_depth).sum());
+            rollup.push(self.ids.running_jobs, comp, values(m.running_jobs).sum());
             rollup.push(self.ids.samples, comp, frame.len() as f64);
             rollup.push(self.ids.signals, comp, site.last_signals as f64);
             let bytes = serde_json::to_string(&rollup).map_or(256, |s| s.len() as u64);

@@ -5,10 +5,10 @@
 //! consumer learns by searching it — "this metric's samples sit at 3, 7,
 //! 11, ...", "this series is at position 81,920" — stays true until the
 //! column changes.  [`FrameLayout`] holds those answers for the frame a
-//! [`crate::FrameArena`] published last.  The arena compares each new key
-//! column against the previous tick's (which its other slot still holds)
-//! and re-derives only from the first differing position on, so a tail
-//! that comes and goes costs the tail.
+//! [`crate::FrameArena`] published last.  The arena knows where each new
+//! key column first differs from the one described without comparing keys
+//! (see [`crate::KeyColumn`]), and the layout is re-derived only from that
+//! position on, so a tail that comes and goes costs the tail.
 //!
 //! Collectors emit component-major segments (node 0's four metrics, node
 //! 1's four, ...) as often as metric-major ones, so a metric's positions
@@ -65,11 +65,8 @@ const DENSE_METRICS: usize = 1 << 16;
 /// The layout of the key column it last observed.
 #[derive(Debug, Default)]
 pub struct FrameLayout {
-    generation: u64,
     /// Length of the described column.
     len: usize,
-    /// How much of the previous generation's column the last change kept.
-    kept: usize,
     /// Ascending by `start`; the runs of one metric never interleave.
     runs: Vec<MetricRun>,
     /// Per metric id, 1 + the index of its latest run (0: none yet).
@@ -85,26 +82,14 @@ impl FrameLayout {
     /// Once a frame has been observed: positions are kept from the first
     /// difference on, which would miss `key` in the unchanged prefix.
     pub(crate) fn watch(&mut self, key: SeriesKey) -> usize {
-        assert_eq!(self.generation, 0, "watch before the first frame");
+        assert_eq!(self.len, 0, "watch before the first frame");
         self.watched.push((key, Vec::new()));
         self.watched.len() - 1
     }
 
-    /// Advanced each time the described key column changes.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// How long a prefix the described column shares with the one this
-    /// layout described at generation `g`: all of it while `g` is current,
-    /// the prefix the last change kept when `g` is one behind, `None` when
-    /// it is further behind (or ahead) than that.
-    pub fn unchanged_since(&self, g: u64) -> Option<usize> {
-        match self.generation.checked_sub(g)? {
-            0 => Some(self.len),
-            1 => Some(self.kept),
-            _ => None,
-        }
+    /// Length of the described column.
+    pub(crate) fn len(&self) -> usize {
+        self.len
     }
 
     /// Positions of watched key `slot` in the described column, ascending.
@@ -122,19 +107,16 @@ impl FrameLayout {
         self.runs_of(metric).flat_map(MetricRun::positions)
     }
 
-    /// Describe `keys`, given that the column described so far is `prev`:
-    /// nothing to do when they are equal; otherwise everything from their
-    /// first difference on is re-derived.
-    pub(crate) fn observe(&mut self, prev: &[SeriesKey], keys: &[SeriesKey]) {
-        assert_eq!(self.len, prev.len(), "the layout describes another column");
+    /// Describe `keys`, given that its first `common` keys are the
+    /// described column's: nothing to do when that is all of both;
+    /// otherwise everything from `common` on is re-derived.
+    pub(crate) fn observe(&mut self, common: usize, keys: &[SeriesKey]) {
+        assert!(common <= self.len.min(keys.len()), "a common prefix of both columns");
         assert!(keys.len() <= u32::MAX as usize, "positions are u32");
-        let common = prev.iter().zip(keys).take_while(|(a, b)| a == b).count();
-        if common == prev.len() && common == keys.len() {
+        if common == self.len && common == keys.len() {
             return;
         }
-        self.generation += 1;
         self.len = keys.len();
-        self.kept = common;
         self.cut(common as u32);
         for (pos, key) in keys.iter().enumerate().skip(common) {
             self.append(pos as u32, key.metric);
@@ -201,6 +183,12 @@ mod tests {
         (0..keys.len()).filter(|&i| want(&keys[i])).collect()
     }
 
+    /// Describe `keys` after `prev`, from their first difference.
+    fn observe(layout: &mut FrameLayout, prev: &[SeriesKey], keys: &[SeriesKey]) {
+        assert_eq!(layout.len(), prev.len(), "the layout describes another column");
+        layout.observe(prev.iter().zip(keys).take_while(|(a, b)| a == b).count(), keys);
+    }
+
     fn assert_matches_scan(layout: &FrameLayout, keys: &[SeriesKey], metrics: u32) {
         for m in (0..metrics).map(MetricId) {
             let got: Vec<usize> = layout.positions_of(m).collect();
@@ -225,17 +213,17 @@ mod tests {
         keys.extend((0..16).map(|c| key(4, c)));
         let mut layout = FrameLayout::default();
         let node_3_health = layout.watch(key(3, 3));
-        layout.observe(&[], &keys);
-        assert_eq!(layout.generation, 1);
+        observe(&mut layout, &[], &keys);
         assert_eq!(layout.runs.len(), 5);
         let health: Vec<&MetricRun> = layout.runs_of(MetricId(3)).collect();
         assert_eq!(health, [&MetricRun { metric: MetricId(3), start: 3, stride: 4, len: 1_000 }]);
         assert_eq!(health[0].range(), None);
         assert_eq!(layout.runs_of(MetricId(4)).next().unwrap().range(), Some(4_000..4_016));
         assert_eq!(layout.watched(node_3_health), [15]);
-        // The same column again is the same generation.
-        layout.observe(&keys, &keys);
-        assert_eq!(layout.generation, 1);
+        // The same column again changes nothing.
+        let runs = layout.runs.clone();
+        observe(&mut layout, &keys, &keys);
+        assert_eq!(layout.runs, runs);
         assert_matches_scan(&layout, &keys, 5);
     }
 
@@ -246,14 +234,15 @@ mod tests {
         with_tail.extend([key(7, 0), key(8, 0), key(1, 100)]);
         let mut layout = FrameLayout::default();
         let tail_key = layout.watch(key(8, 0));
-        layout.observe(&[], &body);
+        observe(&mut layout, &[], &body);
         let body_runs = layout.runs.clone();
-        layout.observe(&body, &with_tail);
-        assert_eq!(layout.generation, 2);
+        // Observed from the body's end: the body's runs are not re-derived
+        // (they would be, and still match, from position 0).
+        layout.observe(body.len(), &with_tail);
         assert_eq!(layout.watched(tail_key), [201]);
         assert_matches_scan(&layout, &with_tail, 9);
-        layout.observe(&with_tail, &body);
-        assert_eq!((layout.generation, &layout.runs), (3, &body_runs));
+        observe(&mut layout, &with_tail, &body);
+        assert_eq!(layout.runs, body_runs);
         assert!(layout.watched(tail_key).is_empty());
     }
 
@@ -261,35 +250,10 @@ mod tests {
     fn a_metric_id_past_the_dense_table_still_resolves() {
         let keys = [key(u32::MAX, 0), key(0, 0), key(u32::MAX, 1), key(u32::MAX, 2)];
         let mut layout = FrameLayout::default();
-        layout.observe(&[], &keys);
+        observe(&mut layout, &[], &keys);
         let got: Vec<usize> = layout.positions_of(MetricId(u32::MAX)).collect();
         assert_eq!(got, [0, 2, 3]);
         assert!(layout.open.len() <= 1);
-    }
-
-    #[test]
-    fn unchanged_since_is_the_prefix_one_generation_kept() {
-        let body: Vec<SeriesKey> = (0..10).map(|n| key(0, n)).collect();
-        let mut with_tail = body.clone();
-        with_tail.push(key(1, 0));
-        let mut layout = FrameLayout::default();
-        // Before the first frame: the empty column, and nothing after it.
-        assert_eq!((layout.generation(), layout.unchanged_since(0)), (0, Some(0)));
-        assert_eq!(layout.unchanged_since(1), None, "ahead");
-        layout.observe(&[], &body);
-        assert_eq!((layout.generation(), layout.unchanged_since(1)), (1, Some(10)));
-        assert_eq!(layout.unchanged_since(0), Some(0), "one behind: the empty column");
-        layout.observe(&body, &with_tail);
-        assert_eq!(layout.unchanged_since(2), Some(11), "current");
-        assert_eq!(layout.unchanged_since(1), Some(10), "one behind");
-        assert_eq!(layout.unchanged_since(0), None, "two behind");
-        // The same column again is no change: one behind still reads the tail.
-        layout.observe(&with_tail, &with_tail);
-        assert_eq!(layout.unchanged_since(1), Some(10));
-        let mut changed = with_tail.clone();
-        changed[3] = key(2, 3);
-        layout.observe(&with_tail, &changed);
-        assert_eq!((layout.unchanged_since(3), layout.unchanged_since(2)), (Some(11), Some(3)));
     }
 
     proptest::proptest! {
@@ -319,7 +283,6 @@ mod tests {
                 layout.watch(key(m, 2));
             }
             let mut prev: Vec<SeriesKey> = Vec::new();
-            let mut generation = 0;
             for (present, tail, strays) in &frames {
                 let mut keys = Vec::new();
                 let mut first_metric = 0;
@@ -340,14 +303,8 @@ mod tests {
                 for &(at, m, c) in strays {
                     keys.insert(at.min(keys.len()), key(m, c));
                 }
-                layout.observe(&prev, &keys);
-                let common = prev.iter().zip(&keys).take_while(|(a, b)| a == b).count();
-                if keys != prev {
-                    generation += 1;
-                    proptest::prop_assert_eq!(layout.unchanged_since(generation - 1), Some(common));
-                }
-                proptest::prop_assert_eq!(layout.generation, generation);
-                proptest::prop_assert_eq!(layout.unchanged_since(generation), Some(keys.len()));
+                observe(&mut layout, &prev, &keys);
+                proptest::prop_assert_eq!(layout.len(), keys.len());
                 assert_matches_scan(&layout, &keys, 14);
                 prev = keys;
             }

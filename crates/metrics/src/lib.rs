@@ -28,7 +28,7 @@ pub mod metric;
 pub mod sample;
 pub mod time;
 
-pub use arena::{ColumnFrame, FrameArena};
+pub use arena::{ColumnFrame, FrameArena, KeyColumn};
 pub use component::{CompId, CompKind};
 pub use hash::StateHash;
 pub use job::{JobId, JobRecord, JobState};

@@ -54,7 +54,7 @@ const UNRESOLVED: u32 = u32::MAX;
 const LOCKED: usize = 16;
 /// Frame positions each step of the gather covers: 32 KB of values, read
 /// once while every cohort takes the columns that fall in them.  (Store-only
-/// ingest of 1.2 M samples into 16 shards with the arena's verdict, first
+/// ingest of 1.2 M samples into 16 shards on an unchanged key column, first
 /// touch of the new row included, p50s of 3–8 runs: 8.2–9.3 ms at 1,024,
 /// 8.1–9.4 at 4,096, 7.5–8.8 at 16,384 — none resolved from the others —
 /// and 10.1–10.9 with one block the size of the frame, i.e. one shard's
@@ -695,7 +695,7 @@ impl TimeSeriesStore {
     /// has landed.  A shard whose cached rows no longer fit goes the slow
     /// way first, alone; the rest land together ([`Self::land`]).
     pub(crate) fn ingest_route(&self, cf: &ColumnFrame, route: &IngestRoute) {
-        assert_eq!(cf.len(), route.keys.len(), "the route was prepared for another frame");
+        assert_eq!(cf.len(), route.column.len(), "the route was prepared for another frame");
         for (group, plans) in route.per_shard.chunks(LOCKED).enumerate() {
             let batch: u64 = plans.iter().map(|p| p.len() as u64).sum();
             if batch == 0 {
@@ -973,7 +973,7 @@ mod tests {
     /// the pair `build` makes.
     fn landing_allocations(build: impl Fn() -> Pair, cf: &ColumnFrame) -> u64 {
         let mut pair = build();
-        pair.routed.prepare_route(cf, &mut pair.route, None);
+        pair.routed.prepare_route(cf, &mut pair.route);
         let before = thread_allocations();
         pair.routed.ingest_route(cf, &pair.route);
         thread_allocations() - before
@@ -999,7 +999,7 @@ mod tests {
         let owner = pair.routed.shard_index(&cf.keys[5]);
         let alone = {
             let mut twin = full_height();
-            twin.routed.prepare_route(&cf, &mut twin.route, None);
+            twin.routed.prepare_route(&cf, &mut twin.route);
             let mut shard = twin.routed.shards[owner].write();
             let before = thread_allocations();
             twin.routed.ingest_batch(&mut shard, &cf, &twin.route.per_shard[owner]);
@@ -1135,10 +1135,11 @@ mod tests {
 
     /// `cf` with its key column reversed.
     fn reversed(cf: ColumnFrame) -> ColumnFrame {
-        let mut cf = cf;
-        cf.keys.reverse();
-        cf.values.reverse();
-        cf
+        let mut rev = ColumnFrame::new(cf.ts);
+        for s in (0..cf.len()).rev().map(|i| cf.get(i)) {
+            rev.push(s.key.metric, s.key.comp, s.value);
+        }
+        rev
     }
 
     /// The block cuts each gather of the route holds.
@@ -1241,7 +1242,7 @@ mod tests {
         const TICKS: u64 = 400;
         let store = TimeSeriesStore::with_options(2, 16);
         let (done, start) = (AtomicBool::new(false), Barrier::new(3));
-        let keys: Vec<SeriesKey> = frame_of(0, 0..16, 2).keys;
+        let keys: Vec<SeriesKey> = frame_of(0, 0..16, 2).keys.to_vec();
         std::thread::scope(|scope| {
             let readers: Vec<_> = (0..2usize)
                 .map(|r| {

@@ -11,7 +11,7 @@
 
 use crate::cohort::{Cohorts, Seat, ShardPlan};
 use crate::compress;
-use hpcmon_metrics::{ColumnFrame, CompId, FrameLayout, MetricId, Sample, SeriesKey, Ts};
+use hpcmon_metrics::{ColumnFrame, CompId, KeyColumn, MetricId, Sample, SeriesKey, Ts};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::{DefaultHasher, Entry};
@@ -294,10 +294,11 @@ pub(crate) struct Shard {
 ///
 /// Frames produced by a fixed collector set repeat the same key column
 /// tick after tick, so the route — built once with hashing and lookups —
-/// is validated per tick and reused.  The key column is checked by the
-/// verdict of the [`FrameLayout`] that published the frame, when the caller
-/// has one, else by a sweep against the route's own copy; the slots by one
-/// generation check per shard.  Ingest then costs one pass over the frame's
+/// is validated per tick and reused.  The route holds the key column it
+/// routed, shared with the frame: a frame on the same buffer agrees with
+/// it up to the shorter length without a key compared, any other is swept
+/// against it; the slots are checked by one generation check per shard.
+/// Ingest then costs one pass over the frame's
 /// values that fills every cohort's row, plus one slab index and push per
 /// loose sample, every touched shard locked once, and **zero
 /// allocations**.  A key column that changes is re-routed from the first
@@ -307,11 +308,9 @@ pub(crate) struct Shard {
 pub struct IngestRoute {
     /// Store layout generation the slot numbers were resolved at.
     layout: u64,
-    /// The generation of the publishing [`FrameLayout`] whose key column
-    /// `keys` equals, if the last prepare was handed its verdict.
-    arena: Option<u64>,
-    /// The key column the route describes.
-    pub(crate) keys: Vec<SeriesKey>,
+    /// The key column the route describes, shared with the frame it
+    /// routed.
+    pub(crate) column: KeyColumn,
     pub(crate) per_shard: Vec<ShardPlan>,
 }
 
@@ -601,46 +600,36 @@ impl TimeSeriesStore {
 
     /// Ensure `route` describes `cf`'s key column against the current slab
     /// layout and cohorts.  A changed key column is re-routed from the first
-    /// key that differs — hashing and lookups for that tail only.  Where
-    /// that is comes from `arena`, the layout that published `cf` last, when
-    /// the route's keys are a column it described one generation ago or
-    /// now; otherwise from a sweep of both key columns.  The work is
-    /// **lookup-only** (read locks, no mutation): series the store has not
-    /// seen yet stay unresolved and are created on first ingest.
-    pub(crate) fn prepare_route(
-        &self,
-        cf: &ColumnFrame,
-        route: &mut IngestRoute,
-        arena: Option<&FrameLayout>,
-    ) {
+    /// key that differs — hashing and lookups for that tail only.  When
+    /// `cf`'s keys are on the buffer the route holds, that is where the
+    /// shorter column ends; otherwise a sweep of both finds it.  The work
+    /// is **lookup-only** (read locks, no mutation): series the store has
+    /// not seen yet stay unresolved and are created on first ingest.
+    pub(crate) fn prepare_route(&self, cf: &ColumnFrame, route: &mut IngestRoute) {
         let layout = self.layout_gen();
         if route.per_shard.len() != self.shards.len() || route.layout != layout {
             // Another store, or slots moved: no slot number survives.
             route.per_shard.clear();
             route.per_shard.resize_with(self.shards.len(), ShardPlan::default);
-            route.keys.clear();
-            route.arena = None;
+            route.column = KeyColumn::default();
             route.layout = layout;
         }
-        let sweep =
-            |keys: &[SeriesKey]| keys.iter().zip(&cf.keys).take_while(|(a, b)| a == b).count();
-        let verdict = arena.zip(route.arena).and_then(|(a, g)| a.unchanged_since(g));
-        debug_assert!(
-            verdict.is_none_or(|common| common == sweep(&route.keys)),
-            "the arena's verdict disagrees with the key columns"
-        );
-        let common = verdict.unwrap_or_else(|| sweep(&route.keys));
-        route.arena = arena.map(FrameLayout::generation);
-        if common < route.keys.len() || common < cf.keys.len() {
+        let sweep = || route.column.iter().zip(cf.keys.iter()).take_while(|(a, b)| a == b).count();
+        let common = if route.column.same_buffer(&cf.keys) {
+            route.column.len().min(cf.len())
+        } else {
+            sweep()
+        };
+        debug_assert_eq!(common, sweep(), "the pointer verdict disagrees with the key columns");
+        if common < route.column.len() || common < cf.len() {
             for plan in &mut route.per_shard {
                 plan.cut(common as u32);
             }
-            route.keys.truncate(common);
-            route.keys.extend_from_slice(&cf.keys[common..]);
             for (i, key) in cf.keys.iter().enumerate().skip(common) {
                 route.per_shard[self.shard_index(key)].push(i as u32);
             }
         }
+        route.column = cf.keys.clone();
         self.finish_route(route);
     }
 
@@ -649,10 +638,10 @@ impl TimeSeriesStore {
     /// tick is back on the fast path.  Lookup-only, and nearly free when
     /// nothing changed: one generation check per touched shard.
     pub(crate) fn finish_route(&self, route: &mut IngestRoute) {
-        let IngestRoute { keys, per_shard, .. } = route;
+        let IngestRoute { column, per_shard, .. } = route;
         for (shard, plan) in self.shards.iter().zip(per_shard) {
             if plan.len() > 0 {
-                plan.refresh(&shard.read(), keys);
+                plan.refresh(&shard.read(), column);
             }
         }
     }
@@ -661,9 +650,8 @@ impl TimeSeriesStore {
     /// counts, and epoch identical to [`TimeSeriesStore::insert`] of each
     /// sample in frame order, but a synchronized frame lands as one row per
     /// cohort, with one lock per touched shard and no per-tick rebuild.
-    /// The key column is checked against the route's by a sweep.
     pub fn ingest_columns(&self, cf: &ColumnFrame, route: &mut IngestRoute) {
-        self.prepare_route(cf, route, None);
+        self.prepare_route(cf, route);
         self.ingest_route(cf, route);
         self.finish_route(route);
     }
@@ -673,18 +661,12 @@ impl TimeSeriesStore {
     /// spilled frame can be retried later without double-ingesting its
     /// healthy shards.  The route build is lookup-only, so a refused frame
     /// leaves the store untouched.
-    ///
-    /// `arena` is the layout of the [`hpcmon_metrics::FrameArena`] that
-    /// published `cf`, passed only while `cf` is the frame it published
-    /// last: its verdict on the key column then stands in for the sweep.
-    /// `None` sweeps, as [`TimeSeriesStore::ingest_columns`] does.
     pub fn try_ingest_columns(
         &self,
         cf: &ColumnFrame,
         route: &mut IngestRoute,
-        arena: Option<&FrameLayout>,
     ) -> Result<(), WriteError> {
-        self.prepare_route(cf, route, arena);
+        self.prepare_route(cf, route);
         for shard_id in 0..self.shards.len() {
             if route.touches(shard_id) && self.shard_write_faulted(shard_id) {
                 return Err(WriteError::ShardUnavailable(shard_id));
@@ -1279,7 +1261,7 @@ mod tests {
         moved(
             &mut || {
                 store.set_shard_write_fault(0, true);
-                let refused = store.try_ingest_columns(&frame(4_000), &mut route, None);
+                let refused = store.try_ingest_columns(&frame(4_000), &mut route);
                 assert_eq!(refused, Err(WriteError::ShardUnavailable(0)));
                 store.set_shard_write_fault(0, false);
             },
@@ -1550,14 +1532,14 @@ mod tests {
             (0..40u64).map(|i| ((i % 3) as u32, (i % 9) as u32, i as f64)).collect();
         let cf = column_frame(1_000, &specs);
         let mut route = IngestRoute::new();
-        store.prepare_route(&cf, &mut route, None);
+        store.prepare_route(&cf, &mut route);
         let touched =
             (0..store.num_shards()).find(|&s| route.touches(s)).expect("frame touches a shard");
         store.set_shard_write_fault(touched, true);
         assert!(store.shard_write_faulted(touched));
         let e0 = store.epoch();
         assert_eq!(
-            store.try_ingest_columns(&cf, &mut route, None),
+            store.try_ingest_columns(&cf, &mut route),
             Err(WriteError::ShardUnavailable(touched))
         );
         // Nothing landed — not even the healthy shards — and no counter moved.
@@ -1565,7 +1547,7 @@ mod tests {
         assert_eq!(store.op_counts().samples_ingested, 0);
         assert!(store.all_series().is_empty());
         store.set_shard_write_fault(touched, false);
-        assert!(store.try_ingest_columns(&cf, &mut route, None).is_ok());
+        assert!(store.try_ingest_columns(&cf, &mut route).is_ok());
         assert_eq!(store.op_counts().samples_ingested, 40);
         // The healthy fault-aware path matches per-sample insertion exactly.
         let oracle = TimeSeriesStore::with_options(4, 512);
@@ -1582,7 +1564,7 @@ mod tests {
     }
 
     /// Frames published through a `FrameArena` and ingested through one
-    /// route, with the arena's verdict or without, beside an `insert()` twin.
+    /// route beside an `insert()` twin.
     struct Published {
         arena: hpcmon_metrics::FrameArena,
         store: TimeSeriesStore,
@@ -1620,82 +1602,82 @@ mod tests {
             self.arena.publish(cf)
         }
 
-        /// Ingest `cf`, with the arena's verdict if `hinted` (only right
-        /// for the frame it published last), and check the store against
-        /// its twin.
-        fn ingest(&mut self, cf: &ColumnFrame, hinted: bool) {
-            let verdict = hinted.then(|| self.arena.layout());
-            assert_eq!(self.store.try_ingest_columns(cf, &mut self.route, verdict), Ok(()));
-            assert_eq!(self.route.arena, verdict.map(FrameLayout::generation));
+        /// Ingest `cf` and check the store against its twin.
+        fn ingest(&mut self, cf: &ColumnFrame) {
+            assert_eq!(self.store.try_ingest_columns(cf, &mut self.route), Ok(()));
+            assert!(self.route.column.same_buffer(&cf.keys), "the route holds the frame's column");
+            assert_eq!(self.route.column, cf.keys);
             insert_each(&self.oracle, cf);
             assert_same_contents(&self.store, &self.oracle);
         }
     }
 
     #[test]
-    fn route_takes_the_arena_verdict_for_unchanged_keys_and_a_tail() {
+    fn route_shares_the_arena_column_for_unchanged_keys_and_a_tail() {
         let mut p = Published::new();
         // Past two seals, the tail on every third tick.
         for tick in 0..20 {
             let cf = p.publish(16, tick % 3 == 0);
-            p.ingest(&cf, true);
+            p.ingest(&cf);
         }
         assert!(p.store.hot_layout().members >= 48, "{:?}", p.store.hot_layout());
+        // Without the tail, the next frame is a prefix of the column the
+        // route holds: nothing to sweep.
         let next = p.publish(16, false);
-        assert_eq!(p.route.keys, next.keys, "the route holds the column");
+        assert!(p.route.column.same_buffer(&next.keys));
+        assert_eq!(p.route.column[..next.len()], next.keys[..]);
     }
 
     #[test]
-    fn route_falls_back_to_the_sweep_past_a_generation_gap() {
+    fn route_sweeps_a_frame_on_another_column() {
         let mut p = Published::new();
         for _ in 0..3 {
             let cf = p.publish(16, false);
-            p.ingest(&cf, true);
+            p.ingest(&cf);
         }
-        // Published and lost in transit: the tail comes and goes unseen, so
-        // the next frame is two generations past the route's.
+        // Published and lost in transit: the tail came and went unseen, so
+        // the next frame is on a column the route never held.
         let lost = p.publish(16, true);
         let cf = p.publish(12, false);
-        assert_eq!(p.arena.layout().unchanged_since(p.route.arena.unwrap()), None);
-        p.ingest(&cf, true);
+        assert!(!p.route.column.same_buffer(&cf.keys));
+        assert!(cf.keys.same_buffer(&lost.keys));
+        p.ingest(&cf);
         drop(lost);
         for nodes in [12, 16, 16] {
             let cf = p.publish(nodes, false);
-            p.ingest(&cf, true);
+            p.ingest(&cf);
         }
     }
 
     #[test]
-    fn route_forgets_the_verdict_across_an_unhinted_frame() {
+    fn route_follows_the_column_across_frames_on_other_buffers() {
         let mut p = Published::new();
         let mut held = p.publish(16, false);
-        p.ingest(&held, true);
+        p.ingest(&held);
         for tick in 0..12 {
             let cf = p.publish(16, tick % 4 == 1);
             // A frame the arena did not publish last — a spilled one, or
-            // another column entirely — between two hinted ones.  Had the
-            // route kept its generation, the next hinted frame would be
-            // taken for the column the route no longer holds.
+            // another column entirely — between two fresh ones.
             if tick % 2 == 0 {
                 let mut other = ColumnFrame::new(Ts(held.ts.0 + 1));
                 other.push(MetricId(9), CompId::SYSTEM, tick as f64);
                 other.push(MetricId(0), CompId::node(3), -1.0);
-                p.ingest(&other, false);
+                p.ingest(&other);
             } else {
-                p.ingest(&held, false);
+                p.ingest(&held);
             }
-            p.ingest(&cf, true);
+            p.ingest(&cf);
             held = cf;
         }
     }
 
     #[test]
-    fn route_with_a_verdict_rebuilds_after_a_retention_drop() {
+    fn route_on_the_same_column_rebuilds_after_a_retention_drop() {
         let mut p = Published::new();
         // Eight ticks: every series seals exactly, all-warm and droppable.
         for _ in 0..8 {
             let cf = p.publish(16, false);
-            p.ingest(&cf, true);
+            p.ingest(&cf);
         }
         let gen = p.store.layout_gen();
         assert_eq!(p.store.drop_series_before(Ts(1_000_000)), 48);
@@ -1704,7 +1686,7 @@ mod tests {
         // The arena's column is unchanged, but no slot the route holds is.
         for _ in 0..10 {
             let cf = p.publish(16, false);
-            p.ingest(&cf, true);
+            p.ingest(&cf);
         }
     }
 
@@ -1766,6 +1748,38 @@ mod tests {
         // matrix grows inside the measured ticks.
         (0..130).for_each(&mut tick);
         for t in 130..135 {
+            let before = hpcmon_metrics::alloc_count::thread_allocations();
+            tick(t);
+            let made = hpcmon_metrics::alloc_count::thread_allocations() - before;
+            assert!(made <= 1, "tick {t} made {made} allocations");
+        }
+    }
+
+    #[test]
+    fn a_changing_key_column_allocates_no_key_buffer() {
+        // The column changes mid-column every 5th tick (and back on the
+        // next) and gains a tail every 3rd.  A changed column is a copy
+        // into a retired one, `Arc` and buffer: the frame's `Arc` stays
+        // the only allocation a tick makes.
+        use hpcmon_metrics::FrameArena;
+        let store = TimeSeriesStore::with_options(16, 1 << 20);
+        let (mut arena, mut route) = (FrameArena::new(), IngestRoute::new());
+        let mut tick = |t: u64| {
+            let mut cf = arena.take_current(Ts(t * MINUTE_MS));
+            for node in 0..512u32 {
+                let node = if t.is_multiple_of(5) && node == 300 { 9_999 } else { node };
+                for m in 0..4u32 {
+                    cf.push(MetricId(m), CompId::node(node), (t * 31 + node as u64) as f64 * 0.25);
+                }
+            }
+            if t.is_multiple_of(3) {
+                cf.push(MetricId(7), CompId::SYSTEM, t as f64);
+            }
+            let shared = arena.publish(cf);
+            store.ingest_columns(&shared, &mut route);
+        };
+        (0..130).for_each(&mut tick);
+        for t in 130..160 {
             let before = hpcmon_metrics::alloc_count::thread_allocations();
             tick(t);
             let made = hpcmon_metrics::alloc_count::thread_allocations() - before;

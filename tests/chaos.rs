@@ -279,6 +279,28 @@ fn store_fault_across_a_key_column_change_drains_losslessly() {
     );
 }
 
+/// A spilled frame goes into checkpoints with the rest of the state.  One
+/// whose value column came back a value short would have panicked the
+/// drain's ingest; the checkpoint is refused instead, as a whole.
+#[test]
+fn a_checkpointed_spilled_frame_one_value_short_is_refused() {
+    quiet_injected_panics();
+    let p = plan(vec![(4, ChaosFault::StoreWriteFail { shard: 0, ticks: 3 })]);
+    let mut mon = with_job(builder().chaos(5, p).build());
+    while mon.spill_depth() == 0 {
+        mon.tick();
+    }
+    let json = serde_json::to_string(&mon.snapshot()).expect("serializes");
+    assert!(serde_json::from_str::<hpcmon::CoreSnapshot>(&json).is_ok(), "the checkpoint loads");
+    // Drop the first value of the first spilled frame.
+    let frames = json.find("\"breaker_frames\":[").expect("spilled frames are checkpointed");
+    let values = frames + json[frames..].find("\"values\":[").expect("a spilled frame") + 10;
+    let first = json[values..].find(',').expect("more than one value");
+    let short = format!("{}{}", &json[..values], &json[values + first + 1..]);
+    let err = serde_json::from_slice::<hpcmon::CoreSnapshot>(short.as_bytes()).unwrap_err();
+    assert!(err.to_string().contains("keys but"), "{err}");
+}
+
 /// A stalled broker topic buffers frames in order and replays them the
 /// tick the stall clears: nothing is lost, nothing is reordered.
 #[test]

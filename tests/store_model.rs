@@ -20,9 +20,10 @@
 //!
 //! The store under test is fed through the route: whole synchronized frames
 //! and every way a frame can fall short of one.  Some frames are published
-//! through a `FrameArena` first and ingested with its verdict on the key
-//! column, some published frames are lost before the store sees them, and
-//! the rest go in bare, so the route meets every generation gap.  Frames are at least
+//! through a `FrameArena` first, so their key column is a prefix of the
+//! one the route holds or a copy of it, some published frames are lost
+//! before the store sees them, and the rest go in bare, so the route meets
+//! every way a column can change unseen.  Frames are at least
 //! 4 x `MIN_WIDTH` wide per shard and thresholds 4..32, so cases form cohorts,
 //! evict from them and seal them — asserted at the end through
 //! `hot_layout()`.  The proptest shim does not shrink: a failing case prints
@@ -88,7 +89,7 @@ enum Shape {
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Op {
     /// Ingested through the route; first published through the case's
-    /// arena, and ingested with its verdict, if `published`.
+    /// arena if `published`.
     Frame {
         shape: Shape,
         value: f64,
@@ -358,8 +359,9 @@ impl Case {
     /// `cf` as the arena's next published frame.
     fn publish(&mut self, cf: &ColumnFrame) -> Arc<ColumnFrame> {
         let mut frame = self.arena.take_current(cf.ts);
-        frame.keys.extend_from_slice(&cf.keys);
-        frame.values.extend_from_slice(&cf.values);
+        for s in cf.iter() {
+            frame.push(s.key.metric, s.key.comp, s.value);
+        }
         self.arena.publish(frame)
     }
 
@@ -381,8 +383,7 @@ impl Case {
             Op::Frame { shape, value, published: true } => {
                 let cf = self.build_frame(shape, value);
                 let cf = self.publish(&cf);
-                let verdict = Some(self.arena.layout());
-                assert_eq!(self.store.try_ingest_columns(&cf, &mut self.route, verdict), Ok(()));
+                assert_eq!(self.store.try_ingest_columns(&cf, &mut self.route), Ok(()));
                 self.oracles_take(&cf);
             }
             Op::Lost { shape } => {
@@ -421,12 +422,12 @@ impl Case {
                 let cf = self.build_frame(Shape::Full, 0.5);
                 let before = (self.store.state_digest(), self.store.hot_layout());
                 self.store.set_shard_write_fault(shard, true);
-                let refused = self.store.try_ingest_columns(&cf, &mut self.route, None);
+                let refused = self.store.try_ingest_columns(&cf, &mut self.route);
                 assert_eq!(refused, Err(WriteError::ShardUnavailable(shard)));
                 self.store.set_shard_write_fault(shard, false);
                 assert_eq!(before, (self.store.state_digest(), self.store.hot_layout()));
                 // Retried once the shard is back, as the spill queue would.
-                assert_eq!(self.store.try_ingest_columns(&cf, &mut self.route, None), Ok(()));
+                assert_eq!(self.store.try_ingest_columns(&cf, &mut self.route), Ok(()));
                 self.oracles_take(&cf);
             }
             Op::SnapshotLoad => {
