@@ -27,8 +27,7 @@ pub enum CollectorFault {
 /// Per-kind counts of injected fault events.
 ///
 /// Scheduled faults count once at activation; `envelope_corrupt` counts
-/// each envelope actually corrupted (the per-envelope rate draw), and
-/// `gateway_worker_death` counts each death delivered.
+/// each envelope actually corrupted (the per-envelope rate draw).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InjectedCounts {
     /// Collector panics activated.
@@ -43,8 +42,6 @@ pub struct InjectedCounts {
     pub envelope_corrupt: u64,
     /// Store shard write-fail windows activated.
     pub store_write_fail: u64,
-    /// Gateway worker deaths delivered.
-    pub gateway_worker_death: u64,
 }
 
 impl InjectedCounts {
@@ -56,7 +53,6 @@ impl InjectedCounts {
             + self.topic_stall
             + self.envelope_corrupt
             + self.store_write_fail
-            + self.gateway_worker_death
     }
 }
 
@@ -138,7 +134,6 @@ pub struct ChaosSnapshot {
     // Vec-of-pairs rather than the engine's BTreeMap: the serde layer only
     // supports string map keys.
     shards: Vec<(usize, u64)>,
-    pending_worker_deaths: u64,
     counts: InjectedCounts,
     wan: BTreeMap<String, ActiveWanFault>,
     wan_counts: WanInjectedCounts,
@@ -166,7 +161,6 @@ pub struct ChaosEngine {
     topics: BTreeMap<String, u64>,
     corrupt: Option<(f64, u64)>,
     shards: BTreeMap<usize, u64>,
-    pending_worker_deaths: u64,
     counts: InjectedCounts,
     wan: BTreeMap<String, ActiveWanFault>,
     wan_counts: WanInjectedCounts,
@@ -199,7 +193,6 @@ impl ChaosEngine {
             topics: BTreeMap::new(),
             corrupt: None,
             shards: BTreeMap::new(),
-            pending_worker_deaths: 0,
             counts: InjectedCounts::default(),
             wan: BTreeMap::new(),
             wan_counts: WanInjectedCounts::default(),
@@ -274,9 +267,6 @@ impl ChaosEngine {
                     self.counts.store_write_fail += 1;
                     self.shards.insert(shard, tick + ticks.max(1));
                 }
-                ChaosFault::GatewayWorkerDeath => {
-                    self.pending_worker_deaths += 1;
-                }
                 ChaosFault::WanPartition { site, ticks } => {
                     self.wan_counts.partition += 1;
                     self.wan.entry(site).or_default().partitioned_until = Some(tick + ticks.max(1));
@@ -340,14 +330,6 @@ impl ChaosEngine {
     /// Whether writes to `shard` fail this tick.
     pub fn shard_failing(&self, shard: usize) -> bool {
         self.shards.contains_key(&shard)
-    }
-
-    /// Take (and count) the gateway worker deaths due this tick.
-    pub fn take_worker_deaths(&mut self) -> u64 {
-        let n = self.pending_worker_deaths;
-        self.pending_worker_deaths = 0;
-        self.counts.gateway_worker_death += n;
-        n
     }
 
     /// Whether durability-medium appends fail (EIO) this tick.
@@ -414,7 +396,6 @@ impl ChaosEngine {
             topics: self.topics.clone(),
             corrupt: self.corrupt,
             shards: self.shards.iter().map(|(&k, &v)| (k, v)).collect(),
-            pending_worker_deaths: self.pending_worker_deaths,
             counts: self.counts,
             wan: self.wan.clone(),
             wan_counts: self.wan_counts,
@@ -436,7 +417,6 @@ impl ChaosEngine {
             topics: snap.topics,
             corrupt: snap.corrupt,
             shards: snap.shards.into_iter().collect(),
-            pending_worker_deaths: snap.pending_worker_deaths,
             counts: snap.counts,
             wan: snap.wan,
             wan_counts: snap.wan_counts,
@@ -474,7 +454,6 @@ impl ChaosEngine {
         for (&shard, &expires) in &self.shards {
             h.usize(shard).u64(expires);
         }
-        h.u64(self.pending_worker_deaths);
         h.usize(self.wan.len());
         for (site, f) in &self.wan {
             h.str(site);
@@ -492,8 +471,7 @@ impl ChaosEngine {
             .u64(c.collector_slow)
             .u64(c.topic_stall)
             .u64(c.envelope_corrupt)
-            .u64(c.store_write_fail)
-            .u64(c.gateway_worker_death);
+            .u64(c.store_write_fail);
         h.u64(self.disk_write_fail_until.unwrap_or(u64::MAX));
         h.u64(self.disk_full_until.unwrap_or(u64::MAX));
         h.usize(self.pending_torn.len());
@@ -682,18 +660,5 @@ mod tests {
         // Snapshot round-trips the disk state.
         let restored = ChaosEngine::restore(eng.snapshot());
         assert_eq!(restored.state_digest(), eng.state_digest());
-    }
-
-    #[test]
-    fn worker_deaths_are_taken_once() {
-        let mut eng = ChaosEngine::new(
-            9,
-            plan(vec![(0, ChaosFault::GatewayWorkerDeath), (0, ChaosFault::GatewayWorkerDeath)]),
-        );
-        eng.begin_tick(0);
-        assert_eq!(eng.take_worker_deaths(), 2);
-        assert_eq!(eng.take_worker_deaths(), 0);
-        assert_eq!(eng.counts().gateway_worker_death, 2);
-        assert_eq!(eng.counts().total(), 2);
     }
 }

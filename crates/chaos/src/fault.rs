@@ -4,7 +4,7 @@
 //! This mirrors `hpcmon_sim::failure::{FaultKind, FaultPlan}` — but where
 //! the simulator breaks the *machine under observation*, these faults break
 //! the *observers*: collectors wedge, broker topics stall, envelopes arrive
-//! bit-flipped, store shards return EIO, gateway workers die.  Faults are
+//! bit-flipped, store shards return EIO, WAN links and disks fail.  Faults are
 //! keyed by monitoring tick number (not simulated time) because that is the
 //! unit the supervision machinery reasons in.
 
@@ -63,9 +63,6 @@ pub enum ChaosFault {
         /// How many ticks writes fail.
         ticks: u64,
     },
-    /// One gateway worker thread dies.  The gateway's tick-driven
-    /// `ensure_workers` pass respawns it.
-    GatewayWorkerDeath,
     /// The WAN link to the named federation member site partitions: no
     /// rollup batches are delivered and scatter queries to the site report
     /// `Partitioned` until the window expires.  Interpreted by
@@ -185,7 +182,7 @@ mod tests {
     #[test]
     fn plan_fires_in_tick_order() {
         let mut plan = ChaosPlan::from_faults(vec![
-            ScheduledFault { at_tick: 5, fault: ChaosFault::GatewayWorkerDeath },
+            ScheduledFault { at_tick: 5, fault: ChaosFault::DiskTornWrite },
             ScheduledFault {
                 at_tick: 2,
                 fault: ChaosFault::CollectorPanic { collector: "node".into() },
@@ -204,14 +201,14 @@ mod tests {
     fn schedule_after_partial_consumption() {
         let mut plan = ChaosPlan::new();
         assert!(plan.faults.is_empty());
-        plan.schedule(10, ChaosFault::GatewayWorkerDeath);
+        plan.schedule(10, ChaosFault::DiskTornWrite);
         plan.schedule(3, ChaosFault::StoreWriteFail { shard: 0, ticks: 2 });
         assert_eq!(plan.pop_due(5).len(), 1);
         plan.schedule(7, ChaosFault::EnvelopeCorrupt { rate: 0.5, ticks: 1 });
         let due = plan.pop_due(20);
         assert_eq!(due.len(), 2);
         assert!(matches!(due[0].fault, ChaosFault::EnvelopeCorrupt { .. }));
-        assert!(matches!(due[1].fault, ChaosFault::GatewayWorkerDeath));
+        assert!(matches!(due[1].fault, ChaosFault::DiskTornWrite));
         assert_eq!(plan.faults.len(), 3);
     }
 

@@ -12,8 +12,8 @@
 //!
 //! * [`ChaosPlan`] / [`ChaosEngine`] — tick-keyed fault script and the
 //!   seeded engine that activates it (collector panic/hang/slow, broker
-//!   topic stall, envelope corruption, shard write failure, gateway worker
-//!   death).  Same seed + same plan ⇒ bit-identical damage on every run.
+//!   topic stall, envelope corruption, shard write failure, WAN and disk
+//!   faults).  Same seed + same plan ⇒ bit-identical damage on every run.
 //! * [`CollectorSupervisor`] — quarantine with exponential-backoff
 //!   re-probe (1 → 2 → 4 … ticks, capped); quarantined collectors are
 //!   handed to the deadman detector so the gap is reported, never silent.

@@ -470,7 +470,6 @@ struct PipelineInstruments {
     chaos_topic_stall: Arc<Counter>,
     chaos_envelope_corrupt: Arc<Counter>,
     chaos_store_write_fail: Arc<Counter>,
-    chaos_gateway_worker_death: Arc<Counter>,
     chaos_disk_write_fail: Arc<Counter>,
     chaos_disk_torn_write: Arc<Counter>,
     chaos_disk_corrupt_byte: Arc<Counter>,
@@ -541,7 +540,6 @@ impl PipelineInstruments {
             chaos_topic_stall: t.counter("chaos.injected.topic_stall"),
             chaos_envelope_corrupt: t.counter("chaos.injected.envelope_corrupt"),
             chaos_store_write_fail: t.counter("chaos.injected.store_write_fail"),
-            chaos_gateway_worker_death: t.counter("chaos.injected.gateway_worker_death"),
             chaos_disk_write_fail: t.counter("chaos.injected.disk_write_fail"),
             chaos_disk_torn_write: t.counter("chaos.injected.disk_torn_write"),
             chaos_disk_corrupt_byte: t.counter("chaos.injected.disk_corrupt_byte"),
@@ -600,7 +598,6 @@ impl PipelineInstruments {
         sync_counter(&self.chaos_topic_stall, counts.topic_stall);
         sync_counter(&self.chaos_envelope_corrupt, counts.envelope_corrupt);
         sync_counter(&self.chaos_store_write_fail, counts.store_write_fail);
-        sync_counter(&self.chaos_gateway_worker_death, counts.gateway_worker_death);
         sync_counter(&self.chaos_disk_write_fail, disk.write_fail);
         sync_counter(&self.chaos_disk_torn_write, disk.torn_write);
         sync_counter(&self.chaos_disk_corrupt_byte, disk.corrupt_byte);
@@ -948,26 +945,17 @@ impl MonitoringSystem {
 
     /// Stage 0: advance the chaos schedule and project the active faults
     /// onto the components they target.  Shard write-fault flags mirror
-    /// the engine's windows exactly (set and cleared every tick); gateway
-    /// worker deaths are delivered before the gateway serves anything this
-    /// tick.
+    /// the engine's windows exactly (set and cleared every tick).
     fn project_chaos(&mut self) {
         let Some(chaos) = &mut self.chaos else { return };
         chaos.begin_tick(self.engine.tick_count());
         for shard in 0..self.store.num_shards() {
             self.store.set_shard_write_fault(shard, chaos.shard_failing(shard));
         }
-        let deaths = chaos.take_worker_deaths();
-        if let Some(gw) = &self.gateway {
-            for _ in 0..deaths {
-                gw.inject_worker_death();
-            }
-        }
         // Disk faults project onto the durability medium.  The one-shot
-        // queues are drained UNCONDITIONALLY (like worker deaths above):
-        // the chaos digest covers the pending queues, so a run without a
-        // plane attached must consume them at the same tick as its durable
-        // twin to stay hash-identical.
+        // queues are drained UNCONDITIONALLY: the chaos digest covers the
+        // pending queues, so a run without a plane attached must consume
+        // them at the same tick as its durable twin to stay hash-identical.
         let write_failing = chaos.disk_write_failing();
         let full = chaos.disk_full();
         let torn = chaos.take_torn_writes();
@@ -1361,7 +1349,6 @@ impl MonitoringSystem {
             ("trace.drops", per_tick(bdelta.0 as f64, bdelta.1 as f64)),
             ("store.ingest", per_tick(breaker_closed as u64 as f64, spill_bad)),
             ("store.integrity", total(sops.samples_ingested, store_bad)),
-            ("gateway.serving", total(tick_no, counts.gateway_worker_death)),
             ("chaos.quiescence", total(tick_no, counts.total())),
         ];
         // Durability evidence only exists with a plane attached — or in

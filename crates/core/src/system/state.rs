@@ -52,8 +52,8 @@ pub struct TickInputs {
     pub jobs: Vec<JobSpec>,
     /// Machine fault injections scheduled before this tick runs.
     pub faults: Vec<(Ts, FaultKind)>,
-    /// Gateway arrivals (queries and standing-subscription registrations)
-    /// issued before this tick runs.
+    /// Standing-subscription registrations issued before this tick runs.
+    /// One-shot queries are not inputs: they move no hashed state.
     pub gateway_ops: Vec<GatewayOp>,
     /// Lifetime `(good, bad)` totals of the `store.durability` health feed
     /// as fed this tick.  An input, not state: the failure counters behind
@@ -69,15 +69,6 @@ pub struct TickInputs {
 /// One recorded gateway arrival.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum GatewayOp {
-    /// A one-shot query.  The response is not recorded: query results
-    /// never feed back into monitored state, but the arrival itself must
-    /// replay so gateway-side accounting stays aligned.
-    Query {
-        /// Who asked.
-        consumer: Consumer,
-        /// What they asked.
-        request: QueryRequest,
-    },
     /// A standing-subscription registration.  Subscriptions *do* publish
     /// onto the broker every tick they deliver, which advances the broker
     /// sequence, so they must replay to keep corruption draws aligned.
@@ -160,7 +151,7 @@ impl TickStateHash {
 ///
 /// Not included (derived or observability-only, see the module docs): the
 /// log store, archive, trace store, telemetry timers, the gateway's
-/// result cache and worker pool, and the accumulated `signals()` journal.
+/// result cache and admission gates, and the accumulated `signals()` journal.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CoreSnapshot {
     tick: u64,
@@ -223,11 +214,10 @@ impl MonitoringSystem {
     }
 
     /// Apply one tick's recorded external inputs: submit jobs, schedule
-    /// machine faults, and re-issue gateway arrivals.  Replay's half of the
+    /// machine faults, and re-register subscriptions.  Replay's half of the
     /// contract ([`MonitoringSystem::replay_tick`] calls it with inputs read
     /// from a journal); a live run takes the same inputs through
-    /// `submit_job`, `schedule_fault`, `subscribe` and the gateway's
-    /// `query` as they arrive.
+    /// `submit_job`, `schedule_fault` and `subscribe` as they arrive.
     pub fn apply_tick_inputs(&mut self, inputs: &TickInputs) {
         // Durable runs journal the inputs so crash recovery can replay
         // them.  The engine is driven directly below (not through
@@ -248,19 +238,9 @@ impl MonitoringSystem {
         for (at, kind) in &inputs.faults {
             self.engine.schedule_fault(*at, *kind);
         }
-        for op in &inputs.gateway_ops {
+        for GatewayOp::Subscribe { consumer, request, topic } in &inputs.gateway_ops {
             let Some(gw) = &self.gateway else { continue };
-            match op {
-                GatewayOp::Query { consumer, request } => {
-                    // Result deliberately dropped: responses are
-                    // timing-dependent (deadline sheds) and never feed
-                    // back into hashed state.
-                    let _ = gw.query(consumer, request.clone());
-                }
-                GatewayOp::Subscribe { consumer, request, topic } => {
-                    let _ = gw.subscribe(consumer, request.clone(), topic);
-                }
-            }
+            let _ = gw.subscribe(consumer, request.clone(), topic);
         }
     }
 

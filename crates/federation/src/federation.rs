@@ -12,7 +12,7 @@
 //!   [`ChaosEngine`]; there are no wall-clock decisions on the data path.
 //! * Scatter uses the gateway's plan-level entry point
 //!   ([`hpcmon_gateway::Gateway::plan_query`]), which bypasses the
-//!   wall-clock worker pool; deadline shedding is decided from simulated
+//!   wall-clock admission gate; deadline shedding is decided from simulated
 //!   link RTT *before* the member query runs.
 //! * Merges sort by value with `(site index, component)` tie-breaks and
 //!   align all timestamps to federation time, so the same seed + plan
@@ -295,9 +295,8 @@ impl Federation {
             rollup.push(self.ids.running_jobs, comp, values(m.running_jobs).sum());
             rollup.push(self.ids.samples, comp, frame.len() as f64);
             rollup.push(self.ids.signals, comp, site.last_signals as f64);
-            let bytes = serde_json::to_string(&rollup).map_or(256, |s| s.len() as u64);
             let added = self.chaos.wan_added_latency_ticks(&site.name);
-            if let Some(evicted) = site.link.enqueue(tick, added, Arc::new(rollup), bytes) {
+            if let Some(evicted) = site.link.enqueue(tick, added, Arc::new(rollup)) {
                 self.c_wan_dropped.inc();
                 self.seq += 1;
                 if let Some(ctx) = self.tracer.context_for(self.seq) {

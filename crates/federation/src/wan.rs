@@ -26,15 +26,22 @@ pub struct InTransit {
 
 /// Send-side state of one site's WAN link.
 ///
-/// Bandwidth is metered in bytes of columnar JSON: each batch is charged
-/// the length of its [`ColumnFrame`] serialized with `serde_json`, the
-/// wire form a relay would send.
+/// Bandwidth is metered in bytes of a packed columnar form: each batch is
+/// charged `wire_bytes` of its [`ColumnFrame`].
 #[derive(Debug)]
 pub struct WanLink {
     spec: WanLinkSpec,
     backlog: VecDeque<InTransit>,
     /// Batches evicted by backlog overflow (lifetime).
     dropped: u64,
+}
+
+/// A frame's size packed for the wire: its stamp and sample count (8 + 4
+/// bytes), then per sample a key of metric id, component kind and index
+/// (4 + 1 + 4 bytes) and an 8-byte value.  A six-sample rollup is 114
+/// bytes.
+pub(crate) fn wire_bytes(frame: &ColumnFrame) -> u64 {
+    12 + 17 * frame.len() as u64
 }
 
 impl WanLink {
@@ -49,15 +56,16 @@ impl WanLink {
     }
 
     /// Enqueue a batch sent at `tick` with `added_latency` extra one-way
-    /// ticks (from a chaos delay window).  Returns the batch evicted to
-    /// make room, if the bounded backlog overflowed.
+    /// ticks (from a chaos delay window), metered at [`wire_bytes`].
+    /// Returns the batch evicted to make room, if the bounded backlog
+    /// overflowed.
     pub(crate) fn enqueue(
         &mut self,
         tick: u64,
         added_latency: u64,
         frame: Arc<ColumnFrame>,
-        bytes: u64,
     ) -> Option<InTransit> {
+        let bytes = wire_bytes(&frame);
         let due_at = tick + self.spec.latency_ticks + added_latency;
         let evicted = if self.backlog.len() >= self.spec.max_backlog.max(1) {
             self.dropped += 1;
@@ -128,8 +136,8 @@ mod tests {
     #[test]
     fn latency_holds_then_delivers_in_order() {
         let mut link = WanLink::new(WanLinkSpec { latency_ticks: 2, ..Default::default() });
-        link.enqueue(1, 0, frame(1), 10);
-        link.enqueue(2, 0, frame(2), 10);
+        link.enqueue(1, 0, frame(1));
+        link.enqueue(2, 0, frame(2));
         assert!(link.deliver_due(2, false, None).is_empty());
         let due = link.deliver_due(3, false, None);
         assert_eq!(due.len(), 1);
@@ -143,8 +151,8 @@ mod tests {
     #[test]
     fn partition_blocks_then_drains() {
         let mut link = WanLink::new(WanLinkSpec { latency_ticks: 1, ..Default::default() });
-        link.enqueue(1, 0, frame(1), 10);
-        link.enqueue(2, 0, frame(2), 10);
+        link.enqueue(1, 0, frame(1));
+        link.enqueue(2, 0, frame(2));
         assert!(link.deliver_due(3, true, None).is_empty(), "partitioned");
         assert_eq!(link.backlog_len(), 2);
         assert_eq!(link.deliver_due(4, false, None).len(), 2, "drains after heal");
@@ -154,21 +162,22 @@ mod tests {
     fn bandwidth_cap_spreads_delivery_but_never_wedges() {
         let mut link = WanLink::new(WanLinkSpec { latency_ticks: 0, ..Default::default() });
         for i in 0..3 {
-            link.enqueue(1, 0, frame(i), 100);
+            link.enqueue(1, 0, frame(i));
         }
+        let batch = wire_bytes(&frame(0));
         // Cap below one batch: exactly the head-of-line batch per tick.
-        assert_eq!(link.deliver_due(1, false, Some(10)).len(), 1);
+        assert_eq!(link.deliver_due(1, false, Some(batch - 1)).len(), 1);
         // Cap fitting two: two go through.
-        assert_eq!(link.deliver_due(2, false, Some(200)).len(), 2);
+        assert_eq!(link.deliver_due(2, false, Some(2 * batch)).len(), 2);
         assert_eq!(link.backlog_len(), 0);
     }
 
     #[test]
     fn overflow_evicts_oldest() {
         let mut link = WanLink::new(WanLinkSpec { max_backlog: 2, ..Default::default() });
-        assert!(link.enqueue(1, 0, frame(1), 1).is_none());
-        assert!(link.enqueue(1, 0, frame(2), 1).is_none());
-        let evicted = link.enqueue(1, 0, frame(3), 1).expect("overflow");
+        assert!(link.enqueue(1, 0, frame(1)).is_none());
+        assert!(link.enqueue(1, 0, frame(2)).is_none());
+        let evicted = link.enqueue(1, 0, frame(3)).expect("overflow");
         assert_eq!(evicted.frame.ts, Ts(1), "oldest goes first");
         assert_eq!(link.dropped(), 1);
         assert_eq!(link.backlog_len(), 2);
@@ -177,7 +186,7 @@ mod tests {
     #[test]
     fn chaos_delay_pushes_due_tick() {
         let mut link = WanLink::new(WanLinkSpec { latency_ticks: 1, ..Default::default() });
-        link.enqueue(1, 3, frame(1), 10);
+        link.enqueue(1, 3, frame(1));
         assert!(link.deliver_due(2, false, None).is_empty());
         assert!(link.deliver_due(4, false, None).is_empty());
         assert_eq!(link.deliver_due(5, false, None).len(), 1);

@@ -1,5 +1,6 @@
-//! Admission control: per-principal token buckets plus a bounded queue
-//! that sheds expired work instead of stalling.
+//! Admission control: per-principal token buckets plus a per-shard gate
+//! that bounds concurrent evaluation and sheds expired callers instead of
+//! stalling.
 //!
 //! The paper's Table I asks the serving side to protect the pipeline from
 //! its consumers ("analysis must not perturb the system under
@@ -8,14 +9,15 @@
 //! * [`TokenBuckets`] — each principal (consumer name) draws from its own
 //!   bucket; a principal that exceeds its refill rate is refused *at the
 //!   door* with a rate-limit error while everyone else proceeds untouched.
-//! * [`AdmissionQueue`] — a bounded FIFO between admission and the worker
-//!   pool.  When full, it first sheds queued entries whose deadline has
-//!   already passed (their waiters get a deadline error immediately —
-//!   nobody waits on work that can no longer be answered in time), and
-//!   only refuses the new request if the queue is still full of live work.
+//! * `Gate` — per shard, a count of callers evaluating and callers
+//!   waiting, under one mutex and one condvar.  The query runs on the
+//!   caller's own thread once it holds a slot; a caller refused for a full
+//!   wait line is answered at once, and one whose deadline passes while it
+//!   waits leaves instead of being served late.
 
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
+use std::sync::Condvar;
 use std::time::Instant;
 
 /// Per-principal token buckets.  `burst` is the bucket capacity, `per_sec`
@@ -58,126 +60,86 @@ impl TokenBuckets {
     }
 }
 
-/// Why a push was refused.
-pub enum PushError<T> {
-    /// Queue full of unexpired work; the item is handed back.
-    Full(T),
-    /// The queue was closed (gateway shutdown); the item is handed back.
-    Closed(T),
+/// Why [`Gate::enter`] refused a caller.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Refused {
+    /// Every slot is taken and `capacity` callers already wait.
+    Full,
+    /// The caller's deadline passed before a slot was free.
+    Expired,
 }
 
-struct QueueState<T> {
-    q: VecDeque<T>,
-    closed: bool,
+/// Callers evaluating and callers waiting to, on one gate.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Occupancy {
+    pub(crate) running: usize,
+    pub(crate) waiting: usize,
 }
 
-/// A bounded FIFO with blocking pop and deadline-aware shedding on push.
-///
-/// Built on `std::sync::{Mutex, Condvar}` (blocking workers park on the
-/// condvar until work arrives or the queue closes).
-pub struct AdmissionQueue<T> {
-    inner: std::sync::Mutex<QueueState<T>>,
-    cv: std::sync::Condvar,
+/// One shard's admission gate: at most `slots` callers evaluate at once,
+/// at most `capacity` more park on the condvar for a slot, and any more
+/// are refused without blocking.  A caller is admitted only before its
+/// deadline; one that reaches it while parked leaves refused.
+pub(crate) struct Gate {
+    state: Mutex<Occupancy>,
+    freed: Condvar,
+    slots: usize,
     capacity: usize,
 }
 
-impl<T> AdmissionQueue<T> {
-    /// A queue admitting at most `capacity` entries.
-    pub(crate) fn new(capacity: usize) -> AdmissionQueue<T> {
-        AdmissionQueue {
-            inner: std::sync::Mutex::new(QueueState { q: VecDeque::new(), closed: false }),
-            cv: std::sync::Condvar::new(),
-            capacity: capacity.max(1),
+/// A held slot; dropping it frees the slot and wakes one waiter.
+pub(crate) struct Slot<'a>(&'a Gate);
+
+impl Gate {
+    /// A gate of `slots` (at least one) concurrent callers and `capacity`
+    /// waiters.
+    pub(crate) fn new(slots: usize, capacity: usize) -> Gate {
+        Gate {
+            state: Mutex::new(Occupancy::default()),
+            freed: Condvar::new(),
+            slots: slots.max(1),
+            capacity,
         }
     }
 
-    /// Enqueue `item`.  When full, entries for which `expired` is true are
-    /// removed and passed to `shed` (which must answer their waiters);
-    /// if the queue is still full afterwards the push is refused.
-    pub(crate) fn push(
-        &self,
-        item: T,
-        expired: impl Fn(&T) -> bool,
-        mut shed: impl FnMut(T),
-    ) -> Result<(), PushError<T>> {
-        let mut state = self.inner.lock().expect("admission queue poisoned");
-        if state.closed {
-            return Err(PushError::Closed(item));
-        }
-        if state.q.len() >= self.capacity {
-            let mut live = VecDeque::with_capacity(state.q.len());
-            for entry in state.q.drain(..) {
-                if expired(&entry) {
-                    shed(entry);
-                } else {
-                    live.push_back(entry);
+    /// Take a slot, parking until one frees if need be.
+    pub(crate) fn enter(&self, deadline: Instant) -> Result<Slot<'_>, Refused> {
+        let mut state = self.state.lock();
+        if state.running == self.slots {
+            if state.waiting >= self.capacity {
+                return Err(Refused::Full);
+            }
+            state.waiting += 1;
+            while state.running == self.slots {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    break;
                 }
+                state = self.freed.wait_timeout(state, left).unwrap_or_else(|e| e.into_inner()).0;
             }
-            state.q = live;
+            state.waiting -= 1;
         }
-        if state.q.len() >= self.capacity {
-            return Err(PushError::Full(item));
+        if Instant::now() >= deadline {
+            // A wake-up meant for this caller goes to the next waiter.
+            if state.running < self.slots && state.waiting > 0 {
+                self.freed.notify_one();
+            }
+            return Err(Refused::Expired);
         }
-        state.q.push_back(item);
-        drop(state);
-        self.cv.notify_one();
-        Ok(())
+        state.running += 1;
+        Ok(Slot(self))
     }
 
-    /// Blocking pop; `None` once the queue is closed *and* drained.
-    pub fn pop(&self) -> Option<T> {
-        let mut state = self.inner.lock().expect("admission queue poisoned");
-        loop {
-            if let Some(item) = state.q.pop_front() {
-                return Some(item);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.cv.wait(state).expect("admission queue poisoned");
-        }
+    /// Callers evaluating and waiting right now.
+    pub(crate) fn occupancy(&self) -> Occupancy {
+        *self.state.lock()
     }
+}
 
-    /// Blocking pop that re-checks `exit` at every job boundary: returns
-    /// `None` as soon as `exit()` is true (queued items stay queued for
-    /// other workers) or once the queue is closed and drained.  Callers
-    /// that flip their exit condition must also call
-    /// [`AdmissionQueue::wake_all`] so parked workers observe it.
-    pub(crate) fn pop_unless(&self, exit: impl Fn() -> bool) -> Option<T> {
-        let mut state = self.inner.lock().expect("admission queue poisoned");
-        loop {
-            if exit() {
-                return None;
-            }
-            if let Some(item) = state.q.pop_front() {
-                return Some(item);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.cv.wait(state).expect("admission queue poisoned");
-        }
-    }
-
-    /// Wake every parked popper so it re-evaluates its exit condition.
-    pub(crate) fn wake_all(&self) {
-        // The exit condition lives outside the mutex.  Passing through the
-        // lock first means a popper that read it as false has reached
-        // `wait` (which releases the lock) before the notify goes out;
-        // without this the wake-up can land in between and be lost.
-        drop(self.inner.lock().expect("admission queue poisoned"));
-        self.cv.notify_all();
-    }
-
-    /// Close the queue: pending items remain poppable, waiters wake.
-    pub(crate) fn close(&self) {
-        self.inner.lock().expect("admission queue poisoned").closed = true;
-        self.cv.notify_all();
-    }
-
-    /// Entries currently queued.
-    pub(crate) fn len(&self) -> usize {
-        self.inner.lock().expect("admission queue poisoned").q.len()
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.0.state.lock().running -= 1;
+        self.0.freed.notify_one();
     }
 }
 
@@ -209,71 +171,108 @@ mod tests {
         }
     }
 
-    #[test]
-    fn queue_sheds_expired_entries_before_refusing() {
-        // Items are (id, expired) pairs.
-        let q: AdmissionQueue<(u32, bool)> = AdmissionQueue::new(2);
-        assert!(q.push((1, true), |e| e.1, |_| {}).is_ok());
-        assert!(q.push((2, false), |e| e.1, |_| {}).is_ok());
-        // Full; entry 1 is expired and should be shed to make room.
-        let mut shed = Vec::new();
-        assert!(q.push((3, false), |e| e.1, |e| shed.push(e.0)).is_ok());
-        assert_eq!(shed, vec![1]);
-        // Full of live work now: refused.
-        match q.push((4, false), |e| e.1, |_| {}) {
-            Err(PushError::Full((4, _))) => {}
-            _ => panic!("expected Full"),
-        }
-        assert_eq!(q.pop().unwrap().0, 2, "FIFO order preserved");
-        assert_eq!(q.pop().unwrap().0, 3);
+    fn far() -> Instant {
+        Instant::now() + Duration::from_secs(600)
     }
 
-    #[test]
-    fn pop_unless_exits_at_job_boundaries_without_losing_items() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
-        let q: Arc<AdmissionQueue<u32>> = Arc::new(AdmissionQueue::new(8));
-        let die = Arc::new(AtomicBool::new(false));
-        q.push(1, |_| false, |_| {}).ok();
-        q.push(2, |_| false, |_| {}).ok();
-        // Exit already requested: nothing is popped, items survive.
-        die.store(true, Ordering::Relaxed);
-        let die2 = die.clone();
-        assert_eq!(q.pop_unless(move || die2.load(Ordering::Relaxed)), None);
-        assert_eq!(q.len(), 2, "queued jobs survive a worker death");
-        // Exit cleared: items drain normally.
-        die.store(false, Ordering::Relaxed);
-        let die3 = die.clone();
-        assert_eq!(q.pop_unless(move || die3.load(Ordering::Relaxed)), Some(1));
-        // A parked popper wakes and exits when the flag flips + wake_all.
-        let q2 = q.clone();
-        let die4 = die.clone();
-        let h = std::thread::spawn(move || {
-            // Drain the remaining item, then park until woken by wake_all.
-            let mut got = Vec::new();
-            while let Some(v) = q2.pop_unless(|| die4.load(Ordering::Relaxed)) {
-                got.push(v);
-            }
-            got
-        });
-        while q.len() > 0 {
+    /// Spin until `gate` shows `waiting` parked callers.
+    fn until_waiting(gate: &Gate, waiting: usize) {
+        while gate.occupancy().waiting != waiting {
             std::thread::yield_now();
         }
-        die.store(true, Ordering::Relaxed);
-        q.wake_all();
-        assert_eq!(h.join().unwrap(), vec![2]);
     }
 
+    /// Slots held by hand: the gate never lets more than `slots` callers
+    /// in, refuses the caller past `capacity` waiters without parking it,
+    /// and a released slot admits exactly one waiter.
     #[test]
-    fn close_wakes_poppers_and_drains() {
-        let q: AdmissionQueue<u32> = AdmissionQueue::new(4);
-        q.push(7, |_| false, |_| {}).ok();
-        q.close();
-        assert_eq!(q.pop(), Some(7), "queued work still drains after close");
-        assert_eq!(q.pop(), None);
-        match q.push(8, |_| false, |_| {}) {
-            Err(PushError::Closed(8)) => {}
-            _ => panic!("expected Closed"),
-        }
+    fn slots_and_the_wait_line_are_bounded_and_a_release_admits_one() {
+        let gate = Gate::new(2, 2);
+        let held = [gate.enter(far()).expect("free"), gate.enter(far()).expect("free")];
+        assert_eq!(gate.occupancy(), Occupancy { running: 2, waiting: 0 });
+        std::thread::scope(|s| {
+            let waiters: Vec<_> = (0..2).map(|_| s.spawn(|| gate.enter(far()))).collect();
+            until_waiting(&gate, 2);
+            let started = Instant::now();
+            assert_eq!(gate.enter(far()).err(), Some(Refused::Full), "the third waiter");
+            assert!(started.elapsed() < Duration::from_secs(5), "refused without parking");
+            assert_eq!(gate.occupancy(), Occupancy { running: 2, waiting: 2 });
+
+            let [first, second] = held;
+            drop(first);
+            until_waiting(&gate, 1);
+            assert_eq!(gate.occupancy(), Occupancy { running: 2, waiting: 1 }, "one admitted");
+            drop(second);
+            let admitted: Vec<_> = waiters.into_iter().map(|w| w.join().unwrap()).collect();
+            assert!(admitted.iter().all(Result::is_ok));
+            assert_eq!(gate.occupancy(), Occupancy { running: 2, waiting: 0 });
+        });
+        assert_eq!(gate.occupancy(), Occupancy::default(), "every slot released");
+    }
+
+    /// A caller is admitted only before its deadline: on arrival, or while
+    /// it waits; either way it leaves the wait line.
+    #[test]
+    fn a_caller_past_its_deadline_is_refused() {
+        let gate = Gate::new(1, 4);
+        assert_eq!(gate.enter(Instant::now()).err(), Some(Refused::Expired), "a free slot");
+        let held = gate.enter(far()).expect("free");
+        let started = Instant::now();
+        let soon = started + Duration::from_millis(20);
+        assert_eq!(gate.enter(soon).err(), Some(Refused::Expired), "parked, then expired");
+        assert!(started.elapsed() >= Duration::from_millis(20));
+        assert_eq!(gate.occupancy(), Occupancy { running: 1, waiting: 0 });
+        drop(held);
+        assert!(gate.enter(far()).is_ok());
+    }
+
+    /// More callers than slots hammer one gate: every call returns, and the
+    /// bounds hold at every observation — in flight by a count the gate
+    /// does not keep, waiting by the gate's own.
+    #[test]
+    fn contended_gate_returns_every_call_within_its_bounds() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        const SLOTS: usize = 2;
+        const CAPACITY: usize = 3;
+        const THREADS: usize = 8;
+        const CALLS: usize = 200;
+        let gate = Gate::new(SLOTS, CAPACITY);
+        let in_flight = AtomicUsize::new(0);
+        let outcomes: Vec<[usize; 3]> = std::thread::scope(|s| {
+            let callers: Vec<_> = (0..THREADS)
+                .map(|i| {
+                    let (gate, in_flight) = (&gate, &in_flight);
+                    s.spawn(move || {
+                        let mut seen = [0; 3];
+                        for call in 0..CALLS {
+                            // Every fourth call of odd threads has a budget
+                            // short enough to expire in the line.
+                            let budget = if i % 2 == 1 && call % 4 == 0 { 0 } else { 600_000 };
+                            let deadline = Instant::now() + Duration::from_micros(budget);
+                            match gate.enter(deadline) {
+                                Ok(_slot) => {
+                                    let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+                                    assert!(now <= SLOTS, "{now} in flight");
+                                    let occupancy = gate.occupancy();
+                                    assert!(occupancy.running <= SLOTS, "{occupancy:?}");
+                                    assert!(occupancy.waiting <= CAPACITY, "{occupancy:?}");
+                                    std::thread::yield_now();
+                                    in_flight.fetch_sub(1, Ordering::SeqCst);
+                                    seen[0] += 1;
+                                }
+                                Err(Refused::Full) => seen[1] += 1,
+                                Err(Refused::Expired) => seen[2] += 1,
+                            }
+                        }
+                        seen
+                    })
+                })
+                .collect();
+            callers.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        let total = outcomes.iter().fold([0; 3], |a, o| [a[0] + o[0], a[1] + o[1], a[2] + o[2]]);
+        assert_eq!(total.iter().sum::<usize>(), THREADS * CALLS, "every call returned");
+        assert!(total[0] > 0, "{total:?}");
+        assert_eq!(gate.occupancy(), Occupancy::default());
     }
 }

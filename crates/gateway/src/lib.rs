@@ -10,16 +10,17 @@
 //! * [`request`] — serde-serializable [`QueryRequest`]s mirroring every
 //!   `QueryEngine` operation, with value-typed errors (no panicking path
 //!   from consumer input).
-//! * [`service::Gateway`] — a sharded worker pool executing queries
-//!   concurrently against the shared [`hpcmon_store::TimeSeriesStore`],
-//!   with per-query deadline budgets.
+//! * [`service::Gateway`] — evaluates each query on its caller's thread
+//!   against the shared [`hpcmon_store::TimeSeriesStore`], behind a
+//!   per-shard admission gate with per-query deadline budgets.
 //! * [`cache::ResultCache`] — an LRU keyed on (normalized request, scope,
 //!   store epoch, job-view version); the store bumps its epoch on every
 //!   mutation, so a cached response is never served whole across a change.
 //!   A sliding `AggregateAcross` is extended instead while the store's
 //!   history epoch holds: only the stamps since its last answer are folded.
-//! * [`admission`] — per-principal token buckets plus a bounded admission
-//!   queue that sheds expired requests instead of stalling.
+//! * [`admission`] — per-principal token buckets plus the per-shard gate
+//!   that bounds concurrent evaluation and sheds expired callers instead
+//!   of stalling.
 //! * Standing subscriptions — continuous queries re-evaluated each tick
 //!   and delivered through `hpcmon-transport` broker topics.
 //! * Self-telemetry — every instrument registers under `gateway.*`, so

@@ -159,12 +159,11 @@ pub enum QueryError {
         /// The shed principal (consumer name).
         principal: String,
     },
-    /// The admission queue was full even after shedding expired entries.
+    /// Every evaluation slot of the principal's shard was taken and
+    /// `queue_capacity` callers already waited for one.
     QueueFull,
-    /// The query's deadline budget expired before a worker finished it.
+    /// The query's deadline budget expired before it was admitted.
     DeadlineExceeded,
-    /// The gateway is shutting down.
-    Shutdown,
 }
 
 impl std::fmt::Display for QueryError {
@@ -176,9 +175,8 @@ impl std::fmt::Display for QueryError {
             QueryError::RateLimited { principal } => {
                 write!(f, "rate limit exceeded for principal '{principal}'")
             }
-            QueryError::QueueFull => write!(f, "admission queue full"),
+            QueryError::QueueFull => write!(f, "admission wait line full"),
             QueryError::DeadlineExceeded => write!(f, "query deadline exceeded"),
-            QueryError::Shutdown => write!(f, "gateway is shutting down"),
         }
     }
 }

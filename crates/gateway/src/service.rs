@@ -1,7 +1,7 @@
-//! The gateway service: sharded worker pool, scoped evaluation, result
-//! caching, and standing subscriptions.
+//! The gateway service: per-shard admission on the caller's thread,
+//! scoped evaluation, result caching, and standing subscriptions.
 
-use crate::admission::{AdmissionQueue, PushError, TokenBuckets};
+use crate::admission::{Gate, Refused, TokenBuckets};
 use crate::cache::{self, CacheStats, Extent, Lookup, ResultCache};
 use crate::request::{QueryError, QueryRequest, QueryResponse, SubscriptionUpdate};
 use bytes::Bytes;
@@ -9,26 +9,26 @@ use hpcmon_metrics::{CompId, JobRecord, MetricId, SeriesKey, Ts};
 use hpcmon_response::access::{AccessPolicy, Consumer, Role};
 use hpcmon_store::{AggFn, QueryEngine, TimeRange, TimeSeriesStore};
 use hpcmon_telemetry::{Counter, Gauge, Histogram, Telemetry};
-use hpcmon_trace::{DropReason, Stage, TraceContext, Tracer};
+use hpcmon_trace::{DropReason, Stage, Tracer};
 use hpcmon_transport::{Broker, Payload};
 use parking_lot::{Mutex, RwLock};
 use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Gateway sizing and policy knobs.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct GatewayConfig {
-    /// Worker-pool shards; principals are hashed onto shards so one noisy
+    /// Admission shards; principals are hashed onto shards so one noisy
     /// consumer contends with itself first.
     pub shards: usize,
-    /// Worker threads per shard.
+    /// Queries of one shard that evaluate at once (at least one).
     pub workers_per_shard: usize,
-    /// Admission-queue capacity per shard.
+    /// Callers of one shard that may wait for an evaluation slot; any
+    /// more are refused with `QueueFull`.
     pub queue_capacity: usize,
     /// Result-cache capacity in entries (0 disables caching).
     pub cache_capacity: usize,
@@ -71,7 +71,6 @@ struct GatewayMetrics {
     queue_depth: Arc<Gauge>,
     subs_active: Arc<Gauge>,
     subs_delivered: Arc<Counter>,
-    workers_respawned: Arc<Counter>,
 }
 
 impl GatewayMetrics {
@@ -89,19 +88,8 @@ impl GatewayMetrics {
             queue_depth: t.gauge("gateway.queue.depth"),
             subs_active: t.gauge("gateway.subscriptions.active"),
             subs_delivered: t.counter("gateway.subscriptions.delivered"),
-            // Appended last: instrument registration order is append-only.
-            workers_respawned: t.counter("gateway.workers.respawned"),
         }
     }
-}
-
-/// One admitted query waiting for a worker.
-struct Job {
-    consumer: Consumer,
-    request: QueryRequest,
-    deadline: Instant,
-    trace: Option<TraceContext>,
-    responder: SyncSender<Result<QueryResponse, QueryError>>,
 }
 
 /// Stable label for a request variant (span notes, shed provenance).
@@ -120,8 +108,8 @@ fn request_kind(request: &QueryRequest) -> &'static str {
 /// Serializable image of the gateway's deterministic state, for flight-
 /// recorder checkpoints: the scheduler job view with its scope-epoch
 /// version, plus every standing subscription with its delivery state.
-/// Worker pools, admission queues, token buckets, and the result cache
-/// are timing-dependent service plumbing and are deliberately excluded —
+/// Admission gates, token buckets, and the result cache are
+/// timing-dependent service plumbing and are deliberately excluded —
 /// they never feed hash-verified state, and cached responses are
 /// epoch-keyed so a rewound epoch re-derives identical answers.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -166,7 +154,12 @@ struct StandingSub {
     last: Option<QueryResponse>,
 }
 
-struct GatewayInner {
+/// The query-serving frontend.
+///
+/// Constructed over shared handles to the store, broker, and telemetry
+/// registry.  It starts no thread: a query evaluates on its caller's
+/// thread once its principal's shard admits it.
+pub struct Gateway {
     store: Arc<TimeSeriesStore>,
     broker: Arc<Broker>,
     policy: AccessPolicy,
@@ -177,32 +170,44 @@ struct GatewayInner {
     jobs_version: AtomicU64,
     cache: ResultCache,
     buckets: TokenBuckets,
-    queues: Vec<AdmissionQueue<Job>>,
+    /// One admission gate per shard.
+    gates: Vec<Gate>,
     subs: Mutex<Vec<StandingSub>>,
     next_sub_id: AtomicU64,
-    shutdown: AtomicBool,
-    /// Outstanding injected worker deaths (chaos).  Each worker checks at
-    /// its job boundary and at most one claims each request, so a kill
-    /// never interrupts an in-flight query and queued jobs survive.
-    kill_requests: AtomicU64,
     metrics: GatewayMetrics,
-    /// When set, each admitted query gets a trace context: served queries
-    /// record a `Gateway` span (sampled), sheds always record provenance.
+    /// When set, each query gets a trace context: served queries record a
+    /// `Gateway` span (sampled), sheds always record provenance.
     tracer: RwLock<Option<Arc<Tracer>>>,
     query_seq: AtomicU64,
 }
 
-impl GatewayInner {
-    fn total_queued(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum()
-    }
-
-    /// Claim one outstanding kill request, if any — exactly one caller
-    /// succeeds per request, so injecting N deaths kills N workers.
-    fn try_claim_kill(&self) -> bool {
-        self.kill_requests
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1))
-            .is_ok()
+impl Gateway {
+    /// Build the gateway: one admission gate per shard.
+    pub fn new(
+        store: Arc<TimeSeriesStore>,
+        broker: Arc<Broker>,
+        telemetry: &Telemetry,
+        config: GatewayConfig,
+    ) -> Gateway {
+        let gates = (0..config.shards.max(1))
+            .map(|_| Gate::new(config.workers_per_shard, config.queue_capacity))
+            .collect();
+        Gateway {
+            store,
+            broker,
+            policy: AccessPolicy,
+            jobs: RwLock::new(Arc::new(Vec::new())),
+            jobs_version: AtomicU64::new(0),
+            cache: ResultCache::new(config.cache_capacity),
+            buckets: TokenBuckets::new(config.rate_limit_burst, config.rate_limit_per_sec),
+            gates,
+            subs: Mutex::new(Vec::new()),
+            next_sub_id: AtomicU64::new(0),
+            metrics: GatewayMetrics::new(telemetry),
+            tracer: RwLock::new(None),
+            query_seq: AtomicU64::new(0),
+            config,
+        }
     }
 
     fn scope_tag(consumer: &Consumer) -> String {
@@ -380,107 +385,6 @@ impl GatewayInner {
             }
         }
     }
-}
-
-/// The concurrent query-serving frontend.
-///
-/// Constructed over shared handles to the store, broker, and telemetry
-/// registry; owns its worker threads (joined on drop).
-pub struct Gateway {
-    inner: Arc<GatewayInner>,
-    /// Live workers, tagged with their shard so a dead worker can be
-    /// respawned onto the same shard.
-    workers: Mutex<Vec<(usize, std::thread::JoinHandle<()>)>>,
-    worker_seq: AtomicU64,
-}
-
-impl Gateway {
-    /// Build the gateway and start its worker pool.
-    pub fn new(
-        store: Arc<TimeSeriesStore>,
-        broker: Arc<Broker>,
-        telemetry: &Telemetry,
-        config: GatewayConfig,
-    ) -> Gateway {
-        let shards = config.shards.max(1);
-        let workers_per_shard = config.workers_per_shard.max(1);
-        let queues = (0..shards).map(|_| AdmissionQueue::new(config.queue_capacity)).collect();
-        let inner = Arc::new(GatewayInner {
-            store,
-            broker,
-            policy: AccessPolicy,
-            jobs: RwLock::new(Arc::new(Vec::new())),
-            jobs_version: AtomicU64::new(0),
-            cache: ResultCache::new(config.cache_capacity),
-            buckets: TokenBuckets::new(config.rate_limit_burst, config.rate_limit_per_sec),
-            queues,
-            subs: Mutex::new(Vec::new()),
-            next_sub_id: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-            kill_requests: AtomicU64::new(0),
-            metrics: GatewayMetrics::new(telemetry),
-            tracer: RwLock::new(None),
-            query_seq: AtomicU64::new(0),
-            config,
-        });
-        let gateway =
-            Gateway { inner, workers: Mutex::new(Vec::new()), worker_seq: AtomicU64::new(0) };
-        {
-            let mut workers = gateway.workers.lock();
-            for shard in 0..shards {
-                for _ in 0..workers_per_shard {
-                    let handle = gateway.spawn_worker(shard);
-                    workers.push((shard, handle));
-                }
-            }
-        }
-        gateway
-    }
-
-    fn spawn_worker(&self, shard: usize) -> std::thread::JoinHandle<()> {
-        let n = self.worker_seq.fetch_add(1, Ordering::Relaxed);
-        let inner = self.inner.clone();
-        std::thread::Builder::new()
-            .name(format!("gw-{shard}-{n}"))
-            .spawn(move || Gateway::worker_loop(&inner, shard))
-            .expect("spawn gateway worker")
-    }
-
-    fn worker_loop(inner: &GatewayInner, shard: usize) {
-        // `pop_unless` checks the kill claim *before* popping: an injected
-        // worker death lands at a job boundary and leaves queued jobs for
-        // the surviving workers (and the eventual respawn).
-        while let Some(job) = inner.queues[shard].pop_unless(|| inner.try_claim_kill()) {
-            inner.metrics.queue_depth.set(inner.total_queued() as f64);
-            let tracer = inner.tracer.read().clone();
-            if Instant::now() > job.deadline {
-                inner.metrics.shed_deadline.inc();
-                if let (Some(t), Some(ctx)) = (tracer.as_deref(), job.trace.as_ref()) {
-                    t.record_drop(
-                        ctx,
-                        Stage::Gateway,
-                        DropReason::DeadlineShed,
-                        &format!("{}: {}", job.consumer.name, request_kind(&job.request)),
-                    );
-                }
-                let _ = job.responder.send(Err(QueryError::DeadlineExceeded));
-                continue;
-            }
-            let span = match (tracer.as_deref(), job.trace.as_ref()) {
-                (Some(t), Some(ctx)) => {
-                    let mut s = t.span(ctx, Stage::Gateway);
-                    s.set_note(format!("{}: {}", job.consumer.name, request_kind(&job.request)));
-                    Some(s)
-                }
-                _ => None,
-            };
-            let exemplar = job.trace.map_or(0, |c| if c.sampled { c.trace_id.0 } else { 0 });
-            let result =
-                inner.execute(&job.consumer, &job.request, exemplar).map(|arc| (*arc).clone());
-            drop(span);
-            let _ = job.responder.send(result);
-        }
-    }
 
     /// Submit one query with the configured default deadline budget;
     /// blocks until answered, shed, or timed out.
@@ -489,120 +393,90 @@ impl Gateway {
         consumer: &Consumer,
         request: QueryRequest,
     ) -> Result<QueryResponse, QueryError> {
-        let budget = Duration::from_millis(self.inner.config.default_deadline_ms);
+        let budget = Duration::from_millis(self.config.default_deadline_ms);
         self.query_with_deadline(consumer, request, budget)
     }
 
-    /// Submit one query with an explicit deadline budget.
+    /// Submit one query with an explicit deadline budget.  It evaluates on
+    /// the caller's thread once the principal's shard admits it: a caller
+    /// that finds `queue_capacity` others waiting is refused at once, and
+    /// one not admitted within `budget` is shed.
     pub fn query_with_deadline(
         &self,
         consumer: &Consumer,
         request: QueryRequest,
         budget: Duration,
     ) -> Result<QueryResponse, QueryError> {
-        let inner = &self.inner;
-        inner.metrics.queries.inc();
-        if inner.shutdown.load(Ordering::Acquire) {
-            return Err(QueryError::Shutdown);
-        }
-        let tracer = inner.tracer.read().clone();
+        self.metrics.queries.inc();
+        let deadline = Instant::now() + budget;
+        let tracer = self.tracer.read().clone();
         let trace = tracer
             .as_deref()
-            .and_then(|t| t.context_for(inner.query_seq.fetch_add(1, Ordering::Relaxed)));
-        let kind = request_kind(&request);
-        if !inner.buckets.try_admit(&consumer.name, Instant::now()) {
-            inner.metrics.shed_rate_limited.inc();
+            .and_then(|t| t.context_for(self.query_seq.fetch_add(1, Ordering::Relaxed)));
+        let note = || format!("{}: {}", consumer.name, request_kind(&request));
+        let shed = |counter: &Counter, reason: DropReason| {
+            counter.inc();
             if let (Some(t), Some(ctx)) = (tracer.as_deref(), trace.as_ref()) {
-                t.record_drop(
-                    ctx,
-                    Stage::Gateway,
-                    DropReason::RateLimited,
-                    &format!("{}: {kind}", consumer.name),
-                );
+                t.record_drop(ctx, Stage::Gateway, reason, &note());
             }
+        };
+        if !self.buckets.try_admit(&consumer.name, Instant::now()) {
+            shed(&self.metrics.shed_rate_limited, DropReason::RateLimited);
             return Err(QueryError::RateLimited { principal: consumer.name.clone() });
         }
-        // Reject malformed requests before they occupy queue or worker.
+        // Reject malformed requests before they occupy a slot.
         request.validate()?;
-        let (tx, rx) = sync_channel(1);
-        let job = Job {
-            consumer: consumer.clone(),
-            request,
-            deadline: Instant::now() + budget,
-            trace,
-            responder: tx,
-        };
         let shard = {
             let mut h = DefaultHasher::new();
             consumer.name.hash(&mut h);
-            (h.finish() as usize) % inner.queues.len()
+            (h.finish() as usize) % self.gates.len()
         };
-        let now = Instant::now();
-        let pushed = inner.queues[shard].push(
-            job,
-            |j| j.deadline < now,
-            |expired| {
-                inner.metrics.shed_deadline.inc();
-                if let (Some(t), Some(ctx)) = (tracer.as_deref(), expired.trace.as_ref()) {
-                    t.record_drop(
-                        ctx,
-                        Stage::Gateway,
-                        DropReason::DeadlineShed,
-                        &format!("{}: {}", expired.consumer.name, request_kind(&expired.request)),
-                    );
-                }
-                let _ = expired.responder.send(Err(QueryError::DeadlineExceeded));
-            },
-        );
-        match pushed {
-            Ok(()) => inner.metrics.queue_depth.set(inner.total_queued() as f64),
-            Err(PushError::Full(rejected)) => {
-                inner.metrics.shed_queue_full.inc();
-                if let (Some(t), Some(ctx)) = (tracer.as_deref(), rejected.trace.as_ref()) {
-                    t.record_drop(
-                        ctx,
-                        Stage::Gateway,
-                        DropReason::AdmissionFull,
-                        &format!("{}: {kind}", consumer.name),
-                    );
-                }
+        let _slot = match self.gates[shard].enter(deadline) {
+            Ok(slot) => slot,
+            Err(Refused::Full) => {
+                shed(&self.metrics.shed_queue_full, DropReason::AdmissionFull);
                 return Err(QueryError::QueueFull);
             }
-            Err(PushError::Closed(_)) => return Err(QueryError::Shutdown),
-        }
-        match rx.recv() {
-            Ok(result) => result,
-            Err(_) => Err(QueryError::Shutdown),
-        }
+            Err(Refused::Expired) => {
+                shed(&self.metrics.shed_deadline, DropReason::DeadlineShed);
+                return Err(QueryError::DeadlineExceeded);
+            }
+        };
+        let _span = match (tracer.as_deref(), trace.as_ref()) {
+            (Some(t), Some(ctx)) => {
+                let mut s = t.span(ctx, Stage::Gateway);
+                s.set_note(note());
+                Some(s)
+            }
+            _ => None,
+        };
+        let exemplar = trace.map_or(0, |c| if c.sampled { c.trace_id.0 } else { 0 });
+        self.execute(consumer, &request, exemplar).map(|arc| (*arc).clone())
     }
 
-    /// Plan-level entry point: evaluate one query inline on the caller's
-    /// thread, bypassing the worker pool, admission queues, rate limits,
-    /// and wall-clock deadlines.  Scoping and the epoch-keyed cache still
-    /// apply.  This is what a federation scatter uses: its deadline story
-    /// is denominated in simulated ticks (link RTT vs. budget), decided by
-    /// the planner *before* the member query runs, so the member-side
-    /// evaluation must be free of wall-clock admission effects to keep
-    /// federated answers bit-identical at any worker count.
+    /// Plan-level entry point: evaluate one query on the caller's thread,
+    /// bypassing the admission gates, rate limits, and wall-clock
+    /// deadlines.  Scoping and the epoch-keyed cache still apply.  This is
+    /// what a federation scatter uses: its deadline story is denominated
+    /// in simulated ticks (link RTT vs. budget), decided by the planner
+    /// *before* the member query runs, so the member-side evaluation must
+    /// be free of wall-clock admission effects to keep federated answers
+    /// bit-identical between runs.
     pub fn plan_query(
         &self,
         consumer: &Consumer,
         request: &QueryRequest,
     ) -> Result<QueryResponse, QueryError> {
-        let inner = &self.inner;
-        inner.metrics.queries.inc();
-        if inner.shutdown.load(Ordering::Acquire) {
-            return Err(QueryError::Shutdown);
-        }
+        self.metrics.queries.inc();
         request.validate()?;
-        inner.execute(consumer, request, 0).map(|arc| (*arc).clone())
+        self.execute(consumer, request, 0).map(|arc| (*arc).clone())
     }
 
-    /// Attach a tracer: every admitted query gets a trace context; served
-    /// queries record a `Gateway` span when sampled, and every shed
-    /// (rate-limit, queue-full, deadline) records drop provenance.
+    /// Attach a tracer: every query gets a trace context; served queries
+    /// record a `Gateway` span when sampled, and every shed (rate-limit,
+    /// queue-full, deadline) records drop provenance.
     pub fn set_tracer(&self, tracer: Arc<Tracer>) {
-        *self.inner.tracer.write() = Some(tracer);
+        *self.tracer.write() = Some(tracer);
     }
 
     /// Register a standing subscription: `request` is re-evaluated each
@@ -616,8 +490,8 @@ impl Gateway {
         topic: &str,
     ) -> Result<u64, QueryError> {
         request.validate()?;
-        let id = self.inner.next_sub_id.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut subs = self.inner.subs.lock();
+        let id = self.next_sub_id.fetch_add(1, Ordering::Relaxed) + 1;
+        let mut subs = self.subs.lock();
         subs.push(StandingSub {
             id,
             consumer: consumer.clone(),
@@ -626,16 +500,16 @@ impl Gateway {
             watermark: None,
             last: None,
         });
-        self.inner.metrics.subs_active.set(subs.len() as f64);
+        self.metrics.subs_active.set(subs.len() as f64);
         Ok(id)
     }
 
     /// Remove a standing subscription; false if the id is unknown.
     pub fn unsubscribe(&self, id: u64) -> bool {
-        let mut subs = self.inner.subs.lock();
+        let mut subs = self.subs.lock();
         let before = subs.len();
         subs.retain(|s| s.id != id);
-        self.inner.metrics.subs_active.set(subs.len() as f64);
+        self.metrics.subs_active.set(subs.len() as f64);
         subs.len() != before
     }
 
@@ -643,10 +517,10 @@ impl Gateway {
     /// The scope epoch only advances when the view actually changes, so a
     /// steady job mix keeps the cache warm.
     pub fn update_jobs(&self, jobs: Vec<JobRecord>) {
-        let changed = { *self.inner.jobs.read().as_ref() != jobs };
+        let changed = { *self.jobs.read().as_ref() != jobs };
         if changed {
-            *self.inner.jobs.write() = Arc::new(jobs);
-            self.inner.jobs_version.fetch_add(1, Ordering::Release);
+            *self.jobs.write() = Arc::new(jobs);
+            self.jobs_version.fetch_add(1, Ordering::Release);
         }
     }
 
@@ -655,15 +529,8 @@ impl Gateway {
     /// their watermark; other requests re-evaluate fully and send on
     /// change.  Called from the pipeline's tick loop.
     pub fn on_tick(&self, now: Ts) {
-        let inner = &self.inner;
-        if inner.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        // Supervise the pool: any worker that died since the last tick
-        // (injected fault or panic) is joined and replaced.
-        self.ensure_workers();
-        let jobs = inner.jobs.read().clone();
-        let mut subs = inner.subs.lock();
+        let jobs = self.jobs.read().clone();
+        let mut subs = self.subs.lock();
         for sub in subs.iter_mut() {
             // A `Series` subscription reads only past its watermark; one
             // whose range has run out goes quiet.
@@ -679,7 +546,7 @@ impl Gateway {
                 }
                 _ => Cow::Borrowed(&sub.request),
             };
-            let resp = match inner.evaluate(&sub.consumer, &request, &jobs) {
+            let resp = match self.evaluate(&sub.consumer, &request, &jobs) {
                 Ok(r) => r,
                 // A subscription that has become unanswerable (job ended,
                 // access revoked) just goes quiet; it is not an admission
@@ -706,45 +573,46 @@ impl Gateway {
             if let Some((incremental, result)) = delivery {
                 let update = SubscriptionUpdate { id: sub.id, tick: now, incremental, result };
                 if let Ok(bytes) = serde_json::to_vec(&update) {
-                    inner.broker.publish(&sub.topic, Payload::Raw(Bytes::from(bytes)));
-                    inner.metrics.subs_delivered.inc();
+                    self.broker.publish(&sub.topic, Payload::Raw(Bytes::from(bytes)));
+                    self.metrics.subs_delivered.inc();
                 }
             }
         }
-        inner.metrics.subs_active.set(subs.len() as f64);
+        self.metrics.subs_active.set(subs.len() as f64);
         drop(subs);
         // Refresh the level-style gauges once per tick.
-        let stats = inner.cache.stats();
+        let stats = self.cache.stats();
         let lookups = stats.hits + stats.extended + stats.misses;
         if lookups > 0 {
-            inner.metrics.cache_hit_ratio.set(stats.hits as f64 / lookups as f64);
+            self.metrics.cache_hit_ratio.set(stats.hits as f64 / lookups as f64);
         }
-        inner.metrics.queue_depth.set(inner.total_queued() as f64);
+        let waiting: usize = self.gates.iter().map(|g| g.occupancy().waiting).sum();
+        self.metrics.queue_depth.set(waiting as f64);
     }
 
     /// Result-cache accounting.
     pub fn cache_stats(&self) -> CacheStats {
-        self.inner.cache.stats()
+        self.cache.stats()
     }
 
     /// The gateway's *deterministic* state observables, for per-tick replay
     /// verification: the scope-epoch version of the job view and the number
-    /// of standing subscriptions.  Worker-pool and cache internals are
+    /// of standing subscriptions.  Admission and cache internals are
     /// timing-dependent (wall-clock deadlines, thread scheduling) and are
     /// deliberately excluded — they never feed back into monitored state.
     pub fn replay_digest_inputs(&self) -> (u64, u64) {
-        (self.inner.jobs_version.load(Ordering::Acquire), self.inner.subs.lock().len() as u64)
+        (self.jobs_version.load(Ordering::Acquire), self.subs.lock().len() as u64)
     }
 
     /// Capture the gateway's deterministic state for a flight-recorder
     /// checkpoint (see [`GatewaySnapshot`] for what is and isn't
     /// included).
     pub fn snapshot_replay_state(&self) -> GatewaySnapshot {
-        let subs = self.inner.subs.lock();
+        let subs = self.subs.lock();
         GatewaySnapshot {
-            jobs: self.inner.jobs.read().as_ref().clone(),
-            jobs_version: self.inner.jobs_version.load(Ordering::Acquire),
-            next_sub_id: self.inner.next_sub_id.load(Ordering::Acquire),
+            jobs: self.jobs.read().as_ref().clone(),
+            jobs_version: self.jobs_version.load(Ordering::Acquire),
+            next_sub_id: self.next_sub_id.load(Ordering::Acquire),
             subs: subs
                 .iter()
                 .map(|s| SubscriptionSnapshot {
@@ -762,14 +630,14 @@ impl Gateway {
     /// Load a checkpoint back in place: the job view (restored *without*
     /// bumping the version — the version itself is restored, so the next
     /// [`Gateway::update_jobs`] sees exactly the comparison the recording
-    /// run saw), the subscription set, and the id counter.  The worker
-    /// pool keeps running; in-flight queries against the old state are
-    /// timing-dependent traffic replay doesn't verify anyway.
+    /// run saw), the subscription set, and the id counter.  Queries in
+    /// flight against the old state are timing-dependent traffic replay
+    /// doesn't verify anyway.
     pub fn restore_replay_state(&self, snap: GatewaySnapshot) {
-        *self.inner.jobs.write() = Arc::new(snap.jobs);
-        self.inner.jobs_version.store(snap.jobs_version, Ordering::Release);
-        self.inner.next_sub_id.store(snap.next_sub_id, Ordering::Release);
-        let mut subs = self.inner.subs.lock();
+        *self.jobs.write() = Arc::new(snap.jobs);
+        self.jobs_version.store(snap.jobs_version, Ordering::Release);
+        self.next_sub_id.store(snap.next_sub_id, Ordering::Release);
+        let mut subs = self.subs.lock();
         *subs = snap
             .subs
             .into_iter()
@@ -782,68 +650,45 @@ impl Gateway {
                 last: s.last,
             })
             .collect();
-        self.inner.metrics.subs_active.set(subs.len() as f64);
-    }
-
-    /// Inject one worker death (chaos): exactly one worker exits at its
-    /// next job boundary.  In-flight queries complete and queued jobs
-    /// survive for the remaining workers; [`Gateway::ensure_workers`]
-    /// (called every tick) respawns the replacement.
-    pub fn inject_worker_death(&self) {
-        self.inner.kill_requests.fetch_add(1, Ordering::Release);
-        for q in &self.inner.queues {
-            q.wake_all();
-        }
-    }
-
-    /// Join any dead workers and respawn replacements on their shards.
-    /// Returns the number respawned (also counted on
-    /// `gateway.workers.respawned`).  No-op after shutdown.
-    pub fn ensure_workers(&self) -> usize {
-        let mut workers = self.workers.lock();
-        let mut respawned = 0;
-        let mut alive = Vec::with_capacity(workers.len());
-        for (shard, handle) in workers.drain(..) {
-            if handle.is_finished() {
-                let _ = handle.join();
-                if !self.inner.shutdown.load(Ordering::Acquire) {
-                    alive.push((shard, self.spawn_worker(shard)));
-                    respawned += 1;
-                    self.inner.metrics.workers_respawned.inc();
-                }
-            } else {
-                alive.push((shard, handle));
-            }
-        }
-        *workers = alive;
-        respawned
-    }
-
-    /// Live (not yet joined) worker threads — dead-but-unjoined workers
-    /// still count until [`Gateway::ensure_workers`] reaps them.
-    pub fn worker_count(&self) -> usize {
-        self.workers.lock().len()
-    }
-
-    /// Stop accepting work and join the worker pool.  Queued jobs drain
-    /// first; callers still waiting get [`QueryError::Shutdown`] only if
-    /// their responder is dropped unanswered.
-    pub(crate) fn shutdown(&self) {
-        if self.inner.shutdown.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        for q in &self.inner.queues {
-            q.close();
-        }
-        let mut workers = self.workers.lock();
-        for (_, handle) in workers.drain(..) {
-            let _ = handle.join();
-        }
+        self.metrics.subs_active.set(subs.len() as f64);
     }
 }
 
-impl Drop for Gateway {
-    fn drop(&mut self) {
-        self.shutdown();
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hpcmon_metrics::Sample;
+    use hpcmon_trace::{Sampler, SpanStatus};
+
+    /// A caller parked behind a slot held by hand is shed when its budget
+    /// runs out: counted, traced, and answered with `DeadlineExceeded`.
+    #[test]
+    fn a_waiter_past_its_deadline_is_shed_counted_and_traced() {
+        let store = Arc::new(TimeSeriesStore::new());
+        let key = SeriesKey::new(MetricId(0), CompId::SYSTEM);
+        store.insert(&Sample::new(key.metric, key.comp, Ts(60_000), 1.0));
+        let telemetry = Telemetry::new();
+        let config = GatewayConfig { shards: 1, workers_per_shard: 1, ..GatewayConfig::default() };
+        let gw = Gateway::new(store, Broker::new(), &telemetry, config);
+        let tracer = Arc::new(Tracer::new(Sampler::always()));
+        gw.set_tracer(tracer.clone());
+        let ops = Consumer::admin("ops");
+        let request = QueryRequest::Series { key, range: TimeRange::all() };
+
+        let held = gw.gates[0].enter(Instant::now() + Duration::from_secs(600)).expect("free");
+        let started = Instant::now();
+        let shed = gw.query_with_deadline(&ops, request.clone(), Duration::from_millis(20));
+        assert!(matches!(shed, Err(QueryError::DeadlineExceeded)), "{shed:?}");
+        assert!(started.elapsed() >= Duration::from_millis(20), "it waited its budget out");
+        assert_eq!(telemetry.counter("gateway.shed.deadline").get(), 1);
+        let spans = tracer.drain();
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].stage, Stage::Gateway);
+        assert_eq!(spans[0].status, SpanStatus::Dropped(DropReason::DeadlineShed));
+        assert_eq!(spans[0].note, "ops: series");
+
+        drop(held);
+        assert!(matches!(gw.query(&ops, request), Ok(QueryResponse::Points(p)) if p.len() == 1));
+        assert_eq!(telemetry.counter("gateway.shed.deadline").get(), 1);
     }
 }

@@ -5,13 +5,13 @@
 //!
 //! Large-scale monitoring incidents are rarely reproducible on demand:
 //! the interesting tick happened hours ago, under a particular interleave
-//! of injected faults, query arrivals, and collector failures.  This
+//! of injected faults, subscriptions, and collector failures.  This
 //! crate turns any [`hpcmon::MonitoringSystem`] run into an attachable,
 //! re-executable artifact:
 //!
 //! * [`FlightRecorder`] wraps a live system, funnels every
 //!   non-deterministic input (job submissions, machine faults, gateway
-//!   query/subscription arrivals) through a per-tick
+//!   subscriptions) through a per-tick
 //!   [`TickInputs`](hpcmon::TickInputs) record, hashes the full
 //!   deterministic state after each tick, and checkpoints complete
 //!   snapshots every K ticks.

@@ -3,7 +3,7 @@
 
 use hpcmon::system::TickReport;
 use hpcmon::{CoreSnapshot, DurableTickRecord, GatewayOp, MonitoringSystem, TickInputs};
-use hpcmon_gateway::{QueryError, QueryRequest, QueryResponse};
+use hpcmon_gateway::{QueryError, QueryRequest};
 use hpcmon_metrics::{JobId, Ts};
 use hpcmon_response::Consumer;
 use hpcmon_sim::{FaultKind, JobSpec};
@@ -15,7 +15,7 @@ use crate::RunSpec;
 ///
 /// All external inputs must flow through the recorder's methods — they
 /// are applied to the live system *immediately* (so callers still get
-/// their `JobId`s and query responses) and buffered into the next tick's
+/// their `JobId`s and subscription ids) and buffered into the next tick's
 /// [`TickInputs`] record.  Nothing advances between ticks, so
 /// "applied at call time" and "applied just before the next tick" are
 /// equivalent — which is exactly how the replayer re-applies them.
@@ -59,22 +59,6 @@ impl FlightRecorder {
     pub fn schedule_fault(&mut self, at: Ts, kind: FaultKind) {
         self.pending.faults.push((at, kind));
         self.system.schedule_fault(at, kind);
-    }
-
-    /// Issue a gateway query (recorded).  Returns `None` when the run
-    /// has no gateway.  The *response* is not recorded — responses are
-    /// timing-dependent and never feed back into hashed state — only the
-    /// arrival is.
-    pub fn query(
-        &mut self,
-        consumer: &Consumer,
-        request: QueryRequest,
-    ) -> Option<Result<QueryResponse, QueryError>> {
-        let gw = self.system.gateway()?.clone();
-        self.pending
-            .gateway_ops
-            .push(GatewayOp::Query { consumer: consumer.clone(), request: request.clone() });
-        Some(gw.query(consumer, request))
     }
 
     /// Register a standing subscription (recorded).  Returns `None` when

@@ -21,7 +21,7 @@
 //! * [`SpanRing`] — the bounded ring buffer spans are recorded into (a
 //!   mutex-guarded queue that rejects and counts when full); the
 //!   [`Tracer`] keeps one ring per thread slot so the pipeline thread and
-//!   gateway workers do not contend.
+//!   gateway callers' threads do not contend.
 //! * [`Tracer`] — hands out contexts and span guards; the hot path is a
 //!   couple of relaxed atomics when sampled and a branch when not.
 //! * [`TraceStore`] — assembles drained spans into completed [`Trace`]s,

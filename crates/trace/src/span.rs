@@ -56,7 +56,7 @@ pub enum DropReason {
     DeadlineShed,
     /// A gateway principal exceeded its token-bucket rate limit.
     RateLimited,
-    /// The gateway admission queue was full even after shedding.
+    /// Every slot of a gateway shard was taken and its wait line full.
     AdmissionFull,
     /// The envelope failed to decode (truncated or bit-flipped payload)
     /// and was skipped at ingest.

@@ -3,7 +3,7 @@
 //!
 //! Every ~30 ticks a block of monitoring-plane faults fires — collector
 //! panics, hangs, and slowdowns, broker topic stalls, envelope bit-flips,
-//! store shard write failures, gateway worker deaths — and the soak
+//! store shard write failures — and the soak
 //! checks that the plane degrades *legibly* and heals:
 //!
 //! 1. No panic, no deadlock: the run completes (injected collector
@@ -86,7 +86,6 @@ fn dense_plan() -> (ChaosPlan, Vec<(u64, &'static str)>) {
             base + 16,
             ChaosFault::StoreWriteFail { shard: (block % 4) as usize, ticks: 3 },
         );
-        plan.schedule(base + 20, ChaosFault::GatewayWorkerDeath);
         block += 1;
     }
     (plan, expected_gaps)
@@ -113,7 +112,6 @@ fn run_soak(seed: u64) -> SoakOutcome {
         400 * MINUTE_MS,
         Ts::ZERO,
     ));
-    let full_strength = mon.gateway().unwrap().worker_count();
 
     // Invariant 2: each collector fault must surface as a MonitoringGap
     // naming its collector within 2 ticks.  Faults can overlap, so track
@@ -154,7 +152,6 @@ fn run_soak(seed: u64) -> SoakOutcome {
     assert_eq!(mon.breaker_state(), BreakerState::Closed, "ingest breaker must close");
     assert_eq!(mon.spill_depth(), 0, "spill queue must drain");
     assert_eq!(mon.stalled_frames(), 0, "stall buffer must drain");
-    assert_eq!(mon.gateway().unwrap().worker_count(), full_strength, "dead workers respawned");
 
     // Invariant 4: frame conservation.  Each tick publishes exactly one
     // raw frame carrying one system-power point; a frame is missing from
@@ -200,7 +197,7 @@ fn main() {
     let c = first.counts;
     println!(
         "  injected: {} total ({} panic, {} hang, {} slow, {} stall, {} corrupt, \
-         {} store-fail, {} worker-death)",
+         {} store-fail)",
         c.total(),
         c.collector_panic,
         c.collector_hang,
@@ -208,7 +205,6 @@ fn main() {
         c.topic_stall,
         c.envelope_corrupt,
         c.store_write_fail,
-        c.gateway_worker_death,
     );
     println!("  gaps surfaced within 2 ticks: {}", first.gaps_checked);
     println!("  corrupt envelopes rejected at decode: {}", first.decode_errors);

@@ -55,8 +55,9 @@ fn main() {
             if i == 4 {
                 spec.link.latency_ticks = 3;
             }
+            // A rollup batch meters 114 bytes: this link ships one a tick.
             if i == 7 {
-                spec.link.bandwidth_bytes_per_tick = Some(700);
+                spec.link.bandwidth_bytes_per_tick = Some(200);
                 spec.link.max_backlog = 8;
             }
             spec
@@ -87,7 +88,7 @@ fn main() {
             at_tick: at + 15,
             fault: ChaosFault::WanBandwidth {
                 site: format!("site{:02}", (round * 3 + 2) % SITES as u64),
-                bytes_per_tick: 400,
+                bytes_per_tick: 100,
                 ticks: 12,
             },
         });

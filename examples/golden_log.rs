@@ -87,7 +87,8 @@ fn record(path: &Path) {
     rec.subscribe(&ops, agg.clone(), "ops/load").expect("gateway is on").expect("valid");
     for t in 0..TICKS {
         if t % 40 == 15 {
-            rec.query(&ops, agg.clone()).expect("gateway is on").expect("valid");
+            let gw = rec.system().gateway().expect("gateway is on");
+            gw.query(&ops, agg.clone()).expect("valid");
         }
         rec.tick();
     }

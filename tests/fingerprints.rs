@@ -75,7 +75,10 @@ fn default_pipeline_matches_parent_build() {
 /// window long enough that results frames queue behind spilled raw frames
 /// and drain in arrival order (breaker-fronted ingest), a topic stall and
 /// envelope corruption (transport).  (Named before PR 20 deleted the worker
-/// pool; the test floor tracks names, so the name stays.)
+/// pool; the test floor tracks names, so the name stays.)  Re-pinned when
+/// the gateway's worker pool went: the chaos digest no longer folds the
+/// pending and delivered worker-death counts.  The pin was taken from the
+/// previous build with only those two words removed from the digest.
 #[test]
 fn chaos_pipeline_matches_parent_build_at_any_worker_count() {
     // Injected collector panics are expected; keep real ones loud.
@@ -145,5 +148,5 @@ fn federation_head_store_matches_parent_build() {
 }
 
 const DEFAULT_FINGERPRINT: u64 = 5051462296141442738;
-const CHAOS_FINGERPRINT: u64 = 18319780561118917598;
+const CHAOS_FINGERPRINT: u64 = 11318218868634069948;
 const FEDERATION_FINGERPRINT: u64 = 16732624631793705389;

@@ -405,12 +405,11 @@ fn malformed_requests_are_error_values() {
 }
 
 /// A NaN in the store is a value like any other: the queries that sort
-/// values answer with it ranked last instead of killing the worker.
+/// values answer with it ranked last instead of panicking the caller.
 #[test]
 fn a_stored_nan_is_answered_not_fatal() {
-    let mut mon = system_with_jobs();
+    let mon = system_with_jobs();
     let gw = mon.gateway().unwrap().clone();
-    let respawned = mon.telemetry().counter("gateway.workers.respawned");
     let metric = MetricId(4_000);
     let at = Ts::from_mins(3);
     mon.store().insert(&Sample::new(metric, CompId::node(0), at, f64::NAN));
@@ -432,8 +431,6 @@ fn a_stored_nan_is_answered_not_fatal() {
         assert_eq!(points.len(), 1);
         assert_eq!(points[0].1 == 1.0, lowest, "NaN sorts last: {points:?}");
     }
-    mon.run_ticks(1);
-    assert_eq!(respawned.get(), 0, "no worker died");
 }
 
 /// The pipeline keeps ticking while consumer threads hammer the gateway —
@@ -477,55 +474,6 @@ fn queries_run_concurrently_with_the_ticking_pipeline() {
     }
     stop.store(true, Ordering::Relaxed);
     handles.into_iter().for_each(|h| h.join().unwrap());
-}
-
-/// An injected worker death lands at a job boundary: queries keep being
-/// answered, and the next tick's supervision respawns the replacement.
-#[test]
-fn injected_worker_death_is_survived_and_respawned() {
-    let mut mon = system_with_jobs();
-    let metrics = mon.metrics();
-    let gw = mon.gateway().unwrap().clone();
-    let before = gw.worker_count();
-    assert!(before >= 2);
-
-    gw.inject_worker_death();
-    // The victim exits at its next job boundary; poll until supervision
-    // (normally run by the tick loop) reaps and replaces it.
-    let mut respawned = 0usize;
-    for _ in 0..2_000 {
-        respawned += gw.ensure_workers();
-        if respawned > 0 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    assert_eq!(respawned, 1, "exactly one worker died and was replaced");
-    assert_eq!(gw.worker_count(), before, "pool back to full strength");
-
-    // The pool still serves queries correctly after death and respawn.
-    let req = QueryRequest::Series {
-        key: SeriesKey::new(metrics.system_power, CompId::SYSTEM),
-        range: TimeRange::all(),
-    };
-    match gw.query(&Consumer::admin("ops"), req.clone()) {
-        Ok(QueryResponse::Points(pts)) => assert!(!pts.is_empty()),
-        other => panic!("query after respawn failed: {other:?}"),
-    }
-    // And the ticking pipeline performs the supervision itself.
-    gw.inject_worker_death();
-    let mut reaped = false;
-    for _ in 0..2_000 {
-        mon.run_ticks(1);
-        if gw.worker_count() == before && gw.ensure_workers() == 0 {
-            // Stable: the tick respawned the second victim already.
-            reaped = true;
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    assert!(reaped, "tick-loop supervision replaced the dead worker");
-    assert!(matches!(gw.query(&Consumer::admin("ops"), req), Ok(QueryResponse::Points(_))));
 }
 
 /// (i) A sliding aggregate, admin- or user-scoped, extends its cached

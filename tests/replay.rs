@@ -62,7 +62,8 @@ fn recorded() -> &'static EventLog {
         rec.schedule_fault(Ts(90_000), FaultKind::NodeCrash { node: 3 });
         // Gateway traffic so seek exercises the gateway checkpoint: a
         // standing subscription (registered before the first snapshot)
-        // and periodic one-shot queries.
+        // and periodic one-shot queries, which are no input: they move no
+        // hashed state.
         let ops = Consumer::admin("ops");
         let agg = QueryRequest::AggregateAcross {
             metric: MetricId(0),
@@ -74,7 +75,8 @@ fn recorded() -> &'static EventLog {
             .expect("valid subscription");
         for t in 0..60u64 {
             if t % 13 == 5 {
-                rec.query(&ops, agg.clone()).expect("gateway is on").expect("valid query");
+                let gw = rec.system().gateway().expect("gateway is on");
+                gw.query(&ops, agg.clone()).expect("valid query");
             }
             rec.tick();
         }
@@ -250,13 +252,14 @@ fn synthetic_tick(tick: u64, seed: u64) -> DurableTickRecord {
             .push((Ts(seed % 100_000), FaultKind::NodeCrash { node: (seed % 128) as u32 }));
     }
     if seed.is_multiple_of(5) {
-        inputs.gateway_ops.push(GatewayOp::Query {
+        inputs.gateway_ops.push(GatewayOp::Subscribe {
             consumer: Consumer::admin("ops"),
             request: QueryRequest::AggregateAcross {
                 metric: MetricId((seed % 7) as u32),
                 range: TimeRange { from: Ts::ZERO, to: Ts(seed % 1_000_000) },
                 agg: AggFn::Mean,
             },
+            topic: format!("ops/{}", seed % 11),
         });
     }
     let h = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
