@@ -8,7 +8,7 @@
 //! chase per sample, and a hot point costs 8 bytes plus its share of the
 //! row's stamp.
 //!
-//! Every column of a cohort always holds exactly `rows` points, which is
+//! Every member of a cohort always holds exactly `rows` points, which is
 //! what keeps the tier invisible: a member seals on its own
 //! `seal_threshold`-th point because the whole cohort does, into the bytes
 //! [`SeriesBlock::compress`] would have made.  Anything that would break
@@ -16,6 +16,14 @@
 //! `insert()` — **evicts** the series involved into its own
 //! `Vec<(Ts, f64)>`, the per-series representation `insert()` defines, and
 //! the cohort carries on without it.
+//!
+//! Most series repeat one value for whole blocks.  A member whose block
+//! sealed flat starts the next cycle **quiet**: it keeps that value and the
+//! cohort's row stamps instead of a matrix column, and the gather compares
+//! its sample with the value instead of storing it.  The first sample that
+//! differs evicts it, with a copy of the value for each row before; at the
+//! seal it is its value and one run, built without reading a column.  Each
+//! seal re-lays the matrix for the members left loud and frees the rest.
 //!
 //! This is the only file that knows there are two representations: the rest
 //! of the crate reads a series' hot points through `Cohorts::hot`.
@@ -42,9 +50,12 @@ const TILE: usize = 32;
 /// row, 40 M values through a consumer that reads every one took 98–133 ms
 /// over ten rounds; in bands of eight 60–73 ms.)
 const BAND: usize = 8;
-/// A column whose series was evicted or dropped; reclaimed when the cohort
-/// next empties.
+/// A member whose series was evicted or dropped; reclaimed at the cohort's
+/// next seal.
 const RETIRED: u32 = u32::MAX;
+/// Set in a [`Seat`]'s column: the rest indexes the cohort's quiet members,
+/// not its matrix.
+const QUIET: u32 = 1 << 31;
 /// A frame position whose series does not exist yet (or, in a gather, a
 /// member the key column does not carry).
 const UNRESOLVED: u32 = u32::MAX;
@@ -62,19 +73,23 @@ const LOCKED: usize = 16;
 const BLOCK: usize = 4_096;
 
 /// Where a series' hot points live: `(cohort, column)` for a member, whose
-/// own `hot` then stays empty.
+/// own `hot` then stays empty; the column is `QUIET | i` for the cohort's
+/// `i`-th quiet member.
 pub(crate) type Seat = Option<(u32, u32)>;
 
 #[derive(Debug, Default)]
 pub(crate) struct Cohort {
-    /// Slab slot of each column's series.
+    /// Slab slot of each loud member's series, one matrix column each.
     members: Vec<u32>,
-    /// Columns not `RETIRED`.
+    /// Slab slot of each quiet member's series and the bits of the value
+    /// it has held at every row since the seal.
+    quiet: Vec<(u32, u64)>,
+    /// Members, loud or quiet, not `RETIRED`.
     live: usize,
     /// One stamp per row, nondecreasing.
     stamps: Vec<Ts>,
     /// Row-major values, `members.len()` per row, `CHUNK_ROWS` rows per
-    /// chunk; chunks are kept (emptied) across seals.
+    /// chunk; emptied at each seal and shrunk to the members left loud.
     chunks: Vec<Vec<f64>>,
 }
 
@@ -93,6 +108,7 @@ impl Cohort {
     }
 
     /// Start a row stamped `ts`; its values follow through [`Self::fill`].
+    /// A chunk kept from the last cycle is filled again.
     fn open_row(&mut self, ts: Ts) {
         let chunk = self.rows() / CHUNK_ROWS;
         if chunk == self.chunks.len() {
@@ -113,13 +129,29 @@ impl Cohort {
         self.chunks[r / CHUNK_ROWS].len() == (r % CHUNK_ROWS + 1) * self.width()
     }
 
-    fn column(&self, column: usize) -> Hot<'_> {
-        Hot::Column { cohort: self, column, rows: 0..self.rows() }
+    /// The hot points of the member at `column` of a [`Seat`].
+    fn view(&self, column: u32) -> Hot<'_> {
+        let rows = 0..self.rows();
+        match column.checked_sub(QUIET) {
+            Some(q) => {
+                Hot::Quiet { cohort: self, value: f64::from_bits(self.quiet[q as usize].1), rows }
+            }
+            None => Hot::Column { cohort: self, column: column as usize, rows },
+        }
     }
 
-    fn reset(&mut self) {
-        self.stamps.clear();
-        self.chunks.iter_mut().for_each(Vec::clear);
+    /// The slab slot held at `column` of a [`Seat`].
+    fn member_mut(&mut self, column: u32) -> &mut u32 {
+        match column.checked_sub(QUIET) {
+            Some(q) => &mut self.quiet[q as usize].0,
+            None => &mut self.members[column as usize],
+        }
+    }
+
+    /// Slab slots of the live members, loud then quiet.
+    fn live_members(&self) -> impl Iterator<Item = u32> + '_ {
+        let quiet = self.quiet.iter().map(|&(m, _)| m);
+        self.members.iter().copied().chain(quiet).filter(|&m| m != RETIRED)
     }
 
     /// Hand `visit` every live column — its series' slot and one `cell` per
@@ -133,6 +165,9 @@ impl Cohort {
         mut visit: impl FnMut(u32, &[T]),
     ) {
         let (rows, width) = (self.rows(), self.width());
+        if width == 0 {
+            return;
+        }
         // Off a power of two, so the tile's columns do not share cache sets.
         let stride = rows + MIN_WIDTH;
         tile.clear();
@@ -181,13 +216,15 @@ pub(crate) enum Hot<'a> {
     Own(&'a [(Ts, f64)]),
     /// Rows `rows` of one column of a cohort.
     Column { cohort: &'a Cohort, column: usize, rows: Range<usize> },
+    /// Rows `rows` of a quiet member: the cohort's stamps, one value.
+    Quiet { cohort: &'a Cohort, value: f64, rows: Range<usize> },
 }
 
 impl<'a> Hot<'a> {
     pub(crate) fn len(&self) -> usize {
         match self {
             Hot::Own(points) => points.len(),
-            Hot::Column { rows, .. } => rows.len(),
+            Hot::Column { rows, .. } | Hot::Quiet { rows, .. } => rows.len(),
         }
     }
 
@@ -201,11 +238,17 @@ impl<'a> Hot<'a> {
             let lo = run.partition_point(|p| stamp(p) < from);
             lo..run.partition_point(|p| stamp(p) <= to).max(lo)
         }
+        let rows_within = |cohort: &Cohort, rows: Range<usize>| {
+            let w = window(&cohort.stamps[rows.clone()], |&t| t, from, to);
+            rows.start + w.start..rows.start + w.end
+        };
         match self {
             Hot::Own(points) => Hot::Own(&points[window(points, |p| p.0, from, to)]),
             Hot::Column { cohort, column, rows } => {
-                let w = window(&cohort.stamps[rows.clone()], |&t| t, from, to);
-                Hot::Column { cohort, column, rows: rows.start + w.start..rows.start + w.end }
+                Hot::Column { cohort, column, rows: rows_within(cohort, rows) }
+            }
+            Hot::Quiet { cohort, value, rows } => {
+                Hot::Quiet { cohort, value, rows: rows_within(cohort, rows) }
             }
         }
     }
@@ -235,6 +278,7 @@ impl Iterator for HotPoints<'_> {
                 let r = rows.next()?;
                 Some((cohort.stamps[r], cohort.row(r)[*column]))
             }
+            Hot::Quiet { cohort, value, rows } => Some((cohort.stamps[rows.next()?], *value)),
         }
     }
 
@@ -252,8 +296,13 @@ impl ExactSizeIterator for HotPoints<'_> {}
 pub struct HotLayout {
     /// Cohorts that currently have members.
     pub cohorts: usize,
-    /// Series whose hot points are a cohort column.
+    /// Series whose hot points a cohort holds, as a column or quiet.
     pub members: usize,
+    /// Of those, the quiet: one value at every row, no column.
+    pub quiet: usize,
+    /// Bytes the hot tier holds, by capacity: the cohorts' stamps, matrices
+    /// and member lists, and the series' own buffers.
+    pub hot_bytes: usize,
     /// Cohorts formed so far.
     pub formations: u64,
     /// Members moved back to their own buffer so far.
@@ -282,18 +331,18 @@ impl Cohorts {
     pub(crate) fn hot<'a>(&'a self, slot: &'a SeriesSlot) -> Hot<'a> {
         match slot.seat {
             None => Hot::Own(&slot.data.hot),
-            Some((c, j)) => self.list[c as usize].column(j as usize),
+            Some((c, j)) => self.list[c as usize].view(j),
         }
     }
 
     /// The whole-slab read a checkpoint makes: hand `visit` every series
     /// (by slab position) with its hot points, cohort by cohort and then the
-    /// rest.  Members come transposed out of the matrix through `tile`,
+    /// rest.  Loud members come transposed out of the matrix through `tile`,
     /// `TILE` columns at a time, where [`Cohorts::hot`] would walk each
-    /// column at the matrix's stride.  The flag says the stamps are exactly
-    /// those of the series visited just before — the next column of the same
-    /// cohort — so a writer that has just encoded them can copy that stream,
-    /// as a seal does.
+    /// column at the matrix's stride; quiet ones are spelled out in it.  The
+    /// flag says the stamps are exactly those of the series visited just
+    /// before — another member of the same cohort — so a writer that has
+    /// just encoded them can copy that stream, as a seal does.
     pub(crate) fn each_hot(
         &self,
         slots: &[SeriesSlot],
@@ -310,21 +359,27 @@ impl Cohorts {
                     same_stamps = true;
                 },
             );
+            for &(member, bits) in cohort.quiet.iter().filter(|q| q.0 != RETIRED) {
+                tile.clear();
+                tile.extend(cohort.stamps.iter().map(|&t| (t, f64::from_bits(bits))));
+                visit(member as usize, tile, same_stamps);
+                same_stamps = true;
+            }
         }
         for (i, slot) in slots.iter().enumerate().filter(|(_, s)| s.seat.is_none()) {
             visit(i, &slot.data.hot, false);
         }
     }
 
-    /// Move a member's column into the series' own buffer (no-op for a
-    /// series that is not a member).  The column stays allocated, unused,
-    /// until the cohort next empties.
+    /// Move a member's points into the series' own buffer (no-op for a
+    /// series that is not a member).  A loud member's column stays
+    /// allocated, unused, until the cohort next seals or empties.
     pub(crate) fn evict(&mut self, slot: &mut SeriesSlot) {
         let Some((c, j)) = slot.seat.take() else { return };
         let cohort = &mut self.list[c as usize];
         debug_assert!(slot.data.hot.is_empty(), "a member's own buffer stays empty");
-        slot.data.hot.extend(cohort.column(j as usize).points());
-        cohort.members[j as usize] = RETIRED;
+        slot.data.hot.extend(cohort.view(j).points());
+        *cohort.member_mut(j) = RETIRED;
         cohort.live -= 1;
         if cohort.live == 0 {
             *cohort = Cohort::default();
@@ -333,38 +388,61 @@ impl Cohorts {
         self.evictions += 1;
     }
 
-    /// A new cohort of `members` (hot-empty series in no cohort), in the
-    /// order given.
-    fn form(&mut self, members: Vec<u32>, slots: &mut [SeriesSlot]) {
+    /// Take `members` (hot-empty series in no cohort), in the order given,
+    /// as loud columns of a new cohort.
+    fn form(&mut self, members: &[u32], slots: &mut [SeriesSlot]) {
         let c = self.list.iter().position(|c| c.live == 0).unwrap_or_else(|| {
             self.list.push(Cohort::default());
             self.list.len() - 1
         });
-        for (j, &m) in members.iter().enumerate() {
+        self.list[c] = Cohort::default();
+        self.join(c, members, slots);
+        self.formations += 1;
+    }
+
+    /// Take `members` (hot-empty series in no cohort), in the order given,
+    /// as loud columns of cohort `c`, which holds no rows.
+    fn join(&mut self, c: usize, members: &[u32], slots: &mut [SeriesSlot]) {
+        let cohort = &mut self.list[c];
+        debug_assert!(cohort.rows() == 0, "joined between rows");
+        cohort.members.reserve_exact(members.len());
+        for &m in members {
             let slot = &mut slots[m as usize];
             debug_assert!(slot.seat.is_none() && slot.data.hot.is_empty());
             // A series that sealed on its own gives its buffer back: it
             // will not be needed again short of an eviction.
             slot.data.hot = Vec::new();
-            slot.seat = Some((c as u32, j as u32));
+            slot.seat = Some((c as u32, cohort.members.len() as u32));
+            cohort.members.push(m);
         }
-        self.list[c] = Cohort { live: members.len(), members, ..Cohort::default() };
+        cohort.live += members.len();
         self.gen += 1;
-        self.formations += 1;
     }
 
     /// Seal every member of cohort `c` into the block
-    /// [`SeriesBlock::compress`] would make of its column, the timestamp
-    /// stream encoded once and copied.
+    /// [`SeriesBlock::compress`] would make of its points, the timestamp
+    /// stream encoded once and copied; a quiet member's values are its value
+    /// and one run, built without a column.  Then re-lay the cohort for the
+    /// next cycle: the members whose block came out flat go quiet, the rest
+    /// keep a column of the matrix, which gives back what it held for the
+    /// others.
     fn seal(&mut self, c: usize, slots: &mut [SeriesSlot], store: &TimeSeriesStore) {
         let cohort = &mut self.list[c];
-        let (rows, width) = (cohort.rows(), cohort.width());
+        let rows = cohort.rows();
         if rows == 0 {
             return;
         }
         let (start, end) = (cohort.stamps[0], cohort.stamps[rows - 1]);
         let count = u32::try_from(rows).expect("a cohort seals long before 2^32 rows");
         let ts_bytes = compress::encode_timestamps(cohort.stamps.iter().copied());
+        let mut seal_one = |member: u32, val_bytes: Vec<u8>| {
+            let slot = &mut slots[member as usize];
+            let ts_bytes = ts_bytes.clone();
+            let block = SeriesBlock { key: slot.key, start, end, count, ts_bytes, val_bytes };
+            store.account_seal(&block);
+            push_warm(&mut slot.data.warm, block);
+        };
+        let (mut loud, mut quiet) = (Vec::with_capacity(cohort.width()), Vec::new());
         // Every column is encoded once, into `stream`, and copied out at its
         // exact size, where a lone series sizes its stream with a first run
         // of the codec: with thousands of columns to a seal one reused
@@ -375,30 +453,46 @@ impl Cohorts {
             |_, v| v,
             |member, column| {
                 stream.clear();
-                compress::encode_values_into(&mut stream, column.iter().copied());
-                let slot = &mut slots[member as usize];
-                let block = SeriesBlock {
-                    key: slot.key,
-                    start,
-                    end,
-                    count,
-                    ts_bytes: ts_bytes.clone(),
-                    val_bytes: stream.clone(),
-                };
-                store.account_seal(&block);
-                push_warm(&mut slot.data.warm, block);
+                compress::encode_values_into(&mut stream, column, |&v| v);
+                seal_one(member, stream.clone());
+                let bits = column[0].to_bits();
+                if compress::repeats(&column[1..], bits, |&v| v) == rows - 1 {
+                    quiet.push((member, bits));
+                } else {
+                    loud.push(member);
+                }
             },
         );
-        cohort.reset();
-        self.seals += 1;
-        if cohort.live < width {
-            // Empty: the one moment retired columns can be squeezed out.
-            cohort.members.retain(|&m| m != RETIRED);
-            for (j, &m) in cohort.members.iter().enumerate() {
+        for &(member, bits) in cohort.quiet.iter().filter(|q| q.0 != RETIRED) {
+            seal_one(member, compress::encode_flat(bits, rows));
+            quiet.push((member, bits));
+        }
+        // Quiet members in slab order, which is mostly frame order, so the
+        // gather's compares walk the frame forwards.
+        quiet.sort_unstable_by_key(|&(member, _)| member);
+        // Unless a member went quiet or was retired, every seat stands.
+        if loud != cohort.members || quiet.len() != cohort.quiet.len() {
+            for (j, &m) in loud.iter().enumerate() {
                 slots[m as usize].seat = Some((c as u32, j as u32));
             }
+            for (q, &(m, _)) in quiet.iter().enumerate() {
+                slots[m as usize].seat = Some((c as u32, QUIET | q as u32));
+            }
+            cohort.live = loud.len() + quiet.len();
+            cohort.members = loud;
+            cohort.quiet = quiet;
             self.gen += 1;
         }
+        let cohort = &mut self.list[c];
+        cohort.stamps.clear();
+        // The quiet members' share of the matrix goes back now, before the
+        // next cohort's blocks are made; the loud share stays, so the next
+        // cycle's rows land in memory already touched.
+        for chunk in &mut cohort.chunks {
+            chunk.clear();
+            chunk.shrink_to(CHUNK_ROWS * cohort.members.len());
+        }
+        self.seals += 1;
     }
 
     /// Seal every cohort that holds rows (`seal_all`).
@@ -408,17 +502,18 @@ impl Cohorts {
         }
     }
 
-    /// The slab was compacted: point every column at its series' new slot
-    /// and retire the columns of series that were dropped.
+    /// The slab was compacted: point every member at its series' new slot
+    /// and retire the members whose series were dropped.
     pub(crate) fn remap(&mut self, slots: &[SeriesSlot]) {
         for cohort in &mut self.list {
             cohort.members.fill(RETIRED);
+            cohort.quiet.iter_mut().for_each(|q| q.0 = RETIRED);
             cohort.live = 0;
         }
         for (i, slot) in slots.iter().enumerate() {
             if let Some((c, j)) = slot.seat {
                 let cohort = &mut self.list[c as usize];
-                cohort.members[j as usize] = i as u32;
+                *cohort.member_mut(j) = i as u32;
                 cohort.live += 1;
             }
         }
@@ -442,37 +537,62 @@ impl Cohorts {
     fn settle(&mut self, slots: &mut [SeriesSlot], seen: &[Seen], ts: Ts) {
         for c in 0..self.list.len() {
             let cohort = &self.list[c];
-            let live = cohort.members.iter().filter(|&&m| m != RETIRED);
-            let present = live.filter(|&&m| seen[m as usize] == Seen::Once).count();
+            let present = cohort.live_members().filter(|&m| seen[m as usize] == Seen::Once).count();
             let stale = cohort.stamps.last().is_some_and(|&last| ts < last);
             if present == cohort.live && !stale {
                 continue;
             }
             let evict_present = stale || present * 2 < cohort.live;
-            for j in 0..cohort.width() {
-                // Re-read each time: an eviction that empties the cohort
-                // resets it.
-                let Some(&m) = self.list[c].members.get(j).filter(|&&m| m != RETIRED) else {
-                    continue;
-                };
-                let leaves = match seen[m as usize] {
-                    Seen::Irregular => true,
-                    Seen::Once => evict_present,
-                    Seen::Absent => !evict_present,
-                };
-                if leaves {
-                    self.evict(&mut slots[m as usize]);
-                }
+            let leaves = |&m: &u32| match seen[m as usize] {
+                Seen::Irregular => true,
+                Seen::Once => evict_present,
+                Seen::Absent => !evict_present,
+            };
+            let leaving: Vec<u32> = cohort.live_members().filter(leaves).collect();
+            for m in leaving {
+                self.evict(&mut slots[m as usize]);
             }
         }
     }
 
-    fn layout(&self, into: &mut HotLayout) {
+    /// Hand a batch's newcomers — hot-empty series in no cohort, present
+    /// once — a cohort: a new one if there are enough; else those that
+    /// sealed on the tick a cohort the batch carries did (as a quiet member
+    /// evicted in the cycle does) rejoin it while it holds no rows.
+    fn seat(&mut self, newcomers: &[u32], seen: &[Seen], slots: &mut [SeriesSlot]) {
+        if newcomers.len() >= MIN_WIDTH {
+            return self.form(newcomers, slots);
+        }
+        let sealed_at = |m: u32| slots[m as usize].data.warm.last().map(|b| b.end);
+        for c in 0..self.list.len() {
+            let cohort = &self.list[c];
+            let carried = cohort.live_members().find(|&m| seen[m as usize] == Seen::Once);
+            let Some(member) = carried.filter(|_| cohort.rows() == 0) else { continue };
+            let end = sealed_at(member);
+            let rejoin: Vec<u32> =
+                newcomers.iter().copied().filter(|&n| sealed_at(n) == end).collect();
+            if !rejoin.is_empty() {
+                return self.join(c, &rejoin, slots);
+            }
+        }
+    }
+
+    fn layout(&self, slots: &[SeriesSlot], into: &mut HotLayout) {
         into.cohorts += self.list.iter().filter(|c| c.live > 0).count();
         into.members += self.list.iter().map(|c| c.live).sum::<usize>();
         into.formations += self.formations;
         into.evictions += self.evictions;
         into.cohort_seals += self.seals;
+        for c in &self.list {
+            into.quiet += c.quiet.iter().filter(|q| q.0 != RETIRED).count();
+            into.hot_bytes += c.stamps.capacity() * size_of::<Ts>()
+                + c.chunks.iter().map(|k| k.capacity() * size_of::<f64>()).sum::<usize>()
+                + c.chunks.capacity() * size_of::<Vec<f64>>()
+                + c.members.capacity() * size_of::<u32>()
+                + c.quiet.capacity() * size_of::<(u32, u64)>();
+        }
+        into.hot_bytes +=
+            slots.iter().map(|s| s.data.hot.capacity() * size_of::<(Ts, f64)>()).sum::<usize>();
     }
 }
 
@@ -487,11 +607,13 @@ enum Seen {
 }
 
 /// One cohort's share of a frame: the frame position of each column's
-/// sample, so a row is one gather.
+/// sample, so a row is one gather, and of each quiet member's, so the row
+/// can check them.
 #[derive(Debug, Default)]
 struct Gather {
     cohort: u32,
     pos: Vec<u32>,
+    quiet_pos: Vec<u32>,
     /// Live members the key column carries.
     present: usize,
     /// The last of their positions.
@@ -566,14 +688,21 @@ impl RowPlan {
             });
             let g = &mut self.gathers[at];
             if g.present == 0 {
+                let cohort = &cohorts.list[c as usize];
                 g.pos.clear();
-                g.pos.resize(cohorts.list[c as usize].width(), UNRESOLVED);
+                g.pos.resize(cohort.width(), UNRESOLVED);
+                g.quiet_pos.clear();
+                g.quiet_pos.resize(cohort.quiet.len(), UNRESOLVED);
             }
-            if g.pos[j as usize] != UNRESOLVED {
+            let at = match j.checked_sub(QUIET) {
+                Some(q) => &mut g.quiet_pos[q as usize],
+                None => &mut g.pos[j as usize],
+            };
+            if *at != UNRESOLVED {
                 self.clean = false;
                 continue;
             }
-            g.pos[j as usize] = pos;
+            *at = pos;
             g.present += 1;
             g.last_pos = pos;
         }
@@ -588,6 +717,11 @@ impl RowPlan {
                     *p = all[0];
                 }
             }
+            for (p, &(m, _)) in g.quiet_pos.iter_mut().zip(&cohort.quiet) {
+                if m == RETIRED {
+                    *p = all[0];
+                }
+            }
         }
         // Rows that are not clean are never landed.
         if self.clean {
@@ -597,18 +731,21 @@ impl RowPlan {
 
     /// Whether `shard` can take a synchronized frame stamped `ts` straight
     /// through this plan: nothing moved since it was derived, no cohort's
-    /// last row is newer, and too few loose series are hot-empty to form a
-    /// cohort of.
+    /// last row is newer, and no loose series is hot-empty that could be
+    /// seated — enough of them to form a cohort of, or any while a cohort
+    /// the plan gathers holds no rows to join.
     fn fits(&self, shard: &Shard, ts: Ts) -> bool {
         let cohorts = &shard.cohorts;
         let in_order = |g: &Gather| {
             cohorts.list[g.cohort as usize].stamps.last().is_none_or(|&last| last <= ts)
         };
         let hot_empty = |&&(_, slot): &&(u32, u32)| shard.slots[slot as usize].data.hot.is_empty();
+        let newcomers = self.loose.iter().filter(hot_empty).count();
+        let open = || self.gathers.iter().any(|g| cohorts.list[g.cohort as usize].rows() == 0);
         self.clean
             && self.gen == cohorts.gen
             && self.gathers.iter().all(in_order)
-            && self.loose.iter().filter(hot_empty).count() < MIN_WIDTH
+            && (newcomers == 0 || newcomers < MIN_WIDTH && !open())
     }
 }
 
@@ -742,9 +879,10 @@ impl TimeSeriesStore {
     /// Land each lane's rows in its shard: one row opened per gathered
     /// cohort, filled in one pass over `cf`'s values, `BLOCK` positions at
     /// a time, each cohort taking the columns its cuts assign the block;
-    /// then the cohorts that reached the threshold seal (the tick every
-    /// member would seal on alone), and the loose samples are appended one
-    /// by one.
+    /// then each cohort's quiet members are checked against their samples
+    /// (one that differs is evicted, its row's point the sample), the
+    /// cohorts that reached the threshold seal (the tick every member would
+    /// seal on alone), and the loose samples are appended one by one.
     fn land(&self, cf: &ColumnFrame, lanes: &mut [Option<(&mut Shard, &RowPlan)>]) {
         for (shard, rows) in lanes.iter_mut().flatten() {
             for g in &rows.gathers {
@@ -764,10 +902,29 @@ impl TimeSeriesStore {
         for (shard, rows) in lanes.iter_mut().flatten() {
             let Shard { slots, cohorts, .. } = &mut **shard;
             for g in &rows.gathers {
-                let cohort = &cohorts.list[g.cohort as usize];
+                let c = g.cohort as usize;
+                let cohort = &cohorts.list[c];
                 debug_assert!(cohort.row_is_full(), "every column of the row was filled");
-                if cohort.rows() >= self.seal_threshold {
-                    cohorts.seal(g.cohort as usize, slots, self);
+                let moved = |(&(m, bits), &p): (&(u32, u64), &u32)| {
+                    m != RETIRED && cf.values[p as usize].to_bits() != bits
+                };
+                if cohort.quiet.iter().zip(&g.quiet_pos).any(moved) {
+                    for (q, &p) in g.quiet_pos.iter().enumerate() {
+                        // Re-read each time: an eviction that empties the
+                        // cohort resets it.
+                        let Some(&quiet) = cohorts.list[c].quiet.get(q) else { break };
+                        if !moved((&quiet, &p)) {
+                            continue;
+                        }
+                        let s = &mut slots[quiet.0 as usize];
+                        cohorts.evict(s);
+                        // The row's point is the sample, not the value.
+                        s.data.hot.pop();
+                        self.append_point(s.key, &mut s.data, cf.ts, cf.values[p as usize]);
+                    }
+                }
+                if cohorts.list[c].rows() >= self.seal_threshold {
+                    cohorts.seal(c, slots, self);
                 }
             }
             for &(pos, slot) in &rows.loose {
@@ -778,7 +935,7 @@ impl TimeSeriesStore {
     }
 
     /// Create the batch's missing series, evict every member it treats
-    /// irregularly, and form a cohort of its newcomers if there are enough:
+    /// irregularly, and seat its newcomers in a cohort where one takes them:
     /// hot-empty series in no cohort (newborn, or just sealed), present
     /// exactly once.  Returns each position's slot.
     fn settle_batch(&self, shard: &mut Shard, cf: &ColumnFrame, plan: &ShardPlan) -> Vec<u32> {
@@ -802,9 +959,7 @@ impl TimeSeriesStore {
             seen[slot as usize] == Seen::Once && s.seat.is_none() && s.data.hot.is_empty()
         };
         let newcomers: Vec<u32> = slot_of.iter().copied().filter(newcomer).collect();
-        if newcomers.len() >= MIN_WIDTH {
-            cohorts.form(newcomers, slots);
-        }
+        cohorts.seat(&newcomers, &seen, slots);
         slot_of
     }
 
@@ -812,7 +967,8 @@ impl TimeSeriesStore {
     pub fn hot_layout(&self) -> HotLayout {
         let mut layout = HotLayout::default();
         for shard in &self.shards {
-            shard.read().cohorts.layout(&mut layout);
+            let shard = shard.read();
+            shard.cohorts.layout(&shard.slots, &mut layout);
         }
         layout
     }
@@ -902,8 +1058,117 @@ mod tests {
         let layout = pair.routed.hot_layout();
         assert_eq!((layout.cohorts, layout.members, layout.formations), (2, 64, 2));
         assert_eq!((layout.evictions, layout.cohort_seals), (0, 4));
-        assert_eq!(pair.oracle.hot_layout(), HotLayout::default(), "insert() never forms one");
+        let oracle = HotLayout { hot_bytes: 0, ..pair.oracle.hot_layout() };
+        assert_eq!(oracle, HotLayout::default(), "insert() never forms one");
         pair.assert_same("two seals and five rows");
+    }
+
+    /// Sixteen nodes of two metrics: metric 0 holds `level(node, tick)`,
+    /// metric 1 changes every tick.
+    fn leveled(
+        tick: u64,
+        nodes: impl IntoIterator<Item = u32>,
+        level: impl Fn(u32, u64) -> f64,
+    ) -> ColumnFrame {
+        let mut cf = ColumnFrame::new(Ts(tick * 1_000));
+        for n in nodes {
+            cf.push(MetricId(0), CompId::node(n), level(n, tick));
+            cf.push(MetricId(1), CompId::node(n), (tick * 7 + n as u64) as f64);
+        }
+        cf
+    }
+
+    #[test]
+    fn cohort_member_that_sealed_flat_goes_quiet_and_seals_into_the_compress_bytes() {
+        let mut pair = Pair::new(2, 8);
+        let level = |n: u32, _| 100.0 + n as f64;
+        for tick in 0..8 {
+            pair.frame(&leveled(tick, 0..16, level));
+        }
+        let layout = pair.routed.hot_layout();
+        assert_eq!((layout.members, layout.quiet, layout.evictions), (32, 16, 0), "{layout:?}");
+        // The quiet members' half of the matrix was given back: a 64-row
+        // chunk of the 16 loud columns is left (8 KB), not one of 32.
+        assert!((8_192..16_384).contains(&layout.hot_bytes), "{layout:?}");
+        for tick in 8..19 {
+            pair.frame(&leveled(tick, 0..16, level));
+            // A quiet member's hot points are the cohort's stamps and its
+            // value.
+            let key = SeriesKey::new(MetricId(0), CompId::node(5));
+            let (from, to) = (Ts(9_500), Ts(u64::MAX));
+            assert_eq!(pair.routed.query(key, from, to), pair.oracle.query(key, from, to));
+        }
+        // The second block of a quiet member was built from its value
+        // alone, into the bytes `SeriesBlock::compress` makes of its points:
+        // eight points, the value, a run of seven in six bits.
+        let key = SeriesKey::new(MetricId(0), CompId::node(5));
+        let points = pair.oracle.query(key, Ts(8_000), Ts(15_000));
+        let shard = pair.routed.shard_of(&key).read();
+        let warm = &shard.slots[shard.index[&key] as usize].data.warm;
+        assert_eq!((warm.len(), warm[1].val_bytes.len()), (2, 1 + 9));
+        assert_eq!(warm[1], SeriesBlock::compress(key, &points));
+        drop(shard);
+        let layout = pair.routed.hot_layout();
+        assert_eq!((layout.quiet, layout.evictions, layout.cohort_seals), (16, 0, 4));
+        pair.assert_same("two seals and three quiet rows");
+    }
+
+    #[test]
+    fn cohort_quiet_member_that_moves_leaves_with_its_value_and_rejoins_after_the_seal() {
+        let mut pair = Pair::new(2, 8);
+        // Node 3 starts changing at row 5 of the second cycle; node 4 steps
+        // to a new level on that cycle's seal row and holds it; node 6 is
+        // absent from one frame of the third cycle.
+        let level = |n: u32, t: u64| match n {
+            3 if t >= 13 => t as f64,
+            4 if t >= 15 => 7.0,
+            _ => 100.0 + n as f64,
+        };
+        for tick in 0..15 {
+            pair.frame(&leveled(tick, 0..16, level));
+        }
+        let layout = pair.routed.hot_layout();
+        assert_eq!((layout.quiet, layout.evictions), (15, 1), "{layout:?}");
+        pair.frame(&leveled(15, 0..16, level));
+        // Node 4 left on the seal row and sealed on its own on that tick,
+        // as node 3 did: the cohorts hold the rest, quiet.
+        let layout = pair.routed.hot_layout();
+        assert_eq!((layout.members, layout.quiet, layout.evictions), (30, 14, 2), "{layout:?}");
+        // Both sealed with the cohorts, so the next frame seats them again,
+        // loud.
+        pair.frame(&leveled(16, 0..16, level));
+        let layout = pair.routed.hot_layout();
+        assert_eq!((layout.members, layout.quiet, layout.formations), (32, 14, 2), "{layout:?}");
+        for tick in 17..20 {
+            pair.frame(&leveled(tick, 0..16, level));
+        }
+        // Absent from a frame: node 6's quiet and loud members both leave.
+        pair.frame(&leveled(20, (0..6).chain(7..16), level));
+        let layout = pair.routed.hot_layout();
+        assert_eq!((layout.members, layout.quiet, layout.evictions), (30, 13, 4), "{layout:?}");
+        for tick in 21..24 {
+            pair.frame(&leveled(tick, 0..16, level));
+        }
+        // Node 4 held its new level for the whole third cycle: quiet again.
+        assert_eq!(pair.routed.hot_layout().quiet, 14);
+        // Written through `insert()`: a quiet member leaves too.
+        pair.insert(Sample::new(MetricId(0), CompId::node(9), Ts(23_500), 109.0));
+        assert_eq!(pair.routed.hot_layout().quiet, 13);
+        for tick in 24..29 {
+            pair.frame(&leveled(tick, 0..16, level));
+        }
+        // A loaded store is per-series; it hashes like its twin, and its
+        // series go quiet again after the next two seals — all but node 6's
+        // and node 9's metric 0, which the absence and the insert put a
+        // point out of step: they seal on other ticks, alone.
+        pair.routed.load_snapshot(pair.routed.snapshot());
+        assert_eq!(pair.routed.state_digest(), pair.oracle.state_digest());
+        for tick in 29..48 {
+            pair.frame(&leveled(tick, 0..16, level));
+        }
+        let layout = pair.routed.hot_layout();
+        assert_eq!((layout.members, layout.quiet), (29, 13), "{layout:?}");
+        pair.assert_same("moves, an absence, an insert and a load among quiet members");
     }
 
     #[test]
@@ -912,7 +1177,9 @@ mod tests {
         for tick in 0..10 {
             pair.frame(&frame_of(tick, 0..(MIN_WIDTH as u32 - 1), 1));
         }
-        assert_eq!(pair.routed.hot_layout(), HotLayout::default());
+        let routed = pair.routed.hot_layout();
+        assert_eq!(HotLayout { hot_bytes: 0, ..routed }, HotLayout::default());
+        assert_eq!(routed.hot_bytes, 7 * 8 * 16, "seven own buffers with room for eight points");
         pair.assert_same("seven series");
     }
 

@@ -1,20 +1,27 @@
-//! Time-series block compression.
+//! Time-series block compression (block format v3).
 //!
-//! Timestamps use zigzag-varint delta-of-delta with each run of zero
-//! delta-of-deltas written once (a perfectly regular cadence costs a few
-//! bytes a block, whatever its length); values use the Gorilla XOR
-//! scheme (Facebook, VLDB'15): identical values cost one bit, values with a
-//! stable exponent/mantissa window cost a few bits.  Together they bring a
-//! one-minute node-metric stream to under two bytes a sample (1.75 at
-//! 4,096 nodes), which is what makes "keep all data" (Table I) a
-//! defensible requirement.
+//! A block is two streams.  Timestamps use zigzag-varint delta-of-delta
+//! with each run of zero delta-of-deltas written once (a perfectly regular
+//! cadence costs a few bytes a block, whatever its length).  Values use the
+//! Gorilla XOR scheme (Facebook, VLDB'15) with the same rule on the XOR
+//! stream: after the first value's 64 raw bits, a run of `k >= 1` zero
+//! XORs is written once, as `0` plus the Elias-gamma code of `k`, so a
+//! block whose values never change is its first value and one run (13
+//! bytes for 512 points), and values with a stable exponent/mantissa window
+//! cost a few bits.  Together they bring a one-minute node-metric stream to
+//! under two bytes a sample (1.66 at 4,096 nodes), which is what makes
+//! "keep all data" (Table I) a defensible requirement.  Runs free both
+//! streams' headers from their bytes, so the value header is bounded by
+//! what a block may hold, 2^24 points (`MAX_BLOCK_POINTS`), the stamp header
+//! by matching it, and every run by the points left.
 //!
 //! Every series seals on the same tick, so the encoder sits on the tick's
 //! critical path under the shard write lock.  The kernels therefore move
 //! whole words: the writer packs into a 64-bit accumulator and the reader
 //! loads unaligned big-endian words, one bounds check per code instead of
-//! one per bit.  The byte format is pinned by the bit-at-a-time reference
-//! in this module's tests.
+//! one per bit; a run of repeats is found by a compare-and-count over the
+//! slice, eight values at a time.  The byte format is pinned by the
+//! bit-at-a-time reference in this module's tests.
 
 use hpcmon_metrics::Ts;
 
@@ -307,27 +314,60 @@ pub(crate) fn check_timestamps(bytes: &[u8]) -> Option<()> {
     Some(())
 }
 
-// ----- values: Gorilla XOR -----
+// ----- values: Gorilla XOR, zero runs coded once -----
 
-/// Feed `emit(bits, width)` the Gorilla code of a float stream: 64 raw bits
-/// for the first value, then per value `0` (unchanged), `10` + the XOR's
-/// bits inside the previous window, or `11` + 5-bit leading-zero count +
-/// 6-bit window length (64 wraps to 0) + the window's bits.
+/// Most points a block may hold: 2^24, 256 MB decoded.  Runs free both
+/// streams from their bytes (a few bytes claim any count), so this, not the
+/// input's length, is what bounds a decoder's loop and output, whatever a
+/// header claims.
+pub(crate) const MAX_BLOCK_POINTS: usize = 1 << 24;
+
+/// How many leading `values` carry exactly the bits `bits`: a compare and
+/// count, eight at a time so the loop vectorizes.
 #[inline]
-fn value_codes(mut values: impl Iterator<Item = f64>, mut emit: impl FnMut(u64, u8)) {
-    let Some(first) = values.next() else { return };
-    let mut prev = first.to_bits();
+pub(crate) fn repeats<T>(values: &[T], bits: u64, value: impl Fn(&T) -> f64) -> usize {
+    let mut n = 0;
+    for chunk in values.chunks_exact(8) {
+        if chunk.iter().fold(0, |diff, v| diff | (value(v).to_bits() ^ bits)) != 0 {
+            break;
+        }
+        n += 8;
+    }
+    n + values[n..].iter().take_while(|v| value(v).to_bits() == bits).count()
+}
+
+/// The code of a run of `k >= 1` zero XORs: `0`, then the Elias-gamma code
+/// of `k` (`⌊log2 k⌋` zeros and `k` in binary) — `k` written in twice its
+/// bit length.
+#[inline]
+fn run_code(k: usize) -> (u64, u8) {
+    (k as u64, 2 * (usize::BITS - k.leading_zeros()) as u8)
+}
+
+/// Feed `emit(bits, width)` the code of a float stream: 64 raw bits for the
+/// first value, then per XOR with the value before: a run of zero XORs as
+/// [`run_code`], else `10` + the XOR's bits inside the previous window, or
+/// `11` + 5-bit leading-zero count + 6-bit window length (64 wraps to 0) +
+/// the window's bits.
+#[inline]
+fn value_codes<T>(values: &[T], value: impl Fn(&T) -> f64, mut emit: impl FnMut(u64, u8)) {
+    assert!(values.len() <= MAX_BLOCK_POINTS, "a block holds at most 2^24 points");
+    let Some((first, mut rest)) = values.split_first() else { return };
+    let mut prev = value(first).to_bits();
     emit(prev, 64);
     // No window yet: no XOR has `u32::MAX` leading zeros.
     let (mut win_leading, mut win_trailing) = (u32::MAX, 0u32);
-    for v in values {
-        let bits = v.to_bits();
-        let xor = bits ^ prev;
-        prev = bits;
+    while let Some((v, tail)) = rest.split_first() {
+        let xor = value(v).to_bits() ^ prev;
         if xor == 0 {
-            emit(0, 1);
+            let k = 1 + repeats(tail, prev, &value);
+            let (code, width) = run_code(k);
+            emit(code, width);
+            rest = &rest[k..];
             continue;
         }
+        prev ^= xor;
+        rest = tail;
         let leading = xor.leading_zeros().min(31);
         let trailing = xor.trailing_zeros();
         if leading >= win_leading && trailing >= win_trailing {
@@ -343,62 +383,112 @@ fn value_codes(mut values: impl Iterator<Item = f64>, mut emit: impl FnMut(u64, 
     }
 }
 
-/// Append the Gorilla XOR form of a float sequence to `out`.
-pub(crate) fn encode_values_into(out: &mut Vec<u8>, values: impl ExactSizeIterator<Item = f64>) {
+/// Append the value stream of `values` (each read through `value`) to
+/// `out`.
+pub(crate) fn encode_values_into<T>(out: &mut Vec<u8>, values: &[T], value: impl Fn(&T) -> f64) {
     write_varint(out, values.len() as u64);
     let mut w = BitWriter { bytes: std::mem::take(out), acc: 0, fill: 0 };
-    value_codes(values, |code, width| w.write_bits(code, width));
+    value_codes(values, value, |code, width| w.write_bits(code, width));
     *out = w.finish();
 }
 
-/// Compress a float sequence with the Gorilla XOR scheme into one
-/// exact-sized allocation (a sizing pass, then the encode).
-pub(crate) fn encode_values(values: impl ExactSizeIterator<Item = f64> + Clone) -> Vec<u8> {
+/// The value stream of `values` in one exact-sized allocation (a sizing
+/// pass, then the encode).
+pub(crate) fn encode_values<T>(values: &[T], value: impl Fn(&T) -> f64 + Copy) -> Vec<u8> {
     let mut bits = 0usize;
-    value_codes(values.clone(), |_, width| bits += width as usize);
+    value_codes(values, value, |_, width| bits += width as usize);
     let mut out = Vec::with_capacity(varint_len(values.len() as u64) + bits.div_ceil(8));
-    encode_values_into(&mut out, values);
+    encode_values_into(&mut out, values, value);
     out
 }
 
+/// What [`encode_values`] makes of `count` copies of the value with bits
+/// `bits`, in O(1): the first value and one run.
+pub(crate) fn encode_flat(bits: u64, count: usize) -> Vec<u8> {
+    assert!((1..=MAX_BLOCK_POINTS).contains(&count), "a flat block holds 1 to 2^24 points");
+    let run = (count > 1).then(|| run_code(count - 1));
+    let width = 64 + run.map_or(0, |(_, w)| w as usize);
+    let mut out = Vec::with_capacity(varint_len(count as u64) + width.div_ceil(8));
+    write_varint(&mut out, count as u64);
+    let mut w = BitWriter { bytes: out, acc: 0, fill: 0 };
+    w.write_bits(bits, 64);
+    if let Some((code, width)) = run {
+        w.write_bits(code, width);
+    }
+    w.finish()
+}
+
 /// Streaming decoder for [`encode_values`] output.
+///
+/// Fails closed on a header past [`MAX_BLOCK_POINTS`], truncated input, a
+/// run longer than the points left, and a window no encoder opens.
 pub(crate) struct ValueDecoder<'a> {
     bits: BitReader<'a>,
-    /// Declared value count (bounded by the input's bit length).
+    /// Declared value count, at most [`MAX_BLOCK_POINTS`]: the bytes present
+    /// do not bound it (a run codes any number of points).
     pub(crate) len: usize,
+    // Points not yet covered by a code read.
+    left: usize,
+    // Repeats of `prev` still owed by the current run.
+    run: usize,
     prev: u64,
     leading: u32,
     // Window length; 0 until the stream opens its first window.
     meaningful: u32,
-    started: bool,
 }
 
 impl<'a> ValueDecoder<'a> {
-    /// Read the length header; `None` if it cannot be honest.
+    /// Read the length header; `None` past what a block may hold.
     pub(crate) fn new(bytes: &'a [u8]) -> Option<ValueDecoder<'a>> {
         let mut pos = 0usize;
         let len = usize::try_from(read_varint(bytes, &mut pos)?).ok()?;
-        // Bound the corruption-controlled length by the bit budget actually
-        // present: 64 bits for the first value, then at least one bit each.
-        if len > 0 && 64usize.saturating_add(len - 1) > (bytes.len() - pos).saturating_mul(8) {
+        if len > MAX_BLOCK_POINTS {
             return None;
         }
         let bits = BitReader::new(&bytes[pos..]);
-        Some(ValueDecoder { bits, len, prev: 0, leading: 0, meaningful: 0, started: false })
+        Some(ValueDecoder { bits, len, left: len, run: 0, prev: 0, leading: 0, meaningful: 0 })
     }
 
-    /// The next value; `None` on corruption.  Call at most `len` times.
+    /// The next value; `None` on corruption or past `len`.  Inside a run a
+    /// point costs a decrement, not a code read.
     #[inline]
     pub(crate) fn next_value(&mut self) -> Option<f64> {
-        if !self.started {
-            self.started = true;
+        if self.run > 0 {
+            self.run -= 1;
+        } else {
+            self.run = self.next_code()? - 1;
+        }
+        Some(f64::from_bits(self.prev))
+    }
+
+    /// Read one code into `prev` and return how many points it stands for
+    /// (a run's length, else one); `None` on corruption or past `len`.
+    #[inline]
+    fn next_code(&mut self) -> Option<usize> {
+        if self.left == 0 {
+            return None;
+        }
+        if self.left == self.len {
             self.prev = self.bits.read_bits(64)?;
-            return Some(f64::from_bits(self.prev));
+            self.left -= 1;
+            return Some(1);
         }
         let head = self.bits.peek();
         if head >> 63 == 0 {
-            self.bits.skip(1)?;
-            return Some(f64::from_bits(self.prev));
+            // A run: its length's bit length less one, in zeros.  No block
+            // holds 2^25 points, so more zeros than that is corruption (and
+            // keeps the code inside the bits one peek sees).
+            let zeros = (head << 1).leading_zeros();
+            if zeros > MAX_BLOCK_POINTS.ilog2() {
+                return None;
+            }
+            self.bits.skip(1 + zeros)?;
+            let k = self.bits.read_bits(zeros as u8 + 1)? as usize;
+            if k > self.left {
+                return None;
+            }
+            self.left -= k;
+            return Some(k);
         }
         if head >> 62 == 0b11 {
             self.bits.skip(13)?;
@@ -419,15 +509,20 @@ impl<'a> ValueDecoder<'a> {
         }
         let xor = self.bits.read_bits(self.meaningful as u8)?;
         self.prev ^= xor << (64 - self.leading - self.meaningful);
-        Some(f64::from_bits(self.prev))
+        self.left -= 1;
+        Some(1)
     }
 }
 
 /// Check that [`ValueDecoder`] would hand out every declared value of
-/// `bytes`, without keeping them.
+/// `bytes`, reading each code once and stepping over each run in one step:
+/// O(bytes), whatever the header claims.
 pub(crate) fn check_values(bytes: &[u8]) -> Option<()> {
     let mut d = ValueDecoder::new(bytes)?;
-    (0..d.len).try_for_each(|_| d.next_value().map(drop))
+    while d.left > 0 {
+        d.next_code()?;
+    }
+    Some(())
 }
 
 #[cfg(test)]
@@ -435,10 +530,10 @@ pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Most points a test stream may claim.  The stamp codec leaves
-    /// bounding its header to the caller (a block bounds it by its value
-    /// stream), so the test decoders, kernel and reference alike, bound it
-    /// here.
+    /// Most points a test stream may claim.  Neither codec bounds its
+    /// header by its bytes (a run codes any number of points): a block
+    /// bounds it by its count, so the test decoders, kernel and reference
+    /// alike, bound it here.
     const MAX_POINTS: usize = 1 << 17;
 
     fn compress_timestamps(ts: &[Ts]) -> Vec<u8> {
@@ -458,13 +553,16 @@ pub(crate) mod tests {
     }
 
     fn compress_values(values: &[f64]) -> Vec<u8> {
-        encode_values(values.iter().copied())
+        encode_values(values, |&v| v)
     }
 
     /// Every value of `bytes` through [`ValueDecoder`], checking on the way
-    /// that [`check_values`] agrees.
+    /// that the code walk of [`check_values`] agrees.
     fn decompress_values(bytes: &[u8]) -> Option<Vec<f64>> {
         let mut d = ValueDecoder::new(bytes)?;
+        if d.len > MAX_POINTS {
+            return None;
+        }
         let out: Option<Vec<f64>> = (0..d.len).map(|_| d.next_value()).collect();
         assert_eq!(check_values(bytes).is_some(), out.is_some(), "check and decoder disagree");
         out
@@ -550,9 +648,58 @@ pub(crate) mod tests {
     fn constant_values_compress_to_bits() {
         let vals = vec![42.5; 10_000];
         let bytes = compress_values(&vals);
-        // 64-bit first value + ~1 bit each after.
-        assert!(bytes.len() < 1_300, "got {} bytes", bytes.len());
+        // Header 2 + the first value 8 + one run of 9,999: `0`, 13 zeros
+        // and 14 bits, 28 bits in all.
+        assert_eq!(bytes.len(), 2 + 8 + 4, "got {}", hex(&bytes));
         assert_eq!(decompress_values(&bytes).unwrap(), vals);
+        // A change costs the two XORs it makes and splits the run: 64 +
+        // 26 (a run of 4,999) + 15 (`11`, a new two-bit window) + 4 (`10`,
+        // the same window) + 26 bits.
+        let mut bumped = vals.clone();
+        bumped[5_000] = 43.0;
+        let bytes = compress_values(&bumped);
+        assert_eq!(bytes.len(), 2 + 17, "got {}", hex(&bytes));
+        assert_eq!(decompress_values(&bytes).unwrap(), bumped);
+    }
+
+    #[test]
+    fn a_flat_block_is_built_in_constant_time_into_the_encoders_bytes() {
+        for bits in [0, 42.5f64.to_bits(), f64::NAN.to_bits(), (-0.0f64).to_bits(), u64::MAX] {
+            for count in (1..=70).chain([255, 256, 257, 511, 512, 513, 4_096, MAX_BLOCK_POINTS]) {
+                let vals = vec![f64::from_bits(bits); count];
+                let flat = encode_flat(bits, count);
+                assert_eq!(flat, compress_values(&vals), "{bits:#x} x {count}");
+                assert_eq!(flat.capacity(), flat.len(), "one exact-sized allocation");
+                if count <= MAX_POINTS {
+                    assert!(same_bits(decompress_values(&flat), Some(vals)));
+                }
+                assert_eq!(check_values(&flat), Some(()));
+            }
+        }
+        // 512 points: header 2, the value 8, a run of 511 in 18 bits.
+        assert_eq!(encode_flat(0, 512).len(), 13);
+    }
+
+    #[test]
+    fn runs_are_the_longest_the_values_allow() {
+        // Every run length from one to 40 between two changes, and a
+        // repeat at the very end: a run is as long as the repeats it codes,
+        // and a lone repeat costs two bits.
+        for k in 1..40usize {
+            let mut vals = vec![1.0];
+            vals.extend(std::iter::repeat_n(2.0, k + 1));
+            vals.push(3.0);
+            vals.push(3.0);
+            let bytes = compress_values(&vals);
+            assert_eq!(bytes, reference::compress_values(&vals), "run of {k}");
+            assert_eq!(decompress_values(&bytes).unwrap(), vals);
+        }
+        for (vals, n) in [(vec![7.0, 7.0], 0usize), (vec![7.0; 9], 0), (vec![1.0, 7.0, 7.0], 1)] {
+            assert_eq!(repeats(&vals[n + 1..], 7.0f64.to_bits(), |&v| v), vals.len() - n - 1);
+        }
+        assert_eq!(repeats(&[1.0, 1.0, 2.0, 1.0], 1.0f64.to_bits(), |&v: &f64| v), 2);
+        let nine: Vec<f64> = (0..17).map(|i| if i == 9 { 0.5 } else { 1.5 }).collect();
+        assert_eq!(repeats(&nine, 1.5f64.to_bits(), |&v| v), 9);
     }
 
     #[test]
@@ -674,6 +821,47 @@ pub(crate) mod tests {
         assert_eq!(check_timestamps(&stamp_stream(u64::MAX, 5, &[2, 0, u64::MAX - 3])), None);
     }
 
+    /// `count` values: the first, then `codes` as `(bits, width)`.
+    fn value_stream(count: u64, first: f64, codes: &[(u64, u8)]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        write_varint(&mut bytes, count);
+        let mut w = BitWriter::default();
+        w.write_bits(first.to_bits(), 64);
+        codes.iter().for_each(|&(code, width)| w.write_bits(code, width));
+        bytes.extend_from_slice(&w.finish());
+        bytes
+    }
+
+    #[test]
+    fn value_runs_that_overclaim_or_truncate_are_corruption() {
+        // Four points: the first and a run of three.
+        let good = value_stream(4, 1.5, &[run_code(3)]);
+        assert_eq!(good, compress_values(&[1.5; 4]));
+        assert_eq!(decompress_values(&good), Some(vec![1.5; 4]));
+        // A run of four is not a run of three, and `0` needs its length:
+        // what follows a truncated one is padding, all zeros.
+        assert_eq!(decompress_values(&value_stream(4, 1.5, &[run_code(4)])), None);
+        assert_eq!(decompress_values(&value_stream(4, 1.5, &[(0, 3)])), None);
+        assert_eq!(decompress_values(&value_stream(4, 1.5, &[])), None);
+        // A run may follow a run (no encoder writes that, but it is the
+        // same data).
+        let split = value_stream(4, 1.5, &[run_code(1), run_code(2)]);
+        assert_eq!(decompress_values(&split), Some(vec![1.5; 4]));
+        // The walk steps over a run of 2^24 - 1 in one step; a header past
+        // 2^24 is refused whatever follows, and a run of 2^25 is longer than
+        // any block.
+        let most = MAX_BLOCK_POINTS as u64;
+        let long = value_stream(most, 1.5, &[run_code(MAX_BLOCK_POINTS - 1)]);
+        assert_eq!(long.len(), 4 + 8 + 6);
+        assert_eq!(check_values(&long), Some(()));
+        assert_eq!(check_values(&value_stream(most, 1.5, &[run_code(MAX_BLOCK_POINTS)])), None);
+        let past = value_stream(most + 1, 1.5, &[run_code(MAX_BLOCK_POINTS)]);
+        assert_eq!(check_values(&past), None);
+        let longer = value_stream(most, 1.5, &[run_code(2 * MAX_BLOCK_POINTS)]);
+        assert_eq!(check_values(&longer), None);
+        assert_eq!(check_values(&value_stream(u64::MAX, 1.5, &[run_code(3)])), None);
+    }
+
     #[test]
     fn truncated_input_returns_none() {
         let ts: Vec<Ts> = (0..100).map(Ts::from_secs).collect();
@@ -756,11 +944,11 @@ pub(crate) mod tests {
         ) {
             // Arbitrary declared length over an arbitrary small body, which
             // may open with a run of any length: the decoders must either
-            // decode exactly `n` points that fit the input's budget, or
-            // refuse — never loop or allocate on the say-so of a corrupt
-            // header.  A stamp stream's budget is not its bytes (a run codes
-            // any number of points), so a block bounds it by the value
-            // stream's bits: lock step visits no more points than those.
+            // decode exactly `n` points or refuse — never loop or allocate
+            // on the say-so of a corrupt header.  Neither stream's budget is
+            // its bytes (a run codes any number of points), so a block
+            // bounds both by its count, which may not pass
+            // `MAX_BLOCK_POINTS`, and the walks step over runs: O(bytes).
             let mut body = Vec::new();
             if opens_with_a_run {
                 for v in [1_000, zigzag(60_000), 0, run] {
@@ -772,16 +960,16 @@ pub(crate) mod tests {
             write_varint(&mut bytes, n);
             bytes.extend_from_slice(&body);
             check_timestamps(&bytes); // O(bytes), whatever it finds
+            check_values(&bytes);
             let count = u32::try_from(n).unwrap_or(u32::MAX);
             let mut visited = 0u64;
             let decoded = crate::tsdb::decode_streams(&bytes, &bytes, count, |_, _| visited += 1);
-            prop_assert!(visited <= 8 * body.len() as u64, "{visited} points from {body:?}");
+            prop_assert!(visited <= n.min(MAX_BLOCK_POINTS as u64), "{visited} points of {n}");
             if decoded.is_some() {
                 prop_assert_eq!(visited, n);
             }
             if let Some(out) = decompress_values(&bytes) {
                 prop_assert_eq!(out.len() as u64, n);
-                prop_assert!(n == 0 || 64 + (n as usize - 1) <= body.len() * 8);
             }
         }
 
@@ -803,10 +991,12 @@ pub(crate) mod tests {
     /// The bit-at-a-time codec this module shipped before the word-wise
     /// kernels, kept as the oracle for the byte format.  Its edits: the
     /// value decoder refuses the two window states no encoder emits, where
-    /// it used to overflow a `u8` subtraction or shift; and the stamp codec
+    /// it used to overflow a `u8` subtraction or shift; the stamp codec
     /// gained the run rule (a run of `k` zero delta-of-deltas is `0`,
     /// `k - 1`), written here as a second pass over the delta-of-deltas and
-    /// decoded one point at a time.
+    /// decoded one point at a time; and the value codec gained it too (a
+    /// run of `k` zero XORs is `0`, then `⌊log2 k⌋` zero bits and `k`),
+    /// counted with `take_while`, written and read a bit at a time.
     pub(crate) mod reference {
         use super::super::{unzigzag, zigzag};
         use super::MAX_POINTS;
@@ -976,11 +1166,20 @@ pub(crate) mod tests {
             let mut prev = values[0].to_bits();
             let mut prev_leading: u8 = 65; // sentinel: no previous window
             let mut prev_trailing: u8 = 0;
-            for &v in &values[1..] {
-                let bits = v.to_bits();
+            let mut i = 1;
+            while i < values.len() {
+                let bits = values[i].to_bits();
                 let xor = bits ^ prev;
                 if xor == 0 {
+                    let k = values[i..].iter().take_while(|v| v.to_bits() == prev).count();
                     w.write_bit(false);
+                    let zeros = 63 - (k as u64).leading_zeros() as u8;
+                    for _ in 0..zeros {
+                        w.write_bit(false);
+                    }
+                    w.write_bits(k as u64, zeros + 1);
+                    i += k;
+                    continue;
                 } else {
                     w.write_bit(true);
                     let leading = (xor.leading_zeros() as u8).min(31);
@@ -1000,6 +1199,7 @@ pub(crate) mod tests {
                     }
                 }
                 prev = bits;
+                i += 1;
             }
             header.extend_from_slice(&w.finish());
             header
@@ -1008,7 +1208,7 @@ pub(crate) mod tests {
         pub(crate) fn decompress_values(bytes: &[u8]) -> Option<Vec<f64>> {
             let mut pos = 0usize;
             let n = read_varint(bytes, &mut pos)? as usize;
-            if n > 0 && 64usize.saturating_add(n - 1) > (bytes.len() - pos).saturating_mul(8) {
+            if n > MAX_POINTS {
                 return None;
             }
             let mut out = Vec::with_capacity(n);
@@ -1020,9 +1220,20 @@ pub(crate) mod tests {
             out.push(f64::from_bits(prev));
             let mut leading: u8 = 0;
             let mut meaningful: u8 = 0;
-            for _ in 1..n {
+            while out.len() < n {
                 if !r.read_bit()? {
-                    out.push(f64::from_bits(prev));
+                    let mut zeros = 0u8;
+                    while !r.read_bit()? {
+                        zeros += 1;
+                        if zeros == 64 {
+                            return None;
+                        }
+                    }
+                    let k = 1u64 << zeros | r.read_bits(zeros)?;
+                    if k > (n - out.len()) as u64 {
+                        return None;
+                    }
+                    out.extend(std::iter::repeat_n(f64::from_bits(prev), k as usize));
                     continue;
                 }
                 if r.read_bit()? {
@@ -1069,10 +1280,13 @@ pub(crate) mod tests {
 
     #[test]
     fn golden_blocks_pin_the_byte_format() {
-        // Hex committed from the bit-at-a-time codec when block format v2
-        // (the run code) was introduced: the kernels and the reference above
-        // cannot drift together.  Only the first stamp stream changed from
-        // v1, where each of its six zero delta-of-deltas was a `00` byte.
+        // Hex committed from the bit-at-a-time codec when block format v3
+        // (value runs) was introduced: the kernels and the reference above
+        // cannot drift together.  Only the first value stream changed from
+        // v2, where each of its three repeats was a `0` bit: a run of one is
+        // `01`.  The stamp streams are v2's, committed when the stamp run
+        // code was introduced; v1 spent a `00` byte on each of the first
+        // stream's six zero delta-of-deltas.
         let minutes: Vec<Ts> = (0..8).map(Ts::from_mins).collect();
         let steps = [200.0, 200.0, 200.5, 201.0, 201.0, 150.25, 150.25, 1e-3];
         // Multi-byte varints, a repeated stamp, a negative delta-of-delta;
@@ -1091,7 +1305,7 @@ pub(crate) mod tests {
                 &minutes,
                 &steps,
                 "0800c0a9070005",
-                "0840690000000000007307c82db09beb0fbfccaa9374bc6a7f",
+                "0840690000000000007983e416ec26fae1f7f995526e978d4fe0",
             ),
             (
                 &ragged,
@@ -1108,6 +1322,14 @@ pub(crate) mod tests {
         assert_eq!(hex(&compress_timestamps(&block)), block_hex);
         assert_eq!(hex(&reference::compress_timestamps(&block)), block_hex);
         assert_eq!(decompress_timestamps(&compress_timestamps(&block)), Some(block));
+        // And its values when they never change: the count, the value, and
+        // one run of 511 (`0`, eight zeros, nine bits).
+        let flat = [230.0; 512];
+        let flat_hex = "8004406cc00000000000007fc0";
+        assert_eq!(hex(&compress_values(&flat)), flat_hex);
+        assert_eq!(hex(&reference::compress_values(&flat)), flat_hex);
+        assert_eq!(hex(&encode_flat(230.0f64.to_bits(), 512)), flat_hex);
+        assert_eq!(decompress_values(&compress_values(&flat)), Some(flat.to_vec()));
         for (ts, vals, ts_hex, val_hex) in cases {
             assert_eq!(hex(&compress_timestamps(ts)), ts_hex);
             assert_eq!(hex(&compress_values(vals)), val_hex);

@@ -11,15 +11,17 @@
 //!
 //! The pieces:
 //!
-//! * [`compress`] — delta-of-delta timestamps, runs of a regular cadence
-//!   coded once, + Gorilla XOR floats; one-minute node metrics compress to
-//!   under 2 bytes a sample, nearly all of it values.
+//! * [`compress`] — delta-of-delta timestamps + Gorilla XOR floats, a run
+//!   of a regular cadence or of a repeated value coded once; one-minute
+//!   node metrics compress to under 2 bytes a sample, nearly all of it
+//!   values that change.
 //! * [`tsdb::TimeSeriesStore`] — sharded hot buffers that seal into
 //!   compressed warm blocks; one store holds raw metrics *and* analysis
 //!   outputs (they are just more series).
 //! * [`cohort`] — the tick-major hot tier: the series a synchronized frame
 //!   feeds one point a tick share one row-major matrix per shard, so the
-//!   frame lands as one row.
+//!   frame lands as one row; a series whose last block sealed flat holds
+//!   its one value instead of a column.
 //! * [`snapshot::StoreSnapshot`] — the checkpoint form: the whole store as
 //!   one packed binary section, hot buffers written as unsealed blocks.
 //! * [`archive::Archive`] — the cold tier: whole time ranges serialized

@@ -8,7 +8,7 @@
 //! one pass:
 //!
 //! ```text
-//! section := version:u8 (= 2)  series:u32  series*  digest:u64
+//! section := version:u8 (= 3)  series:u32  series*  digest:u64
 //! series  := metric:u32 kind:u8 index:u32  warm:u32  block{warm}  block
 //! block   := start:u64 end:u64 count:u32  ts_len:u32 ts_bytes  val_len:u32 val_bytes
 //! ```
@@ -16,11 +16,12 @@
 //! All integers little-endian; series in strictly increasing key order, so
 //! equal stores give equal bytes whatever order their series were created
 //! in.  Warm blocks are copied verbatim, so the version names the block
-//! format too: version 2 is the stamp stream whose zero delta-of-deltas
-//! are coded in runs ([`crate::compress`]).  A version-1 section is refused
-//! — its warm streams would reach the store undecoded — and no version-1
-//! reader is kept.  The last block of a series is its
-//! **hot buffer, encoded as the block a seal would make of it** — the same
+//! format too: version 3 codes runs of zero delta-of-deltas in the stamp
+//! stream and runs of zero XORs in the value stream ([`crate::compress`]).
+//! A version-1 or -2 section is refused — its warm streams would reach the
+//! store undecoded — and no older reader is kept.  The last block of a
+//! series is its **hot buffer, encoded as the block a seal would make of
+//! it** — the same
 //! codec and framing, nothing re-encoded on the way back: loading decodes it
 //! into a hot buffer again, so occupancy, `state_digest()` and the seal
 //! schedule are those of the store that was captured.  An empty hot buffer
@@ -30,9 +31,10 @@
 //!
 //! In JSON the section rides beside the counters as one base64 string.
 //! Deserializing checks the whole section — digest, framing, every length
-//! against the bytes that remain, keys increasing, every hot block decodes
-//! to `count` ordered points — allocating nothing while it does, so a
-//! [`StoreSnapshot`] that exists always loads.
+//! against the bytes that remain, keys increasing, no block longer than the
+//! store seals, every hot block decodes to `count` ordered points —
+//! allocating nothing while it does, so a [`StoreSnapshot`] that exists
+//! always loads.
 
 use crate::compress;
 use crate::tsdb::{
@@ -42,7 +44,7 @@ use hpcmon_metrics::{CompId, CompKind, MetricId, SeriesKey, StateHash, Ts};
 use serde::{Deserialize, Error, Serialize, Value};
 use std::sync::atomic::Ordering;
 
-const VERSION: u8 = 2;
+const VERSION: u8 = 3;
 const DIGEST_TAG: u64 = 0x5ec7;
 /// `start`, `end`, `count` and the two stream lengths.
 const BLOCK_HEADER: usize = 8 + 8 + 4 + 4 + 4;
@@ -86,7 +88,8 @@ impl<'de> Deserialize<'de> for StoreSnapshot {
             return Err(Error::msg("store snapshot has no packed `section`"));
         };
         let section = base64_decode(text).ok_or_else(|| Error::msg("store section: bad base64"))?;
-        validate(&section).map_err(|why| Error::msg(format!("store section: {why}")))?;
+        validate(&section, head.seal_threshold)
+            .map_err(|why| Error::msg(format!("store section: {why}")))?;
         Ok(StoreSnapshot { head, section })
     }
 }
@@ -148,7 +151,7 @@ fn put_hot_block(
         put_stream(out, |o| compress::encode_timestamps_into(o, hot.iter().map(|p| p.0)));
         *ts_stream = at..out.len();
     }
-    put_stream(out, |o| compress::encode_values_into(o, hot.iter().map(|p| p.1)));
+    put_stream(out, |o| compress::encode_values_into(o, hot, |p| p.1));
 }
 
 fn digest(body: &[u8]) -> u64 {
@@ -249,8 +252,10 @@ fn split_digest(section: &[u8]) -> Result<(&[u8], u64), &'static str> {
     Ok((body, u64::from_le_bytes(tail.try_into().expect("split 8 bytes"))))
 }
 
-/// Check a whole section without allocating.
-fn validate(section: &[u8]) -> Result<(), &'static str> {
+/// Check a whole section without allocating, for a store that seals at
+/// `seal_threshold` points: no block of it may be longer, since a block's
+/// count is what every read of it loops on.
+fn validate(section: &[u8], seal_threshold: usize) -> Result<(), &'static str> {
     let (body, recorded) = split_digest(section)?;
     if digest(body) != recorded {
         return Err("digest mismatch");
@@ -264,11 +269,19 @@ fn validate(section: &[u8]) -> Result<(), &'static str> {
         }
         prev = Some(key);
         for _ in 0..r.u32()? {
-            if r.block()?.count == 0 {
+            let count = r.block()?.count as usize;
+            if count == 0 {
                 return Err("empty warm block");
             }
+            if count > seal_threshold {
+                return Err("block longer than the store seals");
+            }
         }
-        r.block()?.visit_hot(|_, _| {})?;
+        let hot = r.block()?;
+        if hot.count as usize > seal_threshold {
+            return Err("block longer than the store seals");
+        }
+        hot.visit_hot(|_, _| {})?;
     }
     if r.0.is_empty() {
         Ok(())
@@ -689,7 +702,7 @@ mod tests {
     /// `validate` on damaged bytes: an error, and not one allocation.
     fn assert_rejected_without_allocating(section: &[u8], what: &str) {
         let before = thread_allocations();
-        let verdict = validate(section);
+        let verdict = validate(section, 8);
         assert_eq!(thread_allocations(), before, "{what}: validation allocated");
         assert!(verdict.is_err(), "{what}: accepted");
     }
@@ -700,7 +713,7 @@ mod tests {
         #[test]
         fn prop_every_truncation_and_every_bit_flip_is_rejected(seed in proptest::any::<u64>()) {
             let section = two_seal_store(seed).snapshot().section;
-            validate(&section).expect("the writer's own bytes are valid");
+            validate(&section, 8).expect("the writer's own bytes are valid");
             for len in 0..section.len() {
                 assert_rejected_without_allocating(&section[..len], "truncation");
             }
@@ -728,7 +741,7 @@ mod tests {
                 flipped[bit / 8] ^= 1 << (bit % 8);
                 let section = sealed(flipped.clone());
                 let before = thread_allocations();
-                let verdict = validate(&section);
+                let verdict = validate(&section, 8);
                 proptest::prop_assert_eq!(thread_allocations(), before);
                 if verdict.is_ok() {
                     // A flip inside a warm stream or a value: still a
@@ -790,7 +803,7 @@ mod tests {
         // count, a first stamp, and one run.  Beside a true four-point
         // value stream, and beside one that also claims u32::MAX.
         let ts = [0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0, 0, 0xFD, 0xFF, 0xFF, 0xFF, 0x0F];
-        let four = compress::encode_values([1.0, 2.0, 3.0, 4.0].into_iter());
+        let four = compress::encode_values(&[1.0, 2.0, 3.0, 4.0], |&v| v);
         let mut claims = four.clone();
         claims.splice(..1, [0xFF, 0xFF, 0xFF, 0xFF, 0x0F]);
         for vals in [four, claims] {
@@ -804,20 +817,50 @@ mod tests {
     }
 
     #[test]
+    fn a_block_longer_than_the_store_seals_is_refused() {
+        // One series, its warm block then its hot block: each of 9 points
+        // (decodable, stamps and values in runs) where the store seals at 8.
+        let nine: Vec<(Ts, f64)> = (0..9).map(|i| (Ts(i * MINUTE_MS), 2.5)).collect();
+        let block = |body: &mut Vec<u8>| {
+            put_block_header(body, nine[0].0, nine[8].0, 9);
+            put_stream(body, |o| compress::encode_timestamps_into(o, nine.iter().map(|p| p.0)));
+            put_stream(body, |o| compress::encode_values_into(o, &nine, |p| p.1));
+        };
+        let key = [4, 0, 0, 0, 0, 2, 0, 0, 0];
+        let mut warm = vec![VERSION, 1, 0, 0, 0];
+        warm.extend_from_slice(&key);
+        warm.extend_from_slice(&1u32.to_le_bytes());
+        block(&mut warm);
+        warm.extend_from_slice(&[0; BLOCK_HEADER]);
+        let mut hot = vec![VERSION, 1, 0, 0, 0];
+        hot.extend_from_slice(&key);
+        hot.extend_from_slice(&0u32.to_le_bytes());
+        block(&mut hot);
+        for (what, body) in [("warm", warm), ("hot", hot)] {
+            let section = sealed(body);
+            assert_eq!(validate(&section, 9), Ok(()), "{what}");
+            assert_eq!(validate(&section, 8), Err("block longer than the store seals"), "{what}");
+            assert_rejected_without_allocating(&section, what);
+        }
+    }
+
+    #[test]
     fn unknown_version_disordered_keys_and_unordered_hot_points_are_refused() {
         let good = two_seal_store(1).snapshot().section;
-        // The next version, and version 1: its stamp streams wrote a `00`
-        // byte per regular point, which this codec reads as a run.
-        for version in [VERSION + 1, 1] {
+        // The next version; version 2, whose value streams wrote a `0` bit
+        // per repeat, which this codec reads as the start of a run; and
+        // version 1, whose stamp streams wrote a `00` byte per regular
+        // point, which this codec reads as a run.
+        for version in [VERSION + 1, 2, 1] {
             let mut body = body_of(&good);
             body[0] = version;
-            assert_eq!(validate(&sealed(body)), Err("unknown version"), "version {version}");
+            assert_eq!(validate(&sealed(body), 8), Err("unknown version"), "version {version}");
         }
-        assert_eq!(validate(&good[..good.len() - 1]), Err("digest mismatch"));
-        assert_eq!(validate(&[]), Err("truncated"));
+        assert_eq!(validate(&good[..good.len() - 1], 8), Err("digest mismatch"));
+        assert_eq!(validate(&[], 8), Err("truncated"));
         let mut trailing = body_of(&good);
         trailing.push(0);
-        assert_eq!(validate(&sealed(trailing)), Err("trailing bytes"));
+        assert_eq!(validate(&sealed(trailing), 8), Err("trailing bytes"));
 
         // The same series twice: keys must strictly increase.
         let one = TimeSeriesStore::with_options(1, 8);
@@ -826,7 +869,7 @@ mod tests {
         let mut twice = vec![VERSION, 2, 0, 0, 0];
         twice.extend_from_slice(&single[5..]);
         twice.extend_from_slice(&single[5..]);
-        assert_eq!(validate(&sealed(twice)), Err("series keys not strictly increasing"));
+        assert_eq!(validate(&sealed(twice), 8), Err("series keys not strictly increasing"));
 
         // A hot block whose timestamps step backwards decodes as a block
         // but cannot be a hot buffer (queries binary-search it).
@@ -836,8 +879,8 @@ mod tests {
         put_stream(&mut body, |o| {
             compress::encode_timestamps_into(o, [Ts(20), Ts(10)].into_iter())
         });
-        put_stream(&mut body, |o| compress::encode_values_into(o, [1.0, 2.0].into_iter()));
-        assert_eq!(validate(&sealed(body)), Err("hot block out of order or outside its span"));
+        put_stream(&mut body, |o| compress::encode_values_into(o, &[1.0, 2.0], |&v| v));
+        assert_eq!(validate(&sealed(body), 8), Err("hot block out of order or outside its span"));
     }
 
     #[test]

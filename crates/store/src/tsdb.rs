@@ -89,7 +89,9 @@ impl std::error::Error for WriteError {}
 
 /// Decode a block's two streams in lock step, handing each point to `visit`.
 /// `None` on any corruption (either stream, or a length that disagrees with
-/// `count`) — possibly after some points were visited.
+/// `count`) — possibly after some points were visited.  The value header is
+/// bounded ([`compress::MAX_BLOCK_POINTS`]); the stamp header must match it
+/// before either stream is looped over.
 pub(crate) fn decode_streams(
     ts_bytes: &[u8],
     val_bytes: &[u8],
@@ -119,7 +121,7 @@ impl SeriesBlock {
             end: points[points.len() - 1].0,
             count: points.len() as u32,
             ts_bytes: compress::encode_timestamps(points.iter().map(|p| p.0)),
-            val_bytes: compress::encode_values(points.iter().map(|p| p.1)),
+            val_bytes: compress::encode_values(points, |p| p.1),
         }
     }
 
@@ -130,8 +132,9 @@ impl SeriesBlock {
     }
 
     /// Why [`Self::try_visit`] failed: each stream on its own, timestamps
-    /// first, then the counts.  The stamps are walked, not decoded, so a
-    /// header claiming billions of points costs what its bytes cost.
+    /// first, then the counts.  Both streams are walked, not decoded, runs
+    /// stepped over whole, so a header claiming billions of points costs
+    /// what its bytes cost.
     fn diagnose(&self) -> BlockError {
         if compress::check_timestamps(&self.ts_bytes).is_none() {
             BlockError::Timestamps
@@ -174,11 +177,11 @@ impl SeriesBlock {
         Ok(out)
     }
 
-    /// The most points the block can decode to, whatever `count` claims:
-    /// a value costs at least a bit (the stamps, coded in runs, bound
-    /// nothing).
+    /// The most points the block can decode to: its `count`, or none when
+    /// that is more than a value stream may claim (the decode refuses it).
+    /// The bytes bound nothing: a run codes any number of points.
     fn point_bound(&self) -> usize {
-        (self.count as usize).min(8 * self.val_bytes.len())
+        Some(self.count as usize).filter(|&n| n <= compress::MAX_BLOCK_POINTS).unwrap_or(0)
     }
 
     /// Compressed size in bytes.
@@ -215,8 +218,8 @@ impl StampCache {
         out: &mut Vec<(Ts, f64)>,
     ) -> Option<()> {
         out.clear();
-        // The value header is bounded by its bits; the stamp header must
-        // match it before the stamps are looped over.
+        // The value header is bounded; the stamp header must match it
+        // before the stamps are looped over.
         let mut vals = compress::ValueDecoder::new(&block.val_bytes)?;
         if vals.len != block.count as usize {
             return None;
@@ -578,6 +581,12 @@ impl TimeSeriesStore {
         }
     }
 
+    /// Whether `block` is no longer than a seal of this store makes, the
+    /// check every way in for a warm block makes before admitting it.
+    pub(crate) fn admits(&self, block: &SeriesBlock) -> bool {
+        block.count as usize <= self.seal_threshold
+    }
+
     /// Move occupancy from hot to warm for a freshly sealed block.
     pub(crate) fn account_seal(&self, block: &SeriesBlock) {
         self.blocks_sealed.fetch_add(1, Ordering::Relaxed);
@@ -685,9 +694,9 @@ impl TimeSeriesStore {
         };
         let overlapping = || slot.data.warm.iter().filter(|b| b.overlaps(from, to));
         let hot = shard.cohorts.hot(slot).within(from, to);
-        // Sized up front (a block holds at most one point per value bit,
-        // whatever its header claims), so the result is the query's only
-        // allocation.
+        // Sized up front (an admitted block holds at most `seal_threshold`
+        // points, and no block decodes past its count), so the result is the
+        // query's only allocation.
         let bound: usize = overlapping().map(SeriesBlock::point_bound).sum();
         let mut out = Vec::with_capacity(bound + hot.len());
         for block in overlapping() {
@@ -840,11 +849,13 @@ impl TimeSeriesStore {
     /// Re-insert previously evicted blocks (the reload half).  Blocks
     /// whose bytes no longer decompress — archives cross a serialization
     /// boundary, so this is an input condition — are rejected and counted
-    /// rather than admitted as queryable-looking garbage.
+    /// rather than admitted as queryable-looking garbage, and so is a block
+    /// longer than this store seals: no honest seal makes one, and its
+    /// count is what every read of it loops on.
     pub fn reload_blocks(&self, blocks: Vec<SeriesBlock>) {
         let mut touched = Vec::new();
         for block in blocks {
-            if block.validate().is_err() {
+            if !self.admits(&block) || block.validate().is_err() {
                 self.corrupt_blocks.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
@@ -1006,8 +1017,13 @@ mod tests {
     impl TimeSeriesStore {
         /// Admit a warm block without the reload validation, to exercise
         /// the query path's skip-and-count defense for corruption that
-        /// bypasses the ingest boundary (e.g. in-memory bit flips).
+        /// bypasses the ingest boundary (e.g. in-memory bit flips).  A block
+        /// longer than the store seals is still refused and counted.
         fn inject_warm_block(&self, block: SeriesBlock) {
+            if !self.admits(&block) {
+                self.corrupt_blocks.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
             let mut shard = self.shard_of(&block.key).write();
             let slot = self.resolve_slot(&mut shard, block.key);
             shard.slots[slot as usize].data.warm.push(block);
@@ -1701,10 +1717,11 @@ mod tests {
     #[test]
     fn routed_ingest_is_allocation_free_in_steady_state() {
         // Once every cohort has been through one seal its matrix is at full
-        // height and is reused: from the second seal cycle on a routed tick
-        // that does not seal hits the allocator zero times — in particular
-        // not at rows 4, 8, ..., 256, where every per-series buffer used to
-        // double on the same tick.
+        // height and is reused (a seal gives back only what quiet members
+        // held, and the values here change every tick): from the second seal
+        // cycle on a routed tick that does not seal hits the allocator zero
+        // times — in particular not at rows 4, 8, ..., 256, where every
+        // per-series buffer used to double on the same tick.
         const THRESHOLD: u64 = 512;
         let store = TimeSeriesStore::with_options(4, THRESHOLD as usize);
         let mut route = IngestRoute::new();
@@ -1715,7 +1732,7 @@ mod tests {
             store.ingest_columns(&cf, &mut route);
         }
         let layout = store.hot_layout();
-        assert_eq!((layout.members, layout.cohort_seals), (200, 4), "{layout:?}");
+        assert_eq!((layout.members, layout.cohort_seals, layout.quiet), (200, 4, 0), "{layout:?}");
         for tick in THRESHOLD + 1..2 * THRESHOLD {
             refill(&mut cf, tick, &specs);
             let before = hpcmon_metrics::alloc_count::thread_allocations();
@@ -1723,7 +1740,7 @@ mod tests {
             let after = hpcmon_metrics::alloc_count::thread_allocations();
             assert_eq!(after - before, 0, "tick {tick}: steady-state routed ingest allocated");
         }
-        assert_eq!(store.hot_layout(), layout, "nothing formed, left or sealed meanwhile");
+        assert_eq!(store.hot_layout(), layout, "nothing formed, left, sealed or grew meanwhile");
     }
 
     #[test]
@@ -1887,21 +1904,23 @@ mod tests {
         // when block format v2 coded runs of zero delta-of-deltas once:
         // stamp bytes shrank (warm bytes 21,147 → 19,867; the fill jitters
         // every seventh stamp, so runs are short), and with them the digest
-        // (it folds `warm_bytes`) and the stream hash.  Counts and values
-        // did not move.  The hash is over every warm block's two streams,
-        // in key then time order.
+        // (it folds `warm_bytes`) and the stream hash; and again when v3
+        // coded runs of zero XORs once: the constant metric's 20 blocks of
+        // 64 points went from 16 value bytes to 10 (19,867 → 19,747).
+        // Counts and values did not move.  The hash is over every warm
+        // block's two streams, in key then time order.
         let (digest, stats, blocks, stream_hash) = seeded_fill_fingerprint();
-        assert_eq!(digest, 0x227d_ac76_0d52_1d0a);
+        assert_eq!(digest, 0xf818_984a_e4ad_df3a);
         let expected = StoreStats {
             series: 40,
             hot_points: 880,
             warm_points: 5_120,
-            warm_bytes: 19_867,
-            bytes_per_point: 19_867.0 / 5_120.0,
+            warm_bytes: 19_747,
+            bytes_per_point: 19_747.0 / 5_120.0,
             corrupt_blocks: 0,
         };
         assert_eq!(stats, expected);
-        assert_eq!((blocks, stream_hash), (80, 0x9ad0_77b3_1205_be57));
+        assert_eq!((blocks, stream_hash), (80, 0xd2eb_f0dc_034e_e04a));
     }
 
     #[test]
@@ -1974,9 +1993,11 @@ mod tests {
         // (the block's count claiming u32::MAX too, or agreeing with the
         // values) and beside one that claims u32::MAX too.  Looping once per
         // claimed point would take minutes; sizing by `count` would ask for
-        // 64 GB.
+        // 64 GB.  A block claiming u32::MAX is longer than the store seals,
+        // so injection refuses and counts it and reads never meet it; the
+        // four-point one is admitted and counted by each read.
         let ts_bytes = vec![0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0, 0, 0xFD, 0xFF, 0xFF, 0xFF, 0x0F];
-        let four = compress::encode_values([1.0, 2.0, 3.0, 4.0].into_iter());
+        let four = compress::encode_values(&[1.0, 2.0, 3.0, 4.0], |&v| v);
         let mut claims = four.clone();
         claims.splice(..1, [0xFF, 0xFF, 0xFF, 0xFF, 0x0F]);
         let cases = [
@@ -2000,15 +2021,99 @@ mod tests {
             let store = TimeSeriesStore::with_options(1, 64);
             store.insert(&sample(0, 1, 5, 9.0));
             store.inject_warm_block(block.clone());
+            let read = u64::from(count == 4);
             assert_eq!(store.query(key(0, 1), Ts::ZERO, Ts(u64::MAX)), vec![(Ts(5), 9.0)]);
             assert_eq!(store.corrupt_blocks(), 1);
             let q = crate::QueryEngine::new(&store);
             let all = crate::TimeRange::all();
             let sums = q.aggregate_across_components(MetricId(0), all, crate::AggFn::Sum);
-            assert_eq!((sums, store.corrupt_blocks()), (vec![(Ts(5), 9.0)], 2));
+            assert_eq!((sums, store.corrupt_blocks()), (vec![(Ts(5), 9.0)], 1 + read));
             store.reload_blocks(vec![block]);
-            assert_eq!(store.corrupt_blocks(), 3);
+            assert_eq!(store.corrupt_blocks(), 2 + read);
         }
+    }
+
+    #[test]
+    fn values_claiming_u32_max_points_in_one_run_cost_their_bytes_not_their_claim() {
+        // Both streams in a few bytes: the twelve bytes of stamps above,
+        // and values that are the first one plus a run, claiming u32::MAX
+        // points (a run past any block) or one more than a block holds (a
+        // header past the bound).  The store seals at 64, so no
+        // way in admits a block claiming either: reload and injection refuse
+        // and count it, and query and aggregate never see it.  One that
+        // claims four points is admitted by injection and counted by each
+        // read instead.
+        use compress::tests::reference::write_varint;
+        let (most, most_ts) = (compress::MAX_BLOCK_POINTS as u64, u32::MAX as u64);
+        let stream = |count: u64, run: u64| {
+            let mut out = vec![];
+            write_varint(&mut out, count);
+            let (zeros, mut w) = (63 - run.leading_zeros(), compress::BitWriter::default());
+            w.write_bits(1.5f64.to_bits(), 64);
+            w.write_bits(run, 2 * (zeros as u8 + 1));
+            out.extend_from_slice(&w.finish());
+            out
+        };
+        let stamps = |count: u64| {
+            let mut out = vec![];
+            for v in [count, 0, 0, count - 2] {
+                write_varint(&mut out, v);
+            }
+            out
+        };
+        let cases = [
+            (u32::MAX, stamps(most_ts), stream(most_ts, most_ts - 1), BlockError::Values),
+            (4, stamps(most_ts), stream(most_ts, most_ts - 1), BlockError::Values),
+            ((most + 1) as u32, stamps(most + 1), stream(most + 1, most), BlockError::Values),
+        ];
+        for (count, ts_bytes, val_bytes, why) in cases {
+            assert!(ts_bytes.len() + val_bytes.len() <= 36);
+            let block = SeriesBlock {
+                key: key(0, 1),
+                start: Ts::ZERO,
+                end: Ts::ZERO,
+                count,
+                ts_bytes,
+                val_bytes,
+            };
+            let before = hpcmon_metrics::alloc_count::thread_allocations();
+            assert_eq!(block.validate(), Err(why));
+            assert_eq!(hpcmon_metrics::alloc_count::thread_allocations(), before);
+            assert!(block.point_bound() <= 4);
+            assert_eq!(block.decompress(), Err(why));
+            let store = TimeSeriesStore::with_options(1, 64);
+            store.insert(&sample(0, 1, 5, 9.0));
+            store.inject_warm_block(block.clone());
+            let read = u64::from(count == 4);
+            assert_eq!(store.corrupt_blocks(), 1 - read);
+            assert_eq!(store.query(key(0, 1), Ts::ZERO, Ts(u64::MAX)), vec![(Ts(5), 9.0)]);
+            assert_eq!(store.corrupt_blocks(), 1);
+            let q = crate::QueryEngine::new(&store);
+            let all = crate::TimeRange::all();
+            let sums = q.aggregate_across_components(MetricId(0), all, crate::AggFn::Sum);
+            assert_eq!((sums, store.corrupt_blocks()), (vec![(Ts(5), 9.0)], 1 + read));
+            store.reload_blocks(vec![block]);
+            assert_eq!(store.corrupt_blocks(), 2 + read);
+            assert_eq!(store.op_counts().blocks_reloaded, 0);
+        }
+    }
+
+    #[test]
+    fn a_block_longer_than_the_store_seals_is_refused_and_counted() {
+        // A sound block of 65 points where the store seals at 64: no seal
+        // of this store makes one, so no way in admits it.
+        let pts: Vec<(Ts, f64)> = (0..65).map(|i| (Ts(i * MINUTE_MS), 2.5)).collect();
+        let block = SeriesBlock::compress(key(0, 1), &pts);
+        assert_eq!(block.validate(), Ok(()));
+        let store = TimeSeriesStore::with_options(1, 64);
+        store.reload_blocks(vec![block.clone()]);
+        store.inject_warm_block(block.clone());
+        assert_eq!((store.corrupt_blocks(), store.op_counts().blocks_reloaded), (2, 0));
+        assert!(store.query(key(0, 1), Ts::ZERO, Ts(u64::MAX)).is_empty());
+        // A store that seals at 65 takes it.
+        let store = TimeSeriesStore::with_options(1, 65);
+        store.reload_blocks(vec![block]);
+        assert_eq!(store.query(key(0, 1), Ts::ZERO, Ts(u64::MAX)), pts);
     }
 
     #[test]

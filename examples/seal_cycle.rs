@@ -4,20 +4,27 @@
 //! Every cohort fills on the same tick, so tick `DEFAULT_SEAL_THRESHOLD`
 //! compresses the whole machine's hot tier at once.  This example builds the
 //! default monitoring system on a torus (two nodes a router) whose
-//! dimensions come from the command line, submits a fixed mix of 100
-//! compute-heavy 256-node jobs, runs eight ticks past the first seal and
-//! prints the slowest tick, the peak resident set (`VmHWM`) before and after
-//! the seal, and what a warm point costs.
+//! dimensions come from the command line, submits a fixed mix of
+//! compute-heavy 256-node jobs (100, or the count given after the
+//! dimensions), runs eight ticks past the first seal and prints the slowest
+//! tick, the peak resident set (`VmHWM`) before and after the seal, the hot
+//! tier after it (members, how many went quiet, bytes held), what a warm
+//! point costs, and — every series read back whole — the share of sealed
+//! blocks whose values never changed.
+//!
+//! It exits non-zero when no member went quiet after the seal or the read
+//! back met a corrupt block, so a smoke run catches either path going dark.
 //!
 //! ```sh
-//! cargo run --release --example seal_cycle              # 16x16x8: 4,096 nodes
-//! cargo run --release --example seal_cycle -- 32 32 32  # 65,536 nodes, ~6 GB
+//! cargo run --release --example seal_cycle                  # 16x16x8: 4,096 nodes
+//! cargo run --release --example seal_cycle -- 32 32 32      # 65,536 nodes, 100 jobs
+//! cargo run --release --example seal_cycle -- 32 32 32 256  # every node busy
 //! ```
 
 use hpcmon::{MonitoringSystem, SimConfig};
 use hpcmon_metrics::{Ts, MINUTE_MS};
 use hpcmon_sim::{AppProfile, JobSpec, TopologySpec};
-use hpcmon_store::TimeSeriesStore;
+use hpcmon_store::{HotLayout, TimeSeriesStore};
 use std::time::Instant;
 
 /// Peak resident set of this process so far, in MB (0 where `/proc` is not).
@@ -30,15 +37,20 @@ fn vm_hwm_mb() -> f64 {
     kb.map_or(0.0, |kb| kb / 1024.0)
 }
 
+fn mb(bytes: usize) -> f64 {
+    bytes as f64 / (1024.0 * 1024.0)
+}
+
 fn main() {
     let args: Vec<u32> = std::env::args()
         .skip(1)
-        .map(|a| a.parse().expect("torus dimensions are three positive integers"))
+        .map(|a| a.parse().expect("torus dimensions and a job count are positive integers"))
         .collect();
-    let dims: [u32; 3] = match args[..] {
-        [] => [16, 16, 8],
-        [x, y, z] => [x, y, z],
-        _ => panic!("usage: seal_cycle [X Y Z]"),
+    let (dims, jobs): ([u32; 3], u64) = match args[..] {
+        [] => ([16, 16, 8], 100),
+        [x, y, z] => ([x, y, z], 100),
+        [x, y, z, jobs] => ([x, y, z], jobs.into()),
+        _ => panic!("usage: seal_cycle [X Y Z [JOBS]]"),
     };
     let cfg = SimConfig {
         topology: TopologySpec::Torus3D { dims, nodes_per_router: 2 },
@@ -46,17 +58,18 @@ fn main() {
     };
     let build = Instant::now();
     let mut mon = MonitoringSystem::builder(cfg).build();
-    let nodes = mon.engine().num_nodes() as u32;
+    let nodes = mon.engine().num_nodes();
     println!("machine: {nodes} nodes (torus {dims:?} x 2), built in {:?}", build.elapsed());
-    for i in 0..100u64 {
+    for i in 0..jobs {
         let app = AppProfile::compute_heavy("stencil3d");
         let work_ms = (600 + 7 * i) * MINUTE_MS;
         mon.submit_job(JobSpec::new(app, "alice", nodes.min(256), work_ms, Ts::ZERO));
     }
 
-    let ticks = TimeSeriesStore::DEFAULT_SEAL_THRESHOLD as u64 + 8;
+    let threshold = TimeSeriesStore::DEFAULT_SEAL_THRESHOLD;
+    let ticks = threshold as u64 + 8;
     let (mut slowest, mut slowest_tick) = (0.0f64, 0);
-    let mut seal: Option<(u64, f64, f64)> = None;
+    let mut seal: Option<(u64, f64, f64, HotLayout)> = None;
     for tick in 1..=ticks {
         let (sealed, hwm) = (mon.store().op_counts().blocks_sealed, vm_hwm_mb());
         let start = Instant::now();
@@ -66,22 +79,61 @@ fn main() {
             (slowest, slowest_tick) = (ms, tick);
         }
         if seal.is_none() && mon.store().op_counts().blocks_sealed > sealed {
-            seal = Some((tick, hwm, vm_hwm_mb()));
+            seal = Some((tick, hwm, vm_hwm_mb(), mon.store().hot_layout()));
         }
     }
 
-    let store = mon.store().occupancy();
+    let store = mon.store();
+    let occupancy = store.occupancy();
     println!("slowest tick: {slowest:.1} ms at tick {slowest_tick} of {ticks}");
-    match seal {
-        Some((tick, before, after)) => println!(
-            "first seal at tick {tick}: VmHWM {before:.1} MB before, {after:.1} MB after (+{:.1})",
-            after - before
-        ),
-        None => println!("no seal in {ticks} ticks"),
-    }
+    let Some((tick, before, after, layout)) = seal else {
+        println!("no seal in {ticks} ticks");
+        std::process::exit(1);
+    };
+    println!(
+        "first seal at tick {tick}: VmHWM {before:.1} MB before, {after:.1} MB after (+{:.1})",
+        after - before
+    );
+    println!(
+        "hot tier after it: {} members, {} quiet ({:.1}%), {:.1} MB held",
+        layout.members,
+        layout.quiet,
+        100.0 * layout.quiet as f64 / layout.members.max(1) as f64,
+        mb(layout.hot_bytes)
+    );
+    let end = store.hot_layout();
+    println!("hot tier at the end: {} quiet, {:.1} MB held", end.quiet, mb(end.hot_bytes));
     println!(
         "warm tier: {} points in {} bytes, {:.3} B a point; {} series, {} hot points",
-        store.warm_points, store.warm_bytes, store.bytes_per_point, store.series, store.hot_points
+        occupancy.warm_points,
+        occupancy.warm_bytes,
+        occupancy.bytes_per_point,
+        occupancy.series,
+        occupancy.hot_points
     );
     println!("VmHWM at the end: {:.1} MB", vm_hwm_mb());
+
+    // Every series read back whole: each run of `threshold` points from
+    // its first is a sealed block, flat when it holds one value.
+    let (mut blocks, mut flat) = (0usize, 0usize);
+    for key in store.all_series() {
+        let points = store.query(key, Ts::ZERO, Ts(u64::MAX));
+        for block in points.chunks_exact(threshold) {
+            blocks += 1;
+            flat += usize::from(block.iter().all(|p| p.1.to_bits() == block[0].1.to_bits()));
+        }
+    }
+    println!(
+        "read back: {blocks} sealed blocks, {flat} flat ({:.1}%), {} corrupt",
+        100.0 * flat as f64 / blocks.max(1) as f64,
+        store.corrupt_blocks()
+    );
+    if layout.quiet == 0 {
+        eprintln!("no member went quiet after the seal");
+        std::process::exit(1);
+    }
+    if store.corrupt_blocks() > 0 {
+        eprintln!("the read back met corrupt blocks");
+        std::process::exit(1);
+    }
 }

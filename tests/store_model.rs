@@ -26,8 +26,12 @@
 //! every way a column can change unseen.  Frames are at least
 //! 4 x `MIN_WIDTH` wide per shard and thresholds 4..32, so cases form cohorts,
 //! evict from them and seal them — asserted at the end through
-//! `hot_layout()`.  The proptest shim does not shrink: a failing case prints
-//! its index and decoded op list.
+//! `hot_layout()`.  A third of the series change value every frame; the rest
+//! hold theirs until a frame moves them all, a segment of them, or those it
+//! seals, so blocks seal flat, their members go quiet, and quiet members move
+//! mid-block, on their seal row, go missing from a frame and are checkpointed
+//! — `hot_layout().quiet` is asserted to have been seen.  The proptest shim
+//! does not shrink: a failing case prints its index and decoded op list.
 
 use hpcmon_gateway::{Gateway, GatewayConfig, QueryRequest, QueryResponse};
 use hpcmon_metrics::{
@@ -86,6 +90,21 @@ enum Shape {
     },
 }
 
+/// Which series a frame moves to a new value; the others repeat the value
+/// they last carried.  The volatile third (`i % 3 == 0`) moves every frame.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Moves {
+    All,
+    Volatile,
+    /// And `len` consecutive series from `start` on.
+    Segment {
+        start: u32,
+        len: u32,
+    },
+    /// And the series this frame's point seals (the model says which).
+    AtSeal,
+}
+
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Op {
     /// Ingested through the route; first published through the case's
@@ -93,6 +112,7 @@ enum Op {
     Frame {
         shape: Shape,
         value: f64,
+        moves: Moves,
         published: bool,
     },
     /// Published through the arena, never ingested (lost in transit).
@@ -153,7 +173,15 @@ const AGGS: [AggFn; 6] =
     [AggFn::Sum, AggFn::Mean, AggFn::Min, AggFn::Max, AggFn::Count, AggFn::Quantile(0.25)];
 
 fn decode((op, a, b, c, value): (u8, u32, u32, u64, f64)) -> Op {
-    let frame = |shape| Op::Frame { shape, value, published: c >> 63 == 0 };
+    // Half the frames move only the volatile series: held values outlast
+    // a seal.
+    let moves = match (c >> 56) % 8 {
+        0 => Moves::All,
+        1..=4 => Moves::Volatile,
+        5 | 6 => Moves::Segment { start: b % POPULATION, len: 1 + a % (POPULATION / 4) },
+        _ => Moves::AtSeal,
+    };
+    let frame = |shape| Op::Frame { shape, value, moves, published: c >> 63 == 0 };
     if op >= 207 {
         // One of six panels.
         let panel = (c % 6) as usize;
@@ -306,6 +334,8 @@ struct Case {
     newest: u64,
     /// Series no frame carries for now.
     silent: std::ops::Range<u32>,
+    /// The value each series of the population last carried in a frame.
+    held: Vec<f64>,
 }
 
 impl Case {
@@ -326,10 +356,26 @@ impl Case {
             model: Model::default(),
             newest: 0,
             silent: 0..0,
+            held: (0..POPULATION).map(f64::from).collect(),
         }
     }
 
-    fn build_frame(&mut self, shape: Shape, value: f64) -> ColumnFrame {
+    /// Whether a frame that `moves` gives series `i` a new value.
+    fn moves(&self, moves: Moves, i: u32) -> bool {
+        let at_seal = || {
+            let hot = self.model.series.get(&key(i)).map_or(0, |s| s.hot.len());
+            hot + 1 == self.threshold
+        };
+        i.is_multiple_of(3)
+            || match moves {
+                Moves::All => true,
+                Moves::Volatile => false,
+                Moves::Segment { start, len } => (start..start + len).contains(&i),
+                Moves::AtSeal => at_seal(),
+            }
+    }
+
+    fn build_frame(&mut self, shape: Shape, value: f64, moves: Moves) -> ColumnFrame {
         let ts = match shape {
             Shape::Old { back } => self.newest.saturating_sub(back * STEP),
             _ => self.newest + STEP,
@@ -342,7 +388,10 @@ impl Case {
             _ => false,
         };
         for i in (0..POPULATION).filter(|&i| !skipped(i)) {
-            cf.push(key(i).metric, key(i).comp, value + i as f64);
+            if self.moves(moves, i) {
+                self.held[i as usize] = value + i as f64;
+            }
+            cf.push(key(i).metric, key(i).comp, self.held[i as usize]);
         }
         match shape {
             Shape::PlusTail { n } => {
@@ -375,19 +424,19 @@ impl Case {
 
     fn apply(&mut self, op: Op) {
         match op {
-            Op::Frame { shape, value, published: false } => {
-                let cf = self.build_frame(shape, value);
+            Op::Frame { shape, value, moves, published: false } => {
+                let cf = self.build_frame(shape, value, moves);
                 self.store.ingest_columns(&cf, &mut self.route);
                 self.oracles_take(&cf);
             }
-            Op::Frame { shape, value, published: true } => {
-                let cf = self.build_frame(shape, value);
+            Op::Frame { shape, value, moves, published: true } => {
+                let cf = self.build_frame(shape, value, moves);
                 let cf = self.publish(&cf);
                 assert_eq!(self.store.try_ingest_columns(&cf, &mut self.route), Ok(()));
                 self.oracles_take(&cf);
             }
             Op::Lost { shape } => {
-                let cf = self.build_frame(shape, 0.0);
+                let cf = self.build_frame(shape, 0.0, Moves::Volatile);
                 self.publish(&cf);
             }
             Op::Insert { series, ahead, steps, value } => {
@@ -419,7 +468,7 @@ impl Case {
                 assert_eq!(dropped, self.model.drop_series_before(cutoff));
             }
             Op::RefusedFrame { shard } => {
-                let cf = self.build_frame(Shape::Full, 0.5);
+                let cf = self.build_frame(Shape::Full, 0.5, Moves::Volatile);
                 let before = (self.store.state_digest(), self.store.hot_layout());
                 self.store.set_shard_write_fault(shard, true);
                 let refused = self.store.try_ingest_columns(&cf, &mut self.route);
@@ -527,7 +576,8 @@ impl Case {
         assert_eq!(store.op_counts(), twin.op_counts());
         assert_eq!(store.epoch(), twin.epoch());
         assert_eq!(store.state_digest(), twin.state_digest());
-        assert_eq!(twin.hot_layout(), HotLayout::default(), "insert() alone forms no cohort");
+        let cohorts = HotLayout { hot_bytes: 0, ..twin.hot_layout() };
+        assert_eq!(cohorts, HotLayout::default(), "insert() alone forms no cohort");
         let keys: Vec<SeriesKey> = self.model.series.keys().copied().collect();
         assert_eq!(store.all_series(), keys);
         for k in keys {
@@ -536,20 +586,23 @@ impl Case {
     }
 }
 
-/// Run one case; returns the path its hot tier took and how many cached
-/// aggregates were extended.
+/// Run one case; returns the path its hot tier took (with the most quiet
+/// members it held at once) and how many cached aggregates were extended.
 fn run_case(threshold: usize, ops: &[Op]) -> (HotLayout, u64) {
     let mut case = Case::new(threshold);
+    let mut quiet = 0;
     for &op in ops {
         case.apply(op);
         case.check();
+        quiet = quiet.max(case.store.hot_layout().quiet);
     }
     let json = |s: &TimeSeriesStore| serde_json::to_vec(&s.snapshot()).expect("serializes");
     assert_eq!(json(&case.store), json(&case.twin), "final checkpoint");
     let evicted = case.check_evicted(ALL.1);
     case.reload(evicted);
     case.check();
-    (case.store.hot_layout(), case.gateway.cache_stats().extended)
+    let layout = HotLayout { quiet, ..case.store.hot_layout() };
+    (layout, case.gateway.cache_stats().extended)
 }
 
 fn run_cases(cases: u32) {
@@ -572,6 +625,7 @@ fn run_cases(cases: u32) {
                 total.formations += layout.formations;
                 total.evictions += layout.evictions;
                 total.cohort_seals += layout.cohort_seals;
+                total.quiet += usize::from(layout.quiet > 0);
             }
             Err(panic) => {
                 eprintln!("case {case} failed: seal threshold {threshold}, ops {ops:#?}");
@@ -584,6 +638,7 @@ fn run_cases(cases: u32) {
     assert!(total.formations >= cases, "{total:?}");
     assert!(total.evictions >= cases, "{total:?}");
     assert!(total.cohort_seals >= cases, "{total:?}");
+    assert!(total.quiet as u64 >= cases / 4, "{} cases saw a quiet member", total.quiet);
     assert!(extended >= cases, "{extended} cached aggregates extended");
 }
 
