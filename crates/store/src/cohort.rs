@@ -17,13 +17,15 @@
 //! `Vec<(Ts, f64)>`, the per-series representation `insert()` defines, and
 //! the cohort carries on without it.
 //!
-//! Most series repeat one value for whole blocks.  A member whose block
-//! sealed flat starts the next cycle **quiet**: it keeps that value and the
-//! cohort's row stamps instead of a matrix column, and the gather compares
-//! its sample with the value instead of storing it.  The first sample that
-//! differs evicts it, with a copy of the value for each row before; at the
-//! seal it is its value and one run, built without reading a column.  Each
-//! seal re-lays the matrix for the members left loud and frees the rest.
+//! Most series repeat one value for whole blocks.  A **quiet** member keeps
+//! that value and the cohort's row stamps instead of a matrix column, and
+//! the gather compares its sample with the value instead of storing it; the
+//! first sample that differs evicts it, with a copy of the value for each
+//! row before.  Members go quiet where the cohort is **re-laid**: at each
+//! seal those whose block sealed flat, and at the first cycle's second row
+//! those whose first two values are the same bits, so the first cycle's
+//! matrix never holds the repeats at full height.  A re-lay keeps a column
+//! for each member left loud and frees the rest.
 //!
 //! This is the only file that knows there are two representations: the rest
 //! of the crate reads a series' hot points through `Cohorts::hot`.
@@ -82,15 +84,19 @@ pub(crate) struct Cohort {
     /// Slab slot of each loud member's series, one matrix column each.
     members: Vec<u32>,
     /// Slab slot of each quiet member's series and the bits of the value
-    /// it has held at every row since the seal.
+    /// it has held at every row of the cycle.
     quiet: Vec<(u32, u64)>,
     /// Members, loud or quiet, not `RETIRED`.
     live: usize,
     /// One stamp per row, nondecreasing.
     stamps: Vec<Ts>,
     /// Row-major values, `members.len()` per row, `CHUNK_ROWS` rows per
-    /// chunk; emptied at each seal and shrunk to the members left loud.
+    /// chunk; at each re-lay compacted and shrunk to the members left loud,
+    /// and emptied at each seal.
     chunks: Vec<Vec<f64>>,
+    /// Whether the cohort has sealed; until then its second row re-lays it
+    /// (only the first cycle's: DESIGN.md §14 says why).
+    sealed: bool,
 }
 
 impl Cohort {
@@ -373,7 +379,7 @@ impl Cohorts {
 
     /// Move a member's points into the series' own buffer (no-op for a
     /// series that is not a member).  A loud member's column stays
-    /// allocated, unused, until the cohort next seals or empties.
+    /// allocated, unused, until the cohort is next re-laid or empties.
     pub(crate) fn evict(&mut self, slot: &mut SeriesSlot) {
         let Some((c, j)) = slot.seat.take() else { return };
         let cohort = &mut self.list[c as usize];
@@ -419,13 +425,79 @@ impl Cohorts {
         self.gen += 1;
     }
 
+    /// Re-lay cohort `c` for `loud`, the members that keep a column (in
+    /// column order), and `quiet`; any other member (retired) is dropped.
+    /// The rows held so far are compacted to the loud columns and every
+    /// chunk shrunk to `CHUNK_ROWS` rows of them: what the matrix held for
+    /// the others goes back now, and the rows still to come land without
+    /// reallocating, in memory a loud column already touched.
+    fn relay(
+        &mut self,
+        c: usize,
+        loud: Vec<u32>,
+        mut quiet: Vec<(u32, u64)>,
+        slots: &mut [SeriesSlot],
+    ) {
+        // Quiet members in slab order, which is mostly frame order, so the
+        // gather's compares walk the frame forwards.
+        quiet.sort_unstable_by_key(|&(member, _)| member);
+        let cohort = &mut self.list[c];
+        // Unless a member went quiet or was retired, every seat stands.
+        if loud != cohort.members || quiet.len() != cohort.quiet.len() {
+            let width = cohort.width();
+            let column = |m: u32| slots[m as usize].seat.expect("a member has a seat").1 as usize;
+            for chunk in &mut cohort.chunks {
+                // Columns keep their order, so each value moves left onto
+                // one already read.
+                let rows = chunk.len().checked_div(width).unwrap_or(0);
+                for r in 0..rows {
+                    for (j, &m) in loud.iter().enumerate() {
+                        chunk[r * loud.len() + j] = chunk[r * width + column(m)];
+                    }
+                }
+                chunk.truncate(rows * loud.len());
+            }
+            for (j, &m) in loud.iter().enumerate() {
+                slots[m as usize].seat = Some((c as u32, j as u32));
+            }
+            for (q, &(m, _)) in quiet.iter().enumerate() {
+                slots[m as usize].seat = Some((c as u32, QUIET | q as u32));
+            }
+            cohort.live = loud.len() + quiet.len();
+            cohort.members = loud;
+            cohort.quiet = quiet;
+            self.gen += 1;
+        }
+        for chunk in &mut cohort.chunks {
+            chunk.shrink_to(CHUNK_ROWS * cohort.members.len());
+        }
+    }
+
+    /// A cohort's second row in its first cycle: re-lay it with the members
+    /// whose two values are the same bits quiet, as a seal that found their
+    /// block flat would, so the rest of the cycle takes no column for them.
+    fn quiet_down(&mut self, c: usize, slots: &mut [SeriesSlot]) {
+        let cohort = &self.list[c];
+        debug_assert!(cohort.quiet.is_empty(), "a cohort goes quiet first at its second row");
+        let (first, second) = (cohort.row(0), cohort.row(1));
+        let (mut loud, mut quiet) = (Vec::new(), Vec::new());
+        for (j, &m) in cohort.members.iter().enumerate().filter(|&(_, &m)| m != RETIRED) {
+            let bits = first[j].to_bits();
+            if second[j].to_bits() == bits {
+                quiet.push((m, bits));
+            } else {
+                loud.push(m);
+            }
+        }
+        self.relay(c, loud, quiet, slots);
+    }
+
     /// Seal every member of cohort `c` into the block
     /// [`SeriesBlock::compress`] would make of its points, the timestamp
     /// stream encoded once and copied; a quiet member's values are its value
     /// and one run, built without a column.  Then re-lay the cohort for the
     /// next cycle: the members whose block came out flat go quiet, the rest
-    /// keep a column of the matrix, which gives back what it held for the
-    /// others.
+    /// keep a column.
     fn seal(&mut self, c: usize, slots: &mut [SeriesSlot], store: &TimeSeriesStore) {
         let cohort = &mut self.list[c];
         let rows = cohort.rows();
@@ -467,31 +539,12 @@ impl Cohorts {
             seal_one(member, compress::encode_flat(bits, rows));
             quiet.push((member, bits));
         }
-        // Quiet members in slab order, which is mostly frame order, so the
-        // gather's compares walk the frame forwards.
-        quiet.sort_unstable_by_key(|&(member, _)| member);
-        // Unless a member went quiet or was retired, every seat stands.
-        if loud != cohort.members || quiet.len() != cohort.quiet.len() {
-            for (j, &m) in loud.iter().enumerate() {
-                slots[m as usize].seat = Some((c as u32, j as u32));
-            }
-            for (q, &(m, _)) in quiet.iter().enumerate() {
-                slots[m as usize].seat = Some((c as u32, QUIET | q as u32));
-            }
-            cohort.live = loud.len() + quiet.len();
-            cohort.members = loud;
-            cohort.quiet = quiet;
-            self.gen += 1;
-        }
-        let cohort = &mut self.list[c];
         cohort.stamps.clear();
-        // The quiet members' share of the matrix goes back now, before the
-        // next cohort's blocks are made; the loud share stays, so the next
-        // cycle's rows land in memory already touched.
-        for chunk in &mut cohort.chunks {
-            chunk.clear();
-            chunk.shrink_to(CHUNK_ROWS * cohort.members.len());
-        }
+        cohort.chunks.iter_mut().for_each(Vec::clear);
+        cohort.sealed = true;
+        // Re-laid before the next cohort's blocks are made, so the memory it
+        // gives back is there for them.
+        self.relay(c, loud, quiet, slots);
         self.seals += 1;
     }
 
@@ -882,7 +935,8 @@ impl TimeSeriesStore {
     /// then each cohort's quiet members are checked against their samples
     /// (one that differs is evicted, its row's point the sample), the
     /// cohorts that reached the threshold seal (the tick every member would
-    /// seal on alone), and the loose samples are appended one by one.
+    /// seal on alone), those at their first cycle's second row are re-laid,
+    /// and the loose samples are appended one by one.
     fn land(&self, cf: &ColumnFrame, lanes: &mut [Option<(&mut Shard, &RowPlan)>]) {
         for (shard, rows) in lanes.iter_mut().flatten() {
             for g in &rows.gathers {
@@ -923,8 +977,11 @@ impl TimeSeriesStore {
                         self.append_point(s.key, &mut s.data, cf.ts, cf.values[p as usize]);
                     }
                 }
-                if cohorts.list[c].rows() >= self.seal_threshold {
+                let cohort = &cohorts.list[c];
+                if cohort.rows() >= self.seal_threshold {
                     cohorts.seal(c, slots, self);
+                } else if cohort.rows() == 2 && !cohort.sealed {
+                    cohorts.quiet_down(c, slots);
                 }
             }
             for &(pos, slot) in &rows.loose {
@@ -1169,6 +1226,103 @@ mod tests {
         let layout = pair.routed.hot_layout();
         assert_eq!((layout.members, layout.quiet), (29, 13), "{layout:?}");
         pair.assert_same("moves, an absence, an insert and a load among quiet members");
+    }
+
+    /// Metric 0 of 64 nodes, node `n` holding `value(n, tick)`.
+    fn of_64(tick: u64, value: impl Fn(u32, u64) -> f64) -> ColumnFrame {
+        let mut cf = ColumnFrame::new(Ts(tick * 1_000));
+        for n in 0..64 {
+            cf.push(MetricId(0), CompId::node(n), value(n, tick));
+        }
+        cf
+    }
+
+    /// Nodes 0..48 repeat their first value; 48..56 change every row;
+    /// 56..60 hold theirs until tick 5 and then change every row; 60..64
+    /// differ from theirs at tick 1 and from tick 12 on.
+    fn first_rows(n: u32, t: u64) -> f64 {
+        match n {
+            48..56 => (t * 7 + n as u64) as f64,
+            56..60 if t >= 5 => t as f64 + 0.5,
+            60..64 if t == 1 || t >= 12 => t as f64 + 0.25,
+            _ => n as f64,
+        }
+    }
+
+    #[test]
+    fn cohort_member_that_repeats_its_first_value_goes_quiet_at_the_second_row() {
+        let mut pair = Pair::new(1, 8);
+        pair.frame(&of_64(0, first_rows));
+        assert_eq!(pair.routed.hot_layout().quiet, 0, "one row decides nothing");
+        pair.frame(&of_64(1, first_rows));
+        // Nodes 0..48 and 56..60 went quiet at the second row, before any
+        // seal: the matrix kept a 64-row chunk of the 12 loud columns
+        // (6 KB), not one of 64 (32 KB).
+        let layout = pair.routed.hot_layout();
+        assert_eq!((layout.quiet, layout.evictions, layout.cohort_seals), (52, 0, 0));
+        assert!((6_144..8_192).contains(&layout.hot_bytes), "{layout:?}");
+        for k in pair.routed.all_series() {
+            assert_eq!(pair.routed.query(k, ALL.0, ALL.1), pair.oracle.query(k, ALL.0, ALL.1));
+        }
+        for tick in 2..6 {
+            pair.frame(&of_64(tick, first_rows));
+        }
+        // Nodes 56..60 moved at row 5 and left with six points each; the
+        // cohort still holds the loud share alone.
+        let layout = pair.routed.hot_layout();
+        assert_eq!((layout.members, layout.quiet, layout.evictions), (60, 48, 4), "{layout:?}");
+        assert!((6_144 + 4 * 96..8_192 + 4 * 96).contains(&layout.hot_bytes), "{layout:?}");
+        for tick in 6..12 {
+            pair.frame(&of_64(tick, first_rows));
+        }
+        // Sealed with the oracle; the movers sealed alone on that tick too
+        // and rejoined loud.  A loaded store is per-series until it seals.
+        let layout = pair.routed.hot_layout();
+        assert_eq!((layout.members, layout.quiet, layout.cohort_seals), (64, 48, 1), "{layout:?}");
+        pair.routed.load_snapshot(pair.routed.snapshot());
+        assert_eq!(pair.routed.state_digest(), pair.oracle.state_digest());
+        for tick in 12..30 {
+            pair.frame(&of_64(tick, first_rows));
+        }
+        pair.assert_same("quiet from the second row, a seal and a load");
+    }
+
+    #[test]
+    fn cohort_loud_member_whose_rows_agree_after_a_seal_keeps_its_column() {
+        let mut pair = Pair::new(1, 8);
+        for tick in 0..10 {
+            pair.frame(&of_64(tick, first_rows));
+        }
+        // Row 2 of the second cycle: nodes 60..64 held one value at rows 0
+        // and 1, as in every block that opens flat, and stay loud.
+        let layout = pair.routed.hot_layout();
+        assert_eq!((layout.quiet, layout.evictions, layout.cohort_seals), (48, 4, 1));
+        for tick in 10..16 {
+            pair.frame(&of_64(tick, first_rows));
+        }
+        // They moved at row 4 from their column, not out of the cohort.
+        let layout = pair.routed.hot_layout();
+        assert_eq!((layout.quiet, layout.evictions, layout.cohort_seals), (48, 4, 2));
+        pair.assert_same("rows that agree after a seal");
+    }
+
+    #[test]
+    fn cohort_that_seals_by_its_second_row_is_re_laid_by_the_seal_alone() {
+        // Threshold 1 seals every row: each one-point block is flat, so all
+        // go quiet and the 12 that change at tick 1 leave.  Threshold 2
+        // seals the second row, whose verdict is the whole block's.
+        for (threshold, after) in [(1, (52, 12, 2)), (2, (52, 0, 1))] {
+            let mut pair = Pair::new(1, threshold);
+            pair.frame(&of_64(0, first_rows));
+            pair.frame(&of_64(1, first_rows));
+            let layout = pair.routed.hot_layout();
+            let got = (layout.quiet, layout.evictions, layout.cohort_seals);
+            assert_eq!(got, after, "threshold {threshold}: {layout:?}");
+            for tick in 2..20 {
+                pair.frame(&of_64(tick, first_rows));
+            }
+            pair.assert_same(&format!("threshold {threshold}"));
+        }
     }
 
     #[test]

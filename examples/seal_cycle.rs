@@ -8,12 +8,14 @@
 //! compute-heavy 256-node jobs (100, or the count given after the
 //! dimensions), runs eight ticks past the first seal and prints the slowest
 //! tick, the peak resident set (`VmHWM`) before and after the seal, the hot
-//! tier after it (members, how many went quiet, bytes held), what a warm
-//! point costs, and — every series read back whole — the share of sealed
-//! blocks whose values never changed.
+//! tier just before it and just after it (members, how many are quiet,
+//! bytes held), what a warm point costs, and — every series read back
+//! whole — the share of sealed blocks whose values never changed.
 //!
-//! It exits non-zero when no member went quiet after the seal or the read
-//! back met a corrupt block, so a smoke run catches either path going dark.
+//! It exits non-zero when no member was quiet before the first seal (a
+//! cohort quiets its repeats at its second row) or after it, or the read
+//! back met a corrupt block, so a smoke run catches any of these paths
+//! going dark.
 //!
 //! ```sh
 //! cargo run --release --example seal_cycle                  # 16x16x8: 4,096 nodes
@@ -69,9 +71,10 @@ fn main() {
     let threshold = TimeSeriesStore::DEFAULT_SEAL_THRESHOLD;
     let ticks = threshold as u64 + 8;
     let (mut slowest, mut slowest_tick) = (0.0f64, 0);
-    let mut seal: Option<(u64, f64, f64, HotLayout)> = None;
+    let mut seal: Option<(u64, f64, f64, HotLayout, HotLayout)> = None;
     for tick in 1..=ticks {
         let (sealed, hwm) = (mon.store().op_counts().blocks_sealed, vm_hwm_mb());
+        let unsealed = mon.store().hot_layout();
         let start = Instant::now();
         mon.tick();
         let ms = start.elapsed().as_secs_f64() * 1e3;
@@ -79,20 +82,28 @@ fn main() {
             (slowest, slowest_tick) = (ms, tick);
         }
         if seal.is_none() && mon.store().op_counts().blocks_sealed > sealed {
-            seal = Some((tick, hwm, vm_hwm_mb(), mon.store().hot_layout()));
+            seal = Some((tick, hwm, vm_hwm_mb(), unsealed, mon.store().hot_layout()));
         }
     }
 
     let store = mon.store();
     let occupancy = store.occupancy();
     println!("slowest tick: {slowest:.1} ms at tick {slowest_tick} of {ticks}");
-    let Some((tick, before, after, layout)) = seal else {
+    let Some((tick, before, after, unsealed, layout)) = seal else {
         println!("no seal in {ticks} ticks");
         std::process::exit(1);
     };
     println!(
         "first seal at tick {tick}: VmHWM {before:.1} MB before, {after:.1} MB after (+{:.1})",
         after - before
+    );
+    println!(
+        "hot tier before it: {} members, {} quiet ({:.1}%), {} evictions, {:.1} MB held",
+        unsealed.members,
+        unsealed.quiet,
+        100.0 * unsealed.quiet as f64 / unsealed.members.max(1) as f64,
+        unsealed.evictions,
+        mb(unsealed.hot_bytes)
     );
     println!(
         "hot tier after it: {} members, {} quiet ({:.1}%), {:.1} MB held",
@@ -128,6 +139,10 @@ fn main() {
         100.0 * flat as f64 / blocks.max(1) as f64,
         store.corrupt_blocks()
     );
+    if unsealed.quiet == 0 {
+        eprintln!("no member was quiet before the first seal");
+        std::process::exit(1);
+    }
     if layout.quiet == 0 {
         eprintln!("no member went quiet after the seal");
         std::process::exit(1);

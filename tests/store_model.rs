@@ -28,9 +28,10 @@
 //! evict from them and seal them — asserted at the end through
 //! `hot_layout()`.  A third of the series change value every frame; the rest
 //! hold theirs until a frame moves them all, a segment of them, or those it
-//! seals, so blocks seal flat, their members go quiet, and quiet members move
-//! mid-block, on their seal row, go missing from a frame and are checkpointed
-//! — `hot_layout().quiet` is asserted to have been seen.  The proptest shim
+//! seals, so members go quiet at a cohort's second row and blocks seal flat,
+//! and quiet members move mid-block, on their seal row, go missing from a
+//! frame and are checkpointed — `hot_layout().quiet` is asserted to have
+//! been seen, in a quarter of the cases before any seal.  The proptest shim
 //! does not shrink: a failing case prints its index and decoded op list.
 
 use hpcmon_gateway::{Gateway, GatewayConfig, QueryRequest, QueryResponse};
@@ -587,14 +588,17 @@ impl Case {
 }
 
 /// Run one case; returns the path its hot tier took (with the most quiet
-/// members it held at once) and how many cached aggregates were extended.
-fn run_case(threshold: usize, ops: &[Op]) -> (HotLayout, u64) {
+/// members it held at once), whether a member was quiet before any cohort
+/// had sealed, and how many cached aggregates were extended.
+fn run_case(threshold: usize, ops: &[Op]) -> (HotLayout, bool, u64) {
     let mut case = Case::new(threshold);
-    let mut quiet = 0;
+    let (mut quiet, mut quiet_unsealed) = (0, false);
     for &op in ops {
         case.apply(op);
         case.check();
-        quiet = quiet.max(case.store.hot_layout().quiet);
+        let layout = case.store.hot_layout();
+        quiet = quiet.max(layout.quiet);
+        quiet_unsealed |= layout.quiet > 0 && layout.cohort_seals == 0;
     }
     let json = |s: &TimeSeriesStore| serde_json::to_vec(&s.snapshot()).expect("serializes");
     assert_eq!(json(&case.store), json(&case.twin), "final checkpoint");
@@ -602,7 +606,7 @@ fn run_case(threshold: usize, ops: &[Op]) -> (HotLayout, u64) {
     case.reload(evicted);
     case.check();
     let layout = HotLayout { quiet, ..case.store.hot_layout() };
-    (layout, case.gateway.cache_stats().extended)
+    (layout, quiet_unsealed, case.gateway.cache_stats().extended)
 }
 
 fn run_cases(cases: u32) {
@@ -614,13 +618,14 @@ fn run_cases(cases: u32) {
         ),
     );
     let seed = proptest::seed_from_name("store_matches_its_model");
-    let (mut total, mut extended) = (HotLayout::default(), 0);
+    let (mut total, mut quiet_unsealed, mut extended) = (HotLayout::default(), 0, 0);
     for case in 0..cases {
         let mut rng = TestRng::new(seed ^ u64::from(case).wrapping_mul(0x9e37_79b9));
         let (threshold, raw) = strategy.generate(&mut rng);
         let ops: Vec<Op> = raw.into_iter().map(decode).collect();
         match catch_unwind(AssertUnwindSafe(|| run_case(threshold, &ops))) {
-            Ok((layout, extensions)) => {
+            Ok((layout, unsealed, extensions)) => {
+                quiet_unsealed += u64::from(unsealed);
                 extended += extensions;
                 total.formations += layout.formations;
                 total.evictions += layout.evictions;
@@ -639,6 +644,7 @@ fn run_cases(cases: u32) {
     assert!(total.evictions >= cases, "{total:?}");
     assert!(total.cohort_seals >= cases, "{total:?}");
     assert!(total.quiet as u64 >= cases / 4, "{} cases saw a quiet member", total.quiet);
+    assert!(quiet_unsealed >= cases / 4, "{quiet_unsealed} cases saw one before a seal");
     assert!(extended >= cases, "{extended} cached aggregates extended");
 }
 
