@@ -23,13 +23,13 @@ pub struct Anomaly {
 }
 
 /// A streaming detector over one series.
-pub trait Detector: Send {
+pub trait Detector {
     /// Observe one point; return an anomaly if this point is flagged.
     fn observe(&mut self, ts: Ts, value: f64) -> Option<Anomaly>;
     /// Reset learned state (e.g. after a known maintenance window).
     fn reset(&mut self);
-    /// 64-bit digest of learned state, folded into the flight recorder's
-    /// per-tick analysis sub-hash.  Stateless detectors keep the default.
+    /// 64-bit digest of learned state, folded into the system's per-tick
+    /// analysis sub-hash.  Stateless detectors keep the default.
     fn state_digest(&self) -> u64 {
         0
     }

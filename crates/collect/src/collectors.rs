@@ -11,7 +11,7 @@ use hpcmon_metrics::{ColumnFrame, CompId};
 use hpcmon_sim::SimEngine;
 
 /// One data source that contributes samples to a synchronized frame.
-pub trait Collector: Send {
+pub trait Collector {
     /// Stable name (used as the transport topic suffix).
     fn name(&self) -> &str;
     /// Append this tick's samples to the columnar `frame`.

@@ -45,6 +45,7 @@ pub use hpcmon_viz as viz;
 
 pub use hpcmon_sim::SimConfig;
 pub use system::{
-    CoreSnapshot, DurableSample, DurableTickRecord, GatewayOp, MonitorBuilder, MonitorOptions,
-    MonitoringSystem, RecoveryOutcome, RunSummary, TickInputs, TickStateHash,
+    CoreSnapshot, DivergenceReport, DurableSample, DurableTickRecord, GatewayOp, MonitorBuilder,
+    MonitorOptions, MonitoringSystem, RecoveryOutcome, ReplayError, ReplayOutcome, Replayer,
+    RunSummary, TickInputs, TickStateHash,
 };

@@ -40,23 +40,26 @@ use hpcmon_transport::{
     topics, BackpressurePolicy, Broker, Envelope, Payload, Subscription, TopicFilter, TopicStats,
 };
 use hpcmon_viz::{ClassStatus, StatusBoard};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
 pub mod durability;
+pub mod replay;
 pub mod state;
 
 pub use durability::{DurableSample, DurableTickRecord, RecoveryOutcome};
+pub use replay::{DivergenceReport, ReplayError, ReplayOutcome, Replayer};
 pub use state::{CoreSnapshot, GatewayOp, TickInputs, TickStateHash};
 
 /// The builder's plain-data options: everything about a run that is
 /// configuration rather than code (collectors, detectors and rule sets stay
-/// on [`MonitorBuilder`]).  One serde struct, so a description of a run —
-/// the flight recorder's log header — is these fields and not a copy of
-/// them; [`MonitorBuilder`]'s chained setters write into it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// on [`MonitorBuilder`]); [`MonitorBuilder`]'s chained setters write into
+/// it.  A medium does not carry them: rebuilding a run — to recover it
+/// ([`MonitoringSystem::recover_from_medium`]) or to replay it
+/// ([`Replayer::open`]) — takes them from the caller.
+#[derive(Debug, Clone, PartialEq)]
 pub struct MonitorOptions {
     /// The simulated machine.
     pub sim: SimConfig,
@@ -116,12 +119,8 @@ pub struct MonitorBuilder {
 }
 
 impl MonitorBuilder {
-    /// Start from a machine configuration.
-    pub(crate) fn new(config: SimConfig) -> MonitorBuilder {
-        MonitorBuilder::from_options(MonitorOptions::new(config))
-    }
-
-    /// Start from a whole set of options — how a recorded run is rebuilt.
+    /// Start from a whole set of options — how a recovered or replayed run
+    /// is rebuilt.
     pub fn from_options(options: MonitorOptions) -> MonitorBuilder {
         let registry = MetricRegistry::new();
         let metrics = StdMetrics::register(&registry);
@@ -143,7 +142,8 @@ impl MonitorBuilder {
     /// the WAL tail; with `SyncPolicy::EveryTick` no acknowledged tick is
     /// ever lost, with `SyncPolicy::GroupCommit(n)` loss is bounded by
     /// one commit window.  The plane is hash-neutral: a durable run's
-    /// flight-recorder hash chain is identical to a non-durable twin's.
+    /// state-hash chain is identical to a non-durable twin's.  With state
+    /// hashing on, the medium is also a recording [`Replayer::open`] reads.
     pub fn durability(
         mut self,
         medium: Arc<dyn StorageMedium>,
@@ -732,9 +732,9 @@ pub struct MonitoringSystem {
     // steady state is every tick.  One per frame shape (`[raw, results]`)
     // so the results frame never evicts the raw frame's route.
     routes: [IngestRoute; 2],
-    // Flight-recorder hooks (system::state, DESIGN.md §11).  With
-    // `hashing` false none of it runs and the pipeline is bit-identical
-    // to a build without the recorder.
+    // Replay hooks (system::state, DESIGN.md §11).  With `hashing` false
+    // none of it runs and the pipeline is bit-identical to a build without
+    // them.
     hashing: bool,
     last_state_hash: Option<TickStateHash>,
     replay_hash_gauge: Option<Arc<Gauge>>,
@@ -747,7 +747,7 @@ pub struct MonitoringSystem {
 impl MonitoringSystem {
     /// Start building a system.
     pub fn builder(config: SimConfig) -> MonitorBuilder {
-        MonitorBuilder::new(config)
+        MonitorBuilder::from_options(MonitorOptions::new(config))
     }
 
     // ----- delegation to the machine -----
@@ -2084,17 +2084,6 @@ mod tests {
         assert!(stored.contains(&4) && stored.contains(&20), "stored around the gap: {stored:?}");
         assert_eq!(mon.quarantined_collectors(), 0, "the probe re-admitted it");
         assert_eq!(mon.last_coverage().unwrap().pct(), 100.0);
-    }
-
-    #[test]
-    fn options_recorded_with_deleted_keys_still_load() {
-        // Flight-recorder logs carry the options as their header; logs
-        // written while `supervision` and `novelty_training_ticks` were
-        // options must still replay.
-        let options = MonitorOptions::new(SimConfig::small());
-        let json = serde_json::to_string(&options).unwrap();
-        let old = json.replacen('{', r#"{"supervision":true,"novelty_training_ticks":30,"#, 1);
-        assert_eq!(serde_json::from_str::<MonitorOptions>(&old).unwrap(), options);
     }
 
     #[test]

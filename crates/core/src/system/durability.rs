@@ -3,7 +3,7 @@
 //! With a [`hpcmon_durability::DurabilityPlane`] attached
 //! ([`super::MonitorBuilder::durability`]), every tick ends by appending
 //! one [`DurableTickRecord`] — the tick's external inputs, its state hash
-//! when the flight recorder is on, and the collected frame's samples — to
+//! when state hashing is on, and the collected frame's samples — to
 //! a segmented, CRC-framed write-ahead log, synced per the configured
 //! [`hpcmon_durability::SyncPolicy`].  On the checkpoint cadence the full
 //! [`super::CoreSnapshot`] is written (temp + rename, CRC-framed) and the
@@ -40,8 +40,9 @@ pub struct DurableTickRecord {
     pub tick: u64,
     /// External inputs applied before this tick ran.
     pub inputs: TickInputs,
-    /// The flight recorder's hash after this tick (`None` with hashing
-    /// off); recovery verifies the replayed tick against it.
+    /// The system's state hash after this tick (`None` with hashing off):
+    /// recovery verifies the replayed tick against it, and a
+    /// [`Replayer`](super::Replayer) refuses a medium whose ticks lack it.
     pub hash: Option<TickStateHash>,
 }
 
@@ -104,7 +105,7 @@ pub fn decode_tick_record(bytes: &[u8]) -> Option<(DurableTickRecord, Vec<Durabl
 /// A tick record's JSON head, and its sample section in place once the
 /// section's count checks out: what replay needs, without decoding the
 /// samples.  `None` exactly where [`decode_tick_record`] is.
-fn decode_tick_head(bytes: &[u8]) -> Option<(DurableTickRecord, &[u8])> {
+pub(super) fn decode_tick_head(bytes: &[u8]) -> Option<(DurableTickRecord, &[u8])> {
     let json_len = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?) as usize;
     let rest = bytes.get(4..)?;
     let record: DurableTickRecord = serde_json::from_slice(rest.get(..json_len)?).ok()?;
@@ -244,7 +245,7 @@ impl MonitoringSystem {
     /// the record's inputs, tick, compare the whole [`TickStateHash`] with
     /// the one recorded.  A mismatch comes back as `(expected, actual)`;
     /// what to do about one is the caller's policy (crash recovery counts
-    /// it and continues, the flight recorder's replayer stops and
+    /// it and continues, the [`Replayer`](super::Replayer) stops and
     /// reports).  A record without a hash, or a system with hashing off,
     /// has nothing to compare and never mismatches.
     pub fn replay_tick(

@@ -1,13 +1,13 @@
-//! Flight-recorder hooks on the assembled system (DESIGN.md §11).
+//! Replay hooks on the assembled system (DESIGN.md §11).
 //!
 //! Three capabilities turn a [`MonitoringSystem`] run into a replayable
 //! artifact:
 //!
 //! * **Explicit tick inputs** — [`TickInputs`] names every external,
 //!   non-deterministic input a tick can receive (job submissions, machine
-//!   fault injections, gateway query/subscription arrivals).  A recorder
-//!   writes each tick's value to its journal as the calls arrive; replay
-//!   hands the logged value to [`MonitoringSystem::apply_tick_inputs`].
+//!   fault injections, gateway query/subscription arrivals).  A durable
+//!   run journals each tick's value as the calls arrive; replay hands the
+//!   journaled value to [`MonitoringSystem::apply_tick_inputs`].
 //! * **Per-tick state hashing** — with
 //!   [`MonitoringSystem::set_state_hashing`] enabled, every tick folds
 //!   each subsystem's deterministic observables into a [`TickStateHash`].
@@ -83,8 +83,8 @@ pub enum GatewayOp {
 }
 
 /// The per-tick state hash: one digest per subsystem plus the combined
-/// chain value published as `hpcmon.self.replay.state_hash` and written to
-/// the flight-recorder log.  On divergence, comparing sub-hashes names the
+/// chain value published as `hpcmon.self.replay.state_hash` and journaled
+/// in every durable tick record.  On divergence, comparing sub-hashes names the
 /// first subsystem whose state differs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TickStateHash {
@@ -121,27 +121,14 @@ impl TickStateHash {
     /// The first sub-hash (by [`SUBSYSTEMS`] order) where `self` and
     /// `other` differ, or `None` when the hashes match entirely.
     pub fn first_divergence(&self, other: &TickStateHash) -> Option<&'static str> {
-        let a = [
-            self.sim,
-            self.frame,
-            self.store,
-            self.pipeline,
-            self.analysis,
-            self.chaos,
-            self.gateway,
-            self.combined,
-        ];
-        let b = [
-            other.sim,
-            other.frame,
-            other.store,
-            other.pipeline,
-            other.analysis,
-            other.chaos,
-            other.gateway,
-            other.combined,
-        ];
+        let (a, b) = (self.sub_hashes(), other.sub_hashes());
         a.iter().zip(b).position(|(x, y)| *x != y).map(|i| SUBSYSTEMS[i])
+    }
+
+    /// The sub-hashes in [`SUBSYSTEMS`] order.
+    pub(crate) fn sub_hashes(&self) -> [u64; 8] {
+        let h = self;
+        [h.sim, h.frame, h.store, h.pipeline, h.analysis, h.chaos, h.gateway, h.combined]
     }
 }
 
@@ -191,7 +178,7 @@ impl CoreSnapshot {
 impl MonitoringSystem {
     /// Enable or disable per-tick state hashing.  Off (the default) costs
     /// one branch per tick and keeps the pipeline bit-identical to a build
-    /// without the flight recorder.  On, each tick ends by computing a
+    /// without state hashing.  On, each tick ends by computing a
     /// [`TickStateHash`] (readable via
     /// [`MonitoringSystem::last_state_hash`]) and publishing the combined
     /// value on the `replay.state_hash` gauge, which the self feed carries

@@ -24,7 +24,7 @@
 //! Loss bounds are explicit: [`SyncPolicy::EveryTick`] guarantees zero
 //! loss on crash; [`SyncPolicy::GroupCommit`]`(n)` bounds loss to the last
 //! `n` ticks.  Both are asserted by the crash/restart test suite against
-//! the flight recorder's per-tick state-hash chain.
+//! the monitoring system's per-tick state-hash chain.
 
 #[allow(unsafe_code)]
 pub mod crc;
@@ -34,6 +34,6 @@ pub mod wal;
 
 pub use medium::{DiskError, SimDisk, StorageMedium};
 pub use plane::{
-    DurabilityConfig, DurabilityCounts, DurabilityPlane, RecoveredState, RecoveryReport,
+    DurabilityConfig, DurabilityCounts, DurabilityPlane, PlaneFiles, RecoveredState, RecoveryReport,
 };
 pub use wal::{ScanEnd, SyncPolicy, WalRecord};

@@ -129,12 +129,38 @@ fn ckpt_name(tick: u64) -> String {
     format!("ckpt-{tick:010}.ck")
 }
 
-fn parse_seg(name: &str) -> Option<u64> {
-    name.strip_prefix("wal-")?.strip_suffix(".seg")?.parse().ok()
+/// The plane's files on a medium, read off their names alone: the one
+/// place those names are parsed.  Listing reads no file and writes nothing.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PlaneFiles {
+    /// `(tick, name)` of every checkpoint, oldest first.
+    pub checkpoints: Vec<(u64, String)>,
+    /// `(first tick, name)` of every WAL segment, oldest first.
+    pub segments: Vec<(u64, String)>,
+    /// Checkpoint writes a crash left before their rename.
+    pub temps: Vec<String>,
 }
 
-fn parse_ckpt(name: &str) -> Option<u64> {
-    name.strip_prefix("ckpt-")?.strip_suffix(".ck")?.parse().ok()
+impl PlaneFiles {
+    /// List `medium`'s plane files; names of any other shape are left out.
+    pub fn list(medium: &dyn StorageMedium) -> PlaneFiles {
+        let tick = |name: &str, prefix: &str, suffix: &str| -> Option<u64> {
+            name.strip_prefix(prefix)?.strip_suffix(suffix)?.parse().ok()
+        };
+        let mut files = PlaneFiles::default();
+        for name in medium.list() {
+            if name.ends_with(".tmp") {
+                files.temps.push(name);
+            } else if let Some(t) = tick(&name, "ckpt-", ".ck") {
+                files.checkpoints.push((t, name));
+            } else if let Some(t) = tick(&name, "wal-", ".seg") {
+                files.segments.push((t, name));
+            }
+        }
+        files.checkpoints.sort();
+        files.segments.sort();
+        files
+    }
 }
 
 /// What recovery does to a segment file once its scan is over.
@@ -190,10 +216,10 @@ impl DurabilityPlane {
         medium: Arc<dyn StorageMedium>,
         cfg: DurabilityConfig,
     ) -> (DurabilityPlane, RecoveredState) {
-        let files = medium.list();
+        let PlaneFiles { checkpoints: ckpts, segments: segs, temps } = PlaneFiles::list(&*medium);
         // A crash mid-checkpoint leaves a temp file; it was never renamed,
         // so it was never the checkpoint of record.
-        for f in files.iter().filter(|f| f.ends_with(".tmp")) {
+        for f in &temps {
             let _ = medium.delete(f);
         }
 
@@ -201,9 +227,6 @@ impl DurabilityPlane {
 
         // Newest checkpoint that validates wins; invalid ones are counted
         // and removed so they cannot shadow the fallback next time.
-        let mut ckpts: Vec<(u64, String)> =
-            files.iter().filter_map(|f| parse_ckpt(f).map(|t| (t, f.clone()))).collect();
-        ckpts.sort();
         let mut checkpoint: Option<(u64, Vec<u8>)> = None;
         for (tick, name) in ckpts.iter().rev() {
             // Only a payload that verifies is copied off the medium.
@@ -224,10 +247,6 @@ impl DurabilityPlane {
         }
         report.checkpoint_tick = checkpoint.as_ref().map(|(t, _)| *t);
         let covered = report.checkpoint_tick;
-
-        let mut segs: Vec<(u64, String)> =
-            files.iter().filter_map(|f| parse_seg(f).map(|t| (t, f.clone()))).collect();
-        segs.sort();
 
         let mut records: Vec<WalRecord> = Vec::new();
         // Replay cursor: the first tick the WAL must supply.  Without a
@@ -356,15 +375,11 @@ impl DurabilityPlane {
             ..DurabilityCounts::default()
         };
         let plane = DurabilityPlane {
-            medium,
-            cfg,
             seg,
             seg_started,
-            backlog: VecDeque::new(),
-            scratch: Vec::new(),
             counts,
-            scrub_cursor: 0,
             last_ckpt_tick: report.checkpoint_tick,
+            ..DurabilityPlane::new(medium, cfg)
         };
         (plane, RecoveredState { checkpoint, records, report })
     }
@@ -494,19 +509,12 @@ impl DurabilityPlane {
         // Segments rotate at checkpoints, so a segment starting at or
         // before the fallback holds only records ≤ it — covered by both
         // retained checkpoints, safe to delete.
-        if let Some(prev) = self.last_ckpt_tick {
-            for f in self.medium.list() {
-                if parse_seg(&f).is_some_and(|s| s <= prev) {
-                    let _ = self.medium.delete(&f);
-                }
-            }
-        }
-        let mut cks: Vec<(u64, String)> =
-            self.medium.list().into_iter().filter_map(|f| parse_ckpt(&f).map(|t| (t, f))).collect();
-        cks.sort();
-        while cks.len() > 2 {
-            let (_, f) = cks.remove(0);
-            let _ = self.medium.delete(&f);
+        let files = PlaneFiles::list(&*self.medium);
+        let prev = self.last_ckpt_tick;
+        let covered = files.segments.partition_point(|(s, _)| prev.is_some_and(|p| *s <= p));
+        let superseded = files.checkpoints.len().saturating_sub(2);
+        for (_, f) in files.segments[..covered].iter().chain(&files.checkpoints[..superseded]) {
+            let _ = self.medium.delete(f);
         }
         self.last_ckpt_tick = Some(tick);
         Ok(())

@@ -17,11 +17,8 @@
 //! trust a gigabyte of garbage.
 //!
 //! The scanner frames records and checks them; what a kind *means* is its
-//! reader's business.  The durability plane writes only [`KIND_TICK`] and
-//! treats any other kind in a segment as damage; the flight recorder's
-//! event log is one such record stream in a single file, opened by a
-//! [`KIND_HEADER`] and closed by a [`KIND_END`] (DESIGN.md §15 has the
-//! table of kinds and writers).
+//! reader's business.  The durability plane writes only [`KIND_TICK`], and
+//! recovery and replay treat any other kind in a segment as damage.
 //!
 //! A checkpoint file is `HPCMCKP1` + `[len u32][crc u32][payload]` with
 //! the CRC over the payload alone.
@@ -36,15 +33,6 @@ pub const CKPT_MAGIC: &[u8; 8] = b"HPCMCKP1";
 /// Record kind for a per-tick payload: external inputs, state hash and
 /// the frame's samples.
 pub const KIND_TICK: u8 = 0x01;
-/// Record kind for an event log's run header (the configuration that
-/// rebuilds the recorded system).
-pub const KIND_HEADER: u8 = 0x02;
-/// Record kind for a full-state snapshot inside an event log; the payload
-/// is what a checkpoint file carries.
-pub const KIND_SNAPSHOT: u8 = 0x03;
-/// Record kind closing an event log, so a log cut on a record boundary is
-/// still recognisably cut.  Carries no payload.
-pub const KIND_END: u8 = 0x7F;
 /// Upper bound on a record payload.  A length field above this is
 /// corruption by definition, not a real record.
 pub const MAX_RECORD_LEN: u32 = 64 * 1024 * 1024;
@@ -302,7 +290,7 @@ mod tests {
     fn every_kind_round_trips_and_a_flipped_kind_fails_its_crc() {
         // The scanner frames and checks; it does not judge kinds — 0x42 is
         // nobody's, and still comes back as written.
-        let kinds = [KIND_HEADER, KIND_TICK, KIND_SNAPSHOT, 0x42, KIND_END];
+        let kinds = [0x02, KIND_TICK, 0x03, 0x42, 0x7F];
         let mut seg = WAL_MAGIC.to_vec();
         for (i, kind) in kinds.iter().enumerate() {
             encode_record(*kind, i as u64, b"body", &mut seg);
@@ -310,9 +298,9 @@ mod tests {
         let (records, end) = scan(&seg);
         assert_eq!(end, ScanEnd::Clean);
         assert_eq!(records.iter().map(|r| r.kind).collect::<Vec<_>>(), kinds);
-        // The kind byte is under the CRC: tick → header is one bit.
+        // The kind byte is under the CRC: 0x01 → 0x03 is one bit.
         let second = WAL_MAGIC.len() + HEADER_LEN + 4;
-        seg[second] ^= KIND_TICK ^ KIND_HEADER;
+        seg[second] ^= KIND_TICK ^ 0x03;
         let (records, end) = scan(&seg);
         assert_eq!(records.len(), 1);
         assert_eq!(end, ScanEnd::Corrupt { offset: second as u64, tick_hint: Some(0) });

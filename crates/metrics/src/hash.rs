@@ -1,4 +1,4 @@
-//! Order-sensitive 64-bit state digests for the flight recorder.
+//! Order-sensitive 64-bit state digests for the per-tick state hash.
 //!
 //! Replay verification compares per-tick digests of live subsystem state
 //! against the recorded stream, so the hash must be (a) identical across
@@ -50,8 +50,8 @@ impl StateHash {
     /// Mix one 64-bit word: pre-scramble it (multiply + xor-shift,
     /// wyhash-style), then fold into the next lane (xor-multiply-rotate).
     /// This path runs over every frame sample and simulator field every
-    /// tick when the flight recorder is on — it replaced byte-wise FNV-1a
-    /// (~8x more multiplies, all serialized) to hold the recorder's ≤5%
+    /// tick when state hashing is on — it replaced byte-wise FNV-1a
+    /// (~8x more multiplies, all serialized) to hold hashing's ≤5%
     /// tick-overhead budget.
     #[inline]
     pub fn u64(&mut self, v: u64) -> &mut Self {

@@ -1,42 +1,47 @@
-//! Flight-recorder incident workflow: record a chaos soak, replay it
-//! bit-identically, seek into the incident window with full tracing, and
-//! diagnose a tampered log.
+//! Incident record/replay workflow: record a chaos soak as a durable run,
+//! replay it bit-identically, seek into the incident window with full
+//! tracing, and diagnose a tampered recording.
 //!
 //! The scenario follows the paper's operational reality — the interesting
 //! tick happened under a particular interleave of injected faults, job
-//! arrivals, and operator queries, hours before anyone looked.  The
-//! flight recorder turns that run into an artifact:
+//! arrivals, and operator queries, hours before anyone looked.  A durable
+//! run with state hashing on leaves that run behind as an artifact:
 //!
 //! 1. **Record**: a 500-tick chaos soak (collector panics/hangs, broker
 //!    stalls, envelope corruption, store write failures, a gateway
-//!    serving live operator queries) is captured into an event log
-//!    of WAL records — every external input plus a per-tick state hash,
-//!    with a snapshot checkpoint every 100 ticks.
-//! 2. **Replay**: the log, round-tripped through its on-disk byte
-//!    format, re-executes bit-identically — all 500 hashes match.
+//!    serving live operator queries) runs with a durability plane on a
+//!    `SimDisk` — every external input plus a per-tick state hash goes to
+//!    the WAL, with a checkpoint every 400 ticks.
+//! 2. **Replay**: the medium, opened with the run's options, re-executes
+//!    bit-identically — all 500 hashes match.
 //! 3. **Seek**: restoring the tick-400 checkpoint and re-stepping
 //!    400→500 with trace sampling forced to 1-in-1 reproduces the same
 //!    hash chain — forensics-grade tracing for the incident window
 //!    without perturbing what it observes.
-//! 4. **Diagnose**: a log with one flipped bit in a recorded store
-//!    sub-hash yields a divergence report naming the first divergent
-//!    tick, the store subsystem, and the checkpoint to restart from.
+//! 4. **Diagnose**: a medium whose tick-455 record carries one flipped bit
+//!    in its store sub-hash (re-framed with a valid CRC) yields a
+//!    divergence report naming the first divergent tick, the store
+//!    subsystem, and the checkpoint to restart from.
 //!
 //! ```sh
 //! cargo run --release --example replay_incident
 //! ```
 
-use hpcmon::{MonitorOptions, SimConfig};
+use hpcmon::durability::wal::{encode_record, scan_segment, WAL_MAGIC};
+use hpcmon::durability::{DurabilityConfig, PlaneFiles, SimDisk, StorageMedium};
+use hpcmon::metrics::ColumnFrame;
+use hpcmon::system::durability::{decode_tick_record, encode_tick_record};
+use hpcmon::{MonitorBuilder, MonitorOptions, Replayer, SimConfig};
 use hpcmon_chaos::{ChaosFault, ChaosPlan};
 use hpcmon_gateway::{GatewayConfig, QueryRequest};
 use hpcmon_metrics::{MetricId, Ts, MINUTE_MS};
-use hpcmon_replay::{EventLog, FlightRecorder, Replayer, RunSpec};
 use hpcmon_response::Consumer;
 use hpcmon_sim::{AppProfile, FaultKind, JobSpec};
 use hpcmon_store::{AggFn, TimeRange};
+use std::sync::Arc;
 
 const TICKS: u64 = 500;
-const SNAPSHOT_EVERY: u64 = 100;
+const CHECKPOINT_EVERY: u64 = 400;
 const SEEK_TARGET: u64 = 400;
 
 /// Injected collector panics unwind through the supervisor's catch; keep
@@ -78,40 +83,46 @@ fn incident_plan() -> ChaosPlan {
     plan
 }
 
-/// Record the soak: jobs and machine faults flow through the recorder so
-/// they land in the event log; operator queries go straight to the
-/// gateway, since they move no hashed state.
-fn record() -> EventLog {
-    let options = MonitorOptions {
+/// The recorded run's options: what the replayer rebuilds it from.
+fn options() -> MonitorOptions {
+    MonitorOptions {
         chaos: Some((2018, incident_plan())),
         self_telemetry: false,
         gateway: Some(GatewayConfig { default_deadline_ms: 10_000, ..GatewayConfig::default() }),
         ..MonitorOptions::new(SimConfig::small())
-    };
-    let mut rec = FlightRecorder::new(RunSpec { options, snapshot_every: SNAPSHOT_EVERY });
+    }
+}
 
-    rec.submit_job(JobSpec::new(
+/// Record the soak: jobs and machine faults go through the system's own
+/// input API, so they land in the WAL; operator queries are served live
+/// and journal nothing, since they move no hashed state.
+fn record(disk: Arc<SimDisk>) {
+    let durability =
+        DurabilityConfig { checkpoint_every: CHECKPOINT_EVERY, ..DurabilityConfig::default() };
+    let mut mon = MonitorBuilder::from_options(options()).durability(disk, durability).build();
+    mon.set_state_hashing(true);
+
+    mon.submit_job(JobSpec::new(
         AppProfile::checkpointing("climate"),
         "bob",
         32,
         400 * MINUTE_MS,
         Ts::ZERO,
     ));
-    rec.submit_job(JobSpec::new(
+    mon.submit_job(JobSpec::new(
         AppProfile::compute_heavy("stencil"),
         "alice",
         8,
         120 * MINUTE_MS,
         Ts(30 * MINUTE_MS),
     ));
-    rec.schedule_fault(Ts(90 * MINUTE_MS), FaultKind::NodeCrash { node: 3 });
+    mon.schedule_fault(Ts(90 * MINUTE_MS), FaultKind::NodeCrash { node: 3 });
 
     let ops = Consumer::admin("ops");
     for t in 0..TICKS {
-        // An operator polls a fleet aggregate every 50 ticks, served live
-        // and not recorded: a query moves no hashed state.
+        // An operator polls a fleet aggregate every 50 ticks.
         if t % 50 == 25 {
-            let resp = rec.system().gateway().expect("gateway is on").query(
+            let resp = mon.gateway().expect("gateway is on").query(
                 &ops,
                 QueryRequest::AggregateAcross {
                     metric: MetricId(0),
@@ -121,37 +132,52 @@ fn record() -> EventLog {
             );
             assert!(resp.is_ok(), "the query must succeed");
         }
-        rec.tick();
+        mon.tick();
     }
-    rec.finish()
+}
+
+/// Flip bit 17 of the store sub-hash recorded for `tick`, re-framing its
+/// WAL record with a valid CRC so only the hash chain can tell.  The
+/// re-encoded record drops its sample section, which replay never reads.
+fn tamper(disk: &SimDisk, tick: u64) {
+    for (_, name) in PlaneFiles::list(disk).segments {
+        let bytes = disk.read(&name).expect("segment reads");
+        let mut out = WAL_MAGIC.to_vec();
+        scan_segment(&bytes, |r| {
+            let mut payload = r.payload.to_vec();
+            if r.tick == tick {
+                let (mut rec, _) = decode_tick_record(r.payload).expect("a tick record");
+                let hash = rec.hash.as_mut().expect("a recording carries every hash");
+                hash.store ^= 1 << 17;
+                hash.combined ^= 1 << 17;
+                payload = encode_tick_record(&rec, &ColumnFrame::default());
+            }
+            encode_record(r.kind, r.tick, &payload, &mut out);
+        });
+        disk.overwrite(&name, &out).expect("segment rewrites");
+    }
 }
 
 fn main() {
     quiet_injected_panics();
-    println!("=== flight recorder: incident record/replay workflow ===");
+    println!("=== incident record/replay workflow ===");
 
     // ---- 1. Record ----------------------------------------------------
     let t0 = std::time::Instant::now();
-    let log = record();
+    let disk = Arc::new(SimDisk::new());
+    record(disk.clone());
     let record_s = t0.elapsed().as_secs_f64();
-    let path = std::env::temp_dir().join("replay_incident.hpcmrly");
-    log.write_to(&path).expect("event log writes");
-    let bytes = std::fs::metadata(&path).expect("written").len();
+    let files = PlaneFiles::list(&*disk);
     println!(
-        "recorded {} ticks in {record_s:.1}s, {} snapshots -> {} ({:.1} KiB)",
-        log.len(),
-        log.snapshots.len(),
-        path.display(),
-        bytes as f64 / 1024.0,
+        "recorded {TICKS} ticks in {record_s:.1}s: {} segments, {} checkpoints, {:.1} KiB",
+        files.segments.len(),
+        files.checkpoints.len(),
+        disk.total_bytes() as f64 / 1024.0,
     );
-
-    // Everything below replays the artifact as read back from disk — the
-    // wire format, not the in-memory log, is what an incident hands you.
-    let log = EventLog::read_from(&path).expect("event log reads back");
 
     // ---- 2. Replay, bit-identical -------------------------------------
     let t0 = std::time::Instant::now();
-    let outcome = Replayer::new(&log).run_to_end();
+    let outcome = Replayer::open(options(), disk.clone()).expect("the medium opens").run_to_end();
     assert!(outcome.is_clean(), "replay diverged: {:?}", outcome.divergence);
     assert_eq!(outcome.ticks_verified, TICKS);
     println!(
@@ -161,12 +187,12 @@ fn main() {
     );
 
     // ---- 3. Seek into the incident window, full tracing ---------------
-    let mut rep = Replayer::new(&log);
+    let mut rep = Replayer::open(options(), disk.clone()).expect("the medium opens");
     rep.force_full_tracing();
-    let outcome = rep.seek(SEEK_TARGET);
+    let outcome = rep.seek(SEEK_TARGET).expect("the target is in the window");
     assert!(outcome.is_clean(), "seek diverged: {:?}", outcome.divergence);
     assert_eq!(rep.position(), SEEK_TARGET);
-    // The 100-tick cadence means seek(400) restores checkpoint 400
+    // The 400-tick cadence means seek(400) restores checkpoint 400
     // directly — zero ticks re-executed to get there.
     assert_eq!(outcome.ticks_verified, 0, "seek(400) should land on the tick-400 checkpoint");
     while let Some(step) = rep.step() {
@@ -180,21 +206,17 @@ fn main() {
     );
     assert!(traces >= TICKS - SEEK_TARGET, "forced sampling must trace every tick");
 
-    // ---- 4. Diagnose a tampered log -----------------------------------
-    let mut tampered = EventLog::read_from(&path).expect("reads back");
-    let idx = 454usize; // tick 455: mid-block, between checkpoints 400 and 500
-    let hash = tampered.ticks[idx].hash.as_mut().expect("a parsed log carries every hash");
-    hash.store ^= 1 << 17;
-    hash.combined ^= 1 << 17;
-    let outcome = Replayer::new(&tampered).run_to_end();
-    assert_eq!(outcome.ticks_verified, idx as u64);
-    let report = outcome.divergence.expect("tampered log must diverge");
-    assert_eq!(report.first_divergent_tick, idx as u64 + 1);
+    // ---- 4. Diagnose a tampered recording -----------------------------
+    let tick = 455; // mid-window, between checkpoint 400 and the end
+    tamper(&disk, tick);
+    let outcome = Replayer::open(options(), disk).expect("a re-framed medium opens").run_to_end();
+    assert_eq!(outcome.ticks_verified, tick - 1);
+    let report = outcome.divergence.expect("tampered recording must diverge");
+    assert_eq!(report.first_divergent_tick, tick);
     assert_eq!(report.subsystem, "store");
     assert_eq!(report.nearest_snapshot, Some(SEEK_TARGET));
-    println!("\ntampered log (store sub-hash bit-flip at tick {}):", idx + 1);
+    println!("\ntampered recording (store sub-hash bit-flip at tick {tick}):");
     print!("{}", report.render());
 
-    let _ = std::fs::remove_file(&path);
     println!("\nOK: record -> replay -> seek -> diagnose all verified");
 }

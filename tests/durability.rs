@@ -16,8 +16,7 @@ use hpcmon::system::durability::{decode_tick_record, encode_tick_record, SAMPLE_
 use hpcmon::{DurableTickRecord, MonitoringSystem, SimConfig};
 use hpcmon_chaos::{ChaosFault, ChaosPlan, ScheduledFault};
 use hpcmon_durability::wal::{
-    decode_checkpoint, encode_record, scan_segment, KIND_END, KIND_HEADER, KIND_SNAPSHOT,
-    KIND_TICK, WAL_MAGIC,
+    decode_checkpoint, encode_record, scan_segment, KIND_TICK, WAL_MAGIC,
 };
 use hpcmon_durability::{
     DurabilityConfig, DurabilityPlane, RecoveredState, ScanEnd, SimDisk, StorageMedium, SyncPolicy,
@@ -511,9 +510,10 @@ fn wal_records_carry_inputs_frame_samples_and_hashes() {
     assert_eq!(first.inputs.jobs.len(), 1, "tick 1 recorded the submitted job");
 }
 
-/// `decode_tick_record` reads artifact files handed to
-/// `EventLog::read_from` as well as CRC-valid WAL payloads, and promises
-/// `None` — not a panic — on anything that is not a tick record.  The
+/// `decode_tick_record` reads whatever CRC-valid payload a medium hands
+/// it — a recording copied in from anywhere is opened by `Replayer::open`
+/// through the same head decoder — and promises `None`, not a panic, on
+/// anything that is not a tick record.  The
 /// sample count is the dangerous field: 17 is odd, so for one stray byte
 /// after an empty sample section `n = 17⁻¹ mod 2⁶⁴` makes a wrapping
 /// `n * 17` land exactly on it, and `Vec::with_capacity(n)` used to abort
@@ -629,13 +629,13 @@ fn recovery_checks_the_sample_section_it_does_not_decode() {
 }
 
 /// The plane writes tick records and nothing else.  A segment holding any
-/// other kind — the flight recorder's header, snapshot and end records
-/// share the framing, so a misfiled event log would look like this — is
-/// damaged at that record: recovery keeps the ticks before it, drops
-/// everything after, counts it, and leaves a medium that recovers clean.
+/// other kind — among them 0x02, 0x03 and 0x7F, which older event logs
+/// framed as header, snapshot and end records — is damaged at that record:
+/// recovery keeps the ticks before it, drops everything after, counts it,
+/// and leaves a medium that recovers clean.
 #[test]
 fn a_segment_holding_a_non_tick_record_fails_closed() {
-    for kind in [KIND_HEADER, KIND_SNAPSHOT, KIND_END, 0x42] {
+    for kind in [0x02, 0x03, 0x7F, 0x42] {
         let mut seg = WAL_MAGIC.to_vec();
         for tick in 1..=6u64 {
             if tick == 4 {

@@ -235,11 +235,13 @@ fn health_state_survives_snapshot_restore() {
     assert_eq!(ha, hb, "state-hash chains agree after restore");
 }
 
-/// The incident replays from a flight-recorder log: the hash chain verifies
-/// and the replayed system reproduces the recorded alert timeline exactly.
+/// The incident replays from its recording — the medium of a durable run
+/// with state hashing on: the hash chain verifies and the replayed system
+/// reproduces the recorded alert timeline exactly.
 #[test]
 fn alert_timeline_replays_from_the_flight_recorder() {
-    use hpcmon_replay::{FlightRecorder, Replayer, RunSpec};
+    use hpcmon::durability::{DurabilityConfig, SimDisk};
+    use hpcmon::Replayer;
     quiet_injected_panics();
     let options = hpcmon::MonitorOptions {
         chaos: Some((42, stall_plan())),
@@ -247,20 +249,22 @@ fn alert_timeline_replays_from_the_flight_recorder() {
         health: Some(HealthConfig::standard()),
         ..hpcmon::MonitorOptions::new(SimConfig::small())
     };
-    let mut rec = FlightRecorder::new(RunSpec { options, snapshot_every: 50 });
-    for _ in 0..20 {
-        rec.tick();
-    }
-    let recorded_timeline = rec.system().health_timeline();
+    let disk = std::sync::Arc::new(SimDisk::new());
+    let mut rec = hpcmon::MonitorBuilder::from_options(options.clone())
+        .durability(disk.clone(), DurabilityConfig::default())
+        .build();
+    rec.set_state_hashing(true);
+    rec.run_ticks(20);
+    let recorded_timeline = rec.health_timeline();
     assert!(!recorded_timeline.is_empty(), "the recording paged");
-    let log = rec.finish();
 
-    let mut rp = Replayer::new(&log);
+    let mut rp = Replayer::open(options, disk).expect("the recording opens");
     while let Some(step) = rp.step() {
         if let Err(d) = step {
             panic!("replay diverged:\n{}", d.render());
         }
     }
+    assert_eq!(rp.position(), 20);
     assert_eq!(
         rp.system().health_timeline(),
         recorded_timeline,
