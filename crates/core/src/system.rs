@@ -22,8 +22,7 @@ use hpcmon_collect::{
 use hpcmon_durability::{DurabilityConfig, DurabilityCounts, DurabilityPlane, StorageMedium};
 use hpcmon_gateway::{Gateway, GatewayConfig, QueryError, QueryRequest};
 use hpcmon_health::{
-    AlertEvent, FeedValue, Grade, HealthConfig, HealthEngine, HealthReport,
-    Subsystem as HealthSubsystem,
+    AlertEvent, FeedValue, HealthConfig, HealthEngine, HealthReport, Subsystem as HealthSubsystem,
 };
 use hpcmon_metrics::{
     ColumnFrame, CompId, CompKind, FrameArena, FrameCoverage, FrameLayout, JobId, LogRecord,
@@ -34,8 +33,8 @@ use hpcmon_response::{
 };
 use hpcmon_sim::{FaultKind, JobSpec, SimConfig, SimEngine};
 use hpcmon_store::{Archive, IngestRoute, LogStore, QueryEngine, RetentionPolicy, TimeSeriesStore};
-use hpcmon_telemetry::{Counter, Gauge, Histogram, StageTimer, Telemetry, TelemetryReport};
-use hpcmon_trace::{DropReason, Sampler, Stage, TraceContext, TraceStore, Tracer};
+use hpcmon_telemetry::{Counter, Gauge, Histogram, Telemetry, TelemetryReport};
+use hpcmon_trace::{DropReason, Sampler, SpanGuard, Stage, TraceContext, TraceStore, Tracer};
 use hpcmon_transport::{
     topics, BackpressurePolicy, Broker, Envelope, Payload, Subscription, TopicFilter, TopicStats,
 };
@@ -443,11 +442,8 @@ struct DetectorInstruments {
 struct PipelineInstruments {
     tick_count: Arc<Counter>,
     stage_tick: Arc<Histogram>,
-    stage_collect: Arc<Histogram>,
-    stage_transport: Arc<Histogram>,
-    stage_store: Arc<Histogram>,
-    stage_analysis: Arc<Histogram>,
-    stage_response: Arc<Histogram>,
+    // `stage.<name>` of each `TICK` entry, in tick order.
+    stages: [Arc<Histogram>; TICK.len()],
     correlator_records: Arc<Counter>,
     correlator_findings: Arc<Counter>,
     deadman_feeds: Arc<Gauge>,
@@ -500,7 +496,7 @@ struct PipelineInstruments {
     durability_checkpoints: Arc<Counter>,
     durability_checkpoint_failures: Arc<Counter>,
     durability_checkpoint_bytes: Arc<Counter>,
-    // Snapshot + encode + write of one checkpoint, inside `stage.tick`.
+    // Snapshot + encode + write of one checkpoint, inside `stage.wal`.
     stage_checkpoint: Arc<Histogram>,
     durability_corrupt_events: Arc<Counter>,
     durability_torn_tail_bytes: Arc<Counter>,
@@ -519,11 +515,7 @@ impl PipelineInstruments {
         PipelineInstruments {
             tick_count: t.counter("tick.count"),
             stage_tick: t.histogram("stage.tick"),
-            stage_collect: t.histogram("stage.collect"),
-            stage_transport: t.histogram("stage.transport"),
-            stage_store: t.histogram("stage.store"),
-            stage_analysis: t.histogram("stage.analysis"),
-            stage_response: t.histogram("stage.response"),
+            stages: TICK_STAGES.map(|name| t.histogram(&format!("stage.{name}"))),
             correlator_records: t.counter("analysis.correlator.records"),
             correlator_findings: t.counter("analysis.correlator.findings"),
             deadman_feeds: t.gauge("analysis.deadman.feeds"),
@@ -650,6 +642,61 @@ pub struct RunSummary {
     pub signals: u64,
     /// Actions taken.
     pub actions: u64,
+}
+
+/// One step of the tick: the name of its `stage.<name>` histogram, the
+/// span it opens under the frame's root span (if any), and what it runs.
+struct TickStage {
+    name: &'static str,
+    span: Option<Stage>,
+    run: fn(&mut MonitoringSystem, &mut TickCtx<'_>),
+}
+
+/// The tick, in order (DESIGN.md §2): [`MonitoringSystem::tick`] runs these
+/// and nothing else.
+const TICK: [TickStage; 13] = [
+    TickStage { name: "sim", span: None, run: |m, _| m.engine.step() },
+    TickStage { name: "chaos", span: None, run: MonitoringSystem::project_chaos },
+    TickStage { name: "collect", span: Some(Stage::Collect), run: MonitoringSystem::collect },
+    TickStage { name: "transport", span: Some(Stage::Transport), run: MonitoringSystem::publish },
+    TickStage { name: "store", span: None, run: MonitoringSystem::drain_to_store },
+    TickStage { name: "analysis", span: Some(Stage::Analysis), run: MonitoringSystem::analyze },
+    TickStage { name: "response", span: Some(Stage::Response), run: MonitoringSystem::respond },
+    TickStage { name: "results", span: None, run: MonitoringSystem::store_results },
+    TickStage { name: "health", span: None, run: MonitoringSystem::evaluate_health },
+    TickStage { name: "serve", span: None, run: MonitoringSystem::serve },
+    TickStage { name: "trace", span: None, run: MonitoringSystem::assemble_traces },
+    TickStage { name: "hash", span: None, run: MonitoringSystem::finish_tick_hash },
+    TickStage { name: "wal", span: None, run: MonitoringSystem::finish_tick_durability },
+];
+
+/// The tick's stages, in the order [`MonitoringSystem::tick`] runs them.
+/// Each one's wall time is the `stage.<name>` histogram, and together they
+/// make up `stage.tick`.
+pub const TICK_STAGES: [&str; TICK.len()] = {
+    let mut names = [""; TICK.len()];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = TICK[i].name;
+        i += 1;
+    }
+    names
+};
+
+/// What a tick's stages hand each other.
+#[derive(Default)]
+struct TickCtx<'t> {
+    // The frame's trace context, its root span, and the running stage's span.
+    trace: Option<TraceContext>,
+    root: Option<SpanGuard<'t>>,
+    span: Option<SpanGuard<'t>>,
+    // The frame `collect` drafts and `transport` publishes as `last_frame`.
+    draft: Option<ColumnFrame>,
+    bench_logs: Vec<LogRecord>,
+    signals: Vec<Signal>,
+    // Frames that went out on the broker this tick.
+    published_now: u64,
+    report: TickReport,
 }
 
 /// The machine plus its full monitoring stack.
@@ -791,162 +838,41 @@ impl MonitoringSystem {
 
     // ----- the pipeline -----
 
-    /// Advance machine + monitoring by one tick.  Reads top to bottom as
-    /// the stage order DESIGN.md §2 documents; every stage is one private
-    /// method below, written once, on the calling thread (DESIGN.md §9).
+    /// Advance machine + monitoring by one tick: run the [`TICK_STAGES`]
+    /// in order, on the calling thread (DESIGN.md §9).  One clock read at
+    /// each stage boundary times every stage into its `stage.<name>`
+    /// histogram, so the stages sum to `stage.tick` exactly.
     pub fn tick(&mut self) -> TickReport {
         // Stamp this tick's frame with a trace context.  The sampling
         // decision hashes the tick number: identical runs trace identical frames.
         let tracer = Arc::clone(&self.tracer);
-        let ctx = tracer.context_for(self.engine.tick_count().wrapping_add(1));
+        let trace = tracer.context_for(self.engine.tick_count().wrapping_add(1));
         // Exemplar tag: sampled frames stamp their trace id into the latency
         // bucket they land in, so a p99 spike resolves to a concrete trace.
-        let tag = ctx.map_or(0, |c| if c.sampled { c.trace_id.0 } else { 0 });
-        let _tick_timer = StageTimer::new(self.instruments.stage_tick.clone()).with_tag(tag);
-        let root_span = ctx.as_ref().map(|c| tracer.span(c, Stage::Tick));
-        let root_ctx = root_span.as_ref().map(|g| g.context());
-        // Open a stage: its span under the root (the store stage has none)
-        // and its tagged timer; dropping the pair closes span, then timer.
-        let open = |hist: &Arc<Histogram>, stage: Option<Stage>| {
-            let span = stage.and_then(|st| root_ctx.as_ref().map(|c| tracer.span(c, st)));
-            (span, StageTimer::new(hist.clone()).with_tag(tag))
-        };
+        let tag = trace.map_or(0, |c| if c.sampled { c.trace_id.0 } else { 0 });
+        let root = trace.as_ref().map(|c| tracer.span(c, Stage::Tick));
+        let mut cx = TickCtx { trace, root, ..TickCtx::default() };
         self.instruments.tick_count.inc();
-        self.engine.step();
-        let now = self.engine.now();
-        let mut report = TickReport::default();
-
-        // 0. Chaos: project this tick's active faults onto their targets.
-        self.project_chaos();
-
-        // 1. Synchronized collection into one arena frame, then the
-        //    benchmark suite on its cadence.
-        let mut stage = open(&self.instruments.stage_collect, Some(Stage::Collect));
-        let mut frame = self.arena.take_current(now);
-        self.collect(&mut frame);
-        let mut bench_logs: Vec<LogRecord> = Vec::new();
-        if self.bench_every_ticks.is_some_and(|n| self.engine.tick_count().is_multiple_of(n)) {
-            self.bench_suite.run(&self.engine, &mut frame, &mut bench_logs);
+        let start = Instant::now();
+        let mut from = start;
+        for (i, stage) in TICK.iter().enumerate() {
+            // The stage's span (if it has one) hangs off the root and
+            // closes before the clock is read.
+            cx.span = stage.span.zip(cx.root.as_ref()).map(|(st, r)| tracer.span(&r.context(), st));
+            (stage.run)(self, &mut cx);
+            cx.span = None;
+            let to = Instant::now();
+            self.instruments.stages[i].record_ns_tagged((to - from).as_nanos() as u64, tag);
+            from = to;
         }
-        report.samples = frame.len();
-        if let Some(span) = &mut stage.0 {
-            span.set_note(format!("{} samples", report.samples));
-        }
-        drop(stage);
-
-        // 2. Transport: publish (epoch swap, not copy: broker, store,
-        //    federation and this tick's analysis share one `Arc`), then the
-        //    store consumer drains.  The envelope carries the frame's
-        //    context re-parented under the transport span, so store-side
-        //    and broker drop spans chain into the frame's trace.
-        let stage = open(&self.instruments.stage_transport, Some(Stage::Transport));
-        let envelope_ctx = stage.0.as_ref().map(|g| g.context()).or(ctx);
-        let frame = self.arena.publish(frame);
-        self.last_frame = Some(Arc::clone(&frame));
-        let frames_published_now = self.publish_frame(&frame, envelope_ctx);
-        drop(stage);
-        let stage = open(&self.instruments.stage_store, None);
-        for env in self.store_sub.drain() {
-            if self.corrupted_in_transit(&env) {
-                continue;
-            }
-            let _span = env.trace.as_ref().map(|c| tracer.span(c, Stage::Store));
-            if let Some(cf) = env.payload.as_columns() {
-                self.ingest(cf, env.trace);
-            }
-        }
-        drop(stage);
-
-        // 3–5. Analysis: logs, attached detectors on the fresh frame, the
-        //      built-in checks and control loops, retention on its cadence.
-        let stage = open(&self.instruments.stage_analysis, Some(Stage::Analysis));
-        let mut signals = self.analyze_logs(bench_logs, &mut report);
-        self.evaluate_detectors(&frame, &mut signals);
-        self.builtin_analyses(&frame, &mut signals);
-        self.control_power_cap(&frame, &mut signals);
-        if let Some((policy, every)) = self.retention {
-            if self.engine.tick_count().is_multiple_of(every) {
-                policy.enforce(now, &self.store, &mut self.archive);
-            }
-        }
-        // Lifetime evaluation totals, synced so the self feed carries deltas.
-        let (correlated, findings) = self.correlator.eval_counts();
-        sync_counter(&self.instruments.correlator_records, correlated);
-        sync_counter(&self.instruments.correlator_findings, findings);
-        self.instruments.deadman_feeds.set(self.deadman.len() as f64);
-        drop(stage);
-
-        // 6. Respond, feeding actions back to the machine.
-        let stage = open(&self.instruments.stage_response, Some(Stage::Response));
-        for sig in &signals {
-            let actions = self.response.handle(sig);
-            for action in &actions {
-                self.apply_action(action);
-            }
-            report.actions.extend(actions);
-        }
-        let (handled, suppressed) = self.response.eval_counts();
-        sync_counter(&self.instruments.response_handled, handled);
-        sync_counter(&self.instruments.response_suppressed, suppressed);
-        drop(stage);
-
-        // 7. Analysis results are stored WITH the raw data (Table I): the
-        //    per-tick counts through the same ingest as the raw frame
-        //    (queued behind any spilled data), each
-        //    signal as a searchable `analysis` log record.
-        let mut results = ColumnFrame::new(now);
-        results.push(self.metrics.analysis_signals, CompId::SYSTEM, signals.len() as f64);
-        results.push(self.metrics.analysis_actions, CompId::SYSTEM, report.actions.len() as f64);
-        self.ingest(&Arc::new(results), ctx);
-        self.instruments.store_breaker_state.set(self.breaker.state().as_gauge());
-        self.instruments.spill_depth.set(self.breaker.depth() as f64);
-        sync_counter(&self.instruments.spill_dropped, self.breaker.dropped());
-        if let Some(chaos) = &self.chaos {
-            self.instruments.sync_chaos(chaos.counts(), chaos.disk_counts());
-        }
-        for sig in &signals {
-            self.log_store.append(LogRecord::new(
-                sig.ts,
-                sig.comp,
-                sig.severity,
-                "analysis",
-                sig.detail.clone(),
-            ));
-        }
-        self.signals.extend(signals.iter().cloned());
-        report.signals = signals;
-
-        // 7b. Health: the SLO/alerting plane over this tick's evidence.
-        report.alerts = self.evaluate_health(frames_published_now);
-
-        // 8. Serve: refresh the gateway's scoping view with the current
-        //    allocations, then evaluate standing subscriptions.
-        if let Some(gw) = &self.gateway {
-            gw.update_jobs(self.engine.scheduler().records().to_vec());
-            gw.on_tick(now);
-        }
-
-        // 9. Close the frame's root span and assemble completed traces.
-        drop(root_span);
-        self.assemble_traces();
-
-        // 10. Flight recorder: fold every subsystem's deterministic state
-        //     into this tick's hash (system::state).
-        if self.hashing {
-            self.finish_tick_hash(&frame);
-        }
-
-        // 11. Durability: with a plane attached, journal this tick to the
-        //     WAL (system::durability) — strictly after the hash, so the
-        //     record carries the value recovery verifies against.
-        self.finish_tick_durability(&frame);
-        report
+        self.instruments.stage_tick.record_ns_tagged((from - start).as_nanos() as u64, tag);
+        cx.report
     }
 
-    /// Stage 0: advance the chaos schedule and project the active faults
-    /// onto the components they target.  Shard write-fault flags mirror
-    /// the engine's windows exactly (set and cleared every tick).
-    fn project_chaos(&mut self) {
+    /// Stage `chaos`: advance the chaos schedule and project the active
+    /// faults onto the components they target.  Shard write-fault flags
+    /// mirror the engine's windows exactly (set and cleared every tick).
+    fn project_chaos(&mut self, _: &mut TickCtx<'_>) {
         let Some(chaos) = &mut self.chaos else { return };
         chaos.begin_tick(self.engine.tick_count());
         for shard in 0..self.store.num_shards() {
@@ -973,10 +899,11 @@ impl MonitoringSystem {
         }
     }
 
-    /// Stage 1: run every collector into `frame` — directly, in
-    /// registration order (the builder installs the `SelfCollector` last,
-    /// so it republishes what the others updated this tick) — and per slot
-    /// settle its supervision, deadman beat and coverage bit.
+    /// Stage `collect`: run every collector into this tick's arena frame —
+    /// directly, in registration order (the builder installs the
+    /// `SelfCollector` last, so it republishes what the others updated this
+    /// tick) — and per slot settle its supervision, deadman beat and
+    /// coverage bit; then the benchmark suite on its cadence.
     ///
     /// Every run is supervised (DESIGN.md §10): wrapped in a panic catch
     /// and the chaos engine's active faults.  A segment that fails (panic,
@@ -984,9 +911,10 @@ impl MonitoringSystem {
     /// exponential-backoff re-probes, the gap handed to the deadman so it
     /// surfaces as `MonitoringGap`, never silence — one collector's panic
     /// never ends the tick.
-    fn collect(&mut self, frame: &mut ColumnFrame) {
+    fn collect(&mut self, cx: &mut TickCtx<'_>) {
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        let (tick, now) = (self.engine.tick_count(), frame.ts);
+        let (tick, now) = (self.engine.tick_count(), self.engine.now());
+        let mut frame = self.arena.take_current(now);
         let budget = self.supervisor.config().slow_budget_factor;
         // Coverage bitmap: a slot is expected once it has ever
         // contributed, and reported if it contributed this tick.  Analysis
@@ -1014,7 +942,7 @@ impl MonitoringSystem {
                 let (engine, c) = (&self.engine, &mut self.collectors[i]);
                 let started = Instant::now();
                 let panicked = catch_unwind(AssertUnwindSafe(|| {
-                    c.collect(engine, frame);
+                    c.collect(engine, &mut frame);
                     if inject_panic {
                         panic!("chaos: injected collector panic");
                     }
@@ -1066,28 +994,57 @@ impl MonitoringSystem {
         self.last_coverage = Some(cov);
         self.instruments.supervisor_quarantined.set(self.supervisor.quarantined_count() as f64);
         self.instruments.frame_coverage_pct.set(cov.pct());
+        if self.bench_every_ticks.is_some_and(|n| tick.is_multiple_of(n)) {
+            self.bench_suite.run(&self.engine, &mut frame, &mut cx.bench_logs);
+        }
+        cx.report.samples = frame.len();
+        if let Some(span) = &mut cx.span {
+            span.set_note(format!("{} samples", cx.report.samples));
+        }
+        cx.draft = Some(frame);
     }
 
-    /// Stage 2, publish half: hand the frame to the broker.  Returns the
-    /// frames that went out this tick, for the health plane's
+    /// Stage `transport`: publish the frame (epoch swap, not copy: broker,
+    /// store, federation and this tick's analysis share one `Arc`).  The
+    /// envelope carries the frame's context re-parented under the transport
+    /// span, so store-side and broker drop spans chain into the frame's
+    /// trace.  Counts the frames that went out, for the health plane's
     /// transport-delivery feed: 0 while the topic is stalled, backlog + 1
     /// on the tick a stall clears.
-    fn publish_frame(&mut self, frame: &Arc<ColumnFrame>, ctx: Option<TraceContext>) -> u64 {
+    fn publish(&mut self, cx: &mut TickCtx<'_>) {
+        let trace = cx.span.as_ref().map(|g| g.context()).or(cx.trace);
+        let frame = self.arena.publish(cx.draft.take().expect("collect drafts the frame"));
+        self.last_frame = Some(Arc::clone(&frame));
         let topic = topics::metrics("frame");
-        let payload = Payload::Columns(Arc::clone(frame));
+        let payload = Payload::Columns(frame);
         if self.chaos.as_ref().is_some_and(|c| c.topic_stalled(&topic)) {
             // Chaos: the broker path for this topic is wedged.  Frames
             // queue here in arrival order and go out the first tick the
             // stall clears — late, but never lost and never reordered.
-            self.stall_buffer.push((topic, payload, ctx));
-            return 0;
+            self.stall_buffer.push((topic, payload, trace));
+            return;
         }
-        let published = self.stall_buffer.len() as u64 + 1;
-        for (topic, payload, ctx) in self.stall_buffer.drain(..) {
-            self.broker.publish_traced(&topic, payload, ctx);
+        cx.published_now = self.stall_buffer.len() as u64 + 1;
+        for (topic, payload, trace) in self.stall_buffer.drain(..) {
+            self.broker.publish_traced(&topic, payload, trace);
         }
-        self.broker.publish_traced(&topic, payload, ctx);
-        published
+        self.broker.publish_traced(&topic, payload, trace);
+    }
+
+    /// Stage `store`: the store consumer drains the broker.  The stage has
+    /// no span of its own: each envelope's ingest opens one under the
+    /// envelope's context.
+    fn drain_to_store(&mut self, _: &mut TickCtx<'_>) {
+        let tracer = Arc::clone(&self.tracer);
+        for env in self.store_sub.drain() {
+            if self.corrupted_in_transit(&env) {
+                continue;
+            }
+            let _span = env.trace.as_ref().map(|c| tracer.span(c, Stage::Store));
+            if let Some(cf) = env.payload.as_columns() {
+                self.ingest(cf, env.trace);
+            }
+        }
     }
 
     /// Chaos: corrupt the wire form of seeded envelopes.  The envelope is
@@ -1150,22 +1107,41 @@ impl MonitoringSystem {
         }
     }
 
-    /// Stage 3: harvest logs (normalizing vendor formats), analyze, store.
-    fn analyze_logs(&mut self, bench_logs: Vec<LogRecord>, report: &mut TickReport) -> Vec<Signal> {
+    /// Stage `analysis`: logs, attached detectors on the fresh frame, the
+    /// built-in checks and control loops, retention on its cadence.
+    fn analyze(&mut self, cx: &mut TickCtx<'_>) {
+        let frame = self.last_frame.clone().expect("transport publishes the frame");
+        self.analyze_logs(cx);
+        self.evaluate_detectors(&frame, &mut cx.signals);
+        self.builtin_analyses(&frame, &mut cx.signals);
+        self.control_power_cap(&frame, &mut cx.signals);
+        if let Some((policy, every)) = self.retention {
+            if self.engine.tick_count().is_multiple_of(every) {
+                policy.enforce(frame.ts, &self.store, &mut self.archive);
+            }
+        }
+        // Lifetime evaluation totals, synced so the self feed carries deltas.
+        let (correlated, findings) = self.correlator.eval_counts();
+        sync_counter(&self.instruments.correlator_records, correlated);
+        sync_counter(&self.instruments.correlator_findings, findings);
+        self.instruments.deadman_feeds.set(self.deadman.len() as f64);
+    }
+
+    /// Harvest logs (normalizing vendor formats), analyze, store.
+    fn analyze_logs(&mut self, cx: &mut TickCtx<'_>) {
         let mut records = self.harvester.harvest(&mut self.engine);
-        records.extend(bench_logs);
-        report.logs = records.len();
+        records.append(&mut cx.bench_logs);
+        cx.report.logs = records.len();
         let training = self.engine.tick_count() <= NOVELTY_TRAINING_TICKS;
         if !training && self.novelty.is_training() {
             self.novelty.freeze();
         }
-        let mut signals: Vec<Signal> = Vec::new();
         for rec in &records {
             for finding in self.correlator.observe(rec) {
-                signals.push(finding_to_signal(&finding));
+                cx.signals.push(finding_to_signal(&finding));
             }
             if self.novelty.observe(rec) {
-                signals.push(Signal::new(
+                cx.signals.push(Signal::new(
                     rec.ts,
                     SignalKind::LogNovelty,
                     Severity::Notice,
@@ -1176,10 +1152,9 @@ impl MonitoringSystem {
             }
         }
         self.log_store.append_batch(records);
-        signals
     }
 
-    /// Stage 4: streaming metric analysis on the fresh frame: feed each
+    /// Streaming metric analysis on the fresh frame: feed each
     /// attachment, in attachment order, this frame's samples of its series.
     /// Their positions come from the arena's layout, which searched the key
     /// column when it last changed.
@@ -1208,7 +1183,7 @@ impl MonitoringSystem {
         }
     }
 
-    /// Stage 5: built-in analyses — cabinet imbalance, ASHRAE, node health
+    /// Built-in analyses — cabinet imbalance, ASHRAE, node health
     /// checks, collector silence.  Each is gated on the coverage of the
     /// collector that owns its input segment — a quarantined power
     /// collector must not read as a balanced-at-zero machine.
@@ -1281,7 +1256,7 @@ impl MonitoringSystem {
         }
     }
 
-    /// Stage 5b: power-cap control loop — throttle p-state on overdraw,
+    /// Power-cap control loop — throttle p-state on overdraw,
     /// recover when there is headroom.  The actuation is itself a signal
     /// so operators see every throttle decision.  Gated on power
     /// coverage: with the power collector quarantined, a missing reading
@@ -1310,8 +1285,54 @@ impl MonitoringSystem {
         }
     }
 
-    /// Stage 7b: evaluate the SLO/alerting plane over this tick's
-    /// deterministic pipeline evidence; returns the alert transitions.
+    /// Stage `response`: respond, feeding actions back to the machine.
+    fn respond(&mut self, cx: &mut TickCtx<'_>) {
+        for sig in &cx.signals {
+            let actions = self.response.handle(sig);
+            for action in &actions {
+                self.apply_action(action);
+            }
+            cx.report.actions.extend(actions);
+        }
+        let (handled, suppressed) = self.response.eval_counts();
+        sync_counter(&self.instruments.response_handled, handled);
+        sync_counter(&self.instruments.response_suppressed, suppressed);
+    }
+
+    /// Stage `results`: analysis results are stored WITH the raw data
+    /// (Table I): the per-tick counts through the same ingest as the raw
+    /// frame (queued behind any spilled data), each signal as a searchable
+    /// `analysis` log record.
+    fn store_results(&mut self, cx: &mut TickCtx<'_>) {
+        let mut results = ColumnFrame::new(self.engine.now());
+        results.push(self.metrics.analysis_signals, CompId::SYSTEM, cx.signals.len() as f64);
+        results.push(self.metrics.analysis_actions, CompId::SYSTEM, cx.report.actions.len() as f64);
+        self.ingest(&Arc::new(results), cx.trace);
+        self.instruments.store_breaker_state.set(self.breaker.state().as_gauge());
+        self.instruments.spill_depth.set(self.breaker.depth() as f64);
+        sync_counter(&self.instruments.spill_dropped, self.breaker.dropped());
+        if let Some(chaos) = &self.chaos {
+            self.instruments.sync_chaos(chaos.counts(), chaos.disk_counts());
+        }
+        for s in &cx.signals {
+            let detail = s.detail.clone();
+            self.log_store.append(LogRecord::new(s.ts, s.comp, s.severity, "analysis", detail));
+        }
+        self.signals.extend(cx.signals.iter().cloned());
+        cx.report.signals = std::mem::take(&mut cx.signals);
+    }
+
+    /// Stage `serve`: refresh the gateway's scoping view with the current
+    /// allocations, then evaluate standing subscriptions.
+    fn serve(&mut self, _: &mut TickCtx<'_>) {
+        if let Some(gw) = &self.gateway {
+            gw.update_jobs(self.engine.scheduler().records().to_vec());
+            gw.on_tick(self.engine.now());
+        }
+    }
+
+    /// Stage `health`: evaluate the SLO/alerting plane over this tick's
+    /// deterministic pipeline evidence into the report's alert transitions.
     /// Feeds come from primary sources — the coverage bitmap, the stall
     /// backlog, breaker and spill state, store/broker op counts, chaos
     /// injection totals — never from wall-clock telemetry (the gateway's
@@ -1320,8 +1341,8 @@ impl MonitoringSystem {
     /// Exemplars are the one exception: a newly firing alert grabs the
     /// trace id nearest its subsystem's p99 as a flamegraph link, and the
     /// canonical timeline zeroes it.
-    fn evaluate_health(&mut self, published_now: u64) -> Vec<AlertEvent> {
-        let Some(health) = &mut self.health else { return Vec::new() };
+    fn evaluate_health(&mut self, cx: &mut TickCtx<'_>) {
+        let Some(health) = &mut self.health else { return };
         let tick_no = self.engine.tick_count();
         // `collect` stamped this tick's bitmap.
         let cov_pct = self.last_coverage.unwrap_or_default().pct();
@@ -1343,9 +1364,10 @@ impl MonitoringSystem {
         let per_tick = |good: f64, bad: f64| FeedValue::Tick { good, bad };
         let total = |good: u64, bad: u64| FeedValue::Total { good: good as f64, bad: bad as f64 };
         let store_bad = self.store.corrupt_blocks() + self.breaker.dropped();
+        let stalled = self.stall_buffer.len() as f64;
         let mut feeds: Vec<(&str, FeedValue)> = vec![
             ("collect.coverage", per_tick(cov_pct, 100.0 - cov_pct)),
-            ("transport.delivery", per_tick(published_now as f64, self.stall_buffer.len() as f64)),
+            ("transport.delivery", per_tick(cx.published_now as f64, stalled)),
             ("trace.drops", per_tick(bdelta.0 as f64, bdelta.1 as f64)),
             ("store.ingest", per_tick(breaker_closed as u64 as f64, spill_bad)),
             ("store.integrity", total(sops.samples_ingested, store_bad)),
@@ -1370,13 +1392,13 @@ impl MonitoringSystem {
         }
         let insts = &self.instruments;
         let exemplar = |sub: HealthSubsystem| -> u64 {
-            let hist = match sub {
-                HealthSubsystem::Collect => &insts.stage_collect,
-                HealthSubsystem::Transport => &insts.stage_transport,
-                HealthSubsystem::Store => &insts.stage_store,
-                _ => &insts.stage_tick,
+            let stage = match sub {
+                HealthSubsystem::Collect | HealthSubsystem::Transport | HealthSubsystem::Store => {
+                    TICK_STAGES.iter().position(|&name| name == sub.label())
+                }
+                _ => None,
             };
-            hist.exemplar_near_quantile(0.99)
+            stage.map_or(&insts.stage_tick, |i| &insts.stages[i]).exemplar_near_quantile(0.99)
         };
         let events = health.observe_tick(tick_no, &feeds, &exemplar);
         for ev in events.iter().filter(|ev| !ev.silenced) {
@@ -1388,32 +1410,26 @@ impl MonitoringSystem {
         insts.health_alerts_pending.set(health.pending_count() as f64);
         let health_rep = health.report(tick_no);
         for (g, sub) in insts.health_grades.iter().zip(&health_rep.subsystems) {
-            g.set(match sub.grade {
-                Grade::Healthy => 0.0,
-                Grade::Degraded => 1.0,
-                Grade::Critical => 2.0,
-            });
+            g.set(sub.grade as u8 as f64);
         }
-        events
+        cx.report.alerts = events;
     }
 
-    /// Stage 9: assemble completed traces.  The drain also picks up drop
-    /// spans recorded by the broker and gateway (including from worker
-    /// threads) since last tick.
-    fn assemble_traces(&mut self) {
+    /// Stage `trace`: close the frame's root span and assemble completed
+    /// traces.  The drain also picks up drop spans recorded by the broker
+    /// and gateway (including from consumer threads) since last tick.
+    fn assemble_traces(&mut self, cx: &mut TickCtx<'_>) {
+        cx.root = None;
         if !self.tracer.is_enabled() {
             return;
         }
         self.trace_store.ingest(self.tracer.drain());
-        let tstats = self.tracer.stats();
-        sync_counter(&self.instruments.trace_sampled, tstats.traces_sampled);
-        sync_counter(&self.instruments.trace_spans, self.trace_store.spans_seen());
-        sync_counter(&self.instruments.trace_completed, self.trace_store.completed_total());
-        sync_counter(
-            &self.instruments.trace_completed_with_drops,
-            self.trace_store.completed_with_drops(),
-        );
-        sync_counter(&self.instruments.trace_ring_rejected, tstats.spans_rejected);
+        let (insts, traces, tstats) = (&self.instruments, &self.trace_store, self.tracer.stats());
+        sync_counter(&insts.trace_sampled, tstats.traces_sampled);
+        sync_counter(&insts.trace_spans, traces.spans_seen());
+        sync_counter(&insts.trace_completed, traces.completed_total());
+        sync_counter(&insts.trace_completed_with_drops, traces.completed_with_drops());
+        sync_counter(&insts.trace_ring_rejected, tstats.spans_rejected);
     }
 
     fn apply_action(&mut self, action: &ActionTaken) {
@@ -1427,12 +1443,8 @@ impl MonitoringSystem {
     }
 
     fn dominant_user(&self) -> Option<String> {
-        self.engine
-            .scheduler()
-            .running()
-            .iter()
-            .max_by_key(|r| r.nodes.len())
-            .map(|r| r.spec.user.clone())
+        let running = self.engine.scheduler().running();
+        running.iter().max_by_key(|r| r.nodes.len()).map(|r| r.spec.user.clone())
     }
 
     /// Advance `n` ticks, accumulating a summary.
@@ -1663,22 +1675,10 @@ impl MonitoringSystem {
         use hpcmon_analysis::TemplateMiner;
         let m = self.metrics;
         let q = self.query();
-        let bench_io: Vec<f64> = q
-            .series(
-                hpcmon_metrics::SeriesKey::new(m.bench_io, CompId::SYSTEM),
-                hpcmon_store::TimeRange::all(),
-            )
-            .into_iter()
-            .map(|p| p.1)
-            .collect();
-        let bench_net: Vec<f64> = q
-            .series(
-                hpcmon_metrics::SeriesKey::new(m.bench_network, CompId::SYSTEM),
-                hpcmon_store::TimeRange::all(),
-            )
-            .into_iter()
-            .map(|p| p.1)
-            .collect();
+        let bench = |metric| -> Vec<f64> {
+            let key = hpcmon_metrics::SeriesKey::new(metric, CompId::SYSTEM);
+            q.series(key, hpcmon_store::TimeRange::all()).into_iter().map(|p| p.1).collect()
+        };
         let mut miner = TemplateMiner::new();
         for i in 0..self.log_store.len() as u32 {
             if let Some(rec) = self.log_store.get(i) {
@@ -1690,8 +1690,8 @@ impl MonitoringSystem {
             .period(Ts::ZERO, self.engine.now())
             .status_board(&self.status_board())
             .alerts(self.response.journal().iter().map(|a| (a.rule.as_str(), a.ts)))
-            .benchmark("io bench tts (s)", bench_io)
-            .benchmark("network bench tts (s)", bench_net)
+            .benchmark("io bench tts (s)", bench(m.bench_io))
+            .benchmark("network bench tts (s)", bench(m.bench_network))
             .top_templates(templates);
         if self.telemetry.is_active() {
             report = report.telemetry(&self.telemetry.report().render_text());
@@ -1756,6 +1756,15 @@ mod tests {
 
     fn quick_system() -> MonitoringSystem {
         MonitoringSystem::builder(SimConfig::small()).build()
+    }
+
+    #[test]
+    fn a_stage_with_a_span_is_named_after_it() {
+        for stage in TICK {
+            if let Some(span) = stage.span {
+                assert_eq!(span.as_str(), stage.name);
+            }
+        }
     }
 
     #[test]

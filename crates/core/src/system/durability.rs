@@ -20,14 +20,14 @@
 //! everything dropped is counted in the returned [`RecoveryOutcome`].
 
 use super::state::{TickInputs, TickStateHash};
-use super::MonitoringSystem;
+use super::{MonitoringSystem, TickCtx};
 use hpcmon_durability::{
     DiskError, DurabilityConfig, DurabilityPlane, RecoveredState, RecoveryReport, StorageMedium,
 };
 use hpcmon_metrics::ColumnFrame;
-use hpcmon_telemetry::StageTimer;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Everything one tick appends to the write-ahead log.  The JSON head
 /// (inputs + expected hash) is what replay needs; the binary sample
@@ -272,11 +272,12 @@ impl MonitoringSystem {
         self.durability.as_ref().map(|p| p.counts())
     }
 
-    /// End-of-tick durability hook, called from `tick()` when a plane is
-    /// attached: append this tick's record, sync per policy, checkpoint +
+    /// Tick stage `wal`, the last: with a plane attached, append this
+    /// tick's record — strictly after the hash, so the record carries the
+    /// value recovery verifies against — sync per policy, checkpoint +
     /// rotate and advance the scrub on their cadences, and republish the
     /// plane's counters as `durability.*` telemetry.
-    pub(super) fn finish_tick_durability(&mut self, frame: &Arc<ColumnFrame>) {
+    pub(super) fn finish_tick_durability(&mut self, _: &mut TickCtx<'_>) {
         // take/put-back: `self.snapshot()` below needs `&self` while the
         // plane needs `&mut`.
         let Some(mut plane) = self.durability.take() else { return };
@@ -286,13 +287,15 @@ impl MonitoringSystem {
             inputs: std::mem::take(&mut self.pending_inputs),
             hash: self.last_state_hash.filter(|h| h.tick == tick_no),
         };
+        let frame = self.last_frame.as_ref().expect("transport publishes the frame");
         let payload = encode_tick_record(&record, frame);
         plane.append_tick(tick_no, &payload);
         plane.end_tick(tick_no);
         let cfg = plane.config();
         if cfg.checkpoint_every > 0 && tick_no.is_multiple_of(cfg.checkpoint_every) {
-            let _timer = StageTimer::new(self.instruments.stage_checkpoint.clone());
+            let started = Instant::now();
             let _ = self.write_checkpoint(&mut plane, tick_no);
+            self.instruments.stage_checkpoint.record_ns(started.elapsed().as_nanos() as u64);
         }
         if cfg.scrub_every > 0 && tick_no.is_multiple_of(cfg.scrub_every) {
             let _ = plane.scrub_step();

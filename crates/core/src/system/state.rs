@@ -29,7 +29,7 @@
 //! trace-stripped canonical encoding for the same reason (see
 //! `MonitoringSystem::tick`).
 
-use super::MonitoringSystem;
+use super::{MonitoringSystem, TickCtx};
 use hpcmon_analysis::{CorrelatorSnapshot, Deadman, NoveltyDetector};
 use hpcmon_chaos::{
     BreakerSnapshot, ChaosEngine, ChaosSnapshot, CollectorSupervisor, IngestBreaker,
@@ -330,11 +330,16 @@ impl MonitoringSystem {
         self.pending_inputs = TickInputs::default();
     }
 
-    /// End-of-tick hashing hook, called from `tick()` when hashing is on.
-    pub(super) fn finish_tick_hash(&mut self, frame: &ColumnFrame) {
-        let hash = self.compute_state_hash(frame);
+    /// Tick stage `hash`: with hashing on, fold every subsystem's
+    /// deterministic state into this tick's hash.
+    pub(super) fn finish_tick_hash(&mut self, _: &mut TickCtx<'_>) {
+        if !self.hashing {
+            return;
+        }
+        let frame = self.last_frame.clone().expect("transport publishes the frame");
+        let hash = self.compute_state_hash(&frame);
         if let Some(g) = &self.replay_hash_gauge {
-            // Lossy (f64) for the self feed; the event log keeps the
+            // Lossy (f64) for the self feed; the WAL tick record keeps the
             // exact u64.  Identical in record and replay either way.
             g.set(hash.combined as f64);
         }

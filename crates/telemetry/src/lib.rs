@@ -11,8 +11,6 @@
 //!
 //! * [`Counter`] / [`Gauge`] — single atomics, lock-free on the hot path.
 //! * [`Histogram`] — fixed log-spaced latency buckets with p50/p95/p99/max.
-//! * [`StageTimer`] — a span guard that records elapsed nanoseconds into a
-//!   histogram (and optionally a "last value" gauge) when dropped.
 //! * [`Telemetry`] — the registry. Registration takes a lock once; the
 //!   returned `Arc` handles are pure atomics afterwards.
 //! * [`TelemetryReport`] — a serializable snapshot, rendered as text for
@@ -27,7 +25,6 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-use std::time::Instant;
 
 /// Number of log-spaced histogram buckets: 2 per octave over 1ns..~1100s.
 const BUCKETS: usize = 80;
@@ -232,34 +229,6 @@ impl Histogram {
             p99_ns: self.quantile_ns(0.99),
             max_ns: self.max_ns.load(Ordering::Relaxed),
         }
-    }
-}
-
-/// Span guard: times from construction to drop and records into a
-/// histogram.
-pub struct StageTimer {
-    hist: Arc<Histogram>,
-    tag: u64,
-    start: Instant,
-}
-
-impl StageTimer {
-    /// Start timing into `hist`.
-    pub fn new(hist: Arc<Histogram>) -> StageTimer {
-        StageTimer { hist, tag: 0, start: Instant::now() }
-    }
-
-    /// Tag the recorded observation with an exemplar (a trace id); the
-    /// histogram bucket it lands in will remember this tag.
-    pub fn with_tag(mut self, tag: u64) -> StageTimer {
-        self.tag = tag;
-        self
-    }
-}
-
-impl Drop for StageTimer {
-    fn drop(&mut self) {
-        self.hist.record_ns_tagged(self.start.elapsed().as_nanos() as u64, self.tag);
     }
 }
 
@@ -564,15 +533,6 @@ mod tests {
     }
 
     #[test]
-    fn stage_timer_records_on_drop() {
-        let t = Telemetry::new();
-        {
-            let _timer = StageTimer::new(t.histogram("stage.collect"));
-        }
-        assert_eq!(t.histogram("stage.collect").count(), 1);
-    }
-
-    #[test]
     fn registration_order_survives_indexed_lookup() {
         let t = Telemetry::new();
         let names = ["zeta", "alpha", "mu", "beta"];
@@ -655,15 +615,6 @@ mod tests {
     fn empty_histogram_has_no_exemplar() {
         let t = Telemetry::new();
         assert_eq!(t.histogram("h").exemplar_near_quantile(0.99), 0);
-    }
-
-    #[test]
-    fn stage_timer_tag_lands_in_bucket() {
-        let t = Telemetry::new();
-        {
-            let _timer = StageTimer::new(t.histogram("stage.x")).with_tag(11);
-        }
-        assert_eq!(t.histogram("stage.x").exemplar_near_quantile(0.5), 11);
     }
 
     #[test]

@@ -4,12 +4,16 @@
 //! frame's span tree (collect → transport → store, analysis, response),
 //! then induces a backpressure drop and a gateway deadline shed and shows
 //! the drop-provenance traces that explain each loss.  Writes the healthy
-//! frame's flamegraph timeline to `trace_timeline.svg`.
+//! frame's flamegraph timeline to `trace_timeline.svg`, and ends with where
+//! the tick's time went: one row per tick stage, read off the plane's own
+//! `stage.*` histograms.  Exits 1 if a stage recorded nothing or the
+//! stages account for less than 98% of `stage.tick`.
 //!
 //! ```sh
 //! cargo run --release --example trace_a_frame
 //! ```
 
+use hpcmon::system::TICK_STAGES;
 use hpcmon::trace::{DropReason, Sampler};
 use hpcmon::viz::{render_span_tree, svg_trace_timeline};
 use hpcmon::{MonitoringSystem, SimConfig};
@@ -88,4 +92,31 @@ fn main() {
         mon.traces().completed_total(),
         mon.traces().completed_with_drops()
     );
+
+    // --- 5. Where the tick's time went --------------------------------
+    let report = mon.telemetry_report();
+    let hist = |name: &str| report.histograms.iter().find(|h| h.name == name);
+    let total_ns = |h: &hpcmon::telemetry::HistogramSnapshot| h.mean_ns * h.count;
+    let tick = hist("stage.tick").expect("stage.tick registered");
+    println!("\n=== where the tick's time went ({} ticks) ===", tick.count);
+    println!("{:<10} {:>10} {:>8}", "stage", "p50 us", "share");
+    let (mut staged_ns, mut silent) = (0, Vec::new());
+    for stage in TICK_STAGES {
+        let h = hist(&format!("stage.{stage}")).filter(|h| h.count > 0);
+        let Some(h) = h else {
+            silent.push(stage);
+            continue;
+        };
+        staged_ns += total_ns(h);
+        let share = 100.0 * total_ns(h) as f64 / total_ns(tick) as f64;
+        println!("{stage:<10} {:>10.1} {share:>7.1}%", h.p50_ns as f64 / 1e3);
+    }
+    let covered = 100.0 * staged_ns as f64 / total_ns(tick) as f64;
+    println!("{:<10} {:>10.1} {covered:>7.1}%", "tick", tick.p50_ns as f64 / 1e3);
+    if !silent.is_empty() || covered < 98.0 {
+        eprintln!(
+            "stages with no observations: {silent:?}; stages cover {covered:.1}% of the tick"
+        );
+        std::process::exit(1);
+    }
 }

@@ -12,6 +12,24 @@ use hpcmon_sim::{AppProfile, FaultKind, JobSpec, SimEngine};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+/// The tick's stages in the order it runs them, each timed into
+/// `stage.<name>`.
+const TICK_ORDER: [&str; 13] = [
+    "sim",
+    "chaos",
+    "collect",
+    "transport",
+    "store",
+    "analysis",
+    "response",
+    "results",
+    "health",
+    "serve",
+    "trace",
+    "hash",
+    "wal",
+];
+
 /// A site-specific collector that can be switched off mid-run — the
 /// stand-in for a crashed collection daemon.
 struct FlakyCollector {
@@ -87,16 +105,15 @@ fn self_telemetry_series_land_in_the_store() {
     mon.run_ticks(5);
     // Stage latencies and transport counters are ordinary queryable series
     // under hpcmon.self.* — the monitor is a subsystem like any other.
-    for name in [
-        "hpcmon.self.stage.collect.p95_ms",
-        "hpcmon.self.stage.store.p95_ms",
-        "hpcmon.self.stage.analysis.p95_ms",
+    let stages = TICK_ORDER.iter().map(|stage| format!("hpcmon.self.stage.{stage}.p95_ms"));
+    let others = [
         "hpcmon.self.transport.published",
         "hpcmon.self.transport.dropped",
         "hpcmon.self.store.samples_ingested",
         "hpcmon.self.collect.samples.node",
-    ] {
-        let id = mon.registry().lookup(name).unwrap_or_else(|| panic!("{name} not registered"));
+    ];
+    for name in stages.chain(others.map(String::from)) {
+        let id = mon.registry().lookup(&name).unwrap_or_else(|| panic!("{name} not registered"));
         let pts =
             mon.query().series(SeriesKey::new(id, CompId::SYSTEM), hpcmon_store::TimeRange::all());
         assert!(!pts.is_empty(), "{name} has no points");
@@ -250,16 +267,34 @@ fn uptime_and_build_info_serve_through_the_gateway_to_users() {
 #[test]
 fn telemetry_report_json_round_trips() {
     let mut mon = MonitoringSystem::builder(SimConfig::small()).build();
-    mon.run_ticks(3);
+    mon.run_ticks(64);
     let report = mon.telemetry_report();
-    assert!(report.histograms.iter().any(|h| h.name == "stage.tick" && h.count == 3));
-    assert!(report.counters.iter().any(|c| c.name == "tick.count" && c.value == 3));
+    assert!(report.counters.iter().any(|c| c.name == "tick.count" && c.value == 64));
     let json = serde_json::to_string(&report).unwrap();
     let back: hpcmon::telemetry::TelemetryReport = serde_json::from_str(&json).unwrap();
     assert_eq!(report, back);
-    // The text rendering carries the stage taxonomy for the ops report.
+    // Every stage of the tick timed every tick, and together they account
+    // for the whole tick: the loop reads the clock once per boundary.
+    assert_eq!(hpcmon::system::TICK_STAGES, TICK_ORDER);
+    let hist = |name: &str| {
+        let h = report.histograms.iter().find(|h| h.name == name);
+        h.unwrap_or_else(|| panic!("{name} not registered"))
+    };
+    let tick = hist("stage.tick");
+    assert_eq!(tick.count, 64);
+    let mut staged_ns = 0;
+    for stage in TICK_ORDER {
+        let h = hist(&format!("stage.{stage}"));
+        assert_eq!(h.count, 64, "stage.{stage} records once a tick");
+        staged_ns += h.mean_ns * h.count;
+    }
+    let tick_ns = tick.mean_ns * tick.count;
+    assert!(staged_ns * 100 >= tick_ns * 98, "stages sum to {staged_ns} of {tick_ns} ns");
+    // The text rendering carries the stage taxonomy for the ops report, in
+    // tick order.
     let text = report.render_text();
-    assert!(text.contains("stage.collect"));
+    let at = |stage: &str| text.find(&format!("stage.{stage} ")).expect(stage);
+    assert!(TICK_ORDER.windows(2).all(|w| at(w[0]) < at(w[1])), "{text}");
     assert!(text.contains("collect.samples.node"));
 }
 
