@@ -5,9 +5,13 @@
 //! reads of the engine's observation API — the monitoring stack cannot
 //! perturb the machine, which is the "lowest possible overhead"
 //! requirement from Table I made literal.
+//!
+//! Each writes its samples as a [`MetricSet`] ([`ColumnFrame::extend_set`]):
+//! its keys are declared once for the machine's shape, and every other
+//! tick it writes values only, into a slice of the frame's value column.
 
 use crate::registry::StdMetrics;
-use hpcmon_metrics::{ColumnFrame, CompId};
+use hpcmon_metrics::{ColumnFrame, CompId, MetricSet, SetKeys};
 use hpcmon_sim::SimEngine;
 
 /// One data source that contributes samples to a synchronized frame.
@@ -26,15 +30,21 @@ pub trait Collector {
     fn set_rng_state(&mut self, _state: u64) {}
 }
 
+/// A set's version from the two counts its keys follow.
+fn shape(a: u32, b: u32) -> u64 {
+    u64::from(a) << 32 | u64::from(b)
+}
+
 /// Node CPU/memory/health sampler (the /proc scrape).
 pub struct NodeCollector {
     metrics: StdMetrics,
+    set: MetricSet,
 }
 
 impl NodeCollector {
     /// Build against the standard metric set.
     pub(crate) fn new(metrics: StdMetrics) -> NodeCollector {
-        NodeCollector { metrics }
+        NodeCollector { metrics, set: MetricSet::new() }
     }
 }
 
@@ -45,14 +55,20 @@ impl Collector for NodeCollector {
 
     fn collect(&mut self, engine: &SimEngine, frame: &mut ColumnFrame) {
         let m = &self.metrics;
-        for n in 0..engine.num_nodes() {
-            let node = engine.node(n);
-            let comp = CompId::node(n);
-            frame.push(m.node_cpu, comp, node.cpu_util);
-            frame.push(m.node_mem_used, comp, node.mem_used_bytes);
-            frame.push(m.node_free_mem, comp, node.free_mem_bytes());
-            frame.push(m.node_health, comp, if node.passes_health_check() { 1.0 } else { 0.0 });
-        }
+        let ids = [m.node_cpu, m.node_mem_used, m.node_free_mem, m.node_health];
+        let nodes = engine.num_nodes();
+        let declare = |keys: &mut SetKeys<'_>| {
+            for n in 0..nodes {
+                ids.iter().for_each(|&id| keys.push(id, CompId::node(n)));
+            }
+        };
+        frame.extend_set(&mut self.set, nodes.into(), declare, |values| {
+            for (n, v) in (0..nodes).zip(values.as_chunks_mut().0) {
+                let node = engine.node(n);
+                let health = if node.passes_health_check() { 1.0 } else { 0.0 };
+                *v = [node.cpu_util, node.mem_used_bytes, node.free_mem_bytes(), health];
+            }
+        });
     }
 }
 
@@ -60,12 +76,13 @@ impl Collector for NodeCollector {
 /// view that makes Figure 3).
 pub struct PowerCollector {
     metrics: StdMetrics,
+    set: MetricSet,
 }
 
 impl PowerCollector {
     /// Build against the standard metric set.
     pub(crate) fn new(metrics: StdMetrics) -> PowerCollector {
-        PowerCollector { metrics }
+        PowerCollector { metrics, set: MetricSet::new() }
     }
 }
 
@@ -77,18 +94,26 @@ impl Collector for PowerCollector {
     fn collect(&mut self, engine: &SimEngine, frame: &mut ColumnFrame) {
         let m = &self.metrics;
         let topo = engine.topology();
-        let mut cabinets = vec![0.0f64; topo.num_cabinets() as usize];
-        let mut total = 0.0;
-        for n in 0..engine.num_nodes() {
-            let w = engine.node_power_w(n);
-            frame.push(m.node_power, CompId::node(n), w);
-            cabinets[topo.cabinet_of(n) as usize] += w;
-            total += w;
-        }
-        for (c, w) in cabinets.into_iter().enumerate() {
-            frame.push(m.cabinet_power, CompId::cabinet(c as u32), w);
-        }
-        frame.push(m.system_power, CompId::SYSTEM, total);
+        let (nodes, cabinets) = (engine.num_nodes(), topo.num_cabinets());
+        let declare = |keys: &mut SetKeys<'_>| {
+            (0..nodes).for_each(|n| keys.push(m.node_power, CompId::node(n)));
+            (0..cabinets).for_each(|c| keys.push(m.cabinet_power, CompId::cabinet(c)));
+            keys.push(m.system_power, CompId::SYSTEM);
+        };
+        frame.extend_set(&mut self.set, shape(nodes, cabinets), declare, |values| {
+            // Cabinets sum into their own slots of the slice.
+            let (per_node, rest) = values.split_at_mut(nodes as usize);
+            let (per_cabinet, system) = rest.split_at_mut(cabinets as usize);
+            per_cabinet.fill(0.0);
+            let mut total = 0.0;
+            for (n, v) in (0..nodes).zip(per_node) {
+                let w = engine.node_power_w(n);
+                *v = w;
+                per_cabinet[topo.cabinet_of(n) as usize] += w;
+                total += w;
+            }
+            system[0] = total;
+        });
     }
 }
 
@@ -98,18 +123,19 @@ impl Collector for PowerCollector {
 pub struct NetworkCollector {
     metrics: StdMetrics,
     link_stride: u32,
+    set: MetricSet,
 }
 
 impl NetworkCollector {
     /// Full-fidelity collector.
     pub(crate) fn new(metrics: StdMetrics) -> NetworkCollector {
-        NetworkCollector { metrics, link_stride: 1 }
+        NetworkCollector::with_stride(metrics, 1)
     }
 
     /// Collect only every `stride`-th link (reduced fidelity).
     pub fn with_stride(metrics: StdMetrics, stride: u32) -> NetworkCollector {
         assert!(stride >= 1);
-        NetworkCollector { metrics, link_stride: stride }
+        NetworkCollector { metrics, link_stride: stride, set: MetricSet::new() }
     }
 }
 
@@ -121,32 +147,61 @@ impl Collector for NetworkCollector {
     fn collect(&mut self, engine: &SimEngine, frame: &mut ColumnFrame) {
         let m = &self.metrics;
         let net = engine.network();
-        let links = net.num_links() as u32;
-        let mut l = 0;
-        while l < links {
-            let comp = CompId::link(l);
-            frame.push(m.link_traffic, comp, net.link_traffic_bytes(l));
-            frame.push(m.link_stalls, comp, net.link_stall_bytes(l));
-            frame.push(m.link_errors, comp, net.link_errors(l));
-            frame.push(m.link_util, comp, net.link_utilization(l));
-            l += self.link_stride;
-        }
-        for n in 0..engine.num_nodes() {
-            frame.push(m.node_injection_pct, CompId::node(n), net.node_injection_pct(n));
-        }
+        let (links, nodes) = (net.num_links() as u32, engine.num_nodes());
+        let sampled = || (0..links).step_by(self.link_stride as usize);
+        let ids = [m.link_traffic, m.link_stalls, m.link_errors, m.link_util];
+        let declare = |keys: &mut SetKeys<'_>| {
+            for l in sampled() {
+                ids.iter().for_each(|&id| keys.push(id, CompId::link(l)));
+            }
+            (0..nodes).for_each(|n| keys.push(m.node_injection_pct, CompId::node(n)));
+        };
+        frame.extend_set(&mut self.set, shape(links, nodes), declare, |values| {
+            let (per_link, per_node) = values.split_at_mut(values.len() - nodes as usize);
+            for (l, v) in sampled().zip(per_link.as_chunks_mut().0) {
+                *v = [
+                    net.link_traffic_bytes(l),
+                    net.link_stall_bytes(l),
+                    net.link_errors(l),
+                    net.link_utilization(l),
+                ];
+            }
+            for (n, v) in (0..nodes).zip(per_node) {
+                *v = net.node_injection_pct(n);
+            }
+        });
     }
 }
 
 /// Filesystem sampler: per-OST rates and latency, MDS latency, aggregates,
 /// and per-node read attribution.
+///
+/// The attribution is a second set, whose keys follow the running jobs: it
+/// keeps the nodes it last declared and re-declares when they change.
 pub struct FsCollector {
     metrics: StdMetrics,
+    set: MetricSet,
+    reads: MetricSet,
+    /// Nodes of the read attribution as last declared, its version, and
+    /// this tick's nodes and rates.
+    read_nodes: Vec<u32>,
+    reads_version: u64,
+    next_nodes: Vec<u32>,
+    rates: Vec<f64>,
 }
 
 impl FsCollector {
     /// Build against the standard metric set.
     pub(crate) fn new(metrics: StdMetrics) -> FsCollector {
-        FsCollector { metrics }
+        FsCollector {
+            metrics,
+            set: MetricSet::new(),
+            reads: MetricSet::new(),
+            read_nodes: Vec::new(),
+            reads_version: 0,
+            next_nodes: Vec::new(),
+            rates: Vec::new(),
+        }
     }
 }
 
@@ -159,42 +214,69 @@ impl Collector for FsCollector {
         let m = &self.metrics;
         let fs = engine.filesystem();
         let dt_s = engine.tick_ms() as f64 / 1_000.0;
-        for o in 0..fs.num_osts() {
-            let comp = CompId::ost(o);
-            frame.push(m.ost_read_bps, comp, fs.ost_read_bytes(o) / dt_s);
-            frame.push(m.ost_write_bps, comp, fs.ost_write_bytes(o) / dt_s);
-            frame.push(m.ost_latency, comp, fs.ost_latency_ms(o));
-        }
-        frame.push(m.mds_latency, CompId::mds(0), fs.mds_latency_ms());
-        frame.push(m.fs_agg_read_bps, CompId::SYSTEM, fs.aggregate_read_bytes_per_sec());
-        frame.push(m.fs_agg_write_bps, CompId::SYSTEM, fs.aggregate_write_bytes_per_sec());
+        let osts = fs.num_osts();
+        let ids = [m.ost_read_bps, m.ost_write_bps, m.ost_latency];
+        let declare = |keys: &mut SetKeys<'_>| {
+            for o in 0..osts {
+                ids.iter().for_each(|&id| keys.push(id, CompId::ost(o)));
+            }
+            keys.push(m.mds_latency, CompId::mds(0));
+            keys.push(m.fs_agg_read_bps, CompId::SYSTEM);
+            keys.push(m.fs_agg_write_bps, CompId::SYSTEM);
+        };
+        frame.extend_set(&mut self.set, osts.into(), declare, |values| {
+            let (per_ost, rest) = values.split_at_mut(3 * osts as usize);
+            for (o, v) in (0..osts).zip(per_ost.as_chunks_mut().0) {
+                let (read, write) = (fs.ost_read_bytes(o) / dt_s, fs.ost_write_bytes(o) / dt_s);
+                *v = [read, write, fs.ost_latency_ms(o)];
+            }
+            rest.copy_from_slice(&[
+                fs.mds_latency_ms(),
+                fs.aggregate_read_bytes_per_sec(),
+                fs.aggregate_write_bytes_per_sec(),
+            ]);
+        });
         // Per-node read attribution: distribute each running job's phase
         // read rate over its active nodes (what a client-side stats scrape
         // would report).
+        self.next_nodes.clear();
+        self.rates.clear();
         for r in engine.scheduler().running() {
             let phase = r.spec.app.phase_at(r.progress_ms as u64);
             if phase.read_bytes_per_sec <= 0.0 {
                 continue;
             }
             for &n in &r.nodes {
-                let node = engine.node(n);
-                if node.cpu_util > 0.05 {
-                    frame.push(m.node_fs_read_bps, CompId::node(n), phase.read_bytes_per_sec);
+                if engine.node(n).cpu_util > 0.05 {
+                    self.next_nodes.push(n);
+                    self.rates.push(phase.read_bytes_per_sec);
                 }
             }
         }
+        if self.next_nodes != self.read_nodes {
+            std::mem::swap(&mut self.next_nodes, &mut self.read_nodes);
+            self.reads_version += 1;
+        }
+        let nodes = &self.read_nodes;
+        let declare = |keys: &mut SetKeys<'_>| {
+            nodes.iter().for_each(|&n| keys.push(m.node_fs_read_bps, CompId::node(n)));
+        };
+        frame.extend_set(&mut self.reads, self.reads_version, declare, |values| {
+            values.copy_from_slice(&self.rates);
+        });
     }
 }
 
 /// Datacenter environment sampler (the ORNL/ASHRAE watch).
 pub struct EnvCollector {
     metrics: StdMetrics,
+    set: MetricSet,
 }
 
 impl EnvCollector {
     /// Build against the standard metric set.
     pub(crate) fn new(metrics: StdMetrics) -> EnvCollector {
-        EnvCollector { metrics }
+        EnvCollector { metrics, set: MetricSet::new() }
     }
 }
 
@@ -206,23 +288,26 @@ impl Collector for EnvCollector {
     fn collect(&mut self, engine: &SimEngine, frame: &mut ColumnFrame) {
         let m = &self.metrics;
         let env = engine.environment();
-        let comp = CompId::ENVIRONMENT;
-        frame.push(m.env_temp, comp, env.temp_c);
-        frame.push(m.env_humidity, comp, env.humidity_pct);
-        frame.push(m.env_so2, comp, env.so2_ppb);
-        frame.push(m.env_particulates, comp, env.particulates);
+        let ids = [m.env_temp, m.env_humidity, m.env_so2, m.env_particulates];
+        let declare = |keys: &mut SetKeys<'_>| {
+            ids.iter().for_each(|&id| keys.push(id, CompId::ENVIRONMENT));
+        };
+        frame.extend_set(&mut self.set, 0, declare, |values| {
+            values.copy_from_slice(&[env.temp_c, env.humidity_pct, env.so2_ppb, env.particulates]);
+        });
     }
 }
 
 /// Scheduler/queue sampler (the CSC/NERSC backlog view).
 pub struct QueueCollector {
     metrics: StdMetrics,
+    set: MetricSet,
 }
 
 impl QueueCollector {
     /// Build against the standard metric set.
     pub(crate) fn new(metrics: StdMetrics) -> QueueCollector {
-        QueueCollector { metrics }
+        QueueCollector { metrics, set: MetricSet::new() }
     }
 }
 
@@ -234,22 +319,31 @@ impl Collector for QueueCollector {
     fn collect(&mut self, engine: &SimEngine, frame: &mut ColumnFrame) {
         let m = &self.metrics;
         let sched = engine.scheduler();
-        frame.push(m.queue_depth, CompId::SYSTEM, sched.queue_depth_at(engine.now()) as f64);
-        frame.push(m.running_jobs, CompId::SYSTEM, sched.running().len() as f64);
-        frame.push(m.free_nodes, CompId::SYSTEM, sched.free_count() as f64);
-        frame.push(m.nodes_out_of_service, CompId::SYSTEM, sched.out_of_service().len() as f64);
+        let ids = [m.queue_depth, m.running_jobs, m.free_nodes, m.nodes_out_of_service];
+        let declare = |keys: &mut SetKeys<'_>| {
+            ids.iter().for_each(|&id| keys.push(id, CompId::SYSTEM));
+        };
+        frame.extend_set(&mut self.set, 0, declare, |values| {
+            values.copy_from_slice(&[
+                sched.queue_depth_at(engine.now()) as f64,
+                sched.running().len() as f64,
+                sched.free_count() as f64,
+                sched.out_of_service_count() as f64,
+            ]);
+        });
     }
 }
 
 /// GPU health sampler (the CSCS per-node GPU validation view).
 pub struct GpuHealthCollector {
     metrics: StdMetrics,
+    set: MetricSet,
 }
 
 impl GpuHealthCollector {
     /// Build against the standard metric set.
     pub(crate) fn new(metrics: StdMetrics) -> GpuHealthCollector {
-        GpuHealthCollector { metrics }
+        GpuHealthCollector { metrics, set: MetricSet::new() }
     }
 }
 
@@ -260,14 +354,17 @@ impl Collector for GpuHealthCollector {
 
     fn collect(&mut self, engine: &SimEngine, frame: &mut ColumnFrame) {
         let m = &self.metrics;
-        for n in 0..engine.num_nodes() {
-            let node = engine.node(n);
-            if node.gpus.is_empty() {
-                continue;
+        let with_gpus = || (0..engine.num_nodes()).filter(|&n| !engine.node(n).gpus.is_empty());
+        let declare = |keys: &mut SetKeys<'_>| {
+            with_gpus().for_each(|n| keys.push(m.gpu_healthy, CompId::node(n)));
+        };
+        let version = shape(engine.num_nodes(), engine.config().gpus_per_node);
+        frame.extend_set(&mut self.set, version, declare, |values| {
+            for (v, n) in values.iter_mut().zip(with_gpus()) {
+                let gpus = &engine.node(n).gpus;
+                *v = gpus.iter().filter(|&&g| engine.gpu(g).healthy).count() as f64;
             }
-            let healthy = node.gpus.iter().filter(|&&g| engine.gpu(g).healthy).count();
-            frame.push(m.gpu_healthy, CompId::node(n), healthy as f64);
-        }
+        });
     }
 }
 
@@ -276,12 +373,13 @@ impl Collector for GpuHealthCollector {
 /// without a buffer tier.
 pub struct BbCollector {
     metrics: StdMetrics,
+    set: MetricSet,
 }
 
 impl BbCollector {
     /// Build against the standard metric set.
     pub(crate) fn new(metrics: StdMetrics) -> BbCollector {
-        BbCollector { metrics }
+        BbCollector { metrics, set: MetricSet::new() }
     }
 }
 
@@ -296,14 +394,24 @@ impl Collector for BbCollector {
         };
         let m = &self.metrics;
         let dt_s = engine.tick_ms() as f64 / 1_000.0;
-        for i in 0..bb.num_nodes() {
-            let node = bb.node(i);
-            let comp = CompId::bb(i);
-            frame.push(m.bb_occupancy, comp, node.occupancy_bytes);
-            frame.push(m.bb_absorb_bps, comp, node.absorbed_last_tick / dt_s);
-            frame.push(m.bb_drain_bps, comp, node.drained_last_tick / dt_s);
-            frame.push(m.bb_configured, comp, if node.configured { 1.0 } else { 0.0 });
-        }
+        let ids = [m.bb_occupancy, m.bb_absorb_bps, m.bb_drain_bps, m.bb_configured];
+        let declare = |keys: &mut SetKeys<'_>| {
+            for i in 0..bb.num_nodes() {
+                ids.iter().for_each(|&id| keys.push(id, CompId::bb(i)));
+            }
+        };
+        frame.extend_set(&mut self.set, bb.num_nodes().into(), declare, |values| {
+            for (i, v) in (0..bb.num_nodes()).zip(values.as_chunks_mut().0) {
+                let node = bb.node(i);
+                let configured = if node.configured { 1.0 } else { 0.0 };
+                *v = [
+                    node.occupancy_bytes,
+                    node.absorbed_last_tick / dt_s,
+                    node.drained_last_tick / dt_s,
+                    configured,
+                ];
+            }
+        });
     }
 }
 

@@ -10,7 +10,7 @@
 
 use crate::collectors::Collector;
 use crate::registry::StdMetrics;
-use hpcmon_metrics::{ColumnFrame, CompId};
+use hpcmon_metrics::{ColumnFrame, CompId, MetricSet, SetKeys};
 use hpcmon_sim::{Rng, SimEngine};
 
 /// Distributed filesystem latency probe.
@@ -19,12 +19,13 @@ pub struct FsProbe {
     rng: Rng,
     /// Multiplicative measurement noise (std dev fraction).
     noise: f64,
+    set: MetricSet,
 }
 
 impl FsProbe {
     /// A probe with 2% measurement noise.
     pub fn new(metrics: StdMetrics, seed: u64) -> FsProbe {
-        FsProbe { metrics, rng: Rng::new(seed), noise: 0.02 }
+        FsProbe { metrics, rng: Rng::new(seed), noise: 0.02, set: MetricSet::new() }
     }
 }
 
@@ -42,14 +43,21 @@ impl Collector for FsProbe {
     }
 
     fn collect(&mut self, engine: &SimEngine, frame: &mut ColumnFrame) {
-        let fs = engine.filesystem();
-        for o in 0..fs.num_osts() {
-            let true_latency = fs.ost_latency_ms(o);
-            let measured = true_latency * (1.0 + self.rng.normal_with(0.0, self.noise));
-            frame.push(self.metrics.probe_ost_latency, CompId::ost(o), measured.max(0.0));
-        }
-        let mds = fs.mds_latency_ms() * (1.0 + self.rng.normal_with(0.0, self.noise));
-        frame.push(self.metrics.probe_mds_latency, CompId::mds(0), mds.max(0.0));
+        let (m, fs) = (&self.metrics, engine.filesystem());
+        let osts = fs.num_osts();
+        let declare = |keys: &mut SetKeys<'_>| {
+            (0..osts).for_each(|o| keys.push(m.probe_ost_latency, CompId::ost(o)));
+            keys.push(m.probe_mds_latency, CompId::mds(0));
+        };
+        let (rng, noise) = (&mut self.rng, self.noise);
+        frame.extend_set(&mut self.set, osts.into(), declare, |values| {
+            let (per_ost, mds) = values.split_at_mut(osts as usize);
+            for (o, v) in (0..osts).zip(per_ost) {
+                let true_latency = fs.ost_latency_ms(o);
+                *v = (true_latency * (1.0 + rng.normal_with(0.0, noise))).max(0.0);
+            }
+            mds[0] = (fs.mds_latency_ms() * (1.0 + rng.normal_with(0.0, noise))).max(0.0);
+        });
     }
 }
 
@@ -59,6 +67,7 @@ impl Collector for FsProbe {
 pub struct NetworkProbe {
     metrics: StdMetrics,
     pairs: Vec<(u32, u32)>,
+    set: MetricSet,
 }
 
 impl NetworkProbe {
@@ -74,7 +83,7 @@ impl NetworkProbe {
                 (src, if dst == src { (src + 1) % num_nodes } else { dst })
             })
             .collect();
-        NetworkProbe { metrics, pairs }
+        NetworkProbe { metrics, pairs, set: MetricSet::new() }
     }
 }
 
@@ -84,14 +93,19 @@ impl Collector for NetworkProbe {
     }
 
     fn collect(&mut self, engine: &SimEngine, frame: &mut ColumnFrame) {
-        for &(src, dst) in &self.pairs {
-            let max_util = engine.probe_route_max_utilization(src, dst);
-            // A probe transfer through a link at utilization u gets the
-            // residual capacity: time inflates by 1/(1-u), capped for
-            // fully-saturated paths.
-            let inflation = if max_util >= 0.99 { 100.0 } else { 1.0 / (1.0 - max_util) };
-            frame.push(self.metrics.probe_net_inflation, CompId::node(src), inflation);
-        }
+        let (m, pairs) = (&self.metrics, &self.pairs);
+        let declare = |keys: &mut SetKeys<'_>| {
+            pairs.iter().for_each(|&(src, _)| keys.push(m.probe_net_inflation, CompId::node(src)));
+        };
+        frame.extend_set(&mut self.set, 0, declare, |values| {
+            for (v, &(src, dst)) in values.iter_mut().zip(pairs) {
+                let max_util = engine.probe_route_max_utilization(src, dst);
+                // A probe transfer through a link at utilization u gets the
+                // residual capacity: time inflates by 1/(1-u), capped for
+                // fully-saturated paths.
+                *v = if max_util >= 0.99 { 100.0 } else { 1.0 / (1.0 - max_util) };
+            }
+        });
     }
 }
 

@@ -18,10 +18,12 @@
 //! append-only (the telemetry registry and the broker's topic table never
 //! remove or reorder entries), so resolved `MetricId`s and previous totals
 //! are cached *positionally* — the steady-state path performs no name
-//! formatting, no hashing, and no registry locking.
+//! formatting, no hashing, and no registry locking.  The feed is one
+//! metric set: the collector keeps the series it declared last and
+//! declares again on the tick an instrument, topic or queue comes or goes.
 
 use crate::collectors::Collector;
-use hpcmon_metrics::{ColumnFrame, CompId, MetricId, MetricRegistry, Unit};
+use hpcmon_metrics::{ColumnFrame, CompId, MetricId, MetricRegistry, MetricSet, SetKeys, Unit};
 use hpcmon_sim::SimEngine;
 use hpcmon_store::TimeSeriesStore;
 use hpcmon_telemetry::Telemetry;
@@ -59,6 +61,26 @@ pub struct SelfCollector {
     topic_slots: Vec<[DeltaSlot; 5]>,
     // Subscriber sets can shrink, so queues are matched by pattern.
     queue_slots: Vec<(String, MetricId)>,
+    /// This tick's series and values, in frame order.
+    feed: Feed,
+    /// The series of the set as last declared, and its version.
+    declared: Vec<MetricId>,
+    version: u64,
+    set: MetricSet,
+}
+
+/// One tick's self series, every one at `CompId::SYSTEM`.
+#[derive(Default)]
+struct Feed {
+    ids: Vec<MetricId>,
+    values: Vec<f64>,
+}
+
+impl Feed {
+    fn emit(&mut self, id: MetricId, value: f64) {
+        self.ids.push(id);
+        self.values.push(value);
+    }
 }
 
 /// Replace topic/pattern characters that are not metric-name friendly.
@@ -74,15 +96,11 @@ fn sanitize(part: &str) -> String {
 }
 
 /// Emit per-tick deltas for a fixed bank of counter series.
-fn push_deltas<const N: usize>(
-    frame: &mut ColumnFrame,
-    slots: &mut [DeltaSlot; N],
-    totals: [u64; N],
-) {
+fn push_deltas<const N: usize>(feed: &mut Feed, slots: &mut [DeltaSlot; N], totals: [u64; N]) {
     for (slot, total) in slots.iter_mut().zip(totals) {
         let d = total.saturating_sub(slot.1);
         slot.1 = total;
-        frame.push(slot.0, CompId::SYSTEM, d as f64);
+        feed.emit(slot.0, d as f64);
     }
 }
 
@@ -153,6 +171,10 @@ impl SelfCollector {
             build_info_value: (major * 10_000 + minor * 100 + patch) as f64,
             topic_slots: Vec::new(),
             queue_slots: Vec::new(),
+            feed: Feed::default(),
+            declared: Vec::new(),
+            version: 0,
+            set: MetricSet::new(),
         }
     }
 }
@@ -163,11 +185,14 @@ impl Collector for SelfCollector {
     }
 
     fn collect(&mut self, engine: &SimEngine, frame: &mut ColumnFrame) {
+        let mut feed = std::mem::take(&mut self.feed);
+        feed.ids.clear();
+        feed.values.clear();
         // 0. Identity and liveness: a monotone uptime (so a restart is
         //    visible as a reset, per the paper's "monitor the monitor")
         //    and a constant build stamp dashboards can join against.
-        frame.push(self.uptime_id, CompId::SYSTEM, engine.tick_count() as f64);
-        frame.push(self.build_info_id, CompId::SYSTEM, self.build_info_value);
+        feed.emit(self.uptime_id, engine.tick_count() as f64);
+        feed.emit(self.build_info_id, self.build_info_value);
 
         // 1. The telemetry registry: pipeline stages, per-collector and
         //    per-detector instruments fed by the core loop.  Visit order is
@@ -187,7 +212,7 @@ impl Collector for SelfCollector {
             let slot = &mut self.tel_counters[i];
             let d = total.saturating_sub(slot.1);
             slot.1 = total;
-            frame.push(slot.0, CompId::SYSTEM, d as f64);
+            feed.emit(slot.0, d as f64);
             i += 1;
         });
         let mut i = 0;
@@ -200,7 +225,7 @@ impl Collector for SelfCollector {
                     "self-telemetry gauge (current level)",
                 ));
             }
-            frame.push(self.tel_gauges[i], CompId::SYSTEM, value);
+            feed.emit(self.tel_gauges[i], value);
             i += 1;
         });
         let mut i = 0;
@@ -212,7 +237,7 @@ impl Collector for SelfCollector {
                     "self-telemetry latency, 95th percentile",
                 ));
             }
-            frame.push(self.tel_hists[i], CompId::SYSTEM, h.quantile_ns(0.95) as f64 / 1e6);
+            feed.emit(self.tel_hists[i], h.quantile_ns(0.95) as f64 / 1e6);
             i += 1;
         });
 
@@ -220,7 +245,7 @@ impl Collector for SelfCollector {
         //    subscriber queue depths.
         let b = self.broker.stats();
         push_deltas(
-            frame,
+            &mut feed,
             &mut self.transport,
             [b.published, b.delivered, b.dropped, b.bytes_published, b.decode_errors],
         );
@@ -243,7 +268,7 @@ impl Collector for SelfCollector {
                 }));
             }
             push_deltas(
-                frame,
+                &mut feed,
                 &mut self.topic_slots[k],
                 [t.published, t.dropped, t.queue_full, t.drop_oldest, t.pruned_receiver],
             );
@@ -260,13 +285,13 @@ impl Collector for SelfCollector {
                 self.queue_slots.push((pattern, id));
                 id
             };
-            frame.push(id, CompId::SYSTEM, depth as f64);
+            feed.emit(id, depth as f64);
         }
 
         // 3. Store: operation counters (deltas) and occupancy (levels).
         let ops = self.store.op_counts();
         push_deltas(
-            frame,
+            &mut feed,
             &mut self.store_ops,
             [
                 ops.samples_ingested,
@@ -280,8 +305,23 @@ impl Collector for SelfCollector {
         let levels =
             [st.series as f64, st.hot_points as f64, st.warm_points as f64, st.warm_bytes as f64];
         for (id, v) in self.store_stats.iter().zip(levels) {
-            frame.push(*id, CompId::SYSTEM, v);
+            feed.emit(*id, v);
         }
+
+        // 4. Into the frame, as one set: declared again only when the
+        //    series differ from the last declared.
+        if feed.ids != self.declared {
+            std::mem::swap(&mut feed.ids, &mut self.declared);
+            self.version += 1;
+        }
+        let declared = &self.declared;
+        let declare = |keys: &mut SetKeys<'_>| {
+            declared.iter().for_each(|&id| keys.push(id, CompId::SYSTEM));
+        };
+        frame.extend_set(&mut self.set, self.version, declare, |values| {
+            values.copy_from_slice(&feed.values);
+        });
+        self.feed = feed;
     }
 }
 

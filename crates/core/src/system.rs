@@ -998,7 +998,8 @@ impl MonitoringSystem {
             self.bench_suite.run(&self.engine, &mut frame, &mut cx.bench_logs);
         }
         cx.report.samples = frame.len();
-        if let Some(span) = &mut cx.span {
+        // Formatted for a sampled span only: an inert one drops its note.
+        if let Some(span) = cx.span.as_mut().filter(|span| span.context().sampled) {
             span.set_note(format!("{} samples", cx.report.samples));
         }
         cx.draft = Some(frame);
@@ -1763,6 +1764,64 @@ mod tests {
         for stage in TICK {
             if let Some(span) = stage.span {
                 assert_eq!(span.as_str(), stage.name);
+            }
+        }
+    }
+
+    /// Counts the ticks its collector wrote keys on: it holds the frame's
+    /// keys while the collector runs, so a key written means a copy.
+    struct KeyWrites(Box<dyn Collector>, std::rc::Rc<std::cell::Cell<u32>>);
+
+    impl Collector for KeyWrites {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+
+        fn collect(&mut self, engine: &SimEngine, frame: &mut ColumnFrame) {
+            let held = frame.keys.clone();
+            self.0.collect(engine, frame);
+            if !frame.keys.same_buffer(&held) {
+                self.1.set(self.1.get() + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_shape_collectors_declare_once_and_a_steady_frame_keeps_its_buffer() {
+        let mut mon = quick_system();
+        mon.submit_job(JobSpec::new(
+            AppProfile::checkpointing("ckpt"),
+            "bob",
+            16,
+            20 * 60_000,
+            Ts::ZERO,
+        ));
+        let mut writes = Vec::new();
+        for c in std::mem::take(&mut mon.collectors) {
+            let count = std::rc::Rc::default();
+            writes.push((c.name().to_string(), std::rc::Rc::clone(&count)));
+            mon.collectors.push(Box::new(KeyWrites(c, count)));
+        }
+        let mut prev: Option<Arc<ColumnFrame>> = None;
+        let mut steady = 0;
+        for tick in 0..64 {
+            mon.tick();
+            let frame = Arc::clone(mon.last_frame().expect("a tick publishes its frame"));
+            if let Some(prev) = prev.filter(|p| p.keys == frame.keys) {
+                assert!(frame.keys.same_buffer(&prev.keys), "tick {tick}: same keys, new buffer");
+                steady += 1;
+            }
+            prev = Some(frame);
+        }
+        assert!(steady >= 40, "all but the bench tail's and self feed's ticks: {steady}");
+        let counts: Vec<(&str, u32)> = writes.iter().map(|(n, c)| (n.as_str(), c.get())).collect();
+        for (name, count) in &counts {
+            match *name {
+                // The read attribution follows the jobs; the self feed, its
+                // instruments.
+                "fs" | "self" => assert!(*count >= 1, "{name}"),
+                "bb" => assert_eq!(*count, 0, "no burst buffer, no set"),
+                _ => assert_eq!(*count, 1, "{name} declares once: {counts:?}"),
             }
         }
     }

@@ -20,15 +20,105 @@
 //! the arena handed it, shared by pointer, and only a key that differs
 //! makes the frame copy.  Whoever holds two key columns on one buffer
 //! knows they agree on their common length without comparing a key.
+//!
+//! Nor is it read.  A collector declares its keys once as a [`MetricSet`]
+//! ([`ColumnFrame::extend_set`]); the buffer remembers which set's keys it
+//! holds at which offset, and a frame whose cursor stands on them skips
+//! the whole set and only fills its values.
 
 use crate::sample::{FrameCoverage, Sample, SeriesKey};
 use crate::{CompId, FrameLayout, MetricId, Ts};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Deref;
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-type Column = Arc<Vec<SeriesKey>>;
+type Column = Arc<KeyBuf>;
+
+/// A key buffer and the sets it holds.
+#[derive(Debug, Default)]
+struct KeyBuf {
+    keys: Vec<SeriesKey>,
+    /// Each names a set whose keys lie at its offset, true for as long as
+    /// the buffer lives: a buffer is written only while nothing else holds
+    /// it, and writing at a position drops the records that reach it.  A
+    /// shared buffer takes a record under the lock when a set is declared
+    /// onto keys it already holds.
+    sets: Mutex<Vec<SetRecord>>,
+}
+
+impl KeyBuf {
+    /// No code that can panic runs under the lock, and each update is one
+    /// push: a poisoned list is still whole.
+    fn sets(&self) -> std::sync::MutexGuard<'_, Vec<SetRecord>> {
+        self.sets.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn sets_mut(&mut self) -> &mut Vec<SetRecord> {
+        self.sets.get_mut().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Keep the first `at` keys and the sets that end by then.
+    fn truncate(&mut self, at: usize) {
+        self.keys.truncate(at);
+        self.sets_mut().retain(|r| r.end() <= at);
+    }
+}
+
+/// Where a buffer holds the keys of one declared set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SetRecord {
+    at: u32,
+    id: u64,
+    version: u64,
+    len: u32,
+}
+
+impl SetRecord {
+    fn end(&self) -> usize {
+        (self.at + self.len) as usize
+    }
+
+    fn of(&self, set: &MetricSet) -> bool {
+        (self.id, Some(self.version), self.len) == (set.id, set.version, set.len)
+    }
+}
+
+/// A collector's handle on the keys it writes, in the order it writes
+/// them: a unique identity, the version they were last declared at, and
+/// their number.  See [`ColumnFrame::extend_set`].
+#[derive(Debug)]
+pub struct MetricSet {
+    id: u64,
+    version: Option<u64>,
+    len: u32,
+}
+
+impl MetricSet {
+    /// A set never declared, with an identity no other set has.
+    pub fn new() -> MetricSet {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        MetricSet { id: NEXT.fetch_add(1, Ordering::Relaxed), version: None, len: 0 }
+    }
+}
+
+impl Default for MetricSet {
+    fn default() -> MetricSet {
+        MetricSet::new()
+    }
+}
+
+/// Where a set's `declare` writes its keys.
+pub struct SetKeys<'a>(&'a mut KeyColumn);
+
+impl SetKeys<'_> {
+    /// The set's next key.
+    #[inline]
+    pub fn push(&mut self, metric: MetricId, comp: CompId) {
+        self.0.push(SeriesKey::new(metric, comp));
+    }
+}
 
 /// [`KeyColumn`]'s `first_difference` while its keys are a prefix of the
 /// buffer they were handed.
@@ -44,13 +134,15 @@ fn empty_column() -> Column {
 /// on the first key that differs.
 ///
 /// [`ColumnFrame::push`] of the key the buffer already holds at the cursor
-/// only advances the cursor.  On the first difference the prefix is copied
-/// into a buffer of the column's own (its spare, when it has one) and
-/// written from there on; a buffer nothing else holds is written in place.
-/// So a buffer is never written while shared, and two key columns on one
-/// buffer ([`KeyColumn::same_buffer`]) agree on their common length.
-/// Dereferences to `&[SeriesKey]`.  Positions are `u32`, as everywhere a
-/// frame is read by position: a column holds fewer than `u32::MAX` keys.
+/// only advances the cursor, and [`ColumnFrame::extend_set`] of a set the
+/// buffer holds there advances it over the whole set.  On the first
+/// difference the prefix is copied into a buffer of the column's own (its
+/// spare, when it has one) and written from there on; a buffer nothing
+/// else holds is written in place.  So a buffer is never written while
+/// shared, and two key columns on one buffer ([`KeyColumn::same_buffer`])
+/// agree on their common length.  Dereferences to `&[SeriesKey]`.
+/// Positions are `u32`, as everywhere a frame is read by position: a
+/// column holds fewer than `u32::MAX` keys.
 pub struct KeyColumn {
     buf: Column,
     /// Until the keys leave the buffer they were handed, the spare they
@@ -71,7 +163,7 @@ impl KeyColumn {
     /// Append `key`: free when the buffer already holds it there.
     #[inline]
     fn push(&mut self, key: SeriesKey) {
-        match self.buf.get(self.len as usize) {
+        match self.buf.keys.get(self.len as usize) {
             Some(&held) if held == key => self.len += 1,
             _ => self.diverge(key),
         }
@@ -81,25 +173,67 @@ impl KeyColumn {
     /// alone, else into a copy of the prefix.
     fn diverge(&mut self, key: SeriesKey) {
         let at = self.len as usize;
-        if let Some(own) = Arc::get_mut(&mut self.buf) {
-            own.truncate(at);
-            own.push(key);
-        } else {
+        if Arc::get_mut(&mut self.buf).is_none() {
             // A column that already left the buffer it was handed keeps
             // that one in `other`, and copies into a new buffer.
             let spare = if self.forked() { None } else { self.other.take() };
-            let mut own = spare.unwrap_or_default();
-            let keys = Arc::make_mut(&mut own);
-            keys.clear();
-            keys.extend_from_slice(&self.buf[..at]);
-            keys.push(key);
+            let mut own = spare.filter(|spare| Arc::strong_count(spare) == 1).unwrap_or_default();
+            let copy = Arc::get_mut(&mut own).expect("a spare is held by nothing else");
+            copy.keys.clear();
+            copy.keys.extend_from_slice(&self.buf.keys[..at]);
+            let kept = self.buf.sets().iter().filter(|r| r.end() <= at).copied().collect();
+            *copy.sets_mut() = kept;
             let handed = std::mem::replace(&mut self.buf, own);
             if !self.forked() {
                 (self.other, self.first_difference) = (Some(handed), self.len);
             }
         }
+        let own = Arc::get_mut(&mut self.buf).expect("the column's own buffer");
+        own.truncate(at);
+        own.keys.push(key);
         self.len += 1;
         assert_ne!(self.len, UNFORKED, "a key column holds fewer than u32::MAX keys");
+    }
+
+    /// Advance over `set`'s keys, declaring them unless the buffer holds
+    /// them at the cursor (see [`ColumnFrame::extend_set`]); returns how
+    /// many.
+    fn extend_set(
+        &mut self,
+        set: &mut MetricSet,
+        version: u64,
+        declare: impl FnOnce(&mut SetKeys<'_>),
+    ) -> usize {
+        let at = self.len;
+        // A set declared empty has nothing to find.
+        let held = set.version == Some(version)
+            && (set.len == 0 || self.buf.sets().iter().any(|r| r.at == at && r.of(set)));
+        if held {
+            let (from, n) = (at as usize, set.len as usize);
+            if cfg!(debug_assertions) {
+                let mut declared = KeyColumn::default();
+                declare(&mut SetKeys(&mut declared));
+                assert!(
+                    *declared == self.buf.keys[from..from + n],
+                    "set {} skipped keys its declare does not write",
+                    set.id
+                );
+            }
+            self.len += set.len;
+            return n;
+        }
+        declare(&mut SetKeys(self));
+        (set.version, set.len) = (Some(version), self.len - at);
+        // A key is written only where the buffer did not hold it, so the
+        // buffer holds the set from `at` on either way.
+        let record = SetRecord { at, id: set.id, version, len: set.len };
+        if set.len > 0 {
+            match Arc::get_mut(&mut self.buf) {
+                Some(own) => own.sets_mut().push(record),
+                None => self.buf.sets().push(record),
+            }
+        }
+        set.len as usize
     }
 
     fn forked(&self) -> bool {
@@ -158,7 +292,7 @@ impl Deref for KeyColumn {
 
     #[inline]
     fn deref(&self) -> &[SeriesKey] {
-        &self.buf[..self.len as usize]
+        &self.buf.keys[..self.len as usize]
     }
 }
 
@@ -209,7 +343,9 @@ pub struct ColumnFrame {
     pub ts: Ts,
     /// Series identity of each sample, in append order.
     pub keys: KeyColumn,
-    /// Observed value of each sample (parallel to `keys`).
+    /// Observed value of each sample (parallel to `keys`).  While a frame
+    /// from [`FrameArena::take_current`] is filled it may run past `keys`
+    /// with the values it was last published with; `publish` cuts them.
     pub values: Vec<f64>,
     /// Which collectors contributed: stamped on every frame the pipeline's
     /// collect stage fills, `None` on frames built anywhere else.
@@ -235,7 +371,8 @@ impl<'de> Deserialize<'de> for ColumnFrame {
         let len = u32::try_from(keys.len()).ok().filter(|&n| n != UNFORKED);
         let len =
             len.ok_or_else(|| serde::Error::msg("a frame holds fewer than u32::MAX samples"))?;
-        let keys = KeyColumn { len, ..KeyColumn::on(Arc::new(keys)) };
+        let buf = Arc::new(KeyBuf { keys, ..KeyBuf::default() });
+        let keys = KeyColumn { len, ..KeyColumn::on(buf) };
         Ok(ColumnFrame { ts, keys, values, coverage })
     }
 }
@@ -249,8 +386,44 @@ impl ColumnFrame {
     /// Append a sample, stamping it with the frame's tick.
     #[inline]
     pub fn push(&mut self, metric: MetricId, comp: CompId, value: f64) {
+        let at = self.keys.len();
         self.keys.push(SeriesKey::new(metric, comp));
-        self.values.push(value);
+        match self.values.get_mut(at) {
+            Some(held) => *held = value,
+            None => self.values.push(value),
+        }
+    }
+
+    /// Append the samples of `set`: its keys, then the values `fill` writes
+    /// into a slice of exactly their number.
+    ///
+    /// `version` is whatever the collector knows its keys by — the shape
+    /// they follow, or a count it advances whenever they change — and must
+    /// change whenever they do.  Where the key buffer holds this set, at
+    /// this version, at the cursor (a frame a tick before declared it
+    /// there), its keys are skipped without one being read.  Anywhere else
+    /// — the first time, at a new version, after a slot before it failed
+    /// or a set before it changed length — `declare` writes them, each key
+    /// compared with the one the buffer holds, as [`ColumnFrame::push`]
+    /// does.  In debug builds every skip checks the skipped keys against
+    /// what `declare` writes.
+    ///
+    /// A frame an arena hands out still holds the values it was published
+    /// with, so `fill` overwrites them in place: nothing zeroes the value
+    /// column first.
+    pub fn extend_set(
+        &mut self,
+        set: &mut MetricSet,
+        version: u64,
+        declare: impl FnOnce(&mut SetKeys<'_>),
+        fill: impl FnOnce(&mut [f64]),
+    ) {
+        let at = self.keys.len();
+        let end = at + self.keys.extend_set(set, version, declare);
+        if self.values.len() < end {
+            self.values.resize(end, 0.0);
+        }
+        fill(&mut self.values[at..end]);
     }
 
     /// Number of samples in the frame.
@@ -348,14 +521,13 @@ impl FrameArena {
 
     /// Begin a tick: return an owned, empty frame stamped `ts` on the
     /// arena's key column, reusing the buffer published two ticks ago
-    /// when it is no longer shared.
+    /// when it is no longer shared (its values too, for
+    /// [`ColumnFrame::extend_set`] to overwrite).
     pub fn take_current(&mut self, ts: Ts) -> ColumnFrame {
         self.live ^= 1;
         let mut cf = match self.slots[self.live].take().and_then(|a| Arc::try_unwrap(a).ok()) {
-            Some(mut cf) => {
-                cf.clear_for_tick(ts);
-                cf
-            }
+            // The values stay, for `extend_set` to overwrite.
+            Some(cf) => ColumnFrame { ts, coverage: None, ..cf },
             None => {
                 self.fresh_allocs += 1;
                 ColumnFrame::new(ts)
@@ -388,6 +560,7 @@ impl FrameArena {
     /// Finish a tick: move the filled frame into the live slot and hand
     /// back a shared handle.  No sample data is copied.
     pub fn publish(&mut self, mut frame: ColumnFrame) -> Arc<ColumnFrame> {
+        frame.values.truncate(frame.keys.len());
         let keys = &mut frame.keys;
         let first_difference = std::mem::replace(&mut keys.first_difference, UNFORKED);
         let handed = match keys.other.take() {
@@ -397,7 +570,7 @@ impl FrameArena {
             }
             handed => handed,
         };
-        let described = &self.column[..self.layout.len()];
+        let described = &self.column.keys[..self.layout.len()];
         let sweep = || described.iter().zip(keys.iter()).take_while(|(a, b)| a == b).count();
         let common = if Arc::ptr_eq(&keys.buf, &self.column) {
             described.len().min(keys.len())
@@ -411,7 +584,7 @@ impl FrameArena {
         self.layout.observe(common, keys);
         if !Arc::ptr_eq(&keys.buf, &self.column) {
             let retired = std::mem::replace(&mut self.column, Arc::clone(&keys.buf));
-            if retired.capacity() > 0 {
+            if retired.keys.capacity() > 0 {
                 if self.retired.len() == RETIRED_COLUMNS {
                     self.retired.remove(0);
                 }
@@ -537,9 +710,84 @@ mod tests {
     }
 
     fn fill(cf: &mut ColumnFrame, keys: &[SeriesKey]) {
-        for (i, k) in keys.iter().enumerate() {
-            cf.push(k.metric, k.comp, i as f64);
+        for k in keys {
+            cf.push(k.metric, k.comp, value_of(k));
         }
+    }
+
+    /// The value every test frame holds for `k`.
+    fn value_of(k: &SeriesKey) -> f64 {
+        f64::from(k.metric.0) * 1_000.0 + f64::from(k.comp.index)
+    }
+
+    /// Test collectors' sets: a handle each, and the key lists declared so
+    /// far — a list's version is its index, so equal keys keep a version and
+    /// the first list of every set is version 0.
+    struct Sets(Vec<(MetricSet, Vec<Vec<SeriesKey>>)>);
+
+    impl Sets {
+        fn new(n: usize) -> Sets {
+            Sets((0..n).map(|_| (MetricSet::new(), Vec::new())).collect())
+        }
+
+        /// Append set `k` holding `keys`; `fresh` declares them at a new
+        /// version even if they are the keys of an earlier one.
+        fn extend(&mut self, cf: &mut ColumnFrame, k: usize, keys: &[SeriesKey], fresh: bool) {
+            let (set, lists) = &mut self.0[k];
+            let version = match lists.iter().rposition(|l| l == keys) {
+                Some(v) if !fresh => v,
+                _ => {
+                    lists.push(keys.to_vec());
+                    lists.len() - 1
+                }
+            };
+            let declare =
+                |out: &mut SetKeys<'_>| keys.iter().for_each(|k| out.push(k.metric, k.comp));
+            let fill = |values: &mut [f64]| {
+                assert_eq!(values.len(), keys.len(), "a slice of the set's length");
+                values.iter_mut().zip(keys).for_each(|(v, k)| *v = value_of(k));
+            };
+            cf.extend_set(set, version as u64, declare, fill);
+        }
+    }
+
+    #[test]
+    fn a_set_is_skipped_only_where_its_own_keys_are() {
+        let seg = |m: u32| -> Vec<SeriesKey> { (0..4).map(|c| key(m, c)).collect() };
+        let keys = [seg(0), seg(1), seg(2), seg(3)];
+        let mut sets = Sets::new(4);
+        let mut arena = FrameArena::new();
+        // Each `(set, failed)` in order; the published keys.
+        let mut tick = |order: &[(usize, bool)]| {
+            let mut cf = arena.take_current(Ts(0));
+            for &(k, failed) in order {
+                let before = cf.len();
+                sets.extend(&mut cf, k, &keys[k], false);
+                if failed {
+                    cf.truncate(before);
+                }
+            }
+            let values: Vec<f64> = cf.keys.iter().map(value_of).collect();
+            let frame = arena.publish(cf);
+            assert_eq!(frame.values, values);
+            frame
+        };
+        let ok = |k| (k, false);
+        let whole = tick(&[ok(0), ok(1), ok(2)]);
+        assert!(tick(&[ok(0), ok(1), ok(2)]).keys.same_buffer(&whole.keys), "all skipped");
+        // Set 1 fails: set 2 lands on its offset at an equal version and
+        // length, and its own keys are what the frame holds there.
+        let cut = tick(&[ok(0), (1, true), ok(2)]);
+        assert_eq!(cut.keys.to_vec(), [&keys[0][..], &keys[2][..]].concat());
+        let again = tick(&[ok(0), ok(1), ok(2)]);
+        assert_eq!(again.keys.to_vec(), keys[..3].concat());
+        // Set 1 declared past the first difference and then cut out, set 3
+        // written over it in place: its record goes, and set 1 is not
+        // skipped onto set 3's keys a tick later.
+        let over = tick(&[ok(0), ok(2), (1, true), ok(3)]);
+        assert_eq!(over.keys.to_vec(), [&keys[0][..], &keys[2][..], &keys[3][..]].concat());
+        let next = tick(&[ok(0), ok(2), ok(1)]);
+        assert_eq!(next.keys.to_vec(), [&keys[0][..], &keys[2][..], &keys[1][..]].concat());
     }
 
     #[test]
@@ -675,10 +923,12 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Pushes, truncations and refills across arena ticks — keys that
-        /// differ at position 0, mid-column and past the end, short frames,
-        /// a tail that comes and goes, frames held past their tick: every
-        /// published frame's keys equal a `Vec` built from the same calls,
+        /// Pushes, sets, truncations and refills across arena ticks — keys
+        /// that differ at position 0, mid-column and past the end, short
+        /// frames, a tail that comes and goes, frames held past their tick,
+        /// a set re-declared, a failed set dropped and the next sliding into
+        /// its offset: every published frame's keys and values equal `Vec`s
+        /// built from the same calls,
         /// every held frame still reads its own, the layout equals a scan,
         /// and a column that did not change is the previous one's buffer.
         #[test]
@@ -687,7 +937,7 @@ mod tests {
                 (
                     (0usize..30, 0u8..4, 0usize..26, proptest::any::<bool>()),
                     // (how the frame is filled, a, b, ticks held past its own)
-                    (0u8..4, 0usize..32, 0usize..32, 0usize..3),
+                    (0u8..8, 0usize..32, 0usize..32, 0usize..3),
                 ),
                 1..16,
             ),
@@ -700,6 +950,7 @@ mod tests {
             let slots: Vec<usize> = watched.iter().map(|&k| arena.watch(k)).collect();
             let mut held: Vec<(Arc<ColumnFrame>, Vec<SeriesKey>, usize)> = Vec::new();
             let mut prev: Option<(Arc<ColumnFrame>, Vec<SeriesKey>)> = None;
+            let mut sets = Sets::new(4);
             for (t, &((len, edit, at, tail), (how, a, b, hold))) in ticks.iter().enumerate() {
                 let keys = tick_keys(&body, len, (edit, at), tail);
                 let (a, mut oracle) = (a.min(keys.len()), Vec::new());
@@ -733,11 +984,32 @@ mod tests {
                         oracle.clear();
                         push(&mut cf, &mut oracle, &keys);
                     }
+                    // Four sets of a quarter each (the last takes the rest):
+                    // all delivered; set `a % 4` failed and dropped, so the
+                    // next slides into its offset at an equal version and,
+                    // but for the last, an equal length; set 0 re-declared
+                    // at a fresh version; or pushed keys before the sets.
+                    4..=7 => {
+                        let q = keys.len() / 4;
+                        let pushed = if how == 7 { b.min(q) } else { 0 };
+                        push(&mut cf, &mut oracle, &keys[..pushed]);
+                        for k in 0..4 {
+                            let seg = &keys[(k * q).max(pushed)..if k == 3 { keys.len() } else { (k + 1) * q }.max(pushed)];
+                            let before = cf.len();
+                            sets.extend(&mut cf, k, seg, how == 6 && k == 0);
+                            if how == 5 && k == a % 4 {
+                                cf.truncate(before);
+                            } else {
+                                oracle.extend_from_slice(seg);
+                            }
+                        }
+                    }
                     _ => push(&mut cf, &mut oracle, &keys),
                 }
                 let shared = arena.publish(cf);
                 prop_assert_eq!(&shared.keys.to_vec(), &oracle);
-                prop_assert_eq!(shared.values.len(), oracle.len());
+                let values: Vec<f64> = oracle.iter().map(value_of).collect();
+                prop_assert_eq!(&shared.values, &values);
                 for (frame, keys, _) in &held {
                     prop_assert_eq!(&frame.keys.to_vec(), keys);
                 }

@@ -28,7 +28,7 @@ pub mod metric;
 pub mod sample;
 pub mod time;
 
-pub use arena::{ColumnFrame, FrameArena, KeyColumn};
+pub use arena::{ColumnFrame, FrameArena, KeyColumn, MetricSet, SetKeys};
 pub use component::{CompId, CompKind};
 pub use hash::StateHash;
 pub use job::{JobId, JobRecord, JobState};

@@ -919,16 +919,19 @@ impl SimEngine {
     }
 
     /// One node's state.
+    #[inline]
     pub fn node(&self, n: u32) -> &NodeState {
         &self.nodes[n as usize]
     }
 
     /// One GPU's state (global index).
+    #[inline]
     pub fn gpu(&self, g: u32) -> &GpuState {
         &self.gpus[g as usize]
     }
 
     /// Instantaneous node power, watts.
+    #[inline]
     pub fn node_power_w(&self, n: u32) -> f64 {
         self.power_w[n as usize]
     }

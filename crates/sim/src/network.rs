@@ -183,21 +183,25 @@ impl NetworkState {
     }
 
     /// Bytes moved over a link this tick.
+    #[inline]
     pub fn link_traffic_bytes(&self, link: u32) -> f64 {
         self.traffic[link as usize]
     }
 
     /// Excess (stalled) bytes on a link this tick.
+    #[inline]
     pub fn link_stall_bytes(&self, link: u32) -> f64 {
         self.stalls[link as usize]
     }
 
     /// Bit errors on a link this tick.
+    #[inline]
     pub fn link_errors(&self, link: u32) -> f64 {
         self.errors[link as usize]
     }
 
     /// Utilization of a link over the last settled tick, in `[0, 1]`.
+    #[inline]
     pub fn link_utilization(&self, link: u32) -> f64 {
         if self.last_dt_ms == 0 {
             return 0.0;
@@ -224,6 +228,7 @@ impl NetworkState {
     /// Injection bandwidth as a percentage of one link's capacity — the
     /// Figure 1 metric ("injection of data into the network ... mean
     /// bandwidth utilization as a percent of maximum").
+    #[inline]
     pub fn node_injection_pct(&self, node: u32) -> f64 {
         if self.last_dt_ms == 0 {
             return 0.0;

@@ -107,16 +107,19 @@ impl NodeState {
     }
 
     /// Free memory, bytes.
+    #[inline]
     pub fn free_mem_bytes(&self) -> f64 {
         (self.mem_total_bytes - self.mem_used_bytes).max(0.0)
     }
 
     /// Memory utilization in `[0, 1]`.
+    #[inline]
     pub fn mem_util(&self) -> f64 {
         (self.mem_used_bytes / self.mem_total_bytes).clamp(0.0, 1.0)
     }
 
     /// Whether the node passes a health check (ignores occupancy).
+    #[inline]
     pub fn passes_health_check(&self) -> bool {
         self.health == NodeHealth::Up
             && self.services_ok.iter().all(|&s| s)

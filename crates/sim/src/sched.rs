@@ -208,6 +208,11 @@ impl Scheduler {
         (0..self.num_nodes).filter(|&n| self.oos[n as usize]).collect()
     }
 
+    /// Number of nodes currently out of service.
+    pub fn out_of_service_count(&self) -> usize {
+        self.oos.iter().filter(|&&out| out).count()
+    }
+
     /// Return a sidelined node to service (post-repair).
     pub(crate) fn return_to_service(&mut self, node: u32) {
         self.oos[node as usize] = false;
@@ -225,9 +230,15 @@ impl Scheduler {
             .collect()
     }
 
-    /// Number of free, in-service nodes.
+    /// Number of free, in-service nodes: those no running job holds, less
+    /// the idle ones out of service — no pass over the allocation table.
     pub fn free_count(&self) -> usize {
-        self.free_nodes().len()
+        let allocated: usize = self.running.iter().map(|r| r.nodes.len()).sum();
+        let idle_out = self.oos.iter().enumerate();
+        let idle_out = idle_out.filter(|&(n, &out)| out && self.alloc[n].is_none()).count();
+        let free = self.num_nodes as usize - allocated - idle_out;
+        debug_assert_eq!(free, self.free_nodes().len(), "a running job holds its nodes");
+        free
     }
 
     /// Attempt to start queued jobs at `now`.

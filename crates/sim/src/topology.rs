@@ -211,6 +211,7 @@ impl Topology {
     /// cabinet order (as on real machines), so each cabinet holds a
     /// contiguous block of node ids: torus cabinets are equal blocks of
     /// `num_nodes / dims[0]`, dragonfly cabinets are groups.
+    #[inline]
     pub fn cabinet_of(&self, node: u32) -> u32 {
         assert!(node < self.num_nodes, "node {node} out of range");
         match self.spec {

@@ -381,17 +381,27 @@ impl Cohorts {
     /// series that is not a member).  A loud member's column stays
     /// allocated, unused, until the cohort is next re-laid or empties.
     pub(crate) fn evict(&mut self, slot: &mut SeriesSlot) {
-        let Some((c, j)) = slot.seat.take() else { return };
+        if slot.seat.is_some() {
+            self.unseat(slot);
+            self.gen += 1;
+        }
+    }
+
+    /// [`Cohorts::evict`] of a member, leaving `gen` to the caller, who
+    /// patches the plan it lands through or re-plans.  Returns whether the
+    /// cohort emptied (and was reset).
+    fn unseat(&mut self, slot: &mut SeriesSlot) -> bool {
+        let (c, j) = slot.seat.take().expect("a member has a seat");
         let cohort = &mut self.list[c as usize];
         debug_assert!(slot.data.hot.is_empty(), "a member's own buffer stays empty");
         slot.data.hot.extend(cohort.view(j).points());
         *cohort.member_mut(j) = RETIRED;
         cohort.live -= 1;
+        self.evictions += 1;
         if cohort.live == 0 {
             *cohort = Cohort::default();
         }
-        self.gen += 1;
-        self.evictions += 1;
+        cohort.live == 0
     }
 
     /// Take `members` (hot-empty series in no cohort), in the order given,
@@ -782,6 +792,17 @@ impl RowPlan {
         }
     }
 
+    /// The plan [`RowPlan::derive`] would make once a quiet member of
+    /// gather `g`, at frame position `pos` in slot `slot`, is evicted and
+    /// its cohort still has members: one member fewer present in the gather
+    /// (its position, now a retired member's, is read by nobody), loose at
+    /// its place in frame order.  `last_pos` stays, an upper bound.
+    fn unseat_quiet(&mut self, g: usize, pos: u32, slot: u32) {
+        self.gathers[g].present -= 1;
+        let at = self.loose.partition_point(|&(p, _)| p < pos);
+        self.loose.insert(at, (pos, slot));
+    }
+
     /// Whether `shard` can take a synchronized frame stamped `ts` straight
     /// through this plan: nothing moved since it was derived, no cohort's
     /// last row is newer, and no loose series is hot-empty that could be
@@ -850,7 +871,8 @@ impl ShardPlan {
     /// Bring the plan up to date with `shard`, lookup-only: resolve the
     /// positions whose series now exist, and re-derive the rows if more
     /// than loose samples at the tail changed, or the shard's cohorts did.
-    pub(crate) fn refresh(&mut self, shard: &Shard, keys: &[SeriesKey]) {
+    /// Returns whether it re-derived them.
+    pub(crate) fn refresh(&mut self, shard: &Shard, keys: &[SeriesKey]) -> bool {
         if self.unresolved > 0 {
             for (&pos, slot) in self.all.iter().zip(&mut self.slot_of) {
                 if *slot != UNRESOLVED {
@@ -871,10 +893,12 @@ impl ShardPlan {
                 }
             }
         }
-        if !self.all.is_empty() && (self.changed || self.rows.gen != shard.cohorts.gen) {
+        let derive = !self.all.is_empty() && (self.changed || self.rows.gen != shard.cohorts.gen);
+        if derive {
             self.rows.derive(&self.all, &self.slot_of, keys, shard);
             self.changed = false;
         }
+        derive
     }
 }
 
@@ -884,9 +908,9 @@ impl TimeSeriesStore {
     /// order `snapshot()` takes its read locks — and held until the group
     /// has landed.  A shard whose cached rows no longer fit goes the slow
     /// way first, alone; the rest land together ([`Self::land`]).
-    pub(crate) fn ingest_route(&self, cf: &ColumnFrame, route: &IngestRoute) {
+    pub(crate) fn ingest_route(&self, cf: &ColumnFrame, route: &mut IngestRoute) {
         assert_eq!(cf.len(), route.column.len(), "the route was prepared for another frame");
-        for (group, plans) in route.per_shard.chunks(LOCKED).enumerate() {
+        for (group, plans) in route.per_shard.chunks_mut(LOCKED).enumerate() {
             let batch: u64 = plans.iter().map(|p| p.len() as u64).sum();
             if batch == 0 {
                 continue;
@@ -900,13 +924,15 @@ impl TimeSeriesStore {
             let mut guards: [Option<_>; LOCKED] = std::array::from_fn(|i| {
                 plans.get(i).filter(|p| p.len() > 0).map(|_| shards[i].write())
             });
-            let mut lanes: [Option<(&mut Shard, &RowPlan)>; LOCKED] = std::array::from_fn(|_| None);
+            let mut lanes: [Option<(&mut Shard, &mut RowPlan)>; LOCKED] =
+                std::array::from_fn(|_| None);
             for ((lane, guard), plan) in lanes.iter_mut().zip(&mut guards).zip(plans) {
                 let Some(shard) = guard.as_deref_mut() else { continue };
                 if plan.rows.fits(shard, cf.ts) {
-                    *lane = Some((shard, &plan.rows));
+                    *lane = Some((shard, &mut plan.rows));
                 } else {
                     self.ingest_batch(shard, cf, plan);
+                    route.row_plans += 1;
                 }
             }
             self.land(cf, &mut lanes);
@@ -926,18 +952,25 @@ impl TimeSeriesStore {
         let mut rows = RowPlan::default();
         rows.derive(&plan.all, &slot_of, &cf.keys, shard);
         assert!(rows.clean, "a settled shard takes its batch as whole rows");
-        self.land(cf, &mut [Some((shard, &rows))]);
+        let evictions = shard.cohorts.evictions;
+        self.land(cf, &mut [Some((&mut *shard, &mut rows))]);
+        // These rows are the batch's alone: what an eviction patched into
+        // them the route's plan must learn by a re-plan.
+        if shard.cohorts.evictions != evictions {
+            shard.cohorts.gen += 1;
+        }
     }
 
     /// Land each lane's rows in its shard: one row opened per gathered
     /// cohort, filled in one pass over `cf`'s values, `BLOCK` positions at
     /// a time, each cohort taking the columns its cuts assign the block;
     /// then each cohort's quiet members are checked against their samples
-    /// (one that differs is evicted, its row's point the sample), the
+    /// (one that differs is evicted, its row's point the sample, and the
+    /// plan patched to carry it loose from the next frame on), the
     /// cohorts that reached the threshold seal (the tick every member would
     /// seal on alone), those at their first cycle's second row are re-laid,
     /// and the loose samples are appended one by one.
-    fn land(&self, cf: &ColumnFrame, lanes: &mut [Option<(&mut Shard, &RowPlan)>]) {
+    fn land(&self, cf: &ColumnFrame, lanes: &mut [Option<(&mut Shard, &mut RowPlan)>]) {
         for (shard, rows) in lanes.iter_mut().flatten() {
             for g in &rows.gathers {
                 shard.cohorts.list[g.cohort as usize].open_row(cf.ts);
@@ -955,7 +988,8 @@ impl TimeSeriesStore {
         }
         for (shard, rows) in lanes.iter_mut().flatten() {
             let Shard { slots, cohorts, .. } = &mut **shard;
-            for g in &rows.gathers {
+            let mut unseated = Vec::new();
+            for (gi, g) in rows.gathers.iter().enumerate() {
                 let c = g.cohort as usize;
                 let cohort = &cohorts.list[c];
                 debug_assert!(cohort.row_is_full(), "every column of the row was filled");
@@ -971,7 +1005,11 @@ impl TimeSeriesStore {
                             continue;
                         }
                         let s = &mut slots[quiet.0 as usize];
-                        cohorts.evict(s);
+                        if cohorts.unseat(s) {
+                            cohorts.gen += 1;
+                        } else {
+                            unseated.push((gi, p, quiet.0));
+                        }
                         // The row's point is the sample, not the value.
                         s.data.hot.pop();
                         self.append_point(s.key, &mut s.data, cf.ts, cf.values[p as usize]);
@@ -987,6 +1025,10 @@ impl TimeSeriesStore {
             for &(pos, slot) in &rows.loose {
                 let s = &mut slots[slot as usize];
                 self.append_point(s.key, &mut s.data, cf.ts, cf.values[pos as usize]);
+            }
+            // Loose from the next frame on: this one's sample is appended.
+            for (g, pos, slot) in unseated {
+                rows.unseat_quiet(g, pos, slot);
             }
         }
     }
@@ -1264,12 +1306,16 @@ mod tests {
         for k in pair.routed.all_series() {
             assert_eq!(pair.routed.query(k, ALL.0, ALL.1), pair.oracle.query(k, ALL.0, ALL.1));
         }
-        for tick in 2..6 {
+        for tick in 2..5 {
             pair.frame(&of_64(tick, first_rows));
         }
-        // Nodes 56..60 moved at row 5 and left with six points each; the
-        // cohort still holds the loud share alone.
+        let plans = pair.route.row_plans;
+        pair.frame(&of_64(5, first_rows));
+        // Nodes 56..60 moved at row 5 and left with six points each, the
+        // plan patched rather than derived again; the cohort still holds
+        // the loud share alone.
         let layout = pair.routed.hot_layout();
+        assert_eq!(pair.route.row_plans, plans, "an eviction at a row re-plans nothing");
         assert_eq!((layout.members, layout.quiet, layout.evictions), (60, 48, 4), "{layout:?}");
         assert!((6_144 + 4 * 96..8_192 + 4 * 96).contains(&layout.hot_bytes), "{layout:?}");
         for tick in 6..12 {
@@ -1396,7 +1442,7 @@ mod tests {
         let mut pair = build();
         pair.routed.prepare_route(cf, &mut pair.route);
         let before = thread_allocations();
-        pair.routed.ingest_route(cf, &pair.route);
+        pair.routed.ingest_route(cf, &mut pair.route);
         thread_allocations() - before
     }
 

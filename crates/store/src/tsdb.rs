@@ -315,6 +315,9 @@ pub struct IngestRoute {
     /// routed.
     pub(crate) column: KeyColumn,
     pub(crate) per_shard: Vec<ShardPlan>,
+    /// Shard row plans derived through this route, each a pass over the
+    /// shard's share of the frame.
+    pub(crate) row_plans: u64,
 }
 
 impl IngestRoute {
@@ -647,10 +650,10 @@ impl TimeSeriesStore {
     /// tick is back on the fast path.  Lookup-only, and nearly free when
     /// nothing changed: one generation check per touched shard.
     pub(crate) fn finish_route(&self, route: &mut IngestRoute) {
-        let IngestRoute { column, per_shard, .. } = route;
+        let IngestRoute { column, per_shard, row_plans, .. } = route;
         for (shard, plan) in self.shards.iter().zip(per_shard) {
-            if plan.len() > 0 {
-                plan.refresh(&shard.read(), column);
+            if plan.len() > 0 && plan.refresh(&shard.read(), column) {
+                *row_plans += 1;
             }
         }
     }

@@ -6,8 +6,11 @@
 //! the drop-provenance traces that explain each loss.  Writes the healthy
 //! frame's flamegraph timeline to `trace_timeline.svg`, and ends with where
 //! the tick's time went: one row per tick stage, read off the plane's own
-//! `stage.*` histograms.  Exits 1 if a stage recorded nothing or the
-//! stages account for less than 98% of `stage.tick`.
+//! `stage.*` histograms, then one row per collector slot, read off its
+//! `collect.latency.<name>` histogram and `collect.samples.<name>` counter.
+//! Exits 1 if a stage recorded nothing, the stages account for less than
+//! 98% of `stage.tick`, or a slot that delivered samples recorded no
+//! latency.
 //!
 //! ```sh
 //! cargo run --release --example trace_a_frame
@@ -113,9 +116,27 @@ fn main() {
     }
     let covered = 100.0 * staged_ns as f64 / total_ns(tick) as f64;
     println!("{:<10} {:>10.1} {covered:>7.1}%", "tick", tick.p50_ns as f64 / 1e3);
-    if !silent.is_empty() || covered < 98.0 {
+
+    // --- 6. Where collect's time went ---------------------------------
+    let collect = hist("stage.collect").expect("stage.collect registered");
+    println!("\n=== where collect's time went ({} ticks) ===", collect.count);
+    println!("{:<10} {:>10} {:>10} {:>8}", "collector", "p50 us", "samples", "share");
+    let mut unlatched = Vec::new();
+    for h in report.histograms.iter().filter(|h| h.name.starts_with("collect.latency.")) {
+        let name = &h.name["collect.latency.".len()..];
+        let samples = report.counters.iter().find(|c| c.name == format!("collect.samples.{name}"));
+        let samples = samples.map_or(0, |c| c.value);
+        if samples > 0 && h.count == 0 {
+            unlatched.push(name);
+        }
+        let per_tick = samples as f64 / collect.count.max(1) as f64;
+        let share = 100.0 * total_ns(h) as f64 / total_ns(collect).max(1) as f64;
+        println!("{name:<10} {:>10.1} {per_tick:>10.0} {share:>7.1}%", h.p50_ns as f64 / 1e3);
+    }
+    if !silent.is_empty() || covered < 98.0 || !unlatched.is_empty() {
         eprintln!(
-            "stages with no observations: {silent:?}; stages cover {covered:.1}% of the tick"
+            "stages with no observations: {silent:?}; stages cover {covered:.1}% of the tick; \
+             collectors that delivered with no latency recorded: {unlatched:?}"
         );
         std::process::exit(1);
     }
