@@ -24,6 +24,7 @@ use hpcmon_gateway::{Gateway, GatewayConfig, QueryError, QueryRequest};
 use hpcmon_health::{
     AlertEvent, FeedValue, HealthConfig, HealthEngine, HealthReport, Subsystem as HealthSubsystem,
 };
+use hpcmon_metrics::heap::HeapRelease;
 use hpcmon_metrics::{
     ColumnFrame, CompId, CompKind, FrameArena, FrameCoverage, FrameLayout, JobId, LogRecord,
     MetricId, MetricRegistry, Severity, Ts,
@@ -376,6 +377,7 @@ impl MonitorBuilder {
             gateway,
             tracer,
             trace_store: TraceStore::new(256),
+            _heap: HeapRelease,
         };
         mon.resolve_gate_slots();
         mon
@@ -789,6 +791,10 @@ pub struct MonitoringSystem {
     // frame hash can exclude wall-clock self-telemetry without a registry
     // lookup per sample.
     self_metric_flags: Vec<bool>,
+    // Last, so it drops after everything above: a dropped system hands its
+    // pages back, and the next one built in this process does not start on
+    // its heap.
+    _heap: HeapRelease,
 }
 
 impl MonitoringSystem {

@@ -21,6 +21,8 @@ pub mod alloc_count;
 pub mod arena;
 pub mod component;
 pub mod hash;
+#[allow(unsafe_code)]
+pub mod heap;
 pub mod job;
 pub mod layout;
 pub mod log;
